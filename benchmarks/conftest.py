@@ -2,8 +2,8 @@
 
 Every file in this directory regenerates one table or figure of the paper's
 evaluation (Section 5).  Benchmarks are sized to run on a laptop in seconds
-to minutes; EXPERIMENTS.md records how the measured shapes compare with the
-paper's reported numbers.
+to minutes; run one with ``-s`` to see its table, and each file's docstring
+states the paper's reported numbers it is to be compared with.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ Package layout
     CRDT replicas and a quorum-replicated KV store with optimistic
     execution — whose buggy variants sit behind options.
 ``repro.sim``
-    INET-like topology generation, workloads and traces.
+    INET-like topology generation.
 ``repro.analysis``
     Statistics and table/figure formatting used by the benchmark harness.
 ``repro.api``

@@ -14,9 +14,8 @@ and CrystalBall controllers::
               .run())
     print(report.accounting())
 
-:class:`LiveRun` is the underlying driver; it subsumes the old
-``repro.sim.OverlayWorkload`` (kept as a deprecation shim) and always
-returns a :class:`~repro.api.report.RunReport`.
+:class:`LiveRun` is the underlying driver; it always returns a
+:class:`~repro.api.report.RunReport`.
 """
 
 from __future__ import annotations
@@ -254,9 +253,8 @@ def make_fault_scenario_runner(
 class LiveRun:
     """A live deployment: staggered joins, optional churn, CrystalBall.
 
-    This is the generic driver behind :meth:`Experiment.run`; the legacy
-    ``OverlayWorkload`` delegates here.  Field semantics (and the event
-    ordering, so seeded runs stay reproducible) match the old workload.
+    This is the generic driver behind :meth:`Experiment.run`.  The event
+    ordering is part of the contract: seeded runs stay reproducible.
     """
 
     protocol_factory: Callable[[], Protocol]

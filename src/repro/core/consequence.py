@@ -14,144 +14,11 @@ independent local actions that make exhaustive search intractable at
 runtime.  Bugs it reports are real with respect to the explored model
 (unlike over-approximating analyses) because every reported path is an
 actual sequence of handler executions.
+
+The two searches are one loop with two successor rules, so the function is
+defined beside that loop, in :mod:`repro.mc.search`.
 """
 
-from __future__ import annotations
+from ..mc.search import EventFilterFn, consequence_prediction
 
-from collections import deque
-from typing import Callable, Optional, Sequence
-
-from ..mc.global_state import GlobalState
-from ..properties import SafetyProperty, check_all
-from ..mc.search import PredictedViolation, SearchBudget, SearchResult, SearchStats
-from ..mc.transition import TransitionSystem
-from ..runtime.events import Event
-from ..runtime.serialization import freeze
-from ..runtime.simulator import FilterAction
-
-#: Optional per-event steering hook used when vetting candidate event
-#: filters: returns the filter action to apply to a matching event, or None
-#: to execute the event normally.
-EventFilterFn = Callable[[Event], Optional[FilterAction]]
-
-
-def consequence_prediction(
-    system: TransitionSystem,
-    current_state: GlobalState,
-    properties: Sequence[SafetyProperty],
-    budget: Optional[SearchBudget] = None,
-    *,
-    event_filter: Optional[EventFilterFn] = None,
-) -> SearchResult:
-    """Run consequence prediction from ``current_state``.
-
-    Parameters
-    ----------
-    system:
-        Transition system for the protocol under test.
-    current_state:
-        The live state the search starts from — in deployment this is the
-        consistent neighbourhood snapshot collected by the checkpoint
-        manager, not the initial system state.
-    properties:
-        Safety properties whose future violations should be predicted.
-    budget:
-        Stop criterion; runtime deployments use small state budgets so the
-        prediction completes in the time it takes the real system to take a
-        few steps.
-    event_filter:
-        Optional steering hook: events for which it returns a drop action are
-        consumed without running their handler (with an optional connection
-        reset towards the sender).  This is how CrystalBall re-checks the
-        consequences of a candidate event filter before installing it
-        (Section 3.3, "Ensuring Safety of Event Filter Actions").
-
-    Returns
-    -------
-    SearchResult
-        Predicted violations, each with the event path that reaches it, plus
-        search statistics (states visited, depth, memory — Figures 15/16).
-    """
-    budget = budget or SearchBudget()
-    stats = SearchStats()
-    violations: list[PredictedViolation] = []
-    # Report each (property, node) combination once per search run: the
-    # first (shallowest) state that exhibits it.  Without this, a violation
-    # already present in the start state would be re-reported in every
-    # explored state, drowning genuinely new predictions.
-    reported: set[tuple] = set()
-
-    explored: set[int] = set()
-    # hash(n, s) entries: node-local states whose internal actions were
-    # already expanded (Figure 8, ``localExplored``).
-    local_explored: set[int] = set()
-    # Hashes of states already sitting in the frontier: successors reachable
-    # from several parents in one wave are enqueued only once.
-    queued: set[int] = set()
-
-    frontier: deque[tuple[GlobalState, int, tuple]] = deque()
-    frontier.append((current_state, 0, ()))
-    queued.add(current_state.state_hash())
-    stats.frontier_bytes = current_state.size_bytes()
-    stats.peak_memory_bytes = stats.frontier_bytes
-
-    while frontier and not budget.exhausted(stats):
-        state, depth, path = frontier.popleft()
-        stats.frontier_bytes -= state.size_bytes()
-        state_hash = state.state_hash()
-        if state_hash in explored:
-            stats.duplicate_states += 1
-            continue
-        explored.add(state_hash)
-        if budget.record_visited_hashes:
-            stats.note_visited_hash(state_hash)
-        stats.explored_hash_bytes = 8 * len(explored)
-        stats.record_visit(depth)
-
-        for violation in check_all(properties, state):
-            key = (violation.property_name, violation.node)
-            if key in reported:
-                continue
-            reported.add(key)
-            violations.append(
-                PredictedViolation(violation=violation, path=path,
-                                   depth=depth, state_hash=state_hash)
-            )
-        if violations and budget.stop_at_first_violation:
-            break
-
-        if not budget.depth_allowed(depth + 1):
-            continue
-
-        events = list(system.network_events(state))
-        for addr in sorted(state.nodes):
-            local_hash = hash((freeze(addr), state.nodes[addr].signature()))
-            if local_hash in local_explored:
-                stats.internal_actions_skipped += len(
-                    system.internal_events(state, addr))
-                continue
-            events.extend(system.internal_events(state, addr))
-            local_explored.add(local_hash)
-
-        for event in events:
-            action = event_filter(event) if event_filter is not None else None
-            if action in (FilterAction.DROP, FilterAction.DROP_AND_RESET):
-                next_state = system.apply_filtered(
-                    state, event,
-                    reset_connection=action is FilterAction.DROP_AND_RESET)
-            else:
-                next_state = system.apply(state, event)
-            stats.transitions_applied += 1
-            next_hash = next_state.state_hash()
-            if next_hash in explored or next_hash in queued:
-                stats.duplicate_states += 1
-                continue
-            queued.add(next_hash)
-            frontier.append((next_state, depth + 1, path + (event,)))
-            stats.states_enqueued += 1
-            stats.frontier_bytes += next_state.size_bytes()
-            stats.peak_memory_bytes = max(stats.peak_memory_bytes,
-                                          stats.frontier_bytes + stats.explored_hash_bytes)
-
-    stats.touch_clock()
-    return SearchResult(violations=violations, stats=stats, start_state=current_state)
+__all__ = ["EventFilterFn", "consequence_prediction"]

@@ -613,19 +613,12 @@ class CrystalBallController:
     # ------------------------------------------------------------------- reporting
 
     def report(self) -> dict:
-        """Summary used by examples and the benchmark harness.
-
-        Emits the complete :class:`ControllerStats` surface (the historical
-        ``snapshots`` / ``distinct_properties_violated`` aliases are kept for
-        callers of the old, trimmed report).
-        """
-        stats = self.stats.as_dict()
+        """Summary used by examples and the benchmark harness: the node, its
+        mode and the complete :class:`ControllerStats` surface."""
         return {
             "node": str(self.addr),
             "mode": self.config.mode.value,
-            **stats,
-            "snapshots": stats["snapshots_collected"],
-            "distinct_properties_violated": stats["distinct_violations"],
+            **self.stats.as_dict(),
         }
 
 

@@ -53,7 +53,7 @@ class Nemesis:
                 else f"{self.seed}/{index}/{fault.name}"
             )
             first = fault.at if fault.at is not None else fault.every
-            sim.schedule_callback(
+            sim.schedule_at(
                 sim.now + self.start_after + first,
                 lambda s, f=fault, r=rng: self._fire(s, f, r),
             )
@@ -72,11 +72,11 @@ class Nemesis:
             self.records.append(FaultRecord(sim.now, fault.name, "inject", detail))
             self._observe(sim, fault.name, "inject", detail)
             if fault.duration is not None:
-                sim.schedule_callback(
+                sim.schedule_at(
                     sim.now + fault.duration, lambda s, f=fault: self._heal(s, f)
                 )
         if fault.every is not None:
-            sim.schedule_callback(
+            sim.schedule_at(
                 sim.now + fault.every,
                 lambda s, f=fault, r=rng: self._fire(s, f, r),
             )

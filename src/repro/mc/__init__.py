@@ -1,9 +1,11 @@
-"""Model-checking substrate: system model, baseline searches, properties.
+"""Model-checking substrate: system model, the search loop, properties.
 
-This package is the MaceMC stand-in: global states (Figure 4), the
-exhaustive breadth-first search of Figure 5, random walks, and the safety
-property framework.  The paper's own contribution — consequence prediction —
-lives in :mod:`repro.core` and is built on the same primitives.
+This package is the MaceMC stand-in: global states (Figure 4), random
+walks, the safety property framework, and the one level-order search
+(:mod:`repro.mc.search`) whose :class:`SearchKind` selects between the
+exhaustive search of Figure 5 and the paper's own contribution,
+consequence prediction (Figure 8), which :mod:`repro.core` exports.
+Nothing here imports :mod:`repro.core`.
 """
 
 from .global_state import ErrorNotification, GlobalState, NodeLocal
@@ -13,7 +15,13 @@ from ..properties.base import (
     check_all,
     node_property,
 )
-from .search import PredictedViolation, SearchBudget, SearchResult, SearchStats
+from .search import (
+    PredictedViolation,
+    SearchBudget,
+    SearchKind,
+    SearchResult,
+    SearchStats,
+)
 from .transition import TransitionConfig, TransitionSystem
 from .exhaustive import find_errors
 from .falsify import (
@@ -28,7 +36,6 @@ from .parallel import (
     ParallelEngine,
     PortfolioResult,
     SearchEngine,
-    SearchKind,
     SerialEngine,
     make_engine,
     run_portfolio,

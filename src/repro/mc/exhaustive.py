@@ -10,12 +10,11 @@ event path that reaches it.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional, Sequence
 
+from ..properties import SafetyProperty
 from .global_state import GlobalState
-from ..properties import SafetyProperty, check_all
-from .search import PredictedViolation, SearchBudget, SearchResult, SearchStats
+from .search import SearchBudget, SearchKind, SearchResult, breadth_first_search
 from .transition import TransitionSystem
 
 
@@ -38,66 +37,5 @@ def find_errors(
     budget:
         Stop criterion (state, depth and wall-clock bounds).
     """
-    budget = budget or SearchBudget()
-    stats = SearchStats()
-    violations: list[PredictedViolation] = []
-    # Report each (property, node) combination once per search run: the
-    # first (shallowest) state that exhibits it.  Without this, a violation
-    # already present in the start state would be re-reported in every
-    # explored state, drowning genuinely new predictions.
-    reported: set[tuple] = set()
-
-    explored: set[int] = set()
-    # Hashes of states already sitting in the frontier: successors reachable
-    # from several parents in one wave are enqueued only once.
-    queued: set[int] = set()
-    frontier: deque[tuple[GlobalState, int, tuple]] = deque()
-    frontier.append((first_state, 0, ()))
-    queued.add(first_state.state_hash())
-    stats.frontier_bytes = first_state.size_bytes()
-    stats.peak_memory_bytes = stats.frontier_bytes
-
-    while frontier and not budget.exhausted(stats):
-        state, depth, path = frontier.popleft()
-        stats.frontier_bytes -= state.size_bytes()
-        state_hash = state.state_hash()
-        if state_hash in explored:
-            stats.duplicate_states += 1
-            continue
-        explored.add(state_hash)
-        if budget.record_visited_hashes:
-            stats.note_visited_hash(state_hash)
-        stats.explored_hash_bytes = 8 * len(explored)
-        stats.record_visit(depth)
-
-        for violation in check_all(properties, state):
-            key = (violation.property_name, violation.node)
-            if key in reported:
-                continue
-            reported.add(key)
-            violations.append(
-                PredictedViolation(violation=violation, path=path,
-                                   depth=depth, state_hash=state_hash)
-            )
-        if violations and budget.stop_at_first_violation:
-            break
-
-        if not budget.depth_allowed(depth + 1):
-            continue
-
-        for event in system.enabled_events(state):
-            next_state = system.apply(state, event)
-            stats.transitions_applied += 1
-            next_hash = next_state.state_hash()
-            if next_hash in explored or next_hash in queued:
-                stats.duplicate_states += 1
-                continue
-            queued.add(next_hash)
-            frontier.append((next_state, depth + 1, path + (event,)))
-            stats.states_enqueued += 1
-            stats.frontier_bytes += next_state.size_bytes()
-            stats.peak_memory_bytes = max(stats.peak_memory_bytes,
-                                          stats.frontier_bytes + stats.explored_hash_bytes)
-
-    stats.touch_clock()
-    return SearchResult(violations=violations, stats=stats, start_state=first_state)
+    return breadth_first_search(system, first_state, properties, budget,
+                                SearchKind.EXHAUSTIVE)

@@ -7,12 +7,14 @@ search over multiple cores:
   with :class:`~repro.mc.parallel.engine.SerialEngine` (seed behaviour) and
   :func:`~repro.mc.parallel.engine.make_engine` (config-spec parsing);
 * :class:`~repro.mc.parallel.sharded.ParallelEngine` — sharded-frontier BFS
-  over a forked worker pool;
+  over a forked worker pool, each shard running the visit and successors
+  code of :class:`repro.mc.search.Explorer` that the serial loop runs;
 * :func:`~repro.mc.parallel.portfolio.run_portfolio` — race exhaustive
   search, consequence prediction and random walks from one snapshot.
 """
 
-from .engine import SearchEngine, SearchKind, SerialEngine, make_engine
+from ..search import SearchKind
+from .engine import SearchEngine, SerialEngine, make_engine
 from .portfolio import PortfolioResult, default_strategies, run_portfolio
 from .sharded import ParallelEngine
 

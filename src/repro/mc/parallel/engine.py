@@ -2,10 +2,10 @@
 
 CrystalBall runs the same breadth-first exploration in three places — the
 exhaustive baseline of Figure 5, consequence prediction of Figure 8, and the
-filter-safety re-checks — but the seed implementation hard-wired each caller
-to a single-threaded function.  :class:`SearchEngine` decouples *what* is
+filter-safety re-checks.  :class:`SearchEngine` decouples *what* is
 searched (a :class:`~repro.mc.transition.TransitionSystem`, a start state,
-properties, a budget) from *how* it is executed, so the controller, the
+properties, a budget, a :class:`~repro.mc.search.SearchKind`) from *how*
+the loop of :mod:`repro.mc.search` is executed, so the controller, the
 benchmarks and the examples can switch between
 :class:`SerialEngine` and :class:`~repro.mc.parallel.sharded.ParallelEngine`
 via configuration without any behaviour change by default.
@@ -13,22 +13,18 @@ via configuration without any behaviour change by default.
 
 from __future__ import annotations
 
-import enum
 from typing import Callable, Optional, Protocol, Sequence, Union, runtime_checkable
 
+from ...properties import SafetyProperty
 from ..global_state import GlobalState
-from ..properties import SafetyProperty
-from ..search import SearchBudget, SearchResult
+from ..search import (
+    SearchBudget,
+    SearchKind,
+    SearchResult,
+    breadth_first_search,
+    consequence_prediction,
+)
 from ..transition import TransitionSystem
-
-
-class SearchKind(enum.Enum):
-    """Which successor-enumeration rule a search run uses."""
-
-    #: Figure 5: expand every enabled event of every visited state.
-    EXHAUSTIVE = "exhaustive"
-    #: Figure 8: expand internal actions only for unseen node-local states.
-    CONSEQUENCE = "consequence"
 
 
 @runtime_checkable
@@ -62,17 +58,12 @@ class SerialEngine:
         event_filter: Optional[Callable] = None,
     ) -> SearchResult:
         if kind is SearchKind.CONSEQUENCE:
-            # Imported lazily: repro.core is built on repro.mc, so a
-            # module-level import here would be circular.
-            from ...core.consequence import consequence_prediction
-
+            # By its public name: that is the function callers, profilers
+            # and the benchmark's tracer know a prediction by.
             return consequence_prediction(system, first_state, properties, budget,
                                           event_filter=event_filter)
-        from ..exhaustive import find_errors
-
-        if event_filter is not None:
-            raise ValueError("event filters only apply to consequence prediction")
-        return find_errors(system, first_state, properties, budget)
+        return breadth_first_search(system, first_state, properties, budget,
+                                    kind, event_filter)
 
     def __repr__(self) -> str:
         return "SerialEngine()"

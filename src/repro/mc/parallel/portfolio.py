@@ -19,9 +19,18 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from ...properties import SafetyProperty
+from ..exhaustive import find_errors
 from ..global_state import GlobalState
-from ..properties import SafetyProperty
-from ..search import PredictedViolation, SearchBudget, SearchResult, SearchStats
+from ..random_walk import random_walk_search
+from ..search import (
+    PredictedViolation,
+    SearchBudget,
+    SearchResult,
+    SearchStats,
+    consequence_prediction,
+    shallowest_reports,
+)
 from ..transition import TransitionSystem
 
 #: A named search strategy: (name, callable returning a SearchResult).
@@ -48,28 +57,17 @@ class PortfolioResult:
 
     def union_violations(self) -> list[PredictedViolation]:
         """All predicted violations, one per (property, node), shallowest
-        (then earliest-finishing strategy) first."""
-        best: dict[tuple, PredictedViolation] = {}
-        for name in sorted(self.results):
-            for violation in self.results[name].violations:
-                key = (violation.violation.property_name, violation.violation.node)
-                if key not in best or violation.depth < best[key].depth:
-                    best[key] = violation
-        return sorted(best.values(),
-                      key=lambda v: (v.depth, v.violation.property_name,
-                                     repr(v.violation.node)))
+        (then first strategy by name) first."""
+        return shallowest_reports(
+            (violation for name in sorted(self.results)
+             for violation in self.results[name].violations), set())
 
     def merged_result(self, start_state: GlobalState) -> SearchResult:
         """Fold the portfolio into one :class:`SearchResult` (the shape the
         controller consumes)."""
         stats = SearchStats()
         for result in self.results.values():
-            stats.states_visited += result.stats.states_visited
-            stats.states_enqueued += result.stats.states_enqueued
-            stats.transitions_applied += result.stats.transitions_applied
-            stats.duplicate_states += result.stats.duplicate_states
-            stats.max_depth_reached = max(stats.max_depth_reached,
-                                          result.stats.max_depth_reached)
+            stats.merge(result.stats)
         stats.elapsed_seconds = self.elapsed_seconds
         return SearchResult(violations=self.union_violations(), stats=stats,
                             start_state=start_state)
@@ -86,10 +84,6 @@ def default_strategies(
     seed: int = 0,
 ) -> list[Strategy]:
     """Exhaustive search + consequence prediction + ``walks`` random walks."""
-    from ...core.consequence import consequence_prediction
-    from ..exhaustive import find_errors
-    from ..random_walk import random_walk_search
-
     strategies: list[Strategy] = [
         ("exhaustive",
          lambda: find_errors(system, first_state, properties, budget)),

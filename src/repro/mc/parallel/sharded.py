@@ -3,12 +3,13 @@
 The state space is partitioned across a pool of worker processes by
 ``state_hash() % num_workers``: each worker owns one shard, keeps the
 explored-hash set for it, and is the only process that ever visits a state
-of that shard.  Workers expand the states of their shard, route every
-successor to its owner, and hand the batches back through the coordinator
-at round boundaries (batched cross-shard handoff).  The coordinator
-enforces the :class:`~repro.mc.search.SearchBudget`, merges per-worker
-statistics into one :class:`~repro.mc.search.SearchStats`, and deduplicates
-reported violations exactly like the serial searches do.
+of that shard.  Workers visit and expand the states of their shard with
+the same :class:`~repro.mc.search.Explorer` the serial loop uses, route
+every successor to its owner, and hand the batches back through the
+coordinator at round boundaries (batched cross-shard handoff).  The
+coordinator enforces the :class:`~repro.mc.search.SearchBudget`, merges
+per-worker statistics into one :class:`~repro.mc.search.SearchStats`, and
+deduplicates reported violations exactly like the serial search does.
 
 The search is level-synchronised: all states of depth ``d`` are visited
 before any state of depth ``d + 1`` is dispatched, so reported depths are
@@ -18,12 +19,12 @@ shards is nondeterministic; with ``stop_at_first_violation`` the search
 stops at the end of the level that produced a violation instead of
 mid-expansion.
 
-Workers are forked per run, so transition systems, safety properties (which
-close over protocol code and are therefore not picklable) and event filters
-are inherited rather than serialised; only frontier states, successor
-batches and results cross process boundaries.  Because the children inherit
-the parent's hash seed, ``state_hash()`` values — and therefore shard
-assignment — agree across the pool.
+Workers are forked per run, so the explorer — transition system, safety
+properties (which close over protocol code and are therefore not picklable)
+and event filter — is inherited rather than serialised; only frontier
+states, successor batches and results cross process boundaries.  Because
+the children inherit the parent's hash seed, ``state_hash()`` values — and
+therefore shard assignment — agree across the pool.
 
 For consequence prediction (Figure 8) the ``localExplored`` set is global
 to the search; workers exchange newly-expanded local-state hashes through
@@ -44,15 +45,20 @@ import traceback
 from collections import defaultdict
 from typing import Callable, Optional, Sequence
 
-from ...runtime.serialization import freeze
+from ...properties import SafetyProperty
 from ..global_state import GlobalState
-from ..properties import SafetyProperty, check_all
-from ..search import PredictedViolation, SearchBudget, SearchResult, SearchStats
+from ..search import (
+    Explorer,
+    FrontierItem,
+    PredictedViolation,
+    SearchBudget,
+    SearchKind,
+    SearchResult,
+    SearchStats,
+    shallowest_reports,
+)
 from ..transition import TransitionSystem
-from .engine import SearchKind, SerialEngine
-
-#: One frontier entry: (state, depth, event path from the start state).
-_Item = tuple
+from .engine import SerialEngine
 
 
 class ParallelEngine:
@@ -96,10 +102,6 @@ class ParallelEngine:
         kind: SearchKind = SearchKind.EXHAUSTIVE,
         event_filter: Optional[Callable] = None,
     ) -> SearchResult:
-        if event_filter is not None and kind is not SearchKind.CONSEQUENCE:
-            # Same contract as SerialEngine: filters vet steering actions
-            # during consequence prediction only.
-            raise ValueError("event filters only apply to consequence prediction")
         if "fork" not in multiprocessing.get_all_start_methods():
             # Properties close over protocol code and cannot be pickled to
             # spawn-based workers; without fork the serial engine is the
@@ -107,33 +109,26 @@ class ParallelEngine:
             return SerialEngine().run(system, first_state, properties, budget,
                                       kind=kind, event_filter=event_filter)
         budget = budget or SearchBudget()
-        return _coordinate(system, first_state, properties, budget, kind,
-                           event_filter, self.num_workers, self.batch_size,
-                           self.metrics)
+        # Built once here and inherited by every forked worker, each of
+        # which then fills its own copy with the states of its shard.
+        explorer = Explorer(system, properties, budget, kind, event_filter)
+        return _coordinate(explorer, first_state, self.num_workers,
+                           self.batch_size, self.metrics)
 
 
 # --------------------------------------------------------------------- coordinator
 
 
-def _coordinate(
-    system: TransitionSystem,
-    first_state: GlobalState,
-    properties: Sequence[SafetyProperty],
-    budget: SearchBudget,
-    kind: SearchKind,
-    event_filter: Optional[Callable],
-    num_workers: int,
-    batch_size: int,
-    metrics=None,
-) -> SearchResult:
+def _coordinate(explorer: Explorer, first_state: GlobalState, num_workers: int,
+                batch_size: int, metrics=None) -> SearchResult:
+    budget = explorer.budget
     ctx = multiprocessing.get_context("fork")
     task_queues = [ctx.SimpleQueue() for _ in range(num_workers)]
     result_queue = ctx.Queue()
     workers = [
         ctx.Process(
             target=_worker_main,
-            args=(wid, num_workers, system, properties, budget, kind,
-                  event_filter, task_queues[wid], result_queue),
+            args=(wid, num_workers, explorer, task_queues[wid], result_queue),
             daemon=True,
         )
         for wid in range(num_workers)
@@ -149,23 +144,22 @@ def _coordinate(
     stats = SearchStats()
     violations: list[PredictedViolation] = []
     reported: set[tuple] = set()
-    explored_counts = [0] * num_workers
+    explored_bytes = [0] * num_workers
     # Consequence prediction's localExplored set, merged across shards at
     # round boundaries.
     global_locals: set[int] = set()
     locals_known: list[set[int]] = [set() for _ in range(num_workers)]
 
-    current: list[list[_Item]] = [[] for _ in range(num_workers)]
-    next_level: list[list[_Item]] = [[] for _ in range(num_workers)]
+    current: list[list[FrontierItem]] = [[] for _ in range(num_workers)]
+    next_level: list[list[FrontierItem]] = [[] for _ in range(num_workers)]
     current[first_state.state_hash() % num_workers].append((first_state, 0, ()))
     # Maintained incrementally: workers report the bytes of the successors
     # they emit, the coordinator subtracts each dispatched batch (state
     # sizes are cached, so the per-batch sum is cheap attribute access).
-    frontier_bytes = first_state.size_bytes()
+    stats.frontier_bytes = first_state.size_bytes()
 
     try:
         while True:
-            stats.frontier_bytes = frontier_bytes
             stats.peak_memory_bytes = max(
                 stats.peak_memory_bytes,
                 stats.frontier_bytes + stats.explored_hash_bytes)
@@ -192,7 +186,7 @@ def _coordinate(
                     continue
                 del current[wid][:len(batch)]
                 batch_bytes = sum(item[0].size_bytes() for item in batch)
-                frontier_bytes -= batch_bytes
+                stats.frontier_bytes -= batch_bytes
                 dispatched_items += len(batch)
                 dispatched_bytes += batch_bytes
                 local_delta = global_locals - locals_known[wid]
@@ -203,16 +197,16 @@ def _coordinate(
             barrier_started = time.perf_counter()
             round_violations: list[PredictedViolation] = []
             for reply in _collect(result_queue, workers, len(dispatched)):
-                (wid, outgoing, found, delta, new_locals, explored_len) = reply
-                explored_counts[wid] = explored_len
-                _merge_stats(stats, delta)
-                frontier_bytes += delta["out_bytes"]
+                wid, outgoing, found, delta, new_locals = reply
+                explored_bytes[wid] = delta.explored_hash_bytes
+                stats.merge(delta)
+                stats.frontier_bytes += delta.frontier_bytes
                 round_violations.extend(found)
                 global_locals.update(new_locals)
                 locals_known[wid].update(new_locals)
                 for owner, items in outgoing.items():
                     next_level[owner].extend(items)
-            stats.explored_hash_bytes = 8 * sum(explored_counts)
+            stats.explored_hash_bytes = sum(explored_bytes)
             if metrics is not None:
                 metrics.inc("parallel.rounds")
                 metrics.inc("parallel.handoff_items", dispatched_items)
@@ -221,17 +215,8 @@ def _coordinate(
                                 time.perf_counter() - barrier_started)
 
             # The serial searches report the first (shallowest) state per
-            # (property, node); sorting keeps the choice deterministic when
-            # several shards hit the same key in one round.
-            round_violations.sort(
-                key=lambda v: (v.depth, v.violation.property_name,
-                               repr(v.violation.node)))
-            for violation in round_violations:
-                key = (violation.violation.property_name, violation.violation.node)
-                if key in reported:
-                    continue
-                reported.add(key)
-                violations.append(violation)
+            # (property, node); several shards can hit one key in a round.
+            violations.extend(shallowest_reports(round_violations, reported))
     finally:
         for task_queue in task_queues:
             task_queue.put(("stop",))
@@ -240,12 +225,11 @@ def _coordinate(
             if proc.is_alive():
                 proc.terminate()
 
-    stats.frontier_bytes = frontier_bytes
     stats.touch_clock()
     return SearchResult(violations=violations, stats=stats, start_state=first_state)
 
 
-def _trim(batches: list[list[_Item]], remaining: int) -> None:
+def _trim(batches: list[list[FrontierItem]], remaining: int) -> None:
     """Cap the total items dispatched this round at ``remaining`` visits."""
     for wid, batch in enumerate(batches):
         take = max(0, min(len(batch), remaining))
@@ -271,150 +255,41 @@ def _collect(result_queue, workers, expected: int):
         received += 1
 
 
-def _merge_stats(stats: SearchStats, delta: dict) -> None:
-    stats.states_visited += delta["visited"]
-    stats.states_enqueued += delta["enqueued"]
-    stats.transitions_applied += delta["transitions"]
-    stats.duplicate_states += delta["duplicates"]
-    stats.internal_actions_skipped += delta["skipped"]
-    for state_hash in delta["hashes"]:
-        stats.note_visited_hash(state_hash)
-    for depth, count in delta["by_depth"].items():
-        stats.states_by_depth[depth] = stats.states_by_depth.get(depth, 0) + count
-        stats.max_depth_reached = max(stats.max_depth_reached, depth)
-
-
 # ------------------------------------------------------------------------- worker
 
 
-def _worker_main(
-    worker_id: int,
-    num_workers: int,
-    system: TransitionSystem,
-    properties: Sequence[SafetyProperty],
-    budget: SearchBudget,
-    kind: SearchKind,
-    event_filter: Optional[Callable],
-    task_queue,
-    result_queue,
-) -> None:
-    explored: set[int] = set()
-    #: hashes this worker has already routed to an owner (the queued-hash
-    #: dedup of the serial searches, split per producing worker).
-    emitted: set[int] = set()
-    local_explored: set[int] = set()
-    reported: set[tuple] = set()
+def _worker_main(worker_id: int, num_workers: int, explorer: Explorer,
+                 task_queue, result_queue) -> None:
     try:
         while True:
             message = task_queue.get()
             if message[0] == "stop":
                 return
             _, items, shared_locals = message
-            local_explored.update(shared_locals)
-            result_queue.put(_process_round(
-                worker_id, num_workers, system, properties, budget, kind,
-                event_filter, items, explored, emitted, local_explored,
-                reported))
+            explorer.local_explored.update(shared_locals)
+            result_queue.put(
+                _process_round(worker_id, num_workers, explorer, items))
     except Exception:  # pragma: no cover - surfaced in the coordinator
         result_queue.put(("error", worker_id, traceback.format_exc()))
 
 
-def _process_round(
-    worker_id: int,
-    num_workers: int,
-    system: TransitionSystem,
-    properties: Sequence[SafetyProperty],
-    budget: SearchBudget,
-    kind: SearchKind,
-    event_filter: Optional[Callable],
-    items: Sequence[_Item],
-    explored: set[int],
-    emitted: set[int],
-    local_explored: set[int],
-    reported: set[tuple],
-) -> tuple:
-    outgoing: dict[int, list[_Item]] = defaultdict(list)
+def _process_round(worker_id: int, num_workers: int, explorer: Explorer,
+                   items: Sequence[FrontierItem]) -> tuple:
+    """Visit one batch of this shard and route every successor to its owner.
+
+    The reply's ``SearchStats`` counts this round only; its
+    ``frontier_bytes`` is the size of the successors emitted and its
+    ``explored_hash_bytes`` the shard's whole explored set.
+    """
+    outgoing: dict[int, list[FrontierItem]] = defaultdict(list)
     found: list[PredictedViolation] = []
-    new_locals: list[int] = []
-    delta = {"visited": 0, "enqueued": 0, "transitions": 0, "duplicates": 0,
-             "skipped": 0, "by_depth": defaultdict(int), "hashes": [],
-             "out_bytes": 0}
-
-    for state, depth, path in items:
-        state_hash = state.state_hash()
-        if state_hash in explored:
-            delta["duplicates"] += 1
+    delta = SearchStats()
+    locals_before = set(explorer.local_explored)
+    for item in items:
+        if not explorer.visit(item, delta, found):
             continue
-        explored.add(state_hash)
-        delta["visited"] += 1
-        delta["by_depth"][depth] += 1
-        if budget.record_visited_hashes:
-            delta["hashes"].append(state_hash)
-
-        for violation in check_all(properties, state):
-            key = (violation.property_name, violation.node)
-            if key in reported:
-                continue
-            reported.add(key)
-            found.append(PredictedViolation(violation=violation, path=path,
-                                            depth=depth, state_hash=state_hash))
-
-        if not budget.depth_allowed(depth + 1):
-            continue
-
-        for event in _enabled_events(system, state, kind, local_explored,
-                                     new_locals, delta):
-            next_state = _apply(system, state, event, event_filter)
-            delta["transitions"] += 1
-            next_hash = next_state.state_hash()
-            if next_hash in explored or next_hash in emitted:
-                delta["duplicates"] += 1
-                continue
-            emitted.add(next_hash)
-            # Summing here also primes the state's size cache, keeping the
-            # coordinator's frontier accounting a cached attribute access.
-            delta["out_bytes"] += next_state.size_bytes()
-            outgoing[next_hash % num_workers].append(
-                (next_state, depth + 1, path + (event,)))
-            delta["enqueued"] += 1
-
-    delta["by_depth"] = dict(delta["by_depth"])
+        for successor in explorer.successors(item, delta):
+            outgoing[successor[0].state_hash() % num_workers].append(successor)
+    delta.explored_hash_bytes = 8 * len(explorer.explored)
     return ("round_done", worker_id, dict(outgoing), found, delta,
-            new_locals, len(explored))
-
-
-def _enabled_events(
-    system: TransitionSystem,
-    state: GlobalState,
-    kind: SearchKind,
-    local_explored: set[int],
-    new_locals: list[int],
-    delta: dict,
-) -> list:
-    if kind is SearchKind.EXHAUSTIVE:
-        return system.enabled_events(state)
-    # Consequence prediction (Figure 8): internal actions only for
-    # node-local states not expanded before anywhere in the search.
-    events = list(system.network_events(state))
-    for addr in sorted(state.nodes):
-        local_hash = hash((freeze(addr), state.nodes[addr].signature()))
-        if local_hash in local_explored:
-            delta["skipped"] += len(system.internal_events(state, addr))
-            continue
-        events.extend(system.internal_events(state, addr))
-        local_explored.add(local_hash)
-        new_locals.append(local_hash)
-    return events
-
-
-def _apply(system: TransitionSystem, state: GlobalState, event,
-           event_filter: Optional[Callable]) -> GlobalState:
-    if event_filter is not None:
-        from ...runtime.simulator import FilterAction
-
-        action = event_filter(event)
-        if action in (FilterAction.DROP, FilterAction.DROP_AND_RESET):
-            return system.apply_filtered(
-                state, event,
-                reset_connection=action is FilterAction.DROP_AND_RESET)
-    return system.apply(state, event)
+            explorer.local_explored - locals_before)

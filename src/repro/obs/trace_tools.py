@@ -5,10 +5,8 @@ Two record shapes flow through here:
 * **Legacy runtime traces** — sequences of ``TraceRecord`` objects from
   ``Simulator.trace`` (attributes ``time`` / ``node`` / ``kind`` /
   ``description``).  :func:`summarize`, :func:`filter_trace` and
-  :func:`format_trace` moved here verbatim from ``repro.sim.trace`` (which
-  is now a deprecation shim).  They duck-type the records on purpose: this
-  module is part of the ``repro.obs`` leaf package and must not import the
-  runtime.
+  :func:`format_trace` duck-type the records on purpose: this module is
+  part of the ``repro.obs`` leaf package and must not import the runtime.
 * **Structured JSONL traces** — lists of dicts produced by
   :class:`repro.obs.tracer.JsonlTracer` (schema v1).  :func:`read_trace`,
   :func:`summarize_records`, :func:`filter_records`,
@@ -26,7 +24,7 @@ from typing import Any, Iterable, Optional, Sequence, Union
 from .tracer import RECORD_KINDS, SCHEMA_VERSION
 
 # --------------------------------------------------------------------------
-# Legacy in-memory traces (moved from repro.sim.trace)
+# Legacy in-memory traces
 # --------------------------------------------------------------------------
 
 

@@ -13,8 +13,9 @@ checks.  It provides:
 * :class:`ViolationRecord`, the structured violation-episode record the
   live monitor emits and the reporting stack aggregates.
 
-``repro.mc.properties`` re-exports the safety subset for backwards
-compatibility; new code should import from here.
+``repro.mc`` re-exports the safety subset (``SafetyProperty``,
+``PropertyViolation``, ``check_all``, ``node_property``) next to the
+searches that consume it.
 """
 
 from .base import (

@@ -119,9 +119,7 @@ class SafetyProperty(Property):
 
     ``check_fn`` receives the global state and returns an iterable of
     violation detail strings paired with the offending node (or ``None``
-    for system-wide violations).  The constructor signature is kept
-    compatible with the original ``repro.mc.properties.SafetyProperty``:
-    severity and tags are keyword-only additions.
+    for system-wide violations).  Severity and tags are keyword-only.
     """
 
     kind = "safety"

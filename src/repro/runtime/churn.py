@@ -50,7 +50,7 @@ class ChurnProcess:
 
     def install(self, sim: Simulator) -> None:
         """Schedule the first churn event on ``sim``."""
-        sim.schedule_callback(sim.now + self._next_interval(), self._fire)
+        sim.schedule_at(sim.now + self._next_interval(), self._fire)
 
     def _next_interval(self) -> float:
         return self._rng.expovariate(1.0 / self.mean_interval)
@@ -64,6 +64,6 @@ class ChurnProcess:
             sim.schedule_reset(sim.now, target)
         else:
             sim.crash_node(target)
-            sim.schedule_callback(sim.now + self.downtime,
-                                  lambda s, addr=target: s.revive_node(addr))
-        sim.schedule_callback(sim.now + self._next_interval(), self._fire)
+            sim.schedule_at(sim.now + self.downtime,
+                            lambda s, addr=target: s.revive_node(addr))
+        sim.schedule_at(sim.now + self._next_interval(), self._fire)

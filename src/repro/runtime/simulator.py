@@ -268,10 +268,6 @@ class Simulator:
         """
         self._schedule(time, "callback", fn)
 
-    def schedule_callback(self, time: float, fn: Callable[["Simulator"], None]) -> None:
-        """Schedule an arbitrary callback (used by churn and workloads)."""
-        self.schedule_at(time, fn)
-
     def inject_app(self, addr: Address, call: str,
                    payload: Optional[Mapping[str, Any]] = None) -> None:
         """Execute an application call on ``addr`` immediately.

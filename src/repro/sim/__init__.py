@@ -1,16 +1,5 @@
-"""Simulation support: INET-like topologies, workload drivers, trace tools."""
+"""Simulation support: INET-like topologies."""
 
 from .topology import InetTopology, TopologyConfig
-from .trace import TraceSummary, filter_trace, format_trace, summarize
-from .workload import OverlayWorkload, WorkloadResult
 
-__all__ = [
-    "InetTopology",
-    "TopologyConfig",
-    "TraceSummary",
-    "filter_trace",
-    "format_trace",
-    "summarize",
-    "OverlayWorkload",
-    "WorkloadResult",
-]
+__all__ = ["InetTopology", "TopologyConfig"]

@@ -154,8 +154,8 @@ class Figure13Scenario:
         # its (lost) acceptor state is what the neighbourhood snapshots see.
         network.heal_all()
         reconnect_window = min(8.0, max(2.0, self.inter_round_delay / 2))
-        sim.schedule_callback(sim.now + reconnect_window,
-                              lambda s: s.network.isolate(a, [b, c]))
+        sim.schedule_at(sim.now + reconnect_window,
+                        lambda s: s.network.isolate(a, [b, c]))
         if self.reset_b:
             sim.schedule_reset(sim.now + 1.0, b)
         start_second = sim.now + max(self.inter_round_delay, reconnect_window + 2.0)

@@ -13,9 +13,6 @@ registered, and experiments select them end to end::
               .nodes(1000)
               .workload("lookups", rate=2000, burst=50)
               .run())
-
-The old ad-hoc driver (``repro.sim.workload.OverlayWorkload``) remains as a
-deprecation shim; this package is its replacement.
 """
 
 from __future__ import annotations

@@ -1,42 +1,12 @@
-"""Builder-vs-legacy equivalence: the fluent Experiment reproduces the old
-entry paths bit-for-bit at equal seeds."""
-
-import warnings
+"""The fluent Experiment builder: determinism at equal seeds, equivalence
+with the scripted scenario drivers, and validation of builder settings."""
 
 import pytest
 
 from repro.api import Experiment, get_system
 from repro.core import CrystalBallConfig, Mode
-from repro.mc import SearchBudget, TransitionConfig
-from repro.runtime import NetworkModel
-from repro.sim import OverlayWorkload
+from repro.mc import SearchBudget
 from repro.systems.paxos import Figure13Scenario
-from repro.systems.randtree import ALL_PROPERTIES, RandTree, RandTreeConfig
-
-
-def _legacy_randtree(seed):
-    config = RandTreeConfig(max_children=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        workload = OverlayWorkload(
-            protocol_factory=lambda: RandTree(config),
-            properties=ALL_PROPERTIES,
-            node_count=4,
-            duration=120.0,
-            churn_mean_interval=50.0,
-            crystalball_mode=Mode.DEBUG,
-            crystalball_config=CrystalBallConfig(
-                mode=Mode.DEBUG,
-                search_budget=SearchBudget(max_states=200, max_depth=5),
-                transition=TransitionConfig(enable_resets=True,
-                                            max_resets_per_node=1),
-            ),
-            network=NetworkModel(rst_loss_probability=0.6),
-            seed=seed,
-            max_events=100_000,
-        )
-        config.bootstrap = (workload.addresses()[0],)
-        return workload.run()
 
 
 def _builder_randtree(seed):
@@ -51,18 +21,6 @@ def _builder_randtree(seed):
             .max_events(100_000)
             .seed(seed)
             .run())
-
-
-def test_builder_matches_overlay_workload_at_equal_seed():
-    legacy = _legacy_randtree(seed=9)
-    report = _builder_randtree(seed=9)
-    assert report.churn_events == legacy.churn_events
-    assert report.live_monitor.inconsistent_states \
-        == legacy.monitor.inconsistent_states
-    assert report.total_predicted() == legacy.total_predicted()
-    assert report.distinct_violations_found() \
-        == legacy.distinct_violations_found()
-    assert report.checkpoint_bytes() == legacy.checkpoint_bytes()
 
 
 def test_builder_is_deterministic_across_runs():

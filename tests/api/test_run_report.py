@@ -37,10 +37,6 @@ def test_controller_report_no_longer_omits_counters():
     for key in ("incomplete_snapshots", "replayed_paths", "replay_reproduced",
                 "forced_checkpoints", "checkpoint_requests_sent"):
         assert key in legacy_report
-    # Historical aliases stay available.
-    assert legacy_report["snapshots"] == legacy_report["snapshots_collected"]
-    assert legacy_report["distinct_properties_violated"] \
-        == legacy_report["distinct_violations"]
 
 
 def test_run_report_round_trips_through_json():

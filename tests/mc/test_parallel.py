@@ -1,13 +1,18 @@
 """Parallel engine: serial/parallel equivalence, portfolio mode, budgets."""
 
+import warnings
+
 import pytest
 
+from benchmarks.e2e.workloads import scripted_snapshot
 from repro.core import CrystalBallConfig, CrystalBallController
 from repro.mc import (
     GlobalState,
     ParallelEngine,
+    PortfolioResult,
     SearchBudget,
     SearchKind,
+    SearchStats,
     SerialEngine,
     TransitionConfig,
     TransitionSystem,
@@ -64,6 +69,8 @@ CASES = {
     "chord": _chord_case,
     "paxos": _paxos_case,
     "bulletprime": _bulletprime_case,
+    "crdtset": lambda: (*scripted_snapshot("crdtset", "concurrent-ops"), 3),
+    "kvstore": lambda: (*scripted_snapshot("kvstore", "stale-read"), 3),
 }
 
 
@@ -107,6 +114,61 @@ def test_parallel_consequence_prediction_covers_serial():
         system, start, properties, budget, kind=SearchKind.CONSEQUENCE)
     assert _violation_keys(serial) <= _violation_keys(parallel)
     assert serial.stats.visited_hashes <= parallel.stats.visited_hashes
+
+
+def test_parallel_engine_runs_with_deprecation_warnings_as_errors():
+    """Forked workers inherit the warning filters, so a search worker that
+    reaches anything deprecated dies with "search worker failed"."""
+    system, start, properties, _ = _bulletprime_case()
+    budget = SearchBudget(max_states=None, max_depth=3,
+                          record_visited_hashes=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        for kind in SearchKind:
+            serial = SerialEngine().run(system, start, properties, budget,
+                                        kind=kind)
+            parallel = ParallelEngine(num_workers=2).run(
+                system, start, properties, budget, kind=kind)
+            assert _violation_keys(serial) <= _violation_keys(parallel)
+            assert serial.stats.visited_hashes <= parallel.stats.visited_hashes
+            if kind is SearchKind.EXHAUSTIVE:
+                assert (parallel.stats.visited_hashes
+                        == serial.stats.visited_hashes)
+
+
+def test_coordinator_and_portfolio_fold_stats_with_the_same_merge(monkeypatch):
+    system, start, properties, _ = _randtree_case()
+    budget = SearchBudget(max_states=None, max_depth=3)
+    folded = []
+    merge = SearchStats.merge
+
+    def recording_merge(self, other):
+        folded.append(other)
+        merge(self, other)
+
+    monkeypatch.setattr(SearchStats, "merge", recording_merge)
+
+    parallel = ParallelEngine(num_workers=2).run(system, start, properties,
+                                                 budget)
+    assert folded, "the coordinator folds each round reply with merge()"
+    assert (sum(delta.states_visited for delta in folded)
+            == parallel.stats.states_visited)
+    assert (sum(delta.transitions_applied for delta in folded)
+            == parallel.stats.transitions_applied)
+
+    del folded[:]
+    exhaustive = find_errors(system, start, properties, budget)
+    predicted = SerialEngine().run(system, start, properties, budget,
+                                   kind=SearchKind.CONSEQUENCE)
+    merged = PortfolioResult(
+        results={"exhaustive": exhaustive, "consequence": predicted},
+        elapsed_seconds=1.5).merged_result(start)
+    assert folded == [exhaustive.stats, predicted.stats]
+    assert merged.stats.states_visited == (exhaustive.stats.states_visited
+                                           + predicted.stats.states_visited)
+    assert (merged.stats.internal_actions_skipped
+            == predicted.stats.internal_actions_skipped > 0)
+    assert merged.stats.elapsed_seconds == 1.5
 
 
 def test_parallel_respects_max_states_budget():

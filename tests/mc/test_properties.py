@@ -41,3 +41,15 @@ def test_check_all_combines_properties():
     _, gs = _gs()
     found = check_all([p1, p2], gs)
     assert [v.property_name for v in found] == ["p1"]
+
+
+def test_mc_package_reexports_the_new_property_types():
+    import repro.mc as mc
+    from repro.properties import base as new_base
+
+    # ``from repro.mc import SafetyProperty`` must hand out the real
+    # classes (no wrappers, no warning on import).
+    assert mc.SafetyProperty is new_base.SafetyProperty
+    assert mc.PropertyViolation is new_base.PropertyViolation
+    assert mc.check_all is new_base.check_all
+    assert mc.node_property is new_base.node_property

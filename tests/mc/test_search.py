@@ -26,6 +26,36 @@ def test_budget_limits_states():
     assert budget.exhausted(stats)
 
 
+def test_stats_merge_adds_work_counters_and_leaves_clock_and_memory():
+    first = SearchStats(states_visited=3, states_enqueued=4,
+                        transitions_applied=9, duplicate_states=5,
+                        internal_actions_skipped=2, max_depth_reached=1,
+                        states_by_depth={0: 1, 1: 2}, elapsed_seconds=7.0,
+                        peak_memory_bytes=100, frontier_bytes=40,
+                        explored_hash_bytes=24)
+    first.note_visited_hash(11)
+    second = SearchStats(states_visited=2, states_enqueued=1,
+                         transitions_applied=3, duplicate_states=2,
+                         internal_actions_skipped=1, max_depth_reached=2,
+                         states_by_depth={1: 1, 2: 1})
+    second.note_visited_hash(22)
+
+    total = SearchStats()
+    total.merge(first)
+    total.merge(second)
+    assert (total.states_visited, total.states_enqueued,
+            total.transitions_applied, total.duplicate_states,
+            total.internal_actions_skipped) == (5, 5, 12, 7, 3)
+    assert total.max_depth_reached == 2
+    assert total.states_by_depth == {0: 1, 1: 3, 2: 1}
+    assert total.visited_hashes == {11, 22}
+    assert (total.elapsed_seconds, total.peak_memory_bytes,
+            total.frontier_bytes, total.explored_hash_bytes) == (0.0, 0, 0, 0)
+    untouched = SearchStats()
+    untouched.merge(SearchStats(states_visited=1))
+    assert untouched.visited_hashes is None
+
+
 def test_budget_depth_allowed():
     budget = SearchBudget(max_depth=3)
     assert budget.depth_allowed(3)

@@ -76,14 +76,6 @@ def test_schedule_at_self_rearming_callback():
     assert times == [1.0, 3.0, 5.0]
 
 
-def test_schedule_callback_is_an_alias():
-    sim, _ = _make_sim()
-    fired = []
-    sim.schedule_callback(2.0, lambda s: fired.append("cb"))
-    sim.run(until=5.0)
-    assert fired == ["cb"]
-
-
 def test_inject_app_executes_inline():
     sim, (a, b) = _make_sim()
     sim.inject_app(a, "ping", {"target": b})
