@@ -227,17 +227,15 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--json", action="store_true", dest="as_json",
                        help="machine-readable output")
 
+    from ..campaign.spec import AXES, axes_help
+
     campaign = sub.add_parser(
         "campaign", parents=[common],
-        help="sweep systems × scenarios × fault presets × seeds × modes "
-             "across a worker pool")
+        help=f"sweep {' × '.join(axis.field for axis in AXES)} across a "
+             f"worker pool".replace("_", " "))
     campaign.add_argument(
         "--axes", metavar="KEY=VALUES", action="append", default=[],
-        type=_parse_axis,
-        help="axis values, comma-separated (repeatable): systems=all, "
-             "presets=partition,chaos, seeds=0-7, modes=off,steering, "
-             "scenarios=live, workloads=lookups,none, backends=sim,tcp; "
-             "preset combos join with + (presets=partition+delay)")
+        type=_parse_axis, help=axes_help())
     campaign.add_argument("--jobs", type=int, default=None,
                           help="worker processes (default: os.cpu_count())")
     campaign.add_argument("--out", metavar="PATH", default=None,
@@ -348,19 +346,17 @@ def _cmd_faults(as_json: bool) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        experiment = Experiment(args.system)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+def _split(chunks: Sequence[str]) -> list[str]:
+    """Flatten comma-separable, repeatable option values."""
+    return [name for chunk in chunks for name in chunk.split(",") if name]
 
+
+def _configure_run(args: argparse.Namespace) -> Experiment:
+    """The builder ``run``'s arguments describe; raises ``KeyError`` /
+    ``ValueError`` with a one-line message on bad user input."""
+    experiment = Experiment(args.system)
     if args.scenario is not None:
-        try:
-            experiment.scenario(args.scenario)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+        experiment.scenario(args.scenario)
     if args.nodes is not None:
         experiment.nodes(args.nodes)
     if args.duration is not None:
@@ -391,42 +387,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from ..core.controller import CheckingPolicy
 
         cb_kwargs["checking"] = CheckingPolicy(period=args.check_period)
-    try:
-        experiment.crystalball(parse_mode(args.mode), **cb_kwargs)
-    except ValueError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
+    experiment.crystalball(parse_mode(args.mode), **cb_kwargs)
 
     if args.no_churn:
         experiment.churn(False)
     elif args.churn_interval is not None:
         experiment.churn(interval=args.churn_interval)
 
-    if args.faults:
-        presets = [name for chunk in args.faults
-                   for name in chunk.split(",") if name]
-        experiment.faults(*presets, seed=args.fault_seed)
-    elif args.fault_seed is not None:
-        # No preset on the command line, but fault scenarios still honor
-        # the nemesis seed.
-        experiment.faults(seed=args.fault_seed)
+    # Without a preset on the command line, fault scenarios still honor
+    # the nemesis seed.
+    experiment.faults(*_split(args.faults), seed=args.fault_seed)
 
     if args.properties:
-        patterns = [name for chunk in args.properties
-                    for name in chunk.split(",") if name]
+        patterns = _split(args.properties)
         if not patterns:
             # An empty selection would silently disable all property
             # checking and make --fail-on-violation vacuously green.
-            print("error: --properties was given but names no patterns",
-                  file=sys.stderr)
-            return 2
-        exclude = [name for chunk in args.exclude_properties
-                   for name in chunk.split(",") if name]
-        experiment.properties(*patterns, exclude=exclude)
+            raise ValueError("--properties was given but names no patterns")
+        experiment.properties(*patterns,
+                              exclude=_split(args.exclude_properties))
     elif args.exclude_properties:
-        print("error: --exclude-properties needs --properties",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--exclude-properties needs --properties")
     if args.full_recheck:
         experiment.incremental_monitor(False)
 
@@ -439,25 +420,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         "duration": args.workload_duration,
     }
     if args.workload is not None:
-        try:
-            experiment.workload(args.workload, **workload_overrides)
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+        experiment.workload(args.workload, **workload_overrides)
     elif any(value is not None for value in workload_overrides.values()):
-        print("error: --workload-* overrides need --workload",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--workload-* overrides need --workload")
 
     if args.backend is not None:
-        try:
-            experiment.backend(args.backend, **dict(args.backend_option))
-        except ValueError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+        experiment.backend(args.backend, **dict(args.backend_option))
     elif args.backend_option:
-        print("error: --backend-option needs --backend", file=sys.stderr)
-        return 2
+        raise ValueError("--backend-option needs --backend")
 
     if args.option:
         experiment.options(**dict(args.option))
@@ -465,6 +435,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         experiment.trace(args.trace)
     if args.metrics:
         experiment.metrics(True)
+    return experiment
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    try:
+        experiment = _configure_run(args)
+    except (KeyError, ValueError) as exc:
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
 
     try:
         report = experiment.run()
@@ -487,8 +466,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_attack(args: argparse.Namespace) -> int:
     from ..attack import AttackConfig, find_attack
 
-    faults = [name for chunk in args.faults
-              for name in chunk.split(",") if name]
+    faults = _split(args.faults)
     config = AttackConfig(
         system=args.system,
         property_id=args.property_id,

@@ -20,6 +20,7 @@ and CrystalBall controllers::
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import time
 import warnings
@@ -484,6 +485,10 @@ class Experiment:
     def spec(self) -> SystemSpec:
         return self._spec
 
+    def _note(self, setting: str, explicit: bool) -> None:
+        """Record (or forget) that ``setting`` was moved off its default."""
+        (self._explicit.add if explicit else self._explicit.discard)(setting)
+
     # ---------------------------------------------------------- configuration
 
     def nodes(self, count: int) -> "Experiment":
@@ -617,12 +622,19 @@ class Experiment:
         against the peer's last-seen state, and ``batched_control_plane``
         fans snapshot-gather requests out over UDP in one batch.
         """
-        if config is not None and any(
-                value is not None for value in (engine, budget, transition,
-                                                portfolio, immediate_check,
-                                                check_filter_safety, checking,
-                                                delta_checkpoints,
-                                                batched_control_plane)):
+        settings = {
+            name: value
+            for name, value in (("engine", engine), ("search_budget", budget),
+                                ("transition", transition),
+                                ("portfolio", portfolio),
+                                ("immediate_check", immediate_check),
+                                ("check_filter_safety", check_filter_safety),
+                                ("checking", checking),
+                                ("delta_checkpoints", delta_checkpoints),
+                                ("batched_control_plane",
+                                 batched_control_plane))
+            if value is not None}
+        if config is not None and settings:
             raise ValueError(
                 "pass either an explicit config or individual crystalball "
                 "settings (engine/budget/transition/...), not both")
@@ -632,33 +644,12 @@ class Experiment:
             self._mode = parse_mode(mode)
         self._cb_config = config
         self._checker_nodes = nodes
-        self._cb_kwargs = {}
-        if engine is not None:
-            self._cb_kwargs["engine"] = engine
-            self._explicit.add("engine")
-        if budget is not None:
-            self._cb_kwargs["search_budget"] = budget
-        if transition is not None:
-            self._cb_kwargs["transition"] = transition
-            self._explicit.add("transition")
-        if portfolio is not None:
-            self._cb_kwargs["portfolio_mode"] = portfolio
-            self._explicit.add("portfolio")
-        if immediate_check is not None:
-            self._cb_kwargs["immediate_check"] = immediate_check
-            self._explicit.add("immediate_check")
-        if check_filter_safety is not None:
-            self._cb_kwargs["check_filter_safety"] = check_filter_safety
-            self._explicit.add("check_filter_safety")
-        if checking is not None:
-            self._cb_kwargs["checking"] = checking
-            self._explicit.add("checking")
-        if delta_checkpoints is not None:
-            self._cb_kwargs["delta_checkpoints"] = delta_checkpoints
-            self._explicit.add("delta_checkpoints")
-        if batched_control_plane is not None:
-            self._cb_kwargs["batched_control_plane"] = batched_control_plane
-            self._explicit.add("batched_control_plane")
+        self._cb_kwargs = {
+            {"portfolio": "portfolio_mode"}.get(name, name): value
+            for name, value in settings.items()}
+        # The budget is not recorded here: scenarios and sweeps look it up
+        # in the config, where an explicit ``config=`` may also carry one.
+        self._explicit.update(settings.keys() - {"search_budget"})
         if nodes is not None:
             self._explicit.add("checker_nodes")
         return self
@@ -731,10 +722,7 @@ class Experiment:
                 f"unknown backend {name!r} (one of: {', '.join(known)})")
         self._backend = name
         self._backend_options = dict(options)
-        if name != "sim" or options:
-            self._explicit.add("backend")
-        else:
-            self._explicit.discard("backend")
+        self._note("backend", name != "sim" or bool(options))
         return self
 
     def scenario(self, name: str) -> "Experiment":
@@ -782,10 +770,7 @@ class Experiment:
         a seeded run is bit-identical with tracing on or off.
         """
         self._trace = path
-        if path is not None:
-            self._explicit.add("trace")
-        else:
-            self._explicit.discard("trace")
+        self._note("trace", path is not None)
         return self
 
     def metrics(self, enabled: bool = True) -> "Experiment":
@@ -795,21 +780,15 @@ class Experiment:
         wall-clock timings (controller phases, model-checker runs).
         """
         self._metrics = bool(enabled)
-        if enabled:
-            self._explicit.add("metrics")
-        else:
-            self._explicit.discard("metrics")
+        self._note("metrics", self._metrics)
         return self
 
     def incremental_monitor(self, enabled: bool = True) -> "Experiment":
         """Toggle the live monitor's dirty-node fast path (default on)."""
         self._incremental_monitor = bool(enabled)
-        if not enabled:
-            # Non-default setting: scenario runs and sweeps cannot honor
-            # it and must warn instead of silently measuring the fast path.
-            self._explicit.add("incremental_monitor")
-        else:
-            self._explicit.discard("incremental_monitor")
+        # Off is the non-default setting: scenario runs and sweeps cannot
+        # honor it and must warn instead of silently measuring the fast path.
+        self._note("incremental_monitor", not self._incremental_monitor)
         return self
 
     def resolved_properties(self) -> list[Property]:
@@ -854,13 +833,7 @@ class Experiment:
                 f"{sorted(unknown)} (accepted: {sorted(accepted)}; set mode "
                 f"and seed through the builder, not options)")
         kwargs = dict(self._options)
-        unsupported = self._explicit & {
-            "network", "churn", "engine", "portfolio", "max_events",
-            "properties", "transition", "immediate_check",
-            "check_filter_safety", "checker_nodes", "faults",
-            "incremental_monitor", "trace", "metrics", "workload",
-            "checking", "delta_checkpoints", "batched_control_plane",
-            "backend"}
+        unsupported: set[str] = set()
 
         def forward(setting: str, key: str, value: Any) -> None:
             if key in named:
@@ -868,10 +841,15 @@ class Experiment:
             else:
                 unsupported.add(setting)
 
-        if "nodes" in self._explicit:
-            forward("nodes", "node_count", self._nodes)
-        if "duration" in self._explicit:
-            forward("duration", "max_time", self._duration)
+        # The only explicit settings a runner can take are its deployment
+        # size and length; every other one is ignored, whatever it is.
+        forwardable = {"nodes": ("node_count", self._nodes),
+                       "duration": ("max_time", self._duration)}
+        for setting in self._explicit:
+            if setting in forwardable:
+                forward(setting, *forwardable[setting])
+            else:
+                unsupported.add(setting)
         budget = self._cb_kwargs.get("search_budget")
         if budget is None and self._cb_config is not None:
             budget = self._cb_config.search_budget
@@ -974,83 +952,72 @@ class Experiment:
         warn instead of silently changing the measurement.
         """
         from ..campaign import CampaignSpec, run_campaign
+        from ..campaign.spec import AXES, RunSpec
 
-        instances = [fault for fault in self._faults
-                     if not isinstance(fault, str)]
-        if faults is None:
+        def named(values: Optional[Sequence[Any]]) -> tuple[str, ...]:
+            return tuple(value for value in values or ()
+                         if isinstance(value, str))
+
+        given = {"scenarios": scenarios, "fault_presets": faults,
+                 "seeds": seeds, "modes": modes, "properties": properties,
+                 "workloads": workloads, "backends": backends}
+        # What the builder holds, per cell field: the single value every
+        # axis that is not swept defaults to.
+        held = {"system": self._spec.name, "scenario": self._scenario,
+                "faults": named(self._faults) or None, "seed": self._seed,
+                "mode": self._mode.value,
+                "properties": (named(self._property_selectors)
+                               if self._property_selectors is not None
+                               else None),
+                "workload": self._workload_name, "backend": self._backend}
+        # Instances cannot cross into worker processes: without the axis
+        # they are the measurement (refuse); with it they are replaced.
+        for axis_field, instances, what, remedy, dropped in (
+                ("fault_presets", len(self._faults) - len(held["faults"] or ()),
+                 "explicit Fault instances (the partition_every shorthand "
+                 "included)",
+                 "name fault presets instead, e.g. faults=['partition'] or "
+                 ".faults('partition')",
+                 "the faults= axis replaces the builder's fault list; its "
+                 "explicit Fault instances are dropped from the sweep"),
+                ("properties",
+                 len(self._property_selectors or ())
+                 - len(held["properties"] or ()),
+                 "Property instances",
+                 "select properties by id pattern instead, e.g. "
+                 ".properties('randtree.*')",
+                 "the properties= axis replaces the builder's property "
+                 "selection; its Property instances are dropped from the "
+                 "sweep"),
+                ("workloads",
+                 self._workload is not None and self._workload_name is None,
+                 "an inline WorkloadSpec instance",
+                 "register the workload on the system and select it by "
+                 "name: .workload('lookups')",
+                 "the workloads= axis replaces the builder's inline "
+                 "WorkloadSpec; it is dropped from the sweep")):
+            if instances and given[axis_field] is None:
+                raise ValueError(f"sweep() cannot carry {what} into worker "
+                                 f"processes; {remedy}")
             if instances:
-                raise ValueError(
-                    "sweep() cannot carry explicit Fault instances (the "
-                    "partition_every shorthand included) into worker "
-                    "processes; name fault presets instead, e.g. "
-                    "faults=['partition'] or .faults('partition')")
-            fault_presets: Sequence[Any] = [tuple(
-                fault for fault in self._faults if isinstance(fault, str))
-                or None]
-        else:
-            if instances:
-                warnings.warn(
-                    "the faults= axis replaces the builder's fault list; "
-                    "its explicit Fault instances are dropped from the "
-                    "sweep", UserWarning, stacklevel=2)
-            fault_presets = list(faults)
+                warnings.warn(dropped, UserWarning, stacklevel=2)
         if self._network_params is None:
             raise ValueError(
                 "sweep() cannot carry an explicit NetworkModel instance "
                 "into worker processes; configure the network from scalars "
                 "instead: network(rtt=..., loss=..., jitter=..., "
                 "rst_loss=...)")
-        property_instances = [
-            sel for sel in (self._property_selectors or [])
-            if not isinstance(sel, str)]
-        if properties is None:
-            if property_instances:
-                raise ValueError(
-                    "sweep() cannot carry Property instances into worker "
-                    "processes; select properties by id pattern instead, "
-                    "e.g. .properties('randtree.*')")
-            if self._property_selectors is not None:
-                property_axis: Sequence[Any] = [
-                    tuple(sel for sel in self._property_selectors
-                          if isinstance(sel, str))]
-            else:
-                property_axis = [None]
-        else:
-            if property_instances:
-                warnings.warn(
-                    "the properties= axis replaces the builder's property "
-                    "selection; its Property instances are dropped from "
-                    "the sweep", UserWarning, stacklevel=2)
-            property_axis = list(properties)
-        if workloads is None:
-            if self._workload is not None and self._workload_name is None:
-                raise ValueError(
-                    "sweep() cannot carry an inline WorkloadSpec instance "
-                    "into worker processes; register the workload on the "
-                    "system and select it by name: .workload('lookups')")
-            workload_axis: Sequence[Optional[str]] = [self._workload_name]
-        else:
-            if self._workload is not None and self._workload_name is None:
-                warnings.warn(
-                    "the workloads= axis replaces the builder's inline "
-                    "WorkloadSpec; it is dropped from the sweep",
-                    UserWarning, stacklevel=2)
-            workload_axis = list(workloads)
-        backend_axis = (list(backends) if backends is not None
-                        else [self._backend])
         if self._backend_options:
             warnings.warn(
                 "sweep() rebuilds each cell from plain data and drops the "
                 "builder's backend options; cells run the backend with its "
                 "defaults", UserWarning, stacklevel=2)
+        # Whatever a RunSpec has no field for cannot reach the workers.
         # "metrics" carries implicitly: campaign workers always collect
-        # metrics into each cell's report.  A trace file cannot be shared
-        # across worker processes, so it is dropped with a warning.
-        uncarried = self._explicit & {
-            "engine", "portfolio", "max_events", "transition",
-            "immediate_check", "check_filter_safety", "checker_nodes",
-            "incremental_monitor", "trace", "checking", "delta_checkpoints",
-            "batched_control_plane"}
+        # metrics into each cell's report.
+        carried = {spec_field.name
+                   for spec_field in dataclasses.fields(RunSpec)} | {"metrics"}
+        uncarried = self._explicit - carried
         if self._cb_config is not None or "search_budget" in self._cb_kwargs:
             uncarried = uncarried | {"crystalball config/budget"}
         if uncarried:
@@ -1059,17 +1026,12 @@ class Experiment:
                 f"these builder settings: {sorted(uncarried)}",
                 UserWarning, stacklevel=2)
         spec = CampaignSpec(
-            systems=[self._spec.name],
-            scenarios=(list(scenarios) if scenarios is not None
-                       else [self._scenario]),
-            fault_presets=fault_presets,
-            seeds=(list(seeds) if seeds is not None else [self._seed]),
-            modes=(list(modes) if modes is not None else [self._mode.value]),
-            properties=property_axis,
+            **{axis.field: (list(given[axis.field])
+                            if given.get(axis.field) is not None
+                            else [held[axis.cell]])
+               for axis in AXES},
             properties_exclude=tuple(self._property_exclude),
-            workloads=workload_axis,
             workload_overrides=dict(self._workload_overrides),
-            backends=backend_axis,
             nodes=self._nodes if "nodes" in self._explicit else None,
             duration=(self._duration if "duration" in self._explicit
                       else None),

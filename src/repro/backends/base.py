@@ -138,7 +138,6 @@ def make_backend(
     *,
     seed: int = 0,
     tick_interval: float = 10.0,
-    trace: bool = False,
     obs: Any = None,
     options: Optional[Mapping[str, Any]] = None,
 ) -> Simulator:
@@ -152,7 +151,7 @@ def make_backend(
     cls = get_backend(name)
     return cls.from_options(
         protocol_factory, network, seed=seed, tick_interval=tick_interval,
-        trace=trace, obs=obs, options=dict(options or {}))
+        obs=obs, options=options)
 
 
 def protocol_state_digest(backend: ExecutionBackend) -> str:

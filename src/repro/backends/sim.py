@@ -10,35 +10,12 @@ matching runs built through :func:`repro.backends.make_backend`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Optional
-
 from ..runtime.simulator import Simulator
 from .base import register_backend
 
 
 class SimBackend(Simulator):
     """Simulated transport: the pre-backend runtime, unchanged."""
-
-    backend_name = "sim"
-
-    @classmethod
-    def from_options(
-        cls,
-        protocol_factory: Callable[[], Any],
-        network: Any = None,
-        *,
-        seed: int = 0,
-        tick_interval: float = 10.0,
-        trace: bool = False,
-        obs: Any = None,
-        options: Optional[Mapping[str, Any]] = None,
-    ) -> "SimBackend":
-        if options:
-            raise ValueError(
-                f"the 'sim' backend takes no options, got "
-                f"{sorted(options)}")
-        return cls(protocol_factory, network, seed=seed,
-                   tick_interval=tick_interval, trace=trace, obs=obs)
 
 
 register_backend("sim", SimBackend)

@@ -28,16 +28,13 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Optional
 
 from ..runtime.address import Address
 from ..runtime.messages import Message
-from ..runtime.simulator import Simulator, _QueueEntry
+from ..runtime.simulator import _DELIVERY_KINDS, Simulator
 from .base import register_backend
 from .wire import WireStats, read_frame, write_frame
-
-#: Options accepted by ``Experiment.backend("tcp", ...)``.
-_TCP_OPTIONS = ("host", "port_base", "frame_timeout")
 
 
 @dataclass
@@ -60,6 +57,8 @@ class AsyncioTcpBackend(Simulator):
     """Real-socket transport under the deterministic coordinator."""
 
     backend_name = "tcp"
+    #: what ``Experiment.backend("tcp", ...)`` accepts.
+    accepted_options = ("host", "port_base", "frame_timeout")
 
     def __init__(self, *args: Any, host: str = "127.0.0.1",
                  port_base: int = 0, frame_timeout: float = 30.0,
@@ -75,28 +74,6 @@ class AsyncioTcpBackend(Simulator):
         self.wire_fallbacks = 0
         self._endpoints: dict[Address, _NodeEndpoint] = {}
         self._writers: dict[tuple[Address, Address], Any] = {}
-
-    @classmethod
-    def from_options(
-        cls,
-        protocol_factory: Callable[[], Any],
-        network: Any = None,
-        *,
-        seed: int = 0,
-        tick_interval: float = 10.0,
-        trace: bool = False,
-        obs: Any = None,
-        options: Optional[Mapping[str, Any]] = None,
-    ) -> "AsyncioTcpBackend":
-        options = dict(options or {})
-        unknown = set(options) - set(_TCP_OPTIONS)
-        if unknown:
-            raise ValueError(
-                f"unknown option(s) for the 'tcp' backend: "
-                f"{sorted(unknown)} (accepted: {sorted(_TCP_OPTIONS)})")
-        return cls(protocol_factory, network, seed=seed,
-                   tick_interval=tick_interval, trace=trace, obs=obs,
-                   **options)
 
     # -- running ------------------------------------------------------------
 
@@ -114,39 +91,14 @@ class AsyncioTcpBackend(Simulator):
                          max_events: Optional[int]) -> None:
         await self._open_endpoints()
         try:
-            executed = 0
-            while self._queue:
-                if max_events is not None and executed >= max_events:
-                    break
-                entry = self._queue[0]
-                if until is not None and entry.time > until:
-                    self.now = until
-                    break
-                import heapq
-
-                heapq.heappop(self._queue)
-                self.now = entry.time
-                await self._dispatch_async(entry)
-                executed += 1
+            for entry in self._due_entries(until, max_events):
+                if entry.kind in _DELIVERY_KINDS:
+                    for message in self._due_messages(entry):
+                        await self._deliver_over_wire(message)
+                else:
+                    self._dispatch(entry)
         finally:
             await self._close_endpoints()
-
-    async def _dispatch_async(self, entry: _QueueEntry) -> None:
-        kind = entry.kind
-        if kind == "deliver":
-            did, message = entry.data
-            self._inflight.pop(did, None)
-            await self._deliver_over_wire(message)
-        elif kind == "deliver_batch":
-            plan = entry.data
-            while not plan.exhausted and plan.next_time() <= self.now:
-                did, message = plan.pop_due()
-                self._inflight.pop(did, None)
-                await self._deliver_over_wire(message)
-            if not plan.exhausted:
-                self._schedule(plan.next_time(), "deliver_batch", plan)
-        else:
-            self._dispatch(entry)
 
     # -- the wire -----------------------------------------------------------
 

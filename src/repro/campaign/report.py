@@ -1,8 +1,8 @@
 """Campaign aggregation: per-axis rollups and rendered summaries.
 
 :func:`build_campaign_report` folds the per-run records of a campaign into
-a :class:`CampaignReport` — totals plus rollups along every axis (system,
-fault preset, mode, scenario, seed).  The aggregate is deterministic for a
+a :class:`CampaignReport` — totals plus rollups along every axis of
+:data:`~repro.campaign.spec.AXES`.  The aggregate is deterministic for a
 fixed seed set: records are re-sorted by ``run_id`` (worker count only
 varies the on-disk order) and wall-clock timing lives in a separate
 ``timing`` section that :meth:`CampaignReport.deterministic_dict` drops.
@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence
 
 from ..analysis.reporting import format_markdown_table, format_table
-from .spec import (
-    COMBO_SEPARATOR,
-    LIVE_SCENARIO,
-    CampaignSpec,
-    RunSpec,
-    properties_label,
-)
+from .spec import AXES, CampaignSpec, RunSpec
 
 #: Summary counters summed into totals and every rollup bucket.
 ROLLUP_COUNTERS = (
@@ -35,17 +29,6 @@ ROLLUP_COUNTERS = (
     "violations_observed",
     "churn_events",
 )
-
-
-#: Rollup axes: name -> key extractor over the run dict of a record.
-_AXES = {
-    "system": lambda run: run["system"],
-    "preset": lambda run: COMBO_SEPARATOR.join(run["faults"] or []) or "none",
-    "mode": lambda run: run["mode"],
-    "scenario": lambda run: run["scenario"] or LIVE_SCENARIO,
-    "seed": lambda run: str(run["seed"]),
-    "properties": lambda run: properties_label(run.get("properties")),
-}
 
 
 def _empty_bucket() -> dict[str, Any]:
@@ -144,18 +127,25 @@ def build_campaign_report(
     ordered = [by_id[run.run_id] for run in runs if run.run_id in by_id]
     ordered.sort(key=lambda record: record["run"]["run_id"])
 
+    cells = [RunSpec.from_dict(record["run"]) for record in ordered]
+    # Axes the aggregate format predates only appear once swept.
+    reported = [axis for axis in AXES if axis.in_aggregate or any(
+        getattr(cell, axis.cell) != axis.default for cell in cells)]
+
     totals = _empty_bucket()
-    rollups: dict[str, dict[str, dict[str, Any]]] = {axis: {} for axis in _AXES}
+    rollups: dict[str, dict[str, dict[str, Any]]] = {
+        axis.rollup: {} for axis in reported}
     properties: dict[str, dict[str, int]] = {}
     metrics: dict[str, int] = {}
     failures = []
     run_rows = []
-    for record in ordered:
+    for record, cell in zip(ordered, cells):
         run = record["run"]
         _fold(totals, record)
-        for axis, key_of in _AXES.items():
-            bucket = rollups[axis].setdefault(key_of(run), _empty_bucket())
-            _fold(bucket, record)
+        for axis in reported:
+            key = str(axis.label(getattr(cell, axis.cell)))
+            _fold(rollups[axis.rollup].setdefault(key, _empty_bucket()),
+                  record)
         if record["status"] == "ok":
             by_property = (record.get("summary") or {}).get(
                 "violations_by_property"
@@ -177,16 +167,11 @@ def build_campaign_report(
                     "error": (record.get("error") or "").strip(),
                 }
             )
+        stored = cell.to_dict()
         run_rows.append(
             {
                 "run_id": run["run_id"],
-                "system": run["system"],
-                "scenario": run["scenario"],
-                "faults": list(run["faults"] or []),
-                "mode": run["mode"],
-                "seed": run["seed"],
-                "properties": (list(run["properties"])
-                               if run.get("properties") is not None else None),
+                **{axis.cell: stored[axis.cell] for axis in reported},
                 "status": record["status"],
                 "summary": record.get("summary"),
             }
@@ -230,16 +215,14 @@ _TABLE_COLUMNS = (
 )
 
 
-def _property_rows(report: CampaignReport) -> list[list[Any]]:
-    return [
-        [name, column["violations"], column["runs_affected"]]
-        for name, column in report.properties.items()
-    ]
+#: Rollups rendered in the summary table: every axis but the seeds, which
+#: are repetitions of a configuration rather than configurations.
+_TABLE_ROLLUPS = tuple(axis.rollup for axis in AXES if axis.field != "seeds")
 
 
 def _rollup_rows(report: CampaignReport) -> list[list[Any]]:
     rows = []
-    for axis in ("system", "preset", "mode", "scenario", "properties"):
+    for axis in _TABLE_ROLLUPS:
         buckets = report.rollups.get(axis, {})
         if len(buckets) < 2 and axis != "system":
             # A single-valued axis repeats the totals line; skip the noise.
@@ -268,38 +251,31 @@ def render_campaign_report(
     if timing.get("resumed_runs"):
         headline += f" · resumed {timing['resumed_runs']}"
 
-    headers = ["axis"] + [label for _, label in _TABLE_COLUMNS]
-    rows = _rollup_rows(report)
-    property_headers = ["property", "violations", "runs affected"]
-    property_rows = _property_rows(report)
-    lines = []
-    if markdown:
-        lines.append("### Campaign summary")
-        lines.append("")
-        lines.append(headline)
-        lines.append("")
-        lines.append(format_markdown_table(headers, rows))
-        if property_rows:
-            lines.append("")
-            lines.append("#### Violations by property")
-            lines.append("")
-            lines.append(format_markdown_table(property_headers, property_rows))
-        if report.failures:
-            lines.append("")
-            lines.append(f"#### Failures ({len(report.failures)})")
-            lines.append("")
-            for failure in report.failures:
-                last_line = failure["error"].splitlines()[-1:] or [""]
-                lines.append(f"- `{failure['run_id']}` — {last_line[0]}")
-    else:
-        lines.append(headline)
-        lines.append(format_table(headers, rows, title="per-axis rollups"))
-        if property_rows:
-            lines.append(format_table(property_headers, property_rows,
-                                      title="violations by property"))
-        if report.failures:
-            lines.append(f"failures ({len(report.failures)}):")
-            for failure in report.failures:
-                last_line = failure["error"].splitlines()[-1:] or [""]
-                lines.append(f"  {failure['run_id']}: {last_line[0]}")
+    tables = [("per-axis rollups",
+               ["axis"] + [label for _, label in _TABLE_COLUMNS],
+               _rollup_rows(report))]
+    if report.properties:
+        tables.append(("violations by property",
+                       ["property", "violations", "runs affected"],
+                       [[name, column["violations"], column["runs_affected"]]
+                        for name, column in report.properties.items()]))
+    failures = [(failure["run_id"],
+                 (failure["error"].splitlines()[-1:] or [""])[0])
+                for failure in report.failures]
+    if not markdown:
+        lines = [headline]
+        lines += [format_table(headers, rows, title=title)
+                  for title, headers, rows in tables]
+        if failures:
+            lines.append(f"failures ({len(failures)}):")
+            lines += [f"  {run_id}: {error}" for run_id, error in failures]
+        return "\n".join(lines)
+    lines = ["### Campaign summary", "", headline]
+    for index, (title, headers, rows) in enumerate(tables):
+        if index:  # the rollup table sits directly under the headline
+            lines += ["", f"#### {title.capitalize()}"]
+        lines += ["", format_markdown_table(headers, rows)]
+    if failures:
+        lines += ["", f"#### Failures ({len(failures)})", ""]
+        lines += [f"- `{run_id}` — {error}" for run_id, error in failures]
     return "\n".join(lines)

@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional, Union
 from ..api.experiment import Experiment
 from ..api.report import RunReport
 from .report import CampaignReport, build_campaign_report
-from .spec import CampaignSpec, RunSpec
+from .spec import ATTACK_MODE, AXES, CampaignSpec, RunSpec
 from .store import ResultStore, make_record
 
 #: ``progress(record)`` hook invoked in the parent as each run completes.
@@ -65,11 +65,12 @@ def run_attack_cell(run: RunSpec) -> RunReport:
 
 def run_one(run: RunSpec) -> RunReport:
     """Execute one campaign cell through the fluent experiment API."""
-    if run.mode == "attack":
+    if run.mode == ATTACK_MODE:
         return run_attack_cell(run)
-    experiment = Experiment(run.system).seed(run.seed).mode(run.mode)
-    if run.scenario is not None:
-        experiment.scenario(run.scenario)
+    experiment = Experiment(run.system)
+    for axis in AXES:
+        if axis.apply is not None and getattr(run, axis.cell) != axis.default:
+            axis.apply(experiment, run)
     # Deployment settings go through the builder for scenario cells too:
     # Experiment.run() forwards what the scenario runner accepts
     # (node_count / max_time) and warns about what it cannot honor, so a
@@ -78,34 +79,19 @@ def run_one(run: RunSpec) -> RunReport:
         experiment.nodes(run.nodes)
     if run.duration is not None:
         experiment.duration(run.duration)
-    if run.scenario is None:
-        if run.churn:
-            experiment.churn(True, interval=run.churn_interval)
-        else:
-            experiment.churn(False)
-    elif run.churn:
-        # Scenarios script their own adversary; only an explicitly
-        # requested churn is worth the builder's "ignored" warning.
+    # Scenarios script their own adversary; only an explicitly requested
+    # churn is worth the builder's "ignored" warning.
+    if run.churn:
         experiment.churn(True, interval=run.churn_interval)
+    elif run.scenario is None:
+        experiment.churn(False)
     if run.network:
         experiment.network(**dict(run.network))
-    if run.faults:
-        experiment.faults(*run.faults, seed=run.fault_seed,
-                          start_after=run.fault_start_after)
-    elif run.fault_seed is not None:
+    if run.fault_seed is not None and not run.faults:
+        # Fault scenarios honor the nemesis seed without a preset axis.
         experiment.faults(seed=run.fault_seed)
-    if run.properties is not None:
-        # Patterns resolve against the worker's registry (the bundled
-        # property modules self-register on import, so the registry is
-        # identical in every worker).
-        experiment.properties(*run.properties,
-                              exclude=run.properties_exclude)
     if run.options:
         experiment.options(**dict(run.options))
-    if run.workload is not None:
-        experiment.workload(run.workload, **dict(run.workload_overrides))
-    if run.backend != "sim":
-        experiment.backend(run.backend)
     # Metrics are always on for live cells: counters are deterministic and
     # feed the aggregate's metrics rollup (cheap — no tracing).  Scripted
     # scenarios build their own simulators and cannot honor the setting.
@@ -193,10 +179,6 @@ def execute_run(run_dict: dict[str, Any]) -> dict[str, Any]:
     )
 
 
-def default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
 class CampaignRunner:
     """Execute a :class:`CampaignSpec` and aggregate the results.
 
@@ -252,7 +234,7 @@ class CampaignRunner:
         pending = [run for run in runs if run.run_id not in completed]
         records = list(completed.values())
 
-        jobs = self.jobs if self.jobs is not None else default_jobs()
+        jobs = self.jobs if self.jobs is not None else os.cpu_count() or 1
         jobs = max(1, min(jobs, len(pending) or 1))
 
         def collect(record: dict[str, Any]) -> None:

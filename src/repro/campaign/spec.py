@@ -1,22 +1,32 @@
 """Declarative campaign specifications: axes expanded into a run matrix.
 
 A :class:`CampaignSpec` names the axes of a sweep — systems × scenarios ×
-fault presets × seeds × steering modes — plus the settings shared by every
-cell (durations, deployment size, churn, options).  :meth:`CampaignSpec.expand`
-validates every axis value against the live registries (systems, scenarios,
-fault presets, modes) and produces the full cross product as a list of
-:class:`RunSpec` cells, each with a stable ``run_id`` so a partially
-completed campaign can be resumed from its JSONL result store.
+fault presets × modes × seeds × property selections × workloads × backends
+— plus the settings shared by every cell (durations, deployment size,
+churn, options).  Everything that is particular to one axis is declared
+once, in its row of :data:`AXES`: how raw values are normalized, how a cell
+value is labelled in run ids and rollups, which registry validates it, and
+whether it is restricted to live cells.  :meth:`CampaignSpec.expand`,
+:func:`parse_axes`, the campaign report's rollups, the runner and
+``Experiment.sweep`` are loops over that table.
+
+:meth:`CampaignSpec.expand` validates every axis value and produces the
+full cross product as a list of :class:`RunSpec` cells, each with a stable
+``run_id`` so a partially completed campaign can be resumed from its JSONL
+result store.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from ..api.experiment import parse_mode
+from ..api.experiment import Experiment, parse_mode
 from ..api.registry import get_system, list_systems
-from ..faults.presets import list_presets
+from ..backends import get_backend
+from ..faults.presets import list_presets, resolve_preset
 from ..properties import select_properties
 
 #: The combo separator inside one axis value: the faults-axis value
@@ -25,50 +35,242 @@ from ..properties import select_properties
 #: checking both selections.
 COMBO_SEPARATOR = "+"
 
-#: Axis value meaning "a generic live run, no scripted scenario".
-LIVE_SCENARIO = "live"
-
-#: Properties-axis value meaning "the system's default property set".
-DEFAULT_PROPERTIES = "default"
+#: ``--axes`` token expanding to every registered value of an axis.
+ALL = "all"
 
 #: Modes-axis value dispatching the cell to the falsification pipeline
 #: (:mod:`repro.attack`: hunt → minimize → replay) instead of a single
 #: live run.  Not a controller mode — attack cells run the controller off.
 ATTACK_MODE = "attack"
 
-
-def _preset_combo(value: Union[str, Sequence[str], None]) -> tuple[str, ...]:
-    """Normalize one faults-axis value into a tuple of preset names."""
-    if value is None:
-        return ()
-    if isinstance(value, str):
-        return tuple(name for name in value.split(COMBO_SEPARATOR) if name)
-    return tuple(value)
+#: Default of an axis whose cells have none: the axis itself then defaults
+#: to every registered value (spelled ``None`` on the spec).
+_REQUIRED = object()
 
 
-def _property_combo(
-    value: Union[str, Sequence[str], None],
-) -> Optional[tuple[str, ...]]:
-    """Normalize one properties-axis value into selection patterns.
-
-    ``None`` / ``"default"`` keep the system's default property set;
-    ``"none"`` (or an empty sequence) checks nothing; a ``+``-joined
-    string or a sequence is a multi-pattern selection for one cell.
-    """
-    if value is None or value == DEFAULT_PROPERTIES:
-        return None
-    if isinstance(value, str):
-        if value == "none":
-            return ()
-        return tuple(name for name in value.split(COMBO_SEPARATOR) if name)
-    return tuple(value)
+def _itself(value: Any) -> Any:
+    return value
 
 
-def properties_label(selection: Optional[Sequence[str]]) -> str:
-    """Canonical axis label of one property selection (rollup/run_id key)."""
-    if selection is None:
-        return DEFAULT_PROPERTIES
-    return COMBO_SEPARATOR.join(selection) or "none"
+def _single(token: str) -> Iterable[Any]:
+    return (token,)
+
+
+def _mode(value: Any) -> str:
+    if str(value).lower() == ATTACK_MODE:
+        return ATTACK_MODE
+    return parse_mode(value).value
+
+
+def _seed_chunk(chunk: str) -> Iterable[int]:
+    """One seeds-axis token: ``"3"`` or an inclusive range ``"0-7"``."""
+    low, sep, high = chunk.strip().partition("-")
+    if sep and low and high:
+        if int(high) < int(low):
+            raise ValueError(f"empty seed range {chunk!r}")
+        return range(int(low), int(high) + 1)
+    return (int(chunk),)
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One campaign axis: the single declaration every consumer reads."""
+
+    #: the :class:`CampaignSpec` field holding the axis values.
+    field: str
+    #: the :class:`RunSpec` field holding one cell's value.
+    cell: str
+    #: ``--axes`` keys: the canonical one, then its aliases.
+    keys: tuple[str, ...]
+    #: ``--axes`` example shown by ``campaign --help``.
+    example: str
+    #: canonical value of the cell when the axis is not swept.
+    default: Any = None
+    #: keyword spellings and the canonical value each stands for; the first
+    #: word of a value is also its label.
+    words: tuple[tuple[str, Any], ...] = ()
+    #: the canonical value is a tuple of names, spelled ``a+b`` in strings.
+    combo: bool = False
+    #: canonical form of a single (non-keyword, non-combo) value.
+    coerce: Callable[[Any], Any] = _itself
+    #: ``--axes`` token → the values it stands for (seed ranges).
+    split: Callable[[str], Iterable[Any]] = _single
+    #: every registered value, for axes that accept ``all``.
+    every: Optional[Callable[[], list]] = None
+    #: ``run_id`` segment ``prefix=label``; empty for a positional segment.
+    prefix: str = ""
+    #: omit the segment when the cell holds the default, so stores written
+    #: before the axis existed keep matching their run ids.
+    elide: bool = False
+    #: rollup name in the campaign aggregate.
+    rollup: str = ""
+    #: always present in the aggregate (rollup and run rows); otherwise only
+    #: when some cell leaves the default, so aggregates written before the
+    #: axis existed reproduce byte for byte.
+    in_aggregate: bool = True
+    #: ``check(value, systems)`` raises for a value no registry knows.
+    check: Optional[Callable[[Any, Sequence[str]], Any]] = None
+    #: refusal raised when a non-default value meets a scripted scenario
+    #: (which would silently ignore it while still labelling the records).
+    live_only: Optional[str] = None
+    #: ``apply(experiment, run)`` carries a non-default cell value into the
+    #: worker's builder.
+    apply: Optional[Callable[[Experiment, "RunSpec"], Any]] = None
+
+    def normalize(self, value: Any) -> Any:
+        """Raw string / sequence / ``None`` → the canonical cell value."""
+        if value is None:
+            if self.default is _REQUIRED:
+                raise ValueError(f"a run needs a {self.cell}")
+            return self.default
+        if isinstance(value, str):
+            for word, meaning in self.words:
+                if value == word:
+                    return meaning
+            if self.combo:
+                return tuple(name for name in value.split(COMBO_SEPARATOR)
+                             if name)
+        elif self.combo:
+            return tuple(value)
+        return self.coerce(value)
+
+    def label(self, value: Any) -> Any:
+        """Canonical value → its spelling in run ids, axes and rollups."""
+        for word, meaning in self.words:
+            if value == meaning:
+                return word
+        return COMBO_SEPARATOR.join(value) if self.combo else value
+
+    def segment(self, value: Any) -> Optional[str]:
+        """The ``run_id`` segment of a cell value (``None``: elided)."""
+        if self.elide and value == self.default:
+            return None
+        label = str(self.label(value))
+        return f"{self.prefix}={label}" if self.prefix else label
+
+    def parse(self, tokens: Sequence[str]) -> Optional[list]:
+        """``--axes`` tokens → the :class:`CampaignSpec` value of the axis.
+
+        A keyword for the default cell becomes ``None``.  ``all`` may
+        arrive mixed with named values when repeated ``--axes`` flags were
+        merged; it subsumes them, but not the default cell, which stays an
+        explicit extra value.
+        """
+        values: list = []
+        for token in tokens:
+            if (token, self.default) in self.words:
+                values.append(None)
+            elif token != ALL or self.every is None:
+                values.extend(self.split(token))
+        if ALL in tokens and self.every is not None:
+            if self.default is _REQUIRED:
+                return None
+            values = self.every() + ([None] if None in values else [])
+        return values
+
+
+def _in_every_system(lookup: str) -> Callable[[str, Sequence[str]], None]:
+    def check(name: str, systems: Sequence[str]) -> None:
+        for system in systems:
+            getattr(get_system(system), lookup)(name)
+
+    return check
+
+
+#: The campaign axes, in ``run_id`` segment order.
+AXES: tuple[Axis, ...] = (
+    Axis("systems", "system", ("systems",), "all",
+         default=_REQUIRED,
+         every=lambda: [spec.name for spec in list_systems()],
+         rollup="system",
+         check=lambda name, systems: get_system(name)),
+    Axis("scenarios", "scenario", ("scenarios",), "live",
+         words=(("live", None), ("none", None)),
+         rollup="scenario",
+         check=_in_every_system("scenario"),
+         apply=lambda experiment, run: experiment.scenario(run.scenario)),
+    Axis("fault_presets", "faults", ("presets", "faults"),
+         "partition,chaos",
+         default=(), words=(("none", ()),), combo=True,
+         every=list_presets,
+         rollup="preset",
+         check=lambda combo, systems: [resolve_preset(name, 1.0)
+                                       for name in combo],
+         live_only=(
+             "fault presets cannot be combined with scripted scenarios "
+             "(scenarios script their own faults); sweep scenarios with "
+             "presets=none, or sweep presets over live runs"),
+         apply=lambda experiment, run: experiment.faults(
+             *run.faults, seed=run.fault_seed,
+             start_after=run.fault_start_after)),
+    Axis("modes", "mode", ("modes",), "off,steering",
+         default="off", coerce=_mode,
+         rollup="mode",
+         apply=lambda experiment, run: experiment.mode(run.mode)),
+    Axis("seeds", "seed", ("seeds",), "0-7",
+         default=0, coerce=int, split=_seed_chunk,
+         prefix="seed", rollup="seed",
+         apply=lambda experiment, run: experiment.seed(run.seed)),
+    Axis("properties", "properties", ("properties",),
+         "randtree.*,none,default",
+         words=(("default", None), ("none", ())), combo=True,
+         prefix="props", elide=True, rollup="properties",
+         # A typo'd selector fails the whole campaign before any run.
+         check=lambda combo, systems: combo and select_properties(*combo),
+         live_only=(
+             "property selections cannot be combined with scripted "
+             "scenarios (scenarios install their own property sets); "
+             "sweep properties over live runs"),
+         # Patterns resolve against the worker's registry (the bundled
+         # property modules self-register on import, so the registry is
+         # identical in every worker).
+         apply=lambda experiment, run: experiment.properties(
+             *run.properties, exclude=run.properties_exclude)),
+    Axis("workloads", "workload", ("workloads",), "lookups,none",
+         words=(("none", None),),
+         prefix="wl", elide=True, rollup="workload", in_aggregate=False,
+         check=_in_every_system("workload"),
+         live_only=(
+             "workloads cannot be combined with scripted scenarios "
+             "(scenarios script their own request schedules); sweep "
+             "workloads over live runs"),
+         apply=lambda experiment, run: experiment.workload(
+             run.workload, **dict(run.workload_overrides))),
+    Axis("backends", "backend", ("backends",), "sim,tcp",
+         default="sim",
+         prefix="backend", elide=True, rollup="backend", in_aggregate=False,
+         check=lambda name, systems: get_backend(name),
+         live_only=(
+             "non-sim backends cannot be combined with scripted "
+             "scenarios (scenarios build their own runtime); sweep "
+             "backends over live runs"),
+         apply=lambda experiment, run: experiment.backend(run.backend)),
+)
+
+_AXIS_OF_KEY = {key: axis for axis in AXES for key in axis.keys}
+_AXIS_OF_CELL = {axis.cell: axis for axis in AXES}
+
+#: ``expand`` nests the product in table order with the seeds innermost, so
+#: the repetitions of one configuration are consecutive cells.
+_NESTING = tuple(sorted(AXES, key=lambda axis: axis.field == "seeds"))
+
+#: RunSpec fields holding sorted ``(key, value)`` pairs, dicts in JSON.
+_PAIR_FIELDS = ("network", "options", "workload_overrides")
+
+
+def axis_keys() -> str:
+    """Every ``--axes`` key with its aliases, for help and error texts."""
+    return ", ".join(
+        axis.keys[0] + "".join(f" (alias {alias})" for alias in axis.keys[1:])
+        for axis in AXES)
+
+
+def axes_help() -> str:
+    """The ``campaign --axes`` help text, one example per axis."""
+    examples = ", ".join(f"{axis.keys[0]}={axis.example}" for axis in AXES)
+    return (f"axis values, comma-separated (repeatable): {examples}; "
+            f"{ALL} expands to every registered system / fault preset and "
+            f"combos join with {COMBO_SEPARATOR} (presets=partition+delay)")
 
 
 @dataclass(frozen=True)
@@ -107,111 +309,55 @@ class RunSpec:
     backend: str = "sim"
 
     @property
-    def properties_label(self) -> str:
-        """Axis label of this cell's property selection (rollup key)."""
-        return properties_label(self.properties)
-
-    @property
     def run_id(self) -> str:
-        """Stable identity of this cell, independent of execution order.
-
-        The ``props=`` / ``wl=`` / ``backend=`` segments are only present
-        for a non-default property selection / a workload-driven cell / a
-        non-sim backend, so result stores written before those axes
-        existed keep matching their run ids.
-        """
-        parts = [
-            self.system,
-            self.scenario or LIVE_SCENARIO,
-            COMBO_SEPARATOR.join(self.faults) or "none",
-            self.mode,
-            f"seed={self.seed}",
-        ]
-        if self.properties is not None:
-            parts.append(f"props={self.properties_label}")
-        if self.workload is not None:
-            parts.append(f"wl={self.workload}")
-        if self.backend != "sim":
-            parts.append(f"backend={self.backend}")
-        return ":".join(parts)
+        """Stable identity of this cell, independent of execution order."""
+        segments = (axis.segment(getattr(self, axis.cell)) for axis in AXES)
+        return ":".join(segment for segment in segments
+                        if segment is not None)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "run_id": self.run_id,
-            "system": self.system,
-            "scenario": self.scenario,
-            "mode": self.mode,
-            "seed": self.seed,
-            "faults": list(self.faults),
-            "fault_seed": self.fault_seed,
-            "fault_start_after": self.fault_start_after,
-            "properties": (list(self.properties)
-                           if self.properties is not None else None),
-            "properties_exclude": list(self.properties_exclude),
-            "nodes": self.nodes,
-            "duration": self.duration,
-            "churn": self.churn,
-            "churn_interval": self.churn_interval,
-            "network": dict(self.network),
-            "options": dict(self.options),
-            "workload": self.workload,
-            "workload_overrides": dict(self.workload_overrides),
-            "backend": self.backend,
-        }
+        data: dict[str, Any] = {"run_id": self.run_id}
+        for spec_field in dataclasses.fields(self):
+            value = getattr(self, spec_field.name)
+            if spec_field.name in _PAIR_FIELDS:
+                value = dict(value)
+            elif isinstance(value, tuple):
+                value = list(value)
+            data[spec_field.name] = value
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunSpec":
-        raw_properties = data.get("properties")
-        return cls(
-            system=data["system"],
-            scenario=data.get("scenario"),
-            mode=data.get("mode", "off"),
-            seed=int(data.get("seed", 0)),
-            faults=tuple(data.get("faults") or ()),
-            fault_seed=data.get("fault_seed"),
-            fault_start_after=data.get("fault_start_after"),
-            properties=(tuple(raw_properties)
-                        if raw_properties is not None else None),
-            properties_exclude=tuple(data.get("properties_exclude") or ()),
-            nodes=data.get("nodes"),
-            duration=data.get("duration"),
-            churn=bool(data.get("churn", False)),
-            churn_interval=data.get("churn_interval"),
-            network=tuple(sorted((data.get("network") or {}).items())),
-            options=tuple(sorted((data.get("options") or {}).items())),
-            workload=data.get("workload"),
-            workload_overrides=tuple(sorted(
-                (data.get("workload_overrides") or {}).items())),
-            backend=data.get("backend", "sim"),
-        )
+        """Rebuild a cell; keys absent from ``data`` (a record written
+        before the field existed) take the field's default."""
+        values = {}
+        for spec_field in dataclasses.fields(cls):
+            raw = data.get(spec_field.name)
+            if spec_field.name in _AXIS_OF_CELL:
+                value = _AXIS_OF_CELL[spec_field.name].normalize(raw)
+            elif spec_field.name in _PAIR_FIELDS:
+                value = tuple(sorted((raw or {}).items()))
+            elif raw is None:
+                value = spec_field.default
+            else:
+                value = tuple(raw) if isinstance(raw, list) else raw
+            values[spec_field.name] = value
+        return cls(**values)
 
 
 @dataclass
 class CampaignSpec:
     """Axes and shared settings of one sweep.
 
-    Axes (each a sequence; the cross product is the run matrix):
-
-    * ``systems`` — registered system names (default: every system);
-    * ``scenarios`` — scripted scenario names, ``None`` / ``"live"`` for a
-      generic live run (default: live only);
-    * ``fault_presets`` — fault-preset combos per cell: a name, a
-      ``"name+name"`` combo string, a sequence of names, or ``None`` for a
-      fault-free cell (default: fault-free only);
-    * ``seeds`` — run seeds (default: seed 0);
-    * ``modes`` — CrystalBall modes (default: ``off``);
-    * ``properties`` — property selections per cell: a glob pattern over
-      registered property ids, a ``"pattern+pattern"`` combo string, a
-      sequence of patterns, ``"none"`` for a property-free cell, or
-      ``None`` / ``"default"`` for the system's default set (default:
-      default set only).  ``properties_exclude`` patterns apply to every
-      non-default selection;
-    * ``workloads`` — registered workload names driven through live cells,
-      ``None`` / ``"none"`` for a workload-free cell (default: none).
-      ``workload_overrides`` (rate/burst/keys/distribution/start/duration)
-      apply to every workload-driven cell;
-    * ``backends`` — execution backends for live cells (``"sim"`` /
-      ``"tcp"``, see :mod:`repro.backends`; default: sim only).
+    Each axis is a sequence and the cross product is the run matrix; see
+    :data:`AXES` (and the README's axis table) for what every axis accepts.
+    ``None`` is always the axis's default cell — a live run, no faults,
+    the system's default property set, no workload — and the ``systems``
+    axis as a whole defaults to every registered system.  Values that
+    normalize to the same cell (``None`` and ``"live"``, a repeated seed)
+    yield that cell once.  ``properties_exclude`` patterns apply to every
+    non-default property selection, ``workload_overrides`` (rate/burst/
+    keys/distribution/start/duration) to every workload-driven cell.
 
     Shared settings: ``nodes``, ``duration`` (scalar, or per-system via
     ``durations``), ``churn`` (off by default so the named faults are the
@@ -239,29 +385,17 @@ class CampaignSpec:
     fault_seed: Optional[int] = None
     fault_start_after: Optional[float] = None
 
+    def _values(self, axis: Axis) -> list:
+        """The axis's canonical cell values, each once, in given order."""
+        raw = getattr(self, axis.field)
+        if raw is None:
+            raw = axis.every()
+        return list(dict.fromkeys(axis.normalize(value) for value in raw))
+
     def axes_dict(self) -> dict[str, Any]:
         """The axes as plain JSON data (for reports and result stores)."""
-        return {
-            "systems": list(self._system_names()),
-            "scenarios": [scenario or LIVE_SCENARIO for scenario in self.scenarios],
-            "fault_presets": [
-                COMBO_SEPARATOR.join(_preset_combo(combo)) or "none"
-                for combo in self.fault_presets
-            ],
-            "seeds": [int(seed) for seed in self.seeds],
-            "modes": list(self.modes),
-            "properties": [
-                properties_label(_property_combo(value))
-                for value in self.properties
-            ],
-            "workloads": [workload or "none" for workload in self.workloads],
-            "backends": list(self.backends),
-        }
-
-    def _system_names(self) -> list[str]:
-        if self.systems is None:
-            return [spec.name for spec in list_systems()]
-        return list(self.systems)
+        return {axis.field: [axis.label(value) for value in self._values(axis)]
+                for axis in AXES}
 
     def _duration_for(self, system: str) -> Optional[float]:
         if system in self.durations:
@@ -275,145 +409,56 @@ class CampaignSpec:
         or mode — before any run starts, so a typo fails the whole campaign
         fast instead of 30 runs in.
         """
-        systems = self._system_names()
-        if not systems:
-            raise ValueError("campaign has no systems to run")
-        specs = {}
-        for name in systems:
-            try:
-                specs[name] = get_system(name)
-            except KeyError as exc:
-                raise ValueError(exc.args[0]) from None
-
-        known_presets = set(list_presets())
-        combos = [_preset_combo(combo) for combo in self.fault_presets]
-        for combo in combos:
-            for preset in combo:
-                if preset not in known_presets:
-                    raise ValueError(
-                        f"unknown fault preset {preset!r} "
-                        f"(known presets: {', '.join(sorted(known_presets))})"
-                    )
-
-        modes = [
-            ATTACK_MODE if str(mode).lower() == ATTACK_MODE
-            else parse_mode(mode).value
-            for mode in self.modes
-        ]
-
-        property_combos = [_property_combo(value) for value in self.properties]
-        for combo in property_combos:
-            if not combo:
-                continue  # default set or explicitly property-free
-            # Validate every pattern against the registry up front: a
-            # typo'd selector fails the whole campaign before any run.
-            select_properties(*combo)
-
-        scenarios = [
-            None if name in (None, LIVE_SCENARIO) else name for name in self.scenarios
-        ]
-        for name in scenarios:
-            if name is None:
-                continue
-            for system in systems:
+        values = {axis.field: self._values(axis) for axis in AXES}
+        systems = values["systems"]
+        for axis in AXES:
+            if not values[axis.field]:
+                raise ValueError(f"campaign has no {axis.field} to run")
+            for value in values[axis.field]:
+                if axis.check is None or value == axis.default:
+                    continue
                 try:
-                    specs[system].scenario(name)
+                    axis.check(value, systems)
                 except KeyError as exc:
                     raise ValueError(exc.args[0]) from None
-        if any(name is not None for name in scenarios) and any(combos):
-            # A scripted scenario runs its own scripted adversary; a
-            # fault-preset axis crossed with it would be silently ignored
-            # while still labelling the records — refuse the ambiguity.
-            raise ValueError(
-                "fault presets cannot be combined with scripted scenarios "
-                "(scenarios script their own faults); sweep scenarios with "
-                "presets=none, or sweep presets over live runs"
-            )
-        if any(name is not None for name in scenarios) and any(
-            combo is not None for combo in property_combos
-        ):
-            # Scenario runners install their own property sets; a property
-            # selection crossed with them would be silently ignored while
-            # still labelling the records — refuse the same ambiguity.
-            raise ValueError(
-                "property selections cannot be combined with scripted "
-                "scenarios (scenarios install their own property sets); "
-                "sweep properties over live runs"
-            )
 
-        workloads = [None if name in (None, "none") else name
-                     for name in self.workloads]
-        for name in workloads:
-            if name is None:
-                continue
-            for system in systems:
-                try:
-                    specs[system].workload(name)
-                except KeyError as exc:
-                    raise ValueError(exc.args[0]) from None
-        if any(name is not None for name in scenarios) and any(
-            name is not None for name in workloads
-        ):
-            # Scenario runners script their own deployment and request
-            # schedule; a workload crossed with them would be silently
-            # ignored while still labelling the records.
-            raise ValueError(
-                "workloads cannot be combined with scripted scenarios "
-                "(scenarios script their own request schedules); sweep "
-                "workloads over live runs"
-            )
-        from ..backends import backend_names
+        swept = {axis.field for axis in AXES
+                 if any(value != axis.default for value in values[axis.field])}
+        scripted = "scenarios" in swept
+        for axis in AXES:
+            if scripted and axis.live_only and axis.field in swept:
+                raise ValueError(axis.live_only)
 
-        known_backends = set(backend_names())
-        for backend in self.backends:
-            if backend not in known_backends:
-                raise ValueError(
-                    f"unknown backend {backend!r} (registered backends: "
-                    f"{', '.join(sorted(known_backends))})"
-                )
-        if any(name is not None for name in scenarios) and any(
-            backend != "sim" for backend in self.backends
-        ):
-            # Scenario runners script their own simulators; a backend axis
-            # crossed with them would be silently ignored while still
-            # labelling the records — refuse like the other live-only axes.
-            raise ValueError(
-                "non-sim backends cannot be combined with scripted "
-                "scenarios (scenarios build their own runtime); sweep "
-                "backends over live runs"
-            )
-
-        if ATTACK_MODE in modes:
+        if ATTACK_MODE in values["modes"]:
             # Attack cells are whole falsification pipelines (many seeded
             # re-executions), not single live runs — refuse every axis the
             # pipeline would silently ignore, exactly like the scenario
             # refusals above.
-            if any(name is not None for name in scenarios):
+            if scripted:
                 raise ValueError(
                     "attack mode cannot be combined with scripted "
                     "scenarios; hunt counterexamples over live cells"
                 )
-            if any(backend != "sim" for backend in self.backends):
+            if "backends" in swept:
                 raise ValueError(
                     "attack mode requires the sim backend (the "
                     "falsification search re-executes seeded simulator "
                     "runs bit-reproducibly)"
                 )
-            if any(name is not None for name in workloads):
+            if "workloads" in swept:
                 raise ValueError(
                     "attack mode cannot be combined with workloads; "
                     "attack cells drive only the system's own traffic"
                 )
-            if not all(combos):
+            if not all(values["fault_presets"]):
                 raise ValueError(
                     "attack mode needs a fault-preset axis on every cell "
                     "(the attack schedule is concretized from the cell's "
                     "presets); set faults=byzantine, faults=equivocation, "
                     "..."
                 )
-            for combo in property_combos:
-                selection = combo or ()
-                if (len(selection) != 1
+            for selection in values["properties"]:
+                if (len(selection or ()) != 1
                         or len(select_properties(*selection)) != 1):
                     raise ValueError(
                         "attack mode falsifies one named property per "
@@ -421,14 +466,11 @@ class CampaignSpec:
                         "id, no globs or combos)"
                     )
 
-        known_overrides = {"rate", "burst", "keys", "distribution",
-                           "start", "duration"}
-        unknown_overrides = set(self.workload_overrides) - known_overrides
-        if unknown_overrides:
-            raise ValueError(
-                f"unknown workload override(s) {sorted(unknown_overrides)} "
-                f"(accepted: {sorted(known_overrides)})"
-            )
+        _reject_unknown("workload override(s)", self.workload_overrides,
+                        {"rate", "burst", "keys", "distribution", "start",
+                         "duration"})
+        _reject_unknown("network setting(s)", self.network,
+                        {"rtt", "loss", "jitter", "rst_loss"})
 
         # Durations may name any registered system (a narrowed campaign can
         # reuse the full matrix's duration table) — but a typo'd name that
@@ -442,75 +484,45 @@ class CampaignSpec:
                 f"{', '.join(sorted(registered))})"
             )
 
-        known_network = {"rtt", "loss", "jitter", "rst_loss"}
-        unknown_network = set(self.network) - known_network
-        if unknown_network:
-            raise ValueError(
-                f"unknown network setting(s) {sorted(unknown_network)} "
-                f"(accepted: {sorted(known_network)})"
-            )
-
-        network = tuple(sorted(self.network.items()))
-        options = tuple(sorted(self.options.items()))
+        shared = dict(
+            fault_seed=self.fault_seed,
+            fault_start_after=self.fault_start_after,
+            nodes=self.nodes,
+            churn=self.churn,
+            churn_interval=self.churn_interval,
+            network=tuple(sorted(self.network.items())),
+            options=tuple(sorted(self.options.items())),
+        )
         exclude = tuple(self.properties_exclude)
         overrides = tuple(sorted(self.workload_overrides.items()))
+        cells = [axis.cell for axis in _NESTING]
         runs = []
-        for system in systems:
-            for scenario in scenarios:
-                for combo in combos:
-                    for mode in modes:
-                        for property_combo in property_combos:
-                            for workload in workloads:
-                                for backend in self.backends:
-                                    for seed in self.seeds:
-                                        runs.append(
-                                            RunSpec(
-                                                system=system,
-                                                scenario=scenario,
-                                                mode=mode,
-                                                seed=int(seed),
-                                                faults=combo,
-                                                fault_seed=self.fault_seed,
-                                                fault_start_after=self.fault_start_after,
-                                                properties=property_combo,
-                                                properties_exclude=(
-                                                    exclude
-                                                    if property_combo is not None
-                                                    else ()
-                                                ),
-                                                nodes=self.nodes,
-                                                duration=self._duration_for(system),
-                                                churn=self.churn,
-                                                churn_interval=self.churn_interval,
-                                                network=network,
-                                                options=options,
-                                                workload=workload,
-                                                workload_overrides=(
-                                                    overrides
-                                                    if workload is not None
-                                                    else ()
-                                                ),
-                                                backend=backend,
-                                            )
-                                        )
+        for combination in itertools.product(
+                *(values[axis.field] for axis in _NESTING)):
+            cell = dict(zip(cells, combination))
+            runs.append(RunSpec(
+                **cell, **shared,
+                duration=self._duration_for(cell["system"]),
+                properties_exclude=(
+                    exclude if cell["properties"] is not None else ()),
+                workload_overrides=(
+                    overrides if cell["workload"] is not None else ()),
+            ))
         return runs
+
+
+def _reject_unknown(what: str, given: Mapping[str, Any],
+                    accepted: set[str]) -> None:
+    unknown = set(given) - accepted
+    if unknown:
+        raise ValueError(f"unknown {what} {sorted(unknown)} "
+                         f"(accepted: {sorted(accepted)})")
 
 
 def parse_seed_values(raw: str) -> list[int]:
     """Parse a seeds-axis string: ``"3"``, ``"1,5,9"``, ``"0-7"`` or a mix."""
-    seeds = []
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        low, sep, high = chunk.partition("-")
-        if sep and low and high:
-            start, stop = int(low), int(high)
-            if stop < start:
-                raise ValueError(f"empty seed range {chunk!r}")
-            seeds.extend(range(start, stop + 1))
-        else:
-            seeds.append(int(chunk))
+    seeds = [seed for chunk in raw.split(",") if chunk.strip()
+             for seed in _seed_chunk(chunk)]
     if not seeds:
         raise ValueError(f"no seeds in {raw!r}")
     return seeds
@@ -519,60 +531,19 @@ def parse_seed_values(raw: str) -> list[int]:
 def parse_axes(pairs: Mapping[str, str]) -> dict[str, Any]:
     """Turn CLI ``--axes key=values`` pairs into CampaignSpec axis kwargs.
 
-    Keys: ``systems``, ``scenarios``, ``presets`` (alias ``faults``),
-    ``seeds``, ``modes``, ``properties``, ``workloads``, ``backends``.
-    Values are comma-separated;
-    ``all`` expands to every registered system / fault preset; ``none``
-    gives a fault-free or live-only axis value; combos use ``+``
-    (``partition+delay``, ``randtree.*+chord.*``).  Properties values are
-    glob patterns over registered property ids, plus ``default`` (the
-    system's default set) and ``none`` (check nothing).
+    Keys are the ``keys`` of :data:`AXES`; values are comma-separated.
+    ``all`` expands to every registered system / fault preset; each axis's
+    keywords (``none``, ``live``, ``default``) and ``+`` combos are
+    interpreted by its row's ``normalize``.
     """
     kwargs: dict[str, Any] = {}
     for key, raw in pairs.items():
-        values = [value for value in raw.split(",") if value]
-        if not values:
+        tokens = [token for token in raw.split(",") if token]
+        if not tokens:
             raise ValueError(f"axis {key!r} has no values")
-        if key == "systems":
-            # "all" may arrive mixed with named systems when repeated
-            # --axes flags were merged; it subsumes every other value.
-            if "all" in values:
-                kwargs["systems"] = None
-            else:
-                kwargs["systems"] = values
-        elif key == "scenarios":
-            kwargs["scenarios"] = [
-                None if value in ("none", LIVE_SCENARIO) else value for value in values
-            ]
-        elif key in ("presets", "faults"):
-            if "all" in values:
-                # "all" subsumes every named preset but not the fault-free
-                # cell, which stays an explicit extra axis value.
-                kwargs["fault_presets"] = list(list_presets())
-                if "none" in values:
-                    kwargs["fault_presets"].append(None)
-            else:
-                kwargs["fault_presets"] = [
-                    None if value == "none" else value for value in values
-                ]
-        elif key == "seeds":
-            kwargs["seeds"] = parse_seed_values(raw)
-        elif key == "modes":
-            kwargs["modes"] = values
-        elif key == "properties":
-            kwargs["properties"] = [
-                None if value == DEFAULT_PROPERTIES else value
-                for value in values
-            ]
-        elif key == "workloads":
-            kwargs["workloads"] = [
-                None if value == "none" else value for value in values
-            ]
-        elif key == "backends":
-            kwargs["backends"] = values
-        else:
+        axis = _AXIS_OF_KEY.get(key)
+        if axis is None:
             raise ValueError(
-                f"unknown campaign axis {key!r} (axes: systems, scenarios, "
-                f"presets, seeds, modes, properties, workloads, backends)"
-            )
+                f"unknown campaign axis {key!r} (axes: {axis_keys()})")
+        kwargs[axis.field] = axis.parse(tokens)
     return kwargs

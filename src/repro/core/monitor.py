@@ -81,8 +81,6 @@ class LivePropertyMonitor:
         self.events_checked = 0
         self.inconsistent_states = 0
         self.liveness_violations = 0
-        #: one legacy PropertyViolation per episode (compat surface).
-        self.violations_seen: list[PropertyViolation] = []
         #: structured record per episode, in order of discovery.
         self.records: list[ViolationRecord] = []
         self.distinct_properties: set[str] = set()
@@ -196,9 +194,6 @@ class LivePropertyMonitor:
             kind=kind,
         )
         self.records.append(record)
-        self.violations_seen.append(
-            PropertyViolation(property_name=property_name, node=node, detail=detail)
-        )
         self.distinct_properties.add(property_name)
         if self._obs.metrics is not None:
             self._obs.metrics.inc("monitor.violation_episodes")
@@ -275,7 +270,7 @@ class LivePropertyMonitor:
     @property
     def new_violations(self) -> int:
         """Number of distinct violation episodes observed."""
-        return len(self.violations_seen)
+        return len(self.records)
 
     def violations_by_property(self) -> dict[str, int]:
         """Episode count per property id, sorted by id."""

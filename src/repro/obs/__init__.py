@@ -35,12 +35,9 @@ from .trace_tools import (
     TraceSummary,
     causal_chain,
     filter_records,
-    filter_trace,
     format_records,
-    format_trace,
     read_trace,
     strip_wall_fields,
-    summarize,
     summarize_records,
     validate_trace,
 )
@@ -62,9 +59,6 @@ __all__ = [
     "JsonlTracer",
     "NullTracer",
     "TraceSummary",
-    "summarize",
-    "filter_trace",
-    "format_trace",
     "read_trace",
     "summarize_records",
     "filter_records",

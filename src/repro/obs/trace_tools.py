@@ -1,17 +1,10 @@
-"""Trace analysis: legacy in-memory traces and schema-v1 JSONL files.
+"""Trace analysis over schema-v1 records.
 
-Two record shapes flow through here:
-
-* **Legacy runtime traces** — sequences of ``TraceRecord`` objects from
-  ``Simulator.trace`` (attributes ``time`` / ``node`` / ``kind`` /
-  ``description``).  :func:`summarize`, :func:`filter_trace` and
-  :func:`format_trace` duck-type the records on purpose: this module is
-  part of the ``repro.obs`` leaf package and must not import the runtime.
-* **Structured JSONL traces** — lists of dicts produced by
-  :class:`repro.obs.tracer.JsonlTracer` (schema v1).  :func:`read_trace`,
-  :func:`summarize_records`, :func:`filter_records`,
-  :func:`validate_trace`, :func:`strip_wall_fields` and
-  :func:`causal_chain` operate on those.
+Records are the dicts produced by :class:`repro.obs.tracer.JsonlTracer`
+(read back with :func:`read_trace`) or collected in memory by
+:class:`repro.obs.tracer.MemoryTracer`.  :func:`summarize_records`,
+:func:`filter_records`, :func:`validate_trace`, :func:`strip_wall_fields`
+and :func:`causal_chain` operate on those.
 """
 
 from __future__ import annotations
@@ -22,10 +15,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence, Union
 
 from .tracer import RECORD_KINDS, SCHEMA_VERSION
-
-# --------------------------------------------------------------------------
-# Legacy in-memory traces
-# --------------------------------------------------------------------------
 
 
 @dataclass
@@ -41,60 +30,6 @@ class TraceSummary:
     def duration(self) -> float:
         return max(0.0, self.last_time - self.first_time)
 
-
-def summarize(trace: Sequence[Any]) -> TraceSummary:
-    """Aggregate a runtime trace into per-kind and per-node counts."""
-    if not trace:
-        return TraceSummary(
-            total_events=0, by_kind={}, by_node={}, first_time=0.0, last_time=0.0
-        )
-    by_kind = Counter(record.kind for record in trace)
-    by_node = Counter(str(record.node) for record in trace)
-    return TraceSummary(
-        total_events=len(trace),
-        by_kind=dict(by_kind),
-        by_node=dict(by_node),
-        first_time=trace[0].time,
-        last_time=trace[-1].time,
-    )
-
-
-def filter_trace(
-    trace: Iterable[Any],
-    *,
-    node: Any = None,
-    kind: Optional[str] = None,
-    contains: Optional[str] = None,
-) -> list[Any]:
-    """Select trace records by node, outcome kind and/or description text."""
-    selected = []
-    for record in trace:
-        if node is not None and record.node != node:
-            continue
-        if kind is not None and record.kind != kind:
-            continue
-        if contains is not None and contains not in record.description:
-            continue
-        selected.append(record)
-    return selected
-
-
-def format_trace(trace: Sequence[Any], *, limit: int = 50) -> str:
-    """Render a runtime trace as aligned text lines (used by the examples)."""
-    lines = []
-    for record in trace[:limit]:
-        lines.append(
-            f"{record.time:10.3f}s  {str(record.node):>8}  "
-            f"{record.kind:<16} {record.description}"
-        )
-    if len(trace) > limit:
-        lines.append(f"... ({len(trace) - limit} more events)")
-    return "\n".join(lines)
-
-
-# --------------------------------------------------------------------------
-# Structured JSONL traces (schema v1)
-# --------------------------------------------------------------------------
 
 Record = dict[str, Any]
 

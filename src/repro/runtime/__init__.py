@@ -22,7 +22,7 @@ from .logical_clock import LogicalClock
 from .messages import Message, Transport
 from .network import NetworkModel
 from .protocol import Protocol
-from .simulator import FilterAction, NodeHook, NodeStats, SimNode, Simulator, TraceRecord
+from .simulator import FilterAction, NodeHook, NodeStats, SimNode, Simulator
 from .state import NodeState
 from .transport import ConnectionTable, SendQueue
 from .churn import ChurnProcess
@@ -50,7 +50,6 @@ __all__ = [
     "NodeStats",
     "SimNode",
     "Simulator",
-    "TraceRecord",
     "NodeState",
     "ConnectionTable",
     "SendQueue",

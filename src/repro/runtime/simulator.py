@@ -9,8 +9,7 @@ CrystalBall controller needs:
   (event filtering and the immediate safety check),
 * control-plane message routing (checkpoint requests/responses),
 * controller wakeups via :meth:`Simulator.schedule_at` (hooks arm exactly
-  the wakeups they need; the legacy polled per-node tick survives as a
-  compatibility adapter for hooks without ``on_attach``),
+  the wakeups they need from ``on_attach``; nothing is polled),
 * observers called after every executed event (live property monitoring,
   tracing, statistics).
 
@@ -30,6 +29,7 @@ from enum import Enum
 from typing import (
     Any,
     Callable,
+    Iterator,
     Mapping,
     Optional,
     Protocol as TypingProtocol,
@@ -65,17 +65,14 @@ class FilterAction(Enum):
 
 
 class NodeHook(TypingProtocol):
-    """Interface the CrystalBall controller implements to plug into a node.
+    """Interface the CrystalBall controller implements to plug into a node."""
 
-    Hooks may additionally define ``on_attach(sim, node)``; when present,
-    :meth:`Simulator.attach_hook` calls it instead of arming the legacy
-    per-node tick, and the hook owns its wakeup schedule via
-    :meth:`Simulator.schedule_at` (see the scheduler-hook API notes in the
-    README's Scaling section).
-    """
-
-    def on_tick(self, sim: "Simulator", node: "SimNode") -> None:
-        """Periodic controller activity (snapshot gathering, model checking)."""
+    def on_attach(self, sim: "Simulator", node: "SimNode") -> None:
+        """Called by :meth:`Simulator.attach_hook`: arm whatever periodic
+        activity the hook needs (snapshot gathering, model checking) via
+        :meth:`Simulator.schedule_at`.  The hook owns its wakeup schedule,
+        so one with nothing to do costs no scheduler cycles (see the
+        scheduler-hook API notes in the README's Scaling section)."""
 
     def filter_event(self, sim: "Simulator", node: "SimNode", event: Event) -> FilterAction:
         """Execution-steering event filter (Section 3.3)."""
@@ -135,15 +132,8 @@ class _QueueEntry:
     data: Any = field(compare=False)
 
 
-@dataclass
-class TraceRecord:
-    """One executed event in the live run (for debugging and examples)."""
-
-    time: float
-    node: Address
-    description: str
-    kind: str
-
+#: Queue entry kinds carrying message deliveries (see ``_due_messages``).
+_DELIVERY_KINDS = ("deliver", "deliver_batch")
 
 #: Event class -> the ``etype`` field of structured ``event`` records.
 _EVENT_TYPES = {
@@ -168,6 +158,34 @@ _OUTCOME_COUNTERS = {
 class Simulator:
     """Discrete-event simulator hosting one protocol across many nodes."""
 
+    #: Registry name, and the constructor keywords beyond the common ones
+    #: that :meth:`from_options` accepts (see :mod:`repro.backends`).
+    backend_name = "sim"
+    accepted_options: tuple[str, ...] = ()
+
+    @classmethod
+    def from_options(
+        cls,
+        protocol_factory: Callable[[], Protocol],
+        network: Optional[NetworkModel] = None,
+        *,
+        seed: int = 0,
+        tick_interval: float = 10.0,
+        obs: Optional[ObsContext] = None,
+        options: Optional[Mapping[str, Any]] = None,
+    ) -> "Simulator":
+        """Build the backend from the common arguments plus its own
+        ``options``; a typo'd option fails before the run starts."""
+        options = dict(options or {})
+        unknown = set(options) - set(cls.accepted_options)
+        if unknown:
+            raise ValueError(
+                f"unknown option(s) for the {cls.backend_name!r} backend: "
+                f"{sorted(unknown)} (accepted: "
+                f"{sorted(cls.accepted_options) or 'no options'})")
+        return cls(protocol_factory, network, seed=seed,
+                   tick_interval=tick_interval, obs=obs, **options)
+
     def __init__(
         self,
         protocol_factory: Callable[[], Protocol],
@@ -175,14 +193,12 @@ class Simulator:
         *,
         seed: int = 0,
         tick_interval: float = 10.0,
-        trace: bool = False,
         obs: Optional[ObsContext] = None,
     ) -> None:
         self.protocol_factory = protocol_factory
         self.network = network or NetworkModel()
         self.rng = random.Random(seed)
         self.tick_interval = tick_interval
-        self.trace_enabled = trace
         self.obs = obs if obs is not None else ObsContext()
         self._next_eid = 0
 
@@ -196,7 +212,6 @@ class Simulator:
         self._delivery_ids = itertools.count()
         self._last_tcp_delivery: dict[tuple[Address, Address], float] = {}
         self.observers: list[Callable[["Simulator", SimNode, Event], None]] = []
-        self.trace: list[TraceRecord] = []
         self.events_executed = 0
 
     # -- topology management ----------------------------------------------------
@@ -216,34 +231,11 @@ class Simulator:
         return node
 
     def attach_hook(self, addr: Address, hook: NodeHook) -> None:
-        """Attach a CrystalBall controller (or any hook) to a node.
-
-        Hooks defining ``on_attach(sim, node)`` arm their own wakeups via
-        :meth:`schedule_at` — the O(active) path, where a hook with nothing
-        to do costs no scheduler cycles.  Hooks without ``on_attach``
-        (third-party code written against the old contract) fall back to
-        the polled per-node tick, unchanged.
-        """
+        """Attach a CrystalBall controller (or any hook) to a node and let
+        it arm its own wakeups (``hook.on_attach``)."""
         node = self.nodes[addr]
         node.hook = hook
-        on_attach = getattr(hook, "on_attach", None)
-        if on_attach is not None:
-            on_attach(self, node)
-        else:
-            # The compat adapter is itself an owned wakeup: a schedule_at
-            # closure that polls on_tick and re-arms while a hook is
-            # attached, exactly mirroring the retired "tick" queue kind
-            # (same _schedule calls, so identical (time, seq) allocation).
-            def wakeup(sim: "Simulator") -> None:
-                polled = sim.nodes.get(addr)
-                if polled is None:
-                    return
-                if polled.alive and polled.hook is not None:
-                    polled.hook.on_tick(sim, polled)
-                if polled.hook is not None:
-                    sim.schedule_at(sim.now + sim.tick_interval, wakeup)
-
-            self.schedule_at(self.now + self.tick_interval, wakeup)
+        hook.on_attach(self, node)
 
     def add_observer(self, observer: Callable[["Simulator", SimNode, Event], None]) -> None:
         """Register a callback invoked after every executed event."""
@@ -292,38 +284,58 @@ class Simulator:
     def run(self, *, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run the simulation until the queue drains, ``until`` simulated
         seconds elapse, or ``max_events`` events execute."""
-        executed = 0
-        while self._queue:
-            if max_events is not None and executed >= max_events:
-                break
-            entry = self._queue[0]
-            if until is not None and entry.time > until:
-                self.now = until
-                break
-            heapq.heappop(self._queue)
-            self.now = entry.time
+        for entry in self._due_entries(until, max_events):
             self._dispatch(entry)
-            executed += 1
 
     def step(self) -> bool:
         """Execute a single queued entry; returns False when the queue is empty."""
-        if not self._queue:
-            return False
-        entry = heapq.heappop(self._queue)
-        self.now = entry.time
-        self._dispatch(entry)
-        return True
+        for entry in self._due_entries(None, 1):
+            self._dispatch(entry)
+            return True
+        return False
+
+    def _due_entries(self, until: Optional[float],
+                     max_events: Optional[int]) -> Iterator[_QueueEntry]:
+        """Pop queue entries in ``(time, seq)`` order, advancing ``now`` to
+        each, until the queue drains, the next entry lies past ``until``
+        (``now`` then stops at ``until``) or ``max_events`` were yielded.
+        The one event loop: every backend's ``run`` iterates this."""
+        executed = 0
+        while self._queue and (max_events is None or executed < max_events):
+            entry = self._queue[0]
+            if until is not None and entry.time > until:
+                self.now = until
+                return
+            heapq.heappop(self._queue)
+            self.now = entry.time
+            yield entry
+            executed += 1
 
     # -- dispatch ------------------------------------------------------------------
 
-    def _dispatch(self, entry: _QueueEntry) -> None:
-        kind = entry.kind
-        if kind == "deliver":
+    def _due_messages(self, entry: _QueueEntry) -> Iterator[Message]:
+        """The messages of a ``deliver`` / ``deliver_batch`` entry that are
+        due now, leaving the inflight index as each is handed out; a batch
+        re-arms its single heap entry at its next delivery time once the
+        caller has delivered the due ones."""
+        if entry.kind == "deliver":
             did, message = entry.data
             self._inflight.pop(did, None)
-            self._dispatch_delivery(message)
-        elif kind == "deliver_batch":
-            self._dispatch_batch(entry.data)
+            yield message
+            return
+        plan: DeliveryPlan = entry.data
+        while not plan.exhausted and plan.next_time() <= self.now:
+            did, message = plan.pop_due()
+            self._inflight.pop(did, None)
+            yield message
+        if not plan.exhausted:
+            self._schedule(plan.next_time(), "deliver_batch", plan)
+
+    def _dispatch(self, entry: _QueueEntry) -> None:
+        kind = entry.kind
+        if kind in _DELIVERY_KINDS:
+            for message in self._due_messages(entry):
+                self._dispatch_delivery(message)
         elif kind == "timer":
             self._dispatch_timer(entry.data)
         elif kind == "app":
@@ -357,16 +369,6 @@ class Simulator:
         if node.clock.observe(message.checkpoint_number) and node.hook is not None:
             node.hook.on_forced_checkpoint(self, node)  # type: ignore[attr-defined]
         self._execute_event(MessageEvent(node=message.dst, message=message))
-
-    def _dispatch_batch(self, plan: "DeliveryPlan") -> None:
-        """Deliver every due message of a batched plan, then re-arm the
-        plan's single heap entry at its next delivery time."""
-        while not plan.exhausted and plan.next_time() <= self.now:
-            did, message = plan.pop_due()
-            self._inflight.pop(did, None)
-            self._dispatch_delivery(message)
-        if not plan.exhausted:
-            self._schedule(plan.next_time(), "deliver_batch", plan)
 
     def _dispatch_timer(self, data: tuple[Address, str, int]) -> None:
         addr, name, generation = data
@@ -449,57 +451,67 @@ class Simulator:
 
     # -- message transmission -------------------------------------------------------------
 
-    def _transmit(self, node: SimNode, message: Message) -> None:
-        stamped = message.with_checkpoint_number(node.clock.stamp()) if not message.control else message
+    def _book_send(self, node: SimNode, message: Message) -> Message:
+        """Stamp a service message with the sender's checkpoint number and
+        account the send (node stats, metrics, trace)."""
+        stamped = (message if message.control else
+                   message.with_checkpoint_number(node.clock.stamp()))
         node.stats.messages_sent += 1
         size = stamped.size_bytes()
         if stamped.control:
             node.stats.control_bytes_sent += size
         else:
             node.stats.service_bytes_sent += size
-
-        tracer = self.obs.tracer
         metrics = self.obs.metrics
         if metrics is not None:
             metrics.inc("runtime.messages_sent")
-            if stamped.control:
-                metrics.inc("runtime.control_bytes_sent", size)
-            else:
-                metrics.inc("runtime.service_bytes_sent", size)
-        if tracer is not None:
-            tracer.send(
+            metrics.inc("runtime.control_bytes_sent" if stamped.control
+                        else "runtime.service_bytes_sent", size)
+        if self.obs.tracer is not None:
+            self.obs.tracer.send(
                 self.now, stamped.src, stamped.msg_id, stamped.mtype,
                 stamped.dst, stamped.transport.value, stamped.control,
                 size,
             )
+        return stamped
 
+    def _planned_copies(self, stamped: Message, latency: float,
+                        ) -> tuple[Message, Sequence[float]]:
+        """The message as the fault interceptors leave it and the latency
+        of every copy they plan (one, untouched, without interceptors)."""
+        if not self.network.interceptors:
+            return stamped, (latency,)
+        stamped = self.network.rewrite_message(stamped, self.rng)
+        return stamped, self.network.plan_deliveries(stamped, latency, self.rng)
+
+    def _udp_copies(self, stamped: Message) -> tuple[Message, Sequence[float]]:
+        """Latency and loss draws of one reachable UDP message; no copies
+        when it is lost.  Fault interceptors act on messages that survived
+        the loss draw, so ``messages_affected`` counts delivered traffic."""
+        latency = self.network.latency(stamped.src, stamped.dst, self.rng)
+        loss = self.network.loss_probability(stamped.src, stamped.dst, self.rng)
+        if self.rng.random() < loss:
+            self._record_drop(stamped, "loss")
+            return stamped, ()
+        return self._planned_copies(stamped, latency)
+
+    def _transmit(self, node: SimNode, message: Message) -> None:
+        stamped = self._book_send(node, message)
         if not self.network.reachable(stamped.src, stamped.dst):
             self._record_drop(stamped, "unreachable")
             if stamped.transport is Transport.TCP:
                 self._schedule_connection_error(node.addr, stamped.dst)
             return
 
-        dest = self.nodes.get(stamped.dst)
-        latency = self.network.latency(stamped.src, stamped.dst, self.rng)
-
         if stamped.transport is Transport.UDP:
-            loss = self.network.loss_probability(stamped.src, stamped.dst, self.rng)
-            if self.rng.random() < loss:
-                self._record_drop(stamped, "loss")
-                return
-            # Fault interceptors act on messages that survived the loss
-            # draw, so `messages_affected` counts delivered traffic only.
-            if self.network.interceptors:
-                stamped = self.network.rewrite_message(stamped, self.rng)
-                plan = self.network.plan_deliveries(stamped, latency,
-                                                    self.rng)
-            else:
-                plan = [latency]
+            stamped, plan = self._udp_copies(stamped)
             for delivery_latency in plan:
                 self._schedule_delivery(self.now + delivery_latency, stamped)
             return
 
         # TCP semantics: verify / establish the connection first.
+        dest = self.nodes.get(stamped.dst)
+        latency = self.network.latency(stamped.src, stamped.dst, self.rng)
         if dest is None or not dest.alive:
             self._record_drop(stamped, "peer-down")
             self._schedule_connection_error(node.addr, stamped.dst)
@@ -515,11 +527,7 @@ class Simulator:
         if recorded is None:
             node.connections.establish(stamped.dst, dest.incarnation)
             dest.connections.establish(node.addr, node.incarnation)
-        if self.network.interceptors:
-            stamped = self.network.rewrite_message(stamped, self.rng)
-            plan = self.network.plan_deliveries(stamped, latency, self.rng)
-        else:
-            plan = [latency]
+        stamped, plan = self._planned_copies(stamped, latency)
         key = (stamped.src, stamped.dst)
         # TCP stays FIFO per stream even under fault interceptors: every
         # planned copy is delivered no earlier than the previous delivery.
@@ -551,40 +559,11 @@ class Simulator:
             if message.transport is not Transport.UDP:
                 self._transmit(node, message)
                 continue
-            stamped = (message if message.control else
-                       message.with_checkpoint_number(node.clock.stamp()))
-            node.stats.messages_sent += 1
-            size = stamped.size_bytes()
-            if stamped.control:
-                node.stats.control_bytes_sent += size
-            else:
-                node.stats.service_bytes_sent += size
-            metrics = self.obs.metrics
-            if metrics is not None:
-                metrics.inc("runtime.messages_sent")
-                metrics.inc("runtime.control_bytes_sent" if stamped.control
-                            else "runtime.service_bytes_sent", size)
-            if self.obs.tracer is not None:
-                self.obs.tracer.send(
-                    self.now, stamped.src, stamped.msg_id, stamped.mtype,
-                    stamped.dst, stamped.transport.value, stamped.control,
-                    size,
-                )
+            stamped = self._book_send(node, message)
             if not self.network.reachable(stamped.src, stamped.dst):
                 self._record_drop(stamped, "unreachable")
                 continue
-            latency = self.network.latency(stamped.src, stamped.dst, self.rng)
-            loss = self.network.loss_probability(stamped.src, stamped.dst,
-                                                 self.rng)
-            if self.rng.random() < loss:
-                self._record_drop(stamped, "loss")
-                continue
-            if self.network.interceptors:
-                stamped = self.network.rewrite_message(stamped, self.rng)
-                plan = self.network.plan_deliveries(stamped, latency,
-                                                    self.rng)
-            else:
-                plan = [latency]
+            stamped, plan = self._udp_copies(stamped)
             for delivery_latency in plan:
                 did = next(self._delivery_ids)
                 if not stamped.control:
@@ -692,11 +671,6 @@ class Simulator:
         return sum(n.stats.control_bytes_sent for n in self.nodes.values())
 
     def _record_trace(self, node: SimNode, event: Event, outcome: str) -> None:
-        if self.trace_enabled:
-            self.trace.append(
-                TraceRecord(time=self.now, node=node.addr,
-                            description=event.describe(), kind=outcome)
-            )
         metrics = self.obs.metrics
         if metrics is not None:
             counter = _OUTCOME_COUNTERS.get(outcome)

@@ -87,14 +87,24 @@ def test_inject_app_executes_inline():
 # ----------------------------------------------------------- hook wakeups
 
 
-class TickCountingHook:
-    """Legacy-shaped hook: no on_attach, relies on the tick fallback."""
+class OwnedWakeupHook:
+    """Hook that owns its wakeups via on_attach + schedule_at."""
 
-    def __init__(self):
+    def __init__(self, period):
         self.ticks = 0
+        self.period = period
 
-    def on_tick(self, sim, node):
-        self.ticks += 1
+    def on_attach(self, sim, node):
+        self.addr = node.addr
+        sim.schedule_at(sim.now + self.period, self._wakeup)
+
+    def _wakeup(self, sim):
+        node = sim.nodes.get(self.addr)
+        if node is None or node.hook is not self:
+            return
+        if node.alive:
+            self.ticks += 1
+        sim.schedule_at(sim.now + self.period, self._wakeup)
 
     def filter_event(self, sim, node, event):
         from repro.runtime import FilterAction
@@ -112,34 +122,6 @@ class TickCountingHook:
 
     def on_forced_checkpoint(self, sim, node):
         pass
-
-
-class OwnedWakeupHook(TickCountingHook):
-    """Hook that owns its wakeups via on_attach + schedule_at."""
-
-    def __init__(self, period):
-        super().__init__()
-        self.period = period
-
-    def on_attach(self, sim, node):
-        self.addr = node.addr
-        sim.schedule_at(sim.now + self.period, self._wakeup)
-
-    def _wakeup(self, sim):
-        node = sim.nodes.get(self.addr)
-        if node is None or node.hook is not self:
-            return
-        if node.alive:
-            self.on_tick(sim, node)
-        sim.schedule_at(sim.now + self.period, self._wakeup)
-
-
-def test_legacy_hook_without_on_attach_still_ticks():
-    sim, (a, _b) = _make_sim()
-    hook = TickCountingHook()
-    sim.attach_hook(a, hook)
-    sim.run(until=35.0)  # default tick_interval = 10
-    assert hook.ticks == 3
 
 
 def test_on_attach_hook_owns_its_wakeups():

@@ -1,5 +1,6 @@
 """Tests for the discrete-event simulator."""
 
+from repro.obs import MemoryTracer, ObsContext, filter_records
 from repro.runtime import (
     Address,
     FilterAction,
@@ -141,7 +142,7 @@ def test_event_filter_hook_drops_messages():
     class DropHook:
         def __init__(self):
             self.dropped = 0
-        def on_tick(self, sim, node): pass
+        def on_attach(self, sim, node): pass
         def filter_event(self, sim, node, event):
             from repro.runtime import MessageEvent
             if isinstance(event, MessageEvent) and event.message.mtype == "Ping":
@@ -164,14 +165,17 @@ def test_event_filter_hook_drops_messages():
 
 
 def test_trace_records_when_enabled():
-    sim = Simulator(EchoProtocol, NetworkModel(), seed=1, trace=True)
+    tracer = MemoryTracer()
+    sim = Simulator(EchoProtocol, NetworkModel(), seed=1,
+                    obs=ObsContext(tracer=tracer))
     a, b = make_addresses(2)
     sim.add_node(a)
     sim.add_node(b)
     sim.schedule_app(1.0, a, "ping", {"target": b})
     sim.run(until=3.0)
-    assert sim.trace
-    assert any("Ping" in rec.description for rec in sim.trace)
+    events = filter_records(tracer.records, kind="event")
+    assert events
+    assert any("Ping" in rec["desc"] for rec in events)
 
 
 def test_bandwidth_accounting_separates_control_plane():

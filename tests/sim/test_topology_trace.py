@@ -2,7 +2,13 @@
 
 import random
 
-from repro.obs import filter_trace, format_trace, summarize
+from repro.obs import (
+    MemoryTracer,
+    ObsContext,
+    filter_records,
+    format_records,
+    summarize_records,
+)
 from repro.runtime import Address, NetworkModel, Simulator, make_addresses
 from repro.sim import InetTopology, TopologyConfig
 from tests.runtime.test_simulator import EchoProtocol
@@ -48,21 +54,24 @@ def test_loss_probability_range():
 
 
 def test_trace_summary_and_filtering():
-    sim = Simulator(EchoProtocol, NetworkModel(), seed=1, trace=True)
+    tracer = MemoryTracer()
+    sim = Simulator(EchoProtocol, NetworkModel(), seed=1,
+                    obs=ObsContext(tracer=tracer))
     addrs = make_addresses(2)
     for a in addrs:
         sim.add_node(a)
     sim.schedule_app(1.0, addrs[0], "ping", {"target": addrs[1]})
     sim.run(until=3.0)
-    summary = summarize(sim.trace)
-    assert summary.total_events == len(sim.trace) > 0
+    summary = summarize_records(tracer.records)
+    assert summary.total_events == len(tracer.records) > 0
+    assert summary.by_kind["event"] == sim.events_executed
     assert summary.duration() >= 0
-    only_b = filter_trace(sim.trace, node=addrs[1])
-    assert all(rec.node == addrs[1] for rec in only_b)
-    text = format_trace(sim.trace, limit=5)
+    only_b = filter_records(tracer.records, node=str(addrs[1]), kind="event")
+    assert only_b and all(rec["node"] == str(addrs[1]) for rec in only_b)
+    text = format_records(tracer.records, limit=5)
     assert text.splitlines()
 
 
 def test_trace_summary_empty():
-    summary = summarize([])
+    summary = summarize_records([])
     assert summary.total_events == 0 and summary.duration() == 0
