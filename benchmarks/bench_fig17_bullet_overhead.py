@@ -21,9 +21,11 @@ BLOCKS = 32
 def _run_download(mode: str):
     return (Experiment("bulletprime")
             .scenario("download")
+            .nodes(NODES)
+            .duration(400.0)
             .mode(mode)
             .seed(13)
-            .options(node_count=NODES, block_count=BLOCKS, max_time=400.0)
+            .options(block_count=BLOCKS)
             .run())
 
 

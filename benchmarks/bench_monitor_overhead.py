@@ -31,10 +31,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.experiment import LiveRun
-from repro.runtime import make_addresses
-from repro.systems.chord import Chord, ChordConfig
-from repro.systems.chord.properties import ALL_PROPERTIES
+from repro.api import Experiment
 
 QUICK = os.environ.get("CB_MONITOR_BENCH_QUICK", "") not in ("", "0")
 NODES = int(os.environ.get("CB_MONITOR_NODES", "12" if QUICK else "24"))
@@ -48,20 +45,13 @@ RESULT_PATH = Path(os.environ.get(
 
 def _run(monitor_mode):
     """One seeded 24-node Chord run; returns (seconds, monitor or None)."""
-    addrs = make_addresses(NODES)
-    config = ChordConfig(bootstrap=(addrs[0],))
-    live = LiveRun(
-        protocol_factory=lambda: Chord(config),
-        properties=ALL_PROPERTIES if monitor_mode is not None else [],
-        node_count=NODES,
-        duration=DURATION,
-        churn_mean_interval=DURATION / 4,
-        seed=SEED,
-        incremental_monitor=bool(monitor_mode),
-        system_name="chord",
-    )
+    experiment = (Experiment("chord").nodes(NODES).duration(DURATION)
+                  .churn(interval=DURATION / 4).seed(SEED)
+                  .incremental_monitor(bool(monitor_mode)))
+    if monitor_mode is None:
+        experiment.properties()  # the empty selection: nothing to check
     started = time.perf_counter()
-    report = live.run()
+    report = experiment.run()
     elapsed = time.perf_counter() - started
     return elapsed, report.live_monitor
 

@@ -36,11 +36,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.api.experiment import LiveRun
-from repro.obs import JsonlTracer, MetricsRegistry, NullTracer
-from repro.runtime import make_addresses
-from repro.systems.chord import Chord, ChordConfig
-from repro.systems.chord.properties import ALL_PROPERTIES
+from repro.api import Experiment
+from repro.obs import JsonlTracer, NullTracer
 
 QUICK = os.environ.get("CB_OBS_BENCH_QUICK", "") not in ("", "0")
 NODES = int(os.environ.get("CB_OBS_NODES", "12" if QUICK else "24"))
@@ -54,26 +51,15 @@ RESULT_PATH = Path(os.environ.get(
 
 def _run(variant, trace_dir):
     """One seeded live Chord run; returns (seconds, RunReport)."""
-    addrs = make_addresses(NODES)
-    config = ChordConfig(bootstrap=(addrs[0],))
-    kwargs = {}
+    experiment = (Experiment("chord").nodes(NODES).duration(DURATION)
+                  .churn(interval=DURATION / 4).seed(SEED))
     if variant == "noop":
-        kwargs = {"trace": NullTracer(), "metrics": MetricsRegistry()}
+        experiment.trace(NullTracer()).metrics()
     elif variant == "traced":
         path = Path(trace_dir) / f"trace-{time.monotonic_ns()}.jsonl"
-        kwargs = {"trace": JsonlTracer(path), "metrics": MetricsRegistry()}
-    live = LiveRun(
-        protocol_factory=lambda: Chord(config),
-        properties=ALL_PROPERTIES,
-        node_count=NODES,
-        duration=DURATION,
-        churn_mean_interval=DURATION / 4,
-        seed=SEED,
-        system_name="chord",
-        **kwargs,
-    )
+        experiment.trace(JsonlTracer(path)).metrics()
     started = time.perf_counter()
-    report = live.run()
+    report = experiment.run()
     elapsed = time.perf_counter() - started
     return elapsed, report
 

@@ -36,11 +36,10 @@ def predict_shadow_map_bug() -> None:
 
 def compare_download_overhead() -> None:
     print("Part 2 — download completion times with and without CrystalBall:")
-    common = dict(node_count=12, block_count=32)
-    baseline = (Experiment("bulletprime").scenario("download")
-                .mode("off").seed(3).options(**common).run())
-    monitored = (Experiment("bulletprime").scenario("download")
-                 .mode("debug").seed(3).options(**common).run())
+    baseline = (Experiment("bulletprime").scenario("download").nodes(12)
+                .mode("off").seed(3).options(block_count=32).run())
+    monitored = (Experiment("bulletprime").scenario("download").nodes(12)
+                 .mode("debug").seed(3).options(block_count=32).run())
 
     def times(report):
         return sorted(report.outcome["completion_times"].values())

@@ -28,8 +28,6 @@ Package layout
     fixes behind flags), plus two replicated-data families — op-based
     CRDT replicas and a quorum-replicated KV store with optimistic
     execution — whose buggy variants sit behind options.
-``repro.sim``
-    INET-like topology generation.
 ``repro.analysis``
     Statistics and table/figure formatting used by the benchmark harness.
 ``repro.api``
@@ -56,11 +54,10 @@ from . import (
     obs,
     properties,
     runtime,
-    sim,
     systems,
 )
 
 __version__ = "1.5.0"
 
 __all__ = ["analysis", "api", "campaign", "core", "faults", "mc", "obs",
-           "properties", "runtime", "sim", "systems", "__version__"]
+           "properties", "runtime", "systems", "__version__"]

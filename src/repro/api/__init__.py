@@ -1,24 +1,20 @@
 """Unified experiment API: the single front door to the reproduction.
 
 * :func:`register_system` / :func:`get_system` / :func:`list_systems` — the
-  plugin registry under which the four bundled systems (RandTree, Chord,
-  Paxos, Bullet') self-register their protocol factory, safety properties,
-  transition config and named scenarios;
-* :class:`Experiment` — the fluent builder that assembles and runs live
-  deployments or scripted scenarios;
+  plugin registry under which the six bundled systems self-register their
+  protocol factory, safety properties, transition config and named
+  scenarios;
+* :class:`Experiment` — the fluent builder that is the record of a live run,
+  with scenarios folded in as presets;
 * :class:`RunReport` — the one structured, JSON-serializable result type;
 * ``python -m repro`` — the command-line interface over all of the above.
 """
 
 from .experiment import (
     Experiment,
-    LiveRun,
     build_run_report,
-    make_fault_scenario_runner,
-    make_search_scenario_runner,
     parse_mode,
-    report_from_search,
-    warn_scenario_mode_noop,
+    run_search_scenario,
 )
 from .registry import (
     ScenarioSpec,
@@ -32,13 +28,9 @@ from .report import NodeReport, RunReport
 
 __all__ = [
     "Experiment",
-    "LiveRun",
     "build_run_report",
-    "make_fault_scenario_runner",
-    "make_search_scenario_runner",
     "parse_mode",
-    "report_from_search",
-    "warn_scenario_mode_noop",
+    "run_search_scenario",
     "ScenarioSpec",
     "SystemSpec",
     "get_system",

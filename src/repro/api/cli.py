@@ -44,6 +44,28 @@ def _parse_axis(raw: str) -> tuple[str, str]:
     return key, values
 
 
+#: The flags ``run`` and ``attack`` share, declared once: everything about
+#: each but its help text and (where the row has none) its default, which
+#: belong to the subcommand.
+_SHARED_FLAGS: dict[str, dict[str, Any]] = {
+    "--mode": {},
+    "--nodes": {"type": int},
+    "--duration": {"type": float},
+    "--seed": {"type": int},
+    "--faults": {"metavar": "PRESET", "action": "append", "default": []},
+    "--option": {"metavar": "KEY=VALUE", "type": _parse_option,
+                 "action": "append", "default": []},
+    "--trace": {"metavar": "PATH"},
+    "--json": {"action": "store_true", "dest": "as_json", "default": False},
+}
+
+
+def _shared_flag(parser: argparse.ArgumentParser, flag: str, *, help: str,
+                 default: Any = None) -> None:
+    parser.add_argument(
+        flag, help=help, **{"default": default, **_SHARED_FLAGS[flag]})
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -79,14 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("system", help="registered system name (see `list`)")
     run.add_argument("--scenario", default=None,
                      help="named scripted scenario instead of a live run")
-    run.add_argument("--mode", default="debug",
-                     help="CrystalBall mode: off, debug, steering, isc-only")
-    run.add_argument("--nodes", type=int, default=None, help="deployment size")
-    run.add_argument("--duration", type=float, default=None,
-                     help="simulated seconds to run")
+    _shared_flag(run, "--mode", default="debug",
+                 help="CrystalBall mode: off, debug, steering, isc-only")
+    _shared_flag(run, "--nodes", help="deployment size")
+    _shared_flag(run, "--duration", help="simulated seconds to run")
     run.add_argument("--ticks", type=int, default=None,
                      help="duration in controller tick intervals")
-    run.add_argument("--seed", type=int, default=0, help="random seed")
+    _shared_flag(run, "--seed", default=0, help="random seed")
     run.add_argument("--engine", default=None,
                      help="search engine: serial, parallel or parallel:N")
     run.add_argument("--portfolio", action="store_true",
@@ -102,9 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--churn-interval", type=float, default=None,
                      help="mean seconds between churn events")
     run.add_argument("--no-churn", action="store_true", help="disable churn")
-    run.add_argument("--faults", metavar="PRESET", action="append", default=[],
-                     help="fault preset(s) to inject, comma-separable and "
-                          "repeatable (see `python -m repro faults`)")
+    _shared_flag(run, "--faults",
+                 help="fault preset(s) to inject, comma-separable and "
+                      "repeatable (see `python -m repro faults`)")
     run.add_argument("--fault-seed", type=int, default=None,
                      help="nemesis seed (defaults to run seed + 13)")
     run.add_argument("--properties", metavar="PATTERN", action="append",
@@ -149,16 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
                      type=_parse_option, action="append", default=[],
                      help="backend-specific option, e.g. host=127.0.0.1 "
                           "for tcp (repeatable; needs --backend)")
-    run.add_argument("--option", metavar="KEY=VALUE", type=_parse_option,
-                     action="append", default=[],
-                     help="system/scenario-specific option (repeatable)")
-    run.add_argument("--trace", metavar="PATH", default=None,
-                     help="write a structured JSONL execution trace to PATH "
-                          "(inspect with `python -m repro trace PATH`)")
+    _shared_flag(run, "--option",
+                 help="system/scenario-specific option (repeatable)")
+    _shared_flag(run, "--trace",
+                 help="write a structured JSONL execution trace to PATH "
+                      "(inspect with `python -m repro trace PATH`)")
     run.add_argument("--metrics", action="store_true",
                      help="collect obs metrics into the report")
-    run.add_argument("--json", action="store_true", dest="as_json",
-                     help="print the full RunReport as JSON")
+    _shared_flag(run, "--json", help="print the full RunReport as JSON")
 
     attack = sub.add_parser(
         "attack", parents=[common],
@@ -168,35 +187,31 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("--property", dest="property_id", required=True,
                         help="registry id of the property under attack "
                              "(e.g. paxos.agreement)")
-    attack.add_argument("--faults", metavar="PRESET", action="append",
-                        default=[],
-                        help="byzantine fault preset(s)/type(s) to attack "
-                             "with, comma-separable and repeatable "
-                             "(default: equivocation)")
-    attack.add_argument("--nodes", type=int, default=None,
-                        help="deployment size")
-    attack.add_argument("--duration", type=float, default=None,
-                        help="simulated seconds per attempt")
-    attack.add_argument("--seed", type=int, default=0,
-                        help="run seed of every seeded execution")
+    _shared_flag(attack, "--faults",
+                 help="byzantine fault preset(s)/type(s) to attack with, "
+                      "comma-separable and repeatable (default: "
+                      "equivocation)")
+    _shared_flag(attack, "--nodes", help="deployment size")
+    _shared_flag(attack, "--duration", help="simulated seconds per attempt")
+    _shared_flag(attack, "--seed", default=0,
+                 help="run seed of every seeded execution")
     attack.add_argument("--attempts", type=int, default=8,
                         help="seeded attack schedules to try (default 8)")
-    attack.add_argument("--mode", default="off",
-                        help="CrystalBall mode during the attacked runs "
-                             "(off, debug, steering, isc-only); steering "
-                             "shows the controller filtering the attack")
+    _shared_flag(attack, "--mode", default="off",
+                 help="CrystalBall mode during the attacked runs (off, "
+                      "debug, steering, isc-only); steering shows the "
+                      "controller filtering the attack")
     attack.add_argument("--no-minimize", action="store_true",
                         help="skip delta-debugging trace minimization")
-    attack.add_argument("--option", metavar="KEY=VALUE", type=_parse_option,
-                        action="append", default=[],
-                        help="system-specific option (repeatable)")
-    attack.add_argument("--trace", metavar="PATH", default=None,
-                        help="write a JSONL trace of the final replay run")
+    _shared_flag(attack, "--option",
+                 help="system-specific option (repeatable)")
+    _shared_flag(attack, "--trace",
+                 help="write a JSONL trace of the final replay run")
     attack.add_argument("--out", metavar="DIR", default="attack-reports",
                         help="directory for the JSON + markdown attack "
                              "report (default: attack-reports)")
-    attack.add_argument("--json", action="store_true", dest="as_json",
-                        help="print the AttackReport as JSON on stdout")
+    _shared_flag(attack, "--json",
+                 help="print the AttackReport as JSON on stdout")
 
     trace = sub.add_parser(
         "trace", parents=[common],

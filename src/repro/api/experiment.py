@@ -1,9 +1,9 @@
-"""The fluent :class:`Experiment` builder and the generic live-run driver.
+"""The fluent :class:`Experiment` builder: the one live-run record.
 
 ``Experiment`` is the single front door to the reproduction: pick a
-registered system, chain configuration calls, and ``run()`` — either a named
-scripted scenario or a generic live deployment with staggered joins, churn
-and CrystalBall controllers::
+registered system, chain configuration calls, and ``run()`` — a generic live
+deployment with staggered joins, churn and CrystalBall controllers, or a
+named scenario::
 
     report = (Experiment("chord")
               .nodes(24)
@@ -14,17 +14,20 @@ and CrystalBall controllers::
               .run())
     print(report.accounting())
 
-:class:`LiveRun` is the underlying driver; it always returns a
+The builder's own fields are the run record: ``run()`` drives the backend
+from them.  A *live* scenario is a preset folded under the explicit settings
+before that one path is taken; a *search* scenario goes to
+:func:`run_search_scenario` and a phased driver to its own runner (see
+:class:`~repro.api.registry.ScenarioSpec`).  Every path returns a
 :class:`~repro.api.report.RunReport`.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-import inspect
 import time
 import warnings
-from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from ..backends import backend_names, make_backend
@@ -41,15 +44,14 @@ from ..faults.base import Fault
 from ..faults.byzantine import MutatingFault
 from ..faults.nemesis import Nemesis
 from ..faults.presets import make_nemesis
-from ..mc.search import SearchBudget, SearchResult
+from ..mc.search import SearchBudget
 from ..obs import JsonlTracer, MetricsRegistry, ObsContext, Tracer
-from ..properties import Property, SafetyProperty, resolve_properties
+from ..properties import Property, resolve_properties
 from ..properties.registry import PropertySelector
 from ..mc.transition import TransitionConfig, TransitionSystem
 from ..runtime.address import Address, make_addresses
 from ..runtime.churn import ChurnProcess
 from ..runtime.network import NetworkModel
-from ..runtime.protocol import Protocol
 from ..runtime.simulator import Simulator
 from ..workload import OpenLoopDriver, WorkloadSpec
 from .registry import ScenarioSpec, SystemSpec, get_system
@@ -110,333 +112,57 @@ def build_run_report(
     )
 
 
-def warn_scenario_mode_noop(mode: Union[Mode, str, None], scenario: str) -> None:
-    """Warn when a steering/ISC mode is requested for an offline search.
+#: What an offline search takes from the builder: the prediction budget.
+SEARCH_HONOURS = ("budget",)
 
-    The figure scenarios run consequence prediction from a scripted
-    snapshot; there is no live execution to steer, so any mode beyond
-    off/debug would silently measure nothing.
+
+def run_search_scenario(spec: SystemSpec, scenario: ScenarioSpec, *,
+                        seed: int = 0, max_states: Optional[int],
+                        max_depth: Optional[int],
+                        fixed: bool = False) -> RunReport:
+    """Consequence prediction from a search scenario's scripted snapshot.
+
+    ``scenario.build(fixed=...)`` yields the start state — with the paper's
+    fixes applied when ``fixed`` is true — and the system's default
+    properties are checked from it.  The bundled figure scenarios (RandTree
+    Figures 2/9, Chord Figures 10/11, the Bullet' shadow-map state, the
+    CRDT and KV-store races) all run through here.
     """
-    parsed = parse_mode(mode)
-    if parsed not in (Mode.OFF, Mode.DEBUG):
-        warnings.warn(
-            f"scenario {scenario!r} is an offline prediction search; "
-            f"mode {parsed.value!r} has no effect on it",
-            UserWarning, stacklevel=3)
-
-
-def report_from_search(
-    *,
-    system: str,
-    scenario: Optional[str],
-    result: SearchResult,
-    seed: int = 0,
-    node_count: int = 0,
-    extra_outcome: Optional[dict] = None,
-) -> RunReport:
-    """Wrap an offline search (a scripted figure scenario) into a report."""
+    built = scenario.build(fixed=fixed)
+    protocol, snapshot = (built if isinstance(built, tuple)
+                          else (built.protocol, built.global_state()))
+    transition_system = TransitionSystem(
+        protocol, TransitionConfig(enable_resets=scenario.resets,
+                                   max_resets_per_node=1))
+    result = consequence_prediction(
+        transition_system, snapshot, list(spec.properties),
+        SearchBudget(max_states=max_states, max_depth=max_depth))
     shortest = result.shortest_violation()
     by_property: dict[str, int] = {}
     for predicted in result.violations:
         name = predicted.violation.property_name
         by_property[name] = by_property.get(name, 0) + 1
-    outcome = {
-        "states_visited": result.stats.states_visited,
-        "max_depth_reached": result.stats.max_depth_reached,
-        "elapsed_seconds": result.stats.elapsed_seconds,
-        "violations": len(result.violations),
-        "properties_violated": sorted(result.unique_property_names()),
-        "violations_by_property": dict(sorted(by_property.items())),
-        "shortest_violation": (str(shortest.violation)
-                               if shortest is not None else None),
-        "shortest_path": ([event.describe() for event in shortest.path]
-                          if shortest is not None else []),
-    }
-    outcome.update(extra_outcome or {})
     return RunReport(
-        system=system,
-        scenario=scenario,
+        system=spec.name,
+        scenario=scenario.name,
         mode="prediction",
         seed=seed,
-        node_count=node_count,
-        simulated_seconds=0.0,
+        node_count=len(snapshot.nodes),
         wall_clock_seconds=result.stats.elapsed_seconds,
-        outcome=outcome,
+        outcome={
+            "states_visited": result.stats.states_visited,
+            "max_depth_reached": result.stats.max_depth_reached,
+            "elapsed_seconds": result.stats.elapsed_seconds,
+            "violations": len(result.violations),
+            "properties_violated": sorted(result.unique_property_names()),
+            "violations_by_property": dict(sorted(by_property.items())),
+            "shortest_violation": (str(shortest.violation)
+                                   if shortest is not None else None),
+            "shortest_path": ([event.describe() for event in shortest.path]
+                              if shortest is not None else []),
+            "fixed": fixed,
+        },
     )
-
-
-def make_search_scenario_runner(
-    *,
-    system: str,
-    scenario: str,
-    properties: Sequence[SafetyProperty],
-    prepare: Callable[[bool], tuple[Protocol, Any]],
-    default_max_states: int,
-    default_max_depth: int,
-    resets: bool = True,
-    max_resets_per_node: int = 1,
-) -> Callable[..., RunReport]:
-    """Build a :class:`~repro.api.registry.ScenarioSpec` runner that runs
-    consequence prediction from a scripted snapshot.
-
-    ``prepare(fixed)`` returns ``(protocol, snapshot)`` — with the paper's
-    fixes applied when ``fixed`` is true.  The bundled figure scenarios
-    (RandTree Figures 2/9, Chord Figures 10/11, the Bullet' shadow-map
-    state) all share this shape.
-    """
-
-    def run(*, mode=None, seed: int = 0, fixed: bool = False,
-            max_states: int = default_max_states,
-            max_depth: int = default_max_depth, **_ignored) -> RunReport:
-        warn_scenario_mode_noop(mode, scenario)
-        protocol, snapshot = prepare(fixed)
-        transition_system = TransitionSystem(
-            protocol,
-            TransitionConfig(enable_resets=resets,
-                             max_resets_per_node=max_resets_per_node))
-        result = consequence_prediction(
-            transition_system, snapshot, list(properties),
-            SearchBudget(max_states=max_states, max_depth=max_depth))
-        return report_from_search(system=system, scenario=scenario,
-                                  result=result, seed=seed,
-                                  node_count=len(snapshot.nodes),
-                                  extra_outcome={"fixed": fixed})
-
-    return run
-
-
-def make_fault_scenario_runner(
-    *,
-    system: str,
-    faults: Sequence[Union[str, "Fault"]] = (),
-    faults_factory: Optional[
-        Callable[[float, Sequence[Address]], Sequence[Union[str, "Fault"]]]] = None,
-    default_nodes: int = 6,
-    default_duration: float = 200.0,
-    churn: bool = False,
-    options: Optional[Mapping[str, Any]] = None,
-) -> Callable[..., "RunReport"]:
-    """Build a :class:`~repro.api.registry.ScenarioSpec` runner for a named
-    live fault scenario.
-
-    The runner drives a generic live run of ``system`` with a nemesis built
-    from ``faults`` (preset names / instances) plus whatever
-    ``faults_factory(duration, addresses)`` contributes — the factory hook
-    exists for faults that target specific members, e.g. crashing the Paxos
-    proposer.  Churn is off by default so the named faults are the only
-    adversary and the schedule is reproducible from the seed alone.
-    """
-
-    def run(*, mode=None, seed: int = 0,
-            node_count: int = default_nodes,
-            max_time: float = default_duration,
-            fault_seed: Optional[int] = None,
-            **_ignored) -> "RunReport":
-        experiment = (Experiment(system)
-                      .nodes(node_count)
-                      .duration(max_time)
-                      .seed(seed)
-                      .mode(parse_mode(mode))
-                      .churn(churn))
-        fault_list: list[Union[str, Fault]] = list(faults)
-        if faults_factory is not None:
-            fault_list.extend(
-                faults_factory(max_time, make_addresses(node_count)))
-        experiment.faults(*fault_list, seed=fault_seed)
-        if options:
-            experiment.options(**options)
-        return experiment.run()
-
-    return run
-
-
-@dataclass
-class LiveRun:
-    """A live deployment: staggered joins, optional churn, CrystalBall.
-
-    This is the generic driver behind :meth:`Experiment.run`.  The event
-    ordering is part of the contract: seeded runs stay reproducible.
-    """
-
-    protocol_factory: Callable[[], Protocol]
-    properties: Sequence[Property]
-    node_count: int = 6
-    duration: float = 600.0
-    join_spacing: float = 5.0
-    churn_mean_interval: Optional[float] = 60.0
-    crystalball_mode: Mode = Mode.OFF
-    crystalball_config: Optional[CrystalBallConfig] = None
-    #: which nodes run the model checker (None = all when CrystalBall is on).
-    checker_nodes: Optional[Sequence[Address]] = None
-    network: Optional[NetworkModel] = None
-    seed: int = 0
-    tick_interval: float = 10.0
-    max_events: int = 500_000
-    #: Fault injection: preset names and/or Fault instances expanded into a
-    #: seeded Nemesis for this run (see repro.faults).
-    faults: Sequence[Union[str, Fault]] = ()
-    #: Nemesis seed; None derives it from the run seed.
-    fault_seed: Optional[int] = None
-    #: Quiet period before the first fault (defaults to one join round).
-    fault_start_after: Optional[float] = None
-    #: Byzantine payload mutator handed to MutatingFault instances that
-    #: carry none — normally the system spec's registered protocol-aware
-    #: hook (see SystemSpec.message_mutator).
-    message_mutator: Optional[Callable[..., Any]] = None
-    #: Dirty-node fast path for node-scoped properties in the live monitor
-    #: (bit-identical records either way; False forces a full re-check per
-    #: event, which is what the monitor-overhead benchmark compares).
-    incremental_monitor: bool = True
-    address_start: int = 1
-    #: application call used for staggered joins; None skips join scheduling.
-    join_call: Optional[str] = "join"
-    #: open-loop request stream driven through the run (see repro.workload).
-    workload: Optional[WorkloadSpec] = None
-    #: custom initial scheduling, replaces the join schedule when set.
-    schedule: Optional[Callable[[Simulator, Sequence[Address], Mapping], None]] = None
-    #: outcome extraction merged into ``RunReport.outcome``.
-    collect: Optional[Callable[[Simulator], dict]] = None
-    options: Mapping[str, Any] = field(default_factory=dict)
-    system_name: str = "custom"
-    scenario_name: Optional[str] = None
-    #: execution backend: "sim" (default) or "tcp" (real asyncio sockets);
-    #: see :mod:`repro.backends`.
-    backend: str = "sim"
-    #: backend-specific settings (e.g. host/port_base for "tcp"),
-    #: validated by the backend class.
-    backend_options: Mapping[str, Any] = field(default_factory=dict)
-    #: Structured tracing: a JSONL output path or a ready
-    #: :class:`~repro.obs.Tracer` instance; None (default) disables it.
-    trace: Optional[Union[str, Tracer]] = None
-    #: Metrics: True builds a fresh registry snapshotted into
-    #: ``RunReport.metrics``; a :class:`~repro.obs.MetricsRegistry`
-    #: instance is used as-is; False (default) disables metrics.
-    metrics: Union[bool, MetricsRegistry] = False
-
-    def addresses(self) -> list[Address]:
-        return make_addresses(self.node_count, start=self.address_start)
-
-    def _build_obs(self) -> ObsContext:
-        tracer: Optional[Tracer] = None
-        if self.trace is not None:
-            tracer = (self.trace if isinstance(self.trace, Tracer)
-                      else JsonlTracer(self.trace))
-        registry: Optional[MetricsRegistry] = None
-        if self.metrics:
-            registry = (self.metrics
-                        if isinstance(self.metrics, MetricsRegistry)
-                        else MetricsRegistry())
-        return ObsContext(tracer=tracer, metrics=registry)
-
-    def run(self) -> RunReport:
-        started = time.perf_counter()
-        addresses = self.addresses()
-        network = self.network or NetworkModel()
-        obs = self._build_obs()
-        sim = make_backend(self.backend, self.protocol_factory, network,
-                           seed=self.seed, tick_interval=self.tick_interval,
-                           obs=obs, options=self.backend_options)
-        if obs.tracer is not None:
-            obs.tracer.meta(
-                system=self.system_name, scenario=self.scenario_name,
-                mode=self.crystalball_mode.value, seed=self.seed,
-                nodes=self.node_count, backend=self.backend)
-        for addr in addresses:
-            sim.add_node(addr)
-
-        controllers: dict[Address, CrystalBallController] = {}
-        if self.crystalball_mode is not Mode.OFF:
-            if self.crystalball_config is not None:
-                # Work on a copy so the caller's config object is never
-                # mutated (it may be reused across experiments).
-                config = self.crystalball_config.copy()
-                config.mode = self.crystalball_mode
-            else:
-                config = CrystalBallConfig(mode=self.crystalball_mode)
-            controllers = attach_crystalball(
-                sim, self.properties, config=config, nodes=self.checker_nodes)
-
-        monitor = LivePropertyMonitor(
-            self.properties, incremental=self.incremental_monitor).install(sim)
-
-        nemesis: Optional[Nemesis] = None
-        if self.faults:
-            start_after = (self.fault_start_after
-                           if self.fault_start_after is not None
-                           else min(self.node_count * self.join_spacing,
-                                    self.duration * 0.1))
-            nemesis = make_nemesis(
-                self.faults,
-                duration=self.duration,
-                seed=(self.fault_seed if self.fault_seed is not None
-                      else self.seed + 13),
-                start_after=start_after,
-            )
-            if self.message_mutator is not None:
-                for fault in nemesis.faults:
-                    if (isinstance(fault, MutatingFault)
-                            and fault.mutator is None):
-                        fault.mutator = self.message_mutator
-            nemesis.install(sim)
-
-        if self.schedule is not None:
-            self.schedule(sim, addresses, self.options)
-        elif self.join_call is not None:
-            # Staggered joins: the bootstrap node first, then one node every
-            # ``join_spacing`` seconds.
-            for index, addr in enumerate(addresses):
-                sim.schedule_app(1.0 + index * self.join_spacing, addr,
-                                 self.join_call, {})
-
-        churn: Optional[ChurnProcess] = None
-        if self.churn_mean_interval is not None:
-            churn = ChurnProcess(nodes=addresses,
-                                 mean_interval=self.churn_mean_interval,
-                                 seed=self.seed + 7,
-                                 stop_after=self.duration * 0.9)
-            churn.install(sim)
-
-        driver: Optional[OpenLoopDriver] = None
-        if self.workload is not None:
-            driver = OpenLoopDriver(self.workload, addresses,
-                                    seed=self.seed).install(sim)
-
-        sim.run(until=self.duration, max_events=self.max_events)
-        churn_events = churn.events_injected if churn is not None else 0
-
-        if nemesis is not None:
-            # Strip still-open fault windows so a caller-supplied network
-            # model carries no residue into the next run.
-            nemesis.teardown(sim)
-
-        # Liveness obligations whose deadline passed after the last event
-        # still count; finalize is a no-op for pure-safety property sets.
-        monitor.finalize(sim.now)
-
-        if obs.tracer is not None:
-            obs.tracer.run_end(sim.now, sim.events_executed)
-        obs.close()
-
-        outcome = self.collect(sim) if self.collect is not None else {}
-        wire_report = getattr(sim, "wire_report", None)
-        if wire_report is not None:
-            outcome = {**outcome, "wire": wire_report()}
-        return build_run_report(
-            system=self.system_name,
-            scenario=self.scenario_name,
-            mode=self.crystalball_mode,
-            seed=self.seed,
-            sim=sim,
-            controllers=controllers,
-            monitor=monitor,
-            churn_events=churn_events,
-            wall_clock_seconds=time.perf_counter() - started,
-            outcome=outcome,
-            nemesis=nemesis,
-            metrics=obs.metrics,
-            workload=driver.report() if driver is not None else None,
-            backend=self.backend,
-        )
 
 
 class Experiment:
@@ -477,8 +203,9 @@ class Experiment:
         self._metrics = False
         self._backend = "sim"
         self._backend_options: dict[str, Any] = {}
-        #: builder knobs the caller set explicitly (used to forward what a
-        #: scripted scenario can honor and warn about what it cannot).
+        #: builder knobs the caller set explicitly: they win over a
+        #: scenario's presets, and a search, a phased driver and a sweep
+        #: warn about the ones they cannot honor.
         self._explicit: set[str] = set()
 
     @property
@@ -726,7 +453,9 @@ class Experiment:
         return self
 
     def scenario(self, name: str) -> "Experiment":
-        """Run the named scripted scenario instead of a generic live run."""
+        """Run the named scenario: a live preset folded under this
+        builder's explicit settings, an offline search or a phased driver
+        (see :class:`~repro.api.registry.ScenarioSpec`)."""
         self._spec.scenario(name)  # fail fast on unknown names
         self._scenario = name
         return self
@@ -786,7 +515,7 @@ class Experiment:
     def incremental_monitor(self, enabled: bool = True) -> "Experiment":
         """Toggle the live monitor's dirty-node fast path (default on)."""
         self._incremental_monitor = bool(enabled)
-        # Off is the non-default setting: scenario runs and sweeps cannot
+        # Off is the non-default setting: offline searches and sweeps cannot
         # honor it and must warn instead of silently measuring the fast path.
         self._note("incremental_monitor", not self._incremental_monitor)
         return self
@@ -800,116 +529,237 @@ class Experiment:
 
     # ------------------------------------------------------------------- run
 
-    def _crystalball_config(self) -> Optional[CrystalBallConfig]:
-        if self._mode is Mode.OFF:
-            return None
+    def _crystalball_config(self) -> CrystalBallConfig:
         if self._cb_config is not None:
-            return self._cb_config
+            # A copy, so the caller's config object is never mutated (it may
+            # be reused across experiments).
+            config = self._cb_config.copy()
+            config.mode = self._mode
+            return config
         kwargs = dict(self._cb_kwargs)
         if "search_budget" not in kwargs and self._spec.search_budget_factory:
             kwargs["search_budget"] = self._spec.search_budget_factory()
         kwargs.setdefault("transition", self._spec.transition_factory())
         return CrystalBallConfig(mode=self._mode, **kwargs)
 
-    def _scenario_kwargs(self, scenario: ScenarioSpec) -> dict[str, Any]:
-        """Builder settings forwarded into a scripted scenario run.
+    def _with_preset(self, scenario: ScenarioSpec) -> "Experiment":
+        """A copy of this builder with ``scenario`` folded in as defaults.
 
-        Scenario runners script their own deployment, so only the subset of
-        the builder surface the runner names in its signature translates;
-        anything explicitly set that the scenario cannot honor is warned
-        about rather than silently dropped.
+        Explicit settings win whatever the call order; the scenario's
+        faults come first and the builder's own are added to them.
         """
-        named = {
-            parameter.name
-            for parameter in inspect.signature(scenario.run).parameters.values()
-            if parameter.kind in (inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                                  inspect.Parameter.KEYWORD_ONLY)}
+        folded = copy.copy(self)
+        if "nodes" not in self._explicit and scenario.nodes is not None:
+            folded._nodes = scenario.nodes
+        if "duration" not in self._explicit and scenario.duration is not None:
+            folded._duration = scenario.duration
+        if "churn" not in self._explicit:
+            # The named faults are the only adversary, so the schedule
+            # reproduces from the seed alone.
+            folded._churn_interval = None
+        folded._options = {**scenario.options, **self._options}
+        scripted = list(scenario.faults)
+        if scenario.faults_factory is not None:
+            scripted.extend(scenario.faults_factory(folded._duration,
+                                                    folded.addresses()))
+        folded._faults = scripted + self._faults
+        return folded
+
+    def _scripted_options(self, scenario: ScenarioSpec,
+                          honoured: Sequence[str],
+                          defaults: Mapping[str, Any]) -> dict[str, Any]:
+        """``defaults`` under the builder's options, for a scenario that
+        scripts its own run; whatever else was set explicitly and is not
+        in ``honoured`` is warned about rather than silently dropped."""
         # mode/seed are reserved: they come from the builder, never options.
-        accepted = named - {"mode", "seed"}
-        unknown = set(self._options) - accepted
+        unknown = set(self._options) - set(defaults)
         if unknown:
             raise ValueError(
-                f"unknown option(s) for scenario {self._scenario!r}: "
-                f"{sorted(unknown)} (accepted: {sorted(accepted)}; set mode "
+                f"unknown option(s) for scenario {scenario.name!r}: "
+                f"{sorted(unknown)} (accepted: {sorted(defaults)}; set mode "
                 f"and seed through the builder, not options)")
-        kwargs = dict(self._options)
-        unsupported: set[str] = set()
-
-        def forward(setting: str, key: str, value: Any) -> None:
-            if key in named:
-                kwargs.setdefault(key, value)
-            else:
-                unsupported.add(setting)
-
-        # The only explicit settings a runner can take are its deployment
-        # size and length; every other one is ignored, whatever it is.
-        forwardable = {"nodes": ("node_count", self._nodes),
-                       "duration": ("max_time", self._duration)}
-        for setting in self._explicit:
-            if setting in forwardable:
-                forward(setting, *forwardable[setting])
-            else:
-                unsupported.add(setting)
-        budget = self._cb_kwargs.get("search_budget")
-        if budget is None and self._cb_config is not None:
-            budget = self._cb_config.search_budget
-        if budget is not None:
-            if budget.max_states is not None:
-                forward("budget", "max_states", budget.max_states)
-            if budget.max_depth is not None:
-                forward("budget", "max_depth", budget.max_depth)
+        explicit = set(self._explicit)
+        if self._budget() is not None:
+            explicit.add("budget")
         if self._fault_seed is not None:
-            # Fault scenarios accept the nemesis seed; anything else warns.
-            forward("fault_seed", "fault_seed", self._fault_seed)
-        if unsupported:
+            explicit.add("fault_seed")
+        ignored = explicit - set(honoured)
+        if ignored:
             warnings.warn(
-                f"scenario {self._scenario!r} runs a scripted schedule and "
-                f"ignores these builder settings: {sorted(unsupported)}",
+                f"scenario {scenario.name!r} runs a scripted schedule and "
+                f"ignores these builder settings: {sorted(ignored)}",
                 UserWarning, stacklevel=3)
-        return kwargs
+        return {**defaults, **self._options}
+
+    def _budget(self) -> Optional[SearchBudget]:
+        """The explicitly configured prediction budget, if any."""
+        if self._cb_config is not None:
+            return self._cb_config.search_budget
+        return self._cb_kwargs.get("search_budget")
 
     def run(self) -> RunReport:
-        if self._scenario is not None:
-            scenario = self._spec.scenario(self._scenario)
-            report = scenario.run(mode=self._mode, seed=self._seed,
-                                  **self._scenario_kwargs(scenario))
-            report.system = self._spec.name
-            report.scenario = self._scenario
-            return report
+        """Run the experiment and return its :class:`RunReport`.
 
+        Without a scenario, and for a *live* scenario (folded in as
+        defaults first), this is a live deployment driven from the
+        builder's fields.  A *search* scenario runs offline consequence
+        prediction and a phased driver its own staged schedule; both take
+        only what they declare and warn about the rest.
+        """
+        if self._scenario is None:
+            return self._run_live()
+        scenario = self._spec.scenario(self._scenario)
+        if scenario.kind == "live":
+            return self._with_preset(scenario)._run_live()
+        if scenario.kind == "phased":
+            options = self._scripted_options(scenario, scenario.honours,
+                                             scenario.options)
+            # An honoured setting left unset takes the scenario's default.
+            settings = {name: (getattr(self, f"_{name}")
+                               if name in self._explicit
+                               else getattr(scenario, name))
+                        for name in scenario.honours}
+            return scenario.run(mode=self._mode, seed=self._seed, **options,
+                                **settings)
+        defaults = {"fixed": False, "max_states": scenario.max_states,
+                    "max_depth": scenario.max_depth}
+        budget = self._budget()
+        for bound in ("max_states", "max_depth"):
+            if budget is not None and getattr(budget, bound) is not None:
+                defaults[bound] = getattr(budget, bound)
+        options = self._scripted_options(scenario, SEARCH_HONOURS, defaults)
+        if self._mode not in (Mode.OFF, Mode.DEBUG):
+            # There is no live execution to steer, so any mode beyond
+            # off/debug would silently measure nothing.
+            warnings.warn(
+                f"scenario {scenario.name!r} is an offline prediction "
+                f"search; mode {self._mode.value!r} has no effect on it",
+                UserWarning, stacklevel=2)
+        return run_search_scenario(self._spec, scenario, seed=self._seed,
+                                   **options)
+
+    def _run_live(self) -> RunReport:
+        """The live deployment: staggered joins, optional churn, faults,
+        workload and CrystalBall, on the selected backend.
+
+        The event ordering is part of the contract: seeded runs stay
+        reproducible.
+        """
+        started = time.perf_counter()
+        spec = self._spec
         properties = self.resolved_properties()
-        live = LiveRun(
-            protocol_factory=self._spec.protocol_factory(
-                self.addresses(), self._options),
-            properties=properties,
-            node_count=self._nodes,
-            duration=self._duration,
-            join_spacing=self._spec.join_spacing,
-            churn_mean_interval=self._churn_interval,
-            crystalball_mode=self._mode,
-            crystalball_config=self._crystalball_config(),
-            checker_nodes=self._checker_nodes,
-            network=self._network,
+        # The protocol configuration gets its own Address objects: checkpoint
+        # sizes are pickle sizes, pickle writes a shared object once, and the
+        # pinned ``checkpoint_bytes_sent`` counts assume no sharing.
+        protocol_factory = spec.protocol_factory(self.addresses(),
+                                                 self._options)
+        addresses = self.addresses()
+        tracer = self._trace
+        if tracer is not None and not isinstance(tracer, Tracer):
+            tracer = JsonlTracer(tracer)
+        obs = ObsContext(tracer=tracer,
+                         metrics=MetricsRegistry() if self._metrics else None)
+        sim = make_backend(self._backend, protocol_factory,
+                           self._network or NetworkModel(), seed=self._seed,
+                           tick_interval=self._tick_interval, obs=obs,
+                           options=dict(self._backend_options))
+        if tracer is not None:
+            tracer.meta(system=spec.name, scenario=self._scenario,
+                        mode=self._mode.value, seed=self._seed,
+                        nodes=self._nodes, backend=self._backend)
+        for addr in addresses:
+            sim.add_node(addr)
+
+        controllers: dict[Address, CrystalBallController] = {}
+        if self._mode is not Mode.OFF:
+            controllers = attach_crystalball(
+                sim, properties, config=self._crystalball_config(),
+                nodes=self._checker_nodes)
+
+        monitor = LivePropertyMonitor(
+            properties, incremental=self._incremental_monitor).install(sim)
+
+        nemesis: Optional[Nemesis] = None
+        if self._faults:
+            # The quiet period before the first fault defaults to one join
+            # round; the nemesis seed derives from the run seed.
+            start_after = (self._fault_start_after
+                           if self._fault_start_after is not None
+                           else min(self._nodes * spec.join_spacing,
+                                    self._duration * 0.1))
+            nemesis = make_nemesis(
+                self._faults,
+                duration=self._duration,
+                seed=(self._fault_seed if self._fault_seed is not None
+                      else self._seed + 13),
+                start_after=start_after,
+            )
+            if spec.message_mutator is not None:
+                # Byzantine faults that carry no mutator get the system's
+                # protocol-aware one.
+                for fault in nemesis.faults:
+                    if (isinstance(fault, MutatingFault)
+                            and fault.mutator is None):
+                        fault.mutator = spec.message_mutator
+            nemesis.install(sim)
+
+        if spec.schedule is not None:
+            spec.schedule(sim, addresses, self._options)
+        elif spec.join_call is not None:
+            # Staggered joins: the bootstrap node first, then one node every
+            # ``join_spacing`` seconds.
+            for index, addr in enumerate(addresses):
+                sim.schedule_app(1.0 + index * spec.join_spacing, addr,
+                                 spec.join_call, {})
+
+        churn: Optional[ChurnProcess] = None
+        if self._churn_interval is not None:
+            churn = ChurnProcess(nodes=addresses,
+                                 mean_interval=self._churn_interval,
+                                 seed=self._seed + 7,
+                                 stop_after=self._duration * 0.9)
+            churn.install(sim)
+
+        driver: Optional[OpenLoopDriver] = None
+        if self._workload is not None:
+            driver = OpenLoopDriver(self._workload, addresses,
+                                    seed=self._seed).install(sim)
+
+        sim.run(until=self._duration, max_events=self._max_events)
+
+        if nemesis is not None:
+            # Strip still-open fault windows so a caller-supplied network
+            # model carries no residue into the next run.
+            nemesis.teardown(sim)
+
+        # Liveness obligations whose deadline passed after the last event
+        # still count; finalize is a no-op for pure-safety property sets.
+        monitor.finalize(sim.now)
+
+        if tracer is not None:
+            tracer.run_end(sim.now, sim.events_executed)
+        obs.close()
+
+        outcome = spec.collect(sim) if spec.collect is not None else {}
+        wire_report = getattr(sim, "wire_report", None)
+        if wire_report is not None:
+            outcome = {**outcome, "wire": wire_report()}
+        return build_run_report(
+            system=spec.name,
+            scenario=self._scenario,
+            mode=self._mode,
             seed=self._seed,
-            tick_interval=self._tick_interval,
-            max_events=self._max_events,
-            faults=tuple(self._faults),
-            fault_seed=self._fault_seed,
-            fault_start_after=self._fault_start_after,
-            message_mutator=self._spec.message_mutator,
-            incremental_monitor=self._incremental_monitor,
-            workload=self._workload,
-            join_call=self._spec.join_call,
-            schedule=self._spec.schedule,
-            collect=self._spec.collect,
-            options=self._options,
-            system_name=self._spec.name,
-            trace=self._trace,
-            metrics=self._metrics,
+            sim=sim,
+            controllers=controllers,
+            monitor=monitor,
+            churn_events=churn.events_injected if churn is not None else 0,
+            wall_clock_seconds=time.perf_counter() - started,
+            outcome=outcome,
+            nemesis=nemesis,
+            metrics=obs.metrics,
+            workload=driver.report() if driver is not None else None,
             backend=self._backend,
-            backend_options=dict(self._backend_options),
         )
-        return live.run()
 
     def sweep(self, *,
               seeds: Optional[Sequence[int]] = None,
@@ -949,7 +799,8 @@ class Experiment:
         churn, simple ``network(...)`` scalars, options, and fault *preset
         names*.  Explicit :class:`NetworkModel` / ``Fault`` instances
         raise, and other uncarried explicit settings (engine, budget, ...)
-        warn instead of silently changing the measurement.
+        warn instead of silently changing the measurement.  A scenario
+        cell is what ``.run()`` reports: only explicit churn, no metrics.
         """
         from ..campaign import CampaignSpec, run_campaign
         from ..campaign.spec import AXES, RunSpec
@@ -1012,11 +863,19 @@ class Experiment:
                 "sweep() rebuilds each cell from plain data and drops the "
                 "builder's backend options; cells run the backend with its "
                 "defaults", UserWarning, stacklevel=2)
+        axes = {axis.field: (list(given[axis.field])
+                             if given.get(axis.field) is not None
+                             else [held[axis.cell]])
+                for axis in AXES}
+        (axis,) = (axis for axis in AXES if axis.cell == "scenario")
+        scripted = [axis.normalize(name) is not None
+                    for name in axes["scenarios"]]
         # Whatever a RunSpec has no field for cannot reach the workers.
-        # "metrics" carries implicitly: campaign workers always collect
-        # metrics into each cell's report.
+        # "metrics" carries implicitly into live cells: workers always
+        # collect them there; a scenario cell stays as .run() reports it.
         carried = {spec_field.name
-                   for spec_field in dataclasses.fields(RunSpec)} | {"metrics"}
+                   for spec_field in dataclasses.fields(RunSpec)}
+        carried |= set() if all(scripted) else {"metrics"}
         uncarried = self._explicit - carried
         if self._cb_config is not None or "search_budget" in self._cb_kwargs:
             uncarried = uncarried | {"crystalball config/budget"}
@@ -1025,17 +884,24 @@ class Experiment:
                 f"sweep() rebuilds each cell from plain data and ignores "
                 f"these builder settings: {sorted(uncarried)}",
                 UserWarning, stacklevel=2)
+        # A scenario cell keeps its preset's churn default (off) as .run()
+        # does: a worker cannot tell the system's default from a request.
+        churn = self._churn_interval is not None
+        if churn and "churn" not in self._explicit and any(scripted):
+            churn = False
+            if not all(scripted):
+                warnings.warn(
+                    "sweep() mixes live and scenario cells: the system's "
+                    "default churn stays off in every cell; set .churn(...) "
+                    "explicitly to churn them all", UserWarning, stacklevel=2)
         spec = CampaignSpec(
-            **{axis.field: (list(given[axis.field])
-                            if given.get(axis.field) is not None
-                            else [held[axis.cell]])
-               for axis in AXES},
+            **axes,
             properties_exclude=tuple(self._property_exclude),
             workload_overrides=dict(self._workload_overrides),
             nodes=self._nodes if "nodes" in self._explicit else None,
             duration=(self._duration if "duration" in self._explicit
                       else None),
-            churn=self._churn_interval is not None,
+            churn=churn,
             churn_interval=self._churn_interval,
             network=dict(self._network_params),
             options=dict(self._options),

@@ -3,10 +3,10 @@
 A :class:`SystemSpec` describes everything the harness needs to run a
 system-under-test — how to build its protocol for a set of addresses, which
 safety properties to check, what the model checker may explore, and the
-scripted scenarios the paper's figures are built from.  The four bundled
-systems (RandTree, Chord, Paxos, Bullet') register themselves from their
-``spec`` modules; external code can add further systems with
-:func:`register_system`::
+scripted scenarios the paper's figures are built from.  The six bundled
+systems (RandTree, Chord, Paxos, Bullet', the CRDT replica set and the
+quorum KV store) register themselves from their ``spec`` modules; external
+code can add further systems with :func:`register_system`::
 
     from repro.api import Experiment, get_system, list_systems
 
@@ -37,20 +37,54 @@ ProtocolFactoryBuilder = Callable[
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One named, scripted experiment of a registered system.
+    """One named scenario of a registered system: data, in one of two forms.
 
-    ``run`` executes the scenario and returns a
-    :class:`~repro.api.report.RunReport`; it accepts ``mode`` (a
-    :class:`~repro.core.controller.Mode`), ``seed`` and arbitrary
-    scenario-specific keyword options.  ``build``, when present, returns the
-    underlying scripted object (e.g. a figure scenario with its
-    ``global_state()``) for callers that drive the search themselves.
+    A *search* scenario sets ``build`` and the ``max_states`` /
+    ``max_depth`` / ``resets`` defaults: ``build(fixed=...)`` returns the
+    scripted start state — ``(protocol, snapshot)`` or an object carrying
+    ``protocol`` and ``global_state()`` — and
+    :func:`~repro.api.experiment.run_search_scenario` runs consequence
+    prediction from it.  An offline search honours the builder's budget
+    and nothing else.
+
+    A *live* scenario is a builder preset: ``faults`` (preset names or
+    instances) plus whatever ``faults_factory(duration, addresses)`` adds
+    for faults that target specific members, with ``nodes``, ``duration``
+    and ``options`` as defaults.  ``Experiment.run()`` folds them under
+    the builder's explicit settings — churn off unless asked for, so the
+    named faults are the only adversary — and takes the ordinary live
+    path, so every builder setting applies.
+
+    The phased drivers (Paxos Figure 13, the Bullet' download) run the
+    simulator in stages and keep a ``run(mode=, seed=, **settings)``
+    callable.  They *declare* what they take: ``honours`` names which of
+    the builder's ``nodes`` and ``duration`` are passed in as keywords
+    (with this spec's ``nodes`` / ``duration`` as their defaults), and
+    ``options`` holds the accepted option names with their defaults.
+    Explicit settings outside ``honours`` are warned about.
     """
 
     name: str
     description: str
-    run: Callable[..., Any]
     build: Optional[Callable[..., Any]] = None
+    max_states: Optional[int] = None
+    max_depth: Optional[int] = None
+    resets: bool = True
+    faults: Sequence[Any] = ()
+    faults_factory: Optional[
+        Callable[[float, Sequence[Address]], Sequence[Any]]] = None
+    nodes: Optional[int] = None
+    duration: Optional[float] = None
+    options: Mapping[str, Any] = field(default_factory=dict)
+    run: Optional[Callable[..., Any]] = None
+    honours: tuple[str, ...] = ()
+
+    @property
+    def kind(self) -> str:
+        """``"phased"``, ``"search"`` or ``"live"``, from the fields set."""
+        if self.run is not None:
+            return "phased"
+        return "search" if self.build is not None else "live"
 
 
 @dataclass(frozen=True)

@@ -71,16 +71,16 @@ def run_one(run: RunSpec) -> RunReport:
     for axis in AXES:
         if axis.apply is not None and getattr(run, axis.cell) != axis.default:
             axis.apply(experiment, run)
-    # Deployment settings go through the builder for scenario cells too:
-    # Experiment.run() forwards what the scenario runner accepts
-    # (node_count / max_time) and warns about what it cannot honor, so a
-    # sweep never silently measures something else than .run() would.
+    # Deployment settings go through the builder for scenario cells too: a
+    # live scenario is a preset folded under them, and a search or phased
+    # scenario warns about what it cannot honor, so a sweep never silently
+    # measures something else than .run() would.
     if run.nodes is not None:
         experiment.nodes(run.nodes)
     if run.duration is not None:
         experiment.duration(run.duration)
-    # Scenarios script their own adversary; only an explicitly requested
-    # churn is worth the builder's "ignored" warning.
+    # A scenario cell keeps its own churn default (off for live scenarios,
+    # whose named faults are the only adversary) unless churn was asked for.
     if run.churn:
         experiment.churn(True, interval=run.churn_interval)
     elif run.scenario is None:
@@ -88,13 +88,14 @@ def run_one(run: RunSpec) -> RunReport:
     if run.network:
         experiment.network(**dict(run.network))
     if run.fault_seed is not None and not run.faults:
-        # Fault scenarios honor the nemesis seed without a preset axis.
+        # Live scenarios honor the nemesis seed without a preset axis.
         experiment.faults(seed=run.fault_seed)
     if run.options:
         experiment.options(**dict(run.options))
     # Metrics are always on for live cells: counters are deterministic and
-    # feed the aggregate's metrics rollup (cheap — no tracing).  Scripted
-    # scenarios build their own simulators and cannot honor the setting.
+    # feed the aggregate's metrics rollup (cheap — no tracing).  Scenario
+    # cells stay as `run --scenario` reports them, so a cell's report is the
+    # same bytes through either door.
     if run.scenario is None:
         experiment.metrics(True)
     return experiment.run()

@@ -47,6 +47,13 @@ CHECKPOINT_REQUEST = "_cb_checkpoint_request"
 CHECKPOINT_RESPONSE = "_cb_checkpoint_response"
 CHECKPOINT_NEGATIVE = "_cb_checkpoint_negative"
 
+#: Seeded random walks in a portfolio run, and the wall-clock deadline its
+#: strategies share (seconds).
+PORTFOLIO_WALKS = 2
+PORTFOLIO_WALL_CLOCK = 5.0
+#: Maximum error paths remembered for replay.
+MAX_REMEMBERED_PATHS = 32
+
 
 class Mode(enum.Enum):
     """Operating modes of CrystalBall (Section 3 and the evaluation)."""
@@ -120,10 +127,6 @@ class CrystalBallConfig:
     #: Race exhaustive search, consequence prediction and random walks from
     #: every snapshot instead of running consequence prediction alone.
     portfolio_mode: bool = False
-    #: Number of seeded random walks in a portfolio run.
-    portfolio_walks: int = 2
-    #: Shared wall-clock deadline for one portfolio run (seconds).
-    portfolio_wall_clock: Optional[float] = 5.0
     checkpoint_quota: int = 16
     #: Outbound bandwidth limit for checkpoint traffic, bytes per tick
     #: (None = unlimited; Section 3.1 "Managing Bandwidth Consumption").
@@ -132,14 +135,6 @@ class CrystalBallConfig:
     immediate_check: bool = True
     #: Vet filters with a consequence-prediction run before installing them.
     check_filter_safety: bool = True
-    #: Maximum error paths remembered for replay.
-    max_remembered_paths: int = 32
-    #: When a neighbour does not answer a checkpoint request (partition,
-    #: failure), fall back to the most recent checkpoint previously received
-    #: from it instead of dropping it from the snapshot.  Slightly stale
-    #: state is preferable to a blind spot; the paper attributes its Paxos
-    #: false negatives to exactly such missing checkpoints.
-    reuse_cached_checkpoints: bool = True
     #: Sampled deep checking (see :class:`CheckingPolicy`).  The default
     #: every-round policy is bit-identical to the pre-policy runtime.
     checking: CheckingPolicy = field(default_factory=CheckingPolicy)
@@ -307,13 +302,16 @@ class CrystalBallController:
             self._pending_gather, local, at_time=sim.now)
         if self._pending_gather.missing or self._pending_gather.negative:
             self.stats.incomplete_snapshots += 1
-        if self.config.reuse_cached_checkpoints:
-            for missing in list(snapshot.missing):
-                cached = self.peer_checkpoints.get(missing)
-                if cached is not None:
-                    snapshot.checkpoints[missing] = cached
-            snapshot.missing = frozenset(
-                snapshot.missing - set(snapshot.checkpoints))
+        # A neighbour that did not answer (partition, failure) is stood in
+        # for by the most recent checkpoint previously received from it:
+        # slightly stale state is preferable to a blind spot, and the paper
+        # attributes its Paxos false negatives to exactly such gaps.
+        for missing in list(snapshot.missing):
+            cached = self.peer_checkpoints.get(missing)
+            if cached is not None:
+                snapshot.checkpoints[missing] = cached
+        snapshot.missing = frozenset(
+            snapshot.missing - set(snapshot.checkpoints))
         self.last_snapshot = snapshot
         self.stats.snapshots_collected += 1
         if sim.obs.metrics is not None:
@@ -523,8 +521,8 @@ class CrystalBallController:
             portfolio = run_portfolio(
                 self.system, start_state, self.properties,
                 self.config.search_budget,
-                wall_clock_seconds=self.config.portfolio_wall_clock,
-                walks=self.config.portfolio_walks)
+                wall_clock_seconds=PORTFOLIO_WALL_CLOCK,
+                walks=PORTFOLIO_WALKS)
             result = portfolio.merged_result(start_state)
         else:
             result = self.engine.run(self.system, start_state, self.properties,
@@ -573,8 +571,7 @@ class CrystalBallController:
         for violation in future:
             if violation.path and violation.path not in self.known_error_paths:
                 self.known_error_paths.append(violation.path)
-        if len(self.known_error_paths) > self.config.max_remembered_paths:
-            self.known_error_paths = self.known_error_paths[-self.config.max_remembered_paths:]
+        del self.known_error_paths[:-MAX_REMEMBERED_PATHS]
 
         if self.config.mode is Mode.STEERING:
             self._install_steering_filters(sim, node, start_state,

@@ -62,11 +62,9 @@ class LivePropertyMonitor:
         properties: Sequence[Property],
         *,
         incremental: bool = True,
-        episode_report_limit: int = EPISODE_REPORT_LIMIT,
     ) -> None:
         self.properties = list(properties)
         self.incremental = incremental
-        self.episode_report_limit = episode_report_limit
 
         self._safety: list[SafetyProperty] = [
             prop for prop in self.properties if isinstance(prop, SafetyProperty)
@@ -287,7 +285,6 @@ class LivePropertyMonitor:
         return dict(sorted(counts.items()))
 
     def report(self) -> dict:
-        limit = self.episode_report_limit
         return {
             "events_checked": self.events_checked,
             "inconsistent_states": self.inconsistent_states,
@@ -297,6 +294,8 @@ class LivePropertyMonitor:
             "by_severity": self.by_severity(),
             "liveness_violations": self.liveness_violations,
             "incremental": self.incremental,
-            "episodes": [record.to_dict() for record in self.records[:limit]],
-            "episodes_truncated": max(0, len(self.records) - limit),
+            "episodes": [record.to_dict()
+                         for record in self.records[:EPISODE_REPORT_LIMIT]],
+            "episodes_truncated": max(
+                0, len(self.records) - EPISODE_REPORT_LIMIT),
         }

@@ -31,6 +31,9 @@ PresetFactory = Callable[[float], list[Fault]]
 
 PRESETS: dict[str, PresetFactory] = {}
 
+#: Share of a run's duration after which the nemesis stops injecting.
+STOP_AFTER_FRACTION = 0.9
+
 
 def register_preset(name: str, factory: PresetFactory) -> PresetFactory:
     """Add a named preset (external code can extend the table)."""
@@ -150,11 +153,10 @@ def make_nemesis(
     duration: float,
     seed: int = 0,
     start_after: float = 0.0,
-    stop_after_fraction: float = 0.9,
 ) -> Nemesis:
     """Build a seeded nemesis from preset names and/or fault instances.
 
-    Injections stop at ``stop_after_fraction * duration`` (like the churn
+    Injections stop at ``STOP_AFTER_FRACTION * duration`` (like the churn
     process) so the run's tail shows whether the system re-converges.
     """
     expanded: list[Fault] = []
@@ -172,5 +174,5 @@ def make_nemesis(
         faults=expanded,
         seed=seed,
         start_after=start_after,
-        stop_after=duration * stop_after_fraction,
+        stop_after=duration * STOP_AFTER_FRACTION,
     )

@@ -39,21 +39,20 @@ class TransitionConfig:
         low-probability events behind most of the bugs found in the paper.
     max_resets_per_node:
         Bound on resets per node within one search, to keep the space finite.
-    enable_app_calls:
-        Consider application calls advertised by ``Protocol.app_calls``.
-    drop_messages_to_unknown:
-        Messages addressed to nodes outside the snapshot are redirected to
-        the "dummy node" and never processed (Section 4); dropping them is
-        behaviourally equivalent and keeps the state space smaller.
-    deterministic_seed:
-        Seed for the RNG handed to handlers, so searches are reproducible.
+
+    Application calls advertised by ``Protocol.app_calls`` are always
+    explored.  Messages addressed to nodes outside the snapshot would be
+    redirected to the "dummy node" and never processed (Section 4);
+    dropping them is behaviourally equivalent and keeps the state space
+    smaller.
     """
 
     enable_resets: bool = True
     max_resets_per_node: int = 1
-    enable_app_calls: bool = True
-    drop_messages_to_unknown: bool = True
-    deterministic_seed: int = 0
+
+
+#: Seed of the RNG handed to handlers, so searches are reproducible.
+HANDLER_RNG_SEED = 0
 
 
 class TransitionSystem:
@@ -82,9 +81,8 @@ class TransitionSystem:
         local = state.nodes[addr]
         events: list[Event] = [TimerEvent(node=addr, timer=name)
                                for name in sorted(local.timers)]
-        if self.config.enable_app_calls:
-            for call, payload in self.protocol.app_calls(local.state):
-                events.append(AppEvent(node=addr, call=call, payload=dict(payload)))
+        for call, payload in self.protocol.app_calls(local.state):
+            events.append(AppEvent(node=addr, call=call, payload=dict(payload)))
         if (self.config.enable_resets
                 and state.reset_count(addr) < self.config.max_resets_per_node):
             events.append(ResetEvent(node=addr))
@@ -138,7 +136,7 @@ class TransitionSystem:
 
     def _context(self, addr: Address) -> HandlerContext:
         return HandlerContext(self_addr=addr, now=0.0,
-                              rng=random.Random(self.config.deterministic_seed))
+                              rng=random.Random(HANDLER_RNG_SEED))
 
     def _run_handler(
         self,
@@ -165,10 +163,7 @@ class TransitionSystem:
         inflight = state.inflight
         if consumed_message is not None:
             inflight = _remove_one(inflight, consumed_message)
-        new_messages = tuple(
-            m for m in ctx.sent
-            if m.dst in state.nodes or not self.config.drop_messages_to_unknown
-        )
+        new_messages = tuple(m for m in ctx.sent if m.dst in state.nodes)
         inflight = inflight + new_messages
 
         errors = state.errors

@@ -4,11 +4,6 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from ...api.experiment import (
-    make_fault_scenario_runner,
-    make_search_scenario_runner,
-    parse_mode,
-)
 from ...api.registry import (
     ScenarioSpec,
     SystemSpec,
@@ -78,26 +73,20 @@ def _collect(sim) -> dict:
             "service_bytes": sim.total_service_bytes()}
 
 
-def _run_download(*, mode=None, seed: int = 0, node_count: int = 8,
-                  block_count: int = 16, block_size: int = 4096,
-                  mesh_degree: int = 4, fix_shadow_map: bool = True,
-                  max_time: float = 400.0, **_ignored):
-    scenario = DownloadScenario(
-        node_count=node_count, block_count=block_count,
-        block_size=block_size, mesh_degree=mesh_degree,
-        crystalball_mode=parse_mode(mode), fix_shadow_map=fix_shadow_map,
-        seed=seed, max_time=max_time)
-    return scenario.run_report()
+def _run_download(*, mode, seed, nodes, duration, **options):
+    return DownloadScenario(node_count=nodes, max_time=duration,
+                            crystalball_mode=mode, seed=seed,
+                            **options).run_report()
 
 
-def congested_snapshot(*, fix_shadow_map: bool = False):
+def congested_snapshot(*, fixed: bool = False):
     """Two-node sender/receiver snapshot with an almost-full send queue —
     the state from which the shadow-file-map inconsistency is predictable."""
     sender, receiver = Address(1), Address(2)
     config = BulletConfig(source=sender,
                           mesh={sender: (receiver,), receiver: (sender,)},
                           block_count=8, send_queue_capacity=64,
-                          fix_shadow_map=fix_shadow_map)
+                          fix_shadow_map=fixed)
     protocol = BulletPrime(config)
     sender_state = protocol.initial_state(sender)
     receiver_state = protocol.initial_state(receiver)
@@ -107,12 +96,6 @@ def congested_snapshot(*, fix_shadow_map: bool = False):
         timers={sender: {DIFF_TIMER, REQUEST_TIMER, DRAIN_TIMER},
                 receiver: {DIFF_TIMER, REQUEST_TIMER, DRAIN_TIMER}})
     return protocol, snapshot
-
-
-_run_shadow_map = make_search_scenario_runner(
-    system="bulletprime", scenario="shadow-map", properties=ALL_PROPERTIES,
-    prepare=lambda fixed: congested_snapshot(fix_shadow_map=fixed),
-    default_max_states=4000, default_max_depth=6, resets=False)
 
 
 SPEC = register_system(SystemSpec(
@@ -128,38 +111,39 @@ SPEC = register_system(SystemSpec(
             name="download",
             description="Figure 17 download experiment (completion CDF, "
                         "checkpoint overhead)",
-            run=_run_download,
+            # A phased driver: it stops at the last completion, on its
+            # own network model, so only the deployment size and the time
+            # limit come from the builder.
+            run=_run_download, honours=("nodes", "duration"),
+            nodes=8, duration=400.0,
+            options={"block_count": 16, "block_size": 4096,
+                     "mesh_degree": 4, "fix_shadow_map": True},
             build=lambda **kw: DownloadScenario(**kw),
         ),
         "shadow-map": ScenarioSpec(
             name="shadow-map",
             description="Consequence prediction of the shadow-file-map "
                         "inconsistency from a congested two-node snapshot",
-            run=_run_shadow_map,
-            build=congested_snapshot,
+            build=congested_snapshot, max_states=4000, max_depth=6,
+            resets=False,
         ),
         "mesh-partition": ScenarioSpec(
             name="mesh-partition",
             description="Live download under recurring healed partitions of "
                         "the distribution mesh (the source is spared)",
-            run=make_fault_scenario_runner(
-                system="bulletprime",
-                faults_factory=lambda duration, addrs: [
-                    # spare=1 keeps the source on the majority side.
-                    Partition(every=duration / 4, duration=duration / 8,
-                              spare=1),
-                ],
-                default_nodes=8, default_duration=300.0,
-                options={"block_count": 8}),
+            faults_factory=lambda duration, addrs: [
+                # spare=1 keeps the source on the majority side.
+                Partition(every=duration / 4, duration=duration / 8,
+                          spare=1),
+            ],
+            nodes=8, duration=300.0, options={"block_count": 8},
         ),
         "slow-links": ScenarioSpec(
             name="slow-links",
             description="Live download through latency-spike windows and "
                         "duplicated blocks",
-            run=make_fault_scenario_runner(
-                system="bulletprime", faults=("delay", "duplicate"),
-                default_nodes=8, default_duration=300.0,
-                options={"block_count": 8}),
+            faults=("delay", "duplicate"), nodes=8, duration=300.0,
+            options={"block_count": 8},
         ),
     },
     workloads={

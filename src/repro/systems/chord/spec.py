@@ -4,10 +4,6 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from ...api.experiment import (
-    make_fault_scenario_runner,
-    make_search_scenario_runner,
-)
 from ...api.registry import (
     ScenarioSpec,
     SystemSpec,
@@ -47,17 +43,6 @@ def _make_lookup(rng, key, addresses):
     return origin, "lookup", {"key": key}
 
 
-def _run_figure(scenario_cls, name: str, *, resets: bool):
-    def prepare(fixed: bool):
-        scenario = scenario_cls.build(fixed=fixed)
-        return scenario.protocol, scenario.global_state()
-
-    return make_search_scenario_runner(
-        system="chord", scenario=name, properties=ALL_PROPERTIES,
-        prepare=prepare, default_max_states=12000, default_max_depth=12,
-        resets=resets)
-
-
 SPEC = register_system(SystemSpec(
     name="chord",
     summary="Chord DHT (Section 5.2.2): ring stabilization inconsistencies",
@@ -71,32 +56,27 @@ SPEC = register_system(SystemSpec(
             name="figure10",
             description="Consequence prediction from the Figure 10 state "
                         "(predecessor-is-self inconsistency)",
-            run=_run_figure(Figure10Scenario, "figure10", resets=True),
-            build=Figure10Scenario.build,
+            build=Figure10Scenario.build, max_states=12000, max_depth=12,
         ),
         "figure11": ScenarioSpec(
             name="figure11",
             description="Consequence prediction from the Figure 11 state "
                         "(ring-ordering violation)",
-            run=_run_figure(Figure11Scenario, "figure11", resets=False),
-            build=Figure11Scenario.build,
+            build=Figure11Scenario.build, max_states=12000, max_depth=12,
+            resets=False,
         ),
         "partition-churn": ScenarioSpec(
             name="partition-churn",
             description="Live ring under overlapping partitions and "
                         "crash/restart churn — the compound adversary "
                         "behind the ring-consistency violations",
-            run=make_fault_scenario_runner(
-                system="chord", faults=("partition-churn",),
-                default_nodes=6, default_duration=240.0),
+            faults=("partition-churn",), nodes=6, duration=240.0,
         ),
         "link-flap": ScenarioSpec(
             name="link-flap",
             description="Live ring with one flaky link cut and restored "
                         "throughout stabilization",
-            run=make_fault_scenario_runner(
-                system="chord", faults=("link-flap",),
-                default_nodes=6, default_duration=240.0),
+            faults=("link-flap",), nodes=6, duration=240.0,
         ),
     },
     workloads={

@@ -32,7 +32,7 @@ class ConcurrentOpsScenario:
     inflight: tuple[Message, ...] = field(default_factory=tuple)
 
     @classmethod
-    def build(cls, *, fixed: bool = False, **_ignored) -> "ConcurrentOpsScenario":
+    def build(cls, *, fixed: bool = False) -> "ConcurrentOpsScenario":
         """``fixed=False`` builds the buggy LWW variant the search falsifies."""
         addresses = make_addresses(3, start=1)
         a, b, c = addresses

@@ -4,10 +4,6 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from ...api.experiment import (
-    make_fault_scenario_runner,
-    make_search_scenario_runner,
-)
 from ...api.registry import (
     ScenarioSpec,
     SystemSpec,
@@ -74,11 +70,6 @@ def _collect(sim) -> dict:
             "resurrections": resurrections}
 
 
-def _prepare_concurrent_ops(fixed: bool):
-    scenario = ConcurrentOpsScenario.build(fixed=fixed)
-    return scenario.protocol, scenario.global_state()
-
-
 def _make_set_op(rng, key, addresses):
     """60/30/10 add/remove/inc mix against a random replica."""
     replica = addresses[int(rng.random() * len(addresses)) % len(addresses)]
@@ -104,32 +95,23 @@ SPEC = register_system(SystemSpec(
             description="Exhaustive search over a remove racing a "
                         "duplicated add: falsifies the buggy LWW-set "
                         "delivery (run with fixed=True for the OR-Set)",
-            run=make_search_scenario_runner(
-                system="crdtset", scenario="concurrent-ops",
-                properties=ALL_PROPERTIES,
-                prepare=_prepare_concurrent_ops,
-                default_max_states=4000, default_max_depth=8,
-                resets=False),
-            build=ConcurrentOpsScenario.build,
+            build=ConcurrentOpsScenario.build, max_states=4000, max_depth=8,
+            resets=False,
         ),
         "partition-sync": ScenarioSpec(
             name="partition-sync",
             description="Live replica group under recurring healed "
                         "partitions: anti-entropy must re-converge the "
                         "sides after each heal",
-            run=make_fault_scenario_runner(
-                system="crdtset", faults=("partition",),
-                default_nodes=4, default_duration=240.0),
+            faults=("partition",), nodes=4, duration=240.0,
         ),
         "lww-divergence": ScenarioSpec(
             name="lww-divergence",
             description="Live run of the buggy LWW variant under delays "
                         "and duplicated messages: replicas diverge and "
                         "resurrect removed elements",
-            run=make_fault_scenario_runner(
-                system="crdtset", faults=("delay", "duplicate"),
-                default_nodes=4, default_duration=240.0,
-                options={"lww": True}),
+            faults=("delay", "duplicate"), nodes=4, duration=240.0,
+            options={"lww": True},
         ),
     },
     workloads={

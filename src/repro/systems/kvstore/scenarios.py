@@ -32,7 +32,7 @@ class StaleReadScenario:
     timers: Mapping[Address, tuple[str, ...]] = field(default_factory=dict)
 
     @classmethod
-    def build(cls, *, fixed: bool = False, **_ignored) -> "StaleReadScenario":
+    def build(cls, *, fixed: bool = False) -> "StaleReadScenario":
         """``fixed=False`` builds the optimistic mode the search falsifies."""
         addresses = make_addresses(3, start=1)
         a, b, c = addresses

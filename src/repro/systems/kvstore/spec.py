@@ -4,10 +4,6 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from ...api.experiment import (
-    make_fault_scenario_runner,
-    make_search_scenario_runner,
-)
 from ...api.registry import (
     ScenarioSpec,
     SystemSpec,
@@ -81,11 +77,6 @@ def _make_get_put(rng, key, addresses):
                                 "value": f"w{key}.{rng.randrange(1 << 16)}"}
 
 
-def _prepare_stale_read(fixed: bool):
-    scenario = StaleReadScenario.build(fixed=fixed)
-    return scenario.protocol, scenario.global_state()
-
-
 SPEC = register_system(SystemSpec(
     name="kvstore",
     summary="Quorum-replicated KV store with optimistic execution: "
@@ -101,13 +92,8 @@ SPEC = register_system(SystemSpec(
                         "optimistic commit: the client's read-back "
                         "violates read-your-writes (run with fixed=True "
                         "for the quorum-read variant)",
-            run=make_search_scenario_runner(
-                system="kvstore", scenario="stale-read",
-                properties=ALL_PROPERTIES,
-                prepare=_prepare_stale_read,
-                default_max_states=4000, default_max_depth=8,
-                resets=False),
-            build=StaleReadScenario.build,
+            build=StaleReadScenario.build, max_states=4000, max_depth=8,
+            resets=False,
         ),
         "optimistic-staleness": ScenarioSpec(
             name="optimistic-staleness",
@@ -115,20 +101,16 @@ SPEC = register_system(SystemSpec(
                         "healed partitions: reads after a heal race the "
                         "reconciler and go stale (the steering demo "
                         "scenario)",
-            run=make_fault_scenario_runner(
-                system="kvstore", faults=("partition",),
-                default_nodes=5, default_duration=240.0,
-                options={"optimistic": True, "ops_per_node": 18,
-                         "reconcile_period": 45.0}),
+            faults=("partition",), nodes=5, duration=240.0,
+            options={"optimistic": True, "ops_per_node": 18,
+                     "reconcile_period": 45.0},
         ),
         "quorum-partition": ScenarioSpec(
             name="quorum-partition",
             description="Control run: the same partition schedule with "
                         "quorum reads and writes stays staleness-free",
-            run=make_fault_scenario_runner(
-                system="kvstore", faults=("partition",),
-                default_nodes=5, default_duration=240.0,
-                options={"ops_per_node": 18, "reconcile_period": 45.0}),
+            faults=("partition",), nodes=5, duration=240.0,
+            options={"ops_per_node": 18, "reconcile_period": 45.0},
         ),
     },
     workloads={

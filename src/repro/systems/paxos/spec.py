@@ -6,14 +6,12 @@ import random
 from dataclasses import replace
 from typing import Any, Mapping, Optional, Sequence
 
-from ...api.experiment import make_fault_scenario_runner
 from ...api.registry import (
     ScenarioSpec,
     SystemSpec,
     check_options,
     register_system,
 )
-from ...core.controller import Mode
 from ...faults.types import CrashRestart, MessageDelay
 from ...mc.search import SearchBudget
 from ...mc.transition import TransitionConfig
@@ -96,15 +94,18 @@ def _message_mutator(message: Message, rng: random.Random,
     return replace(message, payload=payload)
 
 
-def _run_figure13(bug: int):
-    def run(*, mode=None, seed: int = 0, inter_round_delay: float = 30.0,
-            reset_b=None, **_ignored):
-        scenario = Figure13Scenario(
-            bug=bug, inter_round_delay=inter_round_delay,
-            crystalball_mode=mode if mode is not None else Mode.OFF,
-            seed=seed, reset_b=reset_b)
-        return scenario.run_report()
-    return run
+def _figure13(bug: int, description: str) -> ScenarioSpec:
+    """A phased driver: three scripted nodes on its own network and tick
+    interval, so it honours no deployment setting of the builder."""
+
+    def run(*, mode, seed, **options):
+        return Figure13Scenario(bug=bug, crystalball_mode=mode, seed=seed,
+                                **options).run_report()
+
+    return ScenarioSpec(
+        name=f"figure13-bug{bug}", description=description, run=run,
+        options={"inter_round_delay": 30.0, "reset_b": None},
+        build=lambda **kw: Figure13Scenario(bug=bug, **kw))
 
 
 def _make_submission(rng, key, addresses):
@@ -121,46 +122,34 @@ SPEC = register_system(SystemSpec(
     property_namespace="paxos",
     transition_factory=lambda: TransitionConfig(enable_resets=False),
     scenarios={
-        "figure13-bug1": ScenarioSpec(
-            name="figure13-bug1",
-            description="Figure 13 fault-injection schedule with bug1 "
-                        "(wrong promise picked by the second leader)",
-            run=_run_figure13(1),
-            build=lambda **kw: Figure13Scenario(bug=1, **kw),
-        ),
-        "figure13-bug2": ScenarioSpec(
-            name="figure13-bug2",
-            description="Figure 13 fault-injection schedule with bug2 "
-                        "(promises lost across a reset)",
-            run=_run_figure13(2),
-            build=lambda **kw: Figure13Scenario(bug=2, **kw),
-        ),
+        "figure13-bug1": _figure13(
+            1, "Figure 13 fault-injection schedule with bug1 "
+               "(wrong promise picked by the second leader)"),
+        "figure13-bug2": _figure13(
+            2, "Figure 13 fault-injection schedule with bug2 "
+               "(promises lost across a reset)"),
         "leader-crash": ScenarioSpec(
             name="leader-crash",
             description="Live consensus where the first proposer fail-stops "
                         "mid-round and restarts with fresh state before the "
                         "competing proposal",
-            run=make_fault_scenario_runner(
-                system="paxos",
-                faults_factory=lambda duration, addrs: [
-                    CrashRestart(at=duration * 0.1, duration=duration * 0.3,
-                                 target=addrs[0], spare=0),
-                ],
-                default_nodes=3, default_duration=60.0),
+            faults_factory=lambda duration, addrs: [
+                CrashRestart(at=duration * 0.1, duration=duration * 0.3,
+                             target=addrs[0], spare=0),
+            ],
+            nodes=3, duration=60.0,
         ),
         "partition-quorum": ScenarioSpec(
             name="partition-quorum",
             description="Live consensus under recurring partitions that "
                         "strand a minority, plus delayed messages between "
                         "rounds",
-            run=make_fault_scenario_runner(
-                system="paxos",
-                faults=("partition",),
-                faults_factory=lambda duration, addrs: [
-                    MessageDelay(every=duration / 3, duration=duration / 6,
-                                 min_extra=0.5, max_extra=2.0),
-                ],
-                default_nodes=5, default_duration=60.0),
+            faults=("partition",),
+            faults_factory=lambda duration, addrs: [
+                MessageDelay(every=duration / 3, duration=duration / 6,
+                             min_extra=0.5, max_extra=2.0),
+            ],
+            nodes=5, duration=60.0,
         ),
     },
     workloads={

@@ -4,10 +4,6 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from ...api.experiment import (
-    make_fault_scenario_runner,
-    make_search_scenario_runner,
-)
 from ...api.registry import (
     ScenarioSpec,
     SystemSpec,
@@ -51,16 +47,6 @@ def _make_probe(rng, key, addresses):
     return origin, "probe", {"target": target}
 
 
-def _run_figure(scenario_cls, name: str):
-    def prepare(fixed: bool):
-        scenario = scenario_cls.build(fixed=fixed)
-        return scenario.protocol, scenario.global_state()
-
-    return make_search_scenario_runner(
-        system="randtree", scenario=name, properties=ALL_PROPERTIES,
-        prepare=prepare, default_max_states=6000, default_max_depth=9)
-
-
 SPEC = register_system(SystemSpec(
     name="randtree",
     summary="Random overlay tree (Section 1.2): the paper's running example",
@@ -74,33 +60,28 @@ SPEC = register_system(SystemSpec(
             name="figure2",
             description="Consequence prediction from the three-node Figure 2 "
                         "state (children/siblings inconsistency)",
-            run=_run_figure(Figure2Scenario, "figure2"),
-            build=Figure2Scenario.build,
+            build=Figure2Scenario.build, max_states=6000, max_depth=9,
         ),
         "figure9": ScenarioSpec(
             name="figure9",
             description="Consequence prediction from the five-node Figure 9 "
                         "state (root appears as a child)",
-            run=_run_figure(Figure9Scenario, "figure9"),
-            build=Figure9Scenario.build,
+            build=Figure9Scenario.build, max_states=6000, max_depth=9,
         ),
         "partition-recovery": ScenarioSpec(
             name="partition-recovery",
             description="Live run under recurring healed partitions: the "
                         "tree splits, elects spurious roots and must "
                         "re-merge (Figure 2 conditions at scale)",
-            run=make_fault_scenario_runner(
-                system="randtree", faults=("partition",),
-                default_nodes=6, default_duration=240.0,
-                options={"bootstrap_index": 1, "max_children": 2}),
+            faults=("partition",), nodes=6, duration=240.0,
+            options={"bootstrap_index": 1, "max_children": 2},
         ),
         "flaky-network": ScenarioSpec(
             name="flaky-network",
             description="Live run under latency spikes, duplicated service "
                         "messages and a flapping link",
-            run=make_fault_scenario_runner(
-                system="randtree", faults=("delay", "duplicate", "link-flap"),
-                default_nodes=6, default_duration=240.0),
+            faults=("delay", "duplicate", "link-flap"),
+            nodes=6, duration=240.0,
         ),
     },
     workloads={

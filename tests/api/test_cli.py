@@ -4,10 +4,29 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from repro.api.cli import main
 
 REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+GOLDEN = Path(__file__).resolve().parents[1] / "_golden"
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="argparse wraps usage differently from 3.13 on; "
+                           "the pin is of this repo's flags, not of argparse")
+@pytest.mark.parametrize("command", ["run", "attack"])
+def test_help_text_is_pinned(command, capsys, monkeypatch):
+    # The two subcommands declare the flags they share once; the text a
+    # user reads is theirs byte for byte (argparse wraps at $COLUMNS).
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "-h"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == (
+        GOLDEN / f"cli_help_{command}.txt").read_text(encoding="utf-8")
 
 
 def test_list_names_all_bundled_systems(capsys):

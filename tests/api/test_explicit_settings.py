@@ -1,11 +1,12 @@
 """No explicit builder setting is ever dropped silently.
 
-``Experiment`` records what the caller set in ``_explicit``.  A scripted
-scenario and a sweep each honor only part of the builder; both derive the
-"ignored" warning from what they *do* carry, so a builder knob added later
-is warned about by construction.  This test walks every name the builder
-can record and checks exactly that — and fails when a new name has no
-example here.
+``Experiment`` records what the caller set in ``_explicit``.  A live
+scenario is a preset folded under those settings, so it honours all of
+them; an offline search and a sweep each honour only part of the builder
+and derive the "ignored" warning from what they *do* carry, so a builder
+knob added later is warned about by construction.  This test walks every
+name the builder can record and checks exactly that — and fails when a new
+name has no example here.
 """
 
 import dataclasses
@@ -16,9 +17,10 @@ import warnings
 import pytest
 
 import repro.campaign
-from repro.api import Experiment
+from repro.api import Experiment, get_system
 from repro.campaign import RunSpec
 from repro.core.controller import CheckingPolicy
+from repro.mc.search import SearchBudget
 from repro.mc.transition import TransitionConfig
 from repro.obs import MemoryTracer
 from repro.runtime import make_addresses
@@ -33,7 +35,7 @@ EXAMPLES = {
     "faults": lambda e: e.faults("partition"),
     "engine": lambda e: e.crystalball("debug", engine="serial"),
     "transition": lambda e: e.crystalball(
-        "debug", transition=TransitionConfig()),
+        "debug", transition=TransitionConfig(enable_resets=False)),
     "portfolio": lambda e: e.crystalball("debug", portfolio=True),
     "immediate_check": lambda e: e.crystalball("debug", immediate_check=False),
     "check_filter_safety": lambda e: e.crystalball(
@@ -90,17 +92,97 @@ def test_a_sweep_carries_the_setting_or_warns_about_it(name, monkeypatch):
         assert f"'{name}'" in _warned(record)
 
 
+def _controller_setting(field, expected):
+    return lambda report: all(getattr(controller.config, field) == expected
+                              for controller in report.controllers.values())
+
+
+#: What each example visibly changes in a live run of randtree:flaky-network.
+EFFECTS = {
+    "nodes": lambda r: r.node_count == 4,
+    "duration": lambda r: r.simulated_seconds <= 30.0,
+    "max_events": lambda r: r.simulator.events_executed <= 1000,
+    "network": lambda r: r.simulator.network.default_rtt == 0.05,
+    "churn": lambda r: r.churn_events > 0,
+    "faults": lambda r: "partition" in r.faults["by_type"],
+    "engine": _controller_setting("engine", "serial"),
+    "transition": lambda r: all(
+        not controller.config.transition.enable_resets
+        for controller in r.controllers.values()),
+    "portfolio": _controller_setting("portfolio_mode", True),
+    "immediate_check": _controller_setting("immediate_check", False),
+    "check_filter_safety": _controller_setting("check_filter_safety", False),
+    "checking": lambda r: all(controller.config.checking.period == 2
+                              for controller in r.controllers.values()),
+    "delta_checkpoints": _controller_setting("delta_checkpoints", True),
+    "batched_control_plane": _controller_setting("batched_control_plane",
+                                                 True),
+    "checker_nodes": lambda r: list(r.controllers) == make_addresses(1),
+    "workload": lambda r: r.workload["requests_injected"] > 0,
+    "backend": lambda r: r.backend == "tcp"
+    and r.outcome["wire"]["frames_sent"] > 0,
+    "properties": lambda r: len(r.live_monitor.properties) > len(
+        get_system("randtree").properties),
+    "trace": lambda r: r.simulator.obs.tracer.records[0]["scenario"]
+    == "flaky-network",
+    "metrics": lambda r: r.metrics["counters"]["runtime.events_executed"] > 0,
+    "incremental_monitor": lambda r: r.live_monitor.incremental is False,
+}
+
+
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_a_scenario_forwards_the_setting_or_warns_about_it(name):
-    experiment = Experiment("randtree").scenario("partition-recovery")
-    EXAMPLES[name](experiment)
-    scenario = experiment.spec.scenario("partition-recovery")
+    # A live scenario is a preset of the live path: the setting applies.
+    live = (Experiment("randtree").scenario("flaky-network")
+            .duration(70.0).seed(2))
+    EXAMPLES[name](live)
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        kwargs = experiment._scenario_kwargs(scenario)
-    forwarded = {"nodes": "node_count", "duration": "max_time"}
-    if name in forwarded:
-        assert forwarded[name] in kwargs
-        assert f"'{name}'" not in _warned(record)
-    else:
-        assert f"'{name}'" in _warned(record)
+        report = live.run()
+    assert "ignores" not in _warned(record)
+    assert report.scenario == "flaky-network"
+    assert set(report.faults["by_type"]) >= {"message-delay", "link-flap"}, \
+        "still the scenario"
+    assert EFFECTS[name](report), "the setting took effect"
+
+    # An offline search has no deployment to apply it to: it says so.
+    search = Experiment("randtree").scenario("figure2").options(max_states=50)
+    EXAMPLES[name](search)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        search.run()
+    assert f"'{name}'" in _warned(record)
+
+
+def test_a_search_scenario_honours_the_budget_and_nothing_else():
+    experiment = (Experiment("randtree").scenario("figure2")
+                  .crystalball("off", budget=SearchBudget(max_states=40,
+                                                          max_depth=4)))
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        report = experiment.run()
+    assert not record
+    assert report.outcome["states_visited"] <= 50
+    assert report.outcome["max_depth_reached"] <= 4
+    with pytest.warns(UserWarning, match=r"ignores .*'fault_seed'"):
+        experiment.faults(seed=3).run()
+
+
+def test_a_phased_driver_takes_what_it_declares():
+    download = Experiment("bulletprime").spec.scenario("download")
+    assert download.kind == "phased"
+    assert download.honours == ("nodes", "duration")
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        report = (Experiment("bulletprime").scenario("download").nodes(5)
+                  .duration(150.0).options(block_count=4).run())
+    assert not record
+    assert report.node_count == 5
+    assert report.outcome["duration"] <= 150.0
+    with pytest.warns(UserWarning, match=r"ignores .*\['budget', 'network'\]"):
+        (Experiment("bulletprime").scenario("download").options(block_count=4)
+         .network(rtt=0.2)
+         .crystalball("off", budget=SearchBudget(max_states=10)).run())
+    with pytest.raises(ValueError, match="unknown option.*node_count"):
+        (Experiment("bulletprime").scenario("download")
+         .options(node_count=5).run())

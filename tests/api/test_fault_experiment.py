@@ -5,9 +5,14 @@ import warnings
 
 import pytest
 
-from repro.api import Experiment
+from repro.api import Experiment, list_systems
 from repro.api.cli import main
 from repro.faults import Partition, list_presets
+from repro.obs import MemoryTracer
+
+LIVE_SCENARIOS = [(spec.name, name) for spec in list_systems()
+                  for name, scenario in sorted(spec.scenarios.items())
+                  if scenario.kind == "live"]
 
 
 def test_builder_faults_with_preset_names():
@@ -76,6 +81,47 @@ def test_fault_scenario_produces_fault_breakdown():
     assert report.scenario == "partition-churn"
     assert report.faults_injected() > 0
     assert "partition" in report.fault_breakdown()
+
+
+def test_every_system_registers_two_live_scenarios():
+    assert len(LIVE_SCENARIOS) == 12
+    assert {system for system, _ in LIVE_SCENARIOS} == {
+        spec.name for spec in list_systems()}
+
+
+@pytest.mark.parametrize("system, name", LIVE_SCENARIOS)
+def test_a_live_scenario_is_traced_and_metered_under_its_name(system, name):
+    tracer = MemoryTracer()
+    report = (Experiment(system).scenario(name).seed(1)
+              .trace(tracer).metrics().run())
+    meta = tracer.records[0]
+    assert meta["kind"] == "meta"
+    assert (meta["system"], meta["scenario"]) == (system, name)
+    assert tracer.records[-1]["kind"] == "run_end"
+    counters = report.metrics["counters"]
+    assert counters["runtime.events_executed"] > 0
+    assert counters["faults.inject"] == report.faults_injected() > 0
+
+
+def test_explicit_settings_win_over_a_scenario_in_either_order():
+    before = Experiment("chord").nodes(9).scenario("link-flap").seed(1).run()
+    after = Experiment("chord").scenario("link-flap").nodes(9).seed(1).run()
+    assert before.node_count == after.node_count == 9
+    assert before.to_dict().keys() == after.to_dict().keys()
+    assert before.monitor == after.monitor
+    # The scenario's other presets still apply: its length, and churn off.
+    assert before.simulated_seconds <= 240.0 and before.churn_events == 0
+    assert Experiment("chord").scenario("link-flap").duration(40).run() \
+        .simulated_seconds <= 40.0
+
+
+def test_a_scenarios_options_lose_to_the_builders():
+    preset = Experiment("crdtset").scenario("lww-divergence").seed(1).run()
+    assert preset.simulator.protocol_factory().config.lww is True
+    fixed = (Experiment("crdtset").options(lww=False)
+             .scenario("lww-divergence").seed(1).run())
+    assert fixed.simulator.protocol_factory().config.lww is False
+    assert fixed.scenario == "lww-divergence"
 
 
 def test_run_end_tears_down_open_fault_windows():

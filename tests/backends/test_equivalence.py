@@ -9,6 +9,8 @@ frame.  These runs are small (4-5 nodes, short horizons) to keep the real
 socket traffic cheap in CI.
 """
 
+import pytest
+
 from repro.api import Experiment
 from repro.backends import protocol_state_digest
 
@@ -66,3 +68,21 @@ def test_sim_report_omits_backend_field_in_serialized_form():
     report = _run("randtree", "sim", seed=1, nodes=3, duration=40)
     assert report.backend == "sim"
     assert "backend" not in report.to_dict()
+
+
+@pytest.mark.parametrize("system, scenario", [
+    ("randtree", "partition-recovery"), ("kvstore", "quorum-partition")])
+def test_a_live_scenario_runs_over_tcp_to_the_same_states(system, scenario):
+    """A scenario is a preset of the one live path, so it takes the backend
+    like any other setting: same faults, same violations, same states."""
+    sim_report = Experiment(system).scenario(scenario).seed(1).run()
+    tcp_report = (Experiment(system).scenario(scenario).seed(1)
+                  .backend("tcp").run())
+    assert tcp_report.backend == "tcp"
+    assert tcp_report.scenario == scenario
+    _assert_equivalent(sim_report, tcp_report)
+    assert tcp_report.faults == sim_report.faults
+    assert tcp_report.faults_injected() > 0
+    wire = tcp_report.outcome["wire"]
+    assert wire["frames_sent"] > 0
+    assert wire["fallback_local"] == 0

@@ -1,6 +1,7 @@
 """Campaign execution: pool vs serial determinism, streaming, resume."""
 
 import json
+import warnings
 
 import pytest
 
@@ -199,6 +200,19 @@ def test_scenario_cells_honor_the_campaign_duration():
     assert report.scenario == "partition-recovery"
 
 
+def test_live_scenario_cells_honor_the_campaign_churn_and_network():
+    spec = CampaignSpec(systems=["chord"], scenarios=["link-flap"],
+                        duration=80.0, churn=True, churn_interval=10.0,
+                        network={"rtt": 0.2})
+    (run,) = spec.expand()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing is "ignored" any more
+        report = run_one(run)
+    assert report.scenario == "link-flap"
+    assert report.churn_events > 0
+    assert report.simulator.network.default_rtt == 0.2
+
+
 def test_sweep_warns_when_a_faults_axis_drops_fault_instances():
     from repro.faults import Partition
 
@@ -212,3 +226,36 @@ def test_sweep_warns_about_uncarried_builder_settings():
     with pytest.warns(UserWarning, match="ignores these builder settings"):
         (Experiment("randtree").duration(20).churn(False)
          .crystalball("debug", engine="serial").sweep(jobs=1))
+
+
+def test_sweeping_a_live_scenario_measures_what_run_does():
+    # chord churns by default; the scenario preset switches that off, and a
+    # sweep of the same builder must not switch it back on.
+    def builder():
+        return (Experiment("chord").scenario("link-flap").seed(1)
+                .duration(60))
+
+    direct = builder().run()
+    assert direct.churn_events == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (row,) = builder().sweep(seeds=[1], jobs=1).runs
+    assert row["summary"]["churn_events"] == 0
+    assert (row["summary"]["live_inconsistent_states"]
+            == direct.live_inconsistent_states())
+    # Asked for explicitly, churn reaches the scenario cell.
+    (row,) = builder().churn(True, interval=10.0).sweep(jobs=1).runs
+    assert row["summary"]["churn_events"] > 0
+
+
+def test_sweep_says_what_a_scenario_cell_does_not_get(monkeypatch):
+    import repro.campaign
+
+    monkeypatch.setattr(repro.campaign, "run_campaign",
+                        lambda spec, **_: spec.expand())
+    with pytest.warns(UserWarning, match="default churn stays off"):
+        live, scenario = Experiment("chord").sweep(
+            scenarios=["live", "link-flap"])
+    assert not live.churn and not scenario.churn
+    with pytest.warns(UserWarning, match=r"ignores .*'metrics'"):
+        Experiment("chord").scenario("link-flap").metrics().sweep()

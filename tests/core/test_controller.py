@@ -12,7 +12,7 @@ from repro.systems.randtree import ALL_PROPERTIES, RandTree, RandTreeConfig
 
 
 def _build_sim(n=3, seed=1, mode=Mode.DEBUG, max_states=300, bootstrap_index=0,
-               fix_recovery_timer=False):
+               fix_recovery_timer=False, **config_settings):
     addrs = make_addresses(n)
     protocol_config = RandTreeConfig(bootstrap=(addrs[bootstrap_index],),
                                      max_children=2,
@@ -25,6 +25,7 @@ def _build_sim(n=3, seed=1, mode=Mode.DEBUG, max_states=300, bootstrap_index=0,
         mode=mode,
         search_budget=SearchBudget(max_states=max_states, max_depth=6),
         transition=TransitionConfig(enable_resets=True, max_resets_per_node=1),
+        **config_settings,
     )
     controllers = attach_crystalball(sim, ALL_PROPERTIES, config=config)
     for i, a in enumerate(addrs):
@@ -50,6 +51,25 @@ def test_checkpoint_requests_and_responses_flow():
     assert requests > 0
     assert responses > 0
     assert sum(c.stats.checkpoint_bytes_sent for c in controllers.values()) > 0
+
+
+def test_checkpoint_bandwidth_limit_turns_answers_into_refusals():
+    # Section 3.1, "Managing Bandwidth Consumption": a node over its
+    # checkpoint budget answers negatively instead of shipping state.
+    sim, addrs, controllers = _build_sim(checkpoint_bandwidth_limit=1)
+    sim.run(until=80.0)
+    stats = [c.stats for c in controllers.values()]
+    assert sum(s.negative_responses_sent for s in stats) > 0
+    assert sum(s.incomplete_snapshots for s in stats) > 0
+    # A byte per tick buys one answer per node before the budget is spent;
+    # the unlimited run answers every request.
+    unlimited_sim, _, unlimited = _build_sim()
+    unlimited_sim.run(until=80.0)
+    assert sum(c.stats.negative_responses_sent
+               for c in unlimited.values()) == 0
+    assert (sum(s.checkpoint_responses_sent for s in stats)
+            < sum(c.stats.checkpoint_responses_sent
+                  for c in unlimited.values()))
 
 
 def test_debug_mode_predicts_violations_after_reset():

@@ -4,6 +4,8 @@ import pytest
 
 from repro.obs import (
     SCHEMA_VERSION,
+    MemoryTracer,
+    ObsContext,
     causal_chain,
     filter_records,
     format_records,
@@ -12,6 +14,8 @@ from repro.obs import (
     validate_trace,
 )
 from repro.obs.trace_tools import read_trace
+from repro.runtime import NetworkModel, Simulator, make_addresses
+from tests.runtime.test_simulator import EchoProtocol
 
 
 def meta():
@@ -129,3 +133,27 @@ def test_causal_chain_tells_the_steering_story_in_order():
 def test_causal_chain_is_empty_when_steering_never_fired():
     assert causal_chain(STEERING_TRACE, "9:9999") == []
     assert causal_chain([meta()], "1:5000") == []
+
+
+def test_trace_summary_and_filtering():
+    tracer = MemoryTracer()
+    sim = Simulator(EchoProtocol, NetworkModel(), seed=1,
+                    obs=ObsContext(tracer=tracer))
+    addrs = make_addresses(2)
+    for a in addrs:
+        sim.add_node(a)
+    sim.schedule_app(1.0, addrs[0], "ping", {"target": addrs[1]})
+    sim.run(until=3.0)
+    summary = summarize_records(tracer.records)
+    assert summary.total_events == len(tracer.records) > 0
+    assert summary.by_kind["event"] == sim.events_executed
+    assert summary.duration() >= 0
+    only_b = filter_records(tracer.records, node=str(addrs[1]), kind="event")
+    assert only_b and all(rec["node"] == str(addrs[1]) for rec in only_b)
+    text = format_records(tracer.records, limit=5)
+    assert text.splitlines()
+
+
+def test_trace_summary_empty():
+    summary = summarize_records([])
+    assert summary.total_events == 0 and summary.duration() == 0
