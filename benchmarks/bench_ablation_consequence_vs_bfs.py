@@ -10,8 +10,6 @@ second sweep varies the snapshot (neighbourhood) size.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import consequence_prediction
 from repro.mc import GlobalState, SearchBudget, find_errors
 from repro.runtime import make_addresses
@@ -20,6 +18,13 @@ from repro.systems import randtree
 from .conftest import make_system
 
 BUDGET = SearchBudget(max_states=4000, max_depth=9)
+SNAPSHOT_SIZES = (2, 3, 5)
+SIZES = ("no figure: Section 3.2 argues that dropping the localExplored "
+         "test turns consequence prediction into exhaustive search; "
+         "Section 5.3 has prediction reach depth 7-8 on live snapshots",
+         f"both searches from the Figure 2 RandTree snapshot under one "
+         f"budget ({BUDGET.max_states} states, depth {BUDGET.max_depth}); "
+         f"then prediction from joined trees of {SNAPSHOT_SIZES} nodes")
 
 
 def _compare_on_figure2():
@@ -31,32 +36,34 @@ def _compare_on_figure2():
     return cp, bfs
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_interleaving_reduction(benchmark):
-    cp, bfs = benchmark.pedantic(_compare_on_figure2, rounds=1, iterations=1)
-    print("\nAblation — consequence prediction vs exhaustive search "
-          "(Figure 2 snapshot, equal budget)")
-    print(f"  consequence prediction: depth {cp.stats.max_depth_reached}, "
-          f"{cp.stats.states_visited} states, "
-          f"{len(cp.unique_property_names())} distinct bugs, "
-          f"{cp.stats.internal_actions_skipped} interleavings skipped")
-    print(f"  exhaustive search:      depth {bfs.stats.max_depth_reached}, "
-          f"{bfs.stats.states_visited} states, "
-          f"{len(bfs.unique_property_names())} distinct bugs")
-    benchmark.extra_info.update({
-        "cp_depth": cp.stats.max_depth_reached,
-        "bfs_depth": bfs.stats.max_depth_reached,
-        "cp_bugs": sorted(cp.unique_property_names()),
-        "bfs_bugs": sorted(bfs.unique_property_names()),
-    })
-    assert cp.stats.max_depth_reached >= bfs.stats.max_depth_reached
-    assert "randtree.children_siblings_disjoint" in cp.unique_property_names()
-    assert cp.stats.internal_actions_skipped > 0
+def test_ablation_interleaving_reduction(scorecard):
+    cp, bfs = _compare_on_figure2()
+    assert scorecard(
+        "ablation.depth", "§3.2, §5.3",
+        "depth reached under one state budget, consequence prediction "
+        "against exhaustive search (not shallower)",
+        "7-8 against stalling",
+        f"{cp.stats.max_depth_reached} against "
+        f"{bfs.stats.max_depth_reached}", "levels",
+        cp.stats.max_depth_reached >= bfs.stats.max_depth_reached)
+    found = "randtree.children_siblings_disjoint" in cp.unique_property_names()
+    assert scorecard(
+        "ablation.finds_bug", "§3.2, Fig. 2",
+        "consequence prediction predicts the Figure 2 children/siblings "
+        "violation",
+        True, found, "", found)
+    assert scorecard(
+        "ablation.skipped", "§3.2",
+        "internal-action interleavings the localExplored test skips (more "
+        "than none)",
+        None, cp.stats.internal_actions_skipped, "interleavings",
+        cp.stats.internal_actions_skipped > 0)
 
 
 def _snapshot_size_sweep():
-    rows = []
-    for node_count in (2, 3, 5):
+    """States consequence prediction visits per snapshot size."""
+    visited = []
+    for node_count in SNAPSHOT_SIZES:
         addrs = make_addresses(node_count, start=1)
         protocol = randtree.RandTree(randtree.RandTreeConfig(bootstrap=(addrs[0],),
                                                              max_children=2))
@@ -78,19 +85,16 @@ def _snapshot_size_sweep():
             states, timers={a: [randtree.RECOVERY_TIMER] for a in addrs})
         result = consequence_prediction(make_system(protocol), snapshot,
                                         randtree.ALL_PROPERTIES, BUDGET)
-        rows.append((node_count, result.stats.states_visited,
-                     result.stats.max_depth_reached,
-                     len(result.unique_property_names())))
-    return rows
+        visited.append(result.stats.states_visited)
+    return visited
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_snapshot_size(benchmark):
-    rows = benchmark.pedantic(_snapshot_size_sweep, rounds=1, iterations=1)
-    print("\nAblation — neighbourhood (snapshot) size vs search effort")
-    print(f"{'nodes':>5} {'states':>8} {'depth':>6} {'bugs':>5}")
-    for nodes, states, depth, bugs in rows:
-        print(f"{nodes:>5} {states:>8} {depth:>6} {bugs:>5}")
-    benchmark.extra_info["rows"] = rows
+def test_ablation_snapshot_size(scorecard):
+    visited = _snapshot_size_sweep()
     # Larger neighbourhoods cost more states for the same budget/depth.
-    assert rows[-1][1] >= rows[0][1]
+    assert scorecard(
+        "ablation.snapshot_size", "§3.2",
+        f"states prediction visits from a {SNAPSHOT_SIZES[-1]}-node "
+        f"snapshot against a {SNAPSHOT_SIZES[0]}-node one (not fewer)",
+        None, f"{visited[-1]} against {visited[0]}", "states",
+        visited[-1] >= visited[0])

@@ -8,8 +8,6 @@ bounds and check the exponential shape via consecutive-depth growth ratios.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import growth_ratios
 from repro.mc import GlobalState, SearchBudget, find_errors
 from repro.runtime import make_addresses
@@ -18,6 +16,9 @@ from repro.systems import randtree
 from .conftest import make_system
 
 DEPTHS = [1, 2, 3, 4, 5]
+SIZES = ("MaceMC on RandTree, 5 nodes, depths up to 12-13 (hours)",
+         f"the Figure 5 search on RandTree, 5 nodes joining, no resets, "
+         f"depths {DEPTHS[0]}-{DEPTHS[-1]}")
 
 
 def _initial_state():
@@ -40,16 +41,26 @@ def _sweep():
     return rows
 
 
-@pytest.mark.benchmark(group="fig12")
-def test_fig12_exhaustive_search_growth(benchmark):
-    rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    print("\nFigure 12 — exhaustive search on RandTree (5 nodes)")
-    print(f"{'depth':>5} {'states':>10} {'seconds':>9}")
-    for depth, states, seconds in rows:
-        print(f"{depth:>5} {states:>10} {seconds:>9.3f}")
+def test_fig12_exhaustive_search_growth(scorecard):
+    rows = _sweep()
     state_counts = [states for _, states, _ in rows]
     ratios = growth_ratios([float(s) for s in state_counts])
-    benchmark.extra_info.update({"rows": rows, "growth_ratios": ratios})
     # Exponential blow-up: each extra level multiplies the explored states.
-    assert all(ratio >= 1.5 for ratio in ratios[1:])
-    assert state_counts[-1] > 20 * state_counts[0]
+    assert scorecard(
+        "fig12.growth", "Fig. 12",
+        f"smallest level-to-level growth of visited states, depths "
+        f"{DEPTHS[1]}-{DEPTHS[-1]} (at least 1.5x)",
+        "exponential", round(min(ratios[1:]), 2), "x",
+        all(ratio >= 1.5 for ratio in ratios[1:]))
+    assert scorecard(
+        "fig12.blowup", "Fig. 12",
+        f"visited states at depth {DEPTHS[-1]} over depth {DEPTHS[0]} "
+        f"(more than 20x)",
+        None, round(state_counts[-1] / state_counts[0], 1), "x",
+        state_counts[-1] > 20 * state_counts[0])
+    assert scorecard(
+        "fig12.seconds", "Fig. 12",
+        f"elapsed time of the depth-{DEPTHS[-1]} search (more than at "
+        f"depth {DEPTHS[0]})",
+        "hours at depth 12-13", round(rows[-1][2], 2), "s",
+        rows[-1][2] > rows[0][2])

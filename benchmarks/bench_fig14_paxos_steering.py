@@ -19,6 +19,11 @@ RUNS_PER_BUG = 2
 DELAYS = [10.0, 20.0]
 PAPER = {1: {"steering": 0.87, "isc": 0.11, "violations": 0.02},
          2: {"steering": 0.85, "isc": 0.11, "violations": 0.05}}
+SIZES = ("the Figure 13 scenario, 100 runs per injected bug, inter-round "
+         "delay varied",
+         f"the same scenario (3 Paxos nodes), {RUNS_PER_BUG} steering runs "
+         f"per bug at inter-round delays {DELAYS} s, plus one run with "
+         f"CrystalBall off")
 
 
 def _run_scenario(bug: int, mode: Mode, *, delay: float, seed: int):
@@ -48,18 +53,30 @@ def _run_bug(bug: int):
     return outcomes
 
 
-@pytest.mark.benchmark(group="fig14")
 @pytest.mark.parametrize("bug", [1, 2])
-def test_fig14_paxos_execution_steering(benchmark, bug):
+def test_fig14_paxos_execution_steering(scorecard, bug):
     baseline = _run_scenario(bug, Mode.OFF, delay=14.0, seed=7)
-    assert baseline.outcome["violation_occurred"], \
+    assert scorecard(
+        f"fig14.bug{bug}.manifests", "Fig. 14",
+        f"bug{bug} violates agreement with CrystalBall off",
+        True, baseline.outcome["violation_occurred"], "",
+        baseline.outcome["violation_occurred"]), \
         "the injected bug must manifest without CrystalBall"
 
-    outcomes = benchmark.pedantic(lambda: _run_bug(bug), rounds=1, iterations=1)
+    outcomes = _run_bug(bug)
     total = sum(outcomes.values())
-    print(f"\nFigure 14 — Paxos bug{bug}: {outcomes} over {total} runs "
-          f"(paper fractions: {PAPER[bug]})")
-    benchmark.extra_info.update({"bug": bug, "outcomes": outcomes,
-                                 "paper_fractions": PAPER[bug]})
     avoided = outcomes["steering"] + outcomes["isc"]
-    assert avoided >= total * 0.5
+    assert scorecard(
+        f"fig14.bug{bug}.avoided", "Fig. 14",
+        f"bug{bug} runs kept consistent by steering or the immediate "
+        f"safety check (at least half)",
+        round(100 * (PAPER[bug]["steering"] + PAPER[bug]["isc"])),
+        round(100 * avoided / total), "% of runs",
+        avoided >= total * 0.5)
+    assert scorecard(
+        f"fig14.bug{bug}.steered", "Fig. 14",
+        f"bug{bug} runs where execution steering alone avoided the "
+        f"violation (at least one)",
+        round(100 * PAPER[bug]["steering"]),
+        round(100 * outcomes["steering"] / total), "% of runs",
+        outcomes["steering"] > 0)

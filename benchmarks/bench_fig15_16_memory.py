@@ -9,8 +9,6 @@ depth bounds on the Figure 2 RandTree snapshot.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import consequence_prediction
 from repro.mc import SearchBudget
 from repro.systems import randtree
@@ -18,6 +16,11 @@ from repro.systems import randtree
 from .conftest import make_system
 
 DEPTHS = [2, 3, 4, 5, 6, 7]
+SIZES = ("consequence prediction on live RandTree snapshots, depths up to "
+         "12, memory of the search tree",
+         f"the Figure 2 RandTree snapshot, depths {DEPTHS[0]}-{DEPTHS[-1]}, "
+         f"60,000-state cap; memory is the search's own estimate (pickled "
+         f"size of the explored states)")
 
 
 def _sweep():
@@ -34,18 +37,22 @@ def _sweep():
     return rows
 
 
-@pytest.mark.benchmark(group="fig15-16")
-def test_fig15_fig16_memory_growth_and_per_state_cost(benchmark):
-    rows = benchmark.pedantic(_sweep, rounds=1, iterations=1)
-    print("\nFigures 15/16 — consequence prediction memory (Figure 2 snapshot)")
-    print(f"{'depth':>5} {'states':>8} {'memory (kB)':>12} {'bytes/state':>12}")
-    for depth, states, memory, per_state in rows:
-        print(f"{depth:>5} {states:>8} {memory / 1024:>12.1f} {per_state:>12.1f}")
-    benchmark.extra_info["rows"] = rows
+def test_fig15_fig16_memory_growth_and_per_state_cost(scorecard):
+    rows = _sweep()
     memories = [memory for _, _, memory, _ in rows]
     per_state = [value for _, _, _, value in rows]
     # Memory grows with depth (Figure 15)...
-    assert memories[-1] > memories[0]
+    assert scorecard(
+        "fig15.memory", "Fig. 15",
+        f"search-tree memory at depth {DEPTHS[-1]} (more than at depth "
+        f"{DEPTHS[0]}: {memories[0] / 1024:.1f} kB)",
+        "about 1000 at depth 7-8", round(memories[-1] / 1024, 1), "kB",
+        memories[-1] > memories[0])
     # ... and the per-state cost stabilises rather than diverging (Figure 16):
     # the last two depths agree within a factor of two.
-    assert per_state[-1] < 2 * per_state[-2] + 1
+    assert scorecard(
+        "fig16.per_state", "Fig. 16",
+        f"memory per explored state at depth {DEPTHS[-1]} (under twice "
+        f"that at depth {DEPTHS[-2]}: {per_state[-2]:.0f} B)",
+        150, round(per_state[-1]), "B",
+        per_state[-1] < 2 * per_state[-2] + 1)

@@ -10,6 +10,8 @@ and the CrystalBall-found violations stay out of reach of the search.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.mc import GlobalState, SearchBudget, find_errors
@@ -23,6 +25,10 @@ from .conftest import make_system
 STATE_BUDGET = 4000
 PAPER_DEPTHS = {("RandTree", 5): 12, ("RandTree", 100): 1,
                 ("Chord", 5): 14, ("Chord", 100): 2}
+SIZES = ("MaceMC exhaustive search from the initial state for 17 hours, "
+         "RandTree and Chord with 5 and 100 nodes",
+         f"the Figure 5 search from the initial state (every node about to "
+         f"join, no resets), capped at {STATE_BUDGET} states, 5 and 25 nodes")
 
 
 def _initial_state(system_name: str, node_count: int):
@@ -40,6 +46,7 @@ def _initial_state(system_name: str, node_count: int):
     return protocol, GlobalState.from_snapshot(states, timers=timers), properties
 
 
+@functools.cache  # the 25-node cases compare with the 5-node run
 def _run(system_name: str, node_count: int):
     protocol, start, properties = _initial_state(system_name, node_count)
     result = find_errors(make_system(protocol, resets=False), start, properties,
@@ -47,29 +54,30 @@ def _run(system_name: str, node_count: int):
     return result
 
 
-@pytest.mark.benchmark(group="sec53")
 @pytest.mark.parametrize("system_name,node_count",
                          [("RandTree", 5), ("RandTree", 25),
                           ("Chord", 5), ("Chord", 25)])
-def test_exhaustive_depth_from_initial_state(benchmark, system_name, node_count):
-    result = benchmark.pedantic(lambda: _run(system_name, node_count),
-                                rounds=1, iterations=1)
-    paper = PAPER_DEPTHS.get((system_name, node_count if node_count == 5 else 100))
-    print(f"\n{system_name} with {node_count} nodes: depth "
-          f"{result.stats.max_depth_reached} within {STATE_BUDGET} states "
-          f"(paper, 17h: depth {paper})")
-    benchmark.extra_info.update({
-        "system": system_name,
-        "nodes": node_count,
-        "depth_reached": result.stats.max_depth_reached,
-        "states_visited": result.stats.states_visited,
-        "crystalball_bugs_found": sorted(result.unique_property_names()),
-        "paper_depth_17h": paper,
-    })
+def test_exhaustive_depth_from_initial_state(scorecard, system_name, node_count):
+    result = _run(system_name, node_count)
+    claim = f"sec53.{system_name.lower()}{node_count}"
     # The scripted CrystalBall bugs (children/siblings, pred-self, ...) are
     # not reachable from the initial state within the budget.
-    assert "randtree.children_siblings_disjoint" not in result.unique_property_names()
-    assert "chord.pred_self_implies_succ_self" not in result.unique_property_names()
+    found = result.unique_property_names() & {
+        "randtree.children_siblings_disjoint",
+        "chord.pred_self_implies_succ_self"}
+    assert scorecard(
+        f"{claim}.bugs", "§5.3",
+        f"CrystalBall's {system_name} bugs that exhaustive search from the "
+        f"initial state reaches, {node_count} nodes (none)",
+        0, len(found), "bugs", not found)
     if node_count > 5:
         small = _run(system_name, 5)
-        assert result.stats.max_depth_reached <= small.stats.max_depth_reached
+        assert scorecard(
+            f"{claim}.depth", "§5.3",
+            f"depth exhaustive search reaches on {system_name}, "
+            f"{node_count} nodes against 5 (not deeper)",
+            f"{PAPER_DEPTHS[system_name, 100]} against "
+            f"{PAPER_DEPTHS[system_name, 5]} (100 nodes against 5)",
+            f"{result.stats.max_depth_reached} against "
+            f"{small.stats.max_depth_reached}", "levels",
+            result.stats.max_depth_reached <= small.stats.max_depth_reached)

@@ -10,14 +10,16 @@ configurations and report the same counters.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.api import Experiment
 from repro.core import Mode
 from repro.mc import SearchBudget
 
 NODES = 6
 DURATION = 300.0
+SIZES = ("25 RandTree nodes for 1.4 hours, one churn event per minute",
+         f"{NODES} RandTree nodes for {DURATION:.0f} simulated seconds, one "
+         f"churn event per minute, 400 states / depth 6 per prediction, "
+         f"seed 31")
 
 
 def _run_mode(mode: Mode, seed: int = 31):
@@ -36,35 +38,32 @@ def _run_mode(mode: Mode, seed: int = 31):
             .run())
 
 
-@pytest.mark.benchmark(group="sec541")
-def test_sec541_randtree_steering_counters(benchmark):
-    def run_all():
-        return {mode.value: _run_mode(mode)
-                for mode in (Mode.OFF, Mode.ISC_ONLY, Mode.STEERING)}
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    rows = []
-    for label, report in results.items():
-        rows.append((label,
-                     report.live_inconsistent_states(),
-                     report.total_predicted(),
-                     report.total_steered(),
-                     report.total_unhelpful(),
-                     report.total_isc_blocks()))
-    print("\nSection 5.4.1 — RandTree churn (scaled down: "
-          f"{NODES} nodes, {DURATION:.0f} s)")
-    print(f"{'mode':<10} {'inconsistent':>13} {'predicted':>10} {'steered':>8} "
-          f"{'unhelpful':>10} {'ISC':>5}")
-    for row in rows:
-        print(f"{row[0]:<10} {row[1]:>13} {row[2]:>10} {row[3]:>8} {row[4]:>10} {row[5]:>5}")
-    print("paper (25 nodes, 1.4 h): off=121 inconsistent states; ISC-only=325 "
-          "engagements; steering: 480 predicted / 415 steered / 160 ISC, 0 uncaught")
-    benchmark.extra_info["rows"] = rows
-    off = results["off"]
-    steering = results["steering"]
+def test_sec541_randtree_steering_counters(scorecard):
+    off, isc_only, steering = (_run_mode(mode) for mode in
+                               (Mode.OFF, Mode.ISC_ONLY, Mode.STEERING))
+    assert scorecard(
+        "sec541.isc_only", "§5.4.1",
+        "immediate-safety-check engagements in ISC-only mode (the check "
+        "engages)",
+        325, isc_only.total_isc_blocks(), "engagements",
+        isc_only.total_isc_blocks() > 0)
     # CrystalBall observes/predicts inconsistencies and acts on them.
-    assert steering.total_predicted() + steering.total_isc_blocks() > 0
+    assert scorecard(
+        "sec541.acts", "§5.4.1",
+        "violations predicted plus ISC fallbacks with steering on (more "
+        "than none)",
+        "480 + 160",
+        f"{steering.total_predicted()} + {steering.total_isc_blocks()}",
+        "events",
+        steering.total_predicted() + steering.total_isc_blocks() > 0)
     # Steering does not make the live system *more* inconsistent than the
     # baseline run.
-    assert (steering.live_inconsistent_states()
-            <= max(off.live_inconsistent_states(), 1) * 2)
+    assert scorecard(
+        "sec541.inconsistent", "§5.4.1",
+        "inconsistent live states, steering against off (at most twice "
+        "as many)",
+        "0 against 121",
+        f"{steering.live_inconsistent_states()} against "
+        f"{off.live_inconsistent_states()}", "states",
+        steering.live_inconsistent_states()
+        <= max(off.live_inconsistent_states(), 1) * 2)

@@ -10,14 +10,16 @@ and the checkpoint traffic stays a small fraction of a node's bandwidth.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.analysis import mean
 from repro.api import Experiment
 from repro.mc import SearchBudget, TransitionConfig
 
 DURATION = 200.0
 NODES = 8
+SIZES = ("100-node RandTree and Chord runs",
+         f"{NODES}-node runs of {DURATION:.0f} simulated seconds without "
+         f"churn, mode debug at 150 states / depth 4, seed 3; a checkpoint's "
+         f"size is its compressed pickle")
 
 
 def _run(system: str):
@@ -47,22 +49,21 @@ PAPER = {"randtree": {"checkpoint_bytes": 176, "bps": 803},
          "chord": {"checkpoint_bytes": 1028, "bps": 8224}}
 
 
-@pytest.mark.benchmark(group="sec55")
-def test_sec55_checkpoint_sizes_and_bandwidth(benchmark):
-    results = benchmark.pedantic(
-        lambda: {name: _run(name) for name in ("randtree", "chord")},
-        rounds=1, iterations=1)
-    print("\nSection 5.5 — checkpoint overhead")
-    for name, measured in results.items():
-        paper = PAPER[name]
-        print(f"  {name}: checkpoint ~{measured['mean_checkpoint_bytes']:.0f} B "
-              f"(paper {paper['checkpoint_bytes']} B), "
-              f"{measured['checkpoint_bps_per_node']:.0f} bps/node "
-              f"(paper {paper['bps']} bps, 100 nodes)")
-    benchmark.extra_info.update({"measured": results, "paper": PAPER})
+def test_sec55_checkpoint_sizes_and_bandwidth(scorecard):
+    results = {name: _run(name) for name in ("randtree", "chord")}
     # Shape: Chord state is substantially larger than RandTree state.
-    assert (results["chord"]["mean_checkpoint_bytes"]
-            > results["randtree"]["mean_checkpoint_bytes"])
-    # Checkpoint traffic stays far below the service's own traffic volume.
+    ordered = (results["chord"]["mean_checkpoint_bytes"]
+               > results["randtree"]["mean_checkpoint_bytes"])
     for name, measured in results.items():
-        assert measured["checkpoint_bps_per_node"] < 200_000
+        assert scorecard(
+            f"sec55.{name}.bytes", "§5.5",
+            f"mean checkpoint size, {name} (RandTree's under Chord's)",
+            PAPER[name]["checkpoint_bytes"],
+            round(measured["mean_checkpoint_bytes"]), "B", ordered)
+        # Checkpoint traffic stays far below the service's own traffic
+        # volume.
+        assert scorecard(
+            f"sec55.{name}.bps", "§5.5",
+            f"checkpoint bandwidth per node, {name} (under 200,000)",
+            PAPER[name]["bps"], round(measured["checkpoint_bps_per_node"]),
+            "bps", measured["checkpoint_bps_per_node"] < 200_000)

@@ -9,8 +9,6 @@ per system.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import consequence_prediction
 from repro.mc import GlobalState, SearchBudget
 from repro.runtime import Address
@@ -20,6 +18,11 @@ from repro.systems.bulletprime.protocol import DIFF_TIMER, DRAIN_TIMER, REQUEST_
 from .conftest import make_system
 
 PAPER_BUG_COUNTS = {"RandTree": 7, "Chord": 3, "BulletPrime": 3}
+FLOORS = {"RandTree": 3, "Chord": 2, "BulletPrime": 1}
+SIZES = ("live runs of 25-100 nodes, hours each",
+         "consequence prediction from five scripted snapshots (RandTree "
+         "Figures 2 and 9, Chord Figures 10 and 11, a 2-node Bullet' "
+         "transfer), 6000 states / depth 9 (Bullet': 4000 / 6)")
 
 
 def _bullet_snapshot():
@@ -65,14 +68,12 @@ def _count_bugs() -> dict[str, int]:
     return {system: len(names) for system, names in found.items()}
 
 
-@pytest.mark.benchmark(group="table1")
-def test_table1_bugs_found(benchmark):
-    counts = benchmark.pedantic(_count_bugs, rounds=1, iterations=1)
-    print("\nTable 1 — distinct safety violations found by consequence prediction")
-    print(f"{'System':<12} {'paper':>6} {'measured':>9}")
-    for system, paper in PAPER_BUG_COUNTS.items():
-        print(f"{system:<12} {paper:>6} {counts[system]:>9}")
-    benchmark.extra_info.update({"paper": PAPER_BUG_COUNTS, "measured": counts})
-    assert counts["RandTree"] >= 3
-    assert counts["Chord"] >= 2
-    assert counts["BulletPrime"] >= 1
+def test_table1_bugs_found(scorecard):
+    counts = _count_bugs()
+    for system, floor in FLOORS.items():
+        assert scorecard(
+            f"table1.{system.lower()}", "Table 1",
+            f"distinct {system} safety properties predicted violated "
+            f"(at least {floor})",
+            PAPER_BUG_COUNTS[system], counts[system], "bugs",
+            counts[system] >= floor)

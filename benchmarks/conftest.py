@@ -1,16 +1,21 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper benches.
 
-Every file in this directory regenerates one table or figure of the paper's
-evaluation (Section 5).  Benchmarks are sized to run on a laptop in seconds
-to minutes; run one with ``-s`` to see its table, and each file's docstring
-states the paper's reported numbers it is to be compared with.
+Every ``bench_*`` file here except the nightly scale run checks one table
+or figure of the paper's evaluation (Section 5), sized to run on a laptop
+in seconds to minutes.  A bench computes its values and reports each claim as
+one :class:`~benchmarks.scorecard.Row` through the ``scorecard`` fixture;
+``python -m benchmarks.scorecard`` runs them all and renders
+``SCORECARD.md``.  Each file's docstring and ``SIZES`` state the paper's
+setup and the one used here.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.mc import SearchBudget, TransitionConfig, TransitionSystem
+from repro.mc import TransitionConfig, TransitionSystem
+
+from .scorecard import Row
 
 
 def make_system(protocol, *, resets=True, max_resets=1):
@@ -19,5 +24,12 @@ def make_system(protocol, *, resets=True, max_resets=1):
 
 
 @pytest.fixture
-def experiment_budget():
-    return SearchBudget(max_states=6000, max_depth=9)
+def scorecard(record_property):
+    """``assert scorecard(claim, source, quantity, paper, repo, unit, holds)``:
+    records the row for the renderer, whatever the verdict, and hands
+    ``holds`` back to the assert."""
+    def row(*fields) -> bool:
+        record_property("scorecard", Row(*fields))
+        return fields[-1]
+
+    return row

@@ -799,11 +799,13 @@ class Experiment:
         churn, simple ``network(...)`` scalars, options, and fault *preset
         names*.  Explicit :class:`NetworkModel` / ``Fault`` instances
         raise, and other uncarried explicit settings (engine, budget, ...)
-        warn instead of silently changing the measurement.  A scenario
-        cell is what ``.run()`` reports: only explicit churn, no metrics.
+        warn instead of silently changing the measurement.  Workers
+        collect metrics in every live cell, live scenarios included; a
+        search or phased scenario cell has none.  Any scenario cell keeps
+        its churn default (off) unless churn was set explicitly.
         """
         from ..campaign import CampaignSpec, run_campaign
-        from ..campaign.spec import AXES, RunSpec
+        from ..campaign.spec import AXES, RunSpec, scenario_kind
 
         def named(values: Optional[Sequence[Any]]) -> tuple[str, ...]:
             return tuple(value for value in values or ()
@@ -868,14 +870,15 @@ class Experiment:
                              else [held[axis.cell]])
                 for axis in AXES}
         (axis,) = (axis for axis in AXES if axis.cell == "scenario")
-        scripted = [axis.normalize(name) is not None
-                    for name in axes["scenarios"]]
+        scenarios = [axis.normalize(name) for name in axes["scenarios"]]
         # Whatever a RunSpec has no field for cannot reach the workers.
-        # "metrics" carries implicitly into live cells: workers always
-        # collect them there; a scenario cell stays as .run() reports it.
+        # "metrics" carries implicitly into live cells, live scenarios
+        # included: workers always collect them there.
         carried = {spec_field.name
                    for spec_field in dataclasses.fields(RunSpec)}
-        carried |= set() if all(scripted) else {"metrics"}
+        if any(scenario_kind(self._spec.name, name) == "live"
+               for name in scenarios):
+            carried.add("metrics")
         uncarried = self._explicit - carried
         if self._cb_config is not None or "search_budget" in self._cb_kwargs:
             uncarried = uncarried | {"crystalball config/budget"}
@@ -887,9 +890,9 @@ class Experiment:
         # A scenario cell keeps its preset's churn default (off) as .run()
         # does: a worker cannot tell the system's default from a request.
         churn = self._churn_interval is not None
-        if churn and "churn" not in self._explicit and any(scripted):
+        if churn and "churn" not in self._explicit and any(scenarios):
             churn = False
-            if not all(scripted):
+            if not all(scenarios):
                 warnings.warn(
                     "sweep() mixes live and scenario cells: the system's "
                     "default churn stays off in every cell; set .churn(...) "

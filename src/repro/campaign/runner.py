@@ -20,7 +20,7 @@ from typing import Any, Callable, Optional, Union
 from ..api.experiment import Experiment
 from ..api.report import RunReport
 from .report import CampaignReport, build_campaign_report
-from .spec import ATTACK_MODE, AXES, CampaignSpec, RunSpec
+from .spec import ATTACK_MODE, AXES, CampaignSpec, RunSpec, scenario_kind
 from .store import ResultStore, make_record
 
 #: ``progress(record)`` hook invoked in the parent as each run completes.
@@ -92,11 +92,11 @@ def run_one(run: RunSpec) -> RunReport:
         experiment.faults(seed=run.fault_seed)
     if run.options:
         experiment.options(**dict(run.options))
-    # Metrics are always on for live cells: counters are deterministic and
-    # feed the aggregate's metrics rollup (cheap — no tracing).  Scenario
-    # cells stay as `run --scenario` reports them, so a cell's report is the
-    # same bytes through either door.
-    if run.scenario is None:
+    # Metrics are always on for live cells, live scenarios included:
+    # counters are deterministic and feed the aggregate's metrics rollup
+    # (cheap — no tracing).  A search or phased scenario has no registry to
+    # read.
+    if scenario_kind(run.system, run.scenario) == "live":
         experiment.metrics(True)
     return experiment.run()
 

@@ -110,8 +110,9 @@ class Axis:
     in_aggregate: bool = True
     #: ``check(value, systems)`` raises for a value no registry knows.
     check: Optional[Callable[[Any, Sequence[str]], Any]] = None
-    #: refusal raised when a non-default value meets a scripted scenario
-    #: (which would silently ignore it while still labelling the records).
+    #: refusal raised when a non-default value meets a search or phased
+    #: scenario (which would silently ignore it while still labelling the
+    #: records).
     live_only: Optional[str] = None
     #: ``apply(experiment, run)`` carries a non-default cell value into the
     #: worker's builder.
@@ -167,6 +168,13 @@ class Axis:
                 return None
             values = self.every() + ([None] if None in values else [])
         return values
+
+
+def scenario_kind(system: str, scenario: Optional[str]) -> str:
+    """``"live"`` for a plain live run, else the named scenario's kind."""
+    if scenario is None:
+        return "live"
+    return get_system(system).scenario(scenario).kind
 
 
 def _in_every_system(lookup: str) -> Callable[[str, Sequence[str]], None]:
@@ -424,7 +432,10 @@ class CampaignSpec:
 
         swept = {axis.field for axis in AXES
                  if any(value != axis.default for value in values[axis.field])}
-        scripted = "scenarios" in swept
+        # A live scenario is a preset of the live path and takes every
+        # axis; a search or phased one scripts its own run.
+        scripted = any(scenario_kind(system, name) != "live"
+                       for name in values["scenarios"] for system in systems)
         for axis in AXES:
             if scripted and axis.live_only and axis.field in swept:
                 raise ValueError(axis.live_only)
@@ -434,7 +445,7 @@ class CampaignSpec:
             # re-executions), not single live runs — refuse every axis the
             # pipeline would silently ignore, exactly like the scenario
             # refusals above.
-            if scripted:
+            if "scenarios" in swept:
                 raise ValueError(
                     "attack mode cannot be combined with scripted "
                     "scenarios; hunt counterexamples over live cells"

@@ -15,7 +15,7 @@ and keeps structured per-property accounting:
   node's result is served from the per-node cache.  Cross-node and global
   properties are always fully re-checked.  The incremental path produces
   bit-identical violation records to a full re-check (covered by tests
-  over all four bundled systems) because both paths walk properties and
+  over all six bundled systems) because both paths walk properties and
   nodes in the same order; it only skips re-computing checks whose inputs
   cannot have changed.
 * **liveness** properties (bounded ``eventually`` / ``leads_to``

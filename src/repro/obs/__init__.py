@@ -28,7 +28,6 @@ from .tracer import (
     SCHEMA_VERSION,
     JsonlTracer,
     MemoryTracer,
-    NullTracer,
     Tracer,
 )
 from .trace_tools import (
@@ -57,7 +56,6 @@ __all__ = [
     "Tracer",
     "MemoryTracer",
     "JsonlTracer",
-    "NullTracer",
     "TraceSummary",
     "read_trace",
     "summarize_records",

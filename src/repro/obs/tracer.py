@@ -1,12 +1,12 @@
 """Structured execution tracing: JSONL span/event records (schema v1).
 
 A :class:`Tracer` receives typed records from every instrumented layer and
-forwards them to a sink — a JSONL file (:class:`JsonlTracer`), an in-memory
-list (:class:`MemoryTracer`) or nowhere (:class:`NullTracer`).  The live
-runtime holds ``tracer = None`` by default and every instrumentation site
-guards with ``if tracer is not None``, so a run without tracing pays only
-attribute checks (the "disabled path" pinned by
-``benchmarks/bench_obs_overhead.py``).
+forwards them to a sink — a JSONL file (:class:`JsonlTracer`) or an
+in-memory list (:class:`MemoryTracer`).  The live runtime holds
+``tracer = None`` by default and every instrumentation site guards with
+``if tracer is not None``, so a run without tracing pays only attribute
+checks (the disabled path, measured by the ``obs.tracer_overhead_pct``
+probe of ``benchmarks/e2e``).
 
 Trace JSONL schema v1
 ---------------------
@@ -89,8 +89,7 @@ RECORD_KINDS = (
 class Tracer:
     """Builds schema-v1 records and hands them to :meth:`emit`.
 
-    Subclasses implement :meth:`emit` (and may override the typed helpers
-    wholesale, as :class:`NullTracer` does, to skip record construction).
+    Subclasses implement :meth:`emit`.
     """
 
     def emit(self, record: dict[str, Any]) -> None:
@@ -349,54 +348,3 @@ class JsonlTracer(Tracer):
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-
-class NullTracer(Tracer):
-    """Accepts everything, records nothing — not even record construction.
-
-    This exists for the overhead benchmark: it measures the cost of the
-    instrumentation *dispatch* alone, an upper bound on what the default
-    ``tracer is None`` guards can cost.
-    """
-
-    def emit(self, record: dict[str, Any]) -> None:
-        pass
-
-    def meta(self, **kwargs: Any) -> None:
-        pass
-
-    def event(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def send(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def deliver(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def drop(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def checkpoint(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def snapshot(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def mc_run(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def filter_install(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def filter_trigger(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def violation(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def fault(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def run_end(self, *args: Any, **kwargs: Any) -> None:
-        pass

@@ -103,6 +103,9 @@ MATRICES = {
     "cli-scenarios": lambda: _cli(
         *_axes("systems=randtree", "scenarios=figure2,none", "seeds=1,2",
                "modes=off,debug")),
+    "cli-live-scenario-is-a-live-cell": lambda: _cli(
+        *_axes("systems=randtree", "scenarios=partition-recovery",
+               "presets=delay", "seeds=1", "backends=tcp")),
     "spec-every-axis": lambda: CampaignSpec(
         systems=("chord", "kvstore"),
         scenarios=(None,),

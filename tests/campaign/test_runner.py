@@ -257,5 +257,10 @@ def test_sweep_says_what_a_scenario_cell_does_not_get(monkeypatch):
         live, scenario = Experiment("chord").sweep(
             scenarios=["live", "link-flap"])
     assert not live.churn and not scenario.churn
-    with pytest.warns(UserWarning, match=r"ignores .*'metrics'"):
+    # A live scenario cell collects metrics like any live cell; an offline
+    # search has no registry to read.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         Experiment("chord").scenario("link-flap").metrics().sweep()
+    with pytest.warns(UserWarning, match=r"ignores .*'metrics'"):
+        Experiment("chord").scenario("figure10").metrics().sweep()

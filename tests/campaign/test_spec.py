@@ -118,11 +118,15 @@ def test_fault_start_after_is_carried_into_every_cell():
 
 
 def test_expand_rejects_fault_presets_crossed_with_scenarios():
-    spec = CampaignSpec(systems=["randtree"],
-                        scenarios=["partition-recovery"],
+    spec = CampaignSpec(systems=["randtree"], scenarios=["figure2"],
                         fault_presets=["delay"])
     with pytest.raises(ValueError, match="scenarios script their own faults"):
         spec.expand()
+    # A live scenario is a preset of the live path and takes every axis.
+    (run,) = CampaignSpec(systems=["randtree"],
+                          scenarios=["partition-recovery"],
+                          fault_presets=["delay"], backends=["tcp"]).expand()
+    assert (run.faults, run.backend) == (("delay",), "tcp")
 
 
 def test_scenarios_with_the_default_faultfree_axis_are_fine():

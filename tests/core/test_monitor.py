@@ -30,6 +30,8 @@ def _tree_sim(nodes=3, seed=1):
     ("chord", dict(nodes=6, duration=150.0)),
     ("paxos", dict(nodes=3, duration=60.0)),
     ("bulletprime", dict(nodes=6, duration=150.0)),
+    ("crdtset", dict(nodes=4, duration=80.0)),
+    ("kvstore", dict(nodes=4, duration=80.0)),
 ])
 def test_incremental_monitor_is_bit_identical_to_full_recheck(system, settings):
     reports = []

@@ -9,7 +9,6 @@ from repro.obs import (
     SCHEMA_VERSION,
     JsonlTracer,
     MemoryTracer,
-    NullTracer,
     Tracer,
     validate_trace,
 )
@@ -97,12 +96,6 @@ def test_jsonl_tracer_writes_compact_lines_and_close_is_idempotent(tmp_path):
     assert len(lines) == 1
     assert ": " not in lines[0]  # compact separators
     assert json.loads(lines[0])["kind"] == "event"
-
-
-def test_null_tracer_emits_nothing():
-    tracer = NullTracer()
-    emit_one_of_each(tracer)
-    tracer.close()
 
 
 def test_base_tracer_requires_emit():
