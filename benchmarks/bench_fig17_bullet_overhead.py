@@ -19,7 +19,7 @@ SIZES = ("49 nodes download a 20 MB file, with and without CrystalBall",
          f"seconds, seed 13, mode off against mode debug")
 
 
-def _run_download(mode: str):
+def _download(mode: str):
     return (Experiment("bulletprime")
             .scenario("download")
             .nodes(NODES)
@@ -31,7 +31,7 @@ def _run_download(mode: str):
 
 
 def _run_pair():
-    return _run_download("off"), _run_download("debug")
+    return _download("off"), _download("debug")
 
 
 def _times(report):

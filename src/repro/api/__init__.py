@@ -10,12 +10,7 @@
 * ``python -m repro`` — the command-line interface over all of the above.
 """
 
-from .experiment import (
-    Experiment,
-    build_run_report,
-    parse_mode,
-    run_search_scenario,
-)
+from .experiment import Experiment, parse_mode, run_search_scenario
 from .registry import (
     ScenarioSpec,
     SystemSpec,
@@ -28,7 +23,6 @@ from .report import NodeReport, RunReport
 
 __all__ = [
     "Experiment",
-    "build_run_report",
     "parse_mode",
     "run_search_scenario",
     "ScenarioSpec",

@@ -386,13 +386,10 @@ def _configure_run(args: argparse.Namespace) -> Experiment:
     if args.portfolio:
         cb_kwargs["portfolio"] = True
     if args.max_states is not None or args.max_depth is not None:
-        from ..mc.search import SearchBudget
-
-        # Start from the system's registered default budget so passing only
-        # one bound does not silently replace the other with a fixed value.
-        spec = experiment.spec
-        budget = (spec.search_budget_factory() if spec.search_budget_factory
-                  else SearchBudget())
+        # Start from the run's default budget (the system's, under the
+        # scenario's bounds) so passing only one bound does not silently
+        # replace the other with a fixed value.
+        budget = experiment.default_budget()
         if args.max_states is not None:
             budget.max_states = args.max_states
         if args.max_depth is not None:

@@ -17,8 +17,8 @@ named scenario::
 The builder's own fields are the run record: ``run()`` drives the backend
 from them.  A *live* scenario is a preset folded under the explicit settings
 before that one path is taken; a *search* scenario goes to
-:func:`run_search_scenario` and a phased driver to its own runner (see
-:class:`~repro.api.registry.ScenarioSpec`).  Every path returns a
+:func:`run_search_scenario` (see
+:class:`~repro.api.registry.ScenarioSpec`).  Both return a
 :class:`~repro.api.report.RunReport`.
 """
 
@@ -28,7 +28,7 @@ import copy
 import dataclasses
 import time
 import warnings
-from typing import Any, Callable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from ..backends import backend_names, make_backend
 from ..core.consequence import consequence_prediction
@@ -52,7 +52,6 @@ from ..mc.transition import TransitionConfig, TransitionSystem
 from ..runtime.address import Address, make_addresses
 from ..runtime.churn import ChurnProcess
 from ..runtime.network import NetworkModel
-from ..runtime.simulator import Simulator
 from ..workload import OpenLoopDriver, WorkloadSpec
 from .registry import ScenarioSpec, SystemSpec, get_system
 from .report import NodeReport, RunReport
@@ -69,51 +68,6 @@ def parse_mode(mode: Union[Mode, str, None]) -> Mode:
     except ValueError:
         known = ", ".join(m.value for m in Mode)
         raise ValueError(f"unknown mode {mode!r} (one of: {known})") from None
-
-
-def build_run_report(
-    *,
-    system: str,
-    scenario: Optional[str],
-    mode: Mode,
-    seed: int,
-    sim: Simulator,
-    controllers: Mapping[Address, CrystalBallController],
-    monitor: Optional[LivePropertyMonitor] = None,
-    churn_events: int = 0,
-    wall_clock_seconds: float = 0.0,
-    outcome: Optional[dict] = None,
-    nemesis: Optional[Nemesis] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    workload: Optional[dict] = None,
-    backend: str = "sim",
-) -> RunReport:
-    """Assemble a :class:`RunReport` from the live objects of one run."""
-    return RunReport(
-        system=system,
-        scenario=scenario,
-        mode=mode.value,
-        backend=backend,
-        seed=seed,
-        node_count=len(sim.nodes),
-        simulated_seconds=sim.now,
-        wall_clock_seconds=wall_clock_seconds,
-        churn_events=churn_events,
-        nodes=[NodeReport.from_controller(controllers[addr])
-               for addr in sorted(controllers)],
-        monitor=monitor.report() if monitor is not None else {},
-        outcome=outcome or {},
-        faults=nemesis.report() if nemesis is not None else {},
-        metrics=metrics.snapshot() if metrics is not None else {},
-        workload=workload or {},
-        simulator=sim,
-        controllers=dict(controllers),
-        live_monitor=monitor,
-    )
-
-
-#: What an offline search takes from the builder: the prediction budget.
-SEARCH_HONOURS = ("budget",)
 
 
 def run_search_scenario(spec: SystemSpec, scenario: ScenarioSpec, *,
@@ -204,8 +158,8 @@ class Experiment:
         self._backend = "sim"
         self._backend_options: dict[str, Any] = {}
         #: builder knobs the caller set explicitly: they win over a
-        #: scenario's presets, and a search, a phased driver and a sweep
-        #: warn about the ones they cannot honor.
+        #: scenario's presets, and a search and a sweep warn about the ones
+        #: they cannot honor.
         self._explicit: set[str] = set()
 
     @property
@@ -454,8 +408,8 @@ class Experiment:
 
     def scenario(self, name: str) -> "Experiment":
         """Run the named scenario: a live preset folded under this
-        builder's explicit settings, an offline search or a phased driver
-        (see :class:`~repro.api.registry.ScenarioSpec`)."""
+        builder's explicit settings, or an offline search (see
+        :class:`~repro.api.registry.ScenarioSpec`)."""
         self._spec.scenario(name)  # fail fast on unknown names
         self._scenario = name
         return self
@@ -537,10 +491,20 @@ class Experiment:
             config.mode = self._mode
             return config
         kwargs = dict(self._cb_kwargs)
-        if "search_budget" not in kwargs and self._spec.search_budget_factory:
-            kwargs["search_budget"] = self._spec.search_budget_factory()
+        kwargs.setdefault("search_budget", self.default_budget())
         kwargs.setdefault("transition", self._spec.transition_factory())
         return CrystalBallConfig(mode=self._mode, **kwargs)
+
+    def default_budget(self) -> SearchBudget:
+        """The prediction budget of a live run that sets none: the system's
+        default, under the bounds the selected scenario declares."""
+        factory = self._spec.search_budget_factory
+        budget = factory() if factory else CrystalBallConfig().search_budget
+        scenario = self._spec.scenarios.get(self._scenario)
+        for bound in ("max_states", "max_depth"):
+            if getattr(scenario, bound, None) is not None:
+                setattr(budget, bound, getattr(scenario, bound))
+        return budget
 
     def _with_preset(self, scenario: ScenarioSpec) -> "Experiment":
         """A copy of this builder with ``scenario`` folded in as defaults.
@@ -549,14 +513,29 @@ class Experiment:
         faults come first and the builder's own are added to them.
         """
         folded = copy.copy(self)
-        if "nodes" not in self._explicit and scenario.nodes is not None:
+        # Its own set: folding may record settings the caller never made.
+        folded._explicit = explicit = set(self._explicit)
+        if scenario.drive is not None:
+            # ``drive`` scripts named roles and ends the run itself.
+            ignored = explicit & {"nodes", "duration", "max_events"}
+            if ignored:
+                warnings.warn(
+                    f"scenario {scenario.name!r} runs a scripted schedule "
+                    f"and ignores these builder settings: {sorted(ignored)}",
+                    UserWarning, stacklevel=3)
+            explicit -= ignored
+        if "nodes" not in explicit and scenario.nodes is not None:
             folded._nodes = scenario.nodes
-        if "duration" not in self._explicit and scenario.duration is not None:
+        if "duration" not in explicit and scenario.duration is not None:
             folded._duration = scenario.duration
-        if "churn" not in self._explicit:
+        if "churn" not in explicit:
             # The named faults are the only adversary, so the schedule
             # reproduces from the seed alone.
             folded._churn_interval = None
+        if "network" not in explicit and scenario.network:
+            folded.network(**scenario.network)
+        if scenario.tick_interval is not None:
+            folded._tick_interval = scenario.tick_interval
         folded._options = {**scenario.options, **self._options}
         scripted = list(scenario.faults)
         if scenario.faults_factory is not None:
@@ -564,32 +543,6 @@ class Experiment:
                                                     folded.addresses()))
         folded._faults = scripted + self._faults
         return folded
-
-    def _scripted_options(self, scenario: ScenarioSpec,
-                          honoured: Sequence[str],
-                          defaults: Mapping[str, Any]) -> dict[str, Any]:
-        """``defaults`` under the builder's options, for a scenario that
-        scripts its own run; whatever else was set explicitly and is not
-        in ``honoured`` is warned about rather than silently dropped."""
-        # mode/seed are reserved: they come from the builder, never options.
-        unknown = set(self._options) - set(defaults)
-        if unknown:
-            raise ValueError(
-                f"unknown option(s) for scenario {scenario.name!r}: "
-                f"{sorted(unknown)} (accepted: {sorted(defaults)}; set mode "
-                f"and seed through the builder, not options)")
-        explicit = set(self._explicit)
-        if self._budget() is not None:
-            explicit.add("budget")
-        if self._fault_seed is not None:
-            explicit.add("fault_seed")
-        ignored = explicit - set(honoured)
-        if ignored:
-            warnings.warn(
-                f"scenario {scenario.name!r} runs a scripted schedule and "
-                f"ignores these builder settings: {sorted(ignored)}",
-                UserWarning, stacklevel=3)
-        return {**defaults, **self._options}
 
     def _budget(self) -> Optional[SearchBudget]:
         """The explicitly configured prediction budget, if any."""
@@ -603,31 +556,34 @@ class Experiment:
         Without a scenario, and for a *live* scenario (folded in as
         defaults first), this is a live deployment driven from the
         builder's fields.  A *search* scenario runs offline consequence
-        prediction and a phased driver its own staged schedule; both take
-        only what they declare and warn about the rest.
+        prediction: it takes the budget and warns about the rest.
         """
         if self._scenario is None:
             return self._run_live()
         scenario = self._spec.scenario(self._scenario)
         if scenario.kind == "live":
-            return self._with_preset(scenario)._run_live()
-        if scenario.kind == "phased":
-            options = self._scripted_options(scenario, scenario.honours,
-                                             scenario.options)
-            # An honoured setting left unset takes the scenario's default.
-            settings = {name: (getattr(self, f"_{name}")
-                               if name in self._explicit
-                               else getattr(scenario, name))
-                        for name in scenario.honours}
-            return scenario.run(mode=self._mode, seed=self._seed, **options,
-                                **settings)
-        defaults = {"fixed": False, "max_states": scenario.max_states,
-                    "max_depth": scenario.max_depth}
+            return self._with_preset(scenario)._run_live(scenario)
+        options = {"fixed": False, "max_states": scenario.max_states,
+                   "max_depth": scenario.max_depth}
         budget = self._budget()
         for bound in ("max_states", "max_depth"):
             if budget is not None and getattr(budget, bound) is not None:
-                defaults[bound] = getattr(budget, bound)
-        options = self._scripted_options(scenario, SEARCH_HONOURS, defaults)
+                options[bound] = getattr(budget, bound)
+        # mode/seed are reserved: they come from the builder, never options.
+        unknown = set(self._options) - set(options)
+        if unknown:
+            raise ValueError(
+                f"unknown option(s) for scenario {scenario.name!r}: "
+                f"{sorted(unknown)} (accepted: {sorted(options)}; set mode "
+                f"and seed through the builder, not options)")
+        options.update(self._options)
+        ignored = self._explicit | (
+            {"fault_seed"} if self._fault_seed is not None else set())
+        if ignored:
+            warnings.warn(
+                f"scenario {scenario.name!r} runs a scripted schedule and "
+                f"ignores these builder settings: {sorted(ignored)}",
+                UserWarning, stacklevel=2)
         if self._mode not in (Mode.OFF, Mode.DEBUG):
             # There is no live execution to steer, so any mode beyond
             # off/debug would silently measure nothing.
@@ -638,15 +594,24 @@ class Experiment:
         return run_search_scenario(self._spec, scenario, seed=self._seed,
                                    **options)
 
-    def _run_live(self) -> RunReport:
+    def _run_live(self, scenario: Optional[ScenarioSpec] = None) -> RunReport:
         """The live deployment: staggered joins, optional churn, faults,
-        workload and CrystalBall, on the selected backend.
+        workload and CrystalBall, on the selected backend.  ``scenario`` is
+        the live scenario already folded into this builder, for the option
+        names it declares and its ``drive`` / ``outcome`` hooks.
 
         The event ordering is part of the contract: seeded runs stay
         reproducible.
         """
         started = time.perf_counter()
         spec = self._spec
+        accepted = set(spec.options) | set(
+            scenario.options if scenario is not None else ())
+        unknown = set(self._options) - accepted
+        if unknown:
+            raise ValueError(
+                f"unknown option(s) for a {spec.name!r} live run: "
+                f"{sorted(unknown)} (accepted: {sorted(accepted)})")
         properties = self.resolved_properties()
         # The protocol configuration gets its own Address objects: checkpoint
         # sizes are pickle sizes, pickle writes a shared object once, and the
@@ -703,14 +668,17 @@ class Experiment:
                         fault.mutator = spec.message_mutator
             nemesis.install(sim)
 
-        if spec.schedule is not None:
-            spec.schedule(sim, addresses, self._options)
-        elif spec.join_call is not None:
-            # Staggered joins: the bootstrap node first, then one node every
-            # ``join_spacing`` seconds.
-            for index, addr in enumerate(addresses):
-                sim.schedule_app(1.0 + index * spec.join_spacing, addr,
-                                 spec.join_call, {})
+        # A scenario's ``drive`` replaces the initial schedule and the run.
+        drive = scenario.drive if scenario is not None else None
+        if drive is None:
+            if spec.schedule is not None:
+                spec.schedule(sim, addresses, self._options)
+            elif spec.join_call is not None:
+                # Staggered joins: the bootstrap node first, then one node
+                # every ``join_spacing`` seconds.
+                for index, addr in enumerate(addresses):
+                    sim.schedule_app(1.0 + index * spec.join_spacing, addr,
+                                     spec.join_call, {})
 
         churn: Optional[ChurnProcess] = None
         if self._churn_interval is not None:
@@ -725,7 +693,10 @@ class Experiment:
             driver = OpenLoopDriver(self._workload, addresses,
                                     seed=self._seed).install(sim)
 
-        sim.run(until=self._duration, max_events=self._max_events)
+        if drive is not None:
+            drive(sim, addresses, self._options)
+        else:
+            sim.run(until=self._duration, max_events=self._max_events)
 
         if nemesis is not None:
             # Strip still-open fault windows so a caller-supplied network
@@ -740,26 +711,34 @@ class Experiment:
             tracer.run_end(sim.now, sim.events_executed)
         obs.close()
 
-        outcome = spec.collect(sim) if spec.collect is not None else {}
-        wire_report = getattr(sim, "wire_report", None)
-        if wire_report is not None:
-            outcome = {**outcome, "wire": wire_report()}
-        return build_run_report(
+        report = RunReport(
             system=spec.name,
             scenario=self._scenario,
-            mode=self._mode,
-            seed=self._seed,
-            sim=sim,
-            controllers=controllers,
-            monitor=monitor,
-            churn_events=churn.events_injected if churn is not None else 0,
-            wall_clock_seconds=time.perf_counter() - started,
-            outcome=outcome,
-            nemesis=nemesis,
-            metrics=obs.metrics,
-            workload=driver.report() if driver is not None else None,
+            mode=self._mode.value,
             backend=self._backend,
+            seed=self._seed,
+            node_count=len(sim.nodes),
+            simulated_seconds=sim.now,
+            churn_events=churn.events_injected if churn is not None else 0,
+            nodes=[NodeReport.from_controller(controllers[addr])
+                   for addr in sorted(controllers)],
+            monitor=monitor.report(),
+            outcome=spec.collect(sim) if spec.collect is not None else {},
+            faults=nemesis.report() if nemesis is not None else {},
+            metrics=(obs.metrics.snapshot() if obs.metrics is not None
+                     else {}),
+            workload=driver.report() if driver is not None else {},
+            simulator=sim,
+            controllers=controllers,
+            live_monitor=monitor,
         )
+        if scenario is not None and scenario.outcome is not None:
+            report.outcome = scenario.outcome(report)
+        wire_report = getattr(sim, "wire_report", None)
+        if wire_report is not None:
+            report.outcome["wire"] = wire_report()
+        report.wall_clock_seconds = time.perf_counter() - started
+        return report
 
     def sweep(self, *,
               seeds: Optional[Sequence[int]] = None,
@@ -801,8 +780,8 @@ class Experiment:
         raise, and other uncarried explicit settings (engine, budget, ...)
         warn instead of silently changing the measurement.  Workers
         collect metrics in every live cell, live scenarios included; a
-        search or phased scenario cell has none.  Any scenario cell keeps
-        its churn default (off) unless churn was set explicitly.
+        search scenario cell has none.  Any scenario cell keeps its churn
+        default (off) unless churn was set explicitly.
         """
         from ..campaign import CampaignSpec, run_campaign
         from ..campaign.spec import AXES, RunSpec, scenario_kind

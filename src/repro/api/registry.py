@@ -49,19 +49,25 @@ class ScenarioSpec:
 
     A *live* scenario is a builder preset: ``faults`` (preset names or
     instances) plus whatever ``faults_factory(duration, addresses)`` adds
-    for faults that target specific members, with ``nodes``, ``duration``
-    and ``options`` as defaults.  ``Experiment.run()`` folds them under
-    the builder's explicit settings — churn off unless asked for, so the
-    named faults are the only adversary — and takes the ordinary live
-    path, so every builder setting applies.
+    for faults that target specific members, with ``nodes``, ``duration``,
+    ``options``, ``network`` (the ``rtt`` / ``jitter`` / ``loss`` /
+    ``rst_loss`` scalars of ``Experiment.network``), ``tick_interval`` and
+    the ``max_states`` / ``max_depth`` of the prediction budget as
+    defaults.  ``Experiment.run()`` folds them under the builder's
+    explicit settings — churn off unless asked for, so the named faults
+    are the only adversary — and takes the ordinary live path, so every
+    builder setting applies.  The keys of ``options`` are also the option
+    names the scenario accepts on top of the system's.
 
-    The phased drivers (Paxos Figure 13, the Bullet' download) run the
-    simulator in stages and keep a ``run(mode=, seed=, **settings)``
-    callable.  They *declare* what they take: ``honours`` names which of
-    the builder's ``nodes`` and ``duration`` are passed in as keywords
-    (with this spec's ``nodes`` / ``duration`` as their defaults), and
-    ``options`` holds the accepted option names with their defaults.
-    Explicit settings outside ``honours`` are warned about.
+    Two hooks let a live scenario script more than faults.
+    ``drive(backend, addresses, options)`` replaces the default "schedule
+    the joins, run until ``duration``": it stages the deployment itself
+    (Paxos Figure 13 partitions, proposes, heals and proposes again) and
+    decides when the run ends, so an explicit ``nodes``, ``duration`` or
+    ``max_events`` is the one thing such a scenario warns about.
+    ``outcome(report)`` returns the finished run's ``RunReport.outcome``
+    — the system's ``collect`` result is already on ``report`` — so a
+    scenario can add its own verdict keys.
     """
 
     name: str
@@ -76,14 +82,14 @@ class ScenarioSpec:
     nodes: Optional[int] = None
     duration: Optional[float] = None
     options: Mapping[str, Any] = field(default_factory=dict)
-    run: Optional[Callable[..., Any]] = None
-    honours: tuple[str, ...] = ()
+    network: Mapping[str, float] = field(default_factory=dict)
+    tick_interval: Optional[float] = None
+    drive: Optional[Callable[..., None]] = None
+    outcome: Optional[Callable[..., dict]] = None
 
     @property
     def kind(self) -> str:
-        """``"phased"``, ``"search"`` or ``"live"``, from the fields set."""
-        if self.run is not None:
-            return "phased"
+        """``"search"`` or ``"live"``, from the fields set."""
         return "search" if self.build is not None else "live"
 
 
@@ -103,6 +109,10 @@ class SystemSpec:
     #: hold more ids under the namespace than ``properties`` checks by
     #: default — opt-in liveness properties, for example.
     property_namespace: Optional[str] = None
+    #: Option names a live run of this system accepts (a scenario may
+    #: declare more); anything else is rejected before the run starts, so
+    #: a typo'd option fails loudly instead of being silently dropped.
+    options: tuple[str, ...] = ()
     #: Factory (not an instance) so no two experiments share mutable config.
     transition_factory: Callable[[], TransitionConfig] = TransitionConfig
     scenarios: Mapping[str, ScenarioSpec] = field(default_factory=dict)
@@ -184,21 +194,6 @@ def _ensure_builtins() -> None:
     _builtins_loaded = True
     for module in _BUILTIN_SPEC_MODULES:
         importlib.import_module(module)
-
-
-def check_options(system: str, options: Mapping[str, Any],
-                  allowed: Sequence[str]) -> None:
-    """Reject unknown live-run option keys instead of silently ignoring them.
-
-    Called by the bundled protocol factories so a typo'd option
-    (``fix_recoverytimer=True``) fails loudly rather than running the
-    experiment with the option silently dropped.
-    """
-    unknown = set(options) - set(allowed)
-    if unknown:
-        raise ValueError(
-            f"unknown option(s) for a {system!r} live run: "
-            f"{sorted(unknown)} (accepted: {sorted(allowed)})")
 
 
 def register_system(spec: SystemSpec, *, replace: bool = False) -> SystemSpec:

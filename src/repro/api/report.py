@@ -1,8 +1,7 @@
 """The structured result of every experiment: :class:`RunReport`.
 
-One report shape replaces the ad-hoc result types the entry paths used to
-return (``WorkloadResult``, ``PaxosRunResult``, bare ``report()`` dicts).
-It carries the full per-node controller statistics surface, the live
+One report shape for every entry path — a live run, a live scenario, an
+offline search.  It carries the full per-node controller statistics surface, the live
 monitor's counts, predicted-vs-avoided accounting and system-specific
 outcome fields, and serializes to JSON via
 :func:`repro.analysis.reporting.to_jsonable`.

@@ -51,9 +51,13 @@ class ExecutionBackend(TypingProtocol):
 
     Structural (a :class:`typing.Protocol`): :class:`Simulator` satisfies it
     unchanged, and so does anything else exposing this surface.  The
-    attributes below are the complete set the CrystalBall stack touches —
-    a new backend that provides them hosts the whole product (controllers,
-    steering, properties, faults, workloads) without modification.
+    attributes below are the complete set the CrystalBall stack touches
+    (``tests/backends/test_protocol_surface.py`` holds every ``sim`` /
+    ``backend`` parameter above the runtime to it) — a new backend that
+    provides them hosts the whole product (controllers, steering,
+    properties, faults, churn, workloads, scenario drives) without
+    modification.  ``wire_report()`` is the one optional member: a backend
+    with a real wire adds its accounting to ``RunReport.outcome``.
     """
 
     now: float
@@ -62,9 +66,14 @@ class ExecutionBackend(TypingProtocol):
     rng: Any
     obs: Any
     observers: list
+    #: the :class:`~repro.runtime.network.NetworkModel` faults reshape.
+    network: Any
+    events_executed: int
 
     # -- topology ----------------------------------------------------------
     def add_node(self, addr: Address, *, start: bool = True) -> SimNode: ...
+    def crash_node(self, addr: Address) -> None: ...
+    def revive_node(self, addr: Address) -> None: ...
     def attach_hook(self, addr: Address, hook: NodeHook) -> None: ...
     def add_observer(
         self, observer: Callable[[Any, SimNode, Event], None]) -> None: ...
@@ -86,6 +95,7 @@ class ExecutionBackend(TypingProtocol):
     def run(self, *, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None: ...
     def node_states(self) -> dict[Address, tuple[Any, frozenset[str]]]: ...
+    def total_service_bytes(self) -> int: ...
 
 
 #: name -> backend class; populated by the sim/tcp modules at import time.

@@ -72,9 +72,9 @@ def run_one(run: RunSpec) -> RunReport:
         if axis.apply is not None and getattr(run, axis.cell) != axis.default:
             axis.apply(experiment, run)
     # Deployment settings go through the builder for scenario cells too: a
-    # live scenario is a preset folded under them, and a search or phased
-    # scenario warns about what it cannot honor, so a sweep never silently
-    # measures something else than .run() would.
+    # live scenario is a preset folded under them, and a search scenario
+    # warns about what it cannot honor, so a sweep never silently measures
+    # something else than .run() would.
     if run.nodes is not None:
         experiment.nodes(run.nodes)
     if run.duration is not None:
@@ -94,8 +94,7 @@ def run_one(run: RunSpec) -> RunReport:
         experiment.options(**dict(run.options))
     # Metrics are always on for live cells, live scenarios included:
     # counters are deterministic and feed the aggregate's metrics rollup
-    # (cheap — no tracing).  A search or phased scenario has no registry to
-    # read.
+    # (cheap — no tracing).  A search scenario has no registry to read.
     if scenario_kind(run.system, run.scenario) == "live":
         experiment.metrics(True)
     return experiment.run()

@@ -110,9 +110,8 @@ class Axis:
     in_aggregate: bool = True
     #: ``check(value, systems)`` raises for a value no registry knows.
     check: Optional[Callable[[Any, Sequence[str]], Any]] = None
-    #: refusal raised when a non-default value meets a search or phased
-    #: scenario (which would silently ignore it while still labelling the
-    #: records).
+    #: refusal raised when a non-default value meets a search scenario
+    #: (which would silently ignore it while still labelling the records).
     live_only: Optional[str] = None
     #: ``apply(experiment, run)`` carries a non-default cell value into the
     #: worker's builder.
@@ -433,7 +432,7 @@ class CampaignSpec:
         swept = {axis.field for axis in AXES
                  if any(value != axis.default for value in values[axis.field])}
         # A live scenario is a preset of the live path and takes every
-        # axis; a search or phased one scripts its own run.
+        # axis; a search has no deployment to apply them to.
         scripted = any(scenario_kind(system, name) != "live"
                        for name in values["scenarios"] for system in systems)
         for axis in AXES:

@@ -302,6 +302,8 @@ class CrystalBallController:
             self._pending_gather, local, at_time=sim.now)
         if self._pending_gather.missing or self._pending_gather.negative:
             self.stats.incomplete_snapshots += 1
+            if sim.obs.metrics is not None:
+                sim.obs.metrics.inc("controller.incomplete_snapshots")
         # A neighbour that did not answer (partition, failure) is stood in
         # for by the most recent checkpoint previously received from it:
         # slightly stale state is preferable to a blind spot, and the paper
@@ -316,8 +318,6 @@ class CrystalBallController:
         self.stats.snapshots_collected += 1
         if sim.obs.metrics is not None:
             sim.obs.metrics.inc("controller.snapshots_collected")
-            if snapshot.missing:
-                sim.obs.metrics.inc("controller.incomplete_snapshots")
         if sim.obs.tracer is not None:
             sim.obs.tracer.snapshot(
                 sim.now, node.addr, snapshot.checkpoint_number,

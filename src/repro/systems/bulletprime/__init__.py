@@ -11,7 +11,7 @@ from .protocol import (
     BulletConfig,
     BulletPrime,
 )
-from .scenarios import DownloadResult, DownloadScenario, build_mesh
+from .scenarios import build_mesh
 from .state import BulletState
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "REQUEST_TIMER",
     "BulletConfig",
     "BulletPrime",
-    "DownloadResult",
-    "DownloadScenario",
     "build_mesh",
     "BulletState",
 ]

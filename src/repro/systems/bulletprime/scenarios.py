@@ -1,19 +1,11 @@
-"""Bullet' workloads: mesh construction and the Figure 17 download scenario."""
+"""Bullet' mesh construction."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Sequence
 
-from ...core.controller import CrystalBallConfig, Mode, attach_crystalball
-from ...mc.search import SearchBudget
-from ...mc.transition import TransitionConfig
-from ...runtime.address import Address, make_addresses
-from ...runtime.network import NetworkModel
-from ...runtime.simulator import Simulator
-from .properties import ALL_PROPERTIES
-from .protocol import BulletConfig, BulletPrime
+from ...runtime.address import Address
 
 
 def build_mesh(addresses: Sequence[Address], *, degree: int = 4,
@@ -47,115 +39,3 @@ def build_mesh(addresses: Sequence[Address], *, degree: int = 4,
             peers[addr].add(other)
             peers[other].add(addr)
     return {addr: tuple(sorted(members)) for addr, members in peers.items()}
-
-
-@dataclass
-class DownloadResult:
-    """Outcome of one Bullet' download run (one CDF series of Figure 17)."""
-
-    completion_times: dict[Address, float]
-    duration: float
-    nodes_completed: int
-    total_nodes: int
-    checkpoint_bytes: int
-    service_bytes: int
-
-    def completion_fraction(self) -> float:
-        if self.total_nodes == 0:
-            return 0.0
-        return self.nodes_completed / self.total_nodes
-
-    def sorted_times(self) -> list[float]:
-        return sorted(self.completion_times.values())
-
-
-@dataclass
-class DownloadScenario:
-    """The Figure 17 experiment: N nodes download a file from one source."""
-
-    node_count: int = 16
-    block_count: int = 64
-    block_size: int = 4096
-    mesh_degree: int = 4
-    crystalball_mode: Mode = Mode.OFF
-    fix_shadow_map: bool = True
-    seed: int = 0
-    max_time: float = 400.0
-
-    def run(self) -> DownloadResult:
-        _, _, result = self._execute()
-        return result
-
-    def run_report(self):
-        """Run the download and return a :class:`repro.api.RunReport`."""
-        import time
-
-        from ...api.experiment import build_run_report
-
-        started = time.perf_counter()
-        sim, pieces, result = self._execute()
-        return build_run_report(
-            system="bulletprime",
-            scenario="download",
-            mode=self.crystalball_mode,
-            seed=self.seed,
-            sim=sim,
-            controllers=pieces["controllers"],
-            monitor=pieces["monitor"],
-            wall_clock_seconds=time.perf_counter() - started,
-            outcome={
-                "nodes_completed": result.nodes_completed,
-                "total_nodes": result.total_nodes,
-                "completion_fraction": result.completion_fraction(),
-                "completion_times": {str(addr): when for addr, when
-                                     in result.completion_times.items()},
-                "duration": result.duration,
-                "checkpoint_bytes": result.checkpoint_bytes,
-                "service_bytes": result.service_bytes,
-            },
-        )
-
-    def _execute(self):
-        addresses = make_addresses(self.node_count, start=1)
-        source = addresses[0]
-        mesh = build_mesh(addresses, degree=self.mesh_degree, seed=self.seed)
-        config = BulletConfig(source=source, mesh=mesh,
-                              block_count=self.block_count,
-                              block_size=self.block_size,
-                              fix_shadow_map=self.fix_shadow_map)
-        network = NetworkModel(default_rtt=0.13)
-        sim = Simulator(lambda: BulletPrime(config), network, seed=self.seed,
-                        tick_interval=10.0)
-        for addr in addresses:
-            sim.add_node(addr)
-
-        controllers = {}
-        if self.crystalball_mode is not Mode.OFF:
-            cb_config = CrystalBallConfig(
-                mode=self.crystalball_mode,
-                search_budget=SearchBudget(max_states=200, max_depth=4),
-                transition=TransitionConfig(enable_resets=False),
-                immediate_check=False,
-            )
-            controllers = attach_crystalball(sim, ALL_PROPERTIES, config=cb_config)
-
-        sim.run(until=self.max_time, max_events=400_000)
-
-        completion: dict[Address, float] = {}
-        for addr in addresses:
-            state = sim.nodes[addr].state
-            if state.completed_at is not None:
-                completion[addr] = state.completed_at
-            elif state.is_source:
-                completion[addr] = 0.0
-        checkpoint_bytes = sum(ctrl.stats.checkpoint_bytes_sent
-                               for ctrl in controllers.values())
-        result = DownloadResult(
-            completion_times=completion,
-            duration=sim.now,
-            nodes_completed=len(completion),
-            total_nodes=len(addresses),
-            checkpoint_bytes=checkpoint_bytes,
-            service_bytes=sim.total_service_bytes(),
-        )
-        return sim, {"controllers": controllers, "monitor": None}, result

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from ...api.registry import (
-    ScenarioSpec,
-    SystemSpec,
-    check_options,
-    register_system,
-)
+from ...api.registry import ScenarioSpec, SystemSpec, register_system
 from ...mc.search import SearchBudget
 from ...mc.transition import TransitionConfig
 from ...runtime.address import Address
@@ -26,8 +21,6 @@ _CONFIG_OPTIONS = ("id_bits", "successor_list_size", "join_retry_period",
 
 def _protocol_factory(addresses: Sequence[Address],
                       options: Mapping[str, Any]):
-    check_options("chord", options,
-                  _CONFIG_OPTIONS + ("fixed", "bootstrap_index"))
     kwargs = {name: options[name] for name in _CONFIG_OPTIONS
               if name in options}
     if options.get("fixed"):
@@ -47,6 +40,7 @@ SPEC = register_system(SystemSpec(
     name="chord",
     summary="Chord DHT (Section 5.2.2): ring stabilization inconsistencies",
     protocol_factory=_protocol_factory,
+    options=_CONFIG_OPTIONS + ("fixed", "bootstrap_index"),
     properties=tuple(ALL_PROPERTIES),
     property_namespace="chord",
     transition_factory=lambda: TransitionConfig(enable_resets=True,

@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from ...api.registry import (
-    ScenarioSpec,
-    SystemSpec,
-    check_options,
-    register_system,
-)
+from ...api.registry import ScenarioSpec, SystemSpec, register_system
 from ...mc.search import SearchBudget
 from ...mc.transition import TransitionConfig
 from ...runtime.address import Address
@@ -24,7 +19,6 @@ _CONFIG_OPTIONS = ("sync_period", "lww")
 
 def _protocol_factory(addresses: Sequence[Address],
                       options: Mapping[str, Any]):
-    check_options("crdtset", options, _CONFIG_OPTIONS + ("fixed",))
     lww = bool(options.get("lww", False)) and not options.get("fixed")
     kwargs = {}
     if "sync_period" in options:
@@ -86,6 +80,7 @@ SPEC = register_system(SystemSpec(
     summary="Op-based OR-Set + PN-Counter replicas with anti-entropy "
             "(MET-style CRDT target)",
     protocol_factory=_protocol_factory,
+    options=_CONFIG_OPTIONS + ("fixed",),
     properties=tuple(ALL_PROPERTIES),
     property_namespace="crdtset",
     transition_factory=lambda: TransitionConfig(enable_resets=False),

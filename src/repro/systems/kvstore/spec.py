@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from ...api.registry import (
-    ScenarioSpec,
-    SystemSpec,
-    check_options,
-    register_system,
-)
+from ...api.registry import ScenarioSpec, SystemSpec, register_system
 from ...mc.search import SearchBudget
 from ...mc.transition import TransitionConfig
 from ...runtime.address import Address
@@ -25,7 +20,6 @@ _CONFIG_OPTIONS = ("read_quorum", "write_quorum", "optimistic",
 
 def _protocol_factory(addresses: Sequence[Address],
                       options: Mapping[str, Any]):
-    check_options("kvstore", options, _CONFIG_OPTIONS + ("fixed",))
     majority = len(addresses) // 2 + 1
     optimistic = bool(options.get("optimistic", False)) \
         and not options.get("fixed")
@@ -82,6 +76,7 @@ SPEC = register_system(SystemSpec(
     summary="Quorum-replicated KV store with optimistic execution: "
             "session-guarantee staleness under partitions",
     protocol_factory=_protocol_factory,
+    options=_CONFIG_OPTIONS + ("fixed",),
     properties=tuple(ALL_PROPERTIES),
     property_namespace="kvstore",
     transition_factory=lambda: TransitionConfig(enable_resets=False),

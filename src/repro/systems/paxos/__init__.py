@@ -7,7 +7,6 @@ from .properties import (
     LOCAL_AGREEMENT,
 )
 from .protocol import ACCEPT, LEARN, PREPARE, PROMISE, PROPOSE_TIMER, Paxos, PaxosConfig
-from .scenarios import Figure13Scenario, PaxosRunResult
 from .state import NO_ROUND, PaxosState
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "ALL_PROPERTIES",
     "AT_MOST_ONE_VALUE_CHOSEN",
     "LOCAL_AGREEMENT",
-    "Figure13Scenario",
-    "PaxosRunResult",
     "NO_ROUND",
     "PaxosState",
 ]

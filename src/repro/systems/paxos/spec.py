@@ -6,12 +6,7 @@ import random
 from dataclasses import replace
 from typing import Any, Mapping, Optional, Sequence
 
-from ...api.registry import (
-    ScenarioSpec,
-    SystemSpec,
-    check_options,
-    register_system,
-)
+from ...api.registry import ScenarioSpec, SystemSpec, register_system
 from ...faults.types import CrashRestart, MessageDelay
 from ...mc.search import SearchBudget
 from ...mc.transition import TransitionConfig
@@ -20,16 +15,10 @@ from ...runtime.messages import Message
 from ...workload import TrafficSpec, WorkloadSpec
 from .properties import ALL_PROPERTIES
 from .protocol import Paxos, PaxosConfig
-from .scenarios import Figure13Scenario
-
-
-#: Options accepted by generic (non-scenario) Paxos live runs.
-_LIVE_OPTIONS = ("bug", "value0", "value1", "second_round_at")
 
 
 def _protocol_factory(addresses: Sequence[Address],
                       options: Mapping[str, Any]):
-    check_options("paxos", options, _LIVE_OPTIONS)
     bug = int(options.get("bug", 0))
     config = PaxosConfig(peers=tuple(addresses),
                          inject_bug1=bug == 1,
@@ -95,17 +84,64 @@ def _message_mutator(message: Message, rng: random.Random,
 
 
 def _figure13(bug: int, description: str) -> ScenarioSpec:
-    """A phased driver: three scripted nodes on its own network and tick
-    interval, so it honours no deployment setting of the builder."""
+    """The fault-injection schedule of Figure 13 (Section 5.4.2), repeated
+    for the steering results of Figure 14.
 
-    def run(*, mode, seed, **options):
-        return Figure13Scenario(bug=bug, crystalball_mode=mode, seed=seed,
-                                **options).run_report()
+    Three nodes A, B, C each play all Paxos roles.  Round 1: C is
+    disconnected and A gets value 0 chosen with the help of B.  Between the
+    rounds C becomes reachable again — a short window in which checkpoints
+    can be exchanged — and then A is disconnected; for ``bug2`` node B
+    additionally resets (``reset_b``).  Round 2: the second leader (B for
+    ``bug1``, C for ``bug2``) proposes value 1 ``inter_round_delay``
+    seconds later.  With the injected bug the run chooses two different
+    values unless execution steering or the immediate safety check
+    prevents it.
+    """
+
+    def drive(sim, addresses: Sequence[Address],
+              options: Mapping[str, Any]) -> None:
+        a, b, c = addresses
+        second_leader = b if bug == 1 else c
+        sim.network.isolate(c, [a, b])
+        sim.schedule_app(1.0, a, "propose", {"value": 0})
+        # The client submits the value for the second round early, so the
+        # intent is part of the leader's checkpointed state.
+        sim.schedule_app(2.0, second_leader, "submit", {"value": 1})
+        sim.run(until=10.0)
+
+        # B resets right at the start of the reconnect window, so its
+        # (lost) acceptor state is what the neighbourhood snapshots see.
+        sim.network.heal_all()
+        delay = options["inter_round_delay"]
+        reconnect_window = min(8.0, max(2.0, delay / 2))
+        sim.schedule_at(sim.now + reconnect_window,
+                        lambda s: s.network.isolate(a, [b, c]))
+        if options["reset_b"]:
+            sim.schedule_reset(sim.now + 1.0, b)
+        start_second = sim.now + max(delay, reconnect_window + 2.0)
+        sim.schedule_app(start_second, second_leader, "propose", {"value": 1})
+        sim.run(until=start_second + 40.0)
+
+    def outcome(report) -> dict:
+        chosen = report.outcome["chosen_values"]
+        violated = len(chosen) > 1 or report.live_inconsistent_states() > 0
+        steered = report.total_filter_triggers() > 0
+        return {
+            "bug": bug,
+            "violation_occurred": violated,
+            "chosen_values": chosen,
+            "avoided_by_steering": not violated and steered,
+            "avoided_by_isc": (not violated and not steered
+                               and report.total_isc_blocks() > 0),
+        }
 
     return ScenarioSpec(
-        name=f"figure13-bug{bug}", description=description, run=run,
-        options={"inter_round_delay": 30.0, "reset_b": None},
-        build=lambda **kw: Figure13Scenario(bug=bug, **kw))
+        name=f"figure13-bug{bug}", description=description,
+        nodes=3, max_states=1500, max_depth=12, tick_interval=3.0,
+        network={"rtt": 0.05, "jitter": 0.0, "rst_loss": 0.0},
+        # bug2 is exposed by resetting node B between the rounds.
+        options={"bug": bug, "inter_round_delay": 30.0, "reset_b": bug == 2},
+        drive=drive, outcome=outcome)
 
 
 def _make_submission(rng, key, addresses):
@@ -118,6 +154,7 @@ SPEC = register_system(SystemSpec(
     name="paxos",
     summary="Single-instance Paxos (Section 5.4.2): injected consensus bugs",
     protocol_factory=_protocol_factory,
+    options=("bug", "value0", "value1", "second_round_at"),
     properties=tuple(ALL_PROPERTIES),
     property_namespace="paxos",
     transition_factory=lambda: TransitionConfig(enable_resets=False),

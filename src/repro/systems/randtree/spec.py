@@ -4,12 +4,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping, Sequence
 
-from ...api.registry import (
-    ScenarioSpec,
-    SystemSpec,
-    check_options,
-    register_system,
-)
+from ...api.registry import ScenarioSpec, SystemSpec, register_system
 from ...mc.search import SearchBudget
 from ...mc.transition import TransitionConfig
 from ...runtime.address import Address
@@ -26,8 +21,6 @@ _CONFIG_OPTIONS = ("max_children", "join_retry_period", "recovery_period",
 
 def _protocol_factory(addresses: Sequence[Address],
                       options: Mapping[str, Any]):
-    check_options("randtree", options,
-                  _CONFIG_OPTIONS + ("fixed", "bootstrap_index"))
     kwargs = {name: options[name] for name in _CONFIG_OPTIONS
               if name in options}
     if options.get("fixed"):
@@ -51,6 +44,7 @@ SPEC = register_system(SystemSpec(
     name="randtree",
     summary="Random overlay tree (Section 1.2): the paper's running example",
     protocol_factory=_protocol_factory,
+    options=_CONFIG_OPTIONS + ("fixed", "bootstrap_index"),
     properties=tuple(ALL_PROPERTIES),
     property_namespace="randtree",
     transition_factory=lambda: TransitionConfig(enable_resets=True,

@@ -1,12 +1,11 @@
-"""The fluent Experiment builder: determinism at equal seeds, equivalence
-with the scripted scenario drivers, and validation of builder settings."""
+"""The fluent Experiment builder: determinism at equal seeds and validation
+of builder settings."""
 
 import pytest
 
 from repro.api import Experiment, get_system
 from repro.core import CrystalBallConfig, Mode
 from repro.mc import SearchBudget
-from repro.systems.paxos import Figure13Scenario
 
 
 def _builder_randtree(seed):
@@ -28,21 +27,6 @@ def test_builder_is_deterministic_across_runs():
     second = _builder_randtree(seed=3)
     assert first.totals() == second.totals()
     assert first.monitor == second.monitor
-
-
-def test_paxos_scenario_matches_legacy_driver():
-    legacy = Figure13Scenario(bug=1, inter_round_delay=15.0,
-                              crystalball_mode=Mode.OFF, seed=21).run()
-    report = (Experiment("paxos")
-              .scenario("figure13-bug1")
-              .mode(Mode.OFF)
-              .seed(21)
-              .options(inter_round_delay=15.0)
-              .run())
-    assert report.outcome["violation_occurred"] == legacy.violation_occurred
-    assert report.outcome["chosen_values"] == sorted(legacy.chosen_values)
-    assert report.system == "paxos"
-    assert report.scenario == "figure13-bug1"
 
 
 def test_ticks_convert_to_duration_via_tick_interval():
@@ -104,7 +88,7 @@ def test_run_does_not_mutate_caller_config():
 
 
 def test_scenario_run_warns_when_nodes_cannot_be_honored():
-    # The Figure 13 runner scripts its own three-node deployment.
+    # Figure 13's drive scripts three named roles.
     experiment = (Experiment("paxos").scenario("figure13-bug1")
                   .nodes(5).options(inter_round_delay=10.0))
     with pytest.warns(UserWarning, match="nodes"):

@@ -18,6 +18,7 @@ import pytest
 
 import repro.campaign
 from repro.api import Experiment, get_system
+from repro.api.cli import _configure_run, build_parser
 from repro.campaign import RunSpec
 from repro.core.controller import CheckingPolicy
 from repro.mc.search import SearchBudget
@@ -168,21 +169,46 @@ def test_a_search_scenario_honours_the_budget_and_nothing_else():
         experiment.faults(seed=3).run()
 
 
-def test_a_phased_driver_takes_what_it_declares():
-    download = Experiment("bulletprime").spec.scenario("download")
-    assert download.kind == "phased"
-    assert download.honours == ("nodes", "duration")
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        report = (Experiment("bulletprime").scenario("download").nodes(5)
-                  .duration(150.0).options(block_count=4).run())
-    assert not record
-    assert report.node_count == 5
-    assert report.outcome["duration"] <= 150.0
-    with pytest.warns(UserWarning, match=r"ignores .*\['budget', 'network'\]"):
-        (Experiment("bulletprime").scenario("download").options(block_count=4)
-         .network(rtt=0.2)
-         .crystalball("off", budget=SearchBudget(max_states=10)).run())
+def test_a_former_driver_takes_every_builder_setting():
+    """Figure 13 and the Bullet' download once built their own deployments
+    and dropped most of the builder; they are live presets now."""
+    assert {get_system(system).scenario(name).kind
+            for system, name in (("paxos", "figure13-bug1"),
+                                 ("paxos", "figure13-bug2"),
+                                 ("bulletprime", "download"))} == {"live"}
+
+    def download(configure=lambda experiment: experiment):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            report = configure(
+                Experiment("bulletprime").scenario("download").nodes(5)
+                .duration(150.0).options(block_count=4)).run()
+        assert not record
+        return report
+
+    preset = download()
+    assert preset.node_count == 5
+    assert preset.outcome["duration"] <= 150.0
+    assert preset.simulator.network.default_rtt == 0.13, "the scenario's"
+    slow = download(lambda experiment: experiment.network(rtt=0.2))
+    assert slow.simulator.network.default_rtt == 0.2
+    assert (max(slow.outcome["completion_times"].values())
+            > max(preset.outcome["completion_times"].values()))
+    budgeted = download(lambda experiment: experiment.crystalball(
+        "debug", budget=SearchBudget(max_states=10, max_depth=2)))
+    assert {controller.config.search_budget.max_states
+            for controller in budgeted.controllers.values()} == {10}
+    assert budgeted.total("model_checker_runs") > 0
     with pytest.raises(ValueError, match="unknown option.*node_count"):
         (Experiment("bulletprime").scenario("download")
          .options(node_count=5).run())
+
+    # Figure 13's budget is the scenario's unless one is set, and one bound
+    # on the command line keeps the scenario's other bound.
+    figure13 = Experiment("paxos").scenario("figure13-bug1")
+    assert (figure13.default_budget().max_states,
+            figure13.default_budget().max_depth) == (1500, 12)
+    budget = _configure_run(build_parser().parse_args(
+        ["run", "paxos", "--scenario", "figure13-bug1",
+         "--max-states", "50"]))._budget()
+    assert (budget.max_states, budget.max_depth) == (50, 12)

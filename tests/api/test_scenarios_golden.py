@@ -1,9 +1,10 @@
 """Every registered scenario's report is pinned, through every front door.
 
 ``tests/_golden/scenario_reports.json`` holds ``RunReport.to_dict()`` of all
-22 registered scenarios at seed 1 in mode ``off`` — the 7 offline searches,
-the 12 live fault scenarios and the 3 phased drivers — plus mode
-``steering`` for four live scenarios, with the wall-clock fields stripped.
+22 registered scenarios at seed 1 in mode ``off`` — the 7 offline searches
+and the 15 live presets (12 fault scenarios, Paxos Figure 13 twice, the
+Bullet' download) — plus mode ``steering`` for four live scenarios, with
+the wall-clock fields stripped.
 A scenario is a preset folded into the builder, so the same bytes must come
 out of the builder, of ``python -m repro run --scenario`` and of a one-cell
 campaign.  Every cell is pinned through the CLI, which drives the builder;

@@ -71,10 +71,12 @@ def test_sim_report_omits_backend_field_in_serialized_form():
 
 
 @pytest.mark.parametrize("system, scenario", [
-    ("randtree", "partition-recovery"), ("kvstore", "quorum-partition")])
+    ("randtree", "partition-recovery"), ("kvstore", "quorum-partition"),
+    ("paxos", "figure13-bug1"), ("bulletprime", "download")])
 def test_a_live_scenario_runs_over_tcp_to_the_same_states(system, scenario):
     """A scenario is a preset of the one live path, so it takes the backend
-    like any other setting: same faults, same violations, same states."""
+    like any other setting: same faults, same violations, same states —
+    Figure 13's two-stage drive and its verdict included."""
     sim_report = Experiment(system).scenario(scenario).seed(1).run()
     tcp_report = (Experiment(system).scenario(scenario).seed(1)
                   .backend("tcp").run())
@@ -82,7 +84,9 @@ def test_a_live_scenario_runs_over_tcp_to_the_same_states(system, scenario):
     assert tcp_report.scenario == scenario
     _assert_equivalent(sim_report, tcp_report)
     assert tcp_report.faults == sim_report.faults
-    assert tcp_report.faults_injected() > 0
-    wire = tcp_report.outcome["wire"]
+    if sim_report.faults:
+        assert tcp_report.faults_injected() > 0
+    wire = tcp_report.outcome.pop("wire")
+    assert tcp_report.outcome == sim_report.outcome
     assert wire["frames_sent"] > 0
     assert wire["fallback_local"] == 0

@@ -106,6 +106,9 @@ MATRICES = {
     "cli-live-scenario-is-a-live-cell": lambda: _cli(
         *_axes("systems=randtree", "scenarios=partition-recovery",
                "presets=delay", "seeds=1", "backends=tcp")),
+    "cli-figure13-is-a-live-cell": lambda: _cli(
+        *_axes("systems=paxos", "scenarios=figure13-bug1",
+               "presets=delay", "seeds=1", "backends=tcp")),
     "spec-every-axis": lambda: CampaignSpec(
         systems=("chord", "kvstore"),
         scenarios=(None,),

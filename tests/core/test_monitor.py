@@ -188,6 +188,21 @@ def test_monitor_handles_mixed_state_types_in_global_state():
         "chord properties must not fire on RandTree state")
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the live monitor is blind to in-flight messages: `__call__` builds its "
+    "`GlobalState` without `inflight`, although `bullet.file_map_consistency` "
+    "and `kvstore.quorum_intersection` are defined modulo in-flight copies. "
+    "A default, fixed-protocol `Experiment(\"bulletprime\").seed(4).run()` "
+    "books 344 `inconsistent_states` in 37 episodes (0 with "
+    "`sim.inflight_messages()` passed), the goldens pin 231 such states for "
+    "`mesh-partition` and `slow-links`, and `download` books 339 at seed 1. "
+    "The one-line fix moves the `state_digest` of every pinned episode, so "
+    "it is the next correctness PR (ROADMAP correctness item 7)"))
+def test_a_fixed_protocol_raises_no_false_alarm_over_inflight_messages():
+    report = Experiment("bulletprime").seed(4).run()
+    assert report.live_inconsistent_states() == 0
+
+
 # -------------------------------------------------------------------- liveness
 
 

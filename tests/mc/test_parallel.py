@@ -20,7 +20,7 @@ from repro.mc import (
     make_engine,
     run_portfolio,
 )
-from repro.runtime import Address
+from repro.runtime import Address, make_addresses
 from repro.systems import bulletprime, chord, paxos, randtree
 from repro.systems.bulletprime.protocol import DIFF_TIMER, REQUEST_TIMER
 
@@ -42,9 +42,9 @@ def _chord_case():
 
 
 def _paxos_case():
-    scenario = paxos.Figure13Scenario(bug=1)
-    protocol = scenario.build_protocol()
-    a, b, c = scenario.addresses
+    a, b, c = make_addresses(3)
+    protocol = paxos.Paxos(paxos.PaxosConfig(peers=(a, b, c),
+                                             inject_bug1=True))
     states = {addr: protocol.initial_state(addr) for addr in (a, b, c)}
     states[a].pending_proposal = 0
     states[b].pending_proposal = 1
