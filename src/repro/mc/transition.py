@@ -10,8 +10,8 @@ runtime executes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from ..runtime.address import Address
 from ..runtime.context import HandlerContext
@@ -25,7 +25,7 @@ from ..runtime.events import (
 )
 from ..runtime.messages import Message
 from ..runtime.protocol import Protocol
-from .global_state import ErrorNotification, GlobalState, NodeLocal
+from .global_state import ErrorNotification, GlobalState
 
 
 @dataclass
@@ -53,6 +53,17 @@ class TransitionConfig:
 
 #: Seed of the RNG handed to handlers, so searches are reproducible.
 HANDLER_RNG_SEED = 0
+
+
+class _HandlerRng:
+    """``random.Random(HANDLER_RNG_SEED)``, built and seeded when a handler
+    first reads it: every transition gets a context, few handlers draw."""
+
+    def __getattr__(self, name: str):
+        rng = self.__dict__.get("_rng")
+        if rng is None:
+            rng = self.__dict__["_rng"] = random.Random(HANDLER_RNG_SEED)
+        return getattr(rng, name)
 
 
 class TransitionSystem:
@@ -100,13 +111,12 @@ class TransitionSystem:
     def apply(self, state: GlobalState, event: Event) -> GlobalState:
         """Return the successor of ``state`` after executing ``event``."""
         if isinstance(event, MessageEvent):
-            return self._apply_message(state, event)
+            return self._run_handler(state, event, consumed_message=event.message)
         if isinstance(event, ConnectionErrorEvent):
-            return self._apply_connection_error(state, event)
-        if isinstance(event, TimerEvent):
-            return self._apply_timer(state, event)
-        if isinstance(event, AppEvent):
-            return self._apply_app(state, event)
+            notification = ErrorNotification(dst=event.node, peer=event.peer)
+            return self._run_handler(state, event, consumed_error=notification)
+        if isinstance(event, (TimerEvent, AppEvent)):
+            return self._run_handler(state, event)
         if isinstance(event, ResetEvent):
             return self._apply_reset(state, event)
         raise TypeError(f"unknown event {event!r}")
@@ -121,81 +131,43 @@ class TransitionSystem:
         a transport error (Section 3.3, "Choice of Corrective Actions").
         """
         if isinstance(event, MessageEvent):
-            inflight = _remove_one(state.inflight, event.message)
-            errors = state.errors
             message = event.message
+            raised = ()
             if reset_connection and message.src in state.nodes:
-                errors = errors + (ErrorNotification(dst=message.src, peer=event.node),)
-            return replace(state, inflight=inflight, errors=errors)
-        if isinstance(event, TimerEvent):
-            # A delayed timer is simply re-armed; the state does not change.
-            return state
+                raised = (ErrorNotification(dst=message.src, peer=event.node),)
+            return state.successor(consumed_message=message, raised=raised)
+        # A delayed timer is simply re-armed; the state does not change.
         return state
 
     # -- helpers ---------------------------------------------------------------------------
 
-    def _context(self, addr: Address) -> HandlerContext:
-        return HandlerContext(self_addr=addr, now=0.0,
-                              rng=random.Random(HANDLER_RNG_SEED))
-
-    def _run_handler(
-        self,
-        state: GlobalState,
-        addr: Address,
-        event: Event,
-        *,
-        consumed_message: Optional[Message] = None,
-        consumed_error: Optional[ErrorNotification] = None,
-        fired_timer: Optional[str] = None,
-    ) -> GlobalState:
+    def _run_handler(self, state: GlobalState, event: Event, *,
+                     consumed_message: Optional[Message] = None,
+                     consumed_error: Optional[ErrorNotification] = None,
+                     reset_errors: Sequence[ErrorNotification] = ()) -> GlobalState:
+        addr = event.node
         local = state.nodes[addr]
-        working = local.state.clone()
-        ctx = self._context(addr)
-        new_state = self.protocol.execute(ctx, working, event)
+        ctx = HandlerContext(self_addr=addr, now=0.0, rng=_HandlerRng())
+        new_state = self.protocol.execute(ctx, local.state.clone(), event)
 
         timers = local.timers
-        if fired_timer is not None:
-            timers = timers - {fired_timer}
-        if isinstance(event, ResetEvent):
+        if isinstance(event, TimerEvent):
+            timers = timers - {event.timer}
+        reset = isinstance(event, ResetEvent)
+        if reset:
             timers = frozenset()
         timers = ctx.armed_timers(timers)
 
-        inflight = state.inflight
-        if consumed_message is not None:
-            inflight = _remove_one(inflight, consumed_message)
-        new_messages = tuple(m for m in ctx.sent if m.dst in state.nodes)
-        inflight = inflight + new_messages
-
-        errors = state.errors
-        if consumed_error is not None:
-            errors = _remove_one(errors, consumed_error)
-        for peer in ctx.closed_connections:
-            if peer in state.nodes:
-                errors = errors + (ErrorNotification(dst=peer, peer=addr),)
-
-        next_state = replace(
-            state,
-            nodes={**state.nodes, addr: NodeLocal(state=new_state, timers=timers)},
-            inflight=inflight,
-            errors=errors,
-        )
-        return next_state
-
-    def _apply_message(self, state: GlobalState, event: MessageEvent) -> GlobalState:
-        return self._run_handler(state, event.node, event,
-                                 consumed_message=event.message)
-
-    def _apply_connection_error(self, state: GlobalState,
-                                event: ConnectionErrorEvent) -> GlobalState:
-        notification = ErrorNotification(dst=event.node, peer=event.peer)
-        return self._run_handler(state, event.node, event,
-                                 consumed_error=notification)
-
-    def _apply_timer(self, state: GlobalState, event: TimerEvent) -> GlobalState:
-        return self._run_handler(state, event.node, event, fired_timer=event.timer)
-
-    def _apply_app(self, state: GlobalState, event: AppEvent) -> GlobalState:
-        return self._run_handler(state, event.node, event)
+        raised = [ErrorNotification(dst=peer, peer=addr)
+                  for peer in ctx.closed_connections if peer in state.nodes]
+        raised.extend(reset_errors)
+        return state.successor(
+            addr, new_state, timers,
+            consumed_message=consumed_message,
+            sent=[m for m in ctx.sent if m.dst in state.nodes],
+            consumed_error=consumed_error,
+            raised=raised,
+            reset=addr if reset else None)
 
     def _apply_reset(self, state: GlobalState, event: ResetEvent) -> GlobalState:
         addr = event.node
@@ -207,28 +179,15 @@ class TransitionSystem:
         # search horizon) is decided by the search itself, which covers both
         # the "RST received" and the "RST lost" scenarios of Figure 2.
         old_neighbors = set(self.protocol.neighbors(state.nodes[addr].state))
-        next_state = self._run_handler(state, addr, event)
-        errors = next_state.errors
-        for other, local in state.nodes.items():
-            if other == addr:
-                continue
-            if addr in self.protocol.neighbors(local.state):
-                errors = errors + (ErrorNotification(dst=other, peer=addr),)
+        errors = [ErrorNotification(dst=other, peer=addr)
+                  for other, local in state.nodes.items()
+                  if other != addr
+                  and addr in self.protocol.neighbors(local.state)]
         # The rebooted node's former peers hold half-open connections to its
         # old incarnation; whenever one of them is eventually used, the error
         # surfaces at the rebooted node too (this is the transport error node
         # C observes in the Chord scenario of Figure 10).
-        for former in sorted(old_neighbors):
-            if former in state.nodes and former != addr:
-                errors = errors + (ErrorNotification(dst=addr, peer=former),)
-        return replace(next_state, errors=errors).with_reset(addr)
-
-
-def _remove_one(items: tuple, target) -> tuple:
-    """Remove a single occurrence of ``target`` from ``items``."""
-    result = list(items)
-    try:
-        result.remove(target)
-    except ValueError:
-        pass
-    return tuple(result)
+        errors.extend(ErrorNotification(dst=addr, peer=former)
+                      for former in sorted(old_neighbors)
+                      if former in state.nodes and former != addr)
+        return self._run_handler(state, event, reset_errors=errors)

@@ -54,9 +54,12 @@ def freeze(value: Any) -> Frozen:
     return repr(value)
 
 
-def stable_hash(value: Any) -> int:
-    """A deterministic hash of ``value`` via its frozen form."""
-    return hash(freeze(value))
+def unchanged(old: Any, new: Any) -> bool:
+    """The one definition of "this field did not change": a model-checker
+    successor reuses its parent's frozen entry for such a field and the
+    delta encoding leaves it out.  Equal values of different types
+    (``1 == True``) count as changed, which only costs a re-freeze."""
+    return old is new or (type(old) is type(new) and old == new)
 
 
 def estimate_size(value: Any) -> int:
@@ -109,7 +112,7 @@ def diff_size(old: Any, new: Any) -> int:
     size of the new checkpoint (a conservative upper bound on a real delta
     encoding).  :func:`delta_size` is the real delta encoding.
     """
-    if freeze(old) == freeze(new):
+    if unchanged(old, new):
         return 16  # just a "nothing changed" header
     return compressed_size(new)
 
@@ -129,11 +132,8 @@ def delta_fields(old: Any, new: Any) -> dict[str, Any] | None:
         return None
     if type(old) is not type(new):
         return None
-    changed: dict[str, Any] = {}
-    for f in dataclasses.fields(new):
-        if freeze(getattr(old, f.name)) != freeze(getattr(new, f.name)):
-            changed[f.name] = getattr(new, f.name)
-    return changed
+    return {f.name: getattr(new, f.name) for f in dataclasses.fields(new)
+            if not unchanged(getattr(old, f.name), getattr(new, f.name))}
 
 
 def delta_size(old: Any, new: Any) -> int:
@@ -145,7 +145,7 @@ def delta_size(old: Any, new: Any) -> int:
     capped at the full compressed size (a pathological delta never costs
     more than resending everything).
     """
-    if freeze(old) == freeze(new):
+    if unchanged(old, new):
         return 16
     changed = delta_fields(old, new)
     if changed is None:
