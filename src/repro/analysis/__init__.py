@@ -1,6 +1,6 @@
 """Statistics and reporting helpers for the benchmark harness."""
 
-from .reporting import ExperimentLog, ExperimentRecord, format_table
+from .reporting import format_table
 from .stats import (
     CdfPoint,
     empirical_cdf,
@@ -13,8 +13,6 @@ from .stats import (
 )
 
 __all__ = [
-    "ExperimentLog",
-    "ExperimentRecord",
     "format_table",
     "CdfPoint",
     "empirical_cdf",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 
@@ -120,37 +119,3 @@ def _fmt(cell: Any) -> str:
     if isinstance(cell, float):
         return f"{cell:.3f}"
     return str(cell)
-
-
-@dataclass
-class ExperimentRecord:
-    """Paper-vs-measured record for one experiment (EXPERIMENTS.md rows)."""
-
-    experiment: str
-    paper_result: str
-    measured_result: str
-    notes: str = ""
-
-    def as_row(self) -> list[str]:
-        return [self.experiment, self.paper_result, self.measured_result, self.notes]
-
-
-@dataclass
-class ExperimentLog:
-    """Collects experiment records across a benchmark session."""
-
-    records: list[ExperimentRecord] = field(default_factory=list)
-
-    def add(self, experiment: str, paper_result: str, measured_result: str,
-            notes: str = "") -> ExperimentRecord:
-        record = ExperimentRecord(experiment=experiment, paper_result=paper_result,
-                                  measured_result=measured_result, notes=notes)
-        self.records.append(record)
-        return record
-
-    def render(self) -> str:
-        return format_table(
-            ["Experiment", "Paper", "Measured", "Notes"],
-            [r.as_row() for r in self.records],
-            title="Paper vs measured",
-        )

@@ -129,9 +129,7 @@ class Experiment:
         self._tick_interval = self._spec.tick_interval
         self._seed = 0
         self._mode = Mode.OFF
-        self._cb_config: Optional[CrystalBallConfig] = None
         self._cb_kwargs: dict[str, Any] = {}
-        self._checker_nodes: Optional[Sequence[Address]] = None
         self._network: Optional[NetworkModel] = None
         #: simple network kwargs (rtt/loss/jitter/rst_loss) when network()
         #: was configured from scalars — what a sweep can carry to workers;
@@ -284,21 +282,16 @@ class Experiment:
                     engine: Optional[str] = None,
                     budget: Optional[SearchBudget] = None,
                     transition: Optional[TransitionConfig] = None,
-                    config: Optional[CrystalBallConfig] = None,
                     portfolio: Optional[bool] = None,
-                    nodes: Optional[Sequence[Address]] = None,
-                    immediate_check: Optional[bool] = None,
-                    check_filter_safety: Optional[bool] = None,
                     checking: Optional[CheckingPolicy] = None,
                     delta_checkpoints: Optional[bool] = None,
                     batched_control_plane: Optional[bool] = None,
                     ) -> "Experiment":
-        """Attach CrystalBall controllers in the given mode.
+        """Attach CrystalBall controllers in the given mode (debug when
+        none is given).
 
-        ``mode`` defaults to the explicit config's mode when ``config`` is
-        passed, and to debug otherwise.  The scale knobs: ``checking``
-        samples deep checking across controllers (a
-        :class:`~repro.core.controller.CheckingPolicy`),
+        The scale knobs: ``checking`` samples deep checking across
+        controllers (a :class:`~repro.core.controller.CheckingPolicy`),
         ``delta_checkpoints`` accounts checkpoint answers as deltas
         against the peer's last-seen state, and ``batched_control_plane``
         fans snapshot-gather requests out over UDP in one batch.
@@ -308,31 +301,18 @@ class Experiment:
             for name, value in (("engine", engine), ("search_budget", budget),
                                 ("transition", transition),
                                 ("portfolio", portfolio),
-                                ("immediate_check", immediate_check),
-                                ("check_filter_safety", check_filter_safety),
                                 ("checking", checking),
                                 ("delta_checkpoints", delta_checkpoints),
                                 ("batched_control_plane",
                                  batched_control_plane))
             if value is not None}
-        if config is not None and settings:
-            raise ValueError(
-                "pass either an explicit config or individual crystalball "
-                "settings (engine/budget/transition/...), not both")
-        if mode is None:
-            self._mode = config.mode if config is not None else Mode.DEBUG
-        else:
-            self._mode = parse_mode(mode)
-        self._cb_config = config
-        self._checker_nodes = nodes
+        self._mode = Mode.DEBUG if mode is None else parse_mode(mode)
         self._cb_kwargs = {
             {"portfolio": "portfolio_mode"}.get(name, name): value
             for name, value in settings.items()}
-        # The budget is not recorded here: scenarios and sweeps look it up
-        # in the config, where an explicit ``config=`` may also carry one.
+        # The budget is not recorded: a search scenario honours it, and a
+        # sweep warns about it under its own name.
         self._explicit.update(settings.keys() - {"search_budget"})
-        if nodes is not None:
-            self._explicit.add("checker_nodes")
         return self
 
     def mode(self, mode: Union[Mode, str]) -> "Experiment":
@@ -484,12 +464,6 @@ class Experiment:
     # ------------------------------------------------------------------- run
 
     def _crystalball_config(self) -> CrystalBallConfig:
-        if self._cb_config is not None:
-            # A copy, so the caller's config object is never mutated (it may
-            # be reused across experiments).
-            config = self._cb_config.copy()
-            config.mode = self._mode
-            return config
         kwargs = dict(self._cb_kwargs)
         kwargs.setdefault("search_budget", self.default_budget())
         kwargs.setdefault("transition", self._spec.transition_factory())
@@ -546,8 +520,6 @@ class Experiment:
 
     def _budget(self) -> Optional[SearchBudget]:
         """The explicitly configured prediction budget, if any."""
-        if self._cb_config is not None:
-            return self._cb_config.search_budget
         return self._cb_kwargs.get("search_budget")
 
     def run(self) -> RunReport:
@@ -638,8 +610,7 @@ class Experiment:
         controllers: dict[Address, CrystalBallController] = {}
         if self._mode is not Mode.OFF:
             controllers = attach_crystalball(
-                sim, properties, config=self._crystalball_config(),
-                nodes=self._checker_nodes)
+                sim, properties, config=self._crystalball_config())
 
         monitor = LivePropertyMonitor(
             properties, incremental=self._incremental_monitor).install(sim)
@@ -859,8 +830,8 @@ class Experiment:
                for name in scenarios):
             carried.add("metrics")
         uncarried = self._explicit - carried
-        if self._cb_config is not None or "search_budget" in self._cb_kwargs:
-            uncarried = uncarried | {"crystalball config/budget"}
+        if "search_budget" in self._cb_kwargs:
+            uncarried = uncarried | {"crystalball budget"}
         if uncarried:
             warnings.warn(
                 f"sweep() rebuilds each cell from plain data and ignores "

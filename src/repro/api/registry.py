@@ -23,7 +23,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ..mc.search import SearchBudget
 from ..mc.transition import TransitionConfig
-from ..properties import Property, select_properties
+from ..properties import Property
 from ..runtime.address import Address
 from ..runtime.protocol import Protocol
 from ..workload import WorkloadSpec
@@ -104,11 +104,6 @@ class SystemSpec:
     #: order (order is load-bearing: searches report the first violation
     #: found, and steering decisions follow from it).
     properties: tuple[Property, ...]
-    #: Namespace prefix of this system's ids in the global property
-    #: registry (``None`` falls back to the system name); the registry may
-    #: hold more ids under the namespace than ``properties`` checks by
-    #: default — opt-in liveness properties, for example.
-    property_namespace: Optional[str] = None
     #: Option names a live run of this system accepts (a scenario may
     #: declare more); anything else is rejected before the run starts, so
     #: a typo'd option fails loudly instead of being silently dropped.
@@ -161,16 +156,6 @@ class SystemSpec:
             raise KeyError(
                 f"system {self.name!r} has no workload {name!r} "
                 f"(known workloads: {known})") from None
-
-    def registered_properties(self) -> list[Property]:
-        """Everything registered under this system's property namespace.
-
-        A superset of :attr:`properties`: includes the opt-in properties
-        (bounded liveness, experimental invariants) selectable with
-        ``Experiment.properties("<namespace>.*")``.
-        """
-        namespace = self.property_namespace or self.name
-        return select_properties(f"{namespace}.*")
 
 
 _REGISTRY: dict[str, SystemSpec] = {}

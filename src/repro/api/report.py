@@ -114,12 +114,6 @@ class RunReport:
     def checkpoint_bytes(self) -> int:
         return self.total("checkpoint_bytes_sent")
 
-    def distinct_violations_found(self) -> set[str]:
-        found: set[str] = set()
-        for node in self.nodes:
-            found |= set(node.stats.get("distinct_violations", ()))
-        return found
-
     def live_inconsistent_states(self) -> int:
         return int(self.monitor.get("inconsistent_states", 0))
 

@@ -4,9 +4,8 @@
 the campaign ``modes=attack`` axis:
 
 1. **Hunt** — concretize the requested fault presets into explicit
-   schedules under increasing attack seeds and hand them to
-   :class:`~repro.mc.falsify.FalsificationEngine` until one seeded live
-   run violates the named property (or the attempt budget runs out).
+   schedules under increasing attack seeds and run each until one seeded
+   live run violates the named property (or the attempt budget runs out).
 2. **Minimize** — greedy delta debugging
    (:func:`~repro.mc.falsify.greedy_minimize`) over the violating
    schedule: drop steps, shorten fault windows, narrow tampered message
@@ -34,12 +33,9 @@ from ..api.report import RunReport
 from ..backends.base import protocol_state_digest
 from ..faults.base import Fault
 from ..faults.byzantine import MutatingFault
-from ..mc.falsify import (
-    FalsificationEngine,
-    greedy_minimize,
-    seeded_candidates,
-)
+from ..mc.falsify import greedy_minimize
 from ..obs import MetricsRegistry
+from ..properties import select_properties
 from ..properties.violations import ViolationRecord
 from .report import AttackReport
 from .schedule import STEP_KINDS, AttackSchedule, AttackStep, build_faults, concretize
@@ -241,24 +237,22 @@ class _AttackRunner:
         config = self.config
         invocation = _invocation(config, self.nodes, self.duration)
 
-        def make(seed: int) -> AttackSchedule:
-            return concretize(
+        # Fail fast on unknown ids — same validation the CLI/campaign use.
+        select_properties(config.property_id)
+        evidence: Optional[AttackEvidence] = None
+        attempts = 0
+        while evidence is None and attempts < config.attempts:
+            original = concretize(
                 config.faults,
                 duration=self.duration,
-                seed=seed,
+                seed=attempts,
                 start_after=self.start_after,
             )
+            attempts += 1
+            evidence = self.execute(original)
+        self.metrics.inc("attack.attempts", attempts)
 
-        engine = FalsificationEngine(
-            config.property_id,
-            self.execute,
-            seeded_candidates(make),
-            max_attempts=config.attempts,
-        )
-        hunt = engine.falsify()
-        self.metrics.inc("attack.attempts", hunt.attempts)
-
-        if not hunt.found:
+        if evidence is None:
             report = AttackReport(
                 system=config.system,
                 property_id=config.property_id,
@@ -267,7 +261,7 @@ class _AttackRunner:
                 seed=config.seed,
                 nodes=self.nodes,
                 duration=self.duration,
-                attempts=hunt.attempts,
+                attempts=attempts,
                 executions=self._executions(),
                 invocation=invocation,
                 metrics=self.metrics.snapshot(),
@@ -276,8 +270,6 @@ class _AttackRunner:
                 found=False, report=report, run_report=self.last_run_report
             )
 
-        original: AttackSchedule = hunt.candidate
-        evidence: AttackEvidence = hunt.evidence
         reductions: list[str] = []
         minimized = original
         if config.minimize:
@@ -324,7 +316,7 @@ class _AttackRunner:
             attack_seed=original.seed,
             nodes=self.nodes,
             duration=self.duration,
-            attempts=hunt.attempts,
+            attempts=attempts,
             executions=self._executions(),
             invocation=invocation,
             original_schedule=original,

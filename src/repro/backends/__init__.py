@@ -1,8 +1,9 @@
 """Pluggable execution backends for the CrystalBall runtime.
 
-See :mod:`repro.backends.base` for the :class:`ExecutionBackend` contract,
-:mod:`repro.backends.sim` for the default simulated transport and
-:mod:`repro.backends.tcp` for deployed mode over real asyncio sockets.
+See :mod:`repro.backends.base` for the :class:`ExecutionBackend` contract
+(the default ``sim`` backend is :class:`~repro.runtime.simulator.Simulator`
+itself) and :mod:`repro.backends.tcp` for deployed mode over real asyncio
+sockets.
 """
 
 from .base import (
@@ -14,7 +15,6 @@ from .base import (
     protocol_state_digest,
     register_backend,
 )
-from .sim import SimBackend
 from .tcp import AsyncioTcpBackend
 from .wire import (
     FRAME_MAGIC,
@@ -34,7 +34,6 @@ from .wire import (
 __all__ = [
     "BACKENDS",
     "ExecutionBackend",
-    "SimBackend",
     "AsyncioTcpBackend",
     "backend_names",
     "get_backend",

@@ -7,9 +7,9 @@ contract everything above the runtime programs against — the controller
 churn process and the open-loop workload drivers all take "a simulator" that
 in fact only needs this surface.  Two implementations ship:
 
-``sim`` (:class:`~repro.backends.sim.SimBackend`)
-    The discrete-event simulator, unchanged and bit-identical to the
-    pre-backend runtime.  The default everywhere.
+``sim`` (:class:`~repro.runtime.simulator.Simulator`)
+    The discrete-event simulator itself, registered under a name.  The
+    default everywhere.
 
 ``tcp`` (:class:`~repro.backends.tcp.AsyncioTcpBackend`)
     Deployed mode: every service and control message — checkpoint
@@ -98,7 +98,8 @@ class ExecutionBackend(TypingProtocol):
     def total_service_bytes(self) -> int: ...
 
 
-#: name -> backend class; populated by the sim/tcp modules at import time.
+#: name -> backend class; the tcp module adds itself when the package
+#: imports it.
 BACKENDS: dict[str, type] = {}
 
 
@@ -111,27 +112,16 @@ def register_backend(name: str, cls: type) -> type:
     return cls
 
 
+register_backend("sim", Simulator)
+
+
 def backend_names() -> list[str]:
     """Registered backend names, sorted (``["sim", "tcp"]`` out of the box)."""
-    _ensure_builtins()
     return sorted(BACKENDS)
-
-
-_builtins_loaded = False
-
-
-def _ensure_builtins() -> None:
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
-    from . import sim as _sim  # noqa: F401  (registers "sim")
-    from . import tcp as _tcp  # noqa: F401  (registers "tcp")
 
 
 def get_backend(name: str) -> type:
     """Look up a backend class by name."""
-    _ensure_builtins()
     try:
         return BACKENDS[name]
     except KeyError:

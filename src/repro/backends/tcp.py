@@ -17,7 +17,7 @@ as the sim backend — that equivalence is what makes deployed-mode bug
 reproductions (RandTree Figure 2, the Bullet' shadow map) trustworthy.  The
 shared TCP failure contract (:class:`~repro.runtime.transport.
 ConnectionTable` stale-incarnation upcalls, bounded non-blocking sends) is
-enforced in ``_transmit`` before a frame is ever cut, exactly as in sim.
+enforced at send time, before a frame is ever cut, exactly as in sim.
 
 Nodes run as asyncio tasks in one process.  Per-node subprocesses would
 speak the same frame protocol (the wire format carries everything needed);
@@ -32,7 +32,7 @@ from typing import Any, Optional
 
 from ..runtime.address import Address
 from ..runtime.messages import Message
-from ..runtime.simulator import _DELIVERY_KINDS, Simulator
+from ..runtime.simulator import Simulator
 from .base import register_backend
 from .wire import WireStats, read_frame, write_frame
 
@@ -91,12 +91,8 @@ class AsyncioTcpBackend(Simulator):
                          max_events: Optional[int]) -> None:
         await self._open_endpoints()
         try:
-            for entry in self._due_entries(until, max_events):
-                if entry.kind in _DELIVERY_KINDS:
-                    for message in self._due_messages(entry):
-                        await self._deliver_over_wire(message)
-                else:
-                    self._dispatch(entry)
+            for message in self.deliveries(until, max_events):
+                await self._deliver_over_wire(message)
         finally:
             await self._close_endpoints()
 
@@ -115,7 +111,7 @@ class AsyncioTcpBackend(Simulator):
         endpoint = self._endpoints.get(message.dst)
         if node is None or not node.alive or endpoint is None \
                 or endpoint.server is None:
-            self._dispatch_delivery(message)
+            self.deliver(message)
             return
         try:
             writer = await self._writer_for(message.src, message.dst)
@@ -126,14 +122,14 @@ class AsyncioTcpBackend(Simulator):
             # A torn loopback socket must not change what the protocol
             # observes: execute the local copy and account the fallback.
             self.wire_fallbacks += 1
-            self._dispatch_delivery(message)
+            self.deliver(message)
             return
         self.wire_stats.record(message, frame_bytes)
         metrics = self.obs.metrics
         if metrics is not None:
             metrics.inc("backend.frames_sent")
             metrics.inc("backend.wire_bytes", frame_bytes)
-        self._dispatch_delivery(decoded)
+        self.deliver(decoded)
 
     async def _writer_for(self, src: Address, dst: Address) -> Any:
         """The cached outgoing stream for the ``src -> dst`` pair."""

@@ -22,7 +22,7 @@ from .event_filter import EventFilter, derive_filter
 from .immediate import ImmediateCheckOutcome, ImmediateSafetyCheck
 from .monitor import LivePropertyMonitor
 from .replay import ReplayResult, replay_error_path
-from .snapshot import NeighborhoodSnapshot, SnapshotGather, cluster_recent_peers
+from .snapshot import NeighborhoodSnapshot, SnapshotGather
 from .steering import (
     SteeringDecision,
     check_filter_safety,
@@ -49,7 +49,6 @@ __all__ = [
     "replay_error_path",
     "NeighborhoodSnapshot",
     "SnapshotGather",
-    "cluster_recent_peers",
     "SteeringDecision",
     "check_filter_safety",
     "choose_steering_point",

@@ -131,10 +131,6 @@ class CrystalBallConfig:
     #: Outbound bandwidth limit for checkpoint traffic, bytes per tick
     #: (None = unlimited; Section 3.1 "Managing Bandwidth Consumption").
     checkpoint_bandwidth_limit: Optional[int] = None
-    #: Enable the immediate safety check fallback.
-    immediate_check: bool = True
-    #: Vet filters with a consequence-prediction run before installing them.
-    check_filter_safety: bool = True
     #: Sampled deep checking (see :class:`CheckingPolicy`).  The default
     #: every-round policy is bit-identical to the pre-policy runtime.
     checking: CheckingPolicy = field(default_factory=CheckingPolicy)
@@ -344,9 +340,7 @@ class CrystalBallController:
         return FilterAction.ALLOW
 
     def immediate_safety_check(self, sim: Simulator, node: SimNode, event: Event) -> bool:
-        if self.config.mode is Mode.OFF or not self.config.immediate_check:
-            return True
-        if self.config.mode is Mode.DEBUG:
+        if self.config.mode in (Mode.OFF, Mode.DEBUG):
             return True
         self.stats.isc_checks += 1
         neighborhood = (self.last_snapshot.to_global_state()
@@ -585,7 +579,6 @@ class CrystalBallController:
             decision = evaluate_violation(
                 node.addr, self.system, start_state, self.properties, violation,
                 safety_budget=self.config.safety_budget,
-                check_safety=self.config.check_filter_safety,
                 expected_violations=violations,
             )
             if not decision.actionable:
@@ -624,17 +617,14 @@ def attach_crystalball(
     properties: Sequence[Property],
     *,
     config: Optional[CrystalBallConfig] = None,
-    nodes: Optional[Sequence[Address]] = None,
 ) -> dict[Address, CrystalBallController]:
-    """Attach a CrystalBall controller to every (or the given) node of ``sim``.
+    """Attach a CrystalBall controller to every node of ``sim``.
 
     Returns the controllers keyed by node address so callers can inspect
     per-node statistics after the run.
     """
     controllers: dict[Address, CrystalBallController] = {}
-    targets = list(nodes) if nodes is not None else list(sim.nodes)
-    for addr in targets:
-        node = sim.nodes[addr]
+    for addr, node in list(sim.nodes.items()):
         # Every controller gets its own config copy: sharing one mutable
         # CrystalBallConfig (and its SearchBudget instances) across nodes
         # would let one node's adjustments leak into all the others.

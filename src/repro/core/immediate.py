@@ -4,9 +4,9 @@ The asynchronous model checker cannot always predict an inconsistency in
 time (it sees only a neighbourhood subset and runs behind the live system).
 The immediate safety check closes that gap for the current handler: it
 speculatively executes the handler on a copy of the node's state (the paper
-uses a forked address space; we clone the state object), evaluates the
-safety properties on the resulting state, and blocks the real execution when
-the result is inconsistent.
+uses a forked address space; the transition system clones the state
+object), evaluates the safety properties on the resulting state, and blocks
+the real execution when the result is inconsistent.
 
 To avoid blocking on pre-existing violations elsewhere in the (possibly
 stale) snapshot, only *newly introduced* violations cause the event to be
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..mc.global_state import GlobalState, NodeLocal
+from ..mc.global_state import GlobalState
 from ..mc.transition import TransitionSystem
 from ..properties import (
     NodeScopedProperty,
@@ -105,8 +105,11 @@ class ImmediateSafetyCheck:
         if isinstance(event, ResetEvent):
             return ImmediateCheckOutcome(allowed=True)
 
-        base = neighborhood.clone() if neighborhood is not None else GlobalState(nodes={})
-        base.nodes[addr] = NodeLocal(state=live_state.clone(), timers=live_timers)
+        # No copy: the transition system runs the handler on its own clone
+        # of the one node it executes, and nothing else is written.
+        if neighborhood is None:
+            neighborhood = GlobalState(nodes={})
+        base = neighborhood.successor(addr, live_state, live_timers)
         before = {(v.property_name, v.node, v.detail)
                   for v in self._relevant_violations(base, addr)}
 

@@ -47,7 +47,7 @@ def replay_error_path(
     newly generated messages), and the safety properties are checked after
     every step.
     """
-    state = snapshot_state.clone()
+    state = snapshot_state
     steps = 0
     pre_existing = {(v.property_name, v.node, v.detail)
                     for v in check_all(properties, state)}

@@ -12,7 +12,7 @@ checker's dummy node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Optional
 
 from ..mc.global_state import GlobalState
 from ..runtime.address import Address
@@ -44,14 +44,6 @@ class SnapshotGather:
     def missing(self) -> frozenset[Address]:
         return frozenset(self.expected - set(self.received) - set(self.negative))
 
-    def retry_checkpoint_number(self) -> Optional[int]:
-        """If any neighbour answered negatively, the greatest checkpoint
-        number it advertised — the number to use for the retry round
-        (Section 3.1, "Managing Checkpoint Storage")."""
-        if not self.negative:
-            return None
-        return max(self.negative.values())
-
 
 @dataclass
 class NeighborhoodSnapshot:
@@ -80,9 +72,6 @@ class NeighborhoodSnapshot:
     @property
     def members(self) -> frozenset[Address]:
         return frozenset(self.checkpoints)
-
-    def total_bytes(self) -> int:
-        return sum(c.size_bytes() for c in self.checkpoints.values())
 
     def delta_bytes(self, previous: Optional["NeighborhoodSnapshot"]) -> int:
         """Wire cost of this snapshot against the previously gathered one
@@ -122,22 +111,3 @@ class NeighborhoodSnapshot:
         """
         return all(c.checkpoint_number >= self.checkpoint_number
                    for c in self.checkpoints.values())
-
-
-def cluster_recent_peers(
-    contacts: Mapping[Address, float],
-    *,
-    now: float,
-    window: float = 60.0,
-    max_peers: int = 16,
-) -> list[Address]:
-    """Heuristic snapshot-neighbourhood discovery (Section 3.1).
-
-    When the service does not expose a neighbour list, CrystalBall clusters
-    recent connection endpoints by communication time and keeps a
-    sufficiently large cluster of recent contacts.  ``contacts`` maps peer
-    address to the time of the most recent exchange.
-    """
-    recent = [(t, addr) for addr, t in contacts.items() if now - t <= window]
-    recent.sort(key=lambda item: (-item[0], item[1]))
-    return [addr for _, addr in recent[:max_peers]]

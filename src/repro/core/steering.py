@@ -104,7 +104,6 @@ def evaluate_violation(
     violation: PredictedViolation,
     *,
     safety_budget: Optional[SearchBudget] = None,
-    check_safety: bool = True,
     expected_violations: Sequence[PredictedViolation] = (),
 ) -> SteeringDecision:
     """Derive and vet the corrective action for one predicted violation."""
@@ -117,12 +116,9 @@ def evaluate_violation(
     if event_filter is None:
         return SteeringDecision(violation=violation, filter=None, safe=False,
                                 reason="event cannot be filtered")
-    if check_safety:
-        safe = check_filter_safety(system, snapshot_state, properties,
-                                   event_filter, budget=safety_budget,
-                                   expected_violations=expected_violations)
-    else:
-        safe = True
+    safe = check_filter_safety(system, snapshot_state, properties,
+                               event_filter, budget=safety_budget,
+                               expected_violations=expected_violations)
     reason = "filter deemed safe" if safe else "filter action itself risks inconsistency"
     return SteeringDecision(violation=violation, filter=event_filter,
                             safe=safe, reason=reason)

@@ -21,16 +21,10 @@ from .search import (
     SearchKind,
     SearchResult,
     SearchStats,
+    find_errors,
 )
 from .transition import TransitionConfig, TransitionSystem
-from .exhaustive import find_errors
-from .falsify import (
-    FalsificationEngine,
-    FalsificationResult,
-    MinimizationResult,
-    greedy_minimize,
-    seeded_candidates,
-)
+from .falsify import MinimizationResult, greedy_minimize
 from .random_walk import random_walk_search
 from .parallel import (
     ParallelEngine,
@@ -56,11 +50,8 @@ __all__ = [
     "TransitionConfig",
     "TransitionSystem",
     "find_errors",
-    "FalsificationEngine",
-    "FalsificationResult",
     "MinimizationResult",
     "greedy_minimize",
-    "seeded_candidates",
     "random_walk_search",
     "ParallelEngine",
     "PortfolioResult",

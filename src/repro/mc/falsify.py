@@ -1,13 +1,13 @@
-"""Falsification-driven counterexample search and trace minimization.
+"""Trace minimization for falsification-driven counterexample search.
 
 Exhaustive model checking (the rest of :mod:`repro.mc`) asks "does any
 reachable state violate a property?".  Falsification flips the workflow:
-given one *named* property (validated against the PR 5 registry), hunt for
-a single concrete execution that violates it — an *attack* — and then
-shrink the violating schedule with greedy delta debugging until every
+given one *named* property, hunt for a single concrete execution that
+violates it — an *attack* (the hunt is :mod:`repro.attack.runner`'s) — and
+then shrink the violating schedule with greedy delta debugging until every
 remaining element is load-bearing.
 
-Both halves are deliberately generic: a *candidate* is any schedule-like
+The minimizer is deliberately generic: a *candidate* is any schedule-like
 value, *execute* runs one candidate end to end and returns evidence of a
 violation (or ``None``), and *reducers* propose smaller candidates.  The
 :mod:`repro.attack` package instantiates them with concretized fault
@@ -17,9 +17,7 @@ schedules and seeded live runs; tests instantiate them with toy functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
-
-from ..properties import select_properties
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 #: ``execute(candidate) -> evidence | None`` — run one candidate; truthy
 #: evidence means the target property was violated.
@@ -27,20 +25,6 @@ Executor = Callable[[Any], Optional[Any]]
 
 #: ``reducer(candidate) -> iterable of strictly smaller candidates``.
 Reducer = Callable[[Any], Iterable[Any]]
-
-
-@dataclass
-class FalsificationResult:
-    """Outcome of a counterexample hunt."""
-
-    property_id: str
-    found: bool
-    #: The violating candidate (None when the search came up empty).
-    candidate: Any = None
-    #: Whatever the executor returned for the violating candidate.
-    evidence: Any = None
-    #: Candidates executed before (and including) the first violation.
-    attempts: int = 0
 
 
 @dataclass
@@ -53,58 +37,6 @@ class MinimizationResult:
     executions: int = 0
     #: Accepted reductions, in order (reducer name per step).
     reductions: list[str] = field(default_factory=list)
-
-
-class FalsificationEngine:
-    """Hunts for a counterexample to one named property.
-
-    Parameters
-    ----------
-    property_id:
-        The registry id of the property under attack; validated against
-        the global property registry up front so a typo fails fast.
-    execute:
-        Runs one candidate and returns violation evidence or ``None``.
-    candidates:
-        Iterable (usually a generator of increasingly different seeded
-        schedules) of candidates to try, in order.
-    max_attempts:
-        Upper bound on executed candidates; ``None`` drains ``candidates``.
-    """
-
-    def __init__(
-        self,
-        property_id: str,
-        execute: Executor,
-        candidates: Iterable[Any],
-        *,
-        max_attempts: Optional[int] = None,
-    ) -> None:
-        # Fail fast on unknown ids — same validation the CLI/campaign use.
-        select_properties(property_id)
-        self.property_id = property_id
-        self.execute = execute
-        self.candidates = candidates
-        self.max_attempts = max_attempts
-
-    def falsify(self) -> FalsificationResult:
-        attempts = 0
-        for candidate in self.candidates:
-            if self.max_attempts is not None and attempts >= self.max_attempts:
-                break
-            attempts += 1
-            evidence = self.execute(candidate)
-            if evidence is not None:
-                return FalsificationResult(
-                    property_id=self.property_id,
-                    found=True,
-                    candidate=candidate,
-                    evidence=evidence,
-                    attempts=attempts,
-                )
-        return FalsificationResult(
-            property_id=self.property_id, found=False, attempts=attempts
-        )
 
 
 def greedy_minimize(
@@ -144,13 +76,3 @@ def greedy_minimize(
             if progress:
                 break
     return result
-
-
-def seeded_candidates(make: Callable[[int], Any], start: int = 0) -> Iterator[Any]:
-    """Infinite candidate stream ``make(start), make(start+1), ...`` —
-    the usual input to :class:`FalsificationEngine` (bounded by its
-    ``max_attempts``)."""
-    seed = start
-    while True:
-        yield make(seed)
-        seed += 1

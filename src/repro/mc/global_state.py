@@ -195,9 +195,6 @@ class GlobalState:
                 return count
         return 0
 
-    def with_reset(self, addr: Address) -> "GlobalState":
-        return self.successor(reset=addr)
-
     # -- identity --------------------------------------------------------------------
 
     def signature(self) -> tuple:

@@ -4,9 +4,8 @@ Section 5.3 of the paper compares three ways of spending a model-checking
 budget — exhaustive breadth-first search, consequence prediction, and deep
 random walks — and finds they surface different bugs.  A portfolio run
 launches all of them concurrently from the same snapshot under one shared
-wall-clock budget, in separate forked processes, and either returns as soon
-as any strategy predicts a violation (``first_violation_wins``) or collects
-the union of everything found before the deadline.
+wall-clock budget, in separate forked processes, and collects the union of
+everything found before the deadline.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from ...properties import SafetyProperty
-from ..exhaustive import find_errors
 from ..global_state import GlobalState
 from ..random_walk import random_walk_search
 from ..search import (
@@ -29,6 +27,7 @@ from ..search import (
     SearchResult,
     SearchStats,
     consequence_prediction,
+    find_errors,
     shallowest_reports,
 )
 from ..transition import TransitionSystem
@@ -108,7 +107,6 @@ def run_portfolio(
     budget: Optional[SearchBudget] = None,
     *,
     wall_clock_seconds: Optional[float] = None,
-    first_violation_wins: bool = False,
     walks: int = 2,
     walk_depth: int = 30,
     seed: int = 0,
@@ -138,8 +136,7 @@ def run_portfolio(
 
     started = time.monotonic()
     if "fork" not in multiprocessing.get_all_start_methods():
-        return _run_sequential(strategies, started, wall_clock_seconds,
-                               first_violation_wins)
+        return _run_sequential(strategies, started, wall_clock_seconds)
 
     ctx = multiprocessing.get_context("fork")
     result_queue = ctx.Queue()
@@ -174,8 +171,6 @@ def run_portfolio(
         outcome.results[name] = result
         if result.found_violation and outcome.winner is None:
             outcome.winner = name
-            if first_violation_wins:
-                break
 
     for name in pending:
         if processes[name].is_alive():
@@ -187,8 +182,7 @@ def run_portfolio(
     return outcome
 
 
-def _run_sequential(strategies, started, wall_clock_seconds,
-                    first_violation_wins) -> PortfolioResult:
+def _run_sequential(strategies, started, wall_clock_seconds) -> PortfolioResult:
     outcome = PortfolioResult()
     skipped = []
     for name, runner in strategies:
@@ -204,10 +198,6 @@ def _run_sequential(strategies, started, wall_clock_seconds,
         outcome.results[name] = result
         if result.found_violation and outcome.winner is None:
             outcome.winner = name
-            if first_violation_wins:
-                skipped.extend(n for n, _ in strategies
-                               if n not in outcome.results)
-                break
     outcome.unfinished = tuple(sorted(skipped))
     outcome.elapsed_seconds = time.monotonic() - started
     return outcome

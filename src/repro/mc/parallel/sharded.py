@@ -60,6 +60,10 @@ from ..search import (
 from ..transition import TransitionSystem
 from .engine import SerialEngine
 
+#: Maximum frontier items dispatched to one worker per round: budgets are
+#: checked between rounds, larger batches amortise inter-process transfer.
+ROUND_BATCH = 4000
+
 
 class ParallelEngine:
     """Execute searches across a sharded-frontier worker pool.
@@ -68,10 +72,6 @@ class ParallelEngine:
     ----------
     num_workers:
         Shard count; defaults to the machine's CPU count.
-    batch_size:
-        Maximum frontier items dispatched to one worker per round.  Smaller
-        batches tighten budget enforcement (budgets are checked between
-        rounds); larger batches amortise inter-process transfer.
     metrics:
         Optional ``repro.obs`` :class:`~repro.obs.metrics.MetricsRegistry`.
         When set (the controller sets it for instrumented runs), every
@@ -80,13 +80,12 @@ class ParallelEngine:
         volume.  Mutable — assigning ``engine.metrics`` later also works.
     """
 
-    def __init__(self, num_workers: Optional[int] = None,
-                 batch_size: int = 4000, *, metrics=None) -> None:
+    def __init__(self, num_workers: Optional[int] = None, *,
+                 metrics=None) -> None:
         if num_workers is not None and num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         self.num_workers = num_workers if num_workers is not None \
             else (os.cpu_count() or 1)
-        self.batch_size = batch_size
         self.metrics = metrics
 
     def __repr__(self) -> str:
@@ -113,14 +112,14 @@ class ParallelEngine:
         # which then fills its own copy with the states of its shard.
         explorer = Explorer(system, properties, budget, kind, event_filter)
         return _coordinate(explorer, first_state, self.num_workers,
-                           self.batch_size, self.metrics)
+                           self.metrics)
 
 
 # --------------------------------------------------------------------- coordinator
 
 
 def _coordinate(explorer: Explorer, first_state: GlobalState, num_workers: int,
-                batch_size: int, metrics=None) -> SearchResult:
+                metrics=None) -> SearchResult:
     budget = explorer.budget
     ctx = multiprocessing.get_context("fork")
     task_queues = [ctx.SimpleQueue() for _ in range(num_workers)]
@@ -175,7 +174,7 @@ def _coordinate(explorer: Explorer, first_state: GlobalState, num_workers: int,
                 current, next_level = next_level, [[] for _ in range(num_workers)]
                 continue
 
-            batches = [shard[:batch_size] for shard in current]
+            batches = [shard[:ROUND_BATCH] for shard in current]
             if budget.max_states is not None:
                 _trim(batches, budget.max_states - stats.states_visited)
             dispatched: list[int] = []

@@ -38,7 +38,7 @@ def random_walk_search(
     for _ in range(walks):
         if budget.exhausted(stats):
             break
-        state = first_state.clone()
+        state = first_state
         path: tuple = ()
         for depth in range(walk_depth + 1):
             stats.record_visit(depth)

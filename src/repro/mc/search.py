@@ -56,9 +56,6 @@ class SearchBudget:
     max_states: Optional[int] = 20000
     max_depth: Optional[int] = None
     max_seconds: Optional[float] = None
-    #: Upper bound on the bytes held by queued frontier states; long-running
-    #: searches stop rather than exhaust memory once the frontier exceeds it.
-    max_frontier_bytes: Optional[int] = None
     stop_at_first_violation: bool = False
     #: Record every visited state hash in ``stats.visited_hashes`` — used by
     #: engine-equivalence checks; off by default to keep memory flat.
@@ -68,9 +65,6 @@ class SearchBudget:
         if self.max_states is not None and stats.states_visited >= self.max_states:
             return True
         if self.max_seconds is not None and stats.elapsed_seconds >= self.max_seconds:
-            return True
-        if (self.max_frontier_bytes is not None
-                and stats.frontier_bytes >= self.max_frontier_bytes):
             return True
         return False
 
@@ -93,8 +87,8 @@ class SearchStats:
     #: states, it only stores their hashes", Section 5.5).
     peak_memory_bytes: int = 0
     explored_hash_bytes: int = 0
-    #: bytes currently held by queued frontier states (kept up to date by the
-    #: searches so ``SearchBudget.max_frontier_bytes`` can bound it).
+    #: bytes currently held by queued frontier states (kept up to date by
+    #: the searches: ``peak_memory_bytes`` is its high-water mark).
     frontier_bytes: int = 0
     internal_actions_skipped: int = 0
     states_by_depth: dict[int, int] = field(default_factory=dict)
@@ -331,6 +325,19 @@ def breadth_first_search(
 
     stats.touch_clock()
     return SearchResult(violations=violations, stats=stats, start_state=first_state)
+
+
+def find_errors(
+    system: TransitionSystem,
+    first_state: GlobalState,
+    properties: Sequence[SafetyProperty],
+    budget: Optional[SearchBudget] = None,
+) -> SearchResult:
+    """Run the exhaustive search of Figure 5 — the MaceMC baseline of
+    Section 5.3 — from ``first_state``: every enabled event of every
+    visited state, within ``budget``."""
+    return breadth_first_search(system, first_state, properties, budget,
+                                SearchKind.EXHAUSTIVE)
 
 
 def consequence_prediction(

@@ -98,8 +98,3 @@ INTERNAL_EVENT_TYPES = (TimerEvent, AppEvent, ResetEvent, ConnectionErrorEvent)
 def is_internal(event: Event) -> bool:
     """True if ``event`` is an internal action (not a message delivery)."""
     return isinstance(event, INTERNAL_EVENT_TYPES)
-
-
-def event_signature(event: Event) -> tuple:
-    """Canonical hashable identity of an event."""
-    return event.signature()

@@ -132,9 +132,6 @@ class _QueueEntry:
     data: Any = field(compare=False)
 
 
-#: Queue entry kinds carrying message deliveries (see ``_due_messages``).
-_DELIVERY_KINDS = ("deliver", "deliver_batch")
-
 #: Event class -> the ``etype`` field of structured ``event`` records.
 _EVENT_TYPES = {
     MessageEvent: "msg",
@@ -284,22 +281,31 @@ class Simulator:
     def run(self, *, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run the simulation until the queue drains, ``until`` simulated
         seconds elapse, or ``max_events`` events execute."""
-        for entry in self._due_entries(until, max_events):
-            self._dispatch(entry)
+        for message in self.deliveries(until, max_events):
+            self.deliver(message)
 
     def step(self) -> bool:
         """Execute a single queued entry; returns False when the queue is empty."""
-        for entry in self._due_entries(None, 1):
-            self._dispatch(entry)
-            return True
-        return False
+        if not self._queue:
+            return False
+        for message in self.deliveries(None, 1):
+            self.deliver(message)
+        return True
 
-    def _due_entries(self, until: Optional[float],
-                     max_events: Optional[int]) -> Iterator[_QueueEntry]:
-        """Pop queue entries in ``(time, seq)`` order, advancing ``now`` to
-        each, until the queue drains, the next entry lies past ``until``
-        (``now`` then stops at ``until``) or ``max_events`` were yielded.
-        The one event loop: every backend's ``run`` iterates this."""
+    def deliveries(self, until: Optional[float] = None,
+                   max_events: Optional[int] = None) -> Iterator[Message]:
+        """Run the schedule, yielding every due message for the caller to
+        :meth:`deliver` — the one event loop: a backend's ``run`` iterates
+        this and puts its transport between the two.
+
+        Queue entries are popped in ``(time, seq)`` order, ``now`` advancing
+        to each, until the queue drains, the next entry lies past ``until``
+        (``now`` then stops at ``until``) or ``max_events`` entries ran.
+        Timers, application calls, resets and callbacks are executed here; a
+        delivery leaves the inflight index as it is handed out, and a batch
+        re-arms its single heap entry at its next delivery time once the
+        caller has delivered the due ones.
+        """
         executed = 0
         while self._queue and (max_events is None or executed < max_events):
             entry = self._queue[0]
@@ -308,35 +314,27 @@ class Simulator:
                 return
             heapq.heappop(self._queue)
             self.now = entry.time
-            yield entry
+            if entry.kind == "deliver":
+                did, message = entry.data
+                self._inflight.pop(did, None)
+                yield message
+            elif entry.kind == "deliver_batch":
+                plan: DeliveryPlan = entry.data
+                while not plan.exhausted and plan.next_time() <= self.now:
+                    did, message = plan.pop_due()
+                    self._inflight.pop(did, None)
+                    yield message
+                if not plan.exhausted:
+                    self._schedule(plan.next_time(), "deliver_batch", plan)
+            else:
+                self._dispatch(entry)
             executed += 1
 
     # -- dispatch ------------------------------------------------------------------
 
-    def _due_messages(self, entry: _QueueEntry) -> Iterator[Message]:
-        """The messages of a ``deliver`` / ``deliver_batch`` entry that are
-        due now, leaving the inflight index as each is handed out; a batch
-        re-arms its single heap entry at its next delivery time once the
-        caller has delivered the due ones."""
-        if entry.kind == "deliver":
-            did, message = entry.data
-            self._inflight.pop(did, None)
-            yield message
-            return
-        plan: DeliveryPlan = entry.data
-        while not plan.exhausted and plan.next_time() <= self.now:
-            did, message = plan.pop_due()
-            self._inflight.pop(did, None)
-            yield message
-        if not plan.exhausted:
-            self._schedule(plan.next_time(), "deliver_batch", plan)
-
     def _dispatch(self, entry: _QueueEntry) -> None:
         kind = entry.kind
-        if kind in _DELIVERY_KINDS:
-            for message in self._due_messages(entry):
-                self._dispatch_delivery(message)
-        elif kind == "timer":
+        if kind == "timer":
             self._dispatch_timer(entry.data)
         elif kind == "app":
             self._execute_event(entry.data)
@@ -349,7 +347,10 @@ class Simulator:
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown queue entry kind {kind}")
 
-    def _dispatch_delivery(self, message: Message) -> None:
+    def deliver(self, message: Message) -> None:
+        """Hand a due message (see :meth:`deliveries`) to its destination:
+        the control plane's to the node's hook, a service message to its
+        handler, through the event filter and the immediate safety check."""
         node = self.nodes.get(message.dst)
         if node is None or not node.alive:
             self._record_drop(message, "peer-down")
@@ -660,15 +661,8 @@ class Simulator:
         enqueue/deliver time — O(inflight), never a heap scan."""
         return list(self._inflight.values())
 
-    def inflight_service_count(self) -> int:
-        """Number of service messages currently queued for delivery."""
-        return len(self._inflight)
-
     def total_service_bytes(self) -> int:
         return sum(n.stats.service_bytes_sent for n in self.nodes.values())
-
-    def total_control_bytes(self) -> int:
-        return sum(n.stats.control_bytes_sent for n in self.nodes.values())
 
     def _record_trace(self, node: SimNode, event: Event, outcome: str) -> None:
         metrics = self.obs.metrics

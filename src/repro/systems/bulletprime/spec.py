@@ -99,7 +99,6 @@ SPEC = register_system(SystemSpec(
              "fix_shadow_map"),
     properties=tuple(ALL_PROPERTIES),
     # The historical property ids predate the "bulletprime" system name.
-    property_namespace="bullet",
     transition_factory=lambda: TransitionConfig(enable_resets=False),
     scenarios={
         "download": ScenarioSpec(

@@ -82,7 +82,6 @@ SPEC = register_system(SystemSpec(
     protocol_factory=_protocol_factory,
     options=_CONFIG_OPTIONS + ("fixed",),
     properties=tuple(ALL_PROPERTIES),
-    property_namespace="crdtset",
     transition_factory=lambda: TransitionConfig(enable_resets=False),
     scenarios={
         "concurrent-ops": ScenarioSpec(

@@ -156,7 +156,6 @@ SPEC = register_system(SystemSpec(
     protocol_factory=_protocol_factory,
     options=("bug", "value0", "value1", "second_round_at"),
     properties=tuple(ALL_PROPERTIES),
-    property_namespace="paxos",
     transition_factory=lambda: TransitionConfig(enable_resets=False),
     scenarios={
         "figure13-bug1": _figure13(

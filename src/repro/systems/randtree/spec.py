@@ -46,7 +46,6 @@ SPEC = register_system(SystemSpec(
     protocol_factory=_protocol_factory,
     options=_CONFIG_OPTIONS + ("fixed", "bootstrap_index"),
     properties=tuple(ALL_PROPERTIES),
-    property_namespace="randtree",
     transition_factory=lambda: TransitionConfig(enable_resets=True,
                                                 max_resets_per_node=1),
     scenarios={

@@ -4,7 +4,7 @@ of builder settings."""
 import pytest
 
 from repro.api import Experiment, get_system
-from repro.core import CrystalBallConfig, Mode
+from repro.core import Mode
 from repro.mc import SearchBudget
 
 
@@ -70,23 +70,6 @@ def test_scenario_run_warns_about_unsupported_builder_settings():
         experiment.run()
 
 
-def test_crystalball_rejects_config_plus_individual_settings():
-    with pytest.raises(ValueError, match="not both"):
-        Experiment("randtree").crystalball(
-            "debug", config=CrystalBallConfig(),
-            budget=SearchBudget(max_states=10))
-
-
-def test_run_does_not_mutate_caller_config():
-    config = CrystalBallConfig(mode=Mode.DEBUG,
-                               search_budget=SearchBudget(max_states=50,
-                                                          max_depth=3))
-    (Experiment("randtree").nodes(3).duration(30.0).churn(False)
-     .crystalball("steering", config=config).run())
-    assert config.mode is Mode.DEBUG, \
-        "the caller's config object must not be mutated by the run"
-
-
 def test_scenario_run_warns_when_nodes_cannot_be_honored():
     # Figure 13's drive scripts three named roles.
     experiment = (Experiment("paxos").scenario("figure13-bug1")
@@ -101,24 +84,6 @@ def test_offline_search_scenario_warns_about_steering_mode():
                   .mode("steering").options(max_states=200))
     with pytest.warns(UserWarning, match="no effect"):
         experiment.run()
-
-
-def test_scenario_run_honors_budget_from_explicit_config():
-    report = (Experiment("randtree").scenario("figure2")
-              .crystalball("debug", config=CrystalBallConfig(
-                  search_budget=SearchBudget(max_states=100, max_depth=5)))
-              .run())
-    assert report.outcome["states_visited"] <= 110
-
-
-def test_crystalball_config_mode_is_respected_by_default():
-    experiment = Experiment("randtree").crystalball(
-        config=CrystalBallConfig(mode=Mode.STEERING))
-    assert experiment._mode is Mode.STEERING
-    # An explicit mode argument still wins.
-    explicit = Experiment("randtree").crystalball(
-        "debug", config=CrystalBallConfig(mode=Mode.STEERING))
-    assert explicit._mode is Mode.DEBUG
 
 
 def test_unknown_scenario_option_raises():

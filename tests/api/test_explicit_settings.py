@@ -6,13 +6,17 @@ them; an offline search and a sweep each honour only part of the builder
 and derive the "ignored" warning from what they *do* carry, so a builder
 knob added later is warned about by construction.  This test walks every
 name the builder can record and checks exactly that — and fails when a new
-name has no example here.
+name has no example here.  A CrystalBall setting, in turn, exists only while
+something outside ``tests/`` moves it off its default.
 """
 
+import ast
 import dataclasses
 import inspect
 import re
 import warnings
+from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
@@ -20,11 +24,10 @@ import repro.campaign
 from repro.api import Experiment, get_system
 from repro.api.cli import _configure_run, build_parser
 from repro.campaign import RunSpec
-from repro.core.controller import CheckingPolicy
+from repro.core.controller import CheckingPolicy, CrystalBallConfig
 from repro.mc.search import SearchBudget
 from repro.mc.transition import TransitionConfig
 from repro.obs import MemoryTracer
-from repro.runtime import make_addresses
 
 #: One builder call per name that can land in ``Experiment._explicit``.
 EXAMPLES = {
@@ -38,17 +41,12 @@ EXAMPLES = {
     "transition": lambda e: e.crystalball(
         "debug", transition=TransitionConfig(enable_resets=False)),
     "portfolio": lambda e: e.crystalball("debug", portfolio=True),
-    "immediate_check": lambda e: e.crystalball("debug", immediate_check=False),
-    "check_filter_safety": lambda e: e.crystalball(
-        "debug", check_filter_safety=False),
     "checking": lambda e: e.crystalball(
         "debug", checking=CheckingPolicy(period=2)),
     "delta_checkpoints": lambda e: e.crystalball(
         "debug", delta_checkpoints=True),
     "batched_control_plane": lambda e: e.crystalball(
         "debug", batched_control_plane=True),
-    "checker_nodes": lambda e: e.crystalball(
-        "debug", nodes=make_addresses(1)),
     "workload": lambda e: e.workload("probes"),
     "backend": lambda e: e.backend("tcp"),
     "properties": lambda e: e.properties("randtree.*"),
@@ -61,11 +59,10 @@ EXAMPLES = {
 def test_every_recordable_setting_has_an_example():
     recorded = set(re.findall(r'(?:_explicit\.add|_note)\("(\w+)"',
                               inspect.getsource(Experiment)))
-    # crystalball() records its keyword settings in one loop; mode/config
-    # are not settings, the budget lives in the config, and nodes= is
-    # recorded (above) as "checker_nodes".
+    # crystalball() records its keyword settings in one loop; the mode is
+    # not a setting and the budget is what a search scenario honours.
     recorded |= set(inspect.signature(Experiment.crystalball).parameters) - {
-        "self", "mode", "config", "budget", "nodes"}
+        "self", "mode", "budget"}
     assert recorded == set(EXAMPLES)
 
 
@@ -111,14 +108,11 @@ EFFECTS = {
         not controller.config.transition.enable_resets
         for controller in r.controllers.values()),
     "portfolio": _controller_setting("portfolio_mode", True),
-    "immediate_check": _controller_setting("immediate_check", False),
-    "check_filter_safety": _controller_setting("check_filter_safety", False),
     "checking": lambda r: all(controller.config.checking.period == 2
                               for controller in r.controllers.values()),
     "delta_checkpoints": _controller_setting("delta_checkpoints", True),
     "batched_control_plane": _controller_setting("batched_control_plane",
                                                  True),
-    "checker_nodes": lambda r: list(r.controllers) == make_addresses(1),
     "workload": lambda r: r.workload["requests_injected"] > 0,
     "backend": lambda r: r.backend == "tcp"
     and r.outcome["wire"]["frames_sent"] > 0,
@@ -212,3 +206,92 @@ def test_a_former_driver_takes_every_builder_setting():
         ["run", "paxos", "--scenario", "figure13-bug1",
          "--max-states", "50"]))._budget()
     assert (budget.max_states, budget.max_depth) == (50, 12)
+
+
+#: Controller settings no caller moves, kept because the paper names them.
+PAPER_SETTINGS = {
+    "checkpoint_quota": "Section 3.1, Managing Checkpoint Storage",
+    "checkpoint_bandwidth_limit": "Section 3.1, Managing Bandwidth "
+                                  "Consumption",
+    "safety_budget": "Section 3.3, Ensuring Safety of Event Filter Actions",
+}
+
+_CONFIGURED = {"crystalball": Experiment.crystalball,
+               "CrystalBallConfig": CrystalBallConfig}
+
+
+def _scopes(tree: ast.AST):
+    """The nodes of the module body and of each function body, each scope
+    on its own (a local ``kwargs`` of one function is not another's)."""
+    pending = [tree]
+    while pending:
+        nodes, stack = [], list(ast.iter_child_nodes(pending.pop()))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                pending.append(node)
+            else:
+                nodes.append(node)
+                stack.extend(ast.iter_child_nodes(node))
+        yield nodes
+
+
+def _settings_moved(scope: list) -> dict[str, set[str]]:
+    """Per callable of ``_CONFIGURED``, the parameters some call in ``scope``
+    gives a value other than the default: positional and keyword arguments,
+    and the string keys stored in a dict the call ``**``-expands."""
+    stored: dict[str, set[str]] = defaultdict(set)
+    for node in scope:
+        if (isinstance(node, ast.Assign)
+                and isinstance(node.targets[0], ast.Subscript)):
+            # cb_kwargs["engine"] = ...
+            keyed, key = node.targets[0].value, node.targets[0].slice
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "setdefault" and node.args):
+            keyed, key = node.func.value, node.args[0]
+        else:
+            continue
+        if isinstance(keyed, ast.Name) and isinstance(key, ast.Constant):
+            stored[keyed.id].add(key.value)
+    moved: dict[str, set[str]] = defaultdict(set)
+    for node in scope:
+        name = getattr(node, "func", None)
+        name = getattr(name, "attr", getattr(name, "id", None))
+        if not isinstance(node, ast.Call) or name not in _CONFIGURED:
+            continue
+        parameters = inspect.signature(_CONFIGURED[name]).parameters
+        positional = [p for p in parameters if p != "self"]
+        given = list(zip(positional, node.args)) + [
+            (keyword.arg, keyword.value) for keyword in node.keywords]
+        for parameter, value in given:
+            if parameter is None:
+                moved[name] |= stored[getattr(value, "id", None)]
+            elif not (isinstance(value, ast.Constant)
+                      and value.value == parameters[parameter].default):
+                moved[name].add(parameter)
+    return moved
+
+
+def test_every_crystalball_setting_is_moved_by_a_caller_or_named_by_the_paper():
+    repo = Path(__file__).resolve().parents[2]
+    moved: dict[str, set[str]] = defaultdict(set)
+    for directory in ("src", "benchmarks", "examples"):
+        for path in sorted((repo / directory).rglob("*.py")):
+            for scope in _scopes(ast.parse(path.read_text(encoding="utf-8"))):
+                for name, parameters in _settings_moved(scope).items():
+                    moved[name] |= parameters
+    keywords = set(inspect.signature(Experiment.crystalball).parameters) - {
+        "self"}
+    assert keywords - moved["crystalball"] == set(), \
+        "a builder keyword nothing outside tests/ sets: make it a constant"
+    # The builder is the only road to the config: a keyword moves the field
+    # it is stored under.
+    reached = set(moved["CrystalBallConfig"])
+    for keyword in moved["crystalball"] - {"mode"}:
+        reached |= set(
+            Experiment("randtree").crystalball(**{keyword: True})._cb_kwargs)
+    fields = {field.name for field in dataclasses.fields(CrystalBallConfig)}
+    assert reached <= fields
+    assert fields - reached == set(PAPER_SETTINGS), \
+        "a config field nothing moves and the paper does not name"

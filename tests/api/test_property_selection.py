@@ -7,7 +7,7 @@ import pytest
 from repro.api import Experiment
 from repro.api.cli import main
 from repro.api.registry import get_system
-from repro.properties import get_property
+from repro.properties import get_property, select_properties
 from repro.systems.randtree import ALL_PROPERTIES
 
 
@@ -68,13 +68,12 @@ def test_run_report_carries_per_property_rollups():
 
 def test_registered_properties_superset_of_defaults():
     spec = get_system("randtree")
-    registered = {prop.name for prop in spec.registered_properties()}
+    registered = {prop.name for prop in select_properties("randtree.*")}
     defaults = {prop.name for prop in spec.properties}
     assert defaults < registered
     # bulletprime maps to the historical "bullet." namespace.
     bullet = get_system("bulletprime")
-    assert all(prop.name.startswith("bullet.")
-               for prop in bullet.registered_properties())
+    assert all(prop.name.startswith("bullet.") for prop in bullet.properties)
 
 
 # ------------------------------------------------------------------------ CLI

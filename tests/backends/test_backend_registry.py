@@ -5,7 +5,6 @@ import pytest
 from repro.backends import (
     AsyncioTcpBackend,
     ExecutionBackend,
-    SimBackend,
     backend_names,
     get_backend,
     make_backend,
@@ -21,7 +20,7 @@ class _Null:
 
 def test_builtin_backends_registered():
     assert backend_names() == ["sim", "tcp"]
-    assert get_backend("sim") is SimBackend
+    assert get_backend("sim") is Simulator
     assert get_backend("tcp") is AsyncioTcpBackend
 
 
@@ -31,7 +30,7 @@ def test_unknown_backend_rejected_with_known_names():
 
 
 def test_register_backend_is_idempotent_but_guards_conflicts():
-    assert register_backend("sim", SimBackend) is SimBackend
+    assert register_backend("sim", Simulator) is Simulator
     with pytest.raises(ValueError, match="already registered"):
         register_backend("sim", AsyncioTcpBackend)
 

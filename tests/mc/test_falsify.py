@@ -1,58 +1,7 @@
 """Unit tests for repro.mc.falsify with toy executors (no live runs)."""
 
-import pytest
+from repro.mc import greedy_minimize
 
-from repro.mc import (
-    FalsificationEngine,
-    greedy_minimize,
-    seeded_candidates,
-)
-
-# Any registered property id works for the engine's up-front validation;
-# the toy executors never run the property itself.
-PROPERTY = "paxos.agreement"
-
-
-def test_engine_rejects_unknown_property_up_front():
-    with pytest.raises(ValueError, match="no registered"):
-        FalsificationEngine("no.such.property", lambda c: None, [])
-
-
-def test_falsify_stops_at_first_violating_candidate():
-    executed = []
-
-    def execute(candidate):
-        executed.append(candidate)
-        return "boom" if candidate >= 3 else None
-
-    engine = FalsificationEngine(
-        PROPERTY, execute, seeded_candidates(lambda seed: seed))
-    result = engine.falsify()
-    assert result.found
-    assert result.candidate == 3
-    assert result.evidence == "boom"
-    assert result.attempts == 4
-    assert executed == [0, 1, 2, 3]  # nothing past the first violation
-
-
-def test_falsify_respects_the_attempt_budget():
-    engine = FalsificationEngine(
-        PROPERTY, lambda candidate: None,
-        seeded_candidates(lambda seed: seed), max_attempts=5)
-    result = engine.falsify()
-    assert not result.found
-    assert result.attempts == 5
-    assert result.candidate is None
-
-
-def test_falsify_drains_finite_candidates_without_budget():
-    result = FalsificationEngine(
-        PROPERTY, lambda candidate: None, [1, 2, 3]).falsify()
-    assert not result.found
-    assert result.attempts == 3
-
-
-# -- greedy_minimize ---------------------------------------------------------
 
 def _drop_one(candidate):
     """Propose every variant with one element removed."""
@@ -117,8 +66,3 @@ def test_greedy_minimize_tries_reducers_in_order():
         (1, 2), "boom", [("noop", noop), ("shrink", shrink)], execute)
     assert result.candidate == ()
     assert result.reductions == ["shrink", "shrink"]
-
-
-def test_seeded_candidates_starts_at_offset():
-    stream = seeded_candidates(lambda seed: seed * 10, start=3)
-    assert [next(stream) for _ in range(3)] == [30, 40, 50]

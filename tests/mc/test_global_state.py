@@ -58,7 +58,7 @@ def test_reset_counts_accumulate():
     a = Address(1)
     gs = GlobalState.from_snapshot({a: _state(a)})
     assert gs.reset_count(a) == 0
-    gs2 = gs.with_reset(a).with_reset(a)
+    gs2 = gs.successor(reset=a).successor(reset=a)
     assert gs2.reset_count(a) == 2
     assert gs.reset_count(a) == 0
     assert gs.state_hash() != gs2.state_hash()

@@ -6,6 +6,8 @@ import pytest
 
 from benchmarks.e2e.workloads import scripted_snapshot
 from repro.core import CrystalBallConfig, CrystalBallController
+from repro.core.consequence import consequence_prediction
+from repro.core.controller import PORTFOLIO_WALKS
 from repro.mc import (
     GlobalState,
     ParallelEngine,
@@ -202,16 +204,6 @@ def test_queued_hash_set_prevents_duplicate_enqueues():
     assert result.stats.frontier_bytes == 0
 
 
-def test_max_frontier_bytes_bounds_the_search():
-    system, start, properties, _ = _randtree_case()
-    unbounded = find_errors(system, start, properties,
-                            SearchBudget(max_states=None, max_depth=4))
-    bounded = find_errors(system, start, properties,
-                          SearchBudget(max_states=None, max_depth=4,
-                                       max_frontier_bytes=10_000))
-    assert bounded.stats.states_visited < unbounded.stats.states_visited
-
-
 def test_make_engine_specs():
     assert isinstance(make_engine(None), SerialEngine)
     assert isinstance(make_engine("serial"), SerialEngine)
@@ -282,11 +274,24 @@ def test_portfolio_reports_crashing_strategies():
     assert "boom" not in outcome.unfinished
 
 
-def test_portfolio_first_violation_wins_returns_early():
-    system, start, properties, _ = _randtree_case()
-    outcome = run_portfolio(system, start, properties,
-                            SearchBudget(max_states=4000, max_depth=8),
-                            wall_clock_seconds=60.0, walks=1,
-                            first_violation_wins=True)
-    assert outcome.winner is not None
-    assert outcome.results[outcome.winner].found_violation
+def test_portfolio_predicts_what_consequence_prediction_misses():
+    """Why portfolio mode exists (Section 5.3: the strategies surface
+    different bugs).  From the Paxos bug-1 start state, under the
+    controller's default budget, consequence prediction predicts nothing;
+    the portfolio's seeded random walks reach the double choice."""
+    system, start, properties, _ = _paxos_case()
+    budget = CrystalBallConfig().search_budget
+    predicted = consequence_prediction(system, start, properties, budget)
+    assert not [v for v in predicted.violations if v.path]
+    assert predicted.stats.states_visited == 1077
+
+    outcome = run_portfolio(system, start, properties, budget,
+                            walks=PORTFOLIO_WALKS)
+    assert not outcome.unfinished and not outcome.errors
+    finders = {name for name, result in outcome.results.items()
+               if "paxos.at_most_one_value_chosen"
+               in result.unique_property_names()}
+    assert finders == {"walk-0", "walk-1"}
+    merged = outcome.merged_result(start)
+    assert "paxos.at_most_one_value_chosen" in merged.unique_property_names()
+    assert merged.stats.states_visited == 5195

@@ -201,13 +201,13 @@ def test_transmit_batch_matches_sequential_transmit():
 
 def test_inflight_index_tracks_service_messages():
     sim, (a, b) = _make_sim()
-    assert sim.inflight_service_count() == 0
+    assert len(sim.inflight_messages()) == 0
     sim.schedule_app(1.0, a, "ping", {"target": b})
     sim.run(max_events=1)  # the app event sent Ping; it is now inflight
-    assert sim.inflight_service_count() == 1
+    assert len(sim.inflight_messages()) == 1
     assert [m.mtype for m in sim.inflight_messages()] == ["Ping"]
     sim.run(until=10.0)
-    assert sim.inflight_service_count() == 0
+    assert len(sim.inflight_messages()) == 0
 
 
 def test_inflight_index_excludes_control_messages():
@@ -215,12 +215,12 @@ def test_inflight_index_excludes_control_messages():
     control = Message(mtype="_cb_probe", src=a, dst=b, payload={},
                       control=True, transport=Transport.UDP)
     sim.transmit(a, control)
-    assert sim.inflight_service_count() == 0
+    assert len(sim.inflight_messages()) == 0
 
 
 def test_inflight_index_covers_batched_deliveries():
     sim, (a, b) = _make_sim()
     sim.transmit_batch(a, [_message(a, b) for _ in range(3)])
-    assert sim.inflight_service_count() == 3
+    assert len(sim.inflight_messages()) == 3
     sim.run(until=10.0)
-    assert sim.inflight_service_count() == 0
+    assert len(sim.inflight_messages()) == 0

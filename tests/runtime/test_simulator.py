@@ -183,7 +183,7 @@ def test_bandwidth_accounting_separates_control_plane():
     sim.schedule_app(1.0, a, "ping", {"target": b})
     sim.run(until=3.0)
     assert sim.total_service_bytes() > 0
-    assert sim.total_control_bytes() == 0
+    assert sim.nodes[a].stats.control_bytes_sent == 0
     control = Message(mtype="_cb_x", src=a, dst=b, payload={}, control=True)
     sim.transmit(a, control)
-    assert sim.total_control_bytes() > 0
+    assert sim.nodes[a].stats.control_bytes_sent > 0

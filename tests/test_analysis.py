@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis import (
-    ExperimentLog,
     empirical_cdf,
     format_table,
     growth_ratios,
@@ -53,10 +52,3 @@ def test_format_table_aligns_and_titles():
     assert lines[0] == "T"
     assert "a" in lines[1] and "bb" in lines[1]
     assert len(lines) == 5
-
-
-def test_experiment_log_renders_records():
-    log = ExperimentLog()
-    log.add("Table 1", "13 bugs", "12 bugs", "seeded")
-    rendered = log.render()
-    assert "Table 1" in rendered and "13 bugs" in rendered
