@@ -30,7 +30,7 @@ Run with::
 from __future__ import annotations
 
 from repro.api import Experiment
-from repro.attack import AttackConfig, build_faults, find_attack
+from repro.attack import AttackConfig, find_attack
 
 SEED = 0
 
@@ -49,7 +49,7 @@ def describe(result) -> None:
           f"{report.minimized_steps} step(s) via {report.reductions}")
     for index, step in enumerate(report.minimized_schedule.steps):
         window = "-" if step.duration is None else f"{step.duration:.1f}s"
-        print(f"  step {index}: t={step.at:.1f}s {step.kind} "
+        print(f"  step {index}: t={step.at:.1f}s {step.name} "
               f"(window {window})")
     violation = report.violation
     print(f"violation: t={violation['sim_time']:.3f}s  "
@@ -65,7 +65,7 @@ def steer(result) -> None:
               .mode("steering")
               .seed(SEED)
               .properties("paxos.agreement")
-              .faults(*build_faults(schedule), seed=0, start_after=0.0)
+              .faults(*schedule.steps, seed=0, start_after=0.0)
               .run())
     records = [record for record in report.live_monitor.records
                if record.property_id == "paxos.agreement"]

@@ -57,7 +57,7 @@ from . import (
     systems,
 )
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = ["analysis", "api", "campaign", "core", "faults", "mc", "obs",
            "properties", "runtime", "systems", "__version__"]

@@ -9,10 +9,12 @@ Three pieces, built on :mod:`repro.faults.byzantine` and
 :mod:`repro.mc.falsify`:
 
 :mod:`repro.attack.schedule`
-    Concretizes fault presets into explicit one-shot
-    :class:`~repro.attack.schedule.AttackStep` lists with pinned per-step
-    RNG keys, so dropping one step never shifts the others' draws — the
-    property delta debugging needs.
+    Concretizes fault presets into an explicit
+    :class:`~repro.attack.schedule.AttackSchedule` of one-shot
+    :class:`~repro.faults.base.Fault` steps with pinned per-step RNG keys,
+    so dropping one step never shifts the others' draws — the property
+    delta debugging needs.  A step is the fault itself: a trace replays
+    through ``Experiment.faults(*schedule.steps, ...)``.
 
 :mod:`repro.attack.runner`
     :func:`~repro.attack.runner.find_attack`: seeded counterexample hunt
@@ -30,13 +32,7 @@ campaign ``modes=attack`` axis.
 
 from .report import AttackReport
 from .runner import AttackConfig, AttackEvidence, AttackResult, find_attack
-from .schedule import (
-    STEP_KINDS,
-    AttackSchedule,
-    AttackStep,
-    build_faults,
-    concretize,
-)
+from .schedule import AttackSchedule, concretize
 
 __all__ = [
     "AttackConfig",
@@ -44,9 +40,6 @@ __all__ = [
     "AttackReport",
     "AttackResult",
     "AttackSchedule",
-    "AttackStep",
-    "STEP_KINDS",
-    "build_faults",
     "concretize",
     "find_attack",
 ]

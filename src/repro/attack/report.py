@@ -166,13 +166,13 @@ class AttackReport:
                 params = (
                     ", ".join(
                         f"{key}={value}"
-                        for key, value in sorted(step.params.items())
+                        for key, value in sorted(step.params().items())
                         if value is not None
                     )
                     or "-"
                 )
                 lines.append(
-                    f"| {index} | {_fmt_time(step.at)} | `{step.kind}` "
+                    f"| {index} | {_fmt_time(step.at)} | `{step.name}` "
                     f"| {_fmt_time(step.duration)} | {params} |"
                 )
             lines.append("")

@@ -17,14 +17,14 @@ the campaign ``modes=attack`` axis:
    :class:`~repro.attack.report.AttackReport` artifact.
 
 Every run is a plain :class:`~repro.api.experiment.Experiment` with the
-schedule's one-shot faults installed at ``start_after=0.0`` (steps carry
-absolute times) — so a reported trace replays through the public API with
-no attack machinery involved.
+schedule's steps (one-shot faults at absolute times) installed at
+``start_after=0.0`` — so a reported trace replays through the public API
+with no attack machinery involved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from ..api.experiment import Experiment
@@ -38,7 +38,7 @@ from ..obs import MetricsRegistry
 from ..properties import select_properties
 from ..properties.violations import ViolationRecord
 from .report import AttackReport
-from .schedule import STEP_KINDS, AttackSchedule, AttackStep, build_faults, concretize
+from .schedule import AttackSchedule, concretize
 
 __all__ = ["AttackConfig", "AttackEvidence", "AttackResult", "find_attack"]
 
@@ -111,6 +111,12 @@ def _invocation(
     return " ".join(parts)
 
 
+def _with_step(schedule: AttackSchedule, index: int, *step: Fault) -> AttackSchedule:
+    """The schedule with step ``index`` replaced by ``step`` (or dropped)."""
+    steps = schedule.steps[:index] + step + schedule.steps[index + 1 :]
+    return replace(schedule, steps=steps)
+
+
 class _AttackRunner:
     def __init__(self, config: AttackConfig) -> None:
         self.config = config
@@ -140,7 +146,7 @@ class _AttackRunner:
             .nodes(self.nodes)
             .duration(self.duration)
             .properties(config.property_id)
-            .faults(*build_faults(schedule), seed=0, start_after=0.0)
+            .faults(*schedule.steps, seed=0, start_after=0.0)
         )
         if config.options:
             experiment.options(**dict(config.options))
@@ -169,24 +175,13 @@ class _AttackRunner:
         if len(schedule.steps) <= 1:
             return
         for index in range(len(schedule.steps)):
-            steps = schedule.steps[:index] + schedule.steps[index + 1 :]
-            yield schedule.replace_steps(steps)
+            yield _with_step(schedule, index)
 
     def _shrink_window(self, schedule: AttackSchedule):
         for index, step in enumerate(schedule.steps):
             if step.duration is None or step.duration / 2 < _MIN_WINDOW:
                 continue
-            shrunk = AttackStep(
-                kind=step.kind,
-                at=step.at,
-                duration=step.duration / 2,
-                params=step.params,
-                rng_key=step.rng_key,
-            )
-            steps = (
-                schedule.steps[:index] + (shrunk,) + schedule.steps[index + 1 :]
-            )
-            yield schedule.replace_steps(steps)
+            yield _with_step(schedule, index, replace(step, duration=step.duration / 2))
 
     def _narrow_mtypes(self, schedule: AttackSchedule):
         """Drop tampered message types one at a time (the "drop message
@@ -194,35 +189,19 @@ class _AttackRunner:
         never needed to touch the removed type."""
         pool = self.config.mtype_pool
         for index, step in enumerate(schedule.steps):
-            cls = STEP_KINDS.get(step.kind)
-            if cls is None or not issubclass(cls, MutatingFault):
+            if not isinstance(step, MutatingFault):
                 continue
-            mtypes = step.params.get("mtypes")
             candidates: list[tuple[str, ...]] = []
-            if mtypes:
-                if len(mtypes) > 1:
+            if step.mtypes:
+                if len(step.mtypes) > 1:
                     candidates = [
-                        tuple(m for m in mtypes if m != dropped)
-                        for dropped in mtypes
+                        tuple(m for m in step.mtypes if m != dropped)
+                        for dropped in step.mtypes
                     ]
             elif pool:
                 candidates = [(mtype,) for mtype in pool]
             for narrowed in candidates:
-                params = dict(step.params)
-                params["mtypes"] = narrowed
-                replaced = AttackStep(
-                    kind=step.kind,
-                    at=step.at,
-                    duration=step.duration,
-                    params=params,
-                    rng_key=step.rng_key,
-                )
-                steps = (
-                    schedule.steps[:index]
-                    + (replaced,)
-                    + schedule.steps[index + 1 :]
-                )
-                yield schedule.replace_steps(steps)
+                yield _with_step(schedule, index, replace(step, mtypes=narrowed))
 
     def reducers(self):
         return [

@@ -3,12 +3,14 @@
 A fault preset is *implicit*: "equivocate every 20 s" only becomes
 concrete firings once a run unfolds.  Delta debugging needs the opposite —
 an explicit list of one-shot steps where removing one never changes the
-others.  :func:`concretize` unrolls presets/instances into
-:class:`AttackStep` entries at absolute simulated times, each carrying its
-own pinned ``rng_key`` (so the equivocating node picked by step 3 does not
-depend on whether step 2 still exists), and :func:`build_faults` turns a
-schedule back into one-shot :class:`~repro.faults.base.Fault` instances
-for a seeded re-execution.
+others.  :func:`concretize` unrolls presets/instances into one-shot
+:class:`~repro.faults.base.Fault` instances at absolute simulated times,
+each carrying its own pinned ``rng_key`` (so the equivocating node picked
+by step 3 does not depend on whether step 2 still exists).  A step *is*
+the fault a seeded re-execution installs:
+``Experiment(...).faults(*schedule.steps, seed=0, start_after=0.0)``
+(every run deep-copies the instances it is given, so a schedule is never
+touched by running it).
 
 Schedules serialize to JSON (``to_dict``/``from_dict``) — they are the
 ``trace`` section of the attack-report artifact.
@@ -16,129 +18,38 @@ Schedules serialize to JSON (``to_dict``/``from_dict``) — they are the
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence, Type, Union
+from dataclasses import dataclass, replace
+from typing import Any, Iterable, Union
 
 from ..faults.base import Fault
-from ..faults.byzantine import EquivocatingNode, MessageTamper, SpoofSender
-from ..faults.presets import resolve_preset
-from ..faults.types import (
-    ClockSkew,
-    CrashRestart,
-    LinkFlap,
-    MessageDelay,
-    MessageDup,
-    MessageReorder,
-    Partition,
-)
+from ..faults.presets import STOP_AFTER_FRACTION, expand_faults
 
-__all__ = [
-    "STEP_KINDS",
-    "AttackStep",
-    "AttackSchedule",
-    "concretize",
-    "build_faults",
-]
-
-#: Fault classes a schedule step can name, keyed by ``Fault.name``.
-STEP_KINDS: dict[str, Type[Fault]] = {
-    cls.name: cls
-    for cls in (
-        Partition,
-        LinkFlap,
-        CrashRestart,
-        ClockSkew,
-        MessageDelay,
-        MessageReorder,
-        MessageDup,
-        MessageTamper,
-        SpoofSender,
-        EquivocatingNode,
-    )
-}
-
-#: Fault constructor arguments owned by the step itself (timing + RNG) or
-#: not serializable (the mutator hook is re-resolved from the system spec).
-_RESERVED_PARAMS = frozenset({"at", "every", "duration", "rng_key", "mutator"})
+__all__ = ["AttackSchedule", "concretize"]
 
 #: Bound on concretized steps per schedule, so a short-period preset over a
 #: long run cannot explode the trace artifact.
 _MAX_STEPS = 64
 
 
-def _jsonify(value: Any) -> Any:
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(item) for item in value]
-    return value
-
-
-def _fault_params(fault: Fault) -> dict[str, Any]:
-    """Init fields that configure the fault beyond timing/RNG."""
-    params: dict[str, Any] = {}
-    for f in dataclasses.fields(fault):
-        if not f.init or f.name in _RESERVED_PARAMS:
-            continue
-        params[f.name] = getattr(fault, f.name)
-    return params
-
-
-@dataclass(frozen=True)
-class AttackStep:
-    """One one-shot fault firing at an absolute simulated time.
-
-    ``rng_key`` pins the step's private RNG: the same step replays the
-    same draws (liar choice, tampered fields) no matter which other steps
-    survive minimization.
-    """
-
-    kind: str
-    at: float
-    duration: Union[float, None] = None
-    params: dict[str, Any] = field(default_factory=dict)
-    rng_key: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "at": round(self.at, 6),
-            "duration": self.duration,
-            "params": {key: _jsonify(val) for key, val in self.params.items()},
-            "rng_key": self.rng_key,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "AttackStep":
-        params = dict(data.get("params", {}))
-        # JSON round-trips tuples as lists; fault fields expect tuples.
-        for key, value in params.items():
-            if isinstance(value, list):
-                params[key] = tuple(value)
-        return cls(
-            kind=data["kind"],
-            at=float(data["at"]),
-            duration=data.get("duration"),
-            params=params,
-            rng_key=data.get("rng_key", ""),
-        )
-
-
 @dataclass(frozen=True)
 class AttackSchedule:
-    """An explicit, replayable fault schedule for one attack attempt."""
+    """An explicit, replayable fault schedule for one attack attempt.
 
-    steps: tuple[AttackStep, ...]
+    Every step is a one-shot fault (``at`` absolute, ``every`` unset) whose
+    ``rng_key`` pins its private RNG: the same step replays the same draws
+    (liar choice, tampered fields) no matter which other steps survive
+    minimization.  ``MutatingFault`` steps read back from JSON carry
+    ``mutator=None`` — the live run fills in the system's registered
+    mutator hook, exactly as for preset-built faults.
+    """
+
+    steps: tuple[Fault, ...]
     #: Attack seed the schedule was concretized with (names the attempt).
     seed: int = 0
     duration: float = 0.0
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def replace_steps(self, steps: Sequence[AttackStep]) -> "AttackSchedule":
-        return AttackSchedule(
-            steps=tuple(steps), seed=self.seed, duration=self.duration
-        )
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -150,7 +61,7 @@ class AttackSchedule:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "AttackSchedule":
         return cls(
-            steps=tuple(AttackStep.from_dict(s) for s in data.get("steps", [])),
+            steps=tuple(Fault.from_dict(s) for s in data.get("steps", [])),
             seed=int(data.get("seed", 0)),
             duration=float(data.get("duration", 0.0)),
         )
@@ -173,63 +84,22 @@ def concretize(
     run a tail to re-converge in).
     """
     if stop_after is None:
-        stop_after = duration * 0.9
-    expanded: list[Fault] = []
-    for item in faults:
-        if isinstance(item, Fault):
-            expanded.append(item)
-        else:
-            expanded.extend(resolve_preset(item, duration))
-    steps: list[AttackStep] = []
-    for fault in expanded:
-        if fault.name not in STEP_KINDS:
+        stop_after = duration * STOP_AFTER_FRACTION
+    steps: list[Fault] = []
+    for fault in expand_faults(faults, duration):
+        if fault.name not in Fault.kinds:
             raise ValueError(
                 f"fault type {fault.name!r} has no schedule step kind "
-                f"(known kinds: {', '.join(sorted(STEP_KINDS))})"
+                f"(known kinds: {', '.join(sorted(Fault.kinds))})"
             )
-        params = _fault_params(fault)
         first = fault.at if fault.at is not None else fault.every
         t = start_after + float(first)
         while t < stop_after and len(steps) < _MAX_STEPS:
             steps.append(
-                AttackStep(
-                    kind=fault.name,
-                    at=t,
-                    duration=fault.duration,
-                    params=dict(params),
-                    rng_key=f"attack/{seed}/{len(steps)}",
-                )
+                replace(fault, at=t, every=None, rng_key=f"attack/{seed}/{len(steps)}")
             )
             if fault.every is None:
                 break
             t += fault.every
-    steps.sort(key=lambda step: (step.at, step.kind, step.rng_key))
+    steps.sort(key=lambda step: (step.at, step.name, step.rng_key))
     return AttackSchedule(steps=tuple(steps), seed=seed, duration=duration)
-
-
-def build_faults(schedule: AttackSchedule) -> list[Fault]:
-    """Reconstruct one-shot fault instances from a schedule.
-
-    Steps carry absolute times, so callers must run the nemesis with
-    ``start_after=0.0``.  ``MutatingFault`` steps come back with
-    ``mutator=None`` — the live run fills in the system's registered
-    mutator hook, exactly as for preset-built faults.
-    """
-    faults: list[Fault] = []
-    for step in schedule.steps:
-        try:
-            cls = STEP_KINDS[step.kind]
-        except KeyError:
-            raise ValueError(
-                f"unknown schedule step kind {step.kind!r} "
-                f"(known kinds: {', '.join(sorted(STEP_KINDS))})"
-            ) from None
-        faults.append(
-            cls(
-                at=step.at,
-                duration=step.duration,
-                rng_key=step.rng_key or None,
-                **step.params,
-            )
-        )
-    return faults

@@ -21,7 +21,7 @@ over-approximating one (it explores deliveries, losses and resets
 regardless of which fault window is currently open).
 """
 
-from .base import Fault, FaultRecord, MessageInterceptor
+from .base import Fault, FaultRecord, MessageInterceptor, WindowFault
 from .byzantine import (
     EquivocatingNode,
     MessageMutator,
@@ -52,6 +52,7 @@ __all__ = [
     "Fault",
     "FaultRecord",
     "MessageInterceptor",
+    "WindowFault",
     "MessageMutator",
     "MessageTamper",
     "MutatingFault",

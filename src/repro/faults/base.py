@@ -10,21 +10,29 @@ fires (one-shot ``at`` or periodic ``every``), *how long* it lasts
 scheduler owns the timing and bookkeeping so that a fault schedule is fully
 determined by the nemesis seed.
 
-Message-level faults (delay, reorder, duplication) act through
+Message-level faults (delay, reorder, duplication) act as
 :class:`MessageInterceptor` objects installed on
 :class:`~repro.runtime.network.NetworkModel`: the simulator asks the network
 model for a *delivery plan* (a list of delivery latencies, empty = dropped)
 for every transmitted message, and each installed interceptor may transform
 that plan.  Byzantine faults (see :mod:`repro.faults.byzantine`)
 additionally use the :meth:`MessageInterceptor.rewrite` hook to alter the
-message *content* on the wire before the plan is computed.
+message *content* on the wire before the plan is computed.  A
+:class:`WindowFault` is both at once: it installs *itself* on the network
+model for its duration.
+
+A one-shot fault is also one step of an attack trace
+(:mod:`repro.attack.schedule`): :meth:`Fault.to_dict` and
+:meth:`Fault.from_dict` carry it through JSON, by ``name`` in
+:attr:`Fault.kinds`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, ClassVar, Optional
 
 from ..runtime.address import Address
 from ..runtime.messages import Message
@@ -77,8 +85,16 @@ class Fault:
     duration: Optional[float] = None
     rng_key: Optional[str] = None
 
-    #: Human-readable fault-type name used in records and breakdowns.
+    #: Human-readable fault-type name used in records, breakdowns and traces.
     name = "fault"
+
+    #: Every fault class that declares a ``name``, keyed by it.
+    kinds: ClassVar[dict[str, type["Fault"]]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "name" in cls.__dict__:
+            Fault.kinds[cls.name] = cls
 
     def __post_init__(self) -> None:
         if (self.at is None) == (self.every is None):
@@ -90,6 +106,47 @@ class Fault:
             raise ValueError("every must be positive")
         if self.duration is not None and self.duration <= 0:
             raise ValueError("duration must be positive")
+
+    # -- trace form -----------------------------------------------------------
+
+    def params(self) -> dict[str, Any]:
+        """Constructor arguments that configure the fault beyond timing/RNG."""
+        timing = {f.name for f in dataclasses.fields(Fault)}
+        return {
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(self)
+            if f.init and f.name not in timing
+        }
+
+    def to_dict(self) -> dict[str, Any]:
+        """One step of an attack trace (a one-shot fault at an absolute time)."""
+        return {
+            "kind": self.name,
+            "at": self.at,
+            "duration": self.duration,
+            "params": self.params(),
+            "rng_key": self.rng_key,
+        }
+
+    @staticmethod
+    def from_dict(data: dict[str, Any]) -> "Fault":
+        cls = Fault.kinds.get(data["kind"])
+        if cls is None:
+            raise ValueError(
+                f"unknown schedule step kind {data['kind']!r} "
+                f"(known kinds: {', '.join(sorted(Fault.kinds))})"
+            )
+        # JSON writes tuples as lists; fault fields expect tuples.
+        params = {
+            key: tuple(value) if isinstance(value, list) else value
+            for key, value in data.get("params", {}).items()
+        }
+        return cls(
+            at=float(data["at"]),
+            duration=data.get("duration"),
+            rng_key=data.get("rng_key") or None,
+            **params,
+        )
 
     # -- target selection helpers ---------------------------------------------
 
@@ -143,9 +200,6 @@ class MessageInterceptor:
     runtime.
     """
 
-    #: Messages intercepted (for fault detail accounting).
-    affected: int = 0
-
     def transform(
         self, message: Message, plan: list[float], rng: random.Random
     ) -> list[float]:
@@ -160,3 +214,50 @@ class MessageInterceptor:
         fault-free and benign-fault runs keep their historical schedules.
         """
         return message
+
+
+@dataclass
+class WindowFault(Fault, MessageInterceptor):
+    """A fault that is its own interceptor while its window is open.
+
+    :meth:`inject` installs the fault on the network model and :meth:`heal`
+    removes it; subclasses override :meth:`transform` or :meth:`rewrite`
+    (reading their own fields) and, where a window needs the membership, a
+    liar or a private RNG, :meth:`open`.
+    """
+
+    #: Messages touched by the current (or most recent) window.
+    affected: int = field(default=0, init=False, repr=False)
+    _active: bool = field(default=False, init=False, repr=False)
+
+    def open(self, sim: Simulator, rng: random.Random) -> bool:
+        """Prepare one window; ``False`` when no eligible target exists."""
+        return True
+
+    def describe(self) -> dict:
+        return {}
+
+    def transform(
+        self, message: Message, plan: list[float], rng: random.Random
+    ) -> list[float]:
+        return plan
+
+    def inject(self, sim: Simulator, rng: random.Random) -> Optional[dict]:
+        if self._active:
+            return None  # previous window still open
+        if not self.open(sim, rng):
+            return None
+        self._active = True
+        self.affected = 0
+        sim.network.interceptors.append(self)
+        return self.describe()
+
+    def heal(self, sim: Simulator) -> Optional[dict]:
+        if not self._active:
+            return None
+        self._active = False
+        # By identity: a field-equal fault is a different installed window.
+        sim.network.interceptors[:] = [
+            other for other in sim.network.interceptors if other is not self
+        ]
+        return {"messages_affected": self.affected}

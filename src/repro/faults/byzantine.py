@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from ..runtime.address import Address
 from ..runtime.messages import Message
 from ..runtime.simulator import Simulator
-from .base import Fault, MessageInterceptor
+from .base import WindowFault
 
 __all__ = [
     "MessageMutator",
@@ -81,165 +81,48 @@ def generic_mutator(
     return replace(message, payload=poisoned)
 
 
-class _ByzantineInterceptor(MessageInterceptor):
-    """Shared shape: identity plan transform + content rewrite."""
-
-    def __init__(self, rng: random.Random) -> None:
-        #: Private RNG — rewrite draws never touch the simulator RNG, so
-        #: the benign event schedule is unchanged by a byzantine window.
-        self._rng = rng
-        self.affected = 0
-
-    def transform(
-        self, message: Message, plan: list[float], rng: random.Random
-    ) -> list[float]:
-        return plan
-
-
-class _TamperInterceptor(_ByzantineInterceptor):
-    def __init__(
-        self,
-        rng: random.Random,
-        probability: float,
-        mutator: MessageMutator,
-        mtypes: Optional[tuple[str, ...]],
-        variants: int,
-    ) -> None:
-        super().__init__(rng)
-        self.probability = probability
-        self.mutator = mutator
-        self.mtypes = mtypes
-        self.variants = max(1, variants)
-
-    def rewrite(self, message: Message, rng: random.Random) -> Message:
-        if message.control:
-            return message
-        if self.mtypes is not None and message.mtype not in self.mtypes:
-            return message
-        if self._rng.random() >= self.probability:
-            return message
-        variant = self._rng.randrange(self.variants)
-        mutated = self.mutator(message, self._rng, variant)
-        if mutated is None:
-            return message
-        self.affected += 1
-        return mutated
-
-
-class _SpoofInterceptor(_ByzantineInterceptor):
-    def __init__(
-        self,
-        rng: random.Random,
-        probability: float,
-        addresses: Sequence[Address],
-        mtypes: Optional[tuple[str, ...]],
-    ) -> None:
-        super().__init__(rng)
-        self.probability = probability
-        self.addresses = list(addresses)
-        self.mtypes = mtypes
-
-    def rewrite(self, message: Message, rng: random.Random) -> Message:
-        if message.control:
-            return message
-        if self.mtypes is not None and message.mtype not in self.mtypes:
-            return message
-        candidates = [addr for addr in self.addresses if addr != message.src]
-        if not candidates or self._rng.random() >= self.probability:
-            return message
-        forged = candidates[self._rng.randrange(len(candidates))]
-        self.affected += 1
-        return replace(message, src=forged)
-
-
-class _EquivocationInterceptor(_ByzantineInterceptor):
-    def __init__(
-        self,
-        rng: random.Random,
-        liar: Address,
-        addresses: Sequence[Address],
-        mutator: MessageMutator,
-        mtypes: Optional[tuple[str, ...]],
-    ) -> None:
-        super().__init__(rng)
-        self.liar = liar
-        #: Destination order fixes which lie each peer hears: the variant
-        #: index is the peer's rank, so the same destination always gets
-        #: the same (conflicting-with-everyone-else's) payload.
-        self.addresses = sorted(addresses)
-        self.mutator = mutator
-        self.mtypes = mtypes
-
-    def rewrite(self, message: Message, rng: random.Random) -> Message:
-        if message.control or message.src != self.liar:
-            return message
-        if self.mtypes is not None and message.mtype not in self.mtypes:
-            return message
-        try:
-            variant = self.addresses.index(message.dst)
-        except ValueError:
-            variant = 0
-        mutated = self.mutator(message, self._rng, variant)
-        if mutated is None:
-            return message
-        self.affected += 1
-        return mutated
-
-
 @dataclass
-class MutatingFault(Fault):
+class MutatingFault(WindowFault):
     """Base for byzantine window faults; carries the payload-mutator hook.
 
     ``mutator`` defaults to ``None``, which means "use the system's
     registered mutator, falling back to :func:`generic_mutator`" — the
     live-run driver fills in the registered hook (see
     ``SystemSpec.message_mutator``) before the nemesis is installed.
-    :class:`SpoofSender` inherits the window lifecycle but forges
-    addresses instead of payloads and ignores the mutator.
+    :class:`SpoofSender` inherits the window but forges addresses instead
+    of payloads and ignores the mutator.
 
-    The lifecycle mirrors ``_InterceptorFault`` in
-    :mod:`repro.faults.types`, except that :meth:`make_interceptor`
-    receives the simulator and the fault RNG: byzantine interceptors need
-    the membership (to pick liars and forged sources) and a private RNG
-    seeded from the schedule RNG at injection time.
+    Every window draws from a private RNG that :meth:`open` seeds from the
+    schedule RNG (after any target draw), so rewrite draws never touch the
+    simulator RNG and the benign event schedule is unchanged by a
+    byzantine window.
     """
 
     mutator: Optional[MessageMutator] = None
     #: Restrict tampering to these message types (None = all service
     #: traffic).  Control-plane messages are never touched.
     mtypes: Optional[tuple[str, ...]] = None
-    _interceptor: Optional[MessageInterceptor] = field(
-        default=None, init=False, repr=False
-    )
+    _rng: Optional[random.Random] = field(default=None, init=False, repr=False)
 
     def resolved_mutator(self) -> MessageMutator:
         return self.mutator if self.mutator is not None else generic_mutator
 
-    def make_interceptor(
-        self, sim: Simulator, rng: random.Random
-    ) -> Optional[MessageInterceptor]:
-        raise NotImplementedError
+    def params(self) -> dict[str, Any]:
+        # The hook is not serializable; a trace re-resolves it from the
+        # system spec.
+        params = super().params()
+        del params["mutator"]
+        return params
 
-    def describe(self) -> dict:
-        return {}
+    def open(self, sim: Simulator, rng: random.Random) -> bool:
+        self._rng = random.Random(rng.getrandbits(64))
+        return True
 
-    def inject(self, sim: Simulator, rng: random.Random) -> Optional[dict]:
-        if self._interceptor is not None:
-            return None  # previous window still open
-        interceptor = self.make_interceptor(sim, rng)
-        if interceptor is None:
-            return None
-        self._interceptor = interceptor
-        sim.network.interceptors.append(interceptor)
-        return self.describe()
-
-    def heal(self, sim: Simulator) -> Optional[dict]:
-        if self._interceptor is None:
-            return None
-        interceptor, self._interceptor = self._interceptor, None
-        if interceptor in sim.network.interceptors:
-            sim.network.interceptors.remove(interceptor)
-        return {"messages_affected": interceptor.affected}
+    def targets(self, message: Message) -> bool:
+        """Whether the window may touch this message at all."""
+        return not message.control and (
+            self.mtypes is None or message.mtype in self.mtypes
+        )
 
 
 @dataclass
@@ -257,22 +140,21 @@ class MessageTamper(MutatingFault):
     probability: float = 0.3
     variants: int = 4
 
-    def make_interceptor(
-        self, sim: Simulator, rng: random.Random
-    ) -> Optional[MessageInterceptor]:
-        return _TamperInterceptor(
-            random.Random(rng.getrandbits(64)),
-            self.probability,
-            self.resolved_mutator(),
-            self.mtypes,
-            self.variants,
-        )
-
     def describe(self) -> dict:
         return {
             "probability": self.probability,
             "mtypes": list(self.mtypes) if self.mtypes else "all",
         }
+
+    def rewrite(self, message: Message, rng: random.Random) -> Message:
+        if not self.targets(message) or self._rng.random() >= self.probability:
+            return message
+        variant = self._rng.randrange(max(1, self.variants))
+        mutated = self.resolved_mutator()(message, self._rng, variant)
+        if mutated is None:
+            return message
+        self.affected += 1
+        return mutated
 
 
 @dataclass
@@ -288,23 +170,28 @@ class SpoofSender(MutatingFault):
     name = "spoof-sender"
 
     probability: float = 0.3
+    #: Addresses alive when the window opened: the forgeable sources.
+    _pool: list[Address] = field(default_factory=list, init=False, repr=False)
 
-    def make_interceptor(
-        self, sim: Simulator, rng: random.Random
-    ) -> Optional[MessageInterceptor]:
+    def open(self, sim: Simulator, rng: random.Random) -> bool:
         addresses = self.alive_addresses(sim)
         if len(addresses) < 2:
-            return None
-        self._pool = len(addresses)
-        return _SpoofInterceptor(
-            random.Random(rng.getrandbits(64)),
-            self.probability,
-            addresses,
-            self.mtypes,
-        )
+            return False
+        self._pool = addresses
+        return super().open(sim, rng)
 
     def describe(self) -> dict:
-        return {"probability": self.probability, "pool": getattr(self, "_pool", 0)}
+        return {"probability": self.probability, "pool": len(self._pool)}
+
+    def rewrite(self, message: Message, rng: random.Random) -> Message:
+        if not self.targets(message):
+            return message
+        candidates = [addr for addr in self._pool if addr != message.src]
+        if not candidates or self._rng.random() >= self.probability:
+            return message
+        forged = candidates[self._rng.randrange(len(candidates))]
+        self.affected += 1
+        return replace(message, src=forged)
 
 
 @dataclass
@@ -323,25 +210,35 @@ class EquivocatingNode(MutatingFault):
 
     target: Optional[int] = None
     spare: int = 0
+    _liar: Optional[Address] = field(default=None, init=False, repr=False)
+    #: Destination order fixes which lie each peer hears: the variant
+    #: index is the peer's rank, so the same destination always gets
+    #: the same (conflicting-with-everyone-else's) payload.
+    _peers: list[Address] = field(default_factory=list, init=False, repr=False)
 
-    def make_interceptor(
-        self, sim: Simulator, rng: random.Random
-    ) -> Optional[MessageInterceptor]:
+    def open(self, sim: Simulator, rng: random.Random) -> bool:
         addresses = self.alive_addresses(sim, spare=self.spare)
         if not addresses:
-            return None
+            return False
+        self._peers = sorted(sim.nodes)
         if self.target is not None:
-            liar = sorted(sim.nodes)[self.target % len(sim.nodes)]
+            self._liar = self._peers[self.target % len(self._peers)]
         else:
-            liar = addresses[rng.randrange(len(addresses))]
-        self._liar = liar
-        return _EquivocationInterceptor(
-            random.Random(rng.getrandbits(64)),
-            liar,
-            sorted(sim.nodes),
-            self.resolved_mutator(),
-            self.mtypes,
-        )
+            self._liar = addresses[rng.randrange(len(addresses))]
+        return super().open(sim, rng)
 
     def describe(self) -> dict:
-        return {"liar": str(getattr(self, "_liar", None))}
+        return {"liar": str(self._liar)}
+
+    def rewrite(self, message: Message, rng: random.Random) -> Message:
+        if message.src != self._liar or not self.targets(message):
+            return message
+        try:
+            variant = self._peers.index(message.dst)
+        except ValueError:
+            variant = 0
+        mutated = self.resolved_mutator()(message, self._rng, variant)
+        if mutated is None:
+            return message
+        self.affected += 1
+        return mutated

@@ -147,6 +147,22 @@ def resolve_preset(name: str, duration: float) -> list[Fault]:
     return factory(duration)
 
 
+def expand_faults(items: Iterable[Union[str, Fault]], duration: float) -> list[Fault]:
+    """Preset names become their faults; instances are deep-copied.
+
+    Faults carry runtime state (active cuts, crashed target, open window),
+    so a caller-held instance must not leak one run's state into the next
+    — rerunning the same Experiment must reproduce the same schedule.
+    """
+    expanded: list[Fault] = []
+    for item in items:
+        if isinstance(item, Fault):
+            expanded.append(copy.deepcopy(item))
+        else:
+            expanded.extend(resolve_preset(item, duration))
+    return expanded
+
+
 def make_nemesis(
     faults: Iterable[Union[str, Fault]],
     *,
@@ -159,19 +175,8 @@ def make_nemesis(
     Injections stop at ``STOP_AFTER_FRACTION * duration`` (like the churn
     process) so the run's tail shows whether the system re-converges.
     """
-    expanded: list[Fault] = []
-    for item in faults:
-        if isinstance(item, Fault):
-            # Deep-copy explicit instances: faults carry runtime state
-            # (active cuts, crashed target, open interceptor window), so a
-            # caller-held instance must not leak one run's state into the
-            # next — rerunning the same Experiment must reproduce the same
-            # schedule.
-            expanded.append(copy.deepcopy(item))
-        else:
-            expanded.extend(resolve_preset(item, duration))
     return Nemesis(
-        faults=expanded,
+        faults=expand_faults(faults, duration),
         seed=seed,
         start_after=start_after,
         stop_after=duration * STOP_AFTER_FRACTION,

@@ -6,9 +6,9 @@ Topology faults (:class:`Partition`, :class:`LinkFlap`) act on the
 restart comes back with fresh state, exactly like churn; :class:`ClockSkew`
 jumps a node's checkpoint-number clock, forcing peers into forced
 checkpoints (Section 2.3); message faults (:class:`MessageDelay`,
-:class:`MessageReorder`, :class:`MessageDup`) install
-:class:`~repro.faults.base.MessageInterceptor` windows on the network model
-for their duration.
+:class:`MessageReorder`, :class:`MessageDup`) are
+:class:`~repro.faults.base.WindowFault` windows that sit on the network
+model as its interceptor for their duration.
 
 All target selection draws from the nemesis-provided RNG, so a fault
 schedule is reproducible from the nemesis seed alone.
@@ -23,7 +23,7 @@ from typing import Optional
 from ..runtime.address import Address
 from ..runtime.messages import Message
 from ..runtime.simulator import Simulator
-from .base import Fault, MessageInterceptor
+from .base import Fault, WindowFault
 
 __all__ = [
     "Partition",
@@ -207,11 +207,18 @@ class ClockSkew(Fault):
 # ------------------------------------------------------------- message faults
 
 
-class _DelayInterceptor(MessageInterceptor):
-    def __init__(self, min_extra: float, max_extra: float) -> None:
-        self.min_extra = min_extra
-        self.max_extra = max_extra
-        self.affected = 0
+@dataclass
+class MessageDelay(WindowFault):
+    """Add ``[min_extra, max_extra]`` seconds of latency to every message
+    transmitted while the window is open (TCP ordering is preserved)."""
+
+    name = "message-delay"
+
+    min_extra: float = 0.1
+    max_extra: float = 0.5
+
+    def describe(self) -> dict:
+        return {"min_extra": self.min_extra, "max_extra": self.max_extra}
 
     def transform(
         self, message: Message, plan: list[float], rng: random.Random
@@ -224,11 +231,19 @@ class _DelayInterceptor(MessageInterceptor):
         ]
 
 
-class _ReorderInterceptor(MessageInterceptor):
-    def __init__(self, probability: float, window: float) -> None:
-        self.probability = probability
-        self.window = window
-        self.affected = 0
+@dataclass
+class MessageReorder(WindowFault):
+    """Randomly defer a fraction of messages by up to ``window`` seconds so
+    later sends can overtake them.  The simulator keeps TCP streams FIFO, so
+    reordering is observable on UDP traffic and across distinct peers."""
+
+    name = "message-reorder"
+
+    probability: float = 0.5
+    window: float = 1.0
+
+    def describe(self) -> dict:
+        return {"probability": self.probability, "window": self.window}
 
     def transform(
         self, message: Message, plan: list[float], rng: random.Random
@@ -239,10 +254,17 @@ class _ReorderInterceptor(MessageInterceptor):
         return [latency + rng.uniform(0.0, self.window) for latency in plan]
 
 
-class _DupInterceptor(MessageInterceptor):
-    def __init__(self, probability: float) -> None:
-        self.probability = probability
-        self.affected = 0
+@dataclass
+class MessageDup(WindowFault):
+    """Deliver a fraction of service messages twice — the retransmit-glitch
+    adversary that flushes out non-idempotent handlers."""
+
+    name = "message-dup"
+
+    probability: float = 0.25
+
+    def describe(self) -> dict:
+        return {"probability": self.probability}
 
     def transform(
         self, message: Message, plan: list[float], rng: random.Random
@@ -253,84 +275,3 @@ class _DupInterceptor(MessageInterceptor):
             return plan
         self.affected += 1
         return plan + [plan[-1] + rng.uniform(1e-3, 0.05)]
-
-
-@dataclass
-class _InterceptorFault(Fault):
-    """Shared lifecycle for faults that install a message interceptor."""
-
-    _interceptor: Optional[MessageInterceptor] = field(
-        default=None, init=False, repr=False
-    )
-
-    def make_interceptor(self) -> MessageInterceptor:
-        raise NotImplementedError
-
-    def describe(self) -> dict:
-        return {}
-
-    def inject(self, sim: Simulator, rng: random.Random) -> Optional[dict]:
-        if self._interceptor is not None:
-            return None  # previous window still open
-        self._interceptor = self.make_interceptor()
-        sim.network.interceptors.append(self._interceptor)
-        return self.describe()
-
-    def heal(self, sim: Simulator) -> Optional[dict]:
-        if self._interceptor is None:
-            return None
-        interceptor, self._interceptor = self._interceptor, None
-        if interceptor in sim.network.interceptors:
-            sim.network.interceptors.remove(interceptor)
-        return {"messages_affected": interceptor.affected}
-
-
-@dataclass
-class MessageDelay(_InterceptorFault):
-    """Add ``[min_extra, max_extra]`` seconds of latency to every message
-    transmitted while the window is open (TCP ordering is preserved)."""
-
-    name = "message-delay"
-
-    min_extra: float = 0.1
-    max_extra: float = 0.5
-
-    def make_interceptor(self) -> MessageInterceptor:
-        return _DelayInterceptor(self.min_extra, self.max_extra)
-
-    def describe(self) -> dict:
-        return {"min_extra": self.min_extra, "max_extra": self.max_extra}
-
-
-@dataclass
-class MessageReorder(_InterceptorFault):
-    """Randomly defer a fraction of messages by up to ``window`` seconds so
-    later sends can overtake them.  The simulator keeps TCP streams FIFO, so
-    reordering is observable on UDP traffic and across distinct peers."""
-
-    name = "message-reorder"
-
-    probability: float = 0.5
-    window: float = 1.0
-
-    def make_interceptor(self) -> MessageInterceptor:
-        return _ReorderInterceptor(self.probability, self.window)
-
-    def describe(self) -> dict:
-        return {"probability": self.probability, "window": self.window}
-
-
-@dataclass
-class MessageDup(_InterceptorFault):
-    """Deliver a fraction of service messages twice — the retransmit-glitch
-    adversary that flushes out non-idempotent handlers."""
-
-    name = "message-dup"
-
-    probability: float = 0.25
-
-    def make_interceptor(self) -> MessageInterceptor:
-        return _DupInterceptor(self.probability)
-
-    def describe(self) -> dict:
-        return {"probability": self.probability}

@@ -1,8 +1,8 @@
 """The global property registry: namespaced ids, lookup and selection.
 
 Every property the bundled systems check self-registers here when its
-``repro.systems.<name>.properties`` module is imported (the same pattern
-the system registry uses for ``spec`` modules).  The registry is what makes
+``repro.systems.<name>.properties`` module is imported, which ``import
+repro`` does for every bundled system.  The registry is what makes
 properties a first-class, selectable surface:
 
 * ``python -m repro properties`` lists it;
@@ -19,32 +19,12 @@ check order exactly (search results and steering decisions depend on it).
 
 from __future__ import annotations
 
-import importlib
 from fnmatch import fnmatchcase
 from typing import Iterable, Sequence, Union
 
 from .base import Property
 
 _REGISTRY: dict[str, Property] = {}
-
-#: Property modules of the bundled systems; importing one registers its
-#: properties (mirrors the system registry's spec-module pattern).
-_BUILTIN_PROPERTY_MODULES = (
-    "repro.systems.randtree.properties",
-    "repro.systems.chord.properties",
-    "repro.systems.paxos.properties",
-    "repro.systems.bulletprime.properties",
-)
-_builtins_loaded = False
-
-
-def _ensure_builtins() -> None:
-    global _builtins_loaded
-    if _builtins_loaded:
-        return
-    _builtins_loaded = True
-    for module in _BUILTIN_PROPERTY_MODULES:
-        importlib.import_module(module)
 
 
 def register_property(prop: Property, *, replace: bool = False) -> Property:
@@ -73,7 +53,6 @@ def unregister_property(name: str) -> None:
 
 def get_property(name: str) -> Property:
     """Look up a registered property by exact id."""
-    _ensure_builtins()
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -83,7 +62,6 @@ def get_property(name: str) -> Property:
 
 def all_properties() -> list[Property]:
     """Every registered property, in registration order."""
-    _ensure_builtins()
     return list(_REGISTRY.values())
 
 
@@ -97,7 +75,6 @@ def select_properties(
     ``ValueError`` when an include pattern matches nothing — a typo'd
     selection must fail loudly, not silently check nothing.
     """
-    _ensure_builtins()
     selected: dict[str, Property] = {}
     for pattern in patterns:
         matched = [

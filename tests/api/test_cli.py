@@ -29,6 +29,16 @@ def test_help_text_is_pinned(command, capsys, monkeypatch):
         GOLDEN / f"cli_help_{command}.txt").read_text(encoding="utf-8")
 
 
+def test_package_version_matches_pyproject():
+    import tomllib
+
+    import repro
+
+    pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert repro.__version__ == project["version"]
+
+
 def test_list_names_all_bundled_systems(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

@@ -12,8 +12,6 @@ from repro.attack import (
     AttackReport,
     AttackResult,
     AttackSchedule,
-    AttackStep,
-    build_faults,
     concretize,
     find_attack,
 )
@@ -29,7 +27,7 @@ def test_concretize_unrolls_the_equivocation_preset():
                           start_after=6.0)
     # every=duration/3=20s, stop_after=0.9*60=54: firings at 26 and 46.
     assert [step.at for step in schedule.steps] == [26.0, 46.0]
-    assert all(step.kind == "equivocating-node" for step in schedule.steps)
+    assert all(step.name == "equivocating-node" for step in schedule.steps)
     assert [step.rng_key for step in schedule.steps] == \
         ["attack/7/0", "attack/7/1"]
     assert schedule.seed == 7
@@ -51,13 +49,20 @@ def test_schedule_round_trips_through_json():
     restored = AttackSchedule.from_dict(data)
     assert restored == schedule
     # Tuple-valued params survive the JSON list round-trip.
-    assert restored.steps[0].params["mtypes"] == ("Promise", "Accept")
+    assert restored.steps[0].mtypes == ("Promise", "Accept")
+
+    # Firing times that are not 6-decimal numbers come back exactly.
+    thirds = concretize(("equivocation",), duration=100.0, start_after=10.0)
+    assert [step.at for step in thirds.steps] == \
+        [43.333333333333336, 76.66666666666667]
+    data = json.loads(json.dumps(thirds.to_dict()))
+    assert AttackSchedule.from_dict(data) == thirds
 
 
-def test_build_faults_reconstructs_one_shot_instances():
+def test_trace_steps_come_back_as_one_shot_instances():
     schedule = concretize(("equivocation",), duration=60.0, seed=0,
                           start_after=6.0)
-    faults = build_faults(schedule)
+    faults = AttackSchedule.from_dict(schedule.to_dict()).steps
     assert len(faults) == 2
     for fault, step in zip(faults, schedule.steps):
         assert isinstance(fault, EquivocatingNode)
@@ -68,11 +73,12 @@ def test_build_faults_reconstructs_one_shot_instances():
         assert fault.mutator is None  # refilled by the live run
 
 
-def test_build_faults_rejects_unknown_step_kinds():
-    schedule = AttackSchedule(
-        steps=(AttackStep(kind="no-such-fault", at=1.0),))
-    with pytest.raises(ValueError, match="no-such-fault"):
-        build_faults(schedule)
+def test_trace_rejects_unknown_step_kinds():
+    trace = {"steps": [{"kind": "no-such-fault", "at": 1.0}]}
+    with pytest.raises(ValueError, match="unknown schedule step kind "
+                                         "'no-such-fault'.*known kinds: "
+                                         "clock-skew, crash-restart"):
+        AttackSchedule.from_dict(trace)
 
 
 # -- the full pipeline (ISSUE acceptance) ------------------------------------
@@ -202,10 +208,10 @@ def test_campaign_attack_cell_attaches_verdict(monkeypatch):
             system=config.system, property_id=config.property_id,
             found=True, attempts=2, executions=5,
             original_schedule=AttackSchedule(
-                steps=(AttackStep(kind="equivocating-node", at=1.0),
-                       AttackStep(kind="equivocating-node", at=2.0))),
+                steps=(EquivocatingNode(at=1.0),
+                       EquivocatingNode(at=2.0))),
             minimized_schedule=AttackSchedule(
-                steps=(AttackStep(kind="equivocating-node", at=1.0),)),
+                steps=(EquivocatingNode(at=1.0),)),
             reductions=["drop-step"],
             replay={"verified": True},
         )

@@ -65,6 +65,24 @@ def test_select_with_exclude():
     assert "randtree.children_siblings_disjoint" in names
 
 
+def test_a_fresh_interpreter_resolves_every_bundled_namespace():
+    # ``import repro`` registers all six systems' properties; nothing in
+    # the registry loads them on demand.
+    import pathlib
+    import subprocess
+    import sys
+
+    repo_root = str(pathlib.Path(__file__).resolve().parents[2])
+    script = (
+        "import sys; sys.path.insert(0, 'src')\n"
+        "from repro.properties.registry import select_properties\n"
+        "print(len(select_properties('kvstore.*', 'crdtset.*')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, cwd=repo_root, check=True)
+    assert int(out.stdout) > 0
+
+
 def test_exact_id_and_cross_namespace_patterns():
     (prop,) = select_properties("paxos.at_most_one_value_chosen")
     assert prop.name == "paxos.at_most_one_value_chosen"
