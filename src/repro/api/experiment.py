@@ -601,9 +601,10 @@ class Experiment:
                            tick_interval=self._tick_interval, obs=obs,
                            options=dict(self._backend_options))
         if tracer is not None:
-            tracer.meta(system=spec.name, scenario=self._scenario,
-                        mode=self._mode.value, seed=self._seed,
-                        nodes=self._nodes, backend=self._backend)
+            tracer.record(
+                "meta", system=spec.name, scenario=self._scenario,
+                mode=self._mode.value, seed=self._seed, nodes=self._nodes,
+                backend=None if self._backend == "sim" else self._backend)
         for addr in addresses:
             sim.add_node(addr)
 
@@ -679,7 +680,7 @@ class Experiment:
         monitor.finalize(sim.now)
 
         if tracer is not None:
-            tracer.run_end(sim.now, sim.events_executed)
+            tracer.record("run_end", sim.now, events=sim.events_executed)
         obs.close()
 
         report = RunReport(

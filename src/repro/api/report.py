@@ -14,21 +14,16 @@ the serialized form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 from ..analysis.reporting import to_jsonable
+from ..core.controller import ControllerStats
 
-#: Counter fields of ``ControllerStats`` summed into ``RunReport.totals``.
-_COUNTER_FIELDS = (
-    "ticks", "model_checker_runs", "snapshots_collected",
-    "incomplete_snapshots", "checkpoints_taken", "forced_checkpoints",
-    "checkpoint_bytes_sent", "checkpoint_requests_sent",
-    "checkpoint_responses_sent", "negative_responses_sent",
-    "violations_predicted", "steering_modified_behavior",
-    "steering_unhelpful", "filters_installed", "filters_triggered",
-    "isc_checks", "isc_blocks", "replayed_paths", "replay_reproduced",
-)
+#: Counter fields of ``ControllerStats`` summed into ``RunReport.totals``:
+#: every ``int`` one (annotations are strings under ``__future__``).
+_COUNTER_FIELDS = tuple(f.name for f in fields(ControllerStats)
+                        if f.type == "int")
 
 
 @dataclass

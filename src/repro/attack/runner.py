@@ -45,6 +45,8 @@ __all__ = ["AttackConfig", "AttackEvidence", "AttackResult", "find_attack"]
 #: Fault windows are never shrunk below this (seconds); below it the
 #: window covers no deliveries and the re-execution is wasted.
 _MIN_WINDOW = 1.0
+#: Re-executions the minimizer may spend on one schedule.
+_MAX_MINIMIZE_EXECUTIONS = 64
 
 
 @dataclass
@@ -62,10 +64,6 @@ class AttackConfig:
     attempts: int = 8
     mode: str = "off"
     minimize: bool = True
-    max_minimize_executions: int = 64
-    #: Message types the minimizer may narrow ``mtypes=None`` byzantine
-    #: steps down to (None disables that reducer direction).
-    mtype_pool: Optional[tuple[str, ...]] = None
     #: System options forwarded to the experiment (e.g. paxos ``bug``).
     options: Mapping[str, Any] = field(default_factory=dict)
     #: Optional JSONL trace path for the final replay run (repro.obs).
@@ -187,21 +185,13 @@ class _AttackRunner:
         """Drop tampered message types one at a time (the "drop message
         perturbations" axis): a surviving narrowing proves the attack
         never needed to touch the removed type."""
-        pool = self.config.mtype_pool
         for index, step in enumerate(schedule.steps):
             if not isinstance(step, MutatingFault):
                 continue
-            candidates: list[tuple[str, ...]] = []
-            if step.mtypes:
-                if len(step.mtypes) > 1:
-                    candidates = [
-                        tuple(m for m in step.mtypes if m != dropped)
-                        for dropped in step.mtypes
-                    ]
-            elif pool:
-                candidates = [(mtype,) for mtype in pool]
-            for narrowed in candidates:
-                yield _with_step(schedule, index, replace(step, mtypes=narrowed))
+            if step.mtypes and len(step.mtypes) > 1:
+                for dropped in step.mtypes:
+                    narrowed = tuple(m for m in step.mtypes if m != dropped)
+                    yield _with_step(schedule, index, replace(step, mtypes=narrowed))
 
     def reducers(self):
         return [
@@ -257,7 +247,7 @@ class _AttackRunner:
                 evidence,
                 self.reducers(),
                 self.execute,
-                max_executions=config.max_minimize_executions,
+                max_executions=_MAX_MINIMIZE_EXECUTIONS,
             )
             minimized = shrunk.candidate
             evidence = shrunk.evidence

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 from ..mc.global_state import GlobalState
 from ..mc.parallel import SearchKind, make_engine, run_portfolio
-from ..mc.search import PredictedViolation, SearchBudget, SearchResult
+from ..mc.search import PredictedViolation, SearchBudget
 from ..properties import Property, SafetyProperty, safety_properties
 from ..mc.transition import TransitionConfig, TransitionSystem
 from ..runtime.address import Address
@@ -219,9 +219,7 @@ class CrystalBallController:
         self.stats = ControllerStats()
         self.filters: list[EventFilter] = []
         self.known_error_paths: list[tuple[Event, ...]] = []
-        self.predicted: list[PredictedViolation] = []
         self.last_snapshot: Optional[NeighborhoodSnapshot] = None
-        self.last_result: Optional[SearchResult] = None
         self._pending_gather: Optional[SnapshotGather] = None
         #: most recent checkpoint received from each peer (possibly stale),
         #: used to fill in snapshot members that did not answer in time.
@@ -294,8 +292,7 @@ class CrystalBallController:
     def _finalize_gather(self, sim: Simulator, node: SimNode,
                          local: Checkpoint) -> None:
         """Close the pending gather into a snapshot and model-check it."""
-        snapshot = NeighborhoodSnapshot.from_gather(
-            self._pending_gather, local, at_time=sim.now)
+        snapshot = NeighborhoodSnapshot.from_gather(self._pending_gather, local)
         if self._pending_gather.missing or self._pending_gather.negative:
             self.stats.incomplete_snapshots += 1
             if sim.obs.metrics is not None:
@@ -315,9 +312,12 @@ class CrystalBallController:
         if sim.obs.metrics is not None:
             sim.obs.metrics.inc("controller.snapshots_collected")
         if sim.obs.tracer is not None:
-            sim.obs.tracer.snapshot(
-                sim.now, node.addr, snapshot.checkpoint_number,
-                len(snapshot.checkpoints), len(snapshot.missing))
+            sim.obs.tracer.record(
+                "snapshot", sim.now, node=node.addr,
+                cn=snapshot.checkpoint_number,
+                members=len(snapshot.checkpoints),
+                missing=len(snapshot.missing),
+                complete=not snapshot.missing)
         if self.config.mode in (Mode.DEBUG, Mode.STEERING):
             self._run_model_checker(sim, node, snapshot)
         self._pending_gather = None
@@ -327,15 +327,15 @@ class CrystalBallController:
             return FilterAction.ALLOW
         for event_filter in self.filters:
             if event_filter.matches(event):
-                event_filter.times_triggered += 1
                 self.stats.filters_triggered += 1
                 action = event_filter.decision(event)
                 if sim.obs.metrics is not None:
                     sim.obs.metrics.inc("controller.filters_triggered")
                 if sim.obs.tracer is not None:
-                    sim.obs.tracer.filter_trigger(
-                        sim.now, node.addr, event_filter.describe(),
-                        action.value, event.describe())
+                    sim.obs.tracer.record(
+                        "filter_trigger", sim.now, node=node.addr,
+                        filter=event_filter.describe(), action=action.value,
+                        desc=event.describe())
                 return action
         return FilterAction.ALLOW
 
@@ -359,9 +359,6 @@ class CrystalBallController:
         elif message.mtype == CHECKPOINT_NEGATIVE:
             self._record_negative_response(message)
 
-    def on_event_executed(self, sim: Simulator, node: SimNode, event: Event) -> None:
-        return None
-
     def on_forced_checkpoint(self, sim: Simulator, node: SimNode) -> None:
         self.stats.forced_checkpoints += 1
         if sim.obs.metrics is not None:
@@ -382,16 +379,15 @@ class CrystalBallController:
         if sim.obs.metrics is not None:
             sim.obs.metrics.inc("controller.checkpoints_taken")
         if sim.obs.tracer is not None:
-            sim.obs.tracer.checkpoint(sim.now, node.addr, checkpoint_number,
-                                      forced=forced)
+            sim.obs.tracer.record("checkpoint", sim.now, node=node.addr,
+                                  cn=checkpoint_number, forced=forced)
         return checkpoint
 
     def _start_gather(self, sim: Simulator, node: SimNode, local: Checkpoint) -> None:
         neighbors = [n for n in self.protocol.neighbors(node.state) if n != node.addr]
         gather = SnapshotGather(origin=node.addr,
                                 checkpoint_number=local.checkpoint_number,
-                                expected=frozenset(neighbors),
-                                started_at=sim.now)
+                                expected=frozenset(neighbors))
         self._pending_gather = gather
         transport = (Transport.UDP if self.config.batched_control_plane
                      else Transport.TCP)
@@ -522,7 +518,6 @@ class CrystalBallController:
             result = self.engine.run(self.system, start_state, self.properties,
                                      self.config.search_budget,
                                      kind=SearchKind.CONSEQUENCE)
-        self.last_result = result
 
         # Violations with an empty path are already present in the snapshot
         # itself — they are live inconsistencies, not predictions, and there
@@ -532,7 +527,6 @@ class CrystalBallController:
         for violation in all_violations:
             self.stats.violations_predicted += 1
             self.stats.distinct_violations.add(violation.violation.property_name)
-        self.predicted.extend(future)
 
         mc_wall = time.perf_counter() - mc_started
         if sim.obs.metrics is not None:
@@ -549,18 +543,18 @@ class CrystalBallController:
             engine_name = (self.config.engine
                            if isinstance(self.config.engine, str)
                            else type(self.engine).__name__)
-            sim.obs.tracer.mc_run(
-                sim.now, node.addr, engine=engine_name,
+            sim.obs.tracer.record(
+                "mc_run", sim.now, node=node.addr, engine=engine_name,
                 states=result.stats.states_visited,
                 transitions=result.stats.transitions_applied,
                 depth=result.stats.max_depth_reached,
                 violations=len(all_violations), wall=mc_wall)
             for violation in all_violations:
                 name = violation.violation.property_name
-                sim.obs.tracer.violation(
-                    sim.now, node.addr, name,
-                    self._severities.get(name, "error"), "predicted",
-                    violation.violation.detail)
+                sim.obs.tracer.record(
+                    "violation", sim.now, node=node.addr, property=name,
+                    severity=self._severities.get(name, "error"),
+                    vkind="predicted", detail=violation.violation.detail)
 
         for violation in future:
             if violation.path and violation.path not in self.known_error_paths:
@@ -589,15 +583,17 @@ class CrystalBallController:
             if key in seen_filters:
                 continue
             seen_filters.add(key)
-            self.filters.append(decision.filter)
             self.stats.filters_installed += 1
+            decision.filter.filter_id = self.stats.filters_installed
+            self.filters.append(decision.filter)
             self.stats.steering_modified_behavior += 1
             if sim.obs.metrics is not None:
                 sim.obs.metrics.inc("controller.filters_installed")
             if sim.obs.tracer is not None:
-                sim.obs.tracer.filter_install(
-                    sim.now, node.addr, decision.filter.describe(),
-                    property_id=violation.violation.property_name,
+                sim.obs.tracer.record(
+                    "filter_install", sim.now, node=node.addr,
+                    filter=decision.filter.describe(),
+                    property=violation.violation.property_name,
                     path_len=len(violation.path))
 
     # ------------------------------------------------------------------- reporting

@@ -10,15 +10,12 @@ towards the sender), while timer events are rescheduled rather than dropped.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..runtime.address import Address
 from ..runtime.events import AppEvent, Event, MessageEvent, TimerEvent
 from ..runtime.simulator import FilterAction
-
-_filter_ids = itertools.count(1)
 
 
 @dataclass
@@ -36,8 +33,8 @@ class EventFilter:
     app_call: Optional[str] = None
     #: Why the filter exists (the predicted violation), for reporting.
     reason: str = ""
-    filter_id: int = field(default_factory=lambda: next(_filter_ids))
-    times_triggered: int = 0
+    #: The installing controller's running ``filters_installed`` count.
+    filter_id: int = 0
 
     def matches(self, event: Event) -> bool:
         """True when ``event`` is the handler invocation this filter blocks."""

@@ -54,8 +54,6 @@ class ImmediateSafetyCheck:
                  properties: Sequence[Property]) -> None:
         self.system = system
         self.properties = safety_properties(properties)
-        self.checks_performed = 0
-        self.events_blocked = 0
 
     def _relevant_violations(self, state: GlobalState,
                              dirty: Address) -> list[PropertyViolation]:
@@ -101,7 +99,6 @@ class ImmediateSafetyCheck:
             two nodes) can be evaluated.  When absent, the check uses a
             one-node view.
         """
-        self.checks_performed += 1
         if isinstance(event, ResetEvent):
             return ImmediateCheckOutcome(allowed=True)
 
@@ -119,6 +116,5 @@ class ImmediateSafetyCheck:
                if (v.property_name, v.node, v.detail) not in before]
 
         if new:
-            self.events_blocked += 1
             return ImmediateCheckOutcome(allowed=False, new_violations=new)
         return ImmediateCheckOutcome(allowed=True)

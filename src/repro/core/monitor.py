@@ -196,8 +196,9 @@ class LivePropertyMonitor:
         if self._obs.metrics is not None:
             self._obs.metrics.inc("monitor.violation_episodes")
         if self._obs.tracer is not None:
-            self._obs.tracer.violation(
-                now, node, property_name, record.severity, kind, detail,
+            self._obs.tracer.record(
+                "violation", now, node=node, property=property_name,
+                severity=record.severity, vkind=kind, detail=detail,
                 digest=record.state_digest,
             )
 

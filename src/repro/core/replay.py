@@ -20,6 +20,9 @@ from ..mc.transition import TransitionSystem
 from ..runtime.events import Event, MessageEvent, TimerEvent
 from ..runtime.events import ConnectionErrorEvent
 
+#: Regenerated messages followed after each replayed event.
+MAX_CASCADE = 64
+
 
 @dataclass
 class ReplayResult:
@@ -36,8 +39,6 @@ def replay_error_path(
     snapshot_state: GlobalState,
     path: Sequence[Event],
     properties: Sequence[SafetyProperty],
-    *,
-    max_cascade: int = 64,
 ) -> ReplayResult:
     """Replay ``path`` from ``snapshot_state``.
 
@@ -86,7 +87,7 @@ def replay_error_path(
         # of the interleavings the original search explored, and replaying
         # them eagerly would mask the error path).
         cascade = 0
-        while cascade < max_cascade:
+        while cascade < MAX_CASCADE:
             network_events = [e for e in system.network_events(state)
                               if isinstance(e, MessageEvent)]
             if not network_events:

@@ -28,7 +28,6 @@ class SnapshotGather:
     expected: frozenset[Address]
     received: dict[Address, Checkpoint] = field(default_factory=dict)
     negative: dict[Address, int] = field(default_factory=dict)
-    started_at: float = 0.0
 
     def record_response(self, checkpoint: Checkpoint) -> None:
         self.received[checkpoint.node] = checkpoint
@@ -53,11 +52,10 @@ class NeighborhoodSnapshot:
     checkpoint_number: int
     checkpoints: dict[Address, Checkpoint]
     missing: frozenset[Address] = frozenset()
-    collected_at: float = 0.0
 
     @classmethod
-    def from_gather(cls, gather: SnapshotGather, local: Checkpoint,
-                    at_time: float = 0.0) -> "NeighborhoodSnapshot":
+    def from_gather(cls, gather: SnapshotGather,
+                    local: Checkpoint) -> "NeighborhoodSnapshot":
         """Finalise a gather round, always including the local checkpoint."""
         checkpoints = dict(gather.received)
         checkpoints[local.node] = local
@@ -66,7 +64,6 @@ class NeighborhoodSnapshot:
             checkpoint_number=gather.checkpoint_number,
             checkpoints=checkpoints,
             missing=gather.missing | frozenset(gather.negative),
-            collected_at=at_time,
         )
 
     @property

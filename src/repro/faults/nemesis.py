@@ -91,7 +91,9 @@ class Nemesis:
         if sim.obs.metrics is not None:
             sim.obs.metrics.inc(f"faults.{action}")
         if sim.obs.tracer is not None:
-            sim.obs.tracer.fault(sim.now, name, action, detail)
+            sim.obs.tracer.record(
+                "fault", sim.now, fault=name, action=action, detail=dict(detail)
+            )
 
     def teardown(self, sim: Simulator) -> None:
         """Undo windows still open when the run ends.

@@ -5,7 +5,9 @@ Three pillars, one package:
 * :mod:`repro.obs.tracer` — structured JSONL execution traces (schema v1):
   event outcomes, message send→deliver causal edges, checkpoint gathers,
   model-checker runs, steering-filter installs/triggers, property
-  violations, fault injections.
+  violations, fault injections.  Its ``RECORD_FIELDS`` table is the
+  schema: ``Tracer.record`` builds every record from it and
+  ``validate_trace`` checks every record against it.
 * :mod:`repro.obs.metrics` — the per-run metrics registry (counters,
   gauges, histograms) snapshotted into ``RunReport.metrics`` and folded
   deterministically into campaign aggregates.

@@ -4,9 +4,9 @@ One :class:`ObsContext` bundles the tracer and the metrics registry for a
 run.  The simulator owns it (``sim.obs``) and every other layer — monitor,
 controller, nemesis, search engines — reaches observability through that
 single handle.  Both members default to ``None``, which *is* the disabled
-path: instrumentation sites bind ``tr = self.obs.tracer`` once and guard
-``if tr is not None``, so a run without observability never builds a
-record or touches a metric.
+path: instrumentation sites guard ``if self.obs.tracer is not None``
+before the one ``tracer.record(kind, t, ...)`` call, so a run without
+observability never builds a record or touches a metric.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ class ObsContext:
 
     tracer: Optional[Tracer] = None
     metrics: Optional[MetricsRegistry] = None
-
-    @property
-    def enabled(self) -> bool:
-        return self.tracer is not None or self.metrics is not None
 
     def close(self) -> None:
         """Flush the tracer sink, if any (idempotent)."""

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence, Union
 
-from .tracer import RECORD_KINDS, SCHEMA_VERSION
+from .tracer import FIELD_SPECS, RECORD_KINDS, SCHEMA_VERSION
 
 
 @dataclass
@@ -57,7 +57,8 @@ def read_trace(path: Union[str, Any]) -> list[Record]:
 
 
 def validate_trace(records: Sequence[Record]) -> list[str]:
-    """Check a record list against schema v1; returns problem strings."""
+    """Check a record list against schema v1 — the header, then every record
+    against its row of ``tracer.RECORD_FIELDS``; returns problem strings."""
     problems = []
     if not records:
         return ["trace is empty"]
@@ -74,10 +75,18 @@ def validate_trace(records: Sequence[Record]) -> list[str]:
         if kind not in RECORD_KINDS:
             problems.append(f"record {index}: unknown kind {kind!r}")
             continue
-        if kind != "meta" and "t" not in record:
-            problems.append(f"record {index} ({kind}): missing 't'")
         if index > 0 and kind == "meta":
             problems.append(f"record {index}: duplicate 'meta' header")
+        # ``v`` is the header check's: a missing one is reported above.
+        stamp = ("v", False) if kind == "meta" else ("t", True)
+        known = {"kind"}
+        for name, required in (stamp, *FIELD_SPECS[kind]):
+            known.add(name)
+            if required and name not in record:
+                problems.append(f"record {index} ({kind}): missing {name!r}")
+        for name in record:
+            if name not in known:
+                problems.append(f"record {index} ({kind}): unknown field {name!r}")
     return problems
 
 

@@ -1,57 +1,43 @@
 """Structured execution tracing: JSONL span/event records (schema v1).
 
-A :class:`Tracer` receives typed records from every instrumented layer and
-forwards them to a sink — a JSONL file (:class:`JsonlTracer`) or an
-in-memory list (:class:`MemoryTracer`).  The live runtime holds
-``tracer = None`` by default and every instrumentation site guards with
-``if tracer is not None``, so a run without tracing pays only attribute
-checks (the disabled path, measured by the ``obs.tracer_overhead_pct``
-probe of ``benchmarks/e2e``).
+A :class:`Tracer` builds records from :data:`RECORD_FIELDS` — the schema,
+one row per record kind — and hands them to a sink: a JSONL file
+(:class:`JsonlTracer`) or an in-memory list (:class:`MemoryTracer`).  The
+live runtime holds ``tracer = None`` by default and every instrumentation
+site guards with ``if tracer is not None``, so a run without tracing pays
+only attribute checks (the disabled path, measured by the
+``obs.tracer_overhead_pct`` probe of ``benchmarks/e2e``).
 
-Trace JSONL schema v1
----------------------
-One JSON object per line.  The first record is always the run header::
-
-    {"kind": "meta", "v": 1, "system": ..., "scenario": ..., "mode": ...,
-     "seed": ..., "nodes": ...}
-
-Every other record has ``kind`` and ``t`` (simulated seconds); everything
-else is kind-specific:
+One JSON object per line.  The first record is the run header, ``meta``,
+which carries ``v`` (:data:`SCHEMA_VERSION`) where every other record
+carries ``t`` (simulated seconds); then come the fields of the kind's row
+in :data:`RECORD_FIELDS`, in row order.  What the table cannot say:
 
 ``event``
-    An event the runtime decided about: ``node``, ``etype`` (``msg`` /
-    ``timer`` / ``app`` / ``reset`` / ``connerr``), ``outcome``
-    (``executed`` / ``filtered`` / ``filtered+reset`` / ``delayed`` /
-    ``blocked-by-isc`` / ``reset``), ``desc``, ``eid`` (per-run execution
-    sequence number, only for executed outcomes) and ``msg`` (the message
-    id for deliveries — the causal edge back to its ``send``).
+    An event the runtime decided about.  ``etype`` is ``msg`` / ``timer``
+    / ``app`` / ``reset`` / ``connerr``; ``outcome`` is ``executed`` /
+    ``filtered`` / ``filtered+reset`` / ``delayed`` / ``blocked-by-isc`` /
+    ``reset``.  ``eid`` (per-run execution sequence number) is present
+    only for executed outcomes, ``msg`` only for deliveries — the causal
+    edge back to the ``send``.
 ``send`` / ``deliver`` / ``drop``
-    Message lifecycle keyed by the stable ``msg`` id assigned at send time:
-    ``send`` carries ``node`` (source), ``dst``, ``mtype``, ``transport``,
-    ``control`` and ``bytes``; ``deliver`` carries ``node`` (destination),
-    ``src`` and ``mtype``; ``drop`` adds ``reason`` (``unreachable`` /
-    ``loss`` / ``peer-down`` / ``stale-connection``).
-``checkpoint``
-    ``node``, ``cn`` (checkpoint number), ``forced``.
-``snapshot``
-    A completed neighbourhood gather: ``node``, ``cn``, ``members``,
-    ``missing``, ``complete``.
+    Message lifecycle keyed by the stable ``msg`` id assigned at send
+    time; ``node`` is the source of a ``send`` and the destination of a
+    ``deliver``.  A ``drop`` ``reason`` is ``unreachable`` / ``loss`` /
+    ``peer-down`` / ``stale-connection``.
 ``mc_run``
-    One model-checker run: ``node``, ``engine``, ``states``,
-    ``transitions``, ``depth``, ``violations``, ``wall`` (wall-clock
-    seconds — the only nondeterministic field family, see below).
-``filter_install`` / ``filter_trigger``
-    Steering: ``node``, ``filter`` (human description) plus ``property``
-    and ``path_len`` on install, ``action`` and ``desc`` on trigger.
+    ``wall`` is wall-clock seconds — the only nondeterministic field
+    family, see below.
 ``violation``
-    ``node``, ``property``, ``severity``, ``vkind`` (``safety`` /
-    ``liveness`` / ``predicted``), ``detail`` and (live episodes only)
-    ``digest`` — the process-stable sha1 state digest.
+    ``vkind`` is ``safety`` / ``liveness`` / ``predicted``; ``node`` is
+    ``null`` for a system-wide property; ``digest``, the process-stable
+    sha1 state digest, is present on live episodes only.
 ``fault``
-    Nemesis activity: ``fault``, ``action`` (``inject`` / ``heal`` /
-    ``skip``), ``detail``.
-``run_end``
-    ``events`` executed and final ``t``.
+    Nemesis activity; ``action`` is ``inject`` / ``heal`` / ``skip``.
+``meta``
+    ``backend`` is present unless it is ``sim``: traces written before
+    execution backends existed have no key, and sim runs keep matching
+    them byte for byte.
 
 Determinism: with a fixed seed every field of every record reproduces
 bit-for-bit across runs and ``PYTHONHASHSEED`` values **except** fields
@@ -67,23 +53,40 @@ from typing import Any, Optional, Union
 #: Trace schema version emitted in the ``meta`` header record.
 SCHEMA_VERSION = 1
 
-#: Every record kind the schema defines (kept in sync with the docstring
-#: above and validated by the schema-stability tests).
-RECORD_KINDS = (
-    "meta",
-    "event",
-    "send",
-    "deliver",
-    "drop",
-    "checkpoint",
-    "snapshot",
-    "mc_run",
-    "filter_install",
-    "filter_trigger",
-    "violation",
-    "fault",
-    "run_end",
-)
+#: The schema: per record kind, the fields after ``kind`` and ``t`` (``v``
+#: on ``meta``) in record order; a trailing ``?`` marks a field left out
+#: when its value is ``None``.  :meth:`Tracer.record` builds from this table
+#: and ``trace_tools.validate_trace`` checks against it, so a new kind or
+#: field is one row here plus the ``record`` call that emits it.
+RECORD_FIELDS: dict[str, tuple[str, ...]] = {
+    "meta": ("system", "scenario", "mode", "seed", "nodes", "backend?"),
+    "event": ("node", "etype", "outcome", "desc", "eid?", "msg?"),
+    "send": ("node", "msg", "mtype", "dst", "transport", "control", "bytes"),
+    "deliver": ("node", "msg", "mtype", "src"),
+    "drop": ("msg", "mtype", "reason"),
+    "checkpoint": ("node", "cn", "forced"),
+    "snapshot": ("node", "cn", "members", "missing", "complete"),
+    "mc_run": (
+        "node", "engine", "states", "transitions", "depth", "violations", "wall"
+    ),
+    "filter_install": ("node", "filter", "property", "path_len"),
+    "filter_trigger": ("node", "filter", "action", "desc"),
+    "violation": ("node", "property", "severity", "vkind", "detail", "digest?"),
+    "fault": ("fault", "action", "detail"),
+    "run_end": ("events",),
+}
+
+#: Every record kind the schema defines.
+RECORD_KINDS = tuple(RECORD_FIELDS)
+
+#: :data:`RECORD_FIELDS` parsed once: ``(field, required)`` pairs per kind.
+FIELD_SPECS = {
+    kind: tuple((name.rstrip("?"), not name.endswith("?")) for name in row)
+    for kind, row in RECORD_FIELDS.items()
+}
+
+#: Fields holding a node address, written through ``str``.
+ADDRESS_FIELDS = frozenset({"node", "dst", "src"})
 
 
 class Tracer:
@@ -98,228 +101,34 @@ class Tracer:
     def close(self) -> None:
         """Flush and release the sink; safe to call more than once."""
 
-    # ------------------------------------------------------------- helpers
+    def record(self, kind: str, t: Optional[float] = None, **fields: Any) -> None:
+        """Emit one ``kind`` record at simulated time ``t`` (``meta`` takes
+        none), its ``fields`` laid out in :data:`RECORD_FIELDS` order.
 
-    def meta(
-        self,
-        *,
-        system: str,
-        scenario: Optional[str],
-        mode: str,
-        seed: int,
-        nodes: int,
-        backend: str = "sim",
-    ) -> None:
-        record = {
-            "kind": "meta",
-            "v": SCHEMA_VERSION,
-            "system": system,
-            "scenario": scenario,
-            "mode": mode,
-            "seed": seed,
-            "nodes": nodes,
-        }
-        # Traces written before execution backends existed have no key;
-        # sim runs keep matching them byte for byte.
-        if backend != "sim":
-            record["backend"] = backend
+        Raises ``TypeError`` for a missing required or an unknown field.
+        """
+        if kind == "meta":
+            record: dict[str, Any] = {"kind": kind, "v": SCHEMA_VERSION}
+        elif t is None:
+            raise TypeError(f"{kind} record: missing 't'")
+        else:
+            record = {"kind": kind, "t": t}
+        for name, required in FIELD_SPECS[kind]:
+            try:
+                value = fields.pop(name)
+            except KeyError:
+                if required:
+                    raise TypeError(f"{kind} record: missing {name!r}") from None
+                continue
+            if value is None:
+                if not required:
+                    continue
+            elif name in ADDRESS_FIELDS:
+                value = str(value)
+            record[name] = value
+        if fields:
+            raise TypeError(f"{kind} record: unknown field {min(fields)!r}")
         self.emit(record)
-
-    def event(
-        self,
-        t: float,
-        node: Any,
-        etype: str,
-        outcome: str,
-        desc: str,
-        *,
-        eid: Optional[int] = None,
-        msg: Optional[int] = None,
-    ) -> None:
-        record: dict[str, Any] = {
-            "kind": "event",
-            "t": t,
-            "node": str(node),
-            "etype": etype,
-            "outcome": outcome,
-            "desc": desc,
-        }
-        if eid is not None:
-            record["eid"] = eid
-        if msg is not None:
-            record["msg"] = msg
-        self.emit(record)
-
-    def send(
-        self,
-        t: float,
-        node: Any,
-        msg: int,
-        mtype: str,
-        dst: Any,
-        transport: str,
-        control: bool,
-        size: int,
-    ) -> None:
-        self.emit(
-            {
-                "kind": "send",
-                "t": t,
-                "node": str(node),
-                "msg": msg,
-                "mtype": mtype,
-                "dst": str(dst),
-                "transport": transport,
-                "control": control,
-                "bytes": size,
-            }
-        )
-
-    def deliver(self, t: float, node: Any, msg: int, mtype: str, src: Any) -> None:
-        self.emit(
-            {
-                "kind": "deliver",
-                "t": t,
-                "node": str(node),
-                "msg": msg,
-                "mtype": mtype,
-                "src": str(src),
-            }
-        )
-
-    def drop(self, t: float, msg: int, mtype: str, reason: str) -> None:
-        self.emit(
-            {"kind": "drop", "t": t, "msg": msg, "mtype": mtype, "reason": reason}
-        )
-
-    def checkpoint(self, t: float, node: Any, cn: int, *, forced: bool = False) -> None:
-        self.emit(
-            {
-                "kind": "checkpoint",
-                "t": t,
-                "node": str(node),
-                "cn": cn,
-                "forced": forced,
-            }
-        )
-
-    def snapshot(
-        self,
-        t: float,
-        node: Any,
-        cn: int,
-        members: int,
-        missing: int,
-    ) -> None:
-        self.emit(
-            {
-                "kind": "snapshot",
-                "t": t,
-                "node": str(node),
-                "cn": cn,
-                "members": members,
-                "missing": missing,
-                "complete": missing == 0,
-            }
-        )
-
-    def mc_run(
-        self,
-        t: float,
-        node: Any,
-        *,
-        engine: str,
-        states: int,
-        transitions: int,
-        depth: int,
-        violations: int,
-        wall: float,
-    ) -> None:
-        self.emit(
-            {
-                "kind": "mc_run",
-                "t": t,
-                "node": str(node),
-                "engine": engine,
-                "states": states,
-                "transitions": transitions,
-                "depth": depth,
-                "violations": violations,
-                "wall": wall,
-            }
-        )
-
-    def filter_install(
-        self,
-        t: float,
-        node: Any,
-        filter_desc: str,
-        *,
-        property_id: str,
-        path_len: int,
-    ) -> None:
-        self.emit(
-            {
-                "kind": "filter_install",
-                "t": t,
-                "node": str(node),
-                "filter": filter_desc,
-                "property": property_id,
-                "path_len": path_len,
-            }
-        )
-
-    def filter_trigger(
-        self, t: float, node: Any, filter_desc: str, action: str, desc: str
-    ) -> None:
-        self.emit(
-            {
-                "kind": "filter_trigger",
-                "t": t,
-                "node": str(node),
-                "filter": filter_desc,
-                "action": action,
-                "desc": desc,
-            }
-        )
-
-    def violation(
-        self,
-        t: float,
-        node: Any,
-        property_id: str,
-        severity: str,
-        vkind: str,
-        detail: str,
-        *,
-        digest: Optional[str] = None,
-    ) -> None:
-        record: dict[str, Any] = {
-            "kind": "violation",
-            "t": t,
-            "node": None if node is None else str(node),
-            "property": property_id,
-            "severity": severity,
-            "vkind": vkind,
-            "detail": detail,
-        }
-        if digest is not None:
-            record["digest"] = digest
-        self.emit(record)
-
-    def fault(self, t: float, fault: str, action: str, detail: dict) -> None:
-        self.emit(
-            {
-                "kind": "fault",
-                "t": t,
-                "fault": fault,
-                "action": action,
-                "detail": dict(detail),
-            }
-        )
-
-    def run_end(self, t: float, events: int) -> None:
-        self.emit({"kind": "run_end", "t": t, "events": events})
 
 
 class MemoryTracer(Tracer):

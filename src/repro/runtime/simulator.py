@@ -84,9 +84,6 @@ class NodeHook(TypingProtocol):
     def handle_control_message(self, sim: "Simulator", node: "SimNode", message: Message) -> None:
         """Process a CrystalBall control-plane message."""
 
-    def on_event_executed(self, sim: "Simulator", node: "SimNode", event: Event) -> None:
-        """Called after an event was executed on the node."""
-
     def on_forced_checkpoint(self, sim: "Simulator", node: "SimNode") -> None:
         """Called when the logical clock forces a checkpoint (Section 2.3)."""
 
@@ -357,8 +354,9 @@ class Simulator:
             return
         tracer = self.obs.tracer
         if tracer is not None:
-            tracer.deliver(self.now, message.dst, message.msg_id,
-                           message.mtype, message.src)
+            tracer.record("deliver", self.now, node=message.dst,
+                          msg=message.msg_id, mtype=message.mtype,
+                          src=message.src)
         if self.obs.metrics is not None:
             self.obs.metrics.inc("runtime.messages_delivered")
         if message.control:
@@ -423,8 +421,6 @@ class Simulator:
         node.stats.events_executed += 1
         self.events_executed += 1
         self._record_trace(node, event, "executed")
-        if node.hook is not None:
-            node.hook.on_event_executed(self, node, event)
         for observer in self.observers:
             observer(self, node, event)
 
@@ -469,10 +465,11 @@ class Simulator:
             metrics.inc("runtime.control_bytes_sent" if stamped.control
                         else "runtime.service_bytes_sent", size)
         if self.obs.tracer is not None:
-            self.obs.tracer.send(
-                self.now, stamped.src, stamped.msg_id, stamped.mtype,
-                stamped.dst, stamped.transport.value, stamped.control,
-                size,
+            self.obs.tracer.record(
+                "send", self.now, node=stamped.src, msg=stamped.msg_id,
+                mtype=stamped.mtype, dst=stamped.dst,
+                transport=stamped.transport.value, control=stamped.control,
+                bytes=size,
             )
         return stamped
 
@@ -578,8 +575,8 @@ class Simulator:
         if self.obs.metrics is not None:
             self.obs.metrics.inc("runtime.messages_dropped")
         if self.obs.tracer is not None:
-            self.obs.tracer.drop(self.now, message.msg_id, message.mtype,
-                                 reason)
+            self.obs.tracer.record("drop", self.now, msg=message.msg_id,
+                                   mtype=message.mtype, reason=reason)
 
     def _schedule_connection_error(self, at: Address, peer: Address) -> None:
         latency = self.network.latency(peer, at, self.rng)
@@ -678,8 +675,8 @@ class Simulator:
                 eid = self._next_eid
             msg_id = (event.message.msg_id
                       if isinstance(event, MessageEvent) else None)
-            tracer.event(
-                self.now, node.addr,
-                _EVENT_TYPES.get(type(event), "event"), outcome,
-                event.describe(), eid=eid, msg=msg_id,
+            tracer.record(
+                "event", self.now, node=node.addr,
+                etype=_EVENT_TYPES.get(type(event), "event"), outcome=outcome,
+                desc=event.describe(), eid=eid, msg=msg_id,
             )

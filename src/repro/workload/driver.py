@@ -61,6 +61,7 @@ class OpenLoopDriver:
     def _burst(self, sim: Simulator) -> None:
         if self._end_time is not None and sim.now > self._end_time:
             return  # stream closed: stop re-arming
+        injected_before = self.requests_injected
         for _ in range(self.traffic.burst):
             key = self.sampler.sample(self.rng)
             target, call, payload = self.spec.make_request(
@@ -73,7 +74,7 @@ class OpenLoopDriver:
             self.requests_injected += 1
         if sim.obs.metrics is not None:
             sim.obs.metrics.inc("workload.requests_injected",
-                                self.traffic.burst)
+                                self.requests_injected - injected_before)
         sim.schedule_at(sim.now + self.traffic.interval, self._burst)
 
     def _observe(self, sim: Simulator, node: SimNode, event: Event) -> None:

@@ -18,14 +18,28 @@ def _chord(seed=2):
             .seed(seed))
 
 
+def _chord_with_crashes():
+    """Crashed targets are skipped, so a burst injects fewer than ``burst``."""
+    return (Experiment("chord").nodes(8).duration(120).churn(False).seed(2)
+            .faults("crash").mode("off")
+            .workload("lookups", rate=16, burst=4, start=20))
+
+
 def test_workload_by_name_drives_requests():
-    report = (_chord()
-              .workload("lookups", rate=40, burst=4, start=40.0)
-              .run())
-    assert report.workload["name"] == "lookups"
-    assert report.requests_injected() > 0
-    assert report.requests_completed() > 0
-    assert report.to_dict()["workload"]["traffic"]["rate"] == 40
+    for experiment, rate, skips in [
+        (_chord().workload("lookups", rate=40, burst=4, start=40.0),
+         40, False),
+        (_chord_with_crashes(), 16, True),
+    ]:
+        report = experiment.metrics().run()
+        assert report.workload["name"] == "lookups"
+        assert report.requests_injected() > 0
+        assert report.requests_completed() > 0
+        assert report.to_dict()["workload"]["traffic"]["rate"] == rate
+        assert (report.workload["requests_skipped"] > 0) is skips
+        # The counter every campaign rollup reads counts what was injected.
+        assert (report.metrics["counters"]["workload.requests_injected"]
+                == report.requests_injected())
 
 
 def test_unknown_workload_name_fails_fast():

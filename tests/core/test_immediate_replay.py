@@ -32,8 +32,8 @@ def test_isc_blocks_update_sibling_that_creates_inconsistency():
                         snapshot.nodes[scenario.n9].timers, event,
                         neighborhood=snapshot)
     assert not outcome.allowed
-    assert outcome.new_violations
-    assert isc.events_blocked == 1
+    assert [v.property_name for v in outcome.new_violations] == [
+        "randtree.children_siblings_disjoint"]
 
 
 def test_isc_allows_harmless_update_sibling():

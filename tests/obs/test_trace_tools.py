@@ -25,8 +25,8 @@ def meta():
 
 STEERING_TRACE = [
     meta(),
-    {"kind": "fault", "t": 5.0, "node": None, "fault": "partition",
-     "action": "inject", "detail": {"links_cut": 2}},
+    {"kind": "fault", "t": 5.0, "fault": "partition", "action": "inject",
+     "detail": {"links_cut": 2}},
     {"kind": "checkpoint", "t": 9.0, "node": "1:5000", "cn": 2,
      "forced": False},
     {"kind": "snapshot", "t": 10.0, "node": "1:5000", "cn": 2, "members": 3,
@@ -66,6 +66,29 @@ def test_validate_flags_structural_problems():
     assert any("missing 't'" in p for p in problems)
     problems = validate_trace([meta(), meta()])
     assert any("duplicate 'meta'" in p for p in problems)
+
+
+def test_validate_names_the_record_and_the_field():
+    """One malformed record, one problem that says where and what."""
+    send = {"kind": "send", "t": 1.0, "node": "1:5000", "msg": 4,
+            "mtype": "ping", "dst": "2:5000", "transport": "udp",
+            "control": False, "bytes": 64}
+    assert validate_trace([meta(), send]) == []
+    without_dst = {k: v for k, v in send.items() if k != "dst"}
+    assert validate_trace([meta(), without_dst]) == [
+        "record 1 (send): missing 'dst'"]
+    assert validate_trace([meta(), dict(send, hops=3)]) == [
+        "record 1 (send): unknown field 'hops'"]
+    assert validate_trace([send, *STEERING_TRACE[1:]]) == [
+        "first record is not a 'meta' header"]
+    assert validate_trace([meta(), dict(send, kind="sent")]) == [
+        "record 1: unknown kind 'sent'"]
+    # Optional fields may be absent; what the old fixture carried may not.
+    event = {"kind": "event", "t": 1.0, "node": "1:5000", "etype": "timer",
+             "outcome": "delayed", "desc": "timer x"}
+    assert validate_trace([meta(), event, dict(event, eid=3, msg=4)]) == []
+    assert validate_trace([meta(), dict(STEERING_TRACE[1], node=None)]) == [
+        "record 1 (fault): unknown field 'node'"]
 
 
 def test_read_trace_reports_bad_lines_with_position(tmp_path):

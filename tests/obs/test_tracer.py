@@ -13,39 +13,55 @@ from repro.obs import (
     validate_trace,
 )
 from repro.obs.trace_tools import read_trace
+from repro.obs.tracer import RECORD_FIELDS
 
 
 def emit_one_of_each(tracer):
-    """Drive every typed helper once; returns the expected kind sequence."""
-    tracer.meta(system="randtree", scenario=None, mode="steering", seed=7,
-                nodes=5)
-    tracer.event(1.0, "1:5000", "msg", "executed", "deliver Ping", eid=0,
-                 msg=42)
-    tracer.send(1.0, "1:5000", 42, "ping", "2:5000", "udp", False, 64)
-    tracer.deliver(1.1, "2:5000", 42, "ping", "1:5000")
-    tracer.drop(1.2, 43, "pong", "loss")
-    tracer.checkpoint(2.0, "1:5000", 3, forced=True)
-    tracer.snapshot(2.5, "1:5000", 3, 4, 1)
-    tracer.mc_run(3.0, "1:5000", engine="serial", states=100, transitions=250,
-                  depth=6, violations=2, wall=0.125)
-    tracer.filter_install(3.0, "1:5000", "filter#1: delay timer",
-                          property_id="randtree.p", path_len=2)
-    tracer.filter_trigger(4.0, "1:5000", "filter#1: delay timer", "delay",
-                          "timer join_retry")
-    tracer.violation(3.0, "1:5000", "randtree.p", "critical", "predicted",
-                     "root is a child", digest="abc123")
-    tracer.fault(5.0, "partition", "inject", {"links_cut": 6})
-    tracer.run_end(10.0, 1234)
+    """One record of every kind, every optional field set; returns the
+    expected kind sequence."""
+    tracer.record("meta", system="randtree", scenario=None, mode="steering",
+                  seed=7, nodes=5, backend="tcp")
+    tracer.record("event", 1.0, node="1:5000", etype="msg",
+                  outcome="executed", desc="deliver Ping", eid=0, msg=42)
+    tracer.record("send", 1.0, node="1:5000", msg=42, mtype="ping",
+                  dst="2:5000", transport="udp", control=False, bytes=64)
+    tracer.record("deliver", 1.1, node="2:5000", msg=42, mtype="ping",
+                  src="1:5000")
+    tracer.record("drop", 1.2, msg=43, mtype="pong", reason="loss")
+    tracer.record("checkpoint", 2.0, node="1:5000", cn=3, forced=True)
+    tracer.record("snapshot", 2.5, node="1:5000", cn=3, members=4, missing=1,
+                  complete=False)
+    tracer.record("mc_run", 3.0, node="1:5000", engine="serial", states=100,
+                  transitions=250, depth=6, violations=2, wall=0.125)
+    tracer.record("filter_install", 3.0, node="1:5000",
+                  filter="filter#1: delay timer", property="randtree.p",
+                  path_len=2)
+    tracer.record("filter_trigger", 4.0, node="1:5000",
+                  filter="filter#1: delay timer", action="delay",
+                  desc="timer join_retry")
+    tracer.record("violation", 3.0, node="1:5000", property="randtree.p",
+                  severity="critical", vkind="predicted",
+                  detail="root is a child", digest="abc123")
+    tracer.record("fault", 5.0, fault="partition", action="inject",
+                  detail={"links_cut": 6})
+    tracer.record("run_end", 10.0, events=1234)
     return ["meta", "event", "send", "deliver", "drop", "checkpoint",
             "snapshot", "mc_run", "filter_install", "filter_trigger",
             "violation", "fault", "run_end"]
 
 
 def test_every_record_kind_has_a_typed_helper():
+    """One record of every kind in ``RECORD_FIELDS``, each laid out in its
+    row's order — the table is the only "helper" a kind has."""
+    assert RECORD_KINDS == tuple(RECORD_FIELDS)
     tracer = MemoryTracer()
     kinds = emit_one_of_each(tracer)
     assert sorted(kinds) == sorted(RECORD_KINDS)
     assert [record["kind"] for record in tracer.records] == kinds
+    for record in tracer.records:
+        row = [name.rstrip("?") for name in RECORD_FIELDS[record["kind"]]]
+        stamp = "v" if record["kind"] == "meta" else "t"
+        assert list(record) == ["kind", stamp, *row]
 
 
 def test_schema_round_trips_through_json(tmp_path):
@@ -89,7 +105,8 @@ def test_record_payload_fields_are_stable():
 def test_jsonl_tracer_writes_compact_lines_and_close_is_idempotent(tmp_path):
     path = tmp_path / "t.jsonl"
     tracer = JsonlTracer(path)
-    tracer.event(1.0, "n", "msg", "executed", "x")
+    tracer.record("event", 1.0, node="n", etype="msg", outcome="executed",
+                  desc="x")
     tracer.close()
     tracer.close()
     lines = path.read_text().splitlines()
@@ -98,6 +115,35 @@ def test_jsonl_tracer_writes_compact_lines_and_close_is_idempotent(tmp_path):
     assert json.loads(lines[0])["kind"] == "event"
 
 
+def test_record_rejects_a_missing_or_an_unknown_field():
+    tracer = MemoryTracer()
+    with pytest.raises(TypeError, match="drop record: missing 'reason'"):
+        tracer.record("drop", 1.0, msg=43, mtype="pong")
+    with pytest.raises(TypeError, match="drop record: unknown field 'node'"):
+        tracer.record("drop", 1.0, msg=43, mtype="pong", reason="loss",
+                      node="1:5000")
+    with pytest.raises(TypeError, match="drop record: missing 't'"):
+        tracer.record("drop", msg=43, mtype="pong", reason="loss")
+    assert tracer.records == []
+
+
+def test_record_writes_addresses_as_text_and_omits_unset_optionals():
+    from repro.runtime import Address
+
+    tracer = MemoryTracer()
+    tracer.record("violation", 2.0, node=None, property="p", severity="error",
+                  vkind="liveness", detail="late", digest=None)
+    tracer.record("deliver", 2.5, node=Address(2), msg=7, mtype="ping",
+                  src=Address(1))
+    assert tracer.records == [
+        {"kind": "violation", "t": 2.0, "node": None, "property": "p",
+         "severity": "error", "vkind": "liveness", "detail": "late"},
+        {"kind": "deliver", "t": 2.5, "node": "2:5000", "msg": 7,
+         "mtype": "ping", "src": "1:5000"},
+    ]
+
+
 def test_base_tracer_requires_emit():
     with pytest.raises(NotImplementedError):
-        Tracer().event(0.0, "n", "msg", "executed", "x")
+        Tracer().record("event", 0.0, node="n", etype="msg",
+                        outcome="executed", desc="x")

@@ -117,9 +117,6 @@ class OwnedWakeupHook:
     def handle_control_message(self, sim, node, message):
         pass
 
-    def on_event_executed(self, sim, node, event):
-        pass
-
     def on_forced_checkpoint(self, sim, node):
         pass
 

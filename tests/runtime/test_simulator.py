@@ -151,7 +151,6 @@ def test_event_filter_hook_drops_messages():
             return FilterAction.ALLOW
         def immediate_safety_check(self, sim, node, event): return True
         def handle_control_message(self, sim, node, message): pass
-        def on_event_executed(self, sim, node, event): pass
         def on_forced_checkpoint(self, sim, node): pass
 
     sim, (a, b) = _make_sim()
