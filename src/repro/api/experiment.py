@@ -54,7 +54,7 @@ from ..runtime.churn import ChurnProcess
 from ..runtime.network import NetworkModel
 from ..workload import OpenLoopDriver, WorkloadSpec
 from .registry import ScenarioSpec, SystemSpec, get_system
-from .report import NodeReport, RunReport
+from .report import OWNED_COUNTERS, NodeReport, RunReport
 
 
 def parse_mode(mode: Union[Mode, str, None]) -> Mode:
@@ -135,8 +135,7 @@ class Experiment:
         #: was configured from scalars — what a sweep can carry to workers;
         #: None means an explicit NetworkModel instance was supplied.
         self._network_params: Optional[dict[str, float]] = {}
-        self._churn_interval = (self._spec.default_churn_interval
-                                if self._spec.supports_churn else None)
+        self._churn_interval = self._spec.default_churn_interval
         self._scenario: Optional[str] = None
         self._options: dict[str, Any] = {}
         self._faults: list[Union[str, Fault]] = []
@@ -697,8 +696,6 @@ class Experiment:
             monitor=monitor.report(),
             outcome=spec.collect(sim) if spec.collect is not None else {},
             faults=nemesis.report() if nemesis is not None else {},
-            metrics=(obs.metrics.snapshot() if obs.metrics is not None
-                     else {}),
             workload=driver.report() if driver is not None else {},
             simulator=sim,
             controllers=controllers,
@@ -709,6 +706,10 @@ class Experiment:
         wire_report = getattr(sim, "wire_report", None)
         if wire_report is not None:
             report.outcome["wire"] = wire_report()
+        if obs.metrics is not None:
+            # Last, so every owner's count (the wire included) is final.
+            report.metrics = obs.metrics.snapshot({
+                name: count(report) for name, count in OWNED_COUNTERS.items()})
         report.wall_clock_seconds = time.perf_counter() - started
         return report
 

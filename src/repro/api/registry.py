@@ -123,7 +123,6 @@ class SystemSpec:
     #: by itself, e.g. a push-based source).
     join_call: Optional[str] = "join"
     join_spacing: float = 5.0
-    supports_churn: bool = True
     default_churn_interval: Optional[float] = 60.0
     #: Default consequence-prediction budget for live runs of this system.
     search_budget_factory: Optional[Callable[[], SearchBudget]] = None

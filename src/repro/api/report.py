@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..analysis.reporting import to_jsonable
 from ..core.controller import ControllerStats
@@ -232,3 +232,53 @@ class RunReport:
 
     def to_json(self, *, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+
+
+def _node_stat(name: str) -> Callable[[RunReport], int]:
+    return lambda report: sum(getattr(node.stats, name)
+                              for node in report.simulator.nodes.values())
+
+
+def _faults(kind: str) -> Callable[[RunReport], int]:
+    return lambda report: sum(counts[kind] for counts
+                              in report.fault_breakdown().values())
+
+
+def _wire(key: str) -> Callable[[RunReport], int]:
+    return lambda report: int(report.outcome.get("wire", {}).get(key, 0))
+
+
+#: Every metrics counter whose count another layer keeps, and how to read
+#: it off a finished live run: the registry never counts these itself
+#: (``MetricsRegistry.snapshot(owned)`` refuses a copy), so a counter and
+#: the stat it reports cannot drift apart.
+OWNED_COUNTERS: dict[str, Callable[[RunReport], int]] = {
+    # NodeStats counts a reset as an executed event; the counter does not.
+    "runtime.events_executed": lambda report: sum(
+        node.stats.events_executed - node.stats.resets
+        for node in report.simulator.nodes.values()),
+    "runtime.resets": _node_stat("resets"),
+    "runtime.events_filtered": _node_stat("events_dropped_by_filter"),
+    "runtime.events_delayed": _node_stat("events_delayed"),
+    "runtime.events_blocked_by_isc": _node_stat("events_blocked_by_isc"),
+    "runtime.messages_sent": _node_stat("messages_sent"),
+    "runtime.service_bytes_sent": _node_stat("service_bytes_sent"),
+    "runtime.control_bytes_sent": _node_stat("control_bytes_sent"),
+    **{f"controller.{name}": (lambda report, name=name: report.total(name))
+       for name in ("ticks", "snapshots_collected", "incomplete_snapshots",
+                    "checkpoints_taken", "forced_checkpoints",
+                    "checkpoint_bytes_sent", "filters_installed",
+                    "filters_triggered")},
+    "mc.runs": lambda report: report.total("model_checker_runs"),
+    "mc.violations_predicted": RunReport.total_predicted,
+    "monitor.events_checked": lambda report: report.monitor["events_checked"],
+    "monitor.inconsistent_states": RunReport.live_inconsistent_states,
+    "monitor.violation_episodes":
+        lambda report: report.monitor["distinct_violation_episodes"],
+    "workload.requests_injected": RunReport.requests_injected,
+    "faults.inject": _faults("injected"),
+    "faults.heal": _faults("healed"),
+    "faults.skip": _faults("skipped"),
+    "backend.frames_sent": _wire("frames_sent"),
+    "backend.wire_bytes": _wire("wire_bytes"),
+}

@@ -20,9 +20,10 @@ in fact only needs this surface.  Two implementations ship:
 
 Both backends honor the shared TCP failure contract of
 :mod:`repro.runtime.transport`: stale-incarnation connection errors are
-surfaced as upcalls and sends never block (bounded queues refuse instead),
-which is what keeps the Bullet'/RandTree bug reproductions valid in
-deployed mode.
+surfaced as upcalls, which is what keeps the RandTree bug reproductions
+valid in deployed mode.  The bounded non-blocking send queue Bullet'
+depends on is modelled in its protocol state (``BulletState.queue_bytes``),
+not by a backend, so it refuses the same diffs on either one.
 """
 
 from __future__ import annotations

@@ -16,8 +16,10 @@ tcp run reproduces the *same* property violations and final protocol states
 as the sim backend — that equivalence is what makes deployed-mode bug
 reproductions (RandTree Figure 2, the Bullet' shadow map) trustworthy.  The
 shared TCP failure contract (:class:`~repro.runtime.transport.
-ConnectionTable` stale-incarnation upcalls, bounded non-blocking sends) is
-enforced at send time, before a frame is ever cut, exactly as in sim.
+ConnectionTable` stale-incarnation upcalls) is enforced at send time, before
+a frame is ever cut, exactly as in sim.  Bullet' models its bounded
+non-blocking send queue in its own protocol state, so it behaves the same
+on either backend.
 
 Nodes run as asyncio tasks in one process.  Per-node subprocesses would
 speak the same frame protocol (the wire format carries everything needed);
@@ -125,10 +127,6 @@ class AsyncioTcpBackend(Simulator):
             self.deliver(message)
             return
         self.wire_stats.record(message, frame_bytes)
-        metrics = self.obs.metrics
-        if metrics is not None:
-            metrics.inc("backend.frames_sent")
-            metrics.inc("backend.wire_bytes", frame_bytes)
         self.deliver(decoded)
 
     async def _writer_for(self, src: Address, dst: Address) -> Any:

@@ -95,14 +95,12 @@ async def read_frame(reader: Any) -> Message:
 class WireStats:
     """Deterministic per-run accounting of deployed-mode wire traffic."""
 
-    frames_sent: int = 0
     service_frames: int = 0
     control_frames: int = 0
     wire_bytes: int = 0
     by_mtype: dict[str, int] = field(default_factory=dict)
 
     def record(self, message: Message, frame_bytes: int) -> None:
-        self.frames_sent += 1
         self.wire_bytes += frame_bytes
         if message.control:
             self.control_frames += 1
@@ -113,7 +111,7 @@ class WireStats:
     def report(self) -> dict[str, Any]:
         """JSON-ready summary (merged into ``RunReport.outcome["wire"]``)."""
         return {
-            "frames_sent": self.frames_sent,
+            "frames_sent": self.service_frames + self.control_frames,
             "service_frames": self.service_frames,
             "control_frames": self.control_frames,
             "wire_bytes": self.wire_bytes,

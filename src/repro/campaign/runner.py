@@ -110,8 +110,7 @@ def summarize_report(report: RunReport) -> dict[str, Any]:
     accounting = report.accounting()
     # Of the obs metrics, only counters reproduce bit-for-bit from the
     # seed, and parallel.* counters depend on worker scheduling — the
-    # rollup takes exactly the deterministic remainder (the same subset
-    # MetricsRegistry.counters() exposes).
+    # rollup takes exactly the deterministic remainder.
     counters = (report.metrics or {}).get("counters", {})
     summary: dict[str, Any] = {
         "node_count": report.node_count,

@@ -58,7 +58,6 @@ class CheckpointStore:
 
     quota: int = 16
     checkpoints: list[Checkpoint] = field(default_factory=list)
-    pruned: int = 0
 
     def record(self, checkpoint: Checkpoint) -> None:
         """Store a new checkpoint, pruning the oldest beyond the quota."""
@@ -66,7 +65,6 @@ class CheckpointStore:
         self.checkpoints.sort(key=lambda c: c.checkpoint_number)
         while len(self.checkpoints) > self.quota:
             self.checkpoints.pop(0)
-            self.pruned += 1
 
     def latest(self) -> Optional[Checkpoint]:
         """Most recent checkpoint, or ``None`` if empty."""
@@ -96,7 +94,6 @@ class PeerTransferCache:
     changed ones are charged at (compressed) diff cost."""
 
     last_sent: dict[Address, NodeState] = field(default_factory=dict)
-    bytes_saved: int = 0
 
     def transfer_cost(self, peer: Address, checkpoint: Checkpoint, *,
                       delta: bool = False) -> int:
@@ -107,9 +104,8 @@ class PeerTransferCache:
         conservative full compressed re-send.
         """
         previous = self.last_sent.get(peer)
-        full = checkpoint.compressed_bytes()
         if previous is None:
-            cost = full
+            cost = checkpoint.compressed_bytes()
         elif delta:
             # Never worse than the conservative accounting: an unchanged
             # state stays at the bare header even though the delta form
@@ -119,6 +115,4 @@ class PeerTransferCache:
         else:
             cost = diff_size(previous, checkpoint.state)
         self.last_sent[peer] = checkpoint.state.clone()
-        if cost < full:
-            self.bytes_saved += full - cost
         return cost

@@ -276,7 +276,6 @@ class CrystalBallController:
             sim.schedule_at(sim.now + sim.tick_interval,
                             self._finalize_wakeup)
         if sim.obs.metrics is not None:
-            sim.obs.metrics.inc("controller.ticks")
             sim.obs.metrics.observe(
                 "controller.tick_seconds",
                 time.perf_counter() - tick_started)
@@ -295,8 +294,6 @@ class CrystalBallController:
         snapshot = NeighborhoodSnapshot.from_gather(self._pending_gather, local)
         if self._pending_gather.missing or self._pending_gather.negative:
             self.stats.incomplete_snapshots += 1
-            if sim.obs.metrics is not None:
-                sim.obs.metrics.inc("controller.incomplete_snapshots")
         # A neighbour that did not answer (partition, failure) is stood in
         # for by the most recent checkpoint previously received from it:
         # slightly stale state is preferable to a blind spot, and the paper
@@ -309,8 +306,6 @@ class CrystalBallController:
             snapshot.missing - set(snapshot.checkpoints))
         self.last_snapshot = snapshot
         self.stats.snapshots_collected += 1
-        if sim.obs.metrics is not None:
-            sim.obs.metrics.inc("controller.snapshots_collected")
         if sim.obs.tracer is not None:
             sim.obs.tracer.record(
                 "snapshot", sim.now, node=node.addr,
@@ -329,8 +324,6 @@ class CrystalBallController:
             if event_filter.matches(event):
                 self.stats.filters_triggered += 1
                 action = event_filter.decision(event)
-                if sim.obs.metrics is not None:
-                    sim.obs.metrics.inc("controller.filters_triggered")
                 if sim.obs.tracer is not None:
                     sim.obs.tracer.record(
                         "filter_trigger", sim.now, node=node.addr,
@@ -361,8 +354,6 @@ class CrystalBallController:
 
     def on_forced_checkpoint(self, sim: Simulator, node: SimNode) -> None:
         self.stats.forced_checkpoints += 1
-        if sim.obs.metrics is not None:
-            sim.obs.metrics.inc("controller.forced_checkpoints")
         self._take_checkpoint(sim, node, node.clock.value, forced=True)
 
     # --------------------------------------------------------------- checkpointing
@@ -376,8 +367,6 @@ class CrystalBallController:
                                 timers=node.timer_names())
         self.store.record(checkpoint)
         self.stats.checkpoints_taken += 1
-        if sim.obs.metrics is not None:
-            sim.obs.metrics.inc("controller.checkpoints_taken")
         if sim.obs.tracer is not None:
             sim.obs.tracer.record("checkpoint", sim.now, node=node.addr,
                                   cn=checkpoint_number, forced=forced)
@@ -434,7 +423,6 @@ class CrystalBallController:
             requester, checkpoint, delta=self.config.delta_checkpoints)
         self.stats.checkpoint_bytes_sent += cost
         if sim.obs.metrics is not None:
-            sim.obs.metrics.inc("controller.checkpoint_bytes_sent", cost)
             sim.obs.metrics.observe("controller.checkpoint_response_bytes",
                                     cost)
         response = Message(
@@ -531,11 +519,9 @@ class CrystalBallController:
         mc_wall = time.perf_counter() - mc_started
         if sim.obs.metrics is not None:
             metrics = sim.obs.metrics
-            metrics.inc("mc.runs")
             metrics.inc("mc.states_visited", result.stats.states_visited)
             metrics.inc("mc.transitions_applied",
                         result.stats.transitions_applied)
-            metrics.inc("mc.violations_predicted", len(all_violations))
             metrics.gauge("mc.max_depth_reached").update_max(
                 result.stats.max_depth_reached)
             metrics.observe("controller.mc_run_seconds", mc_wall)
@@ -587,8 +573,6 @@ class CrystalBallController:
             decision.filter.filter_id = self.stats.filters_installed
             self.filters.append(decision.filter)
             self.stats.steering_modified_behavior += 1
-            if sim.obs.metrics is not None:
-                sim.obs.metrics.inc("controller.filters_installed")
             if sim.obs.tracer is not None:
                 sim.obs.tracer.record(
                     "filter_install", sim.now, node=node.addr,

@@ -29,6 +29,11 @@ member list changing, say) is still one episode; the detail is payload on
 the emitted :class:`~repro.properties.ViolationRecord`, never part of the
 episode identity.  An episode ends when the key stops violating and a
 later recurrence opens a new episode.
+
+The monitor keeps two counters (events checked, inconsistent states) and
+the episode records; every other count :meth:`report` shows is read off
+the records, and a ``--metrics`` run reads its ``monitor.*`` event, state
+and episode counts off :meth:`report`.
 """
 
 from __future__ import annotations
@@ -78,10 +83,9 @@ class LivePropertyMonitor:
 
         self.events_checked = 0
         self.inconsistent_states = 0
-        self.liveness_violations = 0
-        #: structured record per episode, in order of discovery.
+        #: structured record per episode, in order of discovery; every
+        #: per-property, per-severity and per-kind count is read off it.
         self.records: list[ViolationRecord] = []
-        self.distinct_properties: set[str] = set()
 
         #: episode keys currently violating: (property id, node or None).
         self._active: set[tuple[str, Optional[Address]]] = set()
@@ -192,9 +196,6 @@ class LivePropertyMonitor:
             kind=kind,
         )
         self.records.append(record)
-        self.distinct_properties.add(property_name)
-        if self._obs.metrics is not None:
-            self._obs.metrics.inc("monitor.violation_episodes")
         if self._obs.tracer is not None:
             self._obs.tracer.record(
                 "violation", now, node=node, property=property_name,
@@ -204,8 +205,6 @@ class LivePropertyMonitor:
 
     def __call__(self, sim: Simulator, node: SimNode, event: Event) -> None:
         self.events_checked += 1
-        if self._obs.metrics is not None:
-            self._obs.metrics.inc("monitor.events_checked")
         if not self._safety and not self._trackers:
             # Nothing to check: skip the O(nodes) global-state build so a
             # property-free run costs O(1) per event (scale runs rely on
@@ -221,8 +220,6 @@ class LivePropertyMonitor:
         violations = self._safety_violations(state, dirty)
         if violations:
             self.inconsistent_states += 1
-            if self._obs.metrics is not None:
-                self._obs.metrics.inc("monitor.inconsistent_states")
 
         current: set[tuple[str, Optional[Address]]] = set()
         for violation in violations:
@@ -241,7 +238,6 @@ class LivePropertyMonitor:
 
         for prop, tracker in self._trackers:
             for failed_node, detail in tracker.observe(state, sim.now):
-                self.liveness_violations += 1
                 self._open_episode(
                     state, sim.now, prop.name, failed_node, detail, kind="liveness"
                 )
@@ -259,7 +255,6 @@ class LivePropertyMonitor:
         empty = GlobalState(nodes={})
         for prop, tracker in self._trackers:
             for failed_node, detail in tracker.finalize(now):
-                self.liveness_violations += 1
                 self._open_episode(
                     empty, now, prop.name, failed_node, detail, kind="liveness"
                 )
@@ -290,10 +285,12 @@ class LivePropertyMonitor:
             "events_checked": self.events_checked,
             "inconsistent_states": self.inconsistent_states,
             "distinct_violation_episodes": self.new_violations,
-            "properties_violated": sorted(self.distinct_properties),
+            "properties_violated": sorted(
+                {record.property_id for record in self.records}),
             "violations_by_property": self.violations_by_property(),
             "by_severity": self.by_severity(),
-            "liveness_violations": self.liveness_violations,
+            "liveness_violations": sum(
+                1 for record in self.records if record.kind == "liveness"),
             "incremental": self.incremental,
             "episodes": [record.to_dict()
                          for record in self.records[:EPISODE_REPORT_LIMIT]],

@@ -12,7 +12,6 @@ checker's dummy node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..mc.global_state import GlobalState
 from ..runtime.address import Address
@@ -69,21 +68,6 @@ class NeighborhoodSnapshot:
     @property
     def members(self) -> frozenset[Address]:
         return frozenset(self.checkpoints)
-
-    def delta_bytes(self, previous: Optional["NeighborhoodSnapshot"]) -> int:
-        """Wire cost of this snapshot against the previously gathered one
-        under delta encoding: each member checkpoint is charged only for
-        its changed state fields (members new to the neighbourhood pay the
-        full compressed cost)."""
-        if previous is None:
-            return sum(c.compressed_bytes()
-                       for c in self.checkpoints.values())
-        total = 0
-        for addr, checkpoint in self.checkpoints.items():
-            before = previous.checkpoints.get(addr)
-            total += checkpoint.delta_bytes(
-                before.state if before is not None else None)
-        return total
 
     def to_global_state(self) -> GlobalState:
         """Build the model-checking start state from this snapshot.

@@ -88,8 +88,6 @@ class Nemesis:
             self._observe(sim, fault.name, "heal", detail)
 
     def _observe(self, sim: Simulator, name: str, action: str, detail: dict) -> None:
-        if sim.obs.metrics is not None:
-            sim.obs.metrics.inc(f"faults.{action}")
         if sim.obs.tracer is not None:
             sim.obs.tracer.record(
                 "fault", sim.now, fault=name, action=action, detail=dict(detail)

@@ -1,10 +1,14 @@
 """The metrics registry: counters, gauges and histograms for one run.
 
-A :class:`MetricsRegistry` is the quantitative half of ``repro.obs``: every
-instrumented layer (runtime, monitor, controller, search engines, faults)
-increments named metrics through it, and :meth:`MetricsRegistry.snapshot`
-renders the whole catalogue as one JSON-ready dict that
-:class:`~repro.api.report.RunReport` carries as ``report.metrics``.
+A :class:`MetricsRegistry` is the quantitative half of ``repro.obs``.  It
+counts only what no other layer keeps (messages delivered and dropped,
+monitor cache hits, model-checker states, parallel handoff, attack
+attempts) and holds every gauge and histogram.  A count some layer already
+keeps is read off that owner when the run finishes and handed to
+:meth:`MetricsRegistry.snapshot`, which merges it into ``counters`` and
+refuses a registry counter of the same name.  The snapshot is the
+JSON-ready dict :class:`~repro.api.report.RunReport` carries as
+``report.metrics``.
 
 Determinism contract
 --------------------
@@ -16,14 +20,14 @@ exactly this reason.  *Histograms* are where wall-clock observations live
 real time and therefore excluded from every deterministic rollup.
 
 Metric names are dotted paths namespaced by layer, e.g.
-``runtime.events_executed``, ``monitor.node_checks_cached``,
+``runtime.messages_delivered``, ``monitor.node_checks_cached``,
 ``controller.mc_run_seconds``, ``parallel.barrier_wait_seconds`` (see the
 README's metrics catalogue).
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
 
 class Counter:
@@ -142,8 +146,14 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------ snapshot
 
-    def snapshot(self) -> dict[str, Any]:
+    def snapshot(self, owned: Optional[Mapping[str, int]] = None
+                 ) -> dict[str, Any]:
         """JSON-ready view of every metric, keys sorted for stable output.
+
+        ``owned`` maps counter names to counts another layer keeps (read
+        off the finished run); every non-zero one joins ``counters``.  A
+        registry counter under an owned name is a second copy of that count
+        and raises :class:`ValueError`.
 
         Shape (schema v1)::
 
@@ -152,11 +162,18 @@ class MetricsRegistry:
              "histograms": {name: {"count", "sum", "min", "max", "mean",
                                    "last"}}}
         """
+        owned = owned or {}
+        copies = sorted(set(owned) & set(self._counters))
+        if copies:
+            raise ValueError(
+                f"counter(s) {copies} have an owner outside the registry; "
+                f"read them off the run instead of counting them twice")
+        counters = {name: metric.value
+                    for name, metric in self._counters.items()}
+        counters.update((name, value) for name, value in owned.items()
+                        if value)
         return {
-            "counters": {
-                name: metric.value
-                for name, metric in sorted(self._counters.items())
-            },
+            "counters": dict(sorted(counters.items())),
             "gauges": {
                 name: {"value": metric.value, "max": metric.max_value}
                 for name, metric in sorted(self._gauges.items())
@@ -172,18 +189,4 @@ class MetricsRegistry:
                 }
                 for name, metric in sorted(self._histograms.items())
             },
-        }
-
-    def counters(self) -> dict[str, int]:
-        """The deterministic subset campaigns roll up, keys sorted.
-
-        ``parallel.*`` counters are excluded: cross-shard handoff volume
-        and round counts depend on worker scheduling, not only on the
-        seed, so they stay visible in :meth:`snapshot` but out of every
-        deterministic aggregate.
-        """
-        return {
-            name: metric.value
-            for name, metric in sorted(self._counters.items())
-            if not name.startswith("parallel.")
         }

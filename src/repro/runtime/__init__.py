@@ -24,7 +24,7 @@ from .network import NetworkModel
 from .protocol import Protocol
 from .simulator import FilterAction, NodeHook, NodeStats, SimNode, Simulator
 from .state import NodeState
-from .transport import ConnectionTable, SendQueue
+from .transport import ConnectionTable
 from .churn import ChurnProcess
 
 __all__ = [
@@ -52,6 +52,5 @@ __all__ = [
     "Simulator",
     "NodeState",
     "ConnectionTable",
-    "SendQueue",
     "ChurnProcess",
 ]

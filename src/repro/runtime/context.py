@@ -19,9 +19,8 @@ from .messages import Message, Transport
 
 @dataclass
 class TimerOp:
-    """A timer arm/cancel request produced by a handler."""
+    """A timer (re-)arm request produced by a handler."""
 
-    action: str  # "set" or "cancel"
     name: str
     delay: float = 0.0
 
@@ -51,7 +50,6 @@ class HandlerContext:
     sent: list[Message] = field(default_factory=list)
     timer_ops: list[TimerOp] = field(default_factory=list)
     closed_connections: list[Address] = field(default_factory=list)
-    upcalls: list[tuple[str, Mapping[str, Any]]] = field(default_factory=list)
 
     def send(
         self,
@@ -74,28 +72,17 @@ class HandlerContext:
 
     def set_timer(self, name: str, delay: float = 1.0) -> None:
         """(Re-)arm the named timer to fire after ``delay`` simulated seconds."""
-        self.timer_ops.append(TimerOp(action="set", name=name, delay=delay))
-
-    def cancel_timer(self, name: str) -> None:
-        """Cancel the named timer if armed."""
-        self.timer_ops.append(TimerOp(action="cancel", name=name))
+        self.timer_ops.append(TimerOp(name=name, delay=delay))
 
     def close_connection(self, peer: Address) -> None:
         """Tear down the TCP connection with ``peer`` (sends a RST)."""
         self.closed_connections.append(peer)
 
-    def deliver_upcall(self, name: str, payload: Mapping[str, Any] | None = None) -> None:
-        """Deliver an upcall to the local application (e.g. block received)."""
-        self.upcalls.append((name, dict(payload or {})))
-
     # -- helpers used by hosts -------------------------------------------------
 
     def armed_timers(self, current: frozenset[str]) -> frozenset[str]:
-        """Apply the collected timer operations to ``current`` armed set."""
+        """The ``current`` armed set plus every timer this handler armed."""
         timers = set(current)
         for op in self.timer_ops:
-            if op.action == "set":
-                timers.add(op.name)
-            else:
-                timers.discard(op.name)
+            timers.add(op.name)
         return frozenset(timers)

@@ -79,18 +79,16 @@ class NetworkModel:
     loss_fn: Optional[Callable[[Address, Address, random.Random], float]] = None
     default_rtt: float = 0.130
     jitter: float = 0.2
-    partitions: set[frozenset[Address]] = field(default_factory=set)
+    #: Cut pairs, each with its count of outstanding cuts, so overlapping
+    #: partitions (two fault windows cutting a shared link) compose: a link
+    #: is only restored when every cut of it has been healed.
+    partitions: dict[frozenset[Address], int] = field(default_factory=dict)
     #: probability that a TCP RST emitted by a resetting node is lost, which
     #: is precisely the trigger of the RandTree bug in Figure 2.
     rst_loss_probability: float = 0.2
     #: Fault-injection interceptors (see :mod:`repro.faults`): each may
     #: transform the delivery plan of every transmitted message.
     interceptors: list["MessageInterceptor"] = field(default_factory=list)
-    #: Reference counts per partitioned pair, so overlapping partitions
-    #: (two fault windows cutting a shared link) compose: a link is only
-    #: restored when every cut of it has been healed.
-    _partition_refs: dict[frozenset[Address], int] = field(
-        default_factory=dict, init=False, repr=False)
 
     def latency(self, src: Address, dst: Address, rng: random.Random) -> float:
         """One-way latency from ``src`` to ``dst``."""
@@ -147,23 +145,18 @@ class NetworkModel:
         overlapping fault windows) requires two heals to restore it.
         """
         pair = frozenset((a, b))
-        self._partition_refs[pair] = self._partition_refs.get(pair, 0) + 1
-        self.partitions.add(pair)
+        self.partitions[pair] = self.partitions.get(pair, 0) + 1
 
     def heal(self, a: Address, b: Address) -> None:
         """Undo one cut of the pair; restores the link when no cut remains."""
         pair = frozenset((a, b))
-        remaining = self._partition_refs.get(pair, 0) - 1
+        remaining = self.partitions.pop(pair, 0) - 1
         if remaining > 0:
-            self._partition_refs[pair] = remaining
-            return
-        self._partition_refs.pop(pair, None)
-        self.partitions.discard(pair)
+            self.partitions[pair] = remaining
 
     def heal_all(self) -> None:
         """Remove every partition regardless of outstanding cuts."""
         self.partitions.clear()
-        self._partition_refs.clear()
 
     def isolate(self, node: Address, others: Iterable[Address]) -> None:
         """Partition ``node`` from every address in ``others``."""

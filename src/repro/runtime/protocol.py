@@ -84,10 +84,6 @@ class Protocol(abc.ABC):
         """
         return []
 
-    def timer_specs(self) -> Mapping[str, float]:
-        """Declared timers and their default periods (simulated seconds)."""
-        return {}
-
     def app_calls(self, state: NodeState) -> Sequence[tuple[str, Mapping[str, Any]]]:
         """Application calls the model checker may consider at ``state``.
 

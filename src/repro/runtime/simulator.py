@@ -138,16 +138,6 @@ _EVENT_TYPES = {
     ConnectionErrorEvent: "connerr",
 }
 
-#: Event outcome -> the runtime counter it increments.
-_OUTCOME_COUNTERS = {
-    "executed": "runtime.events_executed",
-    "reset": "runtime.resets",
-    "filtered": "runtime.events_filtered",
-    "filtered+reset": "runtime.events_filtered",
-    "delayed": "runtime.events_delayed",
-    "blocked-by-isc": "runtime.events_blocked_by_isc",
-}
-
 
 class Simulator:
     """Discrete-event simulator hosting one protocol across many nodes."""
@@ -206,7 +196,11 @@ class Simulator:
         self._delivery_ids = itertools.count()
         self._last_tcp_delivery: dict[tuple[Address, Address], float] = {}
         self.observers: list[Callable[["Simulator", SimNode, Event], None]] = []
-        self.events_executed = 0
+
+    @property
+    def events_executed(self) -> int:
+        """Events executed on every node so far, resets included."""
+        return sum(node.stats.events_executed for node in self.nodes.values())
 
     # -- topology management ----------------------------------------------------
 
@@ -375,7 +369,7 @@ class Simulator:
         if node is None or not node.alive:
             return
         if node.armed_timers.get(name) != generation:
-            return  # cancelled or re-armed since
+            return  # re-armed, or cleared by a reset, since
         del node.armed_timers[name]
         self._execute_event(TimerEvent(node=addr, timer=name))
 
@@ -419,7 +413,6 @@ class Simulator:
         self._apply_effects(node, ctx)
 
         node.stats.events_executed += 1
-        self.events_executed += 1
         self._record_trace(node, event, "executed")
         for observer in self.observers:
             observer(self, node, event)
@@ -429,10 +422,7 @@ class Simulator:
 
     def _apply_effects(self, node: SimNode, ctx: HandlerContext) -> None:
         for op in ctx.timer_ops:
-            if op.action == "set":
-                self.set_timer(node, op.name, op.delay)
-            else:
-                node.armed_timers.pop(op.name, None)
+            self.set_timer(node, op.name, op.delay)
         for peer in ctx.closed_connections:
             self._break_connection(node, peer)
         for message in ctx.sent:
@@ -450,7 +440,7 @@ class Simulator:
 
     def _book_send(self, node: SimNode, message: Message) -> Message:
         """Stamp a service message with the sender's checkpoint number and
-        account the send (node stats, metrics, trace)."""
+        account the send (node stats, trace)."""
         stamped = (message if message.control else
                    message.with_checkpoint_number(node.clock.stamp()))
         node.stats.messages_sent += 1
@@ -459,11 +449,6 @@ class Simulator:
             node.stats.control_bytes_sent += size
         else:
             node.stats.service_bytes_sent += size
-        metrics = self.obs.metrics
-        if metrics is not None:
-            metrics.inc("runtime.messages_sent")
-            metrics.inc("runtime.control_bytes_sent" if stamped.control
-                        else "runtime.service_bytes_sent", size)
         if self.obs.tracer is not None:
             self.obs.tracer.record(
                 "send", self.now, node=stamped.src, msg=stamped.msg_id,
@@ -617,7 +602,6 @@ class Simulator:
         node.clock = LogicalClock()
         self._apply_effects(node, ctx)
         node.stats.events_executed += 1
-        self.events_executed += 1
         self._record_trace(node, ResetEvent(node=addr), "reset")
         for observer in self.observers:
             observer(self, node, ResetEvent(node=addr))
@@ -662,11 +646,6 @@ class Simulator:
         return sum(n.stats.service_bytes_sent for n in self.nodes.values())
 
     def _record_trace(self, node: SimNode, event: Event, outcome: str) -> None:
-        metrics = self.obs.metrics
-        if metrics is not None:
-            counter = _OUTCOME_COUNTERS.get(outcome)
-            if counter is not None:
-                metrics.inc(counter)
         tracer = self.obs.tracer
         if tracer is not None:
             eid = None

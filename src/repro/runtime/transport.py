@@ -7,10 +7,11 @@ established connection with and the peer *incarnation* observed at
 establishment time; a peer that has reset since then has a newer incarnation
 and any use of the stale connection produces a transport error.
 
-Bullet' additionally depends on the behaviour of a bounded, non-blocking
-send queue (MaceTcpTransport): when the queue is full new data is refused,
-which is what exposes the shadow-file-map bug.  :class:`SendQueue` models
-that behaviour.
+Bullet' additionally depends on a bounded, non-blocking send queue
+(MaceTcpTransport) that refuses new data when full — the behaviour that
+exposes the shadow-file-map bug.  That queue is part of the Bullet' model
+itself (``BulletConfig.send_queue_capacity``, ``BulletState.queue_bytes``),
+so the model checker explores it like any other protocol state.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .address import Address
-from .messages import Message
 
 
 @dataclass
@@ -29,9 +29,6 @@ class ConnectionTable:
     #: peer address -> peer incarnation number recorded when the connection
     #: was established.
     peers: dict[Address, int] = field(default_factory=dict)
-
-    def is_connected(self, peer: Address) -> bool:
-        return peer in self.peers
 
     def establish(self, peer: Address, peer_incarnation: int) -> None:
         self.peers[peer] = peer_incarnation
@@ -48,42 +45,3 @@ class ConnectionTable:
         peers = list(self.peers)
         self.peers.clear()
         return peers
-
-    def connected_peers(self) -> list[Address]:
-        return list(self.peers)
-
-
-@dataclass
-class SendQueue:
-    """A bounded non-blocking send queue in front of a TCP connection.
-
-    ``offer`` either accepts the message (True) or refuses it because the
-    queue is full (False) — it never blocks, mirroring MaceTcpTransport.
-    """
-
-    capacity_bytes: int = 65536
-    queued_bytes: int = 0
-    queued_messages: int = 0
-    refused_messages: int = 0
-
-    def offer(self, message: Message) -> bool:
-        """Try to enqueue ``message``; returns False when the queue is full."""
-        size = message.size_bytes()
-        if self.queued_bytes + size > self.capacity_bytes:
-            self.refused_messages += 1
-            return False
-        self.queued_bytes += size
-        self.queued_messages += 1
-        return True
-
-    def drain(self, budget_bytes: int) -> int:
-        """Drain up to ``budget_bytes`` from the queue; returns bytes drained."""
-        drained = min(self.queued_bytes, max(0, budget_bytes))
-        self.queued_bytes -= drained
-        if self.queued_bytes == 0:
-            self.queued_messages = 0
-        return drained
-
-    @property
-    def is_full(self) -> bool:
-        return self.queued_bytes >= self.capacity_bytes

@@ -86,11 +86,6 @@ class BulletPrime(Protocol):
         ctx.set_timer(REQUEST_TIMER, self.config.request_period)
         ctx.set_timer(DRAIN_TIMER, self.config.drain_period)
 
-    def timer_specs(self) -> Mapping[str, float]:
-        return {DIFF_TIMER: self.config.diff_period,
-                REQUEST_TIMER: self.config.request_period,
-                DRAIN_TIMER: self.config.drain_period}
-
     def neighbors(self, state: BulletState) -> list[Address]:
         return sorted(state.peers)
 
@@ -177,7 +172,6 @@ class BulletPrime(Protocol):
             state.acquire(block)
             if state.complete and state.completed_at is None:
                 state.completed_at = ctx.now
-                ctx.deliver_upcall("download_complete", {"at": ctx.now})
 
     # -- failures ----------------------------------------------------------------------
 

@@ -149,7 +149,6 @@ SPEC = register_system(SystemSpec(
     default_nodes=8,
     default_duration=300.0,
     join_call=None,
-    supports_churn=False,
     default_churn_interval=None,
     search_budget_factory=lambda: SearchBudget(max_states=200, max_depth=4),
     collect=_collect,

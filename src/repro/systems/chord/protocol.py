@@ -85,10 +85,6 @@ class Chord(Protocol):
     def on_start(self, ctx: HandlerContext, state: ChordState) -> None:
         ctx.set_timer(JOIN_TIMER, self.config.join_retry_period)
 
-    def timer_specs(self) -> Mapping[str, float]:
-        return {JOIN_TIMER: self.config.join_retry_period,
-                STABILIZE_TIMER: self.config.stabilize_period}
-
     def neighbors(self, state: ChordState) -> list[Address]:
         neighbors = set(state.successors)
         if state.predecessor is not None:

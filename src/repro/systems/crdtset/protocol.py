@@ -74,9 +74,6 @@ class CrdtReplica(Protocol):
         return CrdtState(addr=addr, peers=tuple(self.config.peers),
                          lww=self.config.lww)
 
-    def timer_specs(self) -> Mapping[str, float]:
-        return {SYNC_TIMER: self.config.sync_period}
-
     def neighbors(self, state: CrdtState) -> list[Address]:
         return self._others(state)
 

@@ -91,10 +91,6 @@ class KvStore(Protocol):
                        write_quorum=self.config.write_quorum,
                        workload=self.config.workload_for(addr))
 
-    def timer_specs(self) -> Mapping[str, float]:
-        return {CLIENT_TIMER: self.config.op_period,
-                RECONCILE_TIMER: self.config.reconcile_period}
-
     def neighbors(self, state: KvState) -> list[Address]:
         return self._others(state)
 

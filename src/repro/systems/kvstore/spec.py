@@ -122,7 +122,6 @@ SPEC = register_system(SystemSpec(
     default_nodes=5,
     default_duration=200.0,
     join_call=None,
-    supports_churn=False,
     default_churn_interval=None,
     search_budget_factory=lambda: SearchBudget(max_states=400, max_depth=6),
     collect=_collect,

@@ -6,7 +6,7 @@ from .properties import (
     AT_MOST_ONE_VALUE_CHOSEN,
     LOCAL_AGREEMENT,
 )
-from .protocol import ACCEPT, LEARN, PREPARE, PROMISE, PROPOSE_TIMER, Paxos, PaxosConfig
+from .protocol import ACCEPT, LEARN, PREPARE, PROMISE, Paxos, PaxosConfig
 from .state import NO_ROUND, PaxosState
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "LEARN",
     "PREPARE",
     "PROMISE",
-    "PROPOSE_TIMER",
     "Paxos",
     "PaxosConfig",
     "ACCEPTED_IMPLIES_PROMISED",

@@ -32,15 +32,12 @@ PROMISE = "Promise"
 ACCEPT = "Accept"
 LEARN = "Learn"
 
-PROPOSE_TIMER = "propose_retry"
-
 
 @dataclass
 class PaxosConfig:
     """Paxos membership and fault-injection switches."""
 
     peers: tuple[Address, ...] = ()
-    propose_retry_period: float = 15.0
     #: Leader picks the value of the last promise instead of the
     #: highest-round one (safety bug).
     inject_bug1: bool = False
@@ -73,9 +70,6 @@ class Paxos(Protocol):
             fresh.accepted_value = old_state.accepted_value
         return fresh
 
-    def timer_specs(self) -> Mapping[str, float]:
-        return {PROPOSE_TIMER: self.config.propose_retry_period}
-
     def neighbors(self, state: PaxosState) -> list[Address]:
         return sorted(a for a in state.peers if a != state.addr)
 
@@ -95,11 +89,6 @@ class Paxos(Protocol):
             if value is not None:
                 state.pending_proposal = value
                 self._start_round(ctx, state)
-
-    def handle_timer(self, ctx: HandlerContext, state: PaxosState, timer: str) -> None:
-        if timer == PROPOSE_TIMER and state.pending_proposal is not None \
-                and not state.chosen_values:
-            self._start_round(ctx, state)
 
     def _start_round(self, ctx: HandlerContext, state: PaxosState) -> None:
         state.round_counter += 1

@@ -202,7 +202,6 @@ SPEC = register_system(SystemSpec(
     default_duration=60.0,
     tick_interval=5.0,
     join_call=None,
-    supports_churn=False,
     default_churn_interval=None,
     search_budget_factory=lambda: SearchBudget(max_states=500, max_depth=8),
     schedule=_schedule,

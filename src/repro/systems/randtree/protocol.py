@@ -85,10 +85,6 @@ class RandTree(Protocol):
     def on_start(self, ctx: HandlerContext, state: RandTreeState) -> None:
         ctx.set_timer(JOIN_TIMER, self.config.join_retry_period)
 
-    def timer_specs(self) -> Mapping[str, float]:
-        return {JOIN_TIMER: self.config.join_retry_period,
-                RECOVERY_TIMER: self.config.recovery_period}
-
     def neighbors(self, state: RandTreeState) -> list[Address]:
         neighbors = set(state.children) | set(state.siblings)
         if state.parent is not None:

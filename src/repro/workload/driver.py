@@ -61,7 +61,6 @@ class OpenLoopDriver:
     def _burst(self, sim: Simulator) -> None:
         if self._end_time is not None and sim.now > self._end_time:
             return  # stream closed: stop re-arming
-        injected_before = self.requests_injected
         for _ in range(self.traffic.burst):
             key = self.sampler.sample(self.rng)
             target, call, payload = self.spec.make_request(
@@ -72,9 +71,6 @@ class OpenLoopDriver:
                 continue
             sim.inject_app(target, call, payload)
             self.requests_injected += 1
-        if sim.obs.metrics is not None:
-            sim.obs.metrics.inc("workload.requests_injected",
-                                self.requests_injected - injected_before)
         sim.schedule_at(sim.now + self.traffic.interval, self._burst)
 
     def _observe(self, sim: Simulator, node: SimNode, event: Event) -> None:

@@ -216,7 +216,7 @@ def test_eventually_window_is_anchored_at_install_not_first_event():
     sim.schedule_app(20.0, addrs[0], "join", {})
     sim.run(until=25.0)
     # Window opened at install (t=0), deadline 15 < first event at 20.
-    assert monitor.liveness_violations == 1
+    assert monitor.report()["liveness_violations"] == 1
 
 
 def test_liveness_violation_flows_into_records_and_finalize():
@@ -224,12 +224,12 @@ def test_liveness_violation_flows_into_records_and_finalize():
     sim, _ = _tree_sim(nodes=2)
     monitor = LivePropertyMonitor([prop]).install(sim)
     sim.run(until=10.0)
-    assert monitor.liveness_violations == 0
+    assert monitor.report()["liveness_violations"] == 0
     sim.schedule_app(20.0, Address(1), "join", {})
     sim.run(until=25.0)
     monitor.finalize(sim.now)
     monitor.finalize(sim.now)  # idempotent
-    assert monitor.liveness_violations == 1
+    assert monitor.report()["liveness_violations"] == 1
     (record,) = [r for r in monitor.records if r.kind == "liveness"]
     assert record.property_id == "t.never"
     assert record.severity == "warning"

@@ -1,9 +1,12 @@
-"""MetricsRegistry: memoization, kind safety, snapshot schema, rollup subset."""
+"""MetricsRegistry: memoization, kind safety, snapshot schema, owned
+counts, rollup subset."""
 
 import json
 
 import pytest
 
+from repro.api import RunReport
+from repro.campaign.runner import summarize_report
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 
 
@@ -82,12 +85,32 @@ def test_snapshot_shape_is_json_ready_and_sorted():
     json.dumps(snapshot)  # JSON-serializable as-is
 
 
+def test_snapshot_merges_nonzero_owned_counts_sorted():
+    registry = MetricsRegistry()
+    registry.inc("runtime.messages_delivered", 5)
+    snapshot = registry.snapshot({"workload.requests_injected": 0,
+                                  "controller.ticks": 3,
+                                  "backend.frames_sent": 7})
+    assert snapshot["counters"] == {"backend.frames_sent": 7,
+                                    "controller.ticks": 3,
+                                    "runtime.messages_delivered": 5}
+    assert list(snapshot["counters"]) == sorted(snapshot["counters"])
+
+
+def test_snapshot_refuses_a_registry_copy_of_an_owned_count():
+    registry = MetricsRegistry()
+    registry.inc("controller.ticks", 0)
+    with pytest.raises(ValueError, match="controller.ticks"):
+        registry.snapshot({"controller.ticks": 3})
+
+
 def test_counters_subset_excludes_parallel_names():
     registry = MetricsRegistry()
-    registry.inc("runtime.events_executed", 10)
+    registry.inc("runtime.messages_delivered", 10)
     registry.inc("parallel.rounds", 3)
     registry.inc("parallel.handoff_items", 40)
-    counters = registry.counters()
-    assert counters == {"runtime.events_executed": 10}
+    report = RunReport(system="randtree", metrics=registry.snapshot())
+    assert summarize_report(report)["metrics"] == {
+        "runtime.messages_delivered": 10}
     # ... but the full snapshot still shows them.
-    assert registry.snapshot()["counters"]["parallel.rounds"] == 3
+    assert report.metrics["counters"]["parallel.rounds"] == 3

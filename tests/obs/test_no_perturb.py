@@ -4,6 +4,7 @@ seed, bit-identical RunReport on every bundled system."""
 import pytest
 
 from repro.api import Experiment
+from repro.api.report import OWNED_COUNTERS
 from repro.obs import validate_trace
 from repro.obs.trace_tools import read_trace
 
@@ -19,15 +20,29 @@ DEPLOYMENTS = [
 ]
 
 
-#: ControllerStats field -> the metrics counter that mirrors it.
-MIRRORED = {
-    **{name: f"controller.{name}" for name in (
-        "ticks", "snapshots_collected", "incomplete_snapshots",
-        "checkpoints_taken", "forced_checkpoints", "checkpoint_bytes_sent",
-        "filters_installed", "filters_triggered")},
-    "model_checker_runs": "mc.runs",
-    "violations_predicted": "mc.violations_predicted",
+#: Runs that light up the owners DEPLOYMENTS leave at zero: the tcp wire,
+#: the nemesis, the workload driver and steering's filters.
+OWNER_RUNS = {
+    "tcp": lambda: (Experiment("randtree").nodes(4).duration(30.0).seed(3)
+                    .mode("debug").backend("tcp")),
+    "faults": lambda: (Experiment("randtree").nodes(5).duration(60.0)
+                       .seed(2).faults("chaos").mode("steering")),
+    "workload": lambda: (Experiment("chord").nodes(6).duration(40.0).seed(5)
+                         .churn(False).mode("debug")
+                         .workload("lookups", rate=8, burst=2, start=15)),
 }
+
+
+def _assert_counts_read_off_their_owners(report):
+    """Every owned counter is present iff its owner's count is non-zero,
+    and then equals it."""
+    counters = report.metrics["counters"]
+    for name, count in OWNED_COUNTERS.items():
+        value = count(report)
+        if value:
+            assert counters.get(name) == value, name
+        else:
+            assert name not in counters, name
 
 
 def _deterministic_dict(report):
@@ -63,10 +78,17 @@ def test_tracing_and_metrics_do_not_perturb_the_run(
     executed = sum(1 for r in records
                    if r["kind"] == "event" and r["outcome"] == "executed")
     assert executed == counters["runtime.events_executed"]
-    # A stat and the counter of the same name are one number.
-    assert {stat: observed.total(stat) for stat in MIRRORED} \
-        == {stat: counters.get(counter, 0)
-            for stat, counter in MIRRORED.items()}
+    _assert_counts_read_off_their_owners(observed)
+
+
+@pytest.mark.parametrize("run", sorted(OWNER_RUNS))
+def test_owned_counters_are_read_off_their_owners(run):
+    report = OWNER_RUNS[run]().metrics(True).run()
+    _assert_counts_read_off_their_owners(report)
+    counters = report.metrics["counters"]
+    lit = {"tcp": "backend.frames_sent", "faults": "faults.inject",
+           "workload": "workload.requests_injected"}[run]
+    assert counters[lit] > 0
 
 
 def test_metrics_snapshot_is_seed_deterministic():

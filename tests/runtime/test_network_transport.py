@@ -2,7 +2,7 @@
 
 import random
 
-from repro.runtime import Address, ConnectionTable, Message, NetworkModel, SendQueue
+from repro.runtime import Address, ConnectionTable, NetworkModel
 
 
 def test_latency_positive_and_near_default_rtt():
@@ -56,9 +56,9 @@ def test_custom_latency_and_loss_functions():
 def test_connection_table_lifecycle():
     table = ConnectionTable()
     peer = Address(9)
-    assert not table.is_connected(peer)
+    assert peer not in table.peers
     table.establish(peer, peer_incarnation=2)
-    assert table.is_connected(peer)
+    assert peer in table.peers
     assert table.recorded_incarnation(peer) == 2
     assert table.close(peer) is True
     assert table.close(peer) is False
@@ -69,23 +69,5 @@ def test_connection_table_close_all_returns_peers():
     table.establish(Address(1), 0)
     table.establish(Address(2), 1)
     assert set(table.close_all()) == {Address(1), Address(2)}
-    assert table.connected_peers() == []
+    assert table.peers == {}
 
-
-def test_send_queue_refuses_when_full():
-    queue = SendQueue(capacity_bytes=100)
-    small = Message(mtype="m", src=Address(1), dst=Address(2), payload={})
-    assert queue.offer(small) is True
-    big = Message(mtype="m", src=Address(1), dst=Address(2),
-                  payload={"data": "x" * 500})
-    assert queue.offer(big) is False
-    assert queue.refused_messages == 1
-
-
-def test_send_queue_drain_frees_capacity():
-    queue = SendQueue(capacity_bytes=100)
-    queue.queued_bytes = 90
-    drained = queue.drain(50)
-    assert drained == 50
-    assert queue.queued_bytes == 40
-    assert not queue.is_full

@@ -2,10 +2,9 @@
 
 The tcp backend (:mod:`repro.backends.tcp`) routes frames over real
 sockets but enforces connection state through the same
-:class:`ConnectionTable`/:class:`SendQueue` machinery used in sim — these
-tests pin down the edges of that shared contract: stale-incarnation error
-upcalls, bounded-queue refusal, and connection-table bookkeeping around
-resets.
+:class:`ConnectionTable` machinery used in sim — these tests pin down the
+edges of that shared contract: stale-incarnation error upcalls and
+connection-table bookkeeping around resets.
 """
 
 from dataclasses import dataclass, field
@@ -13,11 +12,9 @@ from dataclasses import dataclass, field
 from repro.runtime import (
     Address,
     ConnectionTable,
-    Message,
     NetworkModel,
     NodeState,
     Protocol,
-    SendQueue,
     Simulator,
     Transport,
     make_addresses,
@@ -65,7 +62,7 @@ def _make_sim(n=2, **kwargs):
 def test_close_all_on_empty_table_is_a_noop():
     table = ConnectionTable()
     assert table.close_all() == []
-    assert table.connected_peers() == []
+    assert table.peers == {}
 
 
 def test_close_all_then_reestablish_records_new_incarnation():
@@ -86,61 +83,6 @@ def test_close_all_is_idempotent():
     assert table.close_all() == []
 
 
-# -- SendQueue edges ----------------------------------------------------------
-
-
-def _msg(payload_bytes=0):
-    return Message(mtype="m", src=Address(1), dst=Address(2),
-                   payload={"data": "x" * payload_bytes} if payload_bytes else {})
-
-
-def test_send_queue_accepts_message_exactly_filling_capacity():
-    probe = _msg()
-    queue = SendQueue(capacity_bytes=probe.size_bytes())
-    assert queue.offer(probe) is True
-    assert queue.is_full
-    assert queue.refused_messages == 0
-
-
-def test_send_queue_full_refusals_accumulate_without_mutating_queue():
-    queue = SendQueue(capacity_bytes=10)
-    big = _msg(payload_bytes=500)
-    for _ in range(3):
-        assert queue.offer(big) is False
-    assert queue.refused_messages == 3
-    assert queue.queued_bytes == 0
-    assert queue.queued_messages == 0
-
-
-def test_send_queue_drain_clamps_negative_budget():
-    queue = SendQueue(capacity_bytes=100)
-    queue.queued_bytes = 40
-    assert queue.drain(-5) == 0
-    assert queue.queued_bytes == 40
-
-
-def test_send_queue_full_drain_resets_message_count():
-    queue = SendQueue(capacity_bytes=1000)
-    message = _msg()
-    assert queue.offer(message)
-    assert queue.offer(message)
-    assert queue.queued_messages == 2
-    queue.drain(queue.queued_bytes)
-    assert queue.queued_bytes == 0
-    assert queue.queued_messages == 0
-
-
-def test_send_queue_partial_drain_reopens_capacity():
-    queue = SendQueue(capacity_bytes=100)
-    queue.queued_bytes = 100
-    assert queue.is_full
-    small = _msg()
-    assert queue.offer(small) is False
-    queue.drain(small.size_bytes())
-    assert not queue.is_full
-    assert queue.offer(small) is True
-
-
 # -- stale-incarnation error upcalls ------------------------------------------
 
 
@@ -157,8 +99,8 @@ def test_udp_sends_bypass_the_connection_table():
     sim.schedule_app(1.0, a, "ping", {"target": b,
                                       "transport": Transport.UDP})
     sim.run(until=2.0)
-    assert not sim.nodes[a].connections.is_connected(b)
-    assert not sim.nodes[b].connections.is_connected(a)
+    assert b not in sim.nodes[a].connections.peers
+    assert a not in sim.nodes[b].connections.peers
 
 
 def test_silent_reset_leaves_stale_entry_then_send_upcalls_error():
@@ -172,7 +114,7 @@ def test_silent_reset_leaves_stale_entry_then_send_upcalls_error():
     # while b now has incarnation 1 and an empty table.
     assert sim.nodes[a].connections.recorded_incarnation(b) == 0
     assert sim.nodes[b].incarnation == 1
-    assert sim.nodes[b].connections.connected_peers() == []
+    assert sim.nodes[b].connections.peers == {}
     sim.schedule_app(3.5, a, "ping", {"target": b})
     sim.run(until=5.0)
     # The stale send is dropped, the entry closed, and the error upcalled.
@@ -202,7 +144,7 @@ def test_loud_reset_closes_peer_entry_and_upcalls_immediately():
     sim.run(until=4.0)
     # The RST tore down a's entry and raised the error without a needing
     # to touch the connection again.
-    assert not sim.nodes[a].connections.is_connected(b)
+    assert b not in sim.nodes[a].connections.peers
     assert ("error", b) in sim.nodes[a].state.received
 
 
@@ -213,5 +155,5 @@ def test_send_to_dead_peer_drops_entry_and_upcalls():
     sim.crash_node(b)
     sim.schedule_app(2.5, a, "ping", {"target": b})
     sim.run(until=4.0)
-    assert not sim.nodes[a].connections.is_connected(b)
+    assert b not in sim.nodes[a].connections.peers
     assert ("error", b) in sim.nodes[a].state.received

