@@ -67,6 +67,9 @@ class ExecutionBackend(TypingProtocol):
     rng: Any
     obs: Any
     observers: list
+    #: nodes changed since the previous observer round (the live monitor
+    #: re-checks only these).
+    touched: set
     #: the :class:`~repro.runtime.network.NetworkModel` faults reshape.
     network: Any
     events_executed: int

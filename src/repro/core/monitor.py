@@ -5,19 +5,28 @@ an inconsistent state (e.g. "the system goes through a total of 121 states
 that contain inconsistencies" when CrystalBall is not active,
 Section 5.4.1).  :class:`LivePropertyMonitor` is a simulator observer that
 checks the properties on the live global state after every executed event
-and keeps structured per-property accounting:
+and keeps structured per-property accounting.  Its cost per event is
+O(touched), not O(nodes):
 
-* **safety** properties are re-checked per event.  Node-scoped properties
-  (``scope == "node"``: the check at a node reads only that node's local
-  state) use an **incremental fast path**: only the *dirty* nodes — the
-  node that executed the event, plus any node whose liveness/incarnation
-  changed since the previous event — are re-checked, and every other
-  node's result is served from the per-node cache.  Cross-node and global
-  properties are always fully re-checked.  The incremental path produces
-  bit-identical violation records to a full re-check (covered by tests
-  over all six bundled systems) because both paths walk properties and
-  nodes in the same order; it only skips re-computing checks whose inputs
-  cannot have changed.
+* **one long-lived view.**  The monitor keeps a ``{address: NodeLocal}``
+  view of every alive node, in ``sim.nodes`` order (the order of
+  :meth:`~repro.runtime.simulator.Simulator.node_states`).  After an event
+  only the nodes the simulator names in ``sim.touched`` — state, armed
+  timers, liveness or incarnation changed since the previous observer round
+  — get a fresh :class:`~repro.mc.global_state.NodeLocal`; a node joining
+  or leaving rebuilds the view from ``node_states()`` so a revived node
+  keeps its place.  A :class:`~repro.mc.global_state.GlobalState` over the
+  view is built once per call.
+* **safety** properties.  Node-scoped ones (``scope == "node"``: the check
+  at a node reads only that node's local state) are re-checked only at the
+  touched alive nodes, walked in view order, and the monitor keeps the set
+  of ``(property, node)`` keys that currently violate, so an untouched
+  node's verdict is never recomputed or rebuilt.  Cross-node and global
+  properties are re-checked against the whole view after every event.
+  Either way violations are visited property-major and node-minor, the
+  order of a full ``check_all`` over the rebuilt global state, which is
+  what keeps episode records bit-identical to a full re-check (covered by
+  tests over all six bundled systems).
 * **liveness** properties (bounded ``eventually`` / ``leads_to``
   obligations) are driven over simulated time through per-run trackers;
   :meth:`finalize` is called at the end of the run so deadlines that
@@ -40,13 +49,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..mc.global_state import GlobalState
+from ..mc.global_state import GlobalState, NodeLocal
 from ..obs.context import ObsContext
 from ..properties import (
     LivenessProperty,
     NodeScopedProperty,
     Property,
-    PropertyViolation,
     SafetyProperty,
     ViolationRecord,
     state_digest,
@@ -71,9 +79,12 @@ class LivePropertyMonitor:
         self.properties = list(properties)
         self.incremental = incremental
 
-        self._safety: list[SafetyProperty] = [
-            prop for prop in self.properties if isinstance(prop, SafetyProperty)
+        #: safety properties in order, each with "re-checked per node?".
+        self._safety: list[tuple[SafetyProperty, bool]] = [
+            (prop, isinstance(prop, NodeScopedProperty) and prop.scope == "node")
+            for prop in self.properties if isinstance(prop, SafetyProperty)
         ]
+        self._node_scoped = sum(scoped for _, scoped in self._safety)
         self._trackers = [
             (prop, prop.make_tracker())
             for prop in self.properties
@@ -87,12 +98,12 @@ class LivePropertyMonitor:
         #: per-property, per-severity and per-kind count is read off it.
         self.records: list[ViolationRecord] = []
 
-        #: episode keys currently violating: (property id, node or None).
-        self._active: set[tuple[str, Optional[Address]]] = set()
-        #: incremental cache: (property id, node) -> violation details.
-        self._local_cache: dict[tuple[str, Address], tuple[str, ...]] = {}
-        #: node liveness fingerprint at the previous event: addr -> incarnation.
-        self._known: dict[Address, int] = {}
+        #: alive nodes in ``node_states()`` order; None until the first call.
+        self._view: Optional[dict[Address, NodeLocal]] = None
+        #: node-scoped (property id, node) keys currently violating.
+        self._active: set[tuple[str, Address]] = set()
+        #: keys the cross-node and global properties violated last event.
+        self._active_global: set[tuple[str, Optional[Address]]] = set()
         self._finalized = False
         #: observability for the hosting run; replaced by install().
         self._obs = ObsContext()
@@ -110,71 +121,34 @@ class LivePropertyMonitor:
 
     # ----------------------------------------------------------- checking
 
-    def _is_fast_path(self, prop: SafetyProperty) -> bool:
-        return isinstance(prop, NodeScopedProperty) and prop.scope == "node"
-
-    def _dirty_nodes(
-        self, sim: Simulator, state: GlobalState, event: Optional[Event]
-    ) -> set[Address]:
-        """Nodes whose node-scoped checks must be recomputed this event."""
-        current: dict[Address, int] = {}
-        dirty: set[Address] = set()
-        for addr in state.nodes:
-            sim_node = sim.nodes.get(addr)
-            incarnation = sim_node.incarnation if sim_node is not None else -1
-            current[addr] = incarnation
-            if self._known.get(addr) != incarnation:
-                dirty.add(addr)
-        departed = set(self._known) - set(current)
-        if departed:
-            self._local_cache = {
-                key: details
-                for key, details in self._local_cache.items()
-                if key[1] not in departed
-            }
-        if event is not None and event.node in state.nodes:
-            dirty.add(event.node)
-        self._known = current
-        return dirty
-
-    def _safety_violations(
-        self, state: GlobalState, dirty: Optional[set[Address]]
-    ) -> list[PropertyViolation]:
-        """Current safety violations, in deterministic property-major order.
-
-        ``dirty=None`` means re-check everything (the full path); otherwise
-        node-scoped properties are only recomputed at the dirty nodes and
-        served from the cache elsewhere.
-        """
-        found: list[PropertyViolation] = []
-        computed = cached = 0
-        for prop in self._safety:
-            if self._is_fast_path(prop):
-                assert isinstance(prop, NodeScopedProperty)
-                for addr in state.nodes:
-                    key = (prop.name, addr)
-                    if dirty is None or addr in dirty or key not in self._local_cache:
-                        details = tuple(
-                            violation.detail
-                            for violation in prop.violations_at(state, addr)
-                        )
-                        self._local_cache[key] = details
-                        computed += 1
-                    else:
-                        cached += 1
-                    for detail in self._local_cache[key]:
-                        found.append(
-                            PropertyViolation(
-                                property_name=prop.name, node=addr, detail=detail
-                            )
-                        )
-            else:
-                found.extend(prop.violations(state))
-        metrics = self._obs.metrics
-        if metrics is not None and (computed or cached):
-            metrics.inc("monitor.node_checks_computed", computed)
-            metrics.inc("monitor.node_checks_cached", cached)
-        return found
+    def _update_view(self, sim: Simulator) -> list[Address]:
+        """Bring the view up to date; the nodes to re-check, in view order."""
+        touched = sim.touched
+        view = self._view
+        if (view is None or not self.incremental
+                or any(sim.nodes[addr].alive != (addr in view)
+                       for addr in touched)):
+            # A node joined or left: rebuild in node_states() order.
+            old = view or {}
+            self._view = view = {
+                addr: NodeLocal(state=state, timers=timers)
+                for addr, (state, timers) in sim.node_states().items()}
+            departed = old.keys() - view.keys()
+            if departed:
+                self._active = {key for key in self._active
+                                if key[1] not in departed}
+            return [addr for addr in view
+                    if addr in touched or addr not in old
+                    or not self.incremental]
+        for addr in touched:
+            if addr in view:
+                node = sim.nodes[addr]
+                view[addr] = NodeLocal(state=node.state,
+                                       timers=node.timer_names())
+        if len(touched) == 1:
+            return [addr for addr in touched if addr in view]
+        # Never set order: an Address hashes its host string.
+        return [addr for addr in view if addr in touched]
 
     def _open_episode(
         self,
@@ -206,40 +180,47 @@ class LivePropertyMonitor:
     def __call__(self, sim: Simulator, node: SimNode, event: Event) -> None:
         self.events_checked += 1
         if not self._safety and not self._trackers:
-            # Nothing to check: skip the O(nodes) global-state build so a
-            # property-free run costs O(1) per event (scale runs rely on
-            # this — a 1k-node deployment must not pay a 1k-entry dict
-            # copy per delivered message).
+            # Nothing to check: a property-free run costs O(1) per event.
             return
-        live = sim.node_states()
-        state = GlobalState.from_snapshot(
-            {addr: s for addr, (s, _) in live.items()},
-            timers={addr: t for addr, (_, t) in live.items()},
-        )
-        dirty = self._dirty_nodes(sim, state, event) if self.incremental else None
-        violations = self._safety_violations(state, dirty)
-        if violations:
+        recheck = self._update_view(sim)
+        state = GlobalState(nodes=self._view)
+        now = sim.now
+        active_global: set[tuple[str, Optional[Address]]] = set()
+        # Property-major, node-minor: the order of a full check_all.
+        for prop, node_scoped in self._safety:
+            if node_scoped:
+                assert isinstance(prop, NodeScopedProperty)
+                for addr in recheck:
+                    key = (prop.name, addr)
+                    violations = prop.violations_at(state, addr)
+                    if not violations:
+                        self._active.discard(key)
+                    elif key not in self._active:
+                        self._active.add(key)
+                        self._open_episode(state, now, prop.name, addr,
+                                           violations[0].detail, "safety")
+                continue
+            for violation in prop.violations(state):
+                key = (violation.property_name, violation.node)
+                if key not in active_global and key not in self._active_global:
+                    self._open_episode(state, now, violation.property_name,
+                                       violation.node, violation.detail,
+                                       "safety")
+                active_global.add(key)
+        self._active_global = active_global
+        if self._active or active_global:
             self.inconsistent_states += 1
-
-        current: set[tuple[str, Optional[Address]]] = set()
-        for violation in violations:
-            key = (violation.property_name, violation.node)
-            if key not in current and key not in self._active:
-                self._open_episode(
-                    state,
-                    sim.now,
-                    violation.property_name,
-                    violation.node,
-                    violation.detail,
-                    kind="safety",
-                )
-            current.add(key)
-        self._active = current
+        metrics = self._obs.metrics
+        if metrics is not None and self._node_scoped and self._view:
+            computed = self._node_scoped * len(recheck)
+            metrics.inc("monitor.node_checks_computed", computed)
+            metrics.inc("monitor.node_checks_cached",
+                        self._node_scoped * len(self._view) - computed)
 
         for prop, tracker in self._trackers:
-            for failed_node, detail in tracker.observe(state, sim.now):
+            for failed_node, detail in tracker.observe(state, now):
                 self._open_episode(
-                    state, sim.now, prop.name, failed_node, detail, kind="liveness"
+                    state, now, prop.name, failed_node, detail, kind="liveness"
                 )
 
     def finalize(self, now: float) -> None:

@@ -196,6 +196,11 @@ class Simulator:
         self._delivery_ids = itertools.count()
         self._last_tcp_delivery: dict[tuple[Address, Address], float] = {}
         self.observers: list[Callable[["Simulator", SimNode, Event], None]] = []
+        #: nodes whose state, armed timers, liveness or incarnation changed
+        #: since the previous observer round; cleared once the observers of
+        #: an executed event or reset have run, so every observer reads the
+        #: same set.
+        self.touched: set[Address] = set()
 
     @property
     def events_executed(self) -> int:
@@ -212,6 +217,7 @@ class Simulator:
         state = protocol.initial_state(addr)
         node = SimNode(addr=addr, protocol=protocol, state=state)
         self.nodes[addr] = node
+        self.touched.add(addr)
         if start:
             ctx = self._make_context(node)
             protocol.on_start(ctx, state)
@@ -371,6 +377,8 @@ class Simulator:
         if node.armed_timers.get(name) != generation:
             return  # re-armed, or cleared by a reset, since
         del node.armed_timers[name]
+        # Touched even when a filter then drops the event.
+        self.touched.add(addr)
         self._execute_event(TimerEvent(node=addr, timer=name))
 
     # -- event execution -------------------------------------------------------------
@@ -410,12 +418,14 @@ class Simulator:
 
         ctx = self._make_context(node)
         node.state = node.protocol.execute(ctx, node.state, event)
+        self.touched.add(node.addr)
         self._apply_effects(node, ctx)
 
         node.stats.events_executed += 1
         self._record_trace(node, event, "executed")
         for observer in self.observers:
             observer(self, node, event)
+        self.touched.clear()
 
     def _make_context(self, node: SimNode) -> HandlerContext:
         return HandlerContext(self_addr=node.addr, now=self.now, rng=self.rng)
@@ -434,6 +444,7 @@ class Simulator:
         """Arm (or re-arm) a named timer on ``node``."""
         generation = node.armed_timers.get(name, 0) + 1
         node.armed_timers[name] = generation
+        self.touched.add(node.addr)
         self._schedule(self.now + max(delay, 1e-6), "timer", (node.addr, name, generation))
 
     # -- message transmission -------------------------------------------------------------
@@ -584,6 +595,7 @@ class Simulator:
             return
         node.incarnation += 1
         node.stats.resets += 1
+        self.touched.add(addr)
         affected = node.connections.close_all()
         node.armed_timers.clear()
         # RST packets towards peers; each may be lost (silent reset), which is
@@ -605,6 +617,7 @@ class Simulator:
         self._record_trace(node, ResetEvent(node=addr), "reset")
         for observer in self.observers:
             observer(self, node, ResetEvent(node=addr))
+        self.touched.clear()
 
     def crash_node(self, addr: Address) -> None:
         """Take a node permanently offline (fail-stop, used by churn)."""
@@ -612,6 +625,7 @@ class Simulator:
         if node is None:
             return
         node.alive = False
+        self.touched.add(addr)
         node.armed_timers.clear()
         node.connections.close_all()
 
@@ -622,6 +636,7 @@ class Simulator:
             return
         node.alive = True
         node.incarnation += 1
+        self.touched.add(addr)
         ctx = self._make_context(node)
         node.state = node.protocol.execute(ctx, node.state, ResetEvent(node=addr))
         self._apply_effects(node, ctx)
