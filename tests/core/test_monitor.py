@@ -1,4 +1,4 @@
-"""Live property monitor: incremental fast path, episode dedup, liveness."""
+"""Live property monitor: the touched-node path, episode dedup, liveness."""
 
 import itertools
 
@@ -6,13 +6,28 @@ import pytest
 
 from repro.api import Experiment
 from repro.core.monitor import LivePropertyMonitor
-from repro.properties import eventually, node_property
+from repro.mc.global_state import GlobalState
+from repro.properties import (
+    LivenessProperty,
+    ViolationRecord,
+    check_all,
+    eventually,
+    node_property,
+    state_digest,
+)
 from repro.runtime import Address, NetworkModel, Simulator, make_addresses
-from repro.systems.randtree import ALL_PROPERTIES, RandTree, RandTreeConfig
+from repro.runtime.events import TimerEvent
+from repro.runtime.simulator import FilterAction
+from repro.systems.randtree import (
+    ALL_PROPERTIES,
+    RECOVERY_TIMER,
+    RandTree,
+    RandTreeConfig,
+)
 
 
-def _tree_sim(nodes=3, seed=1):
-    addrs = make_addresses(nodes)
+def _tree_sim(nodes=3, seed=1, addrs=None):
+    addrs = addrs or make_addresses(nodes)
     config = RandTreeConfig(bootstrap=(addrs[0],))
     sim = Simulator(lambda: RandTree(config), NetworkModel(), seed=seed)
     for addr in addrs:
@@ -25,6 +40,91 @@ def _tree_sim(nodes=3, seed=1):
 # ---------------------------------------------------------------- equivalence
 
 
+class FullRecheck:
+    """The reference the monitor is held to: after every event, rebuild the
+    global state from ``node_states()`` and run ``check_all`` on all of it,
+    opening an episode for each ``(property, node)`` key that starts
+    violating."""
+
+    def __init__(self, properties, sim):
+        self.properties = properties
+        self.trackers = [(prop, prop.make_tracker()) for prop in properties
+                         if isinstance(prop, LivenessProperty)]
+        for _, tracker in self.trackers:
+            tracker.anchor(sim.now)
+        self.events_checked = self.inconsistent_states = 0
+        self.records, self.active = [], set()
+        sim.add_observer(self)
+
+    def open(self, state, now, name, node, detail, kind):
+        severity = next(p.severity for p in self.properties if p.name == name)
+        self.records.append(ViolationRecord(
+            name, severity, str(node) if node is not None else None, detail,
+            now, len(self.records), state_digest(state), kind))
+
+    def __call__(self, sim, node, event):
+        self.events_checked += 1
+        live = sim.node_states()
+        state = GlobalState.from_snapshot(
+            {addr: s for addr, (s, _) in live.items()},
+            timers={addr: t for addr, (_, t) in live.items()})
+        violations = check_all(self.properties, state)
+        self.inconsistent_states += bool(violations)
+        current = set()
+        for violation in violations:
+            key = (violation.property_name, violation.node)
+            if key not in current and key not in self.active:
+                self.open(state, sim.now, *key, violation.detail, "safety")
+            current.add(key)
+        self.active = current
+        for prop, tracker in self.trackers:
+            for failed, detail in tracker.observe(state, sim.now):
+                self.open(state, sim.now, prop.name, failed, detail, "liveness")
+
+    def finalize(self, now):
+        for prop, tracker in self.trackers:
+            for failed, detail in tracker.finalize(now):
+                self.open(GlobalState(nodes={}), now, prop.name, failed,
+                          detail, "liveness")
+
+
+def _assert_matches(monitor, reference):
+    assert monitor.events_checked == reference.events_checked > 0
+    assert monitor.inconsistent_states == reference.inconsistent_states
+    assert monitor.records == reference.records
+
+
+@pytest.fixture
+def held_to_full_recheck(monkeypatch):
+    """Give every monitor a run installs a :class:`FullRecheck` twin on the
+    same simulator; calling the fixture asserts each pair agrees."""
+    twins = {}
+    install, finalize = LivePropertyMonitor.install, LivePropertyMonitor.finalize
+
+    def install_twin(monitor, sim):
+        install(monitor, sim)
+        twins[monitor] = FullRecheck(monitor.properties, sim)
+        return monitor
+
+    def finalize_twin(monitor, now):
+        if not monitor._finalized:
+            twins[monitor].finalize(now)
+        finalize(monitor, now)
+
+    monkeypatch.setattr(LivePropertyMonitor, "install", install_twin)
+    monkeypatch.setattr(LivePropertyMonitor, "finalize", finalize_twin)
+
+    def check(run):
+        twins.clear()
+        report = run()
+        for monitor, reference in twins.items():
+            _assert_matches(monitor, reference)
+        assert twins, "the run installed no monitor"
+        return report
+
+    return check
+
+
 @pytest.mark.parametrize("system,settings", [
     ("randtree", dict(nodes=5, duration=150.0)),
     ("chord", dict(nodes=6, duration=150.0)),
@@ -33,45 +133,134 @@ def _tree_sim(nodes=3, seed=1):
     ("crdtset", dict(nodes=4, duration=80.0)),
     ("kvstore", dict(nodes=4, duration=80.0)),
 ])
-def test_incremental_monitor_is_bit_identical_to_full_recheck(system, settings):
-    reports = []
-    for incremental in (True, False):
-        experiment = (Experiment(system)
-                      .nodes(settings["nodes"])
-                      .duration(settings["duration"])
-                      .seed(11)
-                      .incremental_monitor(incremental))
-        reports.append(experiment.run())
-    fast, full = reports
-    assert fast.live_monitor.records == full.live_monitor.records
-    fast_report = fast.live_monitor.report()
-    full_report = full.live_monitor.report()
-    for key in ("events_checked", "inconsistent_states",
-                "distinct_violation_episodes", "properties_violated",
-                "violations_by_property", "by_severity", "episodes"):
-        assert fast_report[key] == full_report[key], key
+def test_incremental_monitor_is_bit_identical_to_full_recheck(
+        system, settings, held_to_full_recheck):
+    # Steering and the ISC drop and re-arm timers at nodes other than the
+    # one that executes next, so several nodes are touched at once.
+    for mode in ("off", "steering", "isc-only"):
+        held_to_full_recheck(Experiment(system)
+                             .nodes(settings["nodes"])
+                             .duration(settings["duration"])
+                             .mode(mode)
+                             .seed(11)
+                             .run)
 
 
-def test_incremental_equivalence_under_faults_and_violations():
+def test_incremental_equivalence_under_faults_and_violations(
+        held_to_full_recheck):
     """The known violation-heavy seed must agree episode-for-episode."""
-    reports = []
-    for incremental in (True, False):
-        report = (Experiment("randtree")
-                  .nodes(5)
-                  .duration(150.0)
-                  .churn(interval=50.0)
-                  .network(rst_loss=0.6)
-                  .options(bootstrap_index=1, max_children=2,
-                           fix_recovery_timer=True)
-                  .seed(9)
-                  .incremental_monitor(incremental)
-                  .run())
-        reports.append(report)
-    fast, full = reports
-    assert full.live_inconsistent_states() > 0, (
+    report = held_to_full_recheck(Experiment("randtree")
+                                  .nodes(5)
+                                  .duration(150.0)
+                                  .churn(interval=50.0)
+                                  .network(rst_loss=0.6)
+                                  .options(bootstrap_index=1, max_children=2,
+                                           fix_recovery_timer=True)
+                                  .seed(9)
+                                  .run)
+    assert report.live_inconsistent_states() > 0, (
         "seed no longer produces violations; pick a violating seed")
-    assert fast.live_monitor.records == full.live_monitor.records
-    assert fast.live_inconsistent_states() == full.live_inconsistent_states()
+
+
+def test_incremental_equivalence_over_tcp(held_to_full_recheck):
+    report = held_to_full_recheck(Experiment("kvstore").nodes(4)
+                                  .duration(40.0).backend("tcp").seed(3).run)
+    assert report.outcome["wire"]["frames_sent"] > 0
+
+
+class _DropRecoveryTimer:
+    """A hook that filters every recovery-timer firing at its node."""
+
+    def on_attach(self, sim, node):
+        pass
+
+    def filter_event(self, sim, node, event):
+        if isinstance(event, TimerEvent) and event.timer == RECOVERY_TIMER:
+            return FilterAction.DROP
+        return FilterAction.ALLOW
+
+    def immediate_safety_check(self, sim, node, event):
+        return True
+
+    def handle_control_message(self, sim, node, message):
+        pass
+
+    def on_forced_checkpoint(self, sim, node):
+        pass
+
+
+def test_a_timer_consumed_by_a_filtered_event_is_rechecked():
+    """The filter drops the timer event after the simulator consumed the
+    timer, so no observer runs for it; the node is still touched and its
+    verdict is recomputed at the next event anywhere."""
+
+    def recovery_armed(addr, state, timers, gs):
+        if state.joined and RECOVERY_TIMER not in timers:
+            yield "joined without a recovery timer"
+
+    sim, addrs = _tree_sim(nodes=4, seed=3)
+    sim.attach_hook(addrs[1], _DropRecoveryTimer())
+    prop = node_property("t.recovery_armed", recovery_armed, local_only=True)
+    monitor = LivePropertyMonitor([prop]).install(sim)
+    reference = FullRecheck([prop], sim)
+    sim.run(until=300.0)
+    _assert_matches(monitor, reference)
+    opened = {record.node: record.sim_time for record in monitor.records}
+    assert round(opened[str(addrs[1])], 2) == 16.14
+
+
+def test_touched_nodes_open_episodes_in_node_order():
+    """Several touched nodes are walked in ``sim.nodes`` order, never in
+    set order."""
+    flag = {"on": False}
+
+    def toggled(addr, state, timers, gs):
+        if flag["on"]:
+            yield "bad"
+
+    addrs = [Address(host) for host in (7, 3, 11, 5, 2, 13, 1, 8)]
+    assert list(set(addrs)) != addrs, "set order must differ for the test"
+    sim, _ = _tree_sim(seed=2, addrs=addrs)
+    monitor = LivePropertyMonitor(
+        [node_property("t.toggled", toggled, local_only=True)]).install(sim)
+    sim.run(until=60.0)
+    assert monitor.records == []
+    flag["on"] = True
+    for addr in addrs[1:]:
+        sim.set_timer(sim.nodes[addr], "t.poke", 100.0)
+    sim.inject_app(addrs[0], "join", {})
+    assert [record.node for record in monitor.records] == [
+        str(addr) for addr in addrs]
+
+
+def test_the_live_state_is_rebuilt_per_liveness_change_not_per_event(
+        monkeypatch):
+    """``from_snapshot`` / ``node_states`` cost O(nodes); the monitor calls
+    them when a node joins or leaves, never once per event."""
+    calls = {"rebuilds": 0, "liveness": 0}
+    from_snapshot = GlobalState.from_snapshot.__func__
+    node_states = Simulator.node_states
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(GlobalState, "from_snapshot", classmethod(
+        counted("rebuilds", from_snapshot)))
+    monkeypatch.setattr(Simulator, "node_states",
+                        counted("rebuilds", node_states))
+    for method in ("crash_node", "revive_node"):
+        monkeypatch.setattr(Simulator, method,
+                            counted("liveness", getattr(Simulator, method)))
+    report = (Experiment("chord").nodes(24).duration(130.0).churn(False)
+              .workload("lookups", rate=32, burst=4, start=20)
+              .faults("crash").seed(5).run())
+    assert calls["liveness"] > 0, "the run must crash and revive nodes"
+    assert report.live_monitor.events_checked > 10_000
+    # The first event builds the view; each crash and revive rebuilds it.
+    assert calls["rebuilds"] <= calls["liveness"] + 1
 
 
 # --------------------------------------------------------------- episode dedup
