@@ -275,6 +275,10 @@ OWNED_COUNTERS: dict[str, Callable[[RunReport], int]] = {
     "monitor.inconsistent_states": RunReport.live_inconsistent_states,
     "monitor.violation_episodes":
         lambda report: report.monitor["distinct_violation_episodes"],
+    "monitor.node_checks_computed":
+        lambda report: report.live_monitor.node_checks_computed,
+    "monitor.node_checks_cached":
+        lambda report: report.live_monitor.node_checks_cached,
     "workload.requests_injected": RunReport.requests_injected,
     "faults.inject": _faults("injected"),
     "faults.heal": _faults("healed"),

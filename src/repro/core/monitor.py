@@ -39,10 +39,10 @@ the emitted :class:`~repro.properties.ViolationRecord`, never part of the
 episode identity.  An episode ends when the key stops violating and a
 later recurrence opens a new episode.
 
-The monitor keeps two counters (events checked, inconsistent states) and
-the episode records; every other count :meth:`report` shows is read off
-the records, and a ``--metrics`` run reads its ``monitor.*`` event, state
-and episode counts off :meth:`report`.
+The monitor keeps four counters (events checked, inconsistent states, node
+checks computed and kept) and the episode records; every other count
+:meth:`report` shows is read off the records, and a ``--metrics`` run reads
+its ``monitor.*`` counts off the finished monitor.
 """
 
 from __future__ import annotations
@@ -94,6 +94,10 @@ class LivePropertyMonitor:
 
         self.events_checked = 0
         self.inconsistent_states = 0
+        #: node-scoped checks recomputed at touched nodes, and kept for the
+        #: untouched rest of the view.
+        self.node_checks_computed = 0
+        self.node_checks_cached = 0
         #: structured record per episode, in order of discovery; every
         #: per-property, per-severity and per-kind count is read off it.
         self.records: list[ViolationRecord] = []
@@ -123,32 +127,33 @@ class LivePropertyMonitor:
 
     def _update_view(self, sim: Simulator) -> list[Address]:
         """Bring the view up to date; the nodes to re-check, in view order."""
-        touched = sim.touched
-        view = self._view
-        if (view is None or not self.incremental
-                or any(sim.nodes[addr].alive != (addr in view)
-                       for addr in touched)):
-            # A node joined or left: rebuild in node_states() order.
-            old = view or {}
-            self._view = view = {
-                addr: NodeLocal(state=state, timers=timers)
-                for addr, (state, timers) in sim.node_states().items()}
-            departed = old.keys() - view.keys()
-            if departed:
-                self._active = {key for key in self._active
-                                if key[1] not in departed}
-            return [addr for addr in view
-                    if addr in touched or addr not in old
-                    or not self.incremental]
-        for addr in touched:
-            if addr in view:
+        touched, view = sim.touched, self._view
+        if view is not None and self.incremental:
+            recheck = []
+            for addr in touched:
                 node = sim.nodes[addr]
-                view[addr] = NodeLocal(state=node.state,
-                                       timers=node.timer_names())
-        if len(touched) == 1:
-            return [addr for addr in touched if addr in view]
-        # Never set order: an Address hashes its host string.
-        return [addr for addr in view if addr in touched]
+                if node.alive != (addr in view):
+                    break  # a node joined or left
+                if node.alive:
+                    view[addr] = NodeLocal(state=node.state,
+                                           timers=node.timer_names())
+                    recheck.append(addr)
+            else:
+                if len(recheck) > 1:
+                    # View order, never the touched set's hash order.
+                    recheck = [addr for addr in view if addr in touched]
+                return recheck
+        # Rebuild in node_states() order, so a revived node keeps its place.
+        old = view or {}
+        self._view = view = {
+            addr: NodeLocal(state=state, timers=timers)
+            for addr, (state, timers) in sim.node_states().items()}
+        departed = old.keys() - view.keys()
+        if departed:
+            self._active = {key for key in self._active
+                            if key[1] not in departed}
+        return [addr for addr in view
+                if addr in touched or addr not in old or not self.incremental]
 
     def _open_episode(
         self,
@@ -185,18 +190,18 @@ class LivePropertyMonitor:
         recheck = self._update_view(sim)
         state = GlobalState(nodes=self._view)
         now = sim.now
+        active = self._active
         active_global: set[tuple[str, Optional[Address]]] = set()
         # Property-major, node-minor: the order of a full check_all.
         for prop, node_scoped in self._safety:
             if node_scoped:
-                assert isinstance(prop, NodeScopedProperty)
                 for addr in recheck:
                     key = (prop.name, addr)
                     violations = prop.violations_at(state, addr)
                     if not violations:
-                        self._active.discard(key)
-                    elif key not in self._active:
-                        self._active.add(key)
+                        active.discard(key)
+                    elif key not in active:
+                        active.add(key)
                         self._open_episode(state, now, prop.name, addr,
                                            violations[0].detail, "safety")
                 continue
@@ -208,14 +213,11 @@ class LivePropertyMonitor:
                                        "safety")
                 active_global.add(key)
         self._active_global = active_global
-        if self._active or active_global:
+        if active or active_global:
             self.inconsistent_states += 1
-        metrics = self._obs.metrics
-        if metrics is not None and self._node_scoped and self._view:
-            computed = self._node_scoped * len(recheck)
-            metrics.inc("monitor.node_checks_computed", computed)
-            metrics.inc("monitor.node_checks_cached",
-                        self._node_scoped * len(self._view) - computed)
+        computed = self._node_scoped * len(recheck)
+        self.node_checks_computed += computed
+        self.node_checks_cached += self._node_scoped * len(self._view) - computed
 
         for prop, tracker in self._trackers:
             for failed_node, detail in tracker.observe(state, now):
