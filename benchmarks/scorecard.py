@@ -107,7 +107,7 @@ def _scale_section() -> list[str]:
         "## 4. Scale run (not a paper claim, nightly only)",
         "",
         "Recorded in `BENCH_scale.json` by `PYTHONPATH=src python -m pytest "
-        "benchmarks/bench_scale.py -q` (about 8 min; this command does not "
+        "benchmarks/bench_scale.py -q` (about 3 min; this command does not "
         "rerun it).  The events/s headline is taken with no live "
         "properties; `scaled_256_properties_on` is the same scaled "
         "configuration with the default properties checked after every "
@@ -118,7 +118,9 @@ def _scale_section() -> list[str]:
              "events/s", "control B/node", "peak RSS MiB"], rows),
         "",
         f"Scaled over baseline: {record['speedup_256']}x at 256 nodes, "
-        f"{record['speedup_1000']}x at 1000.",
+        f"{record['speedup_1000']}x at 1000.  Properties on keep "
+        f"{record['properties_on_ratio_256']} of the `scaled_256` events/s "
+        f"(floor {record['min_properties_on_ratio_256']}).",
     ]
 
 

@@ -21,7 +21,7 @@ Combinators build safety properties from simpler check functions:
 
 * :func:`node_property` — checked independently at every node; declares
   whether the check reads only that node's local state (``local_only``),
-  which is what enables the monitor's incremental fast path;
+  which lets the live monitor re-check it only at touched nodes;
 * :func:`pairwise_property` — checked over every ordered pair of distinct
   nodes (cross-node invariants such as "a receiver never believes a sender
   has blocks the sender lacks");
@@ -43,8 +43,10 @@ from ..runtime.state import NodeState
 SEVERITIES = ("critical", "error", "warning", "info")
 
 #: Property scopes: ``"node"`` means the check at a node reads only that
-#: node's local state (incrementally re-checkable); ``"global"`` means it
-#: may read other nodes or in-flight messages and must be fully re-checked.
+#: node's local state and timers, so the live monitor re-checks it only at
+#: the nodes an event touched; ``"global"`` means it may read other nodes or
+#: in-flight messages, so the monitor re-checks it over every node after
+#: every event.
 SCOPES = ("node", "global")
 
 
@@ -161,9 +163,9 @@ class NodeScopedProperty(SafetyProperty):
 
     Built by :func:`node_property`.  When ``local_only`` is true the
     per-node check reads nothing but that node's local state and timers,
-    so :meth:`violations_at` can re-check a single dirty node — the live
-    monitor's incremental fast path and the immediate safety check both
-    rely on this.
+    so :meth:`violations_at` can re-check a single node — the live
+    monitor's per-touched-node re-check and the immediate safety check
+    both rely on this.
     """
 
     def __init__(
@@ -223,8 +225,9 @@ def node_property(
     timers and the full global state, and yields a violation description
     per problem found at that node.  Pass ``local_only=False`` when the
     check reads other nodes' state through the global-state argument
-    (e.g. "the root must not appear as another node's child") — such
-    properties are excluded from incremental re-checking.
+    (e.g. "the root must not appear as another node's child") — the
+    monitor then re-checks such a property at every node after every
+    event.
     """
     return NodeScopedProperty(
         name,

@@ -11,7 +11,8 @@ CrystalBall controller needs:
 * controller wakeups via :meth:`Simulator.schedule_at` (hooks arm exactly
   the wakeups they need from ``on_attach``; nothing is polled),
 * observers called after every executed event (live property monitoring,
-  tracing, statistics).
+  tracing, statistics), with :attr:`Simulator.touched` naming the nodes
+  changed since the previous observer round.
 
 Scheduling is O(active): the heap only ever holds entries for armed
 timers, queued deliveries (a batched :class:`~repro.runtime.network.
