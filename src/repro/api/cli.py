@@ -138,9 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                      action="append", default=[],
                      help="drop matching properties from the selection "
                           "(repeatable; needs --properties)")
-    run.add_argument("--full-recheck", action="store_true",
-                     help="disable the live monitor's incremental "
-                          "dirty-node fast path (debugging/benchmarks)")
     run.add_argument("--fail-on-violation", action="store_true",
                      help="exit non-zero when the run observes a safety "
                           "violation (live monitor or scenario outcome)")
@@ -420,8 +417,6 @@ def _configure_run(args: argparse.Namespace) -> Experiment:
                               exclude=_split(args.exclude_properties))
     elif args.exclude_properties:
         raise ValueError("--exclude-properties needs --properties")
-    if args.full_recheck:
-        experiment.incremental_monitor(False)
 
     workload_overrides = {
         "rate": args.workload_rate,

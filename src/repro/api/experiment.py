@@ -143,7 +143,6 @@ class Experiment:
         self._fault_start_after: Optional[float] = None
         self._property_selectors: Optional[list[PropertySelector]] = None
         self._property_exclude: list[str] = []
-        self._incremental_monitor = True
         self._max_events = 500_000
         self._workload: Optional[WorkloadSpec] = None
         #: registered name behind _workload (None for an inline spec) and
@@ -445,14 +444,6 @@ class Experiment:
         self._note("metrics", self._metrics)
         return self
 
-    def incremental_monitor(self, enabled: bool = True) -> "Experiment":
-        """Toggle the live monitor's dirty-node fast path (default on)."""
-        self._incremental_monitor = bool(enabled)
-        # Off is the non-default setting: offline searches and sweeps cannot
-        # honor it and must warn instead of silently measuring the fast path.
-        self._note("incremental_monitor", not self._incremental_monitor)
-        return self
-
     def resolved_properties(self) -> list[Property]:
         """The property set a live run of this experiment would check."""
         if self._property_selectors is None:
@@ -612,8 +603,7 @@ class Experiment:
             controllers = attach_crystalball(
                 sim, properties, config=self._crystalball_config())
 
-        monitor = LivePropertyMonitor(
-            properties, incremental=self._incremental_monitor).install(sim)
+        monitor = LivePropertyMonitor(properties).install(sim)
 
         nemesis: Optional[Nemesis] = None
         if self._faults:

@@ -70,14 +70,8 @@ EPISODE_REPORT_LIMIT = 200
 class LivePropertyMonitor:
     """Counts inconsistent states and violation episodes in a live run."""
 
-    def __init__(
-        self,
-        properties: Sequence[Property],
-        *,
-        incremental: bool = True,
-    ) -> None:
+    def __init__(self, properties: Sequence[Property]) -> None:
         self.properties = list(properties)
-        self.incremental = incremental
 
         #: safety properties in order, each with "re-checked per node?".
         self._safety: list[tuple[SafetyProperty, bool]] = [
@@ -128,7 +122,7 @@ class LivePropertyMonitor:
     def _update_view(self, sim: Simulator) -> list[Address]:
         """Bring the view up to date; the nodes to re-check, in view order."""
         touched, view = sim.touched, self._view
-        if view is not None and self.incremental:
+        if view is not None:
             recheck = []
             for addr in touched:
                 node = sim.nodes[addr]
@@ -152,8 +146,7 @@ class LivePropertyMonitor:
         if departed:
             self._active = {key for key in self._active
                             if key[1] not in departed}
-        return [addr for addr in view
-                if addr in touched or addr not in old or not self.incremental]
+        return [addr for addr in view if addr in touched or addr not in old]
 
     def _open_episode(
         self,
@@ -274,7 +267,6 @@ class LivePropertyMonitor:
             "by_severity": self.by_severity(),
             "liveness_violations": sum(
                 1 for record in self.records if record.kind == "liveness"),
-            "incremental": self.incremental,
             "episodes": [record.to_dict()
                          for record in self.records[:EPISODE_REPORT_LIMIT]],
             "episodes_truncated": max(

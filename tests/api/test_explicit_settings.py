@@ -52,7 +52,6 @@ EXAMPLES = {
     "properties": lambda e: e.properties("randtree.*"),
     "trace": lambda e: e.trace(MemoryTracer()),
     "metrics": lambda e: e.metrics(True),
-    "incremental_monitor": lambda e: e.incremental_monitor(False),
 }
 
 
@@ -121,7 +120,6 @@ EFFECTS = {
     "trace": lambda r: r.simulator.obs.tracer.records[0]["scenario"]
     == "flaky-network",
     "metrics": lambda r: r.metrics["counters"]["runtime.events_executed"] > 0,
-    "incremental_monitor": lambda r: r.live_monitor.incremental is False,
 }
 
 

@@ -149,17 +149,3 @@ def test_sweep_refuses_property_instances():
                   .properties(get_property("randtree.no_self_reference")))
     with pytest.raises(ValueError, match="cannot carry Property instances"):
         experiment.sweep(seeds=[1], jobs=1)
-
-
-def test_sweep_warns_about_uncarried_full_recheck_setting():
-    experiment = (Experiment("randtree").duration(30.0).churn(False)
-                  .incremental_monitor(False))
-    with pytest.warns(UserWarning, match="incremental_monitor"):
-        experiment.sweep(seeds=[1], jobs=1)
-    # Restoring the default clears the warning.
-    experiment.incremental_monitor(True)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        experiment.sweep(seeds=[1], jobs=1)
