@@ -109,9 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="duration in controller tick intervals")
     _shared_flag(run, "--seed", default=0, help="random seed")
     run.add_argument("--engine", default=None,
-                     help="search engine: serial, parallel or parallel:N")
-    run.add_argument("--portfolio", action="store_true",
-                     help="race exhaustive/consequence/random-walk strategies")
+                     help="search engine: serial, parallel, parallel:N or "
+                          "portfolio")
     run.add_argument("--max-states", type=int, default=None,
                      help="consequence-prediction state budget per run")
     run.add_argument("--max-depth", type=int, default=None,
@@ -380,8 +379,6 @@ def _configure_run(args: argparse.Namespace) -> Experiment:
     cb_kwargs: dict[str, Any] = {}
     if args.engine is not None:
         cb_kwargs["engine"] = args.engine
-    if args.portfolio:
-        cb_kwargs["portfolio"] = True
     if args.max_states is not None or args.max_depth is not None:
         # Start from the run's default budget (the system's, under the
         # scenario's bounds) so passing only one bound does not silently

@@ -280,7 +280,6 @@ class Experiment:
                     engine: Optional[str] = None,
                     budget: Optional[SearchBudget] = None,
                     transition: Optional[TransitionConfig] = None,
-                    portfolio: Optional[bool] = None,
                     checking: Optional[CheckingPolicy] = None,
                     delta_checkpoints: Optional[bool] = None,
                     batched_control_plane: Optional[bool] = None,
@@ -294,23 +293,19 @@ class Experiment:
         against the peer's last-seen state, and ``batched_control_plane``
         fans snapshot-gather requests out over UDP in one batch.
         """
-        settings = {
+        self._mode = Mode.DEBUG if mode is None else parse_mode(mode)
+        self._cb_kwargs = {
             name: value
             for name, value in (("engine", engine), ("search_budget", budget),
                                 ("transition", transition),
-                                ("portfolio", portfolio),
                                 ("checking", checking),
                                 ("delta_checkpoints", delta_checkpoints),
                                 ("batched_control_plane",
                                  batched_control_plane))
             if value is not None}
-        self._mode = Mode.DEBUG if mode is None else parse_mode(mode)
-        self._cb_kwargs = {
-            {"portfolio": "portfolio_mode"}.get(name, name): value
-            for name, value in settings.items()}
         # The budget is not recorded: a search scenario honours it, and a
         # sweep warns about it under its own name.
-        self._explicit.update(settings.keys() - {"search_budget"})
+        self._explicit.update(self._cb_kwargs.keys() - {"search_budget"})
         return self
 
     def mode(self, mode: Union[Mode, str]) -> "Experiment":

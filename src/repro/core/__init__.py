@@ -22,7 +22,7 @@ from .event_filter import EventFilter, derive_filter
 from .immediate import ImmediateCheckOutcome, ImmediateSafetyCheck
 from .monitor import LivePropertyMonitor
 from .replay import ReplayResult, replay_error_path
-from .snapshot import NeighborhoodSnapshot, SnapshotGather
+from .snapshot import NeighborhoodSnapshot
 from .steering import (
     SteeringDecision,
     check_filter_safety,
@@ -48,7 +48,6 @@ __all__ = [
     "ReplayResult",
     "replay_error_path",
     "NeighborhoodSnapshot",
-    "SnapshotGather",
     "SteeringDecision",
     "check_filter_safety",
     "choose_steering_point",

@@ -14,6 +14,10 @@ interface and ties together all the pieces:
   them, installing them into the runtime, and removing them after every
   model-checking run;
 * the **immediate safety check** fallback.
+
+Each tick closes one :class:`Round` — gather, snapshot, start state, replay,
+search, steering — which is counted once (:meth:`ControllerStats.fold`) and
+rendered into trace records and metrics in one place.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from ..mc.global_state import GlobalState
-from ..mc.parallel import SearchKind, make_engine, run_portfolio
-from ..mc.search import PredictedViolation, SearchBudget
+from ..mc.parallel import SearchEngine, SearchKind, make_engine
+from ..mc.search import PredictedViolation, SearchBudget, SearchStats
 from ..properties import Property, SafetyProperty, safety_properties
 from ..mc.transition import TransitionConfig, TransitionSystem
 from ..runtime.address import Address
@@ -39,7 +43,7 @@ from .checkpoint import Checkpoint, CheckpointStore, PeerTransferCache
 from .event_filter import EventFilter
 from .immediate import ImmediateSafetyCheck
 from .replay import replay_error_path
-from .snapshot import NeighborhoodSnapshot, SnapshotGather
+from .snapshot import NeighborhoodSnapshot
 from .steering import evaluate_violation
 
 #: Control-plane message types used by the checkpoint manager.
@@ -47,10 +51,6 @@ CHECKPOINT_REQUEST = "_cb_checkpoint_request"
 CHECKPOINT_RESPONSE = "_cb_checkpoint_response"
 CHECKPOINT_NEGATIVE = "_cb_checkpoint_negative"
 
-#: Seeded random walks in a portfolio run, and the wall-clock deadline its
-#: strategies share (seconds).
-PORTFOLIO_WALKS = 2
-PORTFOLIO_WALL_CLOCK = 5.0
 #: Maximum error paths remembered for replay.
 MAX_REMEMBERED_PATHS = 32
 
@@ -121,12 +121,10 @@ class CrystalBallConfig:
     transition: TransitionConfig = field(default_factory=TransitionConfig)
     #: Search engine executing consequence prediction: ``"serial"`` (the
     #: default, inline single-threaded search), ``"parallel"`` (sharded
-    #: frontier over one worker per CPU) or ``"parallel:N"``.  An already
-    #: built :class:`~repro.mc.parallel.SearchEngine` is also accepted.
+    #: frontier over one worker per CPU), ``"parallel:N"`` or
+    #: ``"portfolio"`` (race exhaustive search, consequence prediction and
+    #: random walks from every snapshot).
     engine: str = "serial"
-    #: Race exhaustive search, consequence prediction and random walks from
-    #: every snapshot instead of running consequence prediction alone.
-    portfolio_mode: bool = False
     checkpoint_quota: int = 16
     #: Outbound bandwidth limit for checkpoint traffic, bytes per tick
     #: (None = unlimited; Section 3.1 "Managing Bandwidth Consumption").
@@ -157,8 +155,42 @@ class CrystalBallConfig:
 
 
 @dataclass
+class Round:
+    """One controller round (Figure 7): it gathers checkpoint answers until
+    the next tick closes it, and closing fills in the later stages."""
+
+    checkpoint_number: int
+    expected: frozenset[Address]
+    received: dict[Address, Checkpoint] = field(default_factory=dict)
+    #: members that refused, with the checkpoint number they reported.
+    negative: dict[Address, int] = field(default_factory=dict)
+    snapshot: Optional[NeighborhoodSnapshot] = None
+    #: built once; the search, the re-checks and the ISC all read it.
+    start: Optional[GlobalState] = None
+    #: known error paths replayed, and how many of them reproduced.
+    replayed: int = 0
+    reproduced: int = 0
+    #: None in a mode that runs no model checker.
+    search: Optional[SearchStats] = None
+    #: wall seconds of start state, replay and search (steering excluded).
+    search_seconds: float = 0.0
+    #: the reproduced violations, then the newly predicted ones.
+    violations: list[PredictedViolation] = field(default_factory=list)
+    unhelpful: int = 0
+    installed: list[tuple[EventFilter, PredictedViolation]] = field(
+        default_factory=list)
+
+    @property
+    def missing(self) -> frozenset[Address]:
+        """Expected members that neither answered nor refused."""
+        return frozenset(self.expected - set(self.received)
+                         - set(self.negative))
+
+
+@dataclass
 class ControllerStats:
-    """Counters reported in Sections 5.4 and 5.5."""
+    """Counters reported in Sections 5.4 and 5.5; the per-round ones are
+    folded in from closed rounds (:meth:`fold`)."""
 
     ticks: int = 0
     model_checker_runs: int = 0
@@ -188,6 +220,23 @@ class ControllerStats:
         data["distinct_violations"] = sorted(data["distinct_violations"])
         return data
 
+    def fold(self, closed: Round) -> None:
+        """Count one closed round."""
+        self.snapshots_collected += 1
+        # Before the stale fill: a gather with any gap is incomplete.
+        self.incomplete_snapshots += bool(closed.missing or closed.negative)
+        if closed.search is None:
+            return
+        self.model_checker_runs += 1
+        self.replayed_paths += closed.replayed
+        self.replay_reproduced += closed.reproduced
+        self.violations_predicted += len(closed.violations)
+        self.distinct_violations.update(
+            v.violation.property_name for v in closed.violations)
+        self.steering_unhelpful += closed.unhelpful
+        self.filters_installed += len(closed.installed)
+        self.steering_modified_behavior += len(closed.installed)
+
 
 class CrystalBallController:
     """Per-node CrystalBall controller; implements the runtime NodeHook."""
@@ -209,7 +258,8 @@ class CrystalBallController:
         self._severities = {p.name: p.severity for p in self.properties}
 
         self.system = TransitionSystem(protocol, self.config.transition)
-        self.engine = make_engine(self.config.engine)
+        #: built at attach, reporting into the run's metrics registry.
+        self.engine: Optional[SearchEngine] = None
         #: wakeup spacing; set from the simulator's tick interval at attach.
         self._wakeup_interval = 10.0 * self.config.checking.period
         self.store = CheckpointStore(quota=self.config.checkpoint_quota)
@@ -219,8 +269,9 @@ class CrystalBallController:
         self.stats = ControllerStats()
         self.filters: list[EventFilter] = []
         self.known_error_paths: list[tuple[Event, ...]] = []
-        self.last_snapshot: Optional[NeighborhoodSnapshot] = None
-        self._pending_gather: Optional[SnapshotGather] = None
+        #: the round gathering answers, and the last closed one.
+        self._round: Optional[Round] = None
+        self.last_round: Optional[Round] = None
         #: most recent checkpoint received from each peer (possibly stale),
         #: used to fill in snapshot members that did not answer in time.
         self.peer_checkpoints: dict[Address, Checkpoint] = {}
@@ -240,6 +291,7 @@ class CrystalBallController:
         scheduler cycles, yet still answers peers' checkpoint requests on
         demand (delivery-driven, not tick-driven).
         """
+        self.engine = make_engine(self.config.engine, metrics=sim.obs.metrics)
         self._wakeup_interval = sim.tick_interval * self.config.checking.period
         phase = self.config.checking.phase(self.addr)
         sim.schedule_at(sim.now + sim.tick_interval * (phase + 1),
@@ -258,15 +310,15 @@ class CrystalBallController:
             sim.schedule_at(sim.now + self._wakeup_interval, self._wakeup)
 
     def on_tick(self, sim: Simulator, node: SimNode) -> None:
-        """Periodic controller activity: finalise the previous snapshot
-        round, run the model checker on it, and start a new round."""
+        """Periodic controller activity: close the open round and open the
+        next one."""
         self.stats.ticks += 1
         tick_started = time.perf_counter()
 
         local = self._take_checkpoint(sim, node, node.clock.advance())
 
-        if self._pending_gather is not None:
-            self._finalize_gather(sim, node, local)
+        if self._round is not None:
+            self._close(sim, node, local)
 
         self._start_gather(sim, node, local)
         if self.config.checking.period > 1:
@@ -283,39 +335,10 @@ class CrystalBallController:
     def _finalize_wakeup(self, sim: Simulator) -> None:
         node = sim.nodes.get(self.addr)
         if (node is None or not node.alive or node.hook is not self
-                or self._pending_gather is None):
+                or self._round is None):
             return
-        self._finalize_gather(
+        self._close(
             sim, node, self._take_checkpoint(sim, node, node.clock.advance()))
-
-    def _finalize_gather(self, sim: Simulator, node: SimNode,
-                         local: Checkpoint) -> None:
-        """Close the pending gather into a snapshot and model-check it."""
-        snapshot = NeighborhoodSnapshot.from_gather(self._pending_gather, local)
-        if self._pending_gather.missing or self._pending_gather.negative:
-            self.stats.incomplete_snapshots += 1
-        # A neighbour that did not answer (partition, failure) is stood in
-        # for by the most recent checkpoint previously received from it:
-        # slightly stale state is preferable to a blind spot, and the paper
-        # attributes its Paxos false negatives to exactly such gaps.
-        for missing in list(snapshot.missing):
-            cached = self.peer_checkpoints.get(missing)
-            if cached is not None:
-                snapshot.checkpoints[missing] = cached
-        snapshot.missing = frozenset(
-            snapshot.missing - set(snapshot.checkpoints))
-        self.last_snapshot = snapshot
-        self.stats.snapshots_collected += 1
-        if sim.obs.tracer is not None:
-            sim.obs.tracer.record(
-                "snapshot", sim.now, node=node.addr,
-                cn=snapshot.checkpoint_number,
-                members=len(snapshot.checkpoints),
-                missing=len(snapshot.missing),
-                complete=not snapshot.missing)
-        if self.config.mode in (Mode.DEBUG, Mode.STEERING):
-            self._run_model_checker(sim, node, snapshot)
-        self._pending_gather = None
 
     def filter_event(self, sim: Simulator, node: SimNode, event: Event) -> FilterAction:
         if self.config.mode is not Mode.STEERING:
@@ -336,8 +359,8 @@ class CrystalBallController:
         if self.config.mode in (Mode.OFF, Mode.DEBUG):
             return True
         self.stats.isc_checks += 1
-        neighborhood = (self.last_snapshot.to_global_state()
-                        if self.last_snapshot is not None else None)
+        neighborhood = (self.last_round.start
+                        if self.last_round is not None else None)
         outcome = self.isc.check(node.addr, node.state, node.timer_names(),
                                  event, neighborhood=neighborhood)
         if not outcome.allowed:
@@ -374,10 +397,8 @@ class CrystalBallController:
 
     def _start_gather(self, sim: Simulator, node: SimNode, local: Checkpoint) -> None:
         neighbors = [n for n in self.protocol.neighbors(node.state) if n != node.addr]
-        gather = SnapshotGather(origin=node.addr,
-                                checkpoint_number=local.checkpoint_number,
-                                expected=frozenset(neighbors))
-        self._pending_gather = gather
+        self._round = Round(checkpoint_number=local.checkpoint_number,
+                            expected=frozenset(neighbors))
         transport = (Transport.UDP if self.config.batched_control_plane
                      else Transport.TCP)
         requests = [
@@ -454,142 +475,129 @@ class CrystalBallController:
         self.stats.negative_responses_sent += 1
 
     def _record_checkpoint_response(self, message: Message) -> None:
-        if self._pending_gather is None:
+        if self._round is None:
             return
         checkpoint = Checkpoint(node=message.src,
                                 checkpoint_number=int(message.get("cn", 0)),
                                 state=message.get("state"),
                                 timers=frozenset(message.get("timers", ())))
         self.peer_checkpoints[message.src] = checkpoint
-        self._pending_gather.record_response(checkpoint)
+        self._round.received[message.src] = checkpoint
 
     def _record_negative_response(self, message: Message) -> None:
-        if self._pending_gather is None:
+        if self._round is not None:
+            self._round.negative[message.src] = int(message.get("cn", 0))
+
+    # ---------------------------------------------------------------- the round
+
+    def _close(self, sim: Simulator, node: SimNode, local: Checkpoint) -> None:
+        """Close the open round: fill in its stages, count it, render it."""
+        closed, self._round = self._round, None
+        checkpoints = {**closed.received, local.node: local}
+        unanswered = closed.missing | frozenset(closed.negative)
+        # A neighbour that did not answer (partition, failure) is stood in
+        # for by the most recent checkpoint previously received from it:
+        # slightly stale state is preferable to a blind spot, and the paper
+        # attributes its Paxos false negatives to exactly such gaps.
+        checkpoints.update((addr, self.peer_checkpoints[addr])
+                           for addr in unanswered if addr in self.peer_checkpoints)
+        closed.snapshot = snapshot = NeighborhoodSnapshot(
+            origin=node.addr, checkpoint_number=closed.checkpoint_number,
+            checkpoints=checkpoints, missing=unanswered - set(checkpoints))
+        started = time.perf_counter()
+        closed.start = snapshot.to_global_state()
+        if self.config.mode in (Mode.DEBUG, Mode.STEERING):
+            self._predict(closed)
+            closed.search_seconds = time.perf_counter() - started
+            if self.config.mode is Mode.STEERING:
+                self._steer(node, closed)
+            # Filters are removed after every model-checking run (Section
+            # 3.3); a replayed error path that reproduces reinstalls its own.
+            self.filters = [event_filter for event_filter, _ in closed.installed]
+        self.stats.fold(closed)
+        self.last_round = closed
+
+        tracer, metrics = sim.obs.tracer, sim.obs.metrics
+        if tracer is not None:
+            tracer.record("snapshot", sim.now, node=node.addr,
+                          cn=closed.checkpoint_number,
+                          members=len(snapshot.checkpoints),
+                          missing=len(snapshot.missing),
+                          complete=not snapshot.missing)
+        search = closed.search
+        if search is None:
             return
-        self._pending_gather.record_negative(message.src, int(message.get("cn", 0)))
+        if metrics is not None:
+            metrics.inc("mc.states_visited", search.states_visited)
+            metrics.inc("mc.transitions_applied", search.transitions_applied)
+            metrics.gauge("mc.max_depth_reached").update_max(
+                search.max_depth_reached)
+            metrics.observe("controller.mc_run_seconds", closed.search_seconds)
+        if tracer is None:
+            return
+        tracer.record("mc_run", sim.now, node=node.addr,
+                      engine=self.config.engine, states=search.states_visited,
+                      transitions=search.transitions_applied,
+                      depth=search.max_depth_reached,
+                      violations=len(closed.violations),
+                      wall=closed.search_seconds)
+        for violation in closed.violations:
+            name = violation.violation.property_name
+            tracer.record("violation", sim.now, node=node.addr, property=name,
+                          severity=self._severities.get(name, "error"),
+                          vkind="predicted", detail=violation.violation.detail)
+        for event_filter, violation in closed.installed:
+            tracer.record("filter_install", sim.now, node=node.addr,
+                          filter=event_filter.describe(),
+                          property=violation.violation.property_name,
+                          path_len=len(violation.path))
 
-    # -------------------------------------------------------------- model checking
-
-    def _run_model_checker(self, sim: Simulator, node: SimNode,
-                           snapshot: NeighborhoodSnapshot) -> None:
-        self.stats.model_checker_runs += 1
-        mc_started = time.perf_counter()
-        start_state = snapshot.to_global_state()
-        if sim.obs.metrics is not None:
-            # Engines that profile themselves (ParallelEngine) report into
-            # the run's registry; others simply ignore the attribute.
-            setattr(self.engine, "metrics", sim.obs.metrics)
-
-        # Filters are removed after every model-checking run (Section 3.3);
-        # previously discovered error paths are replayed first and, if the
-        # problem reappears, the filter is immediately reinstalled.
-        self.filters = []
-        reproduced: list[PredictedViolation] = []
-        for path in list(self.known_error_paths):
-            self.stats.replayed_paths += 1
-            replay = replay_error_path(self.system, start_state, path, self.properties)
+    def _predict(self, closed: Round) -> None:
+        """Replay the known error paths, then run consequence prediction."""
+        closed.replayed = len(self.known_error_paths)
+        for path in self.known_error_paths:
+            replay = replay_error_path(self.system, closed.start, path,
+                                       self.properties)
             if replay.reproduced:
-                self.stats.replay_reproduced += 1
-                reproduced.append(
-                    PredictedViolation(violation=replay.violations[0], path=path,
-                                       depth=replay.steps_executed,
-                                       state_hash=replay.final_state.state_hash()))
-
-        if self.config.portfolio_mode:
-            portfolio = run_portfolio(
-                self.system, start_state, self.properties,
-                self.config.search_budget,
-                wall_clock_seconds=PORTFOLIO_WALL_CLOCK,
-                walks=PORTFOLIO_WALKS)
-            result = portfolio.merged_result(start_state)
-        else:
-            result = self.engine.run(self.system, start_state, self.properties,
-                                     self.config.search_budget,
-                                     kind=SearchKind.CONSEQUENCE)
-
+                closed.violations.append(PredictedViolation(
+                    violation=replay.violations[0], path=path,
+                    depth=replay.steps_executed,
+                    state_hash=replay.final_state.state_hash()))
+        closed.reproduced = len(closed.violations)
+        result = self.engine.run(self.system, closed.start, self.properties,
+                                 self.config.search_budget,
+                                 kind=SearchKind.CONSEQUENCE)
+        closed.search = result.stats
         # Violations with an empty path are already present in the snapshot
         # itself — they are live inconsistencies, not predictions, and there
         # is no handler invocation left to steer around.
         future = [v for v in result.violations if v.path]
-        all_violations = reproduced + future
-        for violation in all_violations:
-            self.stats.violations_predicted += 1
-            self.stats.distinct_violations.add(violation.violation.property_name)
-
-        mc_wall = time.perf_counter() - mc_started
-        if sim.obs.metrics is not None:
-            metrics = sim.obs.metrics
-            metrics.inc("mc.states_visited", result.stats.states_visited)
-            metrics.inc("mc.transitions_applied",
-                        result.stats.transitions_applied)
-            metrics.gauge("mc.max_depth_reached").update_max(
-                result.stats.max_depth_reached)
-            metrics.observe("controller.mc_run_seconds", mc_wall)
-        if sim.obs.tracer is not None:
-            engine_name = (self.config.engine
-                           if isinstance(self.config.engine, str)
-                           else type(self.engine).__name__)
-            sim.obs.tracer.record(
-                "mc_run", sim.now, node=node.addr, engine=engine_name,
-                states=result.stats.states_visited,
-                transitions=result.stats.transitions_applied,
-                depth=result.stats.max_depth_reached,
-                violations=len(all_violations), wall=mc_wall)
-            for violation in all_violations:
-                name = violation.violation.property_name
-                sim.obs.tracer.record(
-                    "violation", sim.now, node=node.addr, property=name,
-                    severity=self._severities.get(name, "error"),
-                    vkind="predicted", detail=violation.violation.detail)
-
+        closed.violations += future
         for violation in future:
-            if violation.path and violation.path not in self.known_error_paths:
+            if violation.path not in self.known_error_paths:
                 self.known_error_paths.append(violation.path)
         del self.known_error_paths[:-MAX_REMEMBERED_PATHS]
 
-        if self.config.mode is Mode.STEERING:
-            self._install_steering_filters(sim, node, start_state,
-                                           all_violations)
-
-    def _install_steering_filters(self, sim: Simulator, node: SimNode,
-                                  start_state: GlobalState,
-                                  violations: Sequence[PredictedViolation]) -> None:
-        seen_filters: set[tuple] = set()
-        for violation in violations:
+    def _steer(self, node: SimNode, closed: Round) -> None:
+        """Re-check the filter of every prediction; keep one per action."""
+        seen: set[tuple] = set()
+        for violation in closed.violations:
             decision = evaluate_violation(
-                node.addr, self.system, start_state, self.properties, violation,
-                safety_budget=self.config.safety_budget,
-                expected_violations=violations,
-            )
+                node.addr, self.system, closed.start, self.properties,
+                violation, safety_budget=self.config.safety_budget,
+                expected_violations=closed.violations)
             if not decision.actionable:
-                self.stats.steering_unhelpful += 1
+                closed.unhelpful += 1
                 continue
-            key = (decision.filter.message_type, decision.filter.message_src,
-                   decision.filter.timer_name, decision.filter.app_call)
-            if key in seen_filters:
+            event_filter = decision.filter
+            key = (event_filter.message_type, event_filter.message_src,
+                   event_filter.timer_name, event_filter.app_call)
+            if key in seen:
                 continue
-            seen_filters.add(key)
-            self.stats.filters_installed += 1
-            decision.filter.filter_id = self.stats.filters_installed
-            self.filters.append(decision.filter)
-            self.stats.steering_modified_behavior += 1
-            if sim.obs.tracer is not None:
-                sim.obs.tracer.record(
-                    "filter_install", sim.now, node=node.addr,
-                    filter=decision.filter.describe(),
-                    property=violation.violation.property_name,
-                    path_len=len(violation.path))
-
-    # ------------------------------------------------------------------- reporting
-
-    def report(self) -> dict:
-        """Summary used by examples and the benchmark harness: the node, its
-        mode and the complete :class:`ControllerStats` surface."""
-        return {
-            "node": str(self.addr),
-            "mode": self.config.mode.value,
-            **self.stats.as_dict(),
-        }
+            seen.add(key)
+            closed.installed.append((event_filter, violation))
+            event_filter.filter_id = (self.stats.filters_installed
+                                      + len(closed.installed))
 
 
 def attach_crystalball(

@@ -2,45 +2,21 @@
 
 A snapshot is a set of checkpoints — one per neighbourhood member — that do
 not violate the happens-before relationship, gathered by the checkpoint
-manager at a common checkpoint number.  The gather is asynchronous: the
-requesting node sends checkpoint requests, neighbours respond (positively or
-negatively), and the snapshot is finalised at the next controller tick with
-whatever checkpoints arrived; missing members are represented by the model
-checker's dummy node.
+manager at a common checkpoint number.  The gather is the first stage of a
+controller round (:class:`~repro.core.controller.Round`): the requesting
+node sends checkpoint requests, neighbours respond (positively or
+negatively), and the round closes at the next controller tick into a
+snapshot of whatever checkpoints arrived; missing members are represented by
+the model checker's dummy node.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..mc.global_state import GlobalState
 from ..runtime.address import Address
 from .checkpoint import Checkpoint
-
-
-@dataclass
-class SnapshotGather:
-    """An in-progress snapshot collection round."""
-
-    origin: Address
-    checkpoint_number: int
-    expected: frozenset[Address]
-    received: dict[Address, Checkpoint] = field(default_factory=dict)
-    negative: dict[Address, int] = field(default_factory=dict)
-
-    def record_response(self, checkpoint: Checkpoint) -> None:
-        self.received[checkpoint.node] = checkpoint
-
-    def record_negative(self, node: Address, current_cn: int) -> None:
-        self.negative[node] = current_cn
-
-    @property
-    def complete(self) -> bool:
-        return set(self.received) | set(self.negative) >= set(self.expected)
-
-    @property
-    def missing(self) -> frozenset[Address]:
-        return frozenset(self.expected - set(self.received) - set(self.negative))
 
 
 @dataclass
@@ -51,23 +27,6 @@ class NeighborhoodSnapshot:
     checkpoint_number: int
     checkpoints: dict[Address, Checkpoint]
     missing: frozenset[Address] = frozenset()
-
-    @classmethod
-    def from_gather(cls, gather: SnapshotGather,
-                    local: Checkpoint) -> "NeighborhoodSnapshot":
-        """Finalise a gather round, always including the local checkpoint."""
-        checkpoints = dict(gather.received)
-        checkpoints[local.node] = local
-        return cls(
-            origin=gather.origin,
-            checkpoint_number=gather.checkpoint_number,
-            checkpoints=checkpoints,
-            missing=gather.missing | frozenset(gather.negative),
-        )
-
-    @property
-    def members(self) -> frozenset[Address]:
-        return frozenset(self.checkpoints)
 
     def to_global_state(self) -> GlobalState:
         """Build the model-checking start state from this snapshot.

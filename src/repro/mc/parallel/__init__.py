@@ -10,7 +10,8 @@ search over multiple cores:
   over a forked worker pool, each shard running the visit and successors
   code of :class:`repro.mc.search.Explorer` that the serial loop runs;
 * :func:`~repro.mc.parallel.portfolio.run_portfolio` — race exhaustive
-  search, consequence prediction and random walks from one snapshot.
+  search, consequence prediction and random walks from one snapshot (the
+  ``"portfolio"`` engine).
 """
 
 from ..search import SearchKind

@@ -6,14 +6,15 @@ filter-safety re-checks.  :class:`SearchEngine` decouples *what* is
 searched (a :class:`~repro.mc.transition.TransitionSystem`, a start state,
 properties, a budget, a :class:`~repro.mc.search.SearchKind`) from *how*
 the loop of :mod:`repro.mc.search` is executed, so the controller, the
-benchmarks and the examples can switch between
-:class:`SerialEngine` and :class:`~repro.mc.parallel.sharded.ParallelEngine`
-via configuration without any behaviour change by default.
+benchmarks and the examples can switch between :class:`SerialEngine`,
+:class:`~repro.mc.parallel.sharded.ParallelEngine` and
+:class:`~repro.mc.parallel.portfolio.PortfolioEngine` via configuration
+without any behaviour change by default.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol, Sequence, Union, runtime_checkable
+from typing import Callable, Optional, Protocol, Sequence
 
 from ...properties import SafetyProperty
 from ..global_state import GlobalState
@@ -25,9 +26,9 @@ from ..search import (
     consequence_prediction,
 )
 from ..transition import TransitionSystem
+from .portfolio import PortfolioEngine
 
 
-@runtime_checkable
 class SearchEngine(Protocol):
     """Anything that can execute a state-space search to completion."""
 
@@ -69,33 +70,29 @@ class SerialEngine:
         return "SerialEngine()"
 
 
-def make_engine(spec: Union[str, SearchEngine, None]) -> SearchEngine:
+def make_engine(spec: Optional[str], *, metrics=None) -> SearchEngine:
     """Build a search engine from a config spec.
 
     Accepted specs: ``"serial"`` (or ``None``), ``"parallel"`` (one worker
-    per CPU), ``"parallel:N"`` (exactly ``N`` workers), or an already-built
-    :class:`SearchEngine`, which is returned unchanged.
+    per CPU), ``"parallel:N"`` (exactly ``N`` workers) and ``"portfolio"``
+    (race exhaustive search, consequence prediction and random walks).
+    ``metrics`` is the run's registry, which the parallel engine profiles
+    its coordination into.
     """
-    if spec is None:
+    name, _, arg = ("serial" if spec is None else spec).partition(":")
+    name = name.strip().lower()
+    if name == "serial":
         return SerialEngine()
-    if isinstance(spec, str):
-        name, _, arg = spec.partition(":")
-        name = name.strip().lower()
-        if name == "serial":
-            return SerialEngine()
-        if name == "parallel":
-            from .sharded import ParallelEngine
+    if name == "portfolio":
+        return PortfolioEngine()
+    if name == "parallel":
+        from .sharded import ParallelEngine
 
-            workers = None
-            if arg:
-                try:
-                    workers = int(arg)
-                except ValueError:
-                    raise ValueError(
-                        f"bad worker count in engine spec {spec!r}; "
-                        f"expected 'parallel' or 'parallel:<N>'") from None
-            return ParallelEngine(num_workers=workers)
-        raise ValueError(f"unknown engine spec {spec!r}")
-    if isinstance(spec, SearchEngine):
-        return spec
-    raise TypeError(f"cannot build a search engine from {spec!r}")
+        try:
+            workers = int(arg) if arg else None
+        except ValueError:
+            raise ValueError(
+                f"bad worker count in engine spec {spec!r}; "
+                f"expected 'parallel' or 'parallel:<N>'") from None
+        return ParallelEngine(num_workers=workers, metrics=metrics)
+    raise ValueError(f"unknown engine spec {spec!r}")

@@ -5,7 +5,8 @@ budget — exhaustive breadth-first search, consequence prediction, and deep
 random walks — and finds they surface different bugs.  A portfolio run
 launches all of them concurrently from the same snapshot under one shared
 wall-clock budget, in separate forked processes, and collects the union of
-everything found before the deadline.
+everything found before the deadline; :class:`PortfolioEngine` is that
+race as the controller's ``engine="portfolio"``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from ..random_walk import random_walk_search
 from ..search import (
     PredictedViolation,
     SearchBudget,
+    SearchKind,
     SearchResult,
     SearchStats,
     consequence_prediction,
@@ -34,6 +36,10 @@ from ..transition import TransitionSystem
 
 #: A named search strategy: (name, callable returning a SearchResult).
 Strategy = tuple[str, Callable[[], SearchResult]]
+#: Seeded random walks in a :class:`PortfolioEngine` run, and the
+#: wall-clock deadline its strategies share (seconds).
+PORTFOLIO_WALKS = 2
+PORTFOLIO_WALL_CLOCK = 5.0
 
 
 @dataclass
@@ -201,6 +207,21 @@ def _run_sequential(strategies, started, wall_clock_seconds) -> PortfolioResult:
     outcome.unfinished = tuple(sorted(skipped))
     outcome.elapsed_seconds = time.monotonic() - started
     return outcome
+
+
+class PortfolioEngine:
+    """The default strategies raced from the start state and folded into one
+    result.  Each strategy has its own kind, so ``kind`` is not read."""
+
+    def run(self, system: TransitionSystem, first_state: GlobalState,
+            properties: Sequence[SafetyProperty],
+            budget: Optional[SearchBudget] = None, *,
+            kind: Optional[SearchKind] = None,
+            event_filter: None = None) -> SearchResult:
+        return run_portfolio(
+            system, first_state, properties, budget,
+            wall_clock_seconds=PORTFOLIO_WALL_CLOCK,
+            walks=PORTFOLIO_WALKS).merged_result(first_state)
 
 
 def _strategy_main(name: str, runner: Callable[[], SearchResult],

@@ -74,10 +74,10 @@ class ParallelEngine:
         Shard count; defaults to the machine's CPU count.
     metrics:
         Optional ``repro.obs`` :class:`~repro.obs.metrics.MetricsRegistry`.
-        When set (the controller sets it for instrumented runs), every
-        search profiles its coordination overhead into ``parallel.*``
-        metrics: fork time, per-round barrier waits, cross-shard handoff
-        volume.  Mutable — assigning ``engine.metrics`` later also works.
+        When given (the controller passes its run's registry through
+        :func:`~repro.mc.parallel.engine.make_engine`), every search
+        profiles its coordination overhead into ``parallel.*`` metrics:
+        fork time, per-round barrier waits, cross-shard handoff volume.
     """
 
     def __init__(self, num_workers: Optional[int] = None, *,

@@ -40,7 +40,6 @@ EXAMPLES = {
     "engine": lambda e: e.crystalball("debug", engine="serial"),
     "transition": lambda e: e.crystalball(
         "debug", transition=TransitionConfig(enable_resets=False)),
-    "portfolio": lambda e: e.crystalball("debug", portfolio=True),
     "checking": lambda e: e.crystalball(
         "debug", checking=CheckingPolicy(period=2)),
     "delta_checkpoints": lambda e: e.crystalball(
@@ -106,7 +105,6 @@ EFFECTS = {
     "transition": lambda r: all(
         not controller.config.transition.enable_resets
         for controller in r.controllers.values()),
-    "portfolio": _controller_setting("portfolio_mode", True),
     "checking": lambda r: all(controller.config.checking.period == 2
                               for controller in r.controllers.values()),
     "delta_checkpoints": _controller_setting("delta_checkpoints", True),

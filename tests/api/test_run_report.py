@@ -30,15 +30,6 @@ def test_node_reports_carry_the_full_controller_stats_surface():
         assert isinstance(node.stats["distinct_violations"], list)
 
 
-def test_controller_report_no_longer_omits_counters():
-    report = _small_run()
-    controller = next(iter(report.controllers.values()))
-    legacy_report = controller.report()
-    for key in ("incomplete_snapshots", "replayed_paths", "replay_reproduced",
-                "forced_checkpoints", "checkpoint_requests_sent"):
-        assert key in legacy_report
-
-
 def test_run_report_round_trips_through_json():
     report = _small_run()
     payload = json.loads(report.to_json())

@@ -1,9 +1,23 @@
-"""Tests for checkpoints, checkpoint storage and neighbourhood snapshots."""
+"""Tests for checkpoints, checkpoint storage, neighbourhood snapshots and
+the controller round that gathers them."""
 
-from repro.core import Checkpoint, CheckpointStore, NeighborhoodSnapshot, PeerTransferCache
-from repro.core.snapshot import SnapshotGather
-from repro.runtime import Address
-from repro.systems.randtree import RandTree, RandTreeConfig
+from repro.core import (
+    Checkpoint,
+    CheckpointStore,
+    CrystalBallConfig,
+    Mode,
+    NeighborhoodSnapshot,
+    PeerTransferCache,
+    attach_crystalball,
+)
+from repro.core.controller import (
+    CHECKPOINT_NEGATIVE,
+    CHECKPOINT_RESPONSE,
+    Round,
+)
+from repro.runtime import Address, NetworkModel, Simulator
+from repro.runtime.messages import Message
+from repro.systems.randtree import ALL_PROPERTIES, RandTree, RandTreeConfig
 
 
 def _checkpoint(addr, cn, **state_kwargs):
@@ -49,28 +63,74 @@ def test_peer_transfer_cache_discounts_unchanged_checkpoints():
     assert second < first
 
 
+def _controller_at(origin, peers):
+    """An ``off``-mode controller at ``origin``, its simulator and node."""
+    sim = Simulator(lambda: RandTree(RandTreeConfig(bootstrap=(origin,))),
+                    NetworkModel(), seed=1)
+    for addr in (origin, *peers):
+        sim.add_node(addr)
+    controllers = attach_crystalball(sim, ALL_PROPERTIES,
+                                     config=CrystalBallConfig(mode=Mode.OFF))
+    return controllers[origin], sim, sim.nodes[origin]
+
+
+def _answer(controller, sim, node, src, mtype, **payload):
+    controller.handle_control_message(sim, node, Message(
+        mtype=mtype, src=src, dst=node.addr, payload=payload, control=True))
+
+
+def _answer_with(controller, sim, node, checkpoint):
+    _answer(controller, sim, node, checkpoint.node, CHECKPOINT_RESPONSE,
+            cn=checkpoint.checkpoint_number, state=checkpoint.state,
+            timers=checkpoint.timers)
+
+
 def test_snapshot_gather_completion_and_negatives():
-    origin = Address(1)
-    expected = frozenset({Address(2), Address(3)})
-    gather = SnapshotGather(origin=origin, checkpoint_number=5, expected=expected)
-    assert not gather.complete
-    gather.record_response(_checkpoint(Address(2), 5))
-    gather.record_negative(Address(3), current_cn=2)
-    assert gather.complete
-    assert gather.negative == {Address(3): 2}
+    origin, peer, other = Address(1), Address(2), Address(3)
+    controller, sim, node = _controller_at(origin, (peer, other))
+    # An answer outside a round is dropped, not remembered.
+    _answer_with(controller, sim, node, _checkpoint(peer, 4))
+    assert controller.peer_checkpoints == {}
+
+    controller._round = gather = Round(checkpoint_number=5,
+                                       expected=frozenset({peer, other}))
+    assert gather.missing == {peer, other}
+    _answer_with(controller, sim, node, _checkpoint(peer, 5))
+    _answer(controller, sim, node, other, CHECKPOINT_NEGATIVE, cn=2)
+    assert set(gather.received) == {peer}
+    assert gather.received[peer] is controller.peer_checkpoints[peer]
+    assert gather.negative == {other: 2}
     assert gather.missing == frozenset()
 
 
 def test_snapshot_from_gather_includes_local_and_tracks_missing():
-    origin = Address(1)
-    gather = SnapshotGather(origin=origin, checkpoint_number=3,
-                            expected=frozenset({Address(2), Address(3)}))
-    gather.record_response(_checkpoint(Address(2), 3))
-    snapshot = NeighborhoodSnapshot.from_gather(gather, _checkpoint(origin, 3))
-    assert origin in snapshot.members
-    assert Address(2) in snapshot.members
-    assert Address(3) in snapshot.missing
-    assert snapshot.is_consistent()
+    origin, peer, other, far = Address(1), Address(2), Address(3), Address(4)
+    controller, sim, node = _controller_at(origin, (peer, other))
+    # An earlier round heard from ``other``; this one does not.
+    controller._round = Round(checkpoint_number=1,
+                              expected=frozenset({other}))
+    stale = _checkpoint(other, 1)
+    _answer_with(controller, sim, node, stale)
+    controller.on_tick(sim, node)
+    controller._round = Round(checkpoint_number=3,
+                              expected=frozenset({peer, other, far}))
+    _answer_with(controller, sim, node, _checkpoint(peer, 3))
+    controller.on_tick(sim, node)
+
+    closed = controller.last_round
+    snapshot = closed.snapshot
+    assert closed.missing == {other, far}
+    assert set(snapshot.checkpoints) == {origin, peer, other}, \
+        "the local checkpoint always, and the stale fill for other"
+    assert snapshot.checkpoints[origin].checkpoint_number == node.clock.value
+    assert snapshot.checkpoints[other].state is stale.state
+    assert snapshot.missing == {far}
+    assert closed.start.nodes.keys() == snapshot.checkpoints.keys()
+    # Counted before the stale fill: the second round is incomplete although
+    # the fill leaves only ``far`` missing.
+    assert controller.stats.snapshots_collected == 2
+    assert controller.stats.incomplete_snapshots == 1
+    assert controller.stats.model_checker_runs == 0
 
 
 def test_snapshot_to_global_state_clones_states():

@@ -1,5 +1,6 @@
 """Tests for the CrystalBall controller attached to a live simulation."""
 
+from repro.api.report import NodeReport
 from repro.core import (
     CrystalBallConfig,
     LivePropertyMonitor,
@@ -101,9 +102,9 @@ def test_steering_mode_installs_filters_and_reduces_inconsistencies():
     # The predicted inconsistency is acted upon: either an event filter was
     # installed ahead of time or the immediate safety check blocked it.
     assert installed + isc_blocks > 0
-    report = controllers[addrs[0]].report()
-    assert report["mode"] == "steering"
-    assert "filters_installed" in report
+    report = NodeReport.from_controller(controllers[addrs[0]])
+    assert report.mode == "steering"
+    assert "filters_installed" in report.stats
 
 
 def test_off_mode_controller_is_inert():

@@ -5,9 +5,8 @@ import warnings
 import pytest
 
 from benchmarks.e2e.workloads import scripted_snapshot
-from repro.core import CrystalBallConfig, CrystalBallController
+from repro.core import CrystalBallConfig, attach_crystalball
 from repro.core.consequence import consequence_prediction
-from repro.core.controller import PORTFOLIO_WALKS
 from repro.mc import (
     GlobalState,
     ParallelEngine,
@@ -22,7 +21,13 @@ from repro.mc import (
     make_engine,
     run_portfolio,
 )
-from repro.runtime import Address, make_addresses
+from repro.mc.parallel.portfolio import (
+    PORTFOLIO_WALKS,
+    PORTFOLIO_WALL_CLOCK,
+    PortfolioEngine,
+)
+from repro.obs import MetricsRegistry, ObsContext
+from repro.runtime import Address, NetworkModel, Simulator, make_addresses
 from repro.systems import bulletprime, chord, paxos, randtree
 from repro.systems.bulletprime.protocol import DIFF_TIMER, REQUEST_TIMER
 
@@ -210,7 +215,7 @@ def test_make_engine_specs():
     assert isinstance(make_engine("parallel"), ParallelEngine)
     engine = make_engine("parallel:3")
     assert isinstance(engine, ParallelEngine) and engine.num_workers == 3
-    assert make_engine(engine) is engine
+    assert isinstance(make_engine("portfolio"), PortfolioEngine)
     with pytest.raises(ValueError):
         make_engine("quantum")
     with pytest.raises(ValueError):
@@ -220,15 +225,27 @@ def test_make_engine_specs():
 
 
 def test_controller_selects_engine_from_config():
-    scenario = randtree.Figure2Scenario.build()
-    config = CrystalBallConfig(engine="parallel:2")
-    controller = CrystalBallController(Address(9), scenario.protocol,
-                                       randtree.ALL_PROPERTIES, config)
-    assert isinstance(controller.engine, ParallelEngine)
-    assert controller.engine.num_workers == 2
-    default = CrystalBallController(Address(9), scenario.protocol,
-                                    randtree.ALL_PROPERTIES)
-    assert isinstance(default.engine, SerialEngine)
+    """The controller builds its engine at attach, handing it the run's
+    metrics registry."""
+    def attached(config):
+        addrs = make_addresses(2)
+        protocol = randtree.RandTree(randtree.RandTreeConfig(
+            bootstrap=(addrs[0],)))
+        registry = MetricsRegistry()
+        sim = Simulator(lambda: protocol, NetworkModel(), seed=1,
+                        obs=ObsContext(metrics=registry))
+        for addr in addrs:
+            sim.add_node(addr)
+        controllers = attach_crystalball(sim, randtree.ALL_PROPERTIES,
+                                         config=config)
+        return controllers[addrs[0]].engine, registry
+
+    engine, registry = attached(CrystalBallConfig(engine="parallel:2"))
+    assert isinstance(engine, ParallelEngine)
+    assert engine.num_workers == 2 and engine.metrics is registry
+    assert isinstance(attached(CrystalBallConfig())[0], SerialEngine)
+    assert isinstance(attached(CrystalBallConfig(engine="portfolio"))[0],
+                      PortfolioEngine)
 
 
 def test_portfolio_finds_the_figure2_violation():
@@ -254,6 +271,22 @@ def test_parallel_rejects_event_filter_outside_consequence():
         ParallelEngine(num_workers=2).run(
             system, start, properties, SearchBudget(max_states=10),
             kind=SearchKind.EXHAUSTIVE, event_filter=lambda event: None)
+
+
+def test_portfolio_engine_is_the_merged_portfolio():
+    """``engine="portfolio"`` is one ``run`` over the race the controller
+    used to start by hand: same violations, same states visited."""
+    system, start, properties, _ = _randtree_case()
+    budget = SearchBudget(max_states=400, max_depth=5)
+    merged = run_portfolio(system, start, properties, budget,
+                           wall_clock_seconds=PORTFOLIO_WALL_CLOCK,
+                           walks=PORTFOLIO_WALKS).merged_result(start)
+    engine = make_engine("portfolio").run(system, start, properties, budget,
+                                          kind=SearchKind.CONSEQUENCE)
+    assert merged.violations and engine.start_state is start
+    assert ([(v.violation, v.path) for v in engine.violations]
+            == [(v.violation, v.path) for v in merged.violations])
+    assert engine.stats.states_visited == merged.stats.states_visited
 
 
 def test_portfolio_reports_crashing_strategies():
