@@ -99,6 +99,7 @@ class ExecutionBackend(TypingProtocol):
     def run(self, *, until: Optional[float] = None,
             max_events: Optional[int] = None) -> None: ...
     def node_states(self) -> dict[Address, tuple[Any, frozenset[str]]]: ...
+    def inflight_messages(self) -> list[Message]: ...
     def total_service_bytes(self) -> int: ...
 
 

@@ -16,7 +16,7 @@ O(touched), not O(nodes):
   — get a fresh :class:`~repro.mc.global_state.NodeLocal`; a node joining
   or leaving rebuilds the view from ``node_states()`` so a revived node
   keeps its place.  A :class:`~repro.mc.global_state.GlobalState` over the
-  view is built once per call.
+  view and ``sim.inflight_messages()`` is built once per call.
 * **safety** properties.  Node-scoped ones (``scope == "node"``: the check
   at a node reads only that node's local state) are re-checked only at the
   touched alive nodes, walked in view order, and the monitor keeps the set
@@ -181,7 +181,8 @@ class LivePropertyMonitor:
             # Nothing to check: a property-free run costs O(1) per event.
             return
         recheck = self._update_view(sim)
-        state = GlobalState(nodes=self._view)
+        state = GlobalState(nodes=self._view,
+                            inflight=tuple(sim.inflight_messages()))
         now = sim.now
         active = self._active
         active_global: set[tuple[str, Optional[Address]]] = set()

@@ -67,7 +67,8 @@ class FullRecheck:
         live = sim.node_states()
         state = GlobalState.from_snapshot(
             {addr: s for addr, (s, _) in live.items()},
-            timers={addr: t for addr, (_, t) in live.items()})
+            timers={addr: t for addr, (_, t) in live.items()},
+            inflight=sim.inflight_messages())
         violations = check_all(self.properties, state)
         self.inconsistent_states += bool(violations)
         current = set()
@@ -377,17 +378,10 @@ def test_monitor_handles_mixed_state_types_in_global_state():
         "chord properties must not fire on RandTree state")
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the live monitor is blind to in-flight messages: `__call__` builds its "
-    "`GlobalState` without `inflight`, although `bullet.file_map_consistency` "
-    "and `kvstore.quorum_intersection` are defined modulo in-flight copies. "
-    "A default, fixed-protocol `Experiment(\"bulletprime\").seed(4).run()` "
-    "books 344 `inconsistent_states` in 37 episodes (0 with "
-    "`sim.inflight_messages()` passed), the goldens pin 231 such states for "
-    "`mesh-partition` and `slow-links`, and `download` books 339 at seed 1. "
-    "The one-line fix moves the `state_digest` of every pinned episode, so "
-    "it is the next correctness PR (ROADMAP correctness item 7)"))
 def test_a_fixed_protocol_raises_no_false_alarm_over_inflight_messages():
+    """``bullet.file_map_consistency`` and ``kvstore.quorum_intersection``
+    are defined modulo in-flight copies, so the monitor must see them: a
+    monitor blind to them booked 344 inconsistent states here."""
     report = Experiment("bulletprime").seed(4).run()
     assert report.live_inconsistent_states() == 0
 
