@@ -17,22 +17,22 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.api import Experiment
-from repro.campaign import render_campaign_report
+from repro.campaign import CampaignSpec, render_campaign_report, run_campaign
 
 
 def main() -> int:
-    report = (Experiment("randtree")
-              .nodes(5)
-              .duration(120)
-              .network(rst_loss=0.6)
-              .churn(False)
-              .options(bootstrap_index=1, max_children=2,
-                       fix_recovery_timer=True)
-              .sweep(seeds=range(3),
-                     faults=["partition", "partition-churn"],
-                     modes=["off", "steering"],
-                     jobs=2))
+    spec = CampaignSpec(
+        systems=["randtree"],
+        seeds=range(3),
+        fault_presets=["partition", "partition-churn"],
+        modes=["off", "steering"],
+        nodes=5,
+        duration=120.0,
+        network={"rst_loss": 0.6},
+        options={"bootstrap_index": 1, "max_children": 2,
+                 "fix_recovery_timer": True},
+    )
+    report = run_campaign(spec, jobs=2)
 
     print(render_campaign_report(report))
     print()

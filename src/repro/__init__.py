@@ -40,8 +40,8 @@ Package layout
     Declarative sweeps over system × scenario × faults × seeds × modes,
     executed across a worker pool with a resumable JSONL result store.
 ``repro.obs``
-    Observability: structured JSONL tracing, the metrics registry, stdlib
-    logging wiring and trace analysis/export tooling.
+    Observability: structured JSONL tracing, the metrics registry, the
+    campaign progress logger and trace analysis/export tooling.
 """
 
 from . import (

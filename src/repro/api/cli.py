@@ -18,7 +18,7 @@ import sys
 from typing import Any, Optional, Sequence
 
 from ..analysis.reporting import format_table, render_run_report
-from ..obs import configure_logging, progress_logger
+from ..obs import progress_logger
 from .experiment import Experiment, parse_mode
 from .registry import list_systems
 
@@ -70,33 +70,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Run CrystalBall experiments over the registered systems.")
-    # Shared by every subcommand through parents=[...]: a -v defined on the
-    # root parser alone would be reset by the subparser's own defaults.
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-v", "--verbose", action="count", default=0,
-                        help="log more (-v: info, -vv: debug)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    list_cmd = sub.add_parser("list", parents=[common],
+    list_cmd = sub.add_parser("list",
                               help="list registered systems and scenarios")
     list_cmd.add_argument("--json", action="store_true", dest="as_json",
                           help="machine-readable output")
 
-    faults_cmd = sub.add_parser("faults", parents=[common],
+    faults_cmd = sub.add_parser("faults",
                                 help="list fault-injection presets")
     faults_cmd.add_argument("--json", action="store_true", dest="as_json",
                             help="machine-readable output")
 
     props_cmd = sub.add_parser(
-        "properties", parents=[common],
-        help="list the registered safety/liveness properties")
+        "properties", help="list the registered safety/liveness properties")
     props_cmd.add_argument("pattern", nargs="?", default=None,
                            help="glob filter over property ids "
                                 "(e.g. 'randtree.*', '*.agreement')")
     props_cmd.add_argument("--json", action="store_true", dest="as_json",
                            help="machine-readable output")
 
-    run = sub.add_parser("run", parents=[common],
+    run = sub.add_parser("run",
                          help="run one system or scripted scenario")
     run.add_argument("system", help="registered system name (see `list`)")
     run.add_argument("--scenario", default=None,
@@ -176,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     _shared_flag(run, "--json", help="print the full RunReport as JSON")
 
     attack = sub.add_parser(
-        "attack", parents=[common],
+        "attack",
         help="hunt for a minimal byzantine counterexample to a named "
              "property and emit an attack-report artifact")
     attack.add_argument("system", help="registered system name (see `list`)")
@@ -210,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
                  help="print the AttackReport as JSON on stdout")
 
     trace = sub.add_parser(
-        "trace", parents=[common],
-        help="inspect a JSONL trace written by `run --trace`")
+        "trace", help="inspect a JSONL trace written by `run --trace`")
     trace.add_argument("file", help="trace file (JSONL, schema v1)")
     trace.add_argument("--summary", action="store_true",
                        help="per-kind/per-node summary (default when no "
@@ -241,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     from ..campaign.spec import AXES, axes_help
 
     campaign = sub.add_parser(
-        "campaign", parents=[common],
+        "campaign",
         help=f"sweep {' × '.join(axis.field for axis in AXES)} across a "
              f"worker pool".replace("_", " "))
     campaign.add_argument(
@@ -690,7 +683,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    configure_logging(getattr(args, "verbose", 0))
     if args.command == "list":
         return _cmd_list(args.as_json)
     if args.command == "faults":

@@ -25,10 +25,9 @@ before that one path is taken; a *search* scenario goes to
 from __future__ import annotations
 
 import copy
-import dataclasses
 import time
 import warnings
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from ..backends import backend_names, make_backend
 from ..core.consequence import consequence_prediction
@@ -131,10 +130,6 @@ class Experiment:
         self._mode = Mode.OFF
         self._cb_kwargs: dict[str, Any] = {}
         self._network: Optional[NetworkModel] = None
-        #: simple network kwargs (rtt/loss/jitter/rst_loss) when network()
-        #: was configured from scalars — what a sweep can carry to workers;
-        #: None means an explicit NetworkModel instance was supplied.
-        self._network_params: Optional[dict[str, float]] = {}
         self._churn_interval = self._spec.default_churn_interval
         self._scenario: Optional[str] = None
         self._options: dict[str, Any] = {}
@@ -145,17 +140,13 @@ class Experiment:
         self._property_exclude: list[str] = []
         self._max_events = 500_000
         self._workload: Optional[WorkloadSpec] = None
-        #: registered name behind _workload (None for an inline spec) and
-        #: the traffic overrides applied — what a sweep can carry.
-        self._workload_name: Optional[str] = None
-        self._workload_overrides: dict[str, Any] = {}
         self._trace: Optional[Union[str, Tracer]] = None
         self._metrics = False
         self._backend = "sim"
         self._backend_options: dict[str, Any] = {}
         #: builder knobs the caller set explicitly: they win over a
-        #: scenario's presets, and a search and a sweep warn about the ones
-        #: they cannot honor.
+        #: scenario's presets, and a search warns about the ones it cannot
+        #: honor.
         self._explicit: set[str] = set()
 
     @property
@@ -204,13 +195,7 @@ class Experiment:
         self._explicit.add("network")
         if model is not None:
             self._network = model
-            self._network_params = None
             return self
-        self._network_params = {
-            key: value
-            for key, value in (("rtt", rtt), ("loss", loss),
-                               ("jitter", jitter), ("rst_loss", rst_loss))
-            if value is not None}
         kwargs: dict[str, Any] = {}
         if rtt is not None:
             kwargs["default_rtt"] = rtt
@@ -244,32 +229,22 @@ class Experiment:
         return self
 
     def faults(self, *faults: Union[str, Fault],
-               partition_every: Optional[float] = None,
-               heal_after: Optional[float] = None,
                seed: Optional[int] = None,
                start_after: Optional[float] = None) -> "Experiment":
         """Inject faults during the run (see :mod:`repro.faults`).
 
         Positional arguments are preset names (``"partition"``,
         ``"chaos"``, ...) and/or explicit :class:`~repro.faults.Fault`
-        instances.  ``partition_every``/``heal_after`` are a shorthand for
-        the most common adversary::
+        instances::
 
-            Experiment("paxos").faults(partition_every=120, heal_after=20)
+            Experiment("paxos").faults(Partition(every=120, duration=20))
 
         ``seed`` fixes the nemesis seed independently of the run seed;
         ``start_after`` delays the first injection.
         """
-        from ..faults.types import Partition
-
-        if faults or partition_every is not None:
+        if faults:
             self._explicit.add("faults")
         self._faults.extend(faults)
-        if partition_every is not None:
-            self._faults.append(
-                Partition(every=partition_every, duration=heal_after))
-        elif heal_after is not None:
-            raise ValueError("heal_after needs partition_every")
         if seed is not None:
             self._fault_seed = int(seed)
         if start_after is not None:
@@ -303,8 +278,7 @@ class Experiment:
                                 ("batched_control_plane",
                                  batched_control_plane))
             if value is not None}
-        # The budget is not recorded: a search scenario honours it, and a
-        # sweep warns about it under its own name.
+        # The budget is not recorded: a search scenario honours it.
         self._explicit.update(self._cb_kwargs.keys() - {"search_budget"})
         return self
 
@@ -336,16 +310,10 @@ class Experiment:
         """
         if workload is None:
             self._workload = None
-            self._workload_name = None
-            self._workload_overrides = {}
             self._explicit.discard("workload")
             return self
-        if isinstance(workload, str):
-            spec = self._spec.workload(workload)
-            self._workload_name = workload
-        else:
-            spec = workload
-            self._workload_name = None
+        spec = (self._spec.workload(workload) if isinstance(workload, str)
+                else workload)
         overrides = {
             key: value
             for key, value in (("rate", rate), ("burst", burst),
@@ -353,7 +321,6 @@ class Experiment:
                                ("key_distribution", distribution),
                                ("start", start), ("duration", duration))
             if value is not None}
-        self._workload_overrides = overrides
         self._workload = spec.with_traffic(**overrides) if overrides else spec
         self._explicit.add("workload")
         return self
@@ -697,159 +664,6 @@ class Experiment:
                 name: count(report) for name, count in OWNED_COUNTERS.items()})
         report.wall_clock_seconds = time.perf_counter() - started
         return report
-
-    def sweep(self, *,
-              seeds: Optional[Sequence[int]] = None,
-              faults: Optional[Sequence[Union[str, Sequence[str], None]]] = None,
-              modes: Optional[Sequence[str]] = None,
-              scenarios: Optional[Sequence[Optional[str]]] = None,
-              properties: Optional[
-                  Sequence[Union[str, Sequence[str], None]]] = None,
-              workloads: Optional[Sequence[Optional[str]]] = None,
-              backends: Optional[Sequence[str]] = None,
-              jobs: Optional[int] = None,
-              out: Optional[Any] = None,
-              resume: bool = False,
-              progress: Optional[Callable[[dict], None]] = None):
-        """Run a campaign sweeping axes over this experiment's base settings.
-
-        Every axis defaults to the single value the builder holds (its
-        seed, its fault presets, its mode, live run), so each added axis
-        multiplies the matrix::
-
-            report = (Experiment("randtree")
-                      .duration(120)
-                      .sweep(seeds=range(8),
-                             faults=["partition", "chaos"],
-                             modes=["off", "steering"],
-                             jobs=4))
-            print(report.totals["violations_avoided"])
-
-        Cells execute across a ``multiprocessing`` pool (``jobs=None``
-        sizes it from ``os.cpu_count()``); ``out`` streams every finished
-        run into a JSONL result store and ``resume=True`` skips cells that
-        store already holds.  Returns a
-        :class:`~repro.campaign.CampaignReport`.
-
-        Cells are rebuilt from plain data inside the workers, so only the
-        serializable builder surface carries over: deployment settings,
-        churn, simple ``network(...)`` scalars, options, and fault *preset
-        names*.  Explicit :class:`NetworkModel` / ``Fault`` instances
-        raise, and other uncarried explicit settings (engine, budget, ...)
-        warn instead of silently changing the measurement.  Workers
-        collect metrics in every live cell, live scenarios included; a
-        search scenario cell has none.  Any scenario cell keeps its churn
-        default (off) unless churn was set explicitly.
-        """
-        from ..campaign import CampaignSpec, run_campaign
-        from ..campaign.spec import AXES, RunSpec, scenario_kind
-
-        def named(values: Optional[Sequence[Any]]) -> tuple[str, ...]:
-            return tuple(value for value in values or ()
-                         if isinstance(value, str))
-
-        given = {"scenarios": scenarios, "fault_presets": faults,
-                 "seeds": seeds, "modes": modes, "properties": properties,
-                 "workloads": workloads, "backends": backends}
-        # What the builder holds, per cell field: the single value every
-        # axis that is not swept defaults to.
-        held = {"system": self._spec.name, "scenario": self._scenario,
-                "faults": named(self._faults) or None, "seed": self._seed,
-                "mode": self._mode.value,
-                "properties": (named(self._property_selectors)
-                               if self._property_selectors is not None
-                               else None),
-                "workload": self._workload_name, "backend": self._backend}
-        # Instances cannot cross into worker processes: without the axis
-        # they are the measurement (refuse); with it they are replaced.
-        for axis_field, instances, what, remedy, dropped in (
-                ("fault_presets", len(self._faults) - len(held["faults"] or ()),
-                 "explicit Fault instances (the partition_every shorthand "
-                 "included)",
-                 "name fault presets instead, e.g. faults=['partition'] or "
-                 ".faults('partition')",
-                 "the faults= axis replaces the builder's fault list; its "
-                 "explicit Fault instances are dropped from the sweep"),
-                ("properties",
-                 len(self._property_selectors or ())
-                 - len(held["properties"] or ()),
-                 "Property instances",
-                 "select properties by id pattern instead, e.g. "
-                 ".properties('randtree.*')",
-                 "the properties= axis replaces the builder's property "
-                 "selection; its Property instances are dropped from the "
-                 "sweep"),
-                ("workloads",
-                 self._workload is not None and self._workload_name is None,
-                 "an inline WorkloadSpec instance",
-                 "register the workload on the system and select it by "
-                 "name: .workload('lookups')",
-                 "the workloads= axis replaces the builder's inline "
-                 "WorkloadSpec; it is dropped from the sweep")):
-            if instances and given[axis_field] is None:
-                raise ValueError(f"sweep() cannot carry {what} into worker "
-                                 f"processes; {remedy}")
-            if instances:
-                warnings.warn(dropped, UserWarning, stacklevel=2)
-        if self._network_params is None:
-            raise ValueError(
-                "sweep() cannot carry an explicit NetworkModel instance "
-                "into worker processes; configure the network from scalars "
-                "instead: network(rtt=..., loss=..., jitter=..., "
-                "rst_loss=...)")
-        if self._backend_options:
-            warnings.warn(
-                "sweep() rebuilds each cell from plain data and drops the "
-                "builder's backend options; cells run the backend with its "
-                "defaults", UserWarning, stacklevel=2)
-        axes = {axis.field: (list(given[axis.field])
-                             if given.get(axis.field) is not None
-                             else [held[axis.cell]])
-                for axis in AXES}
-        (axis,) = (axis for axis in AXES if axis.cell == "scenario")
-        scenarios = [axis.normalize(name) for name in axes["scenarios"]]
-        # Whatever a RunSpec has no field for cannot reach the workers.
-        # "metrics" carries implicitly into live cells, live scenarios
-        # included: workers always collect them there.
-        carried = {spec_field.name
-                   for spec_field in dataclasses.fields(RunSpec)}
-        if any(scenario_kind(self._spec.name, name) == "live"
-               for name in scenarios):
-            carried.add("metrics")
-        uncarried = self._explicit - carried
-        if "search_budget" in self._cb_kwargs:
-            uncarried = uncarried | {"crystalball budget"}
-        if uncarried:
-            warnings.warn(
-                f"sweep() rebuilds each cell from plain data and ignores "
-                f"these builder settings: {sorted(uncarried)}",
-                UserWarning, stacklevel=2)
-        # A scenario cell keeps its preset's churn default (off) as .run()
-        # does: a worker cannot tell the system's default from a request.
-        churn = self._churn_interval is not None
-        if churn and "churn" not in self._explicit and any(scenarios):
-            churn = False
-            if not all(scenarios):
-                warnings.warn(
-                    "sweep() mixes live and scenario cells: the system's "
-                    "default churn stays off in every cell; set .churn(...) "
-                    "explicitly to churn them all", UserWarning, stacklevel=2)
-        spec = CampaignSpec(
-            **axes,
-            properties_exclude=tuple(self._property_exclude),
-            workload_overrides=dict(self._workload_overrides),
-            nodes=self._nodes if "nodes" in self._explicit else None,
-            duration=(self._duration if "duration" in self._explicit
-                      else None),
-            churn=churn,
-            churn_interval=self._churn_interval,
-            network=dict(self._network_params),
-            options=dict(self._options),
-            fault_seed=self._fault_seed,
-            fault_start_after=self._fault_start_after,
-        )
-        return run_campaign(spec, jobs=jobs, out=out, resume=resume,
-                            progress=progress)
 
     def addresses(self) -> list[Address]:
         return make_addresses(self._nodes, start=1)

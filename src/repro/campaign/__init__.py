@@ -4,7 +4,7 @@ The campaign subsystem is the batch layer over the unified experiment API:
 
 * :class:`CampaignSpec` expands axes into a matrix of :class:`RunSpec`
   cells, validated against the system/scenario/fault-preset registries;
-* :class:`CampaignRunner` executes the matrix across a ``multiprocessing``
+* :func:`run_campaign` executes the matrix across a ``multiprocessing``
   worker pool (serial fallback for single-CPU environments), streaming
   every finished run into a JSONL :class:`ResultStore` so interrupted
   campaigns resume from partial results;
@@ -12,8 +12,9 @@ The campaign subsystem is the batch layer over the unified experiment API:
   :func:`render_campaign_report` renders them as a terminal table or
   GitHub-flavored markdown.
 
-Entry points: ``Experiment(...).sweep(...)`` and ``python -m repro
-campaign`` — the nightly fault matrix is one campaign invocation.
+Entry points: ``run_campaign(CampaignSpec(...))`` from Python and
+``python -m repro campaign`` (which builds the same spec from ``--axes``)
+— the nightly fault matrix is one campaign invocation.
 """
 
 from .report import (
@@ -22,7 +23,6 @@ from .report import (
     render_campaign_report,
 )
 from .runner import (
-    CampaignRunner,
     execute_run,
     run_campaign,
     run_one,
@@ -32,13 +32,11 @@ from .spec import (
     CampaignSpec,
     RunSpec,
     parse_axes,
-    parse_seed_values,
 )
 from .store import ResultStore, make_record
 
 __all__ = [
     "CampaignReport",
-    "CampaignRunner",
     "CampaignSpec",
     "ResultStore",
     "RunSpec",
@@ -46,7 +44,6 @@ __all__ = [
     "execute_run",
     "make_record",
     "parse_axes",
-    "parse_seed_values",
     "render_campaign_report",
     "run_campaign",
     "run_one",

@@ -73,8 +73,8 @@ def run_one(run: RunSpec) -> RunReport:
             axis.apply(experiment, run)
     # Deployment settings go through the builder for scenario cells too: a
     # live scenario is a preset folded under them, and a search scenario
-    # warns about what it cannot honor, so a sweep never silently measures
-    # something else than .run() would.
+    # warns about what it cannot honor, so a cell never silently measures
+    # something else than the same builder's .run() would.
     if run.nodes is not None:
         experiment.nodes(run.nodes)
     if run.duration is not None:
@@ -178,93 +178,6 @@ def execute_run(run_dict: dict[str, Any]) -> dict[str, Any]:
     )
 
 
-class CampaignRunner:
-    """Execute a :class:`CampaignSpec` and aggregate the results.
-
-    ``jobs=None`` sizes the pool from ``os.cpu_count()``; ``jobs<=1`` (or a
-    single pending run) executes serially in-process.  ``out`` names the
-    JSONL result store; without it, results stay in memory only and
-    ``resume`` has nothing to resume from.
-    """
-
-    def __init__(
-        self,
-        spec: CampaignSpec,
-        *,
-        jobs: Optional[int] = None,
-        out: Optional[Union[str, os.PathLike]] = None,
-        progress: Optional[ProgressHook] = None,
-    ) -> None:
-        self.spec = spec
-        self.jobs = jobs
-        self.store = ResultStore(out) if out is not None else None
-        self.progress = progress
-
-    def run(self, *, resume: bool = False) -> CampaignReport:
-        started = time.perf_counter()
-        runs = self.spec.expand()
-
-        completed: dict[str, dict[str, Any]] = {}
-        if resume:
-            if self.store is None:
-                raise ValueError("resume needs a result store (out=...)")
-            # A record only counts as done when its *entire* run dict
-            # matches the current cell — same run_id with a different
-            # duration/nodes/network/options must re-execute, not sneak
-            # stale numbers into the aggregate.  Stored dicts are
-            # normalized through RunSpec so records written before a new
-            # RunSpec field existed still match when the new field holds
-            # its default (from_dict fills defaults for absent keys).
-            wanted = {run.run_id: run.to_dict() for run in runs}
-
-            def normalized(run_dict: Any) -> Optional[dict[str, Any]]:
-                try:
-                    return RunSpec.from_dict(run_dict).to_dict()
-                except Exception:
-                    return None  # torn/foreign record: not resumable
-
-            completed = {
-                run_id: record
-                for run_id, record in self.store.completed().items()
-                if run_id in wanted
-                and normalized(record.get("run")) == wanted[run_id]
-            }
-
-        pending = [run for run in runs if run.run_id not in completed]
-        records = list(completed.values())
-
-        jobs = self.jobs if self.jobs is not None else os.cpu_count() or 1
-        jobs = max(1, min(jobs, len(pending) or 1))
-
-        def collect(record: dict[str, Any]) -> None:
-            if self.store is not None:
-                self.store.append(record)
-            if self.progress is not None:
-                self.progress(record)
-            records.append(record)
-
-        if jobs == 1:
-            for run in pending:
-                collect(execute_run(run.to_dict()))
-        elif pending:
-            with multiprocessing.Pool(processes=jobs) as pool:
-                results = pool.imap_unordered(
-                    execute_run,
-                    [run.to_dict() for run in pending],
-                )
-                for record in results:
-                    collect(record)
-
-        return build_campaign_report(
-            self.spec,
-            runs,
-            records,
-            jobs=jobs,
-            resumed=len(completed),
-            wall_clock_seconds=time.perf_counter() - started,
-        )
-
-
 def run_campaign(
     spec: CampaignSpec,
     *,
@@ -273,6 +186,73 @@ def run_campaign(
     resume: bool = False,
     progress: Optional[ProgressHook] = None,
 ) -> CampaignReport:
-    """One-call convenience over :class:`CampaignRunner`."""
-    runner = CampaignRunner(spec, jobs=jobs, out=out, progress=progress)
-    return runner.run(resume=resume)
+    """Execute a :class:`CampaignSpec` and aggregate the results.
+
+    ``jobs=None`` sizes the pool from ``os.cpu_count()``; ``jobs<=1`` (or a
+    single pending run) executes serially in-process.  ``out`` names the
+    JSONL result store (without it, results stay in memory only), and
+    ``resume=True`` skips the cells that store already holds.
+    """
+    store = ResultStore(out) if out is not None else None
+    started = time.perf_counter()
+    runs = spec.expand()
+
+    completed: dict[str, dict[str, Any]] = {}
+    if resume:
+        if store is None:
+            raise ValueError("resume needs a result store (out=...)")
+        # A record only counts as done when its *entire* run dict
+        # matches the current cell — same run_id with a different
+        # duration/nodes/network/options must re-execute, not sneak
+        # stale numbers into the aggregate.  Stored dicts are
+        # normalized through RunSpec so records written before a new
+        # RunSpec field existed still match when the new field holds
+        # its default (from_dict fills defaults for absent keys).
+        wanted = {run.run_id: run.to_dict() for run in runs}
+
+        def normalized(run_dict: Any) -> Optional[dict[str, Any]]:
+            try:
+                return RunSpec.from_dict(run_dict).to_dict()
+            except Exception:
+                return None  # torn/foreign record: not resumable
+
+        completed = {
+            run_id: record
+            for run_id, record in store.completed().items()
+            if run_id in wanted
+            and normalized(record.get("run")) == wanted[run_id]
+        }
+
+    pending = [run for run in runs if run.run_id not in completed]
+    records = list(completed.values())
+
+    jobs = jobs if jobs is not None else os.cpu_count() or 1
+    jobs = max(1, min(jobs, len(pending) or 1))
+
+    def collect(record: dict[str, Any]) -> None:
+        if store is not None:
+            store.append(record)
+        if progress is not None:
+            progress(record)
+        records.append(record)
+
+    if jobs == 1:
+        for run in pending:
+            collect(execute_run(run.to_dict()))
+    elif pending:
+        with multiprocessing.Pool(processes=jobs) as pool:
+            results = pool.imap_unordered(
+                execute_run,
+                [run.to_dict() for run in pending],
+            )
+            for record in results:
+                collect(record)
+
+    return build_campaign_report(
+        spec,
+        runs,
+        records,
+        jobs=jobs,
+        resumed=len(completed),
+        wall_clock_seconds=time.perf_counter() - started,
+    )

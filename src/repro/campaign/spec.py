@@ -7,8 +7,10 @@ churn, options).  Everything that is particular to one axis is declared
 once, in its row of :data:`AXES`: how raw values are normalized, how a cell
 value is labelled in run ids and rollups, which registry validates it, and
 whether it is restricted to live cells.  :meth:`CampaignSpec.expand`,
-:func:`parse_axes`, the campaign report's rollups, the runner and
-``Experiment.sweep`` are loops over that table.
+:func:`parse_axes` (the ``--axes`` parser of ``python -m repro
+campaign``), the campaign report's rollups and the runner are loops over
+that table.  A Python caller builds the spec directly and hands it to
+:func:`~repro.campaign.runner.run_campaign`.
 
 :meth:`CampaignSpec.expand` validates every axis value and produces the
 full cross product as a list of :class:`RunSpec` cells, each with a stable
@@ -527,15 +529,6 @@ def _reject_unknown(what: str, given: Mapping[str, Any],
     if unknown:
         raise ValueError(f"unknown {what} {sorted(unknown)} "
                          f"(accepted: {sorted(accepted)})")
-
-
-def parse_seed_values(raw: str) -> list[int]:
-    """Parse a seeds-axis string: ``"3"``, ``"1,5,9"``, ``"0-7"`` or a mix."""
-    seeds = [seed for chunk in raw.split(",") if chunk.strip()
-             for seed in _seed_chunk(chunk)]
-    if not seeds:
-        raise ValueError(f"no seeds in {raw!r}")
-    return seeds
 
 
 def parse_axes(pairs: Mapping[str, str]) -> dict[str, Any]:

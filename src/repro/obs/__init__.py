@@ -23,7 +23,7 @@ costs only attribute checks.
 """
 
 from .context import ObsContext
-from .log import configure_logging, get_logger, progress_logger
+from .log import progress_logger
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .tracer import (
     RECORD_KINDS,
@@ -46,8 +46,6 @@ from .export import chrome_trace, write_chrome_trace
 
 __all__ = [
     "ObsContext",
-    "configure_logging",
-    "get_logger",
     "progress_logger",
     "Counter",
     "Gauge",

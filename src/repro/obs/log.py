@@ -1,16 +1,9 @@
-"""Stdlib logging for the repro package.
+"""The campaign progress logger.
 
-Every module gets its logger via ``get_logger(__name__)`` — a plain
-``logging.getLogger`` call, centralised here so the whole tree hangs under
-the ``repro`` logger and a single :func:`configure_logging` call (wired to
-the CLI's ``-v/--verbose`` flag) controls it.
-
-Verbosity mapping: ``0`` → WARNING (default, quiet), ``1`` → INFO,
-``2+`` → DEBUG.  Campaign progress output is special-cased: it goes to the
-dedicated ``repro.campaign.progress`` logger, which stays at INFO with a
-bare message format and does not propagate — so progress lines keep
-appearing by default without ``-v``, exactly as the old raw stderr writes
-did.
+Campaign progress lines go to the dedicated ``repro.campaign.progress``
+stdlib logger, which stays at INFO with a bare message format and does not
+propagate — so progress lines appear by default, and a caller can still
+silence or redirect them through :mod:`logging`.
 """
 
 from __future__ import annotations
@@ -18,66 +11,27 @@ from __future__ import annotations
 import logging
 import sys
 
-#: Attribute stamped on handlers we install, so repeated configuration
-#: (tests, repeated CLI invocations in one process) never duplicates them.
+#: Attribute stamped on the handler we install, so repeated calls (tests,
+#: repeated CLI invocations in one process) never duplicate it.
 _HANDLER_MARKER = "_repro_obs_handler"
 
 #: Logger carrying campaign progress lines; always INFO, never propagates.
 PROGRESS_LOGGER_NAME = "repro.campaign.progress"
 
 
-def get_logger(name: str) -> logging.Logger:
-    """Return the stdlib logger for ``name`` (conventionally ``__name__``)."""
-    return logging.getLogger(name)
-
-
-def _install_handler(
-    logger: logging.Logger, formatter: logging.Formatter
-) -> None:
-    for handler in logger.handlers:
-        if getattr(handler, _HANDLER_MARKER, False):
-            return
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(formatter)
-    setattr(handler, _HANDLER_MARKER, True)
-    logger.addHandler(handler)
-
-
-def configure_logging(verbosity: int = 0) -> None:
-    """Configure the ``repro`` logger tree for a CLI/script invocation.
-
-    ``verbosity`` is the count of ``-v`` flags: 0 → WARNING, 1 → INFO,
-    2 or more → DEBUG.  Safe to call repeatedly; handlers are installed
-    once and only the levels change.
-    """
-    if verbosity <= 0:
-        level = logging.WARNING
-    elif verbosity == 1:
-        level = logging.INFO
-    else:
-        level = logging.DEBUG
-
-    root = logging.getLogger("repro")
-    root.setLevel(level)
-    _install_handler(
-        root,
-        logging.Formatter("%(levelname)s %(name)s: %(message)s"),
-    )
-
-    progress = logging.getLogger(PROGRESS_LOGGER_NAME)
-    progress.setLevel(logging.INFO)
-    progress.propagate = False
-    _install_handler(progress, logging.Formatter("%(message)s"))
-
-
 def progress_logger() -> logging.Logger:
     """The always-on, bare-format logger for campaign progress lines.
 
-    Self-configuring: callers that never ran :func:`configure_logging`
-    (scripts driving ``run_campaign`` directly) still get progress lines.
+    Self-configuring: the first call installs one stderr handler, and
+    later calls reuse it.
     """
     progress = logging.getLogger(PROGRESS_LOGGER_NAME)
     progress.setLevel(logging.INFO)
     progress.propagate = False
-    _install_handler(progress, logging.Formatter("%(message)s"))
+    if not any(getattr(handler, _HANDLER_MARKER, False)
+               for handler in progress.handlers):
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(message)s"))
+        setattr(handler, _HANDLER_MARKER, True)
+        progress.addHandler(handler)
     return progress

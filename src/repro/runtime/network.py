@@ -64,18 +64,15 @@ class NetworkModel:
 
     Parameters
     ----------
-    latency_fn:
-        Optional callable ``(src, dst, rng) -> one-way latency in seconds``.
-        When omitted, latencies are drawn uniformly around ``default_rtt``.
     loss_fn:
         Optional callable ``(src, dst, rng) -> loss probability`` for UDP
         messages (TCP is modelled as reliable while the connection is up).
     default_rtt:
-        Mean round-trip time used by the default latency model; the paper's
-        INET topology averages 130 ms.
+        Mean round-trip time; one-way latencies are drawn uniformly around
+        its half, within ``jitter``.  The paper's INET topology averages
+        130 ms.
     """
 
-    latency_fn: Optional[Callable[[Address, Address, random.Random], float]] = None
     loss_fn: Optional[Callable[[Address, Address, random.Random], float]] = None
     default_rtt: float = 0.130
     jitter: float = 0.2
@@ -94,8 +91,6 @@ class NetworkModel:
         """One-way latency from ``src`` to ``dst``."""
         if src == dst:
             return 1e-4
-        if self.latency_fn is not None:
-            return max(1e-4, self.latency_fn(src, dst, rng))
         base = self.default_rtt / 2.0
         return max(1e-4, base * (1.0 + rng.uniform(-self.jitter, self.jitter)))
 

@@ -33,6 +33,12 @@ RequestFactory = Callable[
 #: Key-popularity models an open-loop generator can draw from.
 KEY_DISTRIBUTIONS = ("uniform", "zipf", "hotspot", "sequential")
 
+#: Skew exponent of the ``zipf`` distribution.
+ZIPF_S = 1.1
+
+#: Fraction of the key space receiving 90% of ``hotspot`` traffic.
+HOTSPOT_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class TrafficSpec:
@@ -48,13 +54,9 @@ class TrafficSpec:
         (one heap entry per burst, not per request) for coarser pacing.
     key_distribution:
         ``uniform`` | ``zipf`` | ``hotspot`` | ``sequential`` popularity
-        over the key space.
+        over the key space (see :data:`ZIPF_S`, :data:`HOTSPOT_FRACTION`).
     keys:
         Size of the key space.
-    zipf_s:
-        Skew exponent of the ``zipf`` distribution.
-    hotspot_fraction:
-        Fraction of the key space receiving 90% of ``hotspot`` traffic.
     start:
         Offset in simulated seconds before the stream opens (lets the
         overlay finish joining first).
@@ -67,8 +69,6 @@ class TrafficSpec:
     burst: int = 10
     key_distribution: str = "uniform"
     keys: int = 1024
-    zipf_s: float = 1.1
-    hotspot_fraction: float = 0.1
     start: float = 0.0
     duration: Optional[float] = None
 
@@ -119,7 +119,7 @@ class KeySampler:
         self._index = 0
         self._zipf_cdf: Optional[list[float]] = None
         if traffic.key_distribution == "zipf":
-            weights = [1.0 / (rank + 1) ** traffic.zipf_s
+            weights = [1.0 / (rank + 1) ** ZIPF_S
                        for rank in range(traffic.keys)]
             total = sum(weights)
             cumulative, running = [], 0.0
@@ -143,7 +143,7 @@ class KeySampler:
             return min(bisect.bisect_left(self._zipf_cdf, draw),
                        traffic.keys - 1)
         # hotspot: 90% of requests hit the hot prefix of the key space.
-        hot = max(1, int(traffic.keys * traffic.hotspot_fraction))
+        hot = max(1, int(traffic.keys * HOTSPOT_FRACTION))
         if draw < 0.9:
             return int(draw / 0.9 * hot) % traffic.keys
         return (hot + int((draw - 0.9) / 0.1 * max(1, traffic.keys - hot))) \

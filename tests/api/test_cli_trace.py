@@ -101,8 +101,3 @@ def test_trace_why_steering_finds_the_chain(tmp_path, capsys):
     assert "mc_run" in kinds
     times = [record["t"] for record in chain]
     assert times == sorted(times)  # chronological
-
-
-def test_verbose_flag_is_accepted_by_subcommands(capsys):
-    assert main(["list", "-v"]) == 0
-    capsys.readouterr()

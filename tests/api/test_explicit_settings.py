@@ -2,12 +2,13 @@
 
 ``Experiment`` records what the caller set in ``_explicit``.  A live
 scenario is a preset folded under those settings, so it honours all of
-them; an offline search and a sweep each honour only part of the builder
-and derive the "ignored" warning from what they *do* carry, so a builder
-knob added later is warned about by construction.  This test walks every
-name the builder can record and checks exactly that — and fails when a new
-name has no example here.  A CrystalBall setting, in turn, exists only while
-something outside ``tests/`` moves it off its default.
+them; an offline search honours only the budget and warns about every
+other recorded name, so a builder knob added later is warned about by
+construction.  This test walks every name the builder can record and
+checks exactly that — and fails when a new name has no example here.  (A
+campaign has no builder to drop settings from: a ``CampaignSpec`` field is
+the only way to set a cell's value.)  A CrystalBall setting, in turn,
+exists only while something outside ``tests/`` moves it off its default.
 """
 
 import ast
@@ -20,10 +21,8 @@ from pathlib import Path
 
 import pytest
 
-import repro.campaign
 from repro.api import Experiment, get_system
 from repro.api.cli import _configure_run, build_parser
-from repro.campaign import RunSpec
 from repro.core.controller import CheckingPolicy, CrystalBallConfig
 from repro.mc.search import SearchBudget
 from repro.mc.transition import TransitionConfig
@@ -66,26 +65,6 @@ def test_every_recordable_setting_has_an_example():
 
 def _warned(record) -> str:
     return " ".join(str(warning.message) for warning in record)
-
-
-@pytest.mark.parametrize("name", sorted(EXAMPLES))
-def test_a_sweep_carries_the_setting_or_warns_about_it(name, monkeypatch):
-    monkeypatch.setattr(repro.campaign, "run_campaign",
-                        lambda spec, **_: spec.expand())
-    experiment = Experiment("randtree")
-    EXAMPLES[name](experiment)
-    assert name in experiment._explicit
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        (cell,) = experiment.sweep()
-    carried = {f.name for f in dataclasses.fields(RunSpec)} | {"metrics"}
-    if name in carried:
-        assert f"'{name}'" not in _warned(record)
-        if name != "metrics":
-            assert getattr(cell, name) != getattr(
-                RunSpec(system="randtree"), name), "carried into the cell"
-    else:
-        assert f"'{name}'" in _warned(record)
 
 
 def _controller_setting(field, expected):

@@ -23,18 +23,13 @@ def test_builder_faults_with_preset_names():
     assert report.to_dict()["faults"]["faults_injected"] == report.faults_injected()
 
 
-def test_builder_partition_shorthand():
+def test_builder_periodic_partition_heals():
     report = (Experiment("paxos").nodes(3).duration(60).churn(False)
-              .faults(partition_every=15.0, heal_after=5.0).seed(1).run())
+              .faults(Partition(every=15.0, duration=5.0)).seed(1).run())
     assert report.faults_injected() > 0
     assert set(report.fault_breakdown()) == {"partition"}
     healed = report.fault_breakdown()["partition"]["healed"]
     assert healed == report.fault_breakdown()["partition"]["injected"]
-
-
-def test_builder_heal_after_requires_partition_every():
-    with pytest.raises(ValueError, match="partition_every"):
-        Experiment("paxos").faults(heal_after=5.0)
 
 
 def test_builder_mixes_presets_and_fault_instances():

@@ -42,7 +42,7 @@ def test_workload_by_name_drives_requests():
                 == report.requests_injected())
 
 
-def test_unknown_workload_name_fails_fast():
+def test_an_unknown_workload_fails_fast():
     with pytest.raises(KeyError, match="known workloads"):
         Experiment("chord").workload("nope")
     # Every bundled system registers a default workload now; a bare spec
@@ -104,16 +104,6 @@ def test_scenario_warns_about_ignored_workload():
         experiment.run()
 
 
-def test_sweep_refuses_inline_workload_spec():
-    def factory(rng, key, addresses):
-        return addresses[0], "lookup", {"key": key}
-
-    experiment = _chord().workload(
-        WorkloadSpec(name="inline", description="d", make_request=factory))
-    with pytest.raises(ValueError, match="inline WorkloadSpec"):
-        experiment.sweep(seeds=[0])
-
-
 # ------------------------------------------------------------------- CLI
 
 
@@ -134,7 +124,7 @@ def test_cli_unknown_workload_fails_cleanly(capsys):
     assert "known workloads" in capsys.readouterr().err
 
 
-def test_cli_workload_overrides_need_workload(capsys):
+def test_cli_traffic_overrides_need_a_workload(capsys):
     assert main(["run", "chord", "--workload-rate", "50"]) == 2
     assert "--workload" in capsys.readouterr().err
 

@@ -4,9 +4,10 @@
 together exercise all eight axes, the axes block and every cell's
 ``RunSpec.to_dict()`` (``run_id`` included) in expansion order.  Run ids
 key the result stores, so a change to any of them silently orphans every
-stored record; the matrices therefore come in through the same three doors
-real traffic uses — ``--axes`` strings through the CLI, ``CampaignSpec``
-keyword arguments, and ``Experiment.sweep`` defaulting from a builder.
+stored record; the matrices therefore come in through the same two doors
+real traffic uses — ``--axes`` strings through the CLI and ``CampaignSpec``
+keyword arguments.  Block names are part of the pinned bytes, so the
+``sweep-*`` blocks keep theirs.
 
 Regenerate (only when a run id is *meant* to change) with::
 
@@ -18,7 +19,6 @@ import json
 from pathlib import Path
 
 import repro.campaign
-from repro.api import Experiment
 from repro.api.cli import main
 from repro.campaign import CampaignSpec
 
@@ -60,16 +60,14 @@ def _axes(*pairs: str) -> list[str]:
     return [part for pair in pairs for part in ("--axes", pair)]
 
 
-def _configured_builder() -> Experiment:
-    return (Experiment("chord")
-            .nodes(6).duration(120.0).seed(5).mode("debug")
-            .churn(True, interval=45.0)
-            .network(rtt=0.02, rst_loss=0.5)
-            .faults("partition", "delay", seed=3, start_after=10.0)
-            .properties("chord.*", exclude=["chord.ring_stabilizes"])
-            .workload("lookups", rate=40.0, burst=4, start=30.0)
-            .backend("tcp")
-            .options(fix_figure10=True))
+#: The shared settings of the two ``sweep-*`` blocks over one configured
+#: chord deployment.
+_CONFIGURED = dict(
+    systems=["chord"], properties_exclude=("chord.ring_stabilizes",),
+    workload_overrides={"rate": 40.0, "burst": 4, "start": 30.0},
+    nodes=6, duration=120.0, churn=True, churn_interval=45.0,
+    network={"rtt": 0.02, "rst_loss": 0.5}, options={"fix_figure10": True},
+    fault_seed=3, fault_start_after=10.0)
 
 
 MATRICES = {
@@ -132,21 +130,22 @@ MATRICES = {
         fault_presets=(None, "partition"), seeds=tuple(range(8)),
         modes=("off", "steering")),
     "spec-defaults": lambda: CampaignSpec(),
-    "sweep-builder-defaults": lambda: _captured(
-        lambda: _configured_builder().sweep()),
-    "sweep-axes-override-builder": lambda: _captured(
-        lambda: _configured_builder().sweep(
-            seeds=[1, 2], faults=["crash", None], modes=["off", "steering"],
-            properties=["chord.ordering_constraint", None],
-            workloads=[None], backends=["sim"])),
-    "sweep-example": lambda: _captured(
-        lambda: (Experiment("randtree")
-                 .nodes(5).duration(120).network(rst_loss=0.6).churn(False)
-                 .options(bootstrap_index=1, max_children=2,
-                          fix_recovery_timer=True)
-                 .sweep(seeds=range(3),
-                        faults=["partition", "partition-churn"],
-                        modes=["off", "steering"], jobs=2))),
+    "sweep-builder-defaults": lambda: CampaignSpec(
+        **_CONFIGURED, seeds=[5], modes=["debug"],
+        fault_presets=[("partition", "delay")], properties=[("chord.*",)],
+        workloads=["lookups"], backends=["tcp"]),
+    "sweep-axes-override-builder": lambda: CampaignSpec(
+        **_CONFIGURED, seeds=[1, 2], fault_presets=["crash", None],
+        modes=["off", "steering"],
+        properties=["chord.ordering_constraint", None], workloads=[None],
+        backends=["sim"]),
+    "sweep-example": lambda: CampaignSpec(
+        systems=["randtree"], seeds=range(3),
+        fault_presets=["partition", "partition-churn"],
+        modes=["off", "steering"], nodes=5, duration=120.0,
+        network={"rst_loss": 0.6},
+        options={"bootstrap_index": 1, "max_children": 2,
+                 "fix_recovery_timer": True}),
 }
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.api import Experiment
 from repro.campaign import CampaignSpec, parse_axes, run_campaign
 from repro.campaign.spec import RunSpec
 
@@ -95,21 +94,6 @@ def test_property_axis_produces_per_property_columns_deterministically():
     assert buckets["randtree.*"]["violations_observed"] > 0
 
 
-def test_sweep_carries_builder_selection_and_exclude():
-    report = (Experiment("randtree")
-              .nodes(3)
-              .duration(60.0)
-              .churn(False)
-              .properties("randtree.*",
-                          exclude=["randtree.rejoins_within_window",
-                                   "randtree.eventually_all_joined"])
-              .sweep(seeds=[1, 2], jobs=1))
-    assert report.run_count == 2
-    assert set(report.rollups["properties"]) == {"randtree.*"}
-    for run in report.runs:
-        assert run["properties"] == ["randtree.*"]
-
-
 def test_resume_accepts_stores_written_before_the_properties_axis(tmp_path):
     """Old JSONL records lack the properties/properties_exclude keys; they
     must still count as done when every present field matches defaults."""
@@ -140,12 +124,3 @@ def test_resume_accepts_stores_written_before_the_properties_axis(tmp_path):
                                summary={})) + "\n")
     report = run_campaign(spec, jobs=1, out=store_path, resume=True)
     assert report.timing["resumed_runs"] == 0
-
-
-def test_sweep_refuses_property_instances():
-    from repro.properties import get_property
-
-    experiment = (Experiment("randtree").duration(30.0)
-                  .properties(get_property("randtree.no_self_reference")))
-    with pytest.raises(ValueError, match="cannot carry Property instances"):
-        experiment.sweep(seeds=[1], jobs=1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.campaign import CampaignSpec, RunSpec, parse_axes, parse_seed_values
+from repro.campaign import CampaignSpec, RunSpec, parse_axes
 from repro.faults.presets import list_presets
 
 
@@ -72,15 +72,18 @@ def test_expand_rejects_an_empty_system_axis():
         CampaignSpec(systems=[]).expand()
 
 
-def test_parse_seed_values_handles_ranges_and_lists():
-    assert parse_seed_values("3") == [3]
-    assert parse_seed_values("1,5,9") == [1, 5, 9]
-    assert parse_seed_values("0-3") == [0, 1, 2, 3]
-    assert parse_seed_values("0-2,7") == [0, 1, 2, 7]
+def test_parse_axes_reads_seed_ranges_and_lists():
+    def seeds(raw):
+        return parse_axes({"seeds": raw})["seeds"]
+
+    assert seeds("3") == [3]
+    assert seeds("1,5,9") == [1, 5, 9]
+    assert seeds("0-3") == [0, 1, 2, 3]
+    assert seeds("0-2,7") == [0, 1, 2, 7]
     with pytest.raises(ValueError):
-        parse_seed_values("5-1")
+        seeds("5-1")
     with pytest.raises(ValueError):
-        parse_seed_values("")
+        seeds("")
 
 
 def test_parse_axes_expands_all_and_none():

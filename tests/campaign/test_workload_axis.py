@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.api import Experiment
 from repro.campaign import CampaignSpec, parse_axes, run_campaign
 from repro.campaign.spec import RunSpec
 
@@ -97,16 +96,3 @@ def test_campaign_runs_workload_cells_end_to_end():
     assert driven["summary"]["requests_injected"] > 0
     assert driven["summary"]["requests_completed"] > 0
     assert idle["summary"]["requests_injected"] == 0
-
-
-def test_sweep_carries_workload_selection():
-    report = (Experiment("chord")
-              .nodes(6)
-              .duration(120.0)
-              .churn(False)
-              .workload("lookups", rate=40.0, burst=4, start=40.0)
-              .sweep(seeds=[1, 2], jobs=1))
-    assert report.run_count == 2
-    for run in report.runs:
-        assert run["run_id"].endswith(":wl=lookups")
-        assert run["summary"]["requests_injected"] > 0

@@ -1,8 +1,8 @@
-"""repro.obs.log: verbosity mapping, idempotent handlers, progress logger."""
+"""repro.obs.log: the progress logger and its idempotent handler."""
 
 import logging
 
-from repro.obs import configure_logging, get_logger, progress_logger
+from repro.obs import progress_logger
 from repro.obs.log import _HANDLER_MARKER, PROGRESS_LOGGER_NAME
 
 
@@ -10,28 +10,9 @@ def _marked_handlers(logger):
     return [h for h in logger.handlers if getattr(h, _HANDLER_MARKER, False)]
 
 
-def test_get_logger_hangs_under_the_repro_tree():
-    logger = get_logger("repro.runtime.simulator")
-    assert logger.name == "repro.runtime.simulator"
-    assert logger.parent is not None
-
-
-def test_configure_logging_maps_verbosity_to_levels():
-    root = logging.getLogger("repro")
-    configure_logging(0)
-    assert root.level == logging.WARNING
-    configure_logging(1)
-    assert root.level == logging.INFO
-    configure_logging(2)
-    assert root.level == logging.DEBUG
-    configure_logging(5)
-    assert root.level == logging.DEBUG
-
-
 def test_repeated_configuration_never_duplicates_handlers():
     for _ in range(3):
-        configure_logging(1)
-    assert len(_marked_handlers(logging.getLogger("repro"))) == 1
+        progress_logger()
     assert len(_marked_handlers(logging.getLogger(PROGRESS_LOGGER_NAME))) == 1
 
 
@@ -40,7 +21,7 @@ def test_progress_logger_is_always_on_and_does_not_propagate():
     assert progress.name == PROGRESS_LOGGER_NAME
     assert progress.isEnabledFor(logging.INFO)
     assert progress.propagate is False
-    # Self-configuring: a handler exists even without configure_logging.
+    # Self-configuring: the first call installs the one handler.
     assert len(_marked_handlers(progress)) == 1
 
 

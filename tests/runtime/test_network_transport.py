@@ -46,10 +46,9 @@ def test_isolate_and_heal_all():
     assert net.reachable(a, Address(2))
 
 
-def test_custom_latency_and_loss_functions():
-    net = NetworkModel(latency_fn=lambda s, d, r: 0.5, loss_fn=lambda s, d, r: 2.0)
+def test_custom_loss_function_is_clamped():
+    net = NetworkModel(loss_fn=lambda s, d, r: 2.0)
     rng = random.Random(0)
-    assert net.latency(Address(1), Address(2), rng) == 0.5
     assert net.loss_probability(Address(1), Address(2), rng) == 1.0
 
 

@@ -52,14 +52,14 @@ def test_uniform_covers_key_space():
 
 
 def test_zipf_is_head_heavy():
-    counts = Counter(_samples("zipf", zipf_s=1.2))
+    counts = Counter(_samples("zipf"))
     head = sum(counts[k] for k in range(10))
     assert head > 0.4 * 4000
     assert counts[0] > counts.get(50, 0)
 
 
 def test_hotspot_concentrates_on_hot_prefix():
-    counts = Counter(_samples("hotspot", hotspot_fraction=0.1))
+    counts = Counter(_samples("hotspot"))
     hot = sum(counts[k] for k in range(10))
     assert 0.8 * 4000 < hot < 4000  # ~90% to the hot 10%
 
