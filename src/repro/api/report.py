@@ -279,6 +279,10 @@ OWNED_COUNTERS: dict[str, Callable[[RunReport], int]] = {
         lambda report: report.live_monitor.node_checks_computed,
     "monitor.node_checks_cached":
         lambda report: report.live_monitor.node_checks_cached,
+    "monitor.global_checks_computed":
+        lambda report: report.live_monitor.global_checks_computed,
+    "monitor.global_checks_cached":
+        lambda report: report.live_monitor.global_checks_cached,
     "workload.requests_injected": RunReport.requests_injected,
     "faults.inject": _faults("injected"),
     "faults.heal": _faults("healed"),

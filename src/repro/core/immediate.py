@@ -61,15 +61,16 @@ class ImmediateSafetyCheck:
 
         Speculatively executing an event at one node changes only that
         node's local state (plus in-flight messages), so node-scoped
-        properties are checked at the dirty node alone; cross-node and
-        global properties are checked in full.  Restricting *both* the
+        properties are checked at the dirty node alone; cross-node ones
+        (``combine`` over every node's summary) and plain predicates are
+        checked over the whole neighbourhood.  Restricting *both* the
         before- and after-sets to the same subset keeps the
         newly-introduced-violation subtraction exact while skipping
         re-checks whose inputs cannot have changed.
         """
         found: list[PropertyViolation] = []
         for prop in self.properties:
-            if isinstance(prop, NodeScopedProperty) and prop.scope == "node":
+            if isinstance(prop, NodeScopedProperty):
                 found.extend(prop.violations_at(state, dirty))
             else:
                 found.extend(prop.violations(state))

@@ -21,12 +21,17 @@ O(touched), not O(nodes):
   at a node reads only that node's local state) are re-checked only at the
   touched alive nodes, walked in view order, and the monitor keeps the set
   of ``(property, node)`` keys that currently violate, so an untouched
-  node's verdict is never recomputed or rebuilt.  Cross-node and global
-  properties are re-checked against the whole view after every event.
-  Either way violations are visited property-major and node-minor, the
-  order of a full ``check_all`` over the rebuilt global state, which is
-  what keeps episode records bit-identical to a full re-check (covered by
-  tests over all six bundled systems).
+  node's verdict is never recomputed or rebuilt.  For a cross-node
+  :class:`~repro.properties.SummaryProperty` the monitor keeps one
+  ``{address: summary}`` beside the view, re-summarises the touched alive
+  nodes (every node on a rebuild) and the in-flight keys, and calls
+  ``combine`` only when a summary or the keys changed; otherwise it reuses
+  the last verdict, exact because ``combine`` is a pure function of them.
+  Only a plain :class:`~repro.properties.SafetyProperty` is re-checked
+  against the whole view after every event.  Violations are visited
+  property-major and node-minor, the order of a full ``check_all``, which
+  keeps episode records bit-identical to a full re-check (covered by tests
+  over all six bundled systems).
 * **liveness** properties (bounded ``eventually`` / ``leads_to``
   obligations) are driven over simulated time through per-run trackers;
   :meth:`finalize` is called at the end of the run so deadlines that
@@ -39,15 +44,15 @@ the emitted :class:`~repro.properties.ViolationRecord`, never part of the
 episode identity.  An episode ends when the key stops violating and a
 later recurrence opens a new episode.
 
-The monitor keeps four counters (events checked, inconsistent states, node
-checks computed and kept) and the episode records; every other count
-:meth:`report` shows is read off the records, and a ``--metrics`` run reads
-its ``monitor.*`` counts off the finished monitor.
+The monitor keeps six counters (events checked, inconsistent states, node
+and cross-node checks computed and kept) and the episode records; every
+other count :meth:`report` shows is read off the records, and a
+``--metrics`` run reads its ``monitor.*`` counts off the finished monitor.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from ..mc.global_state import GlobalState, NodeLocal
 from ..obs.context import ObsContext
@@ -55,7 +60,9 @@ from ..properties import (
     LivenessProperty,
     NodeScopedProperty,
     Property,
+    PropertyViolation,
     SafetyProperty,
+    SummaryProperty,
     ViolationRecord,
     state_digest,
 )
@@ -67,18 +74,52 @@ from ..runtime.simulator import SimNode, Simulator
 EPISODE_REPORT_LIMIT = 200
 
 
+class _Combined:
+    """A summarised property's inputs at the previous event (every alive
+    node's summary in view order, the in-flight keys) and its verdict."""
+
+    def __init__(self, prop: SummaryProperty) -> None:
+        self.prop = prop
+        self.summaries: dict[Address, Any] = {}
+        self.keys: Optional[tuple] = None
+        self.violations: list[PropertyViolation] = []
+
+    def refresh(self, state: GlobalState, recheck: list[Address],
+                rebuilt: bool) -> bool:
+        """Bring the inputs up to date; True when ``combine`` had to run."""
+        prop, summaries = self.prop, self.summaries
+        changed = rebuilt
+        if rebuilt:  # every node, in the new view order
+            self.summaries = summaries = dict.fromkeys(state.nodes)
+            recheck = list(state.nodes)
+        for addr in recheck:
+            summary = prop.summarize(addr, state.nodes[addr])
+            if summary != summaries[addr]:
+                summaries[addr] = summary
+                changed = True
+        keys = prop.inflight_keys(state.inflight)
+        if not changed and keys == self.keys:
+            return False
+        self.keys = keys
+        self.violations = prop.recombine(summaries, keys)
+        return True
+
+
 class LivePropertyMonitor:
     """Counts inconsistent states and violation episodes in a live run."""
 
     def __init__(self, properties: Sequence[Property]) -> None:
         self.properties = list(properties)
 
-        #: safety properties in order, each with "re-checked per node?".
-        self._safety: list[tuple[SafetyProperty, bool]] = [
-            (prop, isinstance(prop, NodeScopedProperty) and prop.scope == "node")
+        #: safety properties in order, each with its re-check: "node" (at
+        #: touched nodes), a summary memo, or None (the whole view).
+        self._safety: list[tuple[SafetyProperty, Any]] = [
+            (prop, "node" if isinstance(prop, NodeScopedProperty)
+             else _Combined(prop) if isinstance(prop, SummaryProperty)
+             else None)
             for prop in self.properties if isinstance(prop, SafetyProperty)
         ]
-        self._node_scoped = sum(scoped for _, scoped in self._safety)
+        self._node_scoped = sum(plan == "node" for _, plan in self._safety)
         self._trackers = [
             (prop, prop.make_tracker())
             for prop in self.properties
@@ -92,6 +133,10 @@ class LivePropertyMonitor:
         #: untouched rest of the view.
         self.node_checks_computed = 0
         self.node_checks_cached = 0
+        #: cross-node checks run (a ``combine`` or a whole-view predicate),
+        #: and summarised verdicts reused.
+        self.global_checks_computed = 0
+        self.global_checks_cached = 0
         #: structured record per episode, in order of discovery; every
         #: per-property, per-severity and per-kind count is read off it.
         self.records: list[ViolationRecord] = []
@@ -180,15 +225,17 @@ class LivePropertyMonitor:
         if not self._safety and not self._trackers:
             # Nothing to check: a property-free run costs O(1) per event.
             return
+        view = self._view
         recheck = self._update_view(sim)
+        rebuilt = self._view is not view
         state = GlobalState(nodes=self._view,
                             inflight=tuple(sim.inflight_messages()))
         now = sim.now
         active = self._active
         active_global: set[tuple[str, Optional[Address]]] = set()
         # Property-major, node-minor: the order of a full check_all.
-        for prop, node_scoped in self._safety:
-            if node_scoped:
+        for prop, plan in self._safety:
+            if plan == "node":
                 for addr in recheck:
                     key = (prop.name, addr)
                     violations = prop.violations_at(state, addr)
@@ -199,7 +246,13 @@ class LivePropertyMonitor:
                         self._open_episode(state, now, prop.name, addr,
                                            violations[0].detail, "safety")
                 continue
-            for violation in prop.violations(state):
+            if plan is None or plan.refresh(state, recheck, rebuilt):
+                self.global_checks_computed += 1
+            else:
+                self.global_checks_cached += 1
+            violations = (prop.violations(state) if plan is None
+                          else plan.violations)
+            for violation in violations:
                 key = (violation.property_name, violation.node)
                 if key not in active_global and key not in self._active_global:
                     self._open_episode(state, now, violation.property_name,

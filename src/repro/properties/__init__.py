@@ -5,7 +5,7 @@ checks.  It provides:
 
 * the property classes (:class:`SafetyProperty`, :class:`LivenessProperty`)
   with namespaced ids, severities and tags;
-* combinators: :func:`node_property`, :func:`pairwise_property`, the
+* combinators: :func:`node_property`, :class:`SummaryProperty`, the
   bounded-liveness operators :func:`eventually` and :func:`leads_to`, and
   the :func:`typed_check` / :func:`typed_states` state-type guards;
 * the global :mod:`registry <repro.properties.registry>` the systems'
@@ -25,9 +25,9 @@ from .base import (
     Property,
     PropertyViolation,
     SafetyProperty,
+    SummaryProperty,
     check_all,
     node_property,
-    pairwise_property,
     safety_properties,
     typed_check,
     typed_states,
@@ -51,9 +51,9 @@ __all__ = [
     "Property",
     "PropertyViolation",
     "SafetyProperty",
+    "SummaryProperty",
     "check_all",
     "node_property",
-    "pairwise_property",
     "safety_properties",
     "typed_check",
     "typed_states",

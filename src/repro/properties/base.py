@@ -19,21 +19,23 @@ makes the property surface selectable (``Experiment.properties("randtree.*")``,
 
 Combinators build safety properties from simpler check functions:
 
-* :func:`node_property` — checked independently at every node; declares
-  whether the check reads only that node's local state (``local_only``),
-  which lets the live monitor re-check it only at touched nodes;
-* :func:`pairwise_property` — checked over every ordered pair of distinct
-  nodes (cross-node invariants such as "a receiver never believes a sender
-  has blocks the sender lacks");
+* :func:`node_property` — checked independently at every node, reading
+  only that node's local state, which lets the live monitor re-check it
+  only at touched nodes;
+* :class:`SummaryProperty` — a cross-node invariant stated as a per-node
+  ``summarize``, a projection of in-flight messages and a ``combine`` over
+  the summaries; its check is ``combine`` of every node's summary, and the
+  live monitor re-combines only when a summary or the in-flight keys
+  changed;
 * plain :class:`SafetyProperty` — an arbitrary predicate over the whole
-  global state.
+  global state, re-checked in full after every live event.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..mc.global_state import GlobalState, NodeLocal
 from ..runtime.address import Address
@@ -44,10 +46,12 @@ SEVERITIES = ("critical", "error", "warning", "info")
 
 #: Property scopes: ``"node"`` means the check at a node reads only that
 #: node's local state and timers, so the live monitor re-checks it only at
-#: the nodes an event touched; ``"global"`` means it may read other nodes or
-#: in-flight messages, so the monitor re-checks it over every node after
-#: every event.
-SCOPES = ("node", "global")
+#: the nodes an event touched; ``"summary"`` means the check combines one
+#: summary per node (plus the in-flight keys), so the monitor re-summarises
+#: the touched nodes and re-combines only when an input changed;
+#: ``"global"`` means it may read anything, so the monitor re-checks it over
+#: the whole view after every event.
+SCOPES = ("node", "summary", "global")
 
 
 def validate_severity(severity: str) -> str:
@@ -161,12 +165,13 @@ class SafetyProperty(Property):
 class NodeScopedProperty(SafetyProperty):
     """A safety property checked independently at every node.
 
-    Built by :func:`node_property`.  When ``local_only`` is true the
-    per-node check reads nothing but that node's local state and timers,
-    so :meth:`violations_at` can re-check a single node — the live
-    monitor's per-touched-node re-check and the immediate safety check
-    both rely on this.
+    Built by :func:`node_property`.  The per-node check reads nothing but
+    that node's local state and timers, so :meth:`violations_at` can
+    re-check a single node — the live monitor's per-touched-node re-check
+    and the immediate safety check both rely on this.
     """
+
+    scope = "node"
 
     def __init__(
         self,
@@ -178,7 +183,6 @@ class NodeScopedProperty(SafetyProperty):
         *,
         severity: str = "error",
         tags: Iterable[str] = (),
-        local_only: bool = True,
     ) -> None:
         def check(state: GlobalState) -> Iterable[tuple[Optional[Address], str]]:
             for addr, local in state.nodes.items():
@@ -187,18 +191,11 @@ class NodeScopedProperty(SafetyProperty):
 
         super().__init__(name, check, description, severity=severity, tags=tags)
         self._node_check_fn = node_check_fn
-        self.scope = "node" if local_only else "global"
 
     def violations_at(
         self, state: GlobalState, addr: Address
     ) -> list[PropertyViolation]:
-        """Violations of this property at the single node ``addr``.
-
-        Exact for ``scope == "node"`` properties; for cross-node checks it
-        still evaluates the node's check function against the full global
-        state (callers must not use it as a substitute for a full re-check
-        in that case).
-        """
+        """Violations of this property at the single node ``addr``."""
         local = state.nodes.get(addr)
         if local is None:
             return []
@@ -217,57 +214,82 @@ def node_property(
     *,
     severity: str = "error",
     tags: Iterable[str] = (),
-    local_only: bool = True,
 ) -> NodeScopedProperty:
     """Build a property checked independently at every node.
 
     ``check_fn`` receives the node address, its protocol state, its armed
     timers and the full global state, and yields a violation description
-    per problem found at that node.  Pass ``local_only=False`` when the
-    check reads other nodes' state through the global-state argument
-    (e.g. "the root must not appear as another node's child") — the
-    monitor then re-checks such a property at every node after every
-    event.
+    per problem found at that node.  It must read nothing but that node's
+    state and timers; a check across nodes is a :class:`SummaryProperty`
+    (or, for a one-off predicate, a plain :class:`SafetyProperty`).
     """
     return NodeScopedProperty(
-        name,
-        check_fn,
-        description,
-        severity=severity,
-        tags=tags,
-        local_only=local_only,
-    )
+        name, check_fn, description, severity=severity, tags=tags)
 
 
-def pairwise_property(
-    name: str,
-    check_fn: Callable[
-        [Address, NodeLocal, Address, NodeLocal, GlobalState], Iterable[str]
-    ],
-    description: str = "",
-    *,
-    severity: str = "error",
-    tags: Iterable[str] = (),
-) -> SafetyProperty:
-    """Build a cross-node invariant over every ordered pair of nodes.
+class SummaryProperty(SafetyProperty):
+    """A cross-node safety property stated as per-node summaries.
 
-    ``check_fn(addr_a, local_a, addr_b, local_b, state)`` yields violation
-    details attributed to ``addr_a``.  Pairs are enumerated in sorted
-    address order so violation order is deterministic.
+    ``summarize(addr, local)`` reads only that node and returns a value
+    sharing no mutable container with the state, or ``None`` for a node
+    the property ignores; ``inflight_key(message)`` projects an in-flight
+    message to a key, or ``None``; ``combine(summaries, keys)`` gets
+    ``{addr: summary}`` in ``state.nodes`` order (``None`` left out) and the
+    keys in in-flight order, and yields ``(node, detail)`` pairs.  The check
+    is ``combine`` over every node's summary, for every checker alike.
+    ``combine`` must be pure: the live monitor reuses its verdict while no
+    summary (by ``==``) and no key changed.
     """
 
-    def check(state: GlobalState) -> Iterable[tuple[Optional[Address], str]]:
-        addresses = sorted(state.nodes)
-        for addr_a in addresses:
-            for addr_b in addresses:
-                if addr_a == addr_b:
-                    continue
-                for detail in check_fn(
-                    addr_a, state.nodes[addr_a], addr_b, state.nodes[addr_b], state
-                ):
-                    yield addr_a, detail
+    scope = "summary"
 
-    return SafetyProperty(name, check, description, severity=severity, tags=tags)
+    def __init__(
+        self,
+        name: str,
+        summarize: Callable[[Address, NodeLocal], Any],
+        combine: Callable[
+            [dict[Address, Any], tuple],
+            Iterable[tuple[Optional[Address], str]],
+        ],
+        description: str = "",
+        *,
+        inflight_key: Optional[Callable[[Any], Any]] = None,
+        severity: str = "error",
+        tags: Iterable[str] = (),
+    ) -> None:
+        super().__init__(name, self._combine_state, description,
+                         severity=severity, tags=tags)
+        self.summarize = summarize
+        self.inflight_key = inflight_key
+        self.combine = combine
+
+    def _combine_state(
+        self, state: GlobalState
+    ) -> Iterable[tuple[Optional[Address], str]]:
+        summarize = self.summarize
+        return self.combine(
+            {addr: summary for addr, local in state.nodes.items()
+             if (summary := summarize(addr, local)) is not None},
+            self.inflight_keys(state.inflight))
+
+    def inflight_keys(self, inflight: Iterable[Any]) -> tuple:
+        """The keys of the in-flight messages the property reads, in order."""
+        if self.inflight_key is None:
+            return ()
+        return tuple([key for key in map(self.inflight_key, inflight)
+                      if key is not None])
+
+    def recombine(
+        self, summaries: Mapping[Address, Any], keys: tuple
+    ) -> list[PropertyViolation]:
+        """The violations ``combine`` finds over ``keys`` and the nodes
+        whose summary is not ``None``."""
+        present = {addr: summary for addr, summary in summaries.items()
+                   if summary is not None}
+        return [
+            PropertyViolation(property_name=self.name, node=node, detail=detail)
+            for node, detail in self.combine(present, keys)
+        ]
 
 
 def typed_check(state_type: type) -> Callable:

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from ...mc.global_state import GlobalState
+from ...mc.global_state import GlobalState, NodeLocal
 from ...properties import (
     SafetyProperty,
+    SummaryProperty,
     eventually,
     register_properties,
     typed_states,
@@ -21,7 +22,27 @@ from .protocol import DIFF
 from .state import BulletState
 
 
-def _file_map_consistency(state: GlobalState) -> Iterable[tuple[Optional[Address], str]]:
+def _announced(addr: Address, local: NodeLocal) -> Optional[tuple]:
+    """Per peer, the blocks announced to it; per sender, the blocks it has."""
+    state = local.state
+    if not isinstance(state, BulletState):
+        return None
+    return (tuple([(peer, state.told(peer)) for peer in state.peers]),
+            {sender: frozenset(blocks) for sender, blocks in state.view.items()})
+
+
+def _believed(addr: Address, local: NodeLocal) -> Optional[tuple]:
+    """The blocks the node has; per sender, the blocks it believes it has."""
+    state = local.state
+    if not isinstance(state, BulletState):
+        return None
+    return (frozenset(state.have),
+            {sender: frozenset(blocks) for sender, blocks in state.view.items()})
+
+
+def _file_map_consistency(
+        summaries: dict[Address, tuple],
+        diffs: tuple) -> Iterable[tuple[Optional[Address], str]]:
     """Sender's file map and the receiver's view of it must agree.
 
     A sender believes it has announced ``have - shadow[receiver]`` to each
@@ -31,19 +52,15 @@ def _file_map_consistency(state: GlobalState) -> Iterable[tuple[Optional[Address
     about the block (the consequence of the cleared shadow file map).
     """
     inflight_blocks: dict[tuple[Address, Address], set[int]] = {}
-    for message in state.inflight:
-        if message.mtype == DIFF:
-            key = (message.src, message.dst)
-            inflight_blocks.setdefault(key, set()).update(message.get("blocks", ()))
+    for src, dst, blocks in diffs:
+        inflight_blocks.setdefault((src, dst), set()).update(blocks)
 
-    receivers = dict(typed_states(state, BulletState))
-    for sender_addr, sender in typed_states(state, BulletState):
-        for receiver_addr in sender.peers:
-            receiver = receivers.get(receiver_addr)
+    for sender_addr, (told, _views) in summaries.items():
+        for receiver_addr, announced in told:
+            receiver = summaries.get(receiver_addr)
             if receiver is None:
                 continue
-            announced = sender.told(receiver_addr)
-            known = receiver.view.get(sender_addr, set())
+            known = receiver[1].get(sender_addr, frozenset())
             pending = inflight_blocks.get((sender_addr, receiver_addr), set())
             missing = announced - known - pending
             if missing:
@@ -53,29 +70,32 @@ def _file_map_consistency(state: GlobalState) -> Iterable[tuple[Optional[Address
                     f"delivered or is in flight")
 
 
-def _view_is_subset_of_have(state: GlobalState) -> Iterable[tuple[Optional[Address], str]]:
+def _view_is_subset_of_have(
+        summaries: dict[Address, tuple],
+        _keys: tuple) -> Iterable[tuple[Optional[Address], str]]:
     """A receiver never believes a sender has blocks the sender lacks."""
-    senders = dict(typed_states(state, BulletState))
-    for receiver_addr, receiver in typed_states(state, BulletState):
-        for sender_addr, view in receiver.view.items():
-            sender = senders.get(sender_addr)
+    for receiver_addr, (_have, views) in summaries.items():
+        for sender_addr, blocks in views.items():
+            sender = summaries.get(sender_addr)
             if sender is None:
                 continue
-            phantom = view - sender.have
+            phantom = blocks - sender[0]
             if phantom:
                 yield receiver_addr, (
                     f"receiver believes sender {sender_addr} has blocks "
                     f"{sorted(phantom)} which the sender does not have")
 
 
-FILE_MAP_CONSISTENCY = SafetyProperty(
-    "bullet.file_map_consistency", _file_map_consistency,
+FILE_MAP_CONSISTENCY = SummaryProperty(
+    "bullet.file_map_consistency", _announced, _file_map_consistency,
     "Sender's file map and the receiver's view of it must be identical "
     "(modulo in-flight Diffs).",
+    inflight_key=lambda m: ((m.src, m.dst, tuple(m.get("blocks", ())))
+                            if m.mtype == DIFF else None),
     severity="critical", tags=("dissemination", "cross-node"))
 
-VIEW_SUBSET_OF_HAVE = SafetyProperty(
-    "bullet.view_subset_of_have", _view_is_subset_of_have,
+VIEW_SUBSET_OF_HAVE = SummaryProperty(
+    "bullet.view_subset_of_have", _believed, _view_is_subset_of_have,
     "A receiver's view of a sender never contains blocks the sender lacks.",
     severity="error", tags=("dissemination", "cross-node"))
 

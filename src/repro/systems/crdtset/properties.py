@@ -11,14 +11,14 @@ variant instead of waiting for a liveness window to expire.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from ...mc.global_state import GlobalState, NodeLocal
 from ...properties import (
     SafetyProperty,
+    SummaryProperty,
     eventually,
     node_property,
-    pairwise_property,
     register_properties,
     typed_check,
     typed_states,
@@ -27,25 +27,36 @@ from ...runtime.address import Address
 from .state import CrdtState
 
 
-def _converged(addr_a: Address, local_a: NodeLocal,
-               addr_b: Address, local_b: NodeLocal,
-               gs: GlobalState) -> Iterable[str]:
-    state_a, state_b = local_a.state, local_b.state
-    if not isinstance(state_a, CrdtState) or not isinstance(state_b, CrdtState):
-        return
-    if state_a.pending or state_b.pending:
-        return
-    if state_a.delivery_vector() != state_b.delivery_vector():
-        return
-    seen_a, seen_b = state_a.observable(), state_b.observable()
-    if seen_a != seen_b:
-        yield (f"replicas {addr_a} and {addr_b} delivered the same ops but "
-               f"observe different sets: "
-               f"{sorted(seen_a, key=repr)} vs {sorted(seen_b, key=repr)}")
-    if state_a.counter_value() != state_b.counter_value():
-        yield (f"replicas {addr_a} and {addr_b} delivered the same ops but "
-               f"disagree on the counter: {state_a.counter_value()} vs "
-               f"{state_b.counter_value()}")
+def _replica(addr: Address, local: NodeLocal) -> Optional[tuple]:
+    """Buffered ops?, delivery vector, observable set, counter value."""
+    state = local.state
+    if not isinstance(state, CrdtState):
+        return None
+    return (bool(state.pending), state.delivery_vector(), state.observable(),
+            state.counter_value())
+
+
+def _converged(summaries: dict[Address, tuple],
+               _keys: tuple) -> Iterable[tuple[Optional[Address], str]]:
+    """Every ordered pair of replicas, in sorted address order."""
+    addresses = sorted(summaries)
+    for addr_a in addresses:
+        pending_a, vector_a, seen_a, counter_a = summaries[addr_a]
+        if pending_a:
+            continue
+        for addr_b in addresses:
+            pending_b, vector_b, seen_b, counter_b = summaries[addr_b]
+            if addr_a == addr_b or pending_b or vector_a != vector_b:
+                continue
+            if seen_a != seen_b:
+                yield addr_a, (
+                    f"replicas {addr_a} and {addr_b} delivered the same ops "
+                    f"but observe different sets: "
+                    f"{sorted(seen_a, key=repr)} vs {sorted(seen_b, key=repr)}")
+            if counter_a != counter_b:
+                yield addr_a, (
+                    f"replicas {addr_a} and {addr_b} delivered the same ops "
+                    f"but disagree on the counter: {counter_a} vs {counter_b}")
 
 
 @typed_check(CrdtState)
@@ -57,8 +68,8 @@ def _no_tombstone_resurrection(addr: Address, state: CrdtState,
                f"although an applied remove already covered that tag")
 
 
-CONVERGED = pairwise_property(
-    "crdtset.converged", _converged,
+CONVERGED = SummaryProperty(
+    "crdtset.converged", _replica, _converged,
     "Replicas with equal delivery vectors (and empty reorder buffers) must "
     "expose the same observable set and counter value.",
     severity="critical", tags=("crdt", "convergence"))

@@ -11,11 +11,13 @@ Paxos state uses for learned values).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Optional
 
-from ...mc.global_state import GlobalState
+from ...mc.global_state import GlobalState, NodeLocal
 from ...properties import (
     SafetyProperty,
+    SummaryProperty,
     eventually,
     node_property,
     register_properties,
@@ -24,7 +26,7 @@ from ...properties import (
 )
 from ...runtime.address import Address
 from .protocol import REPLICATE
-from .state import KvState
+from .state import NO_VERSION, KvState
 
 
 @typed_check(KvState)
@@ -45,35 +47,53 @@ def _monotonic_reads(addr: Address, state: KvState,
                    f"version {floor} this client previously read")
 
 
+def _durability(addr: Address, local: NodeLocal) -> Optional[tuple]:
+    """Write quorum, committed writes with no repair path left (the
+    coordinator no longer tracks them in ``pending_writes``), the store."""
+    state = local.state
+    if not isinstance(state, KvState):
+        return None
+    at_risk = []
+    pending_writes = state.pending_writes
+    for key, (version, _value) in sorted(state.committed.items()):
+        entry = pending_writes.get(key)
+        if entry is not None and tuple(entry["version"]) >= version:
+            continue  # the reconciler is still repairing this write
+        at_risk.append((key, version))
+    # A store entry is replaced, never changed in place: a shallow copy
+    # owns its data.
+    return state.write_quorum, tuple(at_risk), dict(state.store)
+
+
 def _quorum_intersection(
-        state: GlobalState) -> Iterable[tuple[Optional[Address], str]]:
+        summaries: dict[Address, tuple],
+        replicating: tuple) -> Iterable[tuple[Optional[Address], str]]:
     """Every committed write is durable at a write quorum (or being repaired).
 
-    A committed write whose coordinator no longer tracks it in
-    ``pending_writes`` has no repair path left: at least ``W`` replicas
-    must hold its version (counting copies still in flight), otherwise a
-    crash-induced data loss has silently dropped below quorum durability.
+    Each at-risk write needs at least ``W`` replicas holding its version
+    (counting copies still in flight); otherwise a crash-induced data loss
+    has silently dropped below quorum durability.  Each key's stored
+    versions are gathered and sorted once, so a holder count is a bisection.
     """
-    replicas = dict(typed_states(state, KvState))
     inflight: dict[str, list] = {}
-    for message in state.inflight:
-        if message.mtype == REPLICATE:
-            version = tuple(message.get("version"))
-            inflight.setdefault(message.get("key"), []).append(version)
-    for addr in sorted(replicas):
-        coordinator = replicas[addr]
-        for key in sorted(coordinator.committed):
-            version, _value = coordinator.committed[key]
-            entry = coordinator.pending_writes.get(key)
-            if entry is not None and tuple(entry["version"]) >= version:
-                continue  # the reconciler is still repairing this write
-            holders = sum(1 for replica in replicas.values()
-                          if replica.stored_version(key) >= version)
+    for key, version in replicating:
+        inflight.setdefault(key, []).append(version)
+    held: dict[str, list] = {}
+    for addr, (write_quorum, at_risk, _stored) in sorted(summaries.items()):
+        for key, version in at_risk:
+            versions = held.get(key)
+            if versions is None:
+                versions = held[key] = sorted([
+                    store[key][0] if key in store else NO_VERSION
+                    for _, _, store in summaries.values()])
+            holders = len(versions) - bisect_left(versions, version)
+            if holders >= write_quorum:
+                continue
             pending = sum(1 for v in inflight.get(key, ()) if v >= version)
-            if holders + pending < coordinator.write_quorum:
+            if holders + pending < write_quorum:
                 yield addr, (
                     f"committed write {key!r}@{version} is held by only "
-                    f"{holders} replicas (W={coordinator.write_quorum}) "
+                    f"{holders} replicas (W={write_quorum}) "
                     f"with no repair pending")
 
 
@@ -88,11 +108,14 @@ MONOTONIC_READS = node_property(
     "Successive reads by one client never go backwards in version order.",
     severity="error", tags=("kv", "session"))
 
-QUORUM_INTERSECTION = SafetyProperty(
-    "kvstore.quorum_intersection", _quorum_intersection,
+QUORUM_INTERSECTION = SummaryProperty(
+    "kvstore.quorum_intersection", _durability, _quorum_intersection,
     "Every committed write stays durable at >= W replicas (counting "
     "in-flight copies) unless a repair is still pending.",
-    severity="critical", tags=("kv", "durability"))
+    inflight_key=lambda m: ((m.get("key"), tuple(m.get("version")))
+                            if m.mtype == REPLICATE else None),
+    severity="critical",
+    tags=("kv", "durability"))
 
 
 def _stores_agree(gs: GlobalState) -> bool:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from ...mc.global_state import GlobalState
+from ...mc.global_state import GlobalState, NodeLocal
 from ...properties import (
     SafetyProperty,
+    SummaryProperty,
     leads_to,
     node_property,
     register_properties,
@@ -23,10 +24,17 @@ from ...runtime.address import Address
 from .state import PaxosState
 
 
-def _agreement(state: GlobalState) -> Iterable[tuple[Optional[Address], str]]:
+def _chosen(addr: Address, local: NodeLocal) -> Optional[frozenset]:
+    if not isinstance(local.state, PaxosState):
+        return None
+    return frozenset(local.state.chosen_values)
+
+
+def _agreement(summaries: dict[Address, frozenset],
+               _keys: tuple) -> Iterable[tuple[Optional[Address], str]]:
     chosen: dict[int, list[Address]] = {}
-    for addr, node_state in typed_states(state, PaxosState):
-        for value in node_state.chosen_values:
+    for addr, values in summaries.items():
+        for value in values:
             chosen.setdefault(value, []).append(addr)
     if len(chosen) > 1:
         detail = ", ".join(
@@ -53,8 +61,8 @@ def _accepted_implies_promised(addr: Address, state: PaxosState,
                f"{state.promised_round}")
 
 
-AT_MOST_ONE_VALUE_CHOSEN = SafetyProperty(
-    "paxos.at_most_one_value_chosen", _agreement,
+AT_MOST_ONE_VALUE_CHOSEN = SummaryProperty(
+    "paxos.at_most_one_value_chosen", _chosen, _agreement,
     "At most one value can be chosen across all nodes (the original Paxos "
     "safety property).",
     severity="critical", tags=("consensus", "agreement"))
@@ -93,8 +101,8 @@ EVENTUALLY_CHOSEN = leads_to(
 #: byzantine attack tooling (``python -m repro attack paxos --property
 #: paxos.agreement``).  Not part of the default check set, so regular live
 #: runs don't report the same violation twice.
-AGREEMENT = SafetyProperty(
-    "paxos.agreement", _agreement,
+AGREEMENT = SummaryProperty(
+    "paxos.agreement", _chosen, _agreement,
     "Agreement: at most one value is ever chosen (alias of "
     "paxos.at_most_one_value_chosen used as an attack target).",
     severity="critical", tags=("consensus", "agreement", "attack-target"))

@@ -8,11 +8,12 @@ keeps the historical check order the experiments install.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
-from ...mc.global_state import GlobalState
+from ...mc.global_state import GlobalState, NodeLocal
 from ...properties import (
     SafetyProperty,
+    SummaryProperty,
     eventually,
     leads_to,
     node_property,
@@ -53,19 +54,26 @@ def _parent_not_child(addr: Address, state: RandTreeState,
         yield f"parent {state.parent} also appears in the children list"
 
 
-@typed_check(RandTreeState)
-def _root_not_child_or_sibling(addr: Address, state: RandTreeState,
-                               timers: frozenset[str],
-                               gs: GlobalState) -> Iterable[str]:
-    if not state.is_root():
-        return
-    for other_addr, other in typed_states(gs, RandTreeState):
-        if other_addr == addr:
-            continue
-        if addr in other.children:
-            yield f"root {addr} appears as a child of {other_addr}"
-        if addr in other.siblings:
-            yield f"root {addr} appears as a sibling of {other_addr}"
+def _membership(addr: Address, local: NodeLocal) -> Optional[tuple]:
+    """Whether the node is root, and its children and siblings."""
+    state = local.state
+    if not isinstance(state, RandTreeState):
+        return None
+    return state.is_root(), tuple(state.children), tuple(state.siblings)
+
+
+def _root_not_child_or_sibling(
+        summaries: dict[Address, tuple],
+        _keys: tuple) -> Iterable[tuple[Optional[Address], str]]:
+    roots = [addr for addr, (is_root, _, _) in summaries.items() if is_root]
+    for addr in roots:
+        for other_addr, (_is_root, children, siblings) in summaries.items():
+            if other_addr == addr:
+                continue
+            if addr in children:
+                yield addr, f"root {addr} appears as a child of {other_addr}"
+            if addr in siblings:
+                yield addr, f"root {addr} appears as a sibling of {other_addr}"
 
 
 @typed_check(RandTreeState)
@@ -98,13 +106,12 @@ PARENT_NOT_CHILD = node_property(
     "The parent pointer never refers to one of the node's children.",
     severity="error", tags=("tree",))
 
-ROOT_NOT_CHILD_OR_SIBLING = node_property(
-    "randtree.root_not_child_or_sibling", _root_not_child_or_sibling,
+ROOT_NOT_CHILD_OR_SIBLING = SummaryProperty(
+    "randtree.root_not_child_or_sibling", _membership,
+    _root_not_child_or_sibling,
     "A node that considers itself root must not appear as a child or sibling "
     "of any other node (Figure 9).",
-    severity="critical", tags=("tree", "cross-node", "figure9"),
-    # Reads other nodes' membership lists: not incrementally re-checkable.
-    local_only=False)
+    severity="critical", tags=("tree", "cross-node", "figure9"))
 
 ROOT_HAS_NO_SIBLINGS = node_property(
     "randtree.root_has_no_siblings", _root_has_no_siblings,

@@ -6,9 +6,13 @@ import pytest
 
 from repro.api import Experiment
 from repro.core.monitor import LivePropertyMonitor
+from repro.faults import CrashRestart
+from repro.mc import SearchBudget
 from repro.mc.global_state import GlobalState
 from repro.properties import (
     LivenessProperty,
+    SafetyProperty,
+    SummaryProperty,
     ViolationRecord,
     check_all,
     eventually,
@@ -18,6 +22,7 @@ from repro.properties import (
 from repro.runtime import Address, NetworkModel, Simulator, make_addresses
 from repro.runtime.events import TimerEvent
 from repro.runtime.simulator import FilterAction
+from repro.systems.kvstore import QUORUM_INTERSECTION
 from repro.systems.randtree import (
     ALL_PROPERTIES,
     RECOVERY_TIMER,
@@ -163,10 +168,73 @@ def test_incremental_equivalence_under_faults_and_violations(
         "seed no longer produces violations; pick a violating seed")
 
 
+def _tcp_kvstore_smoke():
+    """The smoke-sized run of the ``tcp_kvstore8`` benchmark workload."""
+    return (Experiment("kvstore").nodes(4).duration(26.0).seed(1000)
+            .churn(False)
+            .workload("get-put", rate=20, burst=4, start=20, duration=4)
+            .backend("tcp")
+            .crystalball("debug",
+                         budget=SearchBudget(max_states=8, max_depth=2))
+            .metrics())
+
+
 def test_incremental_equivalence_over_tcp(held_to_full_recheck):
-    report = held_to_full_recheck(Experiment("kvstore").nodes(4)
-                                  .duration(40.0).backend("tcp").seed(3).run)
+    """``kvstore.quorum_intersection`` re-combines only when a summary or
+    an in-flight ``Replicate`` changed, and stays exact over tcp."""
+    report = held_to_full_recheck(_tcp_kvstore_smoke().run)
+    monitor = report.live_monitor
     assert report.outcome["wire"]["frames_sent"] > 0
+    # One summarised property, so one computed or cached check per event.
+    assert (monitor.global_checks_computed + monitor.global_checks_cached
+            == monitor.events_checked)
+    assert 0 < monitor.global_checks_computed < monitor.events_checked / 2
+    counters = report.metrics["counters"]
+    assert counters["monitor.global_checks_computed"] == \
+        monitor.global_checks_computed
+    assert counters["monitor.global_checks_cached"] == \
+        monitor.global_checks_cached
+
+
+def test_inflight_keys_alone_trigger_a_recombine():
+    """Summaries that never change still follow the in-flight keys: an
+    episode opens whenever a message is in flight and closes when none is."""
+    prop = SummaryProperty(
+        "t.in_flight", lambda addr, local: 0,
+        lambda summaries, keys: [(None, "a message is in flight")] * bool(keys),
+        inflight_key=lambda message: message.mtype)
+    sim, _ = _tree_sim(nodes=4, seed=3)
+    monitor = LivePropertyMonitor([prop]).install(sim)
+    reference = FullRecheck([prop], sim)
+    sim.run(until=100.0)
+    _assert_matches(monitor, reference)
+    assert len(monitor.records) > 1
+    assert monitor.global_checks_cached > 0
+
+
+def test_quorum_intersection_opens_holds_and_closes_an_episode(
+        held_to_full_recheck):
+    """No fault preset drops a committed write below its write quorum on
+    small seeds, so this run does it by hand: three of the four replicas
+    crash together and come back empty, and the lone copy's coordinator
+    violates until its next write of that key repairs it."""
+    addrs = make_addresses(4)
+    report = held_to_full_recheck(
+        Experiment("kvstore").nodes(4).duration(150.0).seed(3)
+        .faults(*(CrashRestart(at=40.0, duration=1.0, target=addr)
+                  for addr in addrs[1:]))
+        .run)
+    monitor = report.live_monitor
+    (record,) = monitor.records
+    assert (record.property_id, record.node) == (
+        "kvstore.quorum_intersection", str(addrs[0]))
+    # Held over many events, and closed by the end of the run.
+    assert monitor.inconsistent_states > 10
+    live = report.simulator.node_states()
+    final = GlobalState.from_snapshot(
+        {addr: state for addr, (state, _) in live.items()},
+        inflight=report.simulator.inflight_messages())
+    assert QUORUM_INTERSECTION.holds(final)
 
 
 class _DropRecoveryTimer:
@@ -201,7 +269,7 @@ def test_a_timer_consumed_by_a_filtered_event_is_rechecked():
 
     sim, addrs = _tree_sim(nodes=4, seed=3)
     sim.attach_hook(addrs[1], _DropRecoveryTimer())
-    prop = node_property("t.recovery_armed", recovery_armed, local_only=True)
+    prop = node_property("t.recovery_armed", recovery_armed)
     monitor = LivePropertyMonitor([prop]).install(sim)
     reference = FullRecheck([prop], sim)
     sim.run(until=300.0)
@@ -223,7 +291,7 @@ def test_touched_nodes_open_episodes_in_node_order():
     assert list(set(addrs)) != addrs, "set order must differ for the test"
     sim, _ = _tree_sim(seed=2, addrs=addrs)
     monitor = LivePropertyMonitor(
-        [node_property("t.toggled", toggled, local_only=True)]).install(sim)
+        [node_property("t.toggled", toggled)]).install(sim)
     sim.run(until=60.0)
     assert monitor.records == []
     flag["on"] = True
@@ -274,7 +342,7 @@ def test_drifting_detail_is_one_episode():
     def drifting(addr, state, timers, gs):
         yield f"members changed (revision {next(counter)})"
 
-    prop = node_property("t.drifting", drifting, local_only=True)
+    prop = node_property("t.drifting", drifting)
     sim, addrs = _tree_sim(nodes=2)
     monitor = LivePropertyMonitor([prop]).install(sim)
     sim.run(until=40.0)
@@ -293,13 +361,13 @@ def test_drifting_detail_is_one_episode():
 def test_cleared_violation_reopens_as_new_episode():
     flag = {"on": True}
 
-    def toggled(addr, state, timers, gs):
+    def toggled(gs):
         if flag["on"]:
-            yield "bad"
+            yield None, "bad"
 
-    # local_only=False forces a full re-check per event so the toggle is
+    # A plain predicate is re-checked in full per event, so the toggle is
     # picked up immediately regardless of which node executed.
-    prop = node_property("t.toggled", toggled, local_only=False)
+    prop = SafetyProperty("t.toggled", toggled)
     sim, addrs = _tree_sim(nodes=1)
     monitor = LivePropertyMonitor([prop]).install(sim)
     sim.run(until=10.0)
@@ -344,7 +412,7 @@ def test_node_departure_mid_run_closes_and_reopens_episodes():
     def always(addr, state, timers, gs):
         yield "always violating"
 
-    prop = node_property("t.always", always, local_only=True)
+    prop = node_property("t.always", always)
     sim, addrs = _tree_sim(nodes=3)
     monitor = LivePropertyMonitor([prop]).install(sim)
     sim.run(until=30.0)

@@ -1,4 +1,4 @@
-"""Property combinators: node/pairwise scoping, severities, filtering."""
+"""Property combinators: node/summary scoping, severities, filtering."""
 
 import pytest
 
@@ -6,10 +6,10 @@ from repro.mc import GlobalState
 from repro.properties import (
     NodeScopedProperty,
     SafetyProperty,
+    SummaryProperty,
     check_all,
     eventually,
     node_property,
-    pairwise_property,
     safety_properties,
 )
 from repro.runtime import Address
@@ -32,8 +32,10 @@ def test_node_property_is_node_scoped_by_default():
     prop = node_property("t.local", lambda a, s, t, gs: [])
     assert isinstance(prop, NodeScopedProperty)
     assert prop.scope == "node"
-    assert node_property("t.cross", lambda a, s, t, gs: [],
-                         local_only=False).scope == "global"
+    # A check across nodes is a summary property or a plain predicate.
+    assert SummaryProperty("t.summary", lambda a, local: None,
+                           lambda summaries, keys: []).scope == "summary"
+    assert SafetyProperty("t.cross", lambda gs: []).scope == "global"
 
 
 def test_violations_at_checks_a_single_node():
@@ -53,22 +55,25 @@ def test_violations_at_checks_a_single_node():
     assert prop.violations_at(gs, Address(99)) == []
 
 
-def test_pairwise_property_enumerates_ordered_pairs_deterministically():
+def test_summary_property_combines_summaries_in_node_order():
     seen = []
 
-    def check(addr_a, local_a, addr_b, local_b, gs):
-        seen.append((addr_a, addr_b))
-        if addr_a < addr_b:
-            yield f"pair {addr_a}->{addr_b}"
+    def combine(summaries, keys):
+        seen.append((list(summaries.items()), keys))
+        for addr in summaries:
+            yield addr, f"summarised {addr}"
 
-    prop = pairwise_property("t.pairs", check)
+    prop = SummaryProperty(
+        "t.summary", lambda addr, local: None if addr == Address(2) else addr.host,
+        combine, inflight_key=lambda message: message)
     addrs, gs = _tree_state(count=3)
-    violations = prop.violations(gs)
-    assert len(seen) == 6  # 3 * 2 ordered pairs
-    assert len(violations) == 3
-    assert all(v.node is not None for v in violations)
-    # Deterministic order: sorted by first address.
-    assert [v.node for v in violations] == sorted(v.node for v in violations)
+    reordered = GlobalState(nodes={addr: gs.nodes[addr]
+                                   for addr in reversed(addrs)},
+                            inflight=("a", "b"))
+    violations = prop.violations(reordered)
+    # State order, a None summary left out, the in-flight keys in order.
+    assert seen == [([(Address(3), 3), (Address(1), 1)], ("a", "b"))]
+    assert [v.node for v in violations] == [Address(3), Address(1)]
 
 
 def test_unknown_severity_rejected():
