@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Deployed mode: the same CrystalBall run over real asyncio TCP sockets.
+"""Deployed mode: the same CrystalBall run over real TCP sockets.
 
 The same seeded RandTree deployment is executed twice — once on the
 default ``sim`` backend (simulated transport) and once on the ``tcp``

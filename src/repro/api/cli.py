@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the stream's length (simulated seconds)")
     run.add_argument("--backend", default=None,
                      help="execution backend: sim (default, simulated "
-                          "transport) or tcp (real asyncio sockets)")
+                          "transport) or tcp (real TCP sockets)")
     run.add_argument("--backend-option", metavar="KEY=VALUE",
                      type=_parse_option, action="append", default=[],
                      help="backend-specific option, e.g. host=127.0.0.1 "

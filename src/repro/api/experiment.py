@@ -329,7 +329,7 @@ class Experiment:
         """Select the execution backend for the live run.
 
         ``"sim"`` (the default) is the discrete-event simulator; ``"tcp"``
-        runs every node behind a real asyncio TCP socket, shipping service
+        runs every node behind a real TCP socket, shipping service
         and control messages — checkpoints included — as length-prefixed
         compact-bytes frames (see :mod:`repro.backends`).  The deterministic
         coordinator keeps seeded runs equivalent across backends.  Keyword

@@ -2,7 +2,7 @@
 
 See :mod:`repro.backends.base` for the :class:`ExecutionBackend` contract
 (the default ``sim`` backend is :class:`~repro.runtime.simulator.Simulator`
-itself) and :mod:`repro.backends.tcp` for deployed mode over real asyncio
+itself) and :mod:`repro.backends.tcp` for deployed mode over real TCP
 sockets.
 """
 

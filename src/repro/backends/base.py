@@ -13,7 +13,7 @@ in fact only needs this surface.  Two implementations ship:
 
 ``tcp`` (:class:`~repro.backends.tcp.AsyncioTcpBackend`)
     Deployed mode: every service and control message — checkpoint
-    requests/responses included — crosses a real asyncio TCP socket as a
+    requests/responses included — crosses a real TCP socket as a
     length-prefixed compact-bytes frame before its handler runs.  The
     deterministic coordinator keeps seeds reproducible, so the same
     scenario yields the same violations over real sockets.

@@ -1,10 +1,10 @@
-"""Deployed-mode backend: protocol nodes behind real asyncio TCP sockets.
+"""Deployed-mode backend: protocol nodes behind real TCP sockets.
 
-Each node gets a real TCP listener (an asyncio server on the loopback
-interface by default); every message the coordinator delivers — service
-traffic and the CrystalBall control plane alike — is encoded into a
-length-prefixed compact-bytes frame (:mod:`repro.backends.wire`), written to
-the destination node's socket, read back off the wire, decoded, and only
+Each node gets a real TCP listener (on the loopback interface by default);
+every message the coordinator delivers — service traffic and the CrystalBall
+control plane alike — is encoded into a length-prefixed compact-bytes frame
+(:mod:`repro.backends.wire`), written to a connection accepted by the
+destination node's listener, read back off the wire, decoded, and only
 *then* executed.  Checkpoints and snapshots therefore ship over the wire for
 real: a ``CHECKPOINT_RESPONSE`` carrying a cloned node state crosses a
 socket as serialized bytes, and the controller operates on the decoded copy.
@@ -21,38 +21,59 @@ a frame is ever cut, exactly as in sim.  Bullet' models its bounded
 non-blocking send queue in its own protocol state, so it behaves the same
 on either backend.
 
-Nodes run as asyncio tasks in one process.  Per-node subprocesses would
-speak the same frame protocol (the wire format carries everything needed);
-the single-process form keeps the CI smoke cheap.
+The coordinator ships one frame at a time, so the sockets block and every
+node shares one thread.  Per-node subprocesses would speak the same frame
+protocol; the single-process form keeps the CI smoke cheap.
 """
 
 from __future__ import annotations
 
-import asyncio
-from dataclasses import dataclass, field
+import socket
 from typing import Any, Optional
 
 from ..runtime.address import Address
 from ..runtime.messages import Message
 from ..runtime.simulator import Simulator
 from .base import register_backend
-from .wire import WireStats, read_frame, write_frame
+from .wire import WireError, WireStats, read_frame, write_frame
+
+#: Bytes put on a link per ``send``: far below a loopback socket's buffers,
+#: so a slice always fits once the previous one has been read back.
+CHUNK_BYTES = 16 * 1024
 
 
-@dataclass
-class _NodeEndpoint:
-    """One node's network presence: a listener plus its decoded-frame inbox."""
+class _Link:
+    """One ``src -> dst`` connection: its connecting and its accepted end.
 
-    addr: Address
-    server: Any = None
-    port: int = 0
-    inbox: "asyncio.Queue[Message]" = field(default_factory=asyncio.Queue)
+    One thread writes a frame and reads it back, so the link is the socket
+    on both sides of :func:`write_frame` / :func:`read_frame`: ``sendall``
+    only holds the frame, and ``recv_into`` sends its next slice once all
+    sent before it was read, so a frame larger than the socket buffers
+    never blocks on a full pipe.
+    """
 
-    async def close(self) -> None:
-        if self.server is not None:
-            self.server.close()
-            await self.server.wait_closed()
-            self.server = None
+    def __init__(self, sender: socket.socket, receiver: socket.socket) -> None:
+        self.sender = sender
+        self.receiver = receiver
+        self._pending = memoryview(b"")
+        self._unread = 0
+
+    def sendall(self, frame: bytes) -> None:
+        self._pending = memoryview(frame)
+
+    def recv_into(self, buffer: memoryview, nbytes: int) -> int:
+        if not self._unread and self._pending:
+            chunk = self._pending[:CHUNK_BYTES]
+            self.sender.sendall(chunk)
+            self._pending = self._pending[CHUNK_BYTES:]
+            self._unread = len(chunk)
+        received = self.receiver.recv_into(buffer, nbytes)
+        self._unread -= received
+        return received
+
+    def close(self) -> None:
+        self.sender.close()
+        self.receiver.close()
 
 
 class AsyncioTcpBackend(Simulator):
@@ -62,130 +83,95 @@ class AsyncioTcpBackend(Simulator):
     #: what ``Experiment.backend("tcp", ...)`` accepts.
     accepted_options = ("host", "port_base", "frame_timeout")
 
-    def __init__(self, *args: Any, host: str = "127.0.0.1",
-                 port_base: int = 0, frame_timeout: float = 30.0,
-                 **kwargs: Any) -> None:
+    def __init__(
+        self,
+        *args: Any,
+        host: str = "127.0.0.1",
+        port_base: int = 0,
+        frame_timeout: float = 30.0,
+        **kwargs: Any,
+    ) -> None:
         super().__init__(*args, **kwargs)
         self.host = host
         self.port_base = int(port_base)
         self.frame_timeout = float(frame_timeout)
         self.wire_stats = WireStats()
-        #: deliveries that skipped the wire (dead peer, torn socket): the
-        #: local path still executes them so semantics never depend on
-        #: socket health, but the count is reported for honesty.
+        #: deliveries run locally because their socket or frame failed:
+        #: semantics never depend on socket health, but the count is reported.
         self.wire_fallbacks = 0
-        self._endpoints: dict[Address, _NodeEndpoint] = {}
-        self._writers: dict[tuple[Address, Address], Any] = {}
+        self._listeners: dict[Address, socket.socket] = {}
+        self._links: dict[tuple[Address, Address], _Link] = {}
 
     # -- running ------------------------------------------------------------
 
-    def run(self, *, until: Optional[float] = None,
-            max_events: Optional[int] = None) -> None:
+    def run(
+        self, *, until: Optional[float] = None, max_events: Optional[int] = None
+    ) -> None:
         """Run the schedule with every delivery routed over real sockets.
 
-        Endpoints (listeners and outgoing connections) live for the
-        duration of this call; the inherited :meth:`Simulator.step` stays
-        socket-free and is only suitable for local debugging.
+        Listeners and links live for the duration of this call; the
+        inherited :meth:`Simulator.step` stays socket-free and is only
+        suitable for local debugging.
         """
-        asyncio.run(self._run_async(until=until, max_events=max_events))
-
-    async def _run_async(self, *, until: Optional[float],
-                         max_events: Optional[int]) -> None:
-        await self._open_endpoints()
         try:
+            for index, addr in enumerate(sorted(self.nodes)):
+                port = self.port_base + index if self.port_base else 0
+                listener = socket.create_server((self.host, port))
+                listener.settimeout(self.frame_timeout)
+                self._listeners[addr] = listener
             for message in self.deliveries(until, max_events):
-                await self._deliver_over_wire(message)
+                self._deliver_over_wire(message)
         finally:
-            await self._close_endpoints()
+            for link in self._links.values():
+                link.close()
+            self._links.clear()
+            for listener in self._listeners.values():
+                listener.close()
+            self._listeners.clear()
 
     # -- the wire -----------------------------------------------------------
 
-    async def _deliver_over_wire(self, message: Message) -> None:
+    def _deliver_over_wire(self, message: Message) -> None:
         """Ship one due delivery through its destination's real socket.
 
-        The frame round-trip is awaited before the handler runs, so the
-        executed event operates on the decoded-from-wire copy — byte-level
-        serialization is on the critical path exactly as in a deployment.
-        Deliveries to dead or unlistening peers skip the wire and take the
-        inherited local path, which records the drop.
+        The handler runs on the copy decoded off the wire, so byte-level
+        serialization is on the critical path as in a deployment.
+        Deliveries to dead or unlistening peers take the inherited local
+        path, which records the drop.
         """
         node = self.nodes.get(message.dst)
-        endpoint = self._endpoints.get(message.dst)
-        if node is None or not node.alive or endpoint is None \
-                or endpoint.server is None:
+        if node is None or not node.alive or message.dst not in self._listeners:
             self.deliver(message)
             return
+        key = (message.src, message.dst)
         try:
-            writer = await self._writer_for(message.src, message.dst)
-            frame_bytes = await write_frame(writer, message)
-            decoded = await asyncio.wait_for(endpoint.inbox.get(),
-                                             timeout=self.frame_timeout)
-        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError):
-            # A torn loopback socket must not change what the protocol
-            # observes: execute the local copy and account the fallback.
+            link = self._link_for(*key)
+            frame_bytes = write_frame(link, message)
+            decoded = read_frame(link)
+        except (OSError, WireError):
+            # A torn socket, a timeout or a torn frame must not change what
+            # the protocol observes: drop the link and run the local copy.
+            if key in self._links:
+                self._links.pop(key).close()
             self.wire_fallbacks += 1
             self.deliver(message)
             return
         self.wire_stats.record(message, frame_bytes)
         self.deliver(decoded)
 
-    async def _writer_for(self, src: Address, dst: Address) -> Any:
-        """The cached outgoing stream for the ``src -> dst`` pair."""
-        key = (src, dst)
-        writer = self._writers.get(key)
-        if writer is not None and not writer.is_closing():
-            return writer
-        endpoint = self._endpoints[dst]
-        _reader, writer = await asyncio.open_connection(self.host,
-                                                        endpoint.port)
-        self._writers[key] = writer
-        return writer
-
-    async def _serve_node(self, endpoint: _NodeEndpoint, reader: Any,
-                          writer: Any) -> None:
-        """Per-connection listener task: decode frames into the inbox."""
-        try:
-            while True:
-                message = await read_frame(reader)
-                await endpoint.inbox.put(message)
-        except (asyncio.IncompleteReadError, ConnectionResetError, OSError):
-            pass
-        except asyncio.CancelledError:
-            # Run teardown: the event loop is shutting down and cancels
-            # reader tasks still waiting for a frame.  Returning (instead
-            # of re-raising) lets them finish quietly.
-            pass
-        finally:
-            writer.close()
-
-    async def _open_endpoints(self) -> None:
-        for index, addr in enumerate(sorted(self.nodes)):
-            if addr in self._endpoints:
-                continue
-            endpoint = _NodeEndpoint(addr=addr)
-            port = self.port_base + index if self.port_base else 0
-
-            def handler(reader: Any, writer: Any,
-                        endpoint: _NodeEndpoint = endpoint) -> Any:
-                return self._serve_node(endpoint, reader, writer)
-
-            endpoint.server = await asyncio.start_server(
-                handler, self.host, port)
-            endpoint.port = endpoint.server.sockets[0].getsockname()[1]
-            self._endpoints[addr] = endpoint
-
-    async def _close_endpoints(self) -> None:
-        for writer in self._writers.values():
-            writer.close()
-        for writer in self._writers.values():
-            try:
-                await writer.wait_closed()
-            except (OSError, ConnectionResetError):
-                pass
-        self._writers.clear()
-        for endpoint in self._endpoints.values():
-            await endpoint.close()
-        self._endpoints.clear()
+    def _link_for(self, src: Address, dst: Address) -> _Link:
+        """The ``src -> dst`` link, connected on first use."""
+        link = self._links.get((src, dst))
+        if link is None:
+            listener = self._listeners[dst]
+            sender = socket.create_connection(
+                listener.getsockname()[:2], timeout=self.frame_timeout
+            )
+            sender.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            receiver, _ = listener.accept()
+            receiver.settimeout(self.frame_timeout)
+            link = self._links[src, dst] = _Link(sender, receiver)
+        return link
 
     # -- reporting ----------------------------------------------------------
 

@@ -13,6 +13,7 @@ statistics can split service from control traffic without decoding.
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -33,7 +34,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 class WireError(ValueError):
-    """A malformed frame arrived (bad magic, bad kind, oversized payload)."""
+    """A malformed frame arrived (bad magic, kind or length)."""
 
 
 def encode_frame(message: Message) -> bytes:
@@ -71,24 +72,35 @@ def decode_header(header: bytes) -> int:
     return length
 
 
-async def write_frame(writer: Any, message: Message) -> int:
-    """Write one frame to an asyncio stream; returns bytes written."""
+def write_frame(stream: Any, message: Message) -> int:
+    """Write one frame with ``stream.sendall``; returns bytes written."""
     frame = encode_frame(message)
-    writer.write(frame)
-    await writer.drain()
+    stream.sendall(frame)
     return len(frame)
 
 
-async def read_frame(reader: Any) -> Message:
-    """Read one complete frame from an asyncio stream.
+def read_frame(stream: Any) -> Message:
+    """Read one complete frame with ``stream.recv_into``.
 
-    Raises :class:`asyncio.IncompleteReadError` on EOF mid-frame and
-    :class:`WireError` on a malformed header.
+    Raises :class:`ConnectionError` on EOF mid-frame, :class:`WireError` on
+    a malformed header, and the socket's timeout when bytes stop coming.
     """
-    header = await reader.readexactly(HEADER_SIZE)
-    length = decode_header(header)
-    payload = await reader.readexactly(length)
-    return from_compact_bytes(payload)
+    length = decode_header(_recv_exactly(stream, HEADER_SIZE))
+    try:
+        return from_compact_bytes(_recv_exactly(stream, length))
+    except zlib.error as exc:  # a short length cuts the zlib stream
+        raise WireError(f"frame payload does not decompress: {exc}") from None
+
+
+def _recv_exactly(stream: Any, size: int) -> bytearray:
+    buffer = bytearray(size)
+    view = memoryview(buffer)
+    while view:
+        received = stream.recv_into(view, len(view))
+        if not received:
+            raise ConnectionError(f"stream closed {len(view)} of {size} bytes short")
+        view = view[received:]
+    return buffer
 
 
 @dataclass

@@ -1,5 +1,9 @@
 """Tests for the execution-backend registry and option validation."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.backends import (
@@ -62,3 +66,14 @@ def test_make_backend_builds_plain_simulator_for_sim():
     backend = make_backend("sim", _Null, tick_interval=7.0)
     assert isinstance(backend, Simulator)
     assert backend.tick_interval == 7.0
+
+
+def test_importing_repro_loads_no_event_loop():
+    # The tcp backend ships frames over blocking sockets: nothing it
+    # imports at ``import repro`` time needs asyncio.
+    src = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, repro; print('asyncio' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"

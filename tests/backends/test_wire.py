@@ -1,8 +1,11 @@
 """Tests for the deployed-mode wire format (frames and accounting)."""
 
+import socket
 import struct
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.backends import (
     FRAME_MAGIC,
@@ -15,6 +18,7 @@ from repro.backends import (
     decode_frame,
     decode_header,
     encode_frame,
+    read_frame,
 )
 from repro.runtime import Address, Message, Transport
 
@@ -94,3 +98,55 @@ def test_wire_stats_split_service_from_control():
     assert report["control_frames"] == 1
     assert report["wire_bytes"] == 250
     assert report["by_mtype"] == {"Ping": 2, "_cb_checkpoint_request": 1}
+
+
+# -- torn frames off a real socket --------------------------------------------
+
+_TIMEOUT = 2.0
+_FRAME = encode_frame(_msg(payload={"blocks": (1, 2, 3), "origin": Address(4)}))
+_MAGIC, _KIND, _LENGTH = _HEADER.unpack(_FRAME[:HEADER_SIZE])
+
+
+def _read_sent(data):
+    """``read_frame`` off a loopback socket whose peer sent ``data``, then EOF."""
+    with socket.create_server(("127.0.0.1", 0)) as listener, \
+            socket.create_connection(listener.getsockname()) as sender:
+        receiver, _ = listener.accept()
+        with receiver:
+            receiver.settimeout(_TIMEOUT)
+            sender.sendall(data)
+            sender.shutdown(socket.SHUT_WR)
+            started = time.monotonic()
+            try:
+                return read_frame(receiver)
+            finally:
+                assert time.monotonic() - started < _TIMEOUT
+
+
+def test_a_whole_frame_reads_back_off_a_socket():
+    assert _read_sent(_FRAME).payload == {"blocks": (1, 2, 3),
+                                          "origin": Address(4)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cut=st.integers(0, len(_FRAME) - 1))
+def test_every_truncated_frame_is_refused(cut):
+    with pytest.raises((ConnectionError, WireError)):
+        _read_sent(_FRAME[:cut])
+
+
+@settings(max_examples=60, deadline=None)
+@given(header=st.one_of(
+    st.tuples(st.integers(0, 0xFFFF).filter(lambda m: m != FRAME_MAGIC),
+              st.just(_KIND), st.just(_LENGTH)),
+    st.tuples(st.just(_MAGIC),
+              st.integers(0, 0xFF).filter(
+                  lambda k: k not in (KIND_SERVICE, KIND_CONTROL)),
+              st.just(_LENGTH)),
+    st.tuples(st.just(_MAGIC), st.just(_KIND),
+              st.integers(0, 2 ** 32 - 1).filter(lambda n: n != _LENGTH))))
+def test_a_corrupted_header_is_refused(header):
+    # Only the header is fuzzed: a short length cuts the zlib stream, which
+    # never decompresses, so no fuzzed bytes reach ``pickle.loads``.
+    with pytest.raises((ConnectionError, WireError)):
+        _read_sent(_HEADER.pack(*header) + _FRAME[HEADER_SIZE:])
