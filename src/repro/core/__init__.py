@@ -19,7 +19,7 @@ from .controller import (
     attach_crystalball,
 )
 from .event_filter import EventFilter, derive_filter
-from .immediate import ImmediateCheckOutcome, ImmediateSafetyCheck
+from .immediate import ImmediateSafetyCheck
 from .monitor import LivePropertyMonitor
 from .replay import ReplayResult, replay_error_path
 from .snapshot import NeighborhoodSnapshot
@@ -42,7 +42,6 @@ __all__ = [
     "attach_crystalball",
     "EventFilter",
     "derive_filter",
-    "ImmediateCheckOutcome",
     "ImmediateSafetyCheck",
     "LivePropertyMonitor",
     "ReplayResult",

@@ -361,11 +361,11 @@ class CrystalBallController:
         self.stats.isc_checks += 1
         neighborhood = (self.last_round.start
                         if self.last_round is not None else None)
-        outcome = self.isc.check(node.addr, node.state, node.timer_names(),
+        blocked = self.isc.check(node.addr, node.state, node.timer_names(),
                                  event, neighborhood=neighborhood)
-        if not outcome.allowed:
+        if blocked:
             self.stats.isc_blocks += 1
-        return outcome.allowed
+        return not blocked
 
     def handle_control_message(self, sim: Simulator, node: SimNode, message: Message) -> None:
         if message.mtype == CHECKPOINT_REQUEST:

@@ -15,31 +15,19 @@ blocked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..mc.global_state import GlobalState
 from ..mc.transition import TransitionSystem
 from ..properties import (
-    NodeScopedProperty,
     Property,
     PropertyViolation,
+    derive_all,
     safety_properties,
 )
 from ..runtime.address import Address
 from ..runtime.events import Event, ResetEvent
 from ..runtime.state import NodeState
-
-
-@dataclass
-class ImmediateCheckOutcome:
-    """Result of one speculative handler execution."""
-
-    allowed: bool
-    new_violations: list[PropertyViolation] = field(default_factory=list)
-
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.allowed
 
 
 class ImmediateSafetyCheck:
@@ -54,27 +42,10 @@ class ImmediateSafetyCheck:
                  properties: Sequence[Property]) -> None:
         self.system = system
         self.properties = safety_properties(properties)
-
-    def _relevant_violations(self, state: GlobalState,
-                             dirty: Address) -> list[PropertyViolation]:
-        """Violations whose verdict can depend on the handler at ``dirty``.
-
-        Speculatively executing an event at one node changes only that
-        node's local state (plus in-flight messages), so node-scoped
-        properties are checked at the dirty node alone; cross-node ones
-        (``combine`` over every node's summary) and plain predicates are
-        checked over the whole neighbourhood.  Restricting *both* the
-        before- and after-sets to the same subset keeps the
-        newly-introduced-violation subtraction exact while skipping
-        re-checks whose inputs cannot have changed.
-        """
-        found: list[PropertyViolation] = []
-        for prop in self.properties:
-            if isinstance(prop, NodeScopedProperty):
-                found.extend(prop.violations_at(state, dirty))
-            else:
-                found.extend(prop.violations(state))
-        return found
+        #: the neighbourhood last checked against and its verdicts, derived
+        #: once for all the checks against it (one controller round's).
+        self._start: Optional[GlobalState] = None
+        self._start_verdicts: tuple = ()
 
     def check(
         self,
@@ -84,8 +55,9 @@ class ImmediateSafetyCheck:
         event: Event,
         *,
         neighborhood: Optional[GlobalState] = None,
-    ) -> ImmediateCheckOutcome:
-        """Speculatively execute ``event`` and report whether it is safe.
+    ) -> list[PropertyViolation]:
+        """Speculatively execute ``event``; the violations it would newly
+        introduce (empty: safe to run).
 
         Parameters
         ----------
@@ -101,21 +73,29 @@ class ImmediateSafetyCheck:
             one-node view.
         """
         if isinstance(event, ResetEvent):
-            return ImmediateCheckOutcome(allowed=True)
-
-        # No copy: the transition system runs the handler on its own clone
-        # of the one node it executes, and nothing else is written.
+            return []
         if neighborhood is None:
             neighborhood = GlobalState(nodes={})
+        if neighborhood is not self._start:
+            self._start = neighborhood
+            self._start_verdicts = derive_all(self.properties, None,
+                                              neighborhood, ())
+
+        # No copy: the transition system runs the handler on its own clone
+        # of the one node it executes, and nothing else is written.  Both
+        # states differ from the neighbourhood only at ``addr`` and in
+        # flight, so each verdict is derived from the one before it.
+        changed = (addr,)
         base = neighborhood.successor(addr, live_state, live_timers)
-        before = {(v.property_name, v.node, v.detail)
-                  for v in self._relevant_violations(base, addr)}
-
+        before = derive_all(self.properties, self._start_verdicts, base,
+                            changed)
         speculative = self.system.apply(base, event)
-        after = self._relevant_violations(speculative, addr)
-        new = [v for v in after
-               if (v.property_name, v.node, v.detail) not in before]
-
-        if new:
-            return ImmediateCheckOutcome(allowed=False, new_violations=new)
-        return ImmediateCheckOutcome(allowed=True)
+        new: list[PropertyViolation] = []
+        for prop, verdict in zip(self.properties, before):
+            after = prop.derive(verdict, speculative, changed)
+            if after is verdict:
+                continue
+            old = {(v.node, v.detail) for v in prop.listed(verdict, base)}
+            new.extend(v for v in prop.listed(after, speculative)
+                       if (v.node, v.detail) not in old)
+        return new

@@ -17,21 +17,12 @@ O(touched), not O(nodes):
   or leaving rebuilds the view from ``node_states()`` so a revived node
   keeps its place.  A :class:`~repro.mc.global_state.GlobalState` over the
   view and ``sim.inflight_messages()`` is built once per call.
-* **safety** properties.  Node-scoped ones (``scope == "node"``: the check
-  at a node reads only that node's local state) are re-checked only at the
-  touched alive nodes, walked in view order, and the monitor keeps the set
-  of ``(property, node)`` keys that currently violate, so an untouched
-  node's verdict is never recomputed or rebuilt.  For a cross-node
-  :class:`~repro.properties.SummaryProperty` the monitor keeps one
-  ``{address: summary}`` beside the view, re-summarises the touched alive
-  nodes (every node on a rebuild) and the in-flight keys, and calls
-  ``combine`` only when a summary or the keys changed; otherwise it reuses
-  the last verdict, exact because ``combine`` is a pure function of them.
-  Only a plain :class:`~repro.properties.SafetyProperty` is re-checked
-  against the whole view after every event.  Violations are visited
-  property-major and node-minor, the order of a full ``check_all``, which
-  keeps episode records bit-identical to a full re-check (covered by tests
-  over all six bundled systems).
+* **safety** properties.  Each keeps its verdict on the view, derived
+  after every event from the previous one and the nodes that changed
+  (:meth:`~repro.properties.SafetyProperty.derive`); an episode opens for
+  each ``(property, node)`` key the new verdict lists and the old one did
+  not.  Episode records are bit-identical to a full re-check (covered by
+  tests over all six bundled systems).
 * **liveness** properties (bounded ``eventually`` / ``leads_to``
   obligations) are driven over simulated time through per-run trackers;
   :meth:`finalize` is called at the end of the run so deadlines that
@@ -52,7 +43,7 @@ other count :meth:`report` shows is read off the records, and a
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..mc.global_state import GlobalState, NodeLocal
 from ..obs.context import ObsContext
@@ -61,9 +52,8 @@ from ..properties import (
     NodeScopedProperty,
     Property,
     PropertyViolation,
-    SafetyProperty,
-    SummaryProperty,
     ViolationRecord,
+    safety_properties,
     state_digest,
 )
 from ..runtime.address import Address
@@ -74,52 +64,18 @@ from ..runtime.simulator import SimNode, Simulator
 EPISODE_REPORT_LIMIT = 200
 
 
-class _Combined:
-    """A summarised property's inputs at the previous event (every alive
-    node's summary in view order, the in-flight keys) and its verdict."""
-
-    def __init__(self, prop: SummaryProperty) -> None:
-        self.prop = prop
-        self.summaries: dict[Address, Any] = {}
-        self.keys: Optional[tuple] = None
-        self.violations: list[PropertyViolation] = []
-
-    def refresh(self, state: GlobalState, recheck: list[Address],
-                rebuilt: bool) -> bool:
-        """Bring the inputs up to date; True when ``combine`` had to run."""
-        prop, summaries = self.prop, self.summaries
-        changed = rebuilt
-        if rebuilt:  # every node, in the new view order
-            self.summaries = summaries = dict.fromkeys(state.nodes)
-            recheck = list(state.nodes)
-        for addr in recheck:
-            summary = prop.summarize(addr, state.nodes[addr])
-            if summary != summaries[addr]:
-                summaries[addr] = summary
-                changed = True
-        keys = prop.inflight_keys(state.inflight)
-        if not changed and keys == self.keys:
-            return False
-        self.keys = keys
-        self.violations = prop.recombine(summaries, keys)
-        return True
-
-
 class LivePropertyMonitor:
     """Counts inconsistent states and violation episodes in a live run."""
 
     def __init__(self, properties: Sequence[Property]) -> None:
         self.properties = list(properties)
 
-        #: safety properties in order, each with its re-check: "node" (at
-        #: touched nodes), a summary memo, or None (the whole view).
-        self._safety: list[tuple[SafetyProperty, Any]] = [
-            (prop, "node" if isinstance(prop, NodeScopedProperty)
-             else _Combined(prop) if isinstance(prop, SummaryProperty)
-             else None)
-            for prop in self.properties if isinstance(prop, SafetyProperty)
-        ]
-        self._node_scoped = sum(plan == "node" for _, plan in self._safety)
+        self._safety = safety_properties(self.properties)
+        #: per safety property: True when it is checked node by node.
+        self._by_node = [isinstance(prop, NodeScopedProperty)
+                         for prop in self._safety]
+        self._node_scoped = sum(self._by_node)
+        self._cross_node = len(self._safety) - self._node_scoped
         self._trackers = [
             (prop, prop.make_tracker())
             for prop in self.properties
@@ -143,10 +99,10 @@ class LivePropertyMonitor:
 
         #: alive nodes in ``node_states()`` order; None until the first call.
         self._view: Optional[dict[Address, NodeLocal]] = None
-        #: node-scoped (property id, node) keys currently violating.
-        self._active: set[tuple[str, Address]] = set()
-        #: keys the cross-node and global properties violated last event.
-        self._active_global: set[tuple[str, Optional[Address]]] = set()
+        #: each safety property's verdict on the view (None: none yet), and
+        #: the violations it lists.
+        self._verdicts: list = [None] * len(self._safety)
+        self._listed: list[list[PropertyViolation]] = [[] for _ in self._safety]
         self._finalized = False
         #: observability for the hosting run; replaced by install().
         self._obs = ObsContext()
@@ -164,8 +120,9 @@ class LivePropertyMonitor:
 
     # ----------------------------------------------------------- checking
 
-    def _update_view(self, sim: Simulator) -> list[Address]:
-        """Bring the view up to date; the nodes to re-check, in view order."""
+    def _update_view(self, sim: Simulator) -> tuple[list[Address], list[Address]]:
+        """Bring the view up to date; the alive nodes to re-check, in view
+        order, and the nodes that left."""
         touched, view = sim.touched, self._view
         if view is not None:
             recheck = []
@@ -181,17 +138,14 @@ class LivePropertyMonitor:
                 if len(recheck) > 1:
                     # View order, never the touched set's hash order.
                     recheck = [addr for addr in view if addr in touched]
-                return recheck
+                return recheck, []
         # Rebuild in node_states() order, so a revived node keeps its place.
         old = view or {}
         self._view = view = {
             addr: NodeLocal(state=state, timers=timers)
             for addr, (state, timers) in sim.node_states().items()}
-        departed = old.keys() - view.keys()
-        if departed:
-            self._active = {key for key in self._active
-                            if key[1] not in departed}
-        return [addr for addr in view if addr in touched or addr not in old]
+        return ([addr for addr in view if addr in touched or addr not in old],
+                [addr for addr in old if addr not in view])
 
     def _open_episode(
         self,
@@ -225,43 +179,32 @@ class LivePropertyMonitor:
         if not self._safety and not self._trackers:
             # Nothing to check: a property-free run costs O(1) per event.
             return
-        view = self._view
-        recheck = self._update_view(sim)
-        rebuilt = self._view is not view
+        recheck, departed = self._update_view(sim)
+        changed = recheck + departed
         state = GlobalState(nodes=self._view,
                             inflight=tuple(sim.inflight_messages()))
         now = sim.now
-        active = self._active
-        active_global: set[tuple[str, Optional[Address]]] = set()
+        verdicts, listed = self._verdicts, self._listed
+        moved = 0  # cross-node verdicts that moved
         # Property-major, node-minor: the order of a full check_all.
-        for prop, plan in self._safety:
-            if plan == "node":
-                for addr in recheck:
-                    key = (prop.name, addr)
-                    violations = prop.violations_at(state, addr)
-                    if not violations:
-                        active.discard(key)
-                    elif key not in active:
-                        active.add(key)
-                        self._open_episode(state, now, prop.name, addr,
-                                           violations[0].detail, "safety")
+        for index, prop in enumerate(self._safety):
+            before = verdicts[index]
+            after = prop.derive(before, state, changed)
+            if after is before:
                 continue
-            if plan is None or plan.refresh(state, recheck, rebuilt):
-                self.global_checks_computed += 1
-            else:
-                self.global_checks_cached += 1
-            violations = (prop.violations(state) if plan is None
-                          else plan.violations)
-            for violation in violations:
-                key = (violation.property_name, violation.node)
-                if key not in active_global and key not in self._active_global:
-                    self._open_episode(state, now, violation.property_name,
-                                       violation.node, violation.detail,
-                                       "safety")
-                active_global.add(key)
-        self._active_global = active_global
-        if active or active_global:
+            moved += not self._by_node[index]
+            verdicts[index] = after
+            was = {violation.node for violation in listed[index]}
+            listed[index] = prop.listed(after, state)
+            for violation in listed[index]:
+                if violation.node not in was:
+                    was.add(violation.node)
+                    self._open_episode(state, now, prop.name, violation.node,
+                                       violation.detail, "safety")
+        if any(listed):
             self.inconsistent_states += 1
+        self.global_checks_computed += moved
+        self.global_checks_cached += self._cross_node - moved
         computed = self._node_scoped * len(recheck)
         self.node_checks_computed += computed
         self.node_checks_cached += self._node_scoped * len(self._view) - computed

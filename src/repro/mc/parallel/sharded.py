@@ -151,7 +151,8 @@ def _coordinate(explorer: Explorer, first_state: GlobalState, num_workers: int,
 
     current: list[list[FrontierItem]] = [[] for _ in range(num_workers)]
     next_level: list[list[FrontierItem]] = [[] for _ in range(num_workers)]
-    current[first_state.state_hash() % num_workers].append((first_state, 0, ()))
+    current[first_state.state_hash() % num_workers].append(
+        (first_state, 0, (), None))
     # Maintained incrementally: workers report the bytes of the successors
     # they emit, the coordinator subtracts each dispatched batch (state
     # sizes are cached, so the per-batch sum is cheap attribute access).
@@ -285,9 +286,9 @@ def _process_round(worker_id: int, num_workers: int, explorer: Explorer,
     delta = SearchStats()
     locals_before = set(explorer.local_explored)
     for item in items:
-        if not explorer.visit(item, delta, found):
+        if (verdicts := explorer.visit(item, delta, found)) is None:
             continue
-        for successor in explorer.successors(item, delta):
+        for successor in explorer.successors(item, verdicts, delta):
             outgoing[successor[0].state_hash() % num_workers].append(successor)
     delta.explored_hash_bytes = 8 * len(explorer.explored)
     return ("round_done", worker_id, dict(outgoing), found, delta,

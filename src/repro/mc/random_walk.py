@@ -13,7 +13,12 @@ import random
 from typing import Optional, Sequence
 
 from .global_state import GlobalState
-from ..properties import SafetyProperty, check_all
+from ..properties import (
+    SafetyProperty,
+    derive_all,
+    listed_all,
+    safety_properties,
+)
 from .search import PredictedViolation, SearchBudget, SearchResult, SearchStats
 from .transition import TransitionSystem
 
@@ -34,16 +39,19 @@ def random_walk_search(
     rng = random.Random(seed)
     violations: list[PredictedViolation] = []
     seen_violation_hashes: set[int] = set()
+    properties = safety_properties(properties)
+    # Each step's verdicts are derived from the previous step's.
+    first_verdicts = derive_all(properties, None, first_state, ())
 
     for _ in range(walks):
         if budget.exhausted(stats):
             break
-        state = first_state
+        state, verdicts = first_state, first_verdicts
         path: tuple = ()
         for depth in range(walk_depth + 1):
             stats.record_visit(depth)
             state_hash = state.state_hash()
-            for violation in check_all(properties, state):
+            for violation in listed_all(properties, verdicts, state):
                 if (state_hash, violation.property_name) in seen_violation_hashes:
                     continue
                 seen_violation_hashes.add((state_hash, violation.property_name))
@@ -62,6 +70,7 @@ def random_walk_search(
                 break
             event = rng.choice(events)
             state = system.apply(state, event)
+            verdicts = derive_all(properties, verdicts, state, (event.node,))
             stats.transitions_applied += 1
             path = path + (event,)
 

@@ -4,11 +4,11 @@ The exhaustive baseline (Figure 5) and consequence prediction (Figure 8)
 are the same breadth-first search with state-hash caching; they differ
 only in which successors a visited state gets, and :class:`SearchKind`
 names that choice.  :class:`Explorer` holds the per-state work — visit
-(dedup, property check, first report per ``(property, node)``) and
-successors — :func:`breadth_first_search` drives it over a serial
-frontier, and the sharded workers of :mod:`repro.mc.parallel` drive the
-same :class:`Explorer` over their shard.  The ``StopCriterion`` of the
-paper is a :class:`SearchBudget`.
+(dedup, property verdicts derived from the parent's, first report per
+``(property, node)``) and successors — :func:`breadth_first_search` drives
+it over a serial frontier, and the sharded workers of
+:mod:`repro.mc.parallel` drive the same :class:`Explorer` over their
+shard.  The ``StopCriterion`` of the paper is a :class:`SearchBudget`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from ..properties import PropertyViolation, SafetyProperty, check_all
+from ..properties import (
+    PropertyViolation,
+    SafetyProperty,
+    derive_all,
+    listed_all,
+    safety_properties,
+)
 from ..runtime.events import Event
 from ..runtime.serialization import freeze
 from ..runtime.simulator import FilterAction
@@ -31,8 +37,9 @@ from .transition import TransitionSystem
 #: to execute the event normally.
 EventFilterFn = Callable[[Event], Optional[FilterAction]]
 
-#: One frontier entry: (state, depth, event path from the start state).
-FrontierItem = tuple[GlobalState, int, tuple[Event, ...]]
+#: One frontier entry: (state, depth, event path from the start state, the
+#: parent's property verdicts or None for the start state).
+FrontierItem = tuple[GlobalState, int, tuple[Event, ...], Optional[tuple]]
 
 
 class SearchKind(enum.Enum):
@@ -218,24 +225,28 @@ class Explorer:
     reported: set[tuple] = field(default_factory=set)
 
     def __post_init__(self) -> None:
+        self.properties = safety_properties(self.properties)
         if self.event_filter is not None and self.kind is not SearchKind.CONSEQUENCE:
             raise ValueError("event filters only apply to consequence prediction")
 
     def visit(self, item: FrontierItem, stats: SearchStats,
-              violations: list[PredictedViolation]) -> bool:
+              violations: list[PredictedViolation]) -> Optional[tuple]:
         """Check the properties in one dequeued state, appending what is new
-        to ``violations``; False when the state was already explored."""
-        state, depth, path = item
+        to ``violations``; the state's verdicts, derived from its parent's,
+        or None when the state was already explored."""
+        state, depth, path, parent = item
         state_hash = state.state_hash()
         if state_hash in self.explored:
             stats.duplicate_states += 1
-            return False
+            return None
         self.explored.add(state_hash)
         if self.budget.record_visited_hashes:
             stats.note_visited_hash(state_hash)
         stats.explored_hash_bytes = 8 * len(self.explored)
         stats.record_visit(depth)
-        for violation in check_all(self.properties, state):
+        verdicts = derive_all(self.properties, parent, state,
+                              (path[-1].node,) if path else ())
+        for violation in listed_all(self.properties, verdicts, state):
             key = (violation.property_name, violation.node)
             if key in self.reported:
                 continue
@@ -244,13 +255,14 @@ class Explorer:
                 PredictedViolation(violation=violation, path=path,
                                    depth=depth, state_hash=state_hash)
             )
-        return True
+        return verdicts
 
-    def successors(self, item: FrontierItem,
+    def successors(self, item: FrontierItem, verdicts: tuple,
                    stats: SearchStats) -> Iterator[FrontierItem]:
-        """Yield the not-yet-seen successors of a visited state, each as the
-        frontier entry to enqueue; nothing beyond the depth bound."""
-        state, depth, path = item
+        """Yield the not-yet-seen successors of a visited state with its
+        ``verdicts``, each as the frontier entry to enqueue; nothing beyond
+        the depth bound."""
+        state, depth, path, _ = item
         if not self.budget.depth_allowed(depth + 1):
             return
         system, event_filter = self.system, self.event_filter
@@ -270,7 +282,7 @@ class Explorer:
             self.queued.add(next_hash)
             stats.states_enqueued += 1
             stats.frontier_bytes += next_state.size_bytes()
-            yield next_state, depth + 1, path + (event,)
+            yield next_state, depth + 1, path + (event,), verdicts
 
     def _events(self, state: GlobalState, stats: SearchStats) -> list[Event]:
         if self.kind is SearchKind.EXHAUSTIVE:
@@ -303,7 +315,7 @@ def breadth_first_search(
     explorer = Explorer(system, properties, budget, kind, event_filter)
     stats = SearchStats()
     violations: list[PredictedViolation] = []
-    frontier: deque[FrontierItem] = deque([(first_state, 0, ())])
+    frontier: deque[FrontierItem] = deque([(first_state, 0, (), None)])
     # Hashed before it is sized, like every successor: hashing caches frozen
     # forms inside the state's addresses, which the size estimate then counts.
     explorer.queued.add(first_state.state_hash())
@@ -313,11 +325,11 @@ def breadth_first_search(
     while frontier and not budget.exhausted(stats):
         item = frontier.popleft()
         stats.frontier_bytes -= item[0].size_bytes()
-        if not explorer.visit(item, stats, violations):
+        if (verdicts := explorer.visit(item, stats, violations)) is None:
             continue
         if violations and budget.stop_at_first_violation:
             break
-        for successor in explorer.successors(item, stats):
+        for successor in explorer.successors(item, verdicts, stats):
             frontier.append(successor)
             stats.peak_memory_bytes = max(
                 stats.peak_memory_bytes,

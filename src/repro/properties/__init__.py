@@ -27,6 +27,8 @@ from .base import (
     SafetyProperty,
     SummaryProperty,
     check_all,
+    derive_all,
+    listed_all,
     node_property,
     safety_properties,
     typed_check,
@@ -53,6 +55,8 @@ __all__ = [
     "SafetyProperty",
     "SummaryProperty",
     "check_all",
+    "derive_all",
+    "listed_all",
     "node_property",
     "safety_properties",
     "typed_check",

@@ -20,22 +20,25 @@ makes the property surface selectable (``Experiment.properties("randtree.*")``,
 Combinators build safety properties from simpler check functions:
 
 * :func:`node_property` — checked independently at every node, reading
-  only that node's local state, which lets the live monitor re-check it
-  only at touched nodes;
+  only that node's local state;
 * :class:`SummaryProperty` — a cross-node invariant stated as a per-node
   ``summarize``, a projection of in-flight messages and a ``combine`` over
-  the summaries; its check is ``combine`` of every node's summary, and the
-  live monitor re-combines only when a summary or the in-flight keys
-  changed;
+  the summaries;
 * plain :class:`SafetyProperty` — an arbitrary predicate over the whole
-  global state, re-checked in full after every live event.
+  global state.
+
+Every checker (the live monitor, the immediate safety check, the
+searches) evaluates a safety property by one rule,
+:meth:`SafetyProperty.derive`: its verdict in a state, derived from its
+verdict where only some nodes and the in-flight messages differ; the kinds
+differ only in what they re-check (see :data:`SCOPES`).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from ..mc.global_state import GlobalState, NodeLocal
 from ..runtime.address import Address
@@ -44,13 +47,11 @@ from ..runtime.state import NodeState
 #: Recognised severity levels, most severe first.
 SEVERITIES = ("critical", "error", "warning", "info")
 
-#: Property scopes: ``"node"`` means the check at a node reads only that
-#: node's local state and timers, so the live monitor re-checks it only at
-#: the nodes an event touched; ``"summary"`` means the check combines one
-#: summary per node (plus the in-flight keys), so the monitor re-summarises
-#: the touched nodes and re-combines only when an input changed;
-#: ``"global"`` means it may read anything, so the monitor re-checks it over
-#: the whole view after every event.
+#: Property scopes, i.e. what :meth:`SafetyProperty.derive` re-checks when
+#: some nodes changed: ``"node"``, the check at each changed node (it reads
+#: only that node's local state and timers); ``"summary"``, each changed
+#: node's summary, then ``combine`` only if a summary or an in-flight key
+#: moved; ``"global"``, the whole state.
 SCOPES = ("node", "summary", "global")
 
 
@@ -126,6 +127,7 @@ class SafetyProperty(Property):
     ``check_fn`` receives the global state and returns an iterable of
     violation detail strings paired with the offending node (or ``None``
     for system-wide violations).  Severity and tags are keyword-only.
+    A verdict (:meth:`derive`) is plain data, so a search can pickle it.
     """
 
     kind = "safety"
@@ -145,12 +147,23 @@ class SafetyProperty(Property):
         super().__init__(name, description, severity=severity, tags=tags)
         self._check_fn = check_fn
 
+    def derive(self, before: Any, state: GlobalState,
+               changed: Iterable[Address]) -> Any:
+        """This property's verdict in ``state``, from its verdict ``before``
+        in a state where only the ``changed`` nodes (added, removed or
+        updated) and the in-flight messages differ; ``before`` None derives
+        from nothing.  A plain predicate re-checks the whole state."""
+        return [PropertyViolation(self.name, node, detail)
+                for node, detail in self._check_fn(state)]
+
+    def listed(self, verdict: Any, state: GlobalState) -> list[PropertyViolation]:
+        """The violations of ``verdict``, a verdict in ``state``, in
+        :func:`check_all` order."""
+        return verdict
+
     def violations(self, state: GlobalState) -> list[PropertyViolation]:
         """All violations of this property in ``state``."""
-        return [
-            PropertyViolation(property_name=self.name, node=node, detail=detail)
-            for node, detail in self._check_fn(state)
-        ]
+        return self.listed(self.derive(None, state, ()), state)
 
     def holds(self, state: GlobalState) -> bool:
         """True when the property is satisfied in ``state``."""
@@ -165,32 +178,13 @@ class SafetyProperty(Property):
 class NodeScopedProperty(SafetyProperty):
     """A safety property checked independently at every node.
 
-    Built by :func:`node_property`.  The per-node check reads nothing but
-    that node's local state and timers, so :meth:`violations_at` can
-    re-check a single node — the live monitor's per-touched-node re-check
-    and the immediate safety check both rely on this.
+    Built by :func:`node_property`; ``check_fn`` is the per-node check.  It
+    reads nothing but that node's local state and timers, so a verdict
+    (``{node: violations}`` for the violating nodes) is re-checked only at
+    the nodes that changed.
     """
 
     scope = "node"
-
-    def __init__(
-        self,
-        name: str,
-        node_check_fn: Callable[
-            [Address, NodeState, frozenset[str], GlobalState], Iterable[str]
-        ],
-        description: str = "",
-        *,
-        severity: str = "error",
-        tags: Iterable[str] = (),
-    ) -> None:
-        def check(state: GlobalState) -> Iterable[tuple[Optional[Address], str]]:
-            for addr, local in state.nodes.items():
-                for detail in node_check_fn(addr, local.state, local.timers, state):
-                    yield addr, detail
-
-        super().__init__(name, check, description, severity=severity, tags=tags)
-        self._node_check_fn = node_check_fn
 
     def violations_at(
         self, state: GlobalState, addr: Address
@@ -200,9 +194,36 @@ class NodeScopedProperty(SafetyProperty):
         if local is None:
             return []
         return [
-            PropertyViolation(property_name=self.name, node=addr, detail=detail)
-            for detail in self._node_check_fn(addr, local.state, local.timers, state)
+            PropertyViolation(self.name, addr, detail)
+            for detail in self._check_fn(addr, local.state, local.timers, state)
         ]
+
+    def derive(self, before: Optional[dict], state: GlobalState,
+               changed: Iterable[Address]) -> dict:
+        if before is None:  # every node, in one pass
+            verdict: dict = {}
+            for addr, local in state.nodes.items():
+                for detail in self._check_fn(addr, local.state, local.timers, state):
+                    verdict.setdefault(addr, []).append(
+                        PropertyViolation(self.name, addr, detail))
+            return verdict
+        verdict = before
+        for addr in changed:
+            found = self.violations_at(state, addr)
+            if (found or None) == verdict.get(addr):  # a clean node has no entry
+                continue
+            if verdict is before:  # copied on the first move only
+                verdict = dict(before)
+            if found:
+                verdict[addr] = found
+            else:
+                del verdict[addr]
+        return verdict
+
+    def listed(self, verdict: dict, state: GlobalState) -> list[PropertyViolation]:
+        if not verdict:
+            return []
+        return [v for addr in state.nodes if addr in verdict for v in verdict[addr]]
 
 
 def node_property(
@@ -235,10 +256,9 @@ class SummaryProperty(SafetyProperty):
     the property ignores; ``inflight_key(message)`` projects an in-flight
     message to a key, or ``None``; ``combine(summaries, keys)`` gets
     ``{addr: summary}`` in ``state.nodes`` order (``None`` left out) and the
-    keys in in-flight order, and yields ``(node, detail)`` pairs.  The check
-    is ``combine`` over every node's summary, for every checker alike.
-    ``combine`` must be pure: the live monitor reuses its verdict while no
-    summary (by ``==``) and no key changed.
+    keys in in-flight order, and yields ``(node, detail)`` pairs.  A verdict
+    is ``(summaries, keys, violations)``; ``combine`` must be pure, because
+    a verdict is reused while no summary (by ``==``) and no key moved.
     """
 
     scope = "summary"
@@ -257,20 +277,9 @@ class SummaryProperty(SafetyProperty):
         severity: str = "error",
         tags: Iterable[str] = (),
     ) -> None:
-        super().__init__(name, self._combine_state, description,
-                         severity=severity, tags=tags)
+        super().__init__(name, combine, description, severity=severity, tags=tags)
         self.summarize = summarize
         self.inflight_key = inflight_key
-        self.combine = combine
-
-    def _combine_state(
-        self, state: GlobalState
-    ) -> Iterable[tuple[Optional[Address], str]]:
-        summarize = self.summarize
-        return self.combine(
-            {addr: summary for addr, local in state.nodes.items()
-             if (summary := summarize(addr, local)) is not None},
-            self.inflight_keys(state.inflight))
 
     def inflight_keys(self, inflight: Iterable[Any]) -> tuple:
         """The keys of the in-flight messages the property reads, in order."""
@@ -279,17 +288,32 @@ class SummaryProperty(SafetyProperty):
         return tuple([key for key in map(self.inflight_key, inflight)
                       if key is not None])
 
-    def recombine(
-        self, summaries: Mapping[Address, Any], keys: tuple
-    ) -> list[PropertyViolation]:
-        """The violations ``combine`` finds over ``keys`` and the nodes
-        whose summary is not ``None``."""
-        present = {addr: summary for addr, summary in summaries.items()
-                   if summary is not None}
-        return [
-            PropertyViolation(property_name=self.name, node=node, detail=detail)
-            for node, detail in self.combine(present, keys)
-        ]
+    def derive(self, before: Optional[tuple], state: GlobalState,
+               changed: Iterable[Address]) -> tuple:
+        nodes, summarize = state.nodes, self.summarize
+        if before is None or any((addr in nodes) != (addr in before[0])
+                                 for addr in changed):
+            # Nothing known, or the node set changed: every node, in order.
+            summaries = {addr: summarize(addr, local)
+                         for addr, local in nodes.items()}
+        else:
+            summaries = before[0]
+            for addr in changed:
+                summary = summarize(addr, nodes[addr])
+                if summary != summaries[addr]:
+                    if summaries is before[0]:  # copied on the first move only
+                        summaries = dict(summaries)
+                    summaries[addr] = summary
+        keys = self.inflight_keys(state.inflight)
+        if before is not None and summaries is before[0] and keys == before[1]:
+            return before
+        present = {addr: s for addr, s in summaries.items() if s is not None}
+        return summaries, keys, [
+            PropertyViolation(self.name, node, detail)
+            for node, detail in self._check_fn(present, keys)]
+
+    def listed(self, verdict: tuple, state: GlobalState) -> list[PropertyViolation]:
+        return verdict[2]
 
 
 def typed_check(state_type: type) -> Callable:
@@ -363,3 +387,19 @@ def check_all(
         if isinstance(prop, SafetyProperty):
             found.extend(prop.violations(state))
     return found
+
+
+def derive_all(properties: Sequence[SafetyProperty], before: Optional[tuple],
+               state: GlobalState, changed: Iterable[Address]) -> tuple:
+    """Each property's verdict in ``state``, derived from its verdict in
+    ``before`` (None: from nothing); see :meth:`SafetyProperty.derive`."""
+    before = before or (None,) * len(properties)
+    return tuple([p.derive(v, state, changed) for p, v in zip(properties, before)])
+
+
+def listed_all(properties: Sequence[SafetyProperty], verdicts: tuple,
+               state: GlobalState) -> list[PropertyViolation]:
+    """The violations of ``verdicts`` in ``state``, in :func:`check_all`
+    order."""
+    return [violation for prop, verdict in zip(properties, verdicts)
+            for violation in prop.listed(verdict, state)]

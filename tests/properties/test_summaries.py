@@ -7,7 +7,9 @@ keeps the monitor's; every summarised property must return the same
 violations — same list, same order, same detail text — on states sampled
 from seeded live runs of all six systems, on their model-checker
 successors, on every search scenario's start state and its successors,
-and on crafted violating states.
+and on crafted violating states.  On every sampled parent → child step,
+each property's verdict derived from the parent's must list what a
+from-scratch ``check_all`` of the child finds.
 """
 
 import pytest
@@ -19,8 +21,12 @@ from repro.mc import GlobalState, TransitionSystem
 from repro.properties import (
     SafetyProperty,
     SummaryProperty,
+    check_all,
+    derive_all,
     get_property,
+    listed_all,
     node_property,
+    safety_properties,
     typed_check,
     typed_states,
 )
@@ -185,11 +191,14 @@ def test_every_builtin_cross_node_property_is_summarised():
 # ---------------------------------------------------------------- the states
 
 
-def _successors(system, states, per_state):
+def _successors(system, states, per_state, steps):
+    """The first ``per_state`` successors of each state; each
+    ``(parent, event, child)`` is appended to ``steps``."""
     found = []
     for state in states:
         for event in system.enabled_events(state)[:per_state]:
             found.append(system.apply(state, event))
+            steps.append((state, event, found[-1]))
     return found
 
 
@@ -221,7 +230,7 @@ LIVE_RUNS = {
 }
 
 
-def _live_samples(system_name, monkeypatch, every=7, limit=40):
+def _live_samples(system_name, monkeypatch, steps, every=7, limit=40):
     """Frozen copies of the live global state: every ``every``-th event,
     and every event the monitor counted as inconsistent (``limit`` each),
     plus model-checker successors of each sample."""
@@ -253,10 +262,10 @@ def _live_samples(system_name, monkeypatch, every=7, limit=40):
     protocol = next(iter(report.simulator.nodes.values())).protocol
     system = TransitionSystem(
         protocol, get_system(system_name).transition_factory())
-    return samples + _successors(system, samples, per_state=3)
+    return samples + _successors(system, samples, 3, steps)
 
 
-def _scenario_states(system_name):
+def _scenario_states(system_name, steps):
     """Every search scenario's start state and two levels of successors."""
     spec = get_system(system_name)
     states = []
@@ -270,7 +279,7 @@ def _scenario_states(system_name):
         level = [start]
         for _ in range(2):
             states.extend(level)
-            level = _successors(system, level, per_state=6)
+            level = _successors(system, level, 6, steps)
         states.extend(level)
     return states
 
@@ -285,16 +294,35 @@ def _assert_same(states):
     return violated
 
 
+def _assert_derived(properties, steps):
+    """A verdict derived from the parent's lists what ``check_all`` finds;
+    a summary verdict whose summaries and keys did not move is the
+    parent's own object."""
+    for parent, event, child in steps:
+        before = derive_all(properties, None, parent, ())
+        after = derive_all(properties, before, child, (event.node,))
+        assert listed_all(properties, after, child) == check_all(
+            properties, child)
+        for prop, old, new in zip(properties, before, after):
+            if isinstance(prop, SummaryProperty):
+                fresh = prop.derive(None, child, ())
+                assert (new is old) == (fresh[:2] == old[:2]), prop.name
+
+
 @pytest.mark.parametrize("system_name", SYSTEMS)
 def test_summaries_match_the_reference_on_sampled_states(
         system_name, monkeypatch):
-    states = _live_samples(system_name, monkeypatch)
-    states += _scenario_states(system_name)
+    steps = []
+    states = _live_samples(system_name, monkeypatch, steps)
+    states += _scenario_states(system_name, steps)
     assert len(states) > 10
     violated = _assert_same(states)
     # The samples reach every cross-node property of the system.
     assert violated >= {prop.name for prop in get_system(system_name).properties
                         if prop.name in REFERENCES}
+    _assert_derived(list(dict.fromkeys(
+        safety_properties(get_system(system_name).properties) + SUMMARISED)),
+        steps)
 
 
 # ----------------------------------------------------------- crafted states
