@@ -1,11 +1,11 @@
 """Heavy-traffic scale axis: events/sec and memory at 256 and 1000 nodes.
 
 Prices the scale work end to end on a workload-driven live Chord
-deployment — the O(active) scheduler, batched control-plane fan-out,
-sampled deep checking (:class:`~repro.core.controller.CheckingPolicy`)
-and delta-encoded checkpoints — against the per-node-tick-equivalent
+deployment — the O(active) scheduler, UDP checkpoint requests, sampled
+deep checking (:class:`~repro.core.controller.CheckingPolicy`) and
+delta-encoded checkpoints — against the per-node-tick-equivalent
 **baseline**: every controller deep-checks every round (``period=1``,
-full compressed checkpoint accounting, sequential fan-out).  Both
+full compressed checkpoint accounting, TCP checkpoint requests).  Both
 variants drive the same open-loop lookup workload (2 req/s per node) with
 property checking disabled, so the speedups price the scheduler and the
 control plane alone.
@@ -72,7 +72,7 @@ def _measure(nodes, duration, scaled, properties_on, queue):
                                    period=max(1, nodes // 16) if scaled else 1,
                                    seed=0),
                                delta_checkpoints=scaled,
-                               batched_control_plane=scaled)
+                               udp_checkpoint_requests=scaled)
                   .metrics()
                   .max_events(600_000 if not scaled else 4_000_000)
                   .seed(SEED))
@@ -137,6 +137,8 @@ def test_scale():
 
     for label, result in results.items():
         assert result["requests_injected"] > 0, label
+        assert (result["requests_completed"]
+                > 0.9 * result["requests_injected"]), label
         assert result["snapshots_collected"] > 0, label
         if result["checking_period"] > 1:
             assert (result["control_bytes_per_node"]

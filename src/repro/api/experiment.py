@@ -257,7 +257,7 @@ class Experiment:
                     transition: Optional[TransitionConfig] = None,
                     checking: Optional[CheckingPolicy] = None,
                     delta_checkpoints: Optional[bool] = None,
-                    batched_control_plane: Optional[bool] = None,
+                    udp_checkpoint_requests: Optional[bool] = None,
                     ) -> "Experiment":
         """Attach CrystalBall controllers in the given mode (debug when
         none is given).
@@ -265,8 +265,8 @@ class Experiment:
         The scale knobs: ``checking`` samples deep checking across
         controllers (a :class:`~repro.core.controller.CheckingPolicy`),
         ``delta_checkpoints`` accounts checkpoint answers as deltas
-        against the peer's last-seen state, and ``batched_control_plane``
-        fans snapshot-gather requests out over UDP in one batch.
+        against the peer's last-seen state, and ``udp_checkpoint_requests``
+        sends snapshot-gather requests over UDP.
         """
         self._mode = Mode.DEBUG if mode is None else parse_mode(mode)
         self._cb_kwargs = {
@@ -275,8 +275,8 @@ class Experiment:
                                 ("transition", transition),
                                 ("checking", checking),
                                 ("delta_checkpoints", delta_checkpoints),
-                                ("batched_control_plane",
-                                 batched_control_plane))
+                                ("udp_checkpoint_requests",
+                                 udp_checkpoint_requests))
             if value is not None}
         # The budget is not recorded: a search scenario honours it.
         self._explicit.update(self._cb_kwargs.keys() - {"search_budget"})

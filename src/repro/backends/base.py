@@ -35,7 +35,6 @@ from typing import (
     Mapping,
     Optional,
     Protocol as TypingProtocol,
-    Sequence,
     runtime_checkable,
 )
 
@@ -92,8 +91,6 @@ class ExecutionBackend(TypingProtocol):
 
     # -- transport ---------------------------------------------------------
     def transmit(self, addr: Address, message: Message) -> None: ...
-    def transmit_batch(self, addr: Address,
-                       messages: Sequence[Message]) -> None: ...
 
     # -- execution ---------------------------------------------------------
     def run(self, *, until: Optional[float] = None,

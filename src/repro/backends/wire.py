@@ -13,7 +13,6 @@ statistics can split service from control traffic without decoding.
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -34,7 +33,8 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 class WireError(ValueError):
-    """A malformed frame arrived (bad magic, kind or length)."""
+    """A malformed frame arrived (bad magic, kind or length, or a payload
+    that does not decode into a :class:`Message`)."""
 
 
 def encode_frame(message: Message) -> bytes:
@@ -55,7 +55,7 @@ def decode_frame(frame: bytes) -> Message:
     if len(payload) != length:
         raise WireError(
             f"frame payload is {len(payload)} bytes, header says {length}")
-    return from_compact_bytes(payload)
+    return _decode_payload(payload)
 
 
 def decode_header(header: bytes) -> int:
@@ -86,10 +86,20 @@ def read_frame(stream: Any) -> Message:
     a malformed header, and the socket's timeout when bytes stop coming.
     """
     length = decode_header(_recv_exactly(stream, HEADER_SIZE))
+    return _decode_payload(_recv_exactly(stream, length))
+
+
+def _decode_payload(payload: bytes) -> Message:
+    # A short length cuts the zlib stream, a forged pickle names a foreign
+    # global, and unpickling garbage can raise almost any exception type:
+    # each is a malformed frame, which the caller survives, not a crash.
     try:
-        return from_compact_bytes(_recv_exactly(stream, length))
-    except zlib.error as exc:  # a short length cuts the zlib stream
-        raise WireError(f"frame payload does not decompress: {exc}") from None
+        message = from_compact_bytes(payload)
+    except Exception as exc:
+        raise WireError(f"frame payload does not decode: {exc!r}") from None
+    if not isinstance(message, Message):
+        raise WireError(f"frame payload is a {type(message).__name__}")
+    return message
 
 
 def _recv_exactly(stream: Any, size: int) -> bytearray:

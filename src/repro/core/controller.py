@@ -137,11 +137,10 @@ class CrystalBallConfig:
     #: control-plane bytes stay flat as node count grows.  Off by default
     #: because it changes the byte accounting of existing runs.
     delta_checkpoints: bool = False
-    #: Fan snapshot requests out as one batched UDP delivery plan instead
-    #: of a TCP heap entry per neighbour.  Off by default: UDP requests may
-    #: be lost (an incomplete snapshot rather than a retry), which is the
-    #: scale trade-off, not the 24-node semantics.
-    batched_control_plane: bool = False
+    #: Send snapshot requests over UDP instead of TCP.  Off by default: UDP
+    #: requests may be lost (an incomplete snapshot rather than a retry),
+    #: which is the scale trade-off, not the 24-node semantics.
+    udp_checkpoint_requests: bool = False
 
     def copy(self) -> "CrystalBallConfig":
         """Per-controller copy: budgets and transition config are mutable
@@ -399,27 +398,18 @@ class CrystalBallController:
         neighbors = [n for n in self.protocol.neighbors(node.state) if n != node.addr]
         self._round = Round(checkpoint_number=local.checkpoint_number,
                             expected=frozenset(neighbors))
-        transport = (Transport.UDP if self.config.batched_control_plane
+        transport = (Transport.UDP if self.config.udp_checkpoint_requests
                      else Transport.TCP)
-        requests = [
-            Message(
+        for neighbor in neighbors:
+            sim.transmit(node.addr, Message(
                 mtype=CHECKPOINT_REQUEST,
                 src=node.addr,
                 dst=neighbor,
                 payload={"cn": local.checkpoint_number},
                 transport=transport,
                 control=True,
-            )
-            for neighbor in neighbors
-        ]
-        if self.config.batched_control_plane:
-            # One delivery plan for the whole fan-out: a single heap entry
-            # regardless of neighbourhood size.
-            sim.transmit_batch(node.addr, requests)
-        else:
-            for request in requests:
-                sim.transmit(node.addr, request)
-        self.stats.checkpoint_requests_sent += len(requests)
+            ))
+        self.stats.checkpoint_requests_sent += len(neighbors)
 
     def _answer_checkpoint_request(self, sim: Simulator, node: SimNode,
                                    message: Message) -> None:
@@ -591,7 +581,7 @@ class CrystalBallController:
                 continue
             event_filter = decision.filter
             key = (event_filter.message_type, event_filter.message_src,
-                   event_filter.timer_name, event_filter.app_call)
+                   event_filter.timer_name)
             if key in seen:
                 continue
             seen.add(key)

@@ -2,8 +2,8 @@
 runtime (Sections 3.3 and 4, "Event Filtering for Execution steering").
 
 A filter identifies the handler invocation to avoid: for network messages it
-carries the message type, source and destination; for timer or application
-events it carries the handler identity.  When a filter triggers, network
+carries the message type, source and destination; for timer events it
+carries the timer name.  When a filter triggers, network
 messages are dropped (optionally together with a TCP connection reset
 towards the sender), while timer events are rescheduled rather than dropped.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..runtime.address import Address
-from ..runtime.events import AppEvent, Event, MessageEvent, TimerEvent
+from ..runtime.events import Event, MessageEvent, TimerEvent
 from ..runtime.simulator import FilterAction
 
 
@@ -28,9 +28,8 @@ class EventFilter:
     #: Message filters: type plus source (destination is ``node``).
     message_type: Optional[str] = None
     message_src: Optional[Address] = None
-    #: Timer / application-call filters.
+    #: Timer filters.
     timer_name: Optional[str] = None
-    app_call: Optional[str] = None
     #: Why the filter exists (the predicted violation), for reporting.
     reason: str = ""
     #: The installing controller's running ``filters_installed`` count.
@@ -48,8 +47,6 @@ class EventFilter:
             return self.message_src is None or event.message.src == self.message_src
         if self.timer_name is not None:
             return isinstance(event, TimerEvent) and event.timer == self.timer_name
-        if self.app_call is not None:
-            return isinstance(event, AppEvent) and event.call == self.app_call
         return False
 
     def decision(self, event: Event) -> FilterAction:
@@ -66,10 +63,8 @@ class EventFilter:
         if self.message_type is not None:
             src = self.message_src if self.message_src is not None else "*"
             target = f"message {self.message_type} from {src}"
-        elif self.timer_name is not None:
-            target = f"timer '{self.timer_name}'"
         else:
-            target = f"app call '{self.app_call}'"
+            target = f"timer '{self.timer_name}'"
         return f"filter#{self.filter_id} on {self.node}: {self.action.value} {target}"
 
 
@@ -77,9 +72,10 @@ def derive_filter(node: Address, event: Event, *, reason: str = "",
                   action: FilterAction = FilterAction.DROP_AND_RESET) -> Optional[EventFilter]:
     """Build the event filter that blocks ``event`` at ``node``.
 
-    Returns ``None`` for events that cannot be usefully filtered (node
-    resets, transport errors — those are environment actions, not handler
-    invocations the runtime controls).
+    Returns ``None`` for events that are not steered: node resets and
+    transport errors (environment actions, not handler invocations the
+    runtime controls) and application calls (the client's, not the
+    protocol's).
     """
     if event.node != node:
         return None
@@ -90,7 +86,4 @@ def derive_filter(node: Address, event: Event, *, reason: str = "",
     if isinstance(event, TimerEvent):
         return EventFilter(node=node, action=FilterAction.DELAY, reason=reason,
                            timer_name=event.timer)
-    if isinstance(event, AppEvent):
-        return EventFilter(node=node, action=FilterAction.DROP, reason=reason,
-                           app_call=event.call)
     return None

@@ -45,8 +45,8 @@ def choose_steering_point(node: Address,
 
     Policy (Section 3.3): steer as early as possible, i.e. the first event on
     the path that is a handler invocation on ``node`` which the runtime can
-    refuse (a message delivery, timer or application call — not a reset or a
-    transport error, which are environment actions).
+    refuse: a message delivery or a timer.  Resets and transport errors are
+    environment actions, and application calls are the client's.
     """
     for event in violation.path:
         if event.node != node:

@@ -9,7 +9,6 @@ of Section 2.3.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any, Mapping
@@ -28,9 +27,6 @@ class Transport(Enum):
 
     TCP = "tcp"
     UDP = "udp"
-
-
-_msg_counter = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -55,9 +51,9 @@ class Message:
         True for CrystalBall control-plane messages (checkpoint requests and
         responses); these are routed to the controller, not the service.
     msg_id:
-        Unique id used by the live runtime for tracing; ignored by state
-        hashing so that model checking does not distinguish otherwise
-        identical messages.
+        Serial number the sending simulator gives the message (``0`` until
+        sent), used for tracing; ignored by state hashing so that model
+        checking does not distinguish otherwise identical messages.
     """
 
     mtype: str
@@ -67,7 +63,7 @@ class Message:
     transport: Transport = Transport.TCP
     checkpoint_number: int = 0
     control: bool = False
-    msg_id: int = field(default_factory=lambda: next(_msg_counter), compare=False)
+    msg_id: int = field(default=0, compare=False)
     _sig_cache: Any = field(default=None, repr=False, compare=False, init=False)
 
     def signature(self) -> tuple:

@@ -21,44 +21,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> runtime)
 
 
 @dataclass
-class DeliveryPlan:
-    """A batch of planned message deliveries behind one scheduler entry.
-
-    A broadcast (snapshot-request fan-out, workload burst) used to push one
-    heap entry per recipient; a plan holds the whole batch sorted by
-    delivery time and the simulator cursors through it, re-arming a single
-    heap entry at the next due time.  ``deliveries`` entries are
-    ``(time, delivery_id, message)``.
-    """
-
-    deliveries: list[tuple[float, int, "Message"]]
-    cursor: int = 0
-
-    @classmethod
-    def from_deliveries(
-        cls, deliveries: list[tuple[float, int, "Message"]]
-    ) -> "DeliveryPlan":
-        """Build a plan; entries are ordered by (time, enqueue order)."""
-        return cls(deliveries=sorted(deliveries, key=lambda d: (d[0], d[1])))
-
-    @property
-    def exhausted(self) -> bool:
-        return self.cursor >= len(self.deliveries)
-
-    def next_time(self) -> float:
-        return self.deliveries[self.cursor][0]
-
-    def pop_due(self) -> tuple[int, "Message"]:
-        """Advance past the next delivery, returning (delivery_id, message)."""
-        _, did, message = self.deliveries[self.cursor]
-        self.cursor += 1
-        return did, message
-
-    def __len__(self) -> int:
-        return len(self.deliveries) - self.cursor
-
-
-@dataclass
 class NetworkModel:
     """Latency / loss / partition model used by the simulator.
 

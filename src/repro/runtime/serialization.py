@@ -11,7 +11,10 @@ immutable form.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import io
 import pickle
+import sys
 import zlib
 from typing import Any
 
@@ -86,9 +89,39 @@ def to_compact_bytes(value: Any) -> bytes:
     return zlib.compress(raw, level=6)
 
 
+@functools.cache
+def _runtime_types() -> tuple[type, ...]:
+    """``Message``, ``Address``, ``Transport`` and ``NodeState``, imported
+    on first use because their modules import this one."""
+    from .address import Address
+    from .messages import Message, Transport
+    from .state import NodeState
+
+    return Message, Address, Transport, NodeState
+
+
+class _RuntimeUnpickler(pickle.Unpickler):
+    """An unpickler that resolves only the runtime's own value types."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        message, address, transport, node_state = _runtime_types()
+        # Only a module already imported: naming one runs no import.
+        found = getattr(sys.modules.get(module), name, None)
+        if found in (message, address, transport) or (
+                isinstance(found, type) and issubclass(found, node_state)):
+            return found
+        raise pickle.UnpicklingError(f"refusing global {module}.{name}")
+
+
 def from_compact_bytes(blob: bytes) -> Any:
-    """Decode a :func:`to_compact_bytes` payload back into the value."""
-    return pickle.loads(zlib.decompress(blob))
+    """Decode a :func:`to_compact_bytes` payload back into the value.
+
+    The bytes may come off a socket, so the pickle may name no global but
+    :class:`Message`, :class:`Address`, :class:`Transport` and the
+    :class:`NodeState` subclasses; any other raises
+    :class:`pickle.UnpicklingError`.
+    """
+    return _RuntimeUnpickler(io.BytesIO(zlib.decompress(blob))).load()
 
 
 def compressed_size(value: Any) -> int:

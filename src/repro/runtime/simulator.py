@@ -15,9 +15,10 @@ CrystalBall controller needs:
   changed since the previous observer round.
 
 Scheduling is O(active): the heap only ever holds entries for armed
-timers, queued deliveries (a batched :class:`~repro.runtime.network.
-DeliveryPlan` occupies a single entry no matter how many messages it
-carries) and hook wakeups, so idle nodes consume zero scheduler cycles.
+timers, queued deliveries, scheduled events and resets, and hook wakeups,
+so idle nodes consume zero scheduler cycles.  Every message leaves through
+one send path, which numbers it from the simulator's own counter, so a
+run's message ids depend on its inputs alone.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import (
     Any,
@@ -50,7 +51,7 @@ from .events import (
 )
 from .logical_clock import LogicalClock
 from .messages import Message, Transport
-from .network import DeliveryPlan, NetworkModel
+from .network import NetworkModel
 from .protocol import Protocol
 from .state import NodeState
 from .transport import ConnectionTable
@@ -195,6 +196,7 @@ class Simulator:
         #: enqueue/deliver time so introspection never scans the heap.
         self._inflight: dict[int, Message] = {}
         self._delivery_ids = itertools.count()
+        self._msg_ids = itertools.count(1)
         self._last_tcp_delivery: dict[tuple[Address, Address], float] = {}
         self.observers: list[Callable[["Simulator", SimNode, Event], None]] = []
         #: nodes whose state, armed timers, liveness or incarnation changed
@@ -241,7 +243,7 @@ class Simulator:
     def schedule_app(self, time: float, addr: Address, call: str,
                      payload: Optional[Mapping[str, Any]] = None) -> None:
         """Schedule an application call on ``addr`` at absolute time ``time``."""
-        self._schedule(time, "app", AppEvent(node=addr, call=call, payload=dict(payload or {})))
+        self._schedule(time, "event", AppEvent(node=addr, call=call, payload=dict(payload or {})))
 
     def schedule_reset(self, time: float, addr: Address) -> None:
         """Schedule a silent node reset at absolute time ``time``."""
@@ -299,10 +301,10 @@ class Simulator:
         Queue entries are popped in ``(time, seq)`` order, ``now`` advancing
         to each, until the queue drains, the next entry lies past ``until``
         (``now`` then stops at ``until``) or ``max_events`` entries ran.
-        Timers, application calls, resets and callbacks are executed here; a
-        delivery leaves the inflight index as it is handed out, and a batch
-        re-arms its single heap entry at its next delivery time once the
-        caller has delivered the due ones.
+        An entry is one of five kinds: a ``deliver`` leaves the inflight
+        index as it is handed out; a ``timer``, an ``event`` (application
+        call or connection error), a ``reset`` and a ``callback`` are
+        executed here.
         """
         executed = 0
         while self._queue and (max_events is None or executed < max_events):
@@ -316,14 +318,6 @@ class Simulator:
                 did, message = entry.data
                 self._inflight.pop(did, None)
                 yield message
-            elif entry.kind == "deliver_batch":
-                plan: DeliveryPlan = entry.data
-                while not plan.exhausted and plan.next_time() <= self.now:
-                    did, message = plan.pop_due()
-                    self._inflight.pop(did, None)
-                    yield message
-                if not plan.exhausted:
-                    self._schedule(plan.next_time(), "deliver_batch", plan)
             else:
                 self._dispatch(entry)
             executed += 1
@@ -334,12 +328,10 @@ class Simulator:
         kind = entry.kind
         if kind == "timer":
             self._dispatch_timer(entry.data)
-        elif kind == "app":
+        elif kind == "event":
             self._execute_event(entry.data)
         elif kind == "reset":
             self._perform_reset(entry.data)
-        elif kind == "connerr":
-            self._execute_event(entry.data)
         elif kind == "callback":
             entry.data(self)
         else:  # pragma: no cover - defensive
@@ -450,11 +442,23 @@ class Simulator:
 
     # -- message transmission -------------------------------------------------------------
 
-    def _book_send(self, node: SimNode, message: Message) -> Message:
-        """Stamp a service message with the sender's checkpoint number and
-        account the send (node stats, trace)."""
-        stamped = (message if message.control else
-                   message.with_checkpoint_number(node.clock.stamp()))
+    def _planned_copies(self, stamped: Message, latency: float,
+                        ) -> tuple[Message, Sequence[float]]:
+        """The message as the fault interceptors leave it and the latency
+        of every copy they plan (one, untouched, without interceptors)."""
+        if not self.network.interceptors:
+            return stamped, (latency,)
+        stamped = self.network.rewrite_message(stamped, self.rng)
+        return stamped, self.network.plan_deliveries(stamped, latency, self.rng)
+
+    def _transmit(self, node: SimNode, message: Message) -> None:
+        """The one send path: number the message, stamp a service message
+        with the sender's checkpoint number, account the send (node stats,
+        trace), then queue every copy the network delivers."""
+        stamped = replace(
+            message, msg_id=next(self._msg_ids),
+            checkpoint_number=(message.checkpoint_number if message.control
+                               else node.clock.stamp()))
         node.stats.messages_sent += 1
         size = stamped.size_bytes()
         if stamped.control:
@@ -468,30 +472,6 @@ class Simulator:
                 transport=stamped.transport.value, control=stamped.control,
                 bytes=size,
             )
-        return stamped
-
-    def _planned_copies(self, stamped: Message, latency: float,
-                        ) -> tuple[Message, Sequence[float]]:
-        """The message as the fault interceptors leave it and the latency
-        of every copy they plan (one, untouched, without interceptors)."""
-        if not self.network.interceptors:
-            return stamped, (latency,)
-        stamped = self.network.rewrite_message(stamped, self.rng)
-        return stamped, self.network.plan_deliveries(stamped, latency, self.rng)
-
-    def _udp_copies(self, stamped: Message) -> tuple[Message, Sequence[float]]:
-        """Latency and loss draws of one reachable UDP message; no copies
-        when it is lost.  Fault interceptors act on messages that survived
-        the loss draw, so ``messages_affected`` counts delivered traffic."""
-        latency = self.network.latency(stamped.src, stamped.dst, self.rng)
-        loss = self.network.loss_probability(stamped.src, stamped.dst, self.rng)
-        if self.rng.random() < loss:
-            self._record_drop(stamped, "loss")
-            return stamped, ()
-        return self._planned_copies(stamped, latency)
-
-    def _transmit(self, node: SimNode, message: Message) -> None:
-        stamped = self._book_send(node, message)
         if not self.network.reachable(stamped.src, stamped.dst):
             self._record_drop(stamped, "unreachable")
             if stamped.transport is Transport.TCP:
@@ -499,7 +479,15 @@ class Simulator:
             return
 
         if stamped.transport is Transport.UDP:
-            stamped, plan = self._udp_copies(stamped)
+            latency = self.network.latency(stamped.src, stamped.dst, self.rng)
+            loss = self.network.loss_probability(stamped.src, stamped.dst,
+                                                 self.rng)
+            if self.rng.random() < loss:
+                self._record_drop(stamped, "loss")
+                return
+            # Fault interceptors act on messages that survived the loss
+            # draw, so ``messages_affected`` counts delivered traffic.
+            stamped, plan = self._planned_copies(stamped, latency)
             for delivery_latency in plan:
                 self._schedule_delivery(self.now + delivery_latency, stamped)
             return
@@ -538,36 +526,6 @@ class Simulator:
         node = self.nodes[addr]
         self._transmit(node, message)
 
-    def transmit_batch(self, addr: Address, messages: Sequence[Message]) -> None:
-        """Send many messages from ``addr`` under one batched delivery plan.
-
-        Accounting, loss and latency draws match sequential
-        :meth:`transmit` calls message for message (same RNG order), but
-        every surviving UDP copy shares a single ``deliver_batch`` heap
-        entry that cursors through the plan — a broadcast costs one
-        scheduler slot instead of one per recipient.  TCP messages take
-        the sequential path to preserve per-stream FIFO ordering.
-        """
-        node = self.nodes[addr]
-        deliveries: list[tuple[float, int, Message]] = []
-        for message in messages:
-            if message.transport is not Transport.UDP:
-                self._transmit(node, message)
-                continue
-            stamped = self._book_send(node, message)
-            if not self.network.reachable(stamped.src, stamped.dst):
-                self._record_drop(stamped, "unreachable")
-                continue
-            stamped, plan = self._udp_copies(stamped)
-            for delivery_latency in plan:
-                did = next(self._delivery_ids)
-                if not stamped.control:
-                    self._inflight[did] = stamped
-                deliveries.append((self.now + delivery_latency, did, stamped))
-        if deliveries:
-            batch = DeliveryPlan.from_deliveries(deliveries)
-            self._schedule(batch.next_time(), "deliver_batch", batch)
-
     def _record_drop(self, message: Message, reason: str) -> None:
         if self.obs.metrics is not None:
             self.obs.metrics.inc("runtime.messages_dropped")
@@ -577,7 +535,7 @@ class Simulator:
 
     def _schedule_connection_error(self, at: Address, peer: Address) -> None:
         latency = self.network.latency(peer, at, self.rng)
-        self._schedule(self.now + latency, "connerr", ConnectionErrorEvent(node=at, peer=peer))
+        self._schedule(self.now + latency, "event", ConnectionErrorEvent(node=at, peer=peer))
 
     def _break_connection(self, node: SimNode, peer: Address) -> None:
         """Tear down the TCP connection between ``node`` and ``peer`` and

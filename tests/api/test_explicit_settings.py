@@ -43,8 +43,8 @@ EXAMPLES = {
         "debug", checking=CheckingPolicy(period=2)),
     "delta_checkpoints": lambda e: e.crystalball(
         "debug", delta_checkpoints=True),
-    "batched_control_plane": lambda e: e.crystalball(
-        "debug", batched_control_plane=True),
+    "udp_checkpoint_requests": lambda e: e.crystalball(
+        "debug", udp_checkpoint_requests=True),
     "workload": lambda e: e.workload("probes"),
     "backend": lambda e: e.backend("tcp"),
     "properties": lambda e: e.properties("randtree.*"),
@@ -87,8 +87,8 @@ EFFECTS = {
     "checking": lambda r: all(controller.config.checking.period == 2
                               for controller in r.controllers.values()),
     "delta_checkpoints": _controller_setting("delta_checkpoints", True),
-    "batched_control_plane": _controller_setting("batched_control_plane",
-                                                 True),
+    "udp_checkpoint_requests": _controller_setting("udp_checkpoint_requests",
+                                                   True),
     "workload": lambda r: r.workload["requests_injected"] > 0,
     "backend": lambda r: r.backend == "tcp"
     and r.outcome["wire"]["frames_sent"] > 0,

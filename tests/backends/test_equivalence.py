@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import Experiment
 from repro.backends import protocol_state_digest
+from repro.obs import MemoryTracer, strip_wall_fields
 
 
 def _run(system, backend, *, seed, nodes, duration, **extra):
@@ -62,6 +63,23 @@ def test_tcp_run_detects_seeded_violation_over_real_sockets():
     assert report.backend == "tcp"
     assert report.to_dict()["backend"] == "tcp"
     assert sum(report.violations_by_property().values()) >= 1
+
+
+def test_a_rerun_in_one_process_ships_the_same_bytes():
+    """Messages are numbered by the simulator that sends them, so a second
+    same-seed run in one process pickles the same ids into its frames."""
+
+    def tcp_run():
+        tracer = MemoryTracer()
+        report = (Experiment("kvstore").nodes(4).seed(5).backend("tcp")
+                  .trace(tracer).run())
+        return report.outcome["wire"], strip_wall_fields(tracer.records)
+
+    (first_wire, first_trace), (second_wire, second_trace) = \
+        tcp_run(), tcp_run()
+    assert first_wire["wire_bytes"] == second_wire["wire_bytes"]
+    assert first_wire["fallback_local"] == 0
+    assert first_trace == second_trace
 
 
 def test_sim_report_omits_backend_field_in_serialized_form():

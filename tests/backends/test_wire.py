@@ -1,8 +1,11 @@
 """Tests for the deployed-mode wire format (frames and accounting)."""
 
+import os
+import pickle
 import socket
 import struct
 import time
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +23,9 @@ from repro.backends import (
     encode_frame,
     read_frame,
 )
+from repro.obs.tracer import JsonlTracer
 from repro.runtime import Address, Message, Transport
+from repro.runtime.serialization import to_compact_bytes
 
 _HEADER = struct.Struct(">HBI")
 
@@ -150,3 +155,33 @@ def test_a_corrupted_header_is_refused(header):
     # never decompresses, so no fuzzed bytes reach ``pickle.loads``.
     with pytest.raises((ConnectionError, WireError)):
         _read_sent(_HEADER.pack(*header) + _FRAME[HEADER_SIZE:])
+
+
+class _Forged:
+    """Pickles as a call of ``fn(*args)``."""
+
+    def __init__(self, fn, *args):
+        self.fn, self.args = fn, args
+
+    def __reduce__(self):
+        return self.fn, self.args
+
+
+def _frame_of(payload):
+    return _HEADER.pack(FRAME_MAGIC, KIND_SERVICE, len(payload)) + payload
+
+
+def test_a_frame_that_is_no_message_is_refused_unrun(tmp_path):
+    ran = tmp_path / "ran"
+    for frame in (
+            _frame_of(zlib.compress(pickle.dumps(
+                _Forged(os.system, f"touch {ran}")))),
+            _frame_of(zlib.compress(pickle.dumps(
+                _Forged(JsonlTracer, str(ran))))),
+            # Decodes, but into an allowed type that is not a Message.
+            _frame_of(to_compact_bytes(Address(4)))):
+        with pytest.raises(WireError):
+            decode_frame(frame)
+        with pytest.raises(WireError):
+            _read_sent(frame)
+        assert not ran.exists()

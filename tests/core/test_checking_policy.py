@@ -109,10 +109,10 @@ def test_off_duty_controllers_still_answer_requests():
 def test_config_copy_preserves_scale_settings():
     config = CrystalBallConfig(checking=CheckingPolicy(period=5, seed=1),
                                delta_checkpoints=True,
-                               batched_control_plane=True)
+                               udp_checkpoint_requests=True)
     copied = config.copy()
     assert copied.checking == config.checking
-    assert copied.delta_checkpoints and copied.batched_control_plane
+    assert copied.delta_checkpoints and copied.udp_checkpoint_requests
 
 
 # ------------------------------------------------------------ delta encoding

@@ -41,7 +41,7 @@ def test_derive_filter_for_each_event_kind():
     node = Address(1)
     assert derive_filter(node, _message_event(node)).message_type == "Join"
     assert derive_filter(node, TimerEvent(node=node, timer="t")).timer_name == "t"
-    assert derive_filter(node, AppEvent(node=node, call="join")).app_call == "join"
+    assert derive_filter(node, AppEvent(node=node, call="join")) is None
     assert derive_filter(node, ResetEvent(node=node)) is None
     assert derive_filter(node, _message_event(Address(2))) is None
 

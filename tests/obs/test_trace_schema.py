@@ -59,22 +59,11 @@ def test_every_trace_a_run_writes_validates_clean(traces, name):
     assert validate_trace(traces[name]) == []
 
 
-def comparable(records):
-    """Records without ``wall``, ``msg`` ids numbered by first appearance.
-
-    A ``msg`` id is a serial number of the process's ``Message`` counter, so
-    a rerun in the same process starts where the last run stopped; the
-    send → deliver edges it draws are the same.
-    """
-    ranks = {}
-    return [dict(record, msg=ranks.setdefault(record["msg"], len(ranks)))
-            if "msg" in record else record
-            for record in strip_wall_fields(records)]
-
-
 def test_a_steering_trace_does_not_depend_on_process_history(traces):
-    """Filters are numbered where they are installed, not from a counter the
-    whole process shares: a rerun records the same ``filter#N``."""
+    """Filters are numbered where they are installed and messages where
+    they are sent, not from a counter the whole process shares: a rerun
+    records the same ``filter#N`` and the same ``msg`` ids."""
     first = traces["steering_run"]
     assert any(record["kind"] == "filter_install" for record in first)
-    assert comparable(traced(steering_run())) == comparable(first)
+    assert strip_wall_fields(traced(steering_run())) == \
+        strip_wall_fields(first)

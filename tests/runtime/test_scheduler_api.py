@@ -1,5 +1,5 @@
-"""Tests for the O(active) scheduler surface: schedule_at, hook wakeups,
-batched delivery plans and the inflight-message index."""
+"""Tests for the O(active) scheduler surface: schedule_at, hook wakeups
+and the inflight-message index."""
 
 from dataclasses import dataclass, field
 
@@ -13,7 +13,6 @@ from repro.runtime import (
     Transport,
     make_addresses,
 )
-from repro.runtime.network import DeliveryPlan
 
 
 @dataclass
@@ -138,61 +137,6 @@ def test_detached_hook_stops_waking():
     assert hook.ticks == 2  # 5, 10 — wakeup chain dies after detach
 
 
-# ---------------------------------------------------------- delivery plans
-
-
-def _message(a, b, mtype="Ping", transport=Transport.UDP):
-    return Message(mtype=mtype, src=a, dst=b, payload={}, transport=transport)
-
-
-def test_delivery_plan_orders_by_time_then_id():
-    a, b = make_addresses(2)
-    m1, m2, m3 = (_message(a, b) for _ in range(3))
-    plan = DeliveryPlan.from_deliveries([(5.0, 2, m2), (3.0, 1, m1),
-                                         (5.0, 0, m3)])
-    assert len(plan) == 3
-    assert plan.next_time() == 3.0
-    assert plan.pop_due() == (1, m1)
-    assert plan.pop_due() == (0, m3)  # same time: delivery-id order
-    assert plan.pop_due() == (2, m2)
-    assert plan.exhausted
-
-
-def test_transmit_batch_delivers_all_udp_messages():
-    sim, (a, b) = _make_sim()
-    messages = [_message(a, b) for _ in range(20)]
-    sim.transmit_batch(a, messages)
-    sim.run(until=10.0)
-    assert len([r for r in sim.nodes[b].state.received
-                if r == ("ping", a)]) == 20
-
-
-def test_transmit_batch_falls_back_to_fifo_for_tcp():
-    sim, (a, b) = _make_sim()
-    messages = [_message(a, b, transport=Transport.TCP) for _ in range(5)]
-    sim.transmit_batch(a, messages)
-    sim.run(until=10.0)
-    assert len([r for r in sim.nodes[b].state.received
-                if r == ("ping", a)]) == 5
-
-
-def test_transmit_batch_matches_sequential_transmit():
-    """Per-message RNG accounting is identical, so a lossy batch drops
-    exactly the messages sequential transmits would drop."""
-
-    def run(batched):
-        sim, (a, b) = _make_sim()
-        sim.network.loss_fn = lambda src, dst, rng: 0.5
-        messages = [_message(a, b) for _ in range(40)]
-        sim.schedule_at(1.0, lambda s: (
-            s.transmit_batch(a, messages) if batched
-            else [s.transmit(a, m) for m in messages]))
-        sim.run(until=20.0)
-        return [r for r in sim.nodes[b].state.received if r[0] == "ping"]
-
-    assert run(batched=True) == run(batched=False)
-
-
 # ----------------------------------------------------------- inflight index
 
 
@@ -212,12 +156,4 @@ def test_inflight_index_excludes_control_messages():
     control = Message(mtype="_cb_probe", src=a, dst=b, payload={},
                       control=True, transport=Transport.UDP)
     sim.transmit(a, control)
-    assert len(sim.inflight_messages()) == 0
-
-
-def test_inflight_index_covers_batched_deliveries():
-    sim, (a, b) = _make_sim()
-    sim.transmit_batch(a, [_message(a, b) for _ in range(3)])
-    assert len(sim.inflight_messages()) == 3
-    sim.run(until=10.0)
     assert len(sim.inflight_messages()) == 0
