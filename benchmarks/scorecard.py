@@ -32,18 +32,6 @@ BENCHES = tuple(f"benchmarks/bench_{name}.py" for name in (
     "fig17_bullet_overhead", "sec55_checkpoint_overhead",
     "ablation_consequence_vs_bfs"))
 TIER1 = ("-m", "pytest", "-x", "-q")
-#: Known deviations that no strict ``xfail`` pins, because the goldens pin
-#: the behaviour itself.
-DEVIATIONS = (
-    "`paxos:figure13-bug1/2` (Figs. 13/14) start the second round "
-    "`inter_round_delay` after wherever `run(until=10)` left the clock: at "
-    "t = 10 s under any controller mode (tick wakeups keep the queue busy) "
-    "but where the queue drained, t ≈ 2.1 s, in mode `off` — so the second "
-    "proposal lands at t ≈ 32 s in `off` and at t = 40 s otherwise.  Kept "
-    "bit for bit (`tests/_golden/scenario_reports.json`); once the schedule "
-    "uses absolute times, the scenario's `drive` collapses into the "
-    "`schedule` hook.",
-)
 
 
 class Row(NamedTuple):
@@ -168,8 +156,6 @@ def render(collector: _Collector, tier1: dict[str, Any]) -> str:
     lines += [f"- `{test}` — {reason}"
               for test, _, reason in (line.partition(" - ")
                                       for line in tier1["xfailed"])] or ["- none"]
-    lines += ["", "Not pinned by a test:", ""]
-    lines += [f"- {deviation}" for deviation in DEVIATIONS]
     lines += ["", *_scale_section(), ""]
     return "\n".join(lines)
 

@@ -441,15 +441,6 @@ class Experiment:
         folded = copy.copy(self)
         # Its own set: folding may record settings the caller never made.
         folded._explicit = explicit = set(self._explicit)
-        if scenario.drive is not None:
-            # ``drive`` scripts named roles and ends the run itself.
-            ignored = explicit & {"nodes", "duration", "max_events"}
-            if ignored:
-                warnings.warn(
-                    f"scenario {scenario.name!r} runs a scripted schedule "
-                    f"and ignores these builder settings: {sorted(ignored)}",
-                    UserWarning, stacklevel=3)
-            explicit -= ignored
         if "nodes" not in explicit and scenario.nodes is not None:
             folded._nodes = scenario.nodes
         if "duration" not in explicit and scenario.duration is not None:
@@ -522,7 +513,9 @@ class Experiment:
         """The live deployment: staggered joins, optional churn, faults,
         workload and CrystalBall, on the selected backend.  ``scenario`` is
         the live scenario already folded into this builder, for the option
-        names it declares and its ``drive`` / ``outcome`` hooks.
+        names it declares and its ``schedule`` / ``outcome`` hooks.  Every
+        run arms its schedule (the scenario's, else the system's, else the
+        joins) at absolute times, then runs once to ``duration``.
 
         The event ordering is part of the contract: seeded runs stay
         reproducible.
@@ -591,17 +584,15 @@ class Experiment:
                         fault.mutator = spec.message_mutator
             nemesis.install(sim)
 
-        # A scenario's ``drive`` replaces the initial schedule and the run.
-        drive = scenario.drive if scenario is not None else None
-        if drive is None:
-            if spec.schedule is not None:
-                spec.schedule(sim, addresses, self._options)
-            elif spec.join_call is not None:
-                # Staggered joins: the bootstrap node first, then one node
-                # every ``join_spacing`` seconds.
-                for index, addr in enumerate(addresses):
-                    sim.schedule_app(1.0 + index * spec.join_spacing, addr,
-                                     spec.join_call, {})
+        schedule = getattr(scenario, "schedule", None) or spec.schedule
+        if schedule is not None:
+            schedule(sim, addresses, self._options, self._duration)
+        elif spec.join_call is not None:
+            # Staggered joins: the bootstrap node first, then one node
+            # every ``join_spacing`` seconds.
+            for index, addr in enumerate(addresses):
+                sim.schedule_app(1.0 + index * spec.join_spacing, addr,
+                                 spec.join_call, {})
 
         churn: Optional[ChurnProcess] = None
         if self._churn_interval is not None:
@@ -616,10 +607,7 @@ class Experiment:
             driver = OpenLoopDriver(self._workload, addresses,
                                     seed=self._seed).install(sim)
 
-        if drive is not None:
-            drive(sim, addresses, self._options)
-        else:
-            sim.run(until=self._duration, max_events=self._max_events)
+        sim.run(until=self._duration, max_events=self._max_events)
 
         if nemesis is not None:
             # Strip still-open fault windows so a caller-supplied network

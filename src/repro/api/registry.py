@@ -60,11 +60,11 @@ class ScenarioSpec:
     names the scenario accepts on top of the system's.
 
     Two hooks let a live scenario script more than faults.
-    ``drive(backend, addresses, options)`` replaces the default "schedule
-    the joins, run until ``duration``": it stages the deployment itself
-    (Paxos Figure 13 partitions, proposes, heals and proposes again) and
-    decides when the run ends, so an explicit ``nodes``, ``duration`` or
-    ``max_events`` is the one thing such a scenario warns about.
+    ``schedule(backend, addresses, options, duration)`` takes the place of
+    the system's ``schedule`` hook: it arms every step of a staged
+    deployment at an absolute time (Paxos Figure 13 partitions, proposes,
+    heals and proposes again) before the one run to ``duration``, and
+    raises when the run's nodes or duration cannot hold its script.
     ``outcome(report)`` returns the finished run's ``RunReport.outcome``
     — the system's ``collect`` result is already on ``report`` — so a
     scenario can add its own verdict keys.
@@ -84,7 +84,7 @@ class ScenarioSpec:
     options: Mapping[str, Any] = field(default_factory=dict)
     network: Mapping[str, float] = field(default_factory=dict)
     tick_interval: Optional[float] = None
-    drive: Optional[Callable[..., None]] = None
+    schedule: Optional[Callable[..., None]] = None
     outcome: Optional[Callable[..., dict]] = None
 
     @property
@@ -127,7 +127,8 @@ class SystemSpec:
     #: Default consequence-prediction budget for live runs of this system.
     search_budget_factory: Optional[Callable[[], SearchBudget]] = None
     #: Custom initial scheduling (e.g. Paxos proposals); receives
-    #: ``(simulator, addresses, options)`` and replaces the join schedule.
+    #: ``(simulator, addresses, options, duration)`` and replaces the join
+    #: schedule.
     schedule: Optional[Callable[..., None]] = None
     #: System-specific outcome extraction: ``collect(simulator) -> dict``
     #: merged into ``RunReport.outcome`` (e.g. chosen values, completions).

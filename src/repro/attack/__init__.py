@@ -2,7 +2,7 @@
 
 The rest of the harness asks "does the system stay consistent under
 *benign* faults?".  This package asks the adversarial question: *can a
-lying node drive a named safety property to violation* — and if so, what
+lying node push a named safety property to violation* — and if so, what
 is the smallest, replayable schedule that does it?
 
 Three pieces, built on :mod:`repro.faults.byzantine` and

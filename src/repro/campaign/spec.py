@@ -460,7 +460,7 @@ class CampaignSpec:
             if "workloads" in swept:
                 raise ValueError(
                     "attack mode cannot be combined with workloads; "
-                    "attack cells drive only the system's own traffic"
+                    "attack cells run only the system's own traffic"
                 )
             if not all(values["fault_presets"]):
                 raise ValueError(

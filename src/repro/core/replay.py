@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..mc.global_state import GlobalState
-from ..properties import PropertyViolation, SafetyProperty, check_all
+from ..properties import (PropertyViolation, SafetyProperty, derive_all,
+                          listed_all, safety_properties)
 from ..mc.transition import TransitionSystem
 from ..runtime.events import Event, MessageEvent, TimerEvent
 from ..runtime.events import ConnectionErrorEvent
@@ -46,21 +47,25 @@ def replay_error_path(
     path are replayed verbatim; after each one, every message the handlers
     generated is delivered in FIFO order (following the causality of the
     newly generated messages), and the safety properties are checked after
-    every step.
+    every step: each step's verdicts are derived from the previous step's,
+    with the replayed event's node as the change, and only violations the
+    snapshot did not already have count.
     """
+    properties = safety_properties(properties)
+    verdicts = derive_all(properties, None, snapshot_state, ())
+    pre_existing = {(v.property_name, v.node, v.detail)
+                    for v in listed_all(properties, verdicts, snapshot_state)}
     state = snapshot_state
     steps = 0
-    pre_existing = {(v.property_name, v.node, v.detail)
-                    for v in check_all(properties, state)}
 
-    def fresh_violations(current: GlobalState) -> list[PropertyViolation]:
-        return [v for v in check_all(properties, current)
+    def advance(event: Event) -> list[PropertyViolation]:
+        """Apply ``event``; the violations it adds to the snapshot's."""
+        nonlocal state, steps, verdicts
+        state = system.apply(state, event)
+        steps += 1
+        verdicts = derive_all(properties, verdicts, state, (event.node,))
+        return [v for v in listed_all(properties, verdicts, state)
                 if (v.property_name, v.node, v.detail) not in pre_existing]
-
-    violations = fresh_violations(state)
-    if violations:
-        return ReplayResult(reproduced=True, violations=violations,
-                            steps_executed=0, final_state=state)
 
     for event in path:
         if isinstance(event, MessageEvent):
@@ -75,9 +80,7 @@ def replay_error_path(
             if not any(e.dst == event.node and e.peer == event.peer
                        for e in state.errors):
                 continue
-        state = system.apply(state, event)
-        steps += 1
-        violations = fresh_violations(state)
+        violations = advance(event)
         if violations:
             return ReplayResult(reproduced=True, violations=violations,
                                 steps_executed=steps, final_state=state)
@@ -86,16 +89,12 @@ def replay_error_path(
         # notifications are left pending: whether they arrive in time is one
         # of the interleavings the original search explored, and replaying
         # them eagerly would mask the error path).
-        cascade = 0
-        while cascade < MAX_CASCADE:
+        for _ in range(MAX_CASCADE):
             network_events = [e for e in system.network_events(state)
                               if isinstance(e, MessageEvent)]
             if not network_events:
                 break
-            state = system.apply(state, network_events[0])
-            steps += 1
-            cascade += 1
-            violations = fresh_violations(state)
+            violations = advance(network_events[0])
             if violations:
                 return ReplayResult(reproduced=True, violations=violations,
                                     steps_executed=steps, final_state=state)

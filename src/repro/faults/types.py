@@ -2,7 +2,7 @@
 
 Topology faults (:class:`Partition`, :class:`LinkFlap`) act on the
 :class:`~repro.runtime.network.NetworkModel` partition set; lifecycle faults
-(:class:`CrashRestart`) drive the simulator's crash/revive hooks so a
+(:class:`CrashRestart`) use the simulator's crash/revive hooks so a
 restart comes back with fresh state, exactly like churn; :class:`ClockSkew`
 jumps a node's checkpoint-number clock, forcing peers into forced
 checkpoints (Section 2.3); message faults (:class:`MessageDelay`,

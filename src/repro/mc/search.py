@@ -7,7 +7,7 @@ names that choice.  :class:`Explorer` holds the per-state work — visit
 (dedup, property verdicts derived from the parent's, first report per
 ``(property, node)``) and successors — :func:`breadth_first_search` drives
 it over a serial frontier, and the sharded workers of
-:mod:`repro.mc.parallel` drive the same :class:`Explorer` over their
+:mod:`repro.mc.parallel` run the same :class:`Explorer` over their
 shard.  The ``StopCriterion`` of the paper is a :class:`SearchBudget`.
 """
 

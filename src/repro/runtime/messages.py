@@ -9,7 +9,7 @@ of Section 2.3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Mapping
 
@@ -81,10 +81,6 @@ class Message:
                 self.transport.value,
             ))
         return self._sig_cache
-
-    def with_checkpoint_number(self, cn: int) -> "Message":
-        """Copy of this message stamped with checkpoint number ``cn``."""
-        return replace(self, checkpoint_number=cn)
 
     def size_bytes(self) -> int:
         """Approximate wire size, for bandwidth accounting (cached)."""

@@ -95,7 +95,7 @@ def _all_replicas_converged(gs: GlobalState) -> bool:
 
 
 #: Bounded liveness (opt-in): once the workload quiesces, anti-entropy must
-#: drive every replica to the same delivered set and observable state.
+#: bring every replica to the same delivered set and observable state.
 EVENTUALLY_CONVERGES = eventually(
     "crdtset.eventually_converges", _all_replicas_converged, within=150.0,
     description="All replicas reach identical delivery vectors, observable "

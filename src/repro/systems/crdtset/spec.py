@@ -28,7 +28,7 @@ def _protocol_factory(addresses: Sequence[Address],
 
 
 def _schedule(sim, addresses: Sequence[Address],
-              options: Mapping[str, Any]) -> None:
+              options: Mapping[str, Any], duration: float) -> None:
     """Deterministic replicated-set workload with deliberate concurrency.
 
     Every replica adds its own element and bumps the counter; the first and

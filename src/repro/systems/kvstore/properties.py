@@ -132,7 +132,7 @@ def _stores_agree(gs: GlobalState) -> bool:
 
 
 #: Bounded liveness (opt-in): once the workload quiesces, the reconciler
-#: must drive every replica to the same versioned store.
+#: must bring every replica to the same versioned store.
 EVENTUALLY_CONSISTENT = eventually(
     "kvstore.eventually_consistent", _stores_agree, within=180.0,
     description="All replicas converge to identical versioned stores (no "

@@ -27,7 +27,7 @@ def _protocol_factory(addresses: Sequence[Address],
 
 
 def _schedule(sim, addresses: Sequence[Address],
-              options: Mapping[str, Any]) -> None:
+              options: Mapping[str, Any], duration: float) -> None:
     """Generic consensus workload: two competing proposals.
 
     The first node proposes value 0 immediately; the last node submits and
@@ -87,19 +87,31 @@ def _figure13(bug: int, description: str) -> ScenarioSpec:
     """The fault-injection schedule of Figure 13 (Section 5.4.2), repeated
     for the steering results of Figure 14.
 
-    Three nodes A, B, C each play all Paxos roles.  Round 1: C is
-    disconnected and A gets value 0 chosen with the help of B.  Between the
-    rounds C becomes reachable again — a short window in which checkpoints
-    can be exchanged — and then A is disconnected; for ``bug2`` node B
-    additionally resets (``reset_b``).  Round 2: the second leader (B for
-    ``bug1``, C for ``bug2``) proposes value 1 ``inter_round_delay``
-    seconds later.  With the injected bug the run chooses two different
+    Three nodes A, B, C each play all Paxos roles; every step is armed at
+    an absolute time, so every mode shares one timeline.  Round 1: C is
+    disconnected and A gets value 0 chosen with the help of B.  At t = 10 s
+    C becomes reachable again — a short window in which checkpoints can be
+    exchanged — and then A is disconnected; for ``bug2`` node B also resets
+    (``reset_b``) at t = 11 s.  Round 2: the second leader (B for ``bug1``,
+    C for ``bug2``) proposes value 1 ``inter_round_delay`` seconds after
+    the heal and gets 40 s (the 80 s preset ends there at the default
+    delay); a shorter run, or one of other than three nodes, raises
+    ``ValueError``.  With the injected bug the run chooses two different
     values unless execution steering or the immediate safety check
     prevents it.
     """
 
-    def drive(sim, addresses: Sequence[Address],
-              options: Mapping[str, Any]) -> None:
+    def schedule(sim, addresses: Sequence[Address],
+                 options: Mapping[str, Any], duration: float) -> None:
+        delay = options["inter_round_delay"]
+        reconnect_window = min(8.0, max(2.0, delay / 2))
+        start_second = 10.0 + max(delay, reconnect_window + 2.0)
+        if len(addresses) != 3 or duration < start_second + 40.0:
+            raise ValueError(
+                f"scenario figure13-bug{bug} needs three named nodes A, B and "
+                f"C and a run of at least {start_second + 40.0:g} s (40 s "
+                f"after its second proposal), not {len(addresses)} nodes and "
+                f"{duration:g} s")
         a, b, c = addresses
         second_leader = b if bug == 1 else c
         sim.network.isolate(c, [a, b])
@@ -107,20 +119,14 @@ def _figure13(bug: int, description: str) -> ScenarioSpec:
         # The client submits the value for the second round early, so the
         # intent is part of the leader's checkpointed state.
         sim.schedule_app(2.0, second_leader, "submit", {"value": 1})
-        sim.run(until=10.0)
-
-        # B resets right at the start of the reconnect window, so its
-        # (lost) acceptor state is what the neighbourhood snapshots see.
-        sim.network.heal_all()
-        delay = options["inter_round_delay"]
-        reconnect_window = min(8.0, max(2.0, delay / 2))
-        sim.schedule_at(sim.now + reconnect_window,
+        sim.schedule_at(10.0, lambda s: s.network.heal_all())
+        sim.schedule_at(10.0 + reconnect_window,
                         lambda s: s.network.isolate(a, [b, c]))
         if options["reset_b"]:
-            sim.schedule_reset(sim.now + 1.0, b)
-        start_second = sim.now + max(delay, reconnect_window + 2.0)
+            # B resets right at the start of the reconnect window, so its
+            # (lost) acceptor state is what the neighbourhood snapshots see.
+            sim.schedule_reset(11.0, b)
         sim.schedule_app(start_second, second_leader, "propose", {"value": 1})
-        sim.run(until=start_second + 40.0)
 
     def outcome(report) -> dict:
         chosen = report.outcome["chosen_values"]
@@ -137,11 +143,12 @@ def _figure13(bug: int, description: str) -> ScenarioSpec:
 
     return ScenarioSpec(
         name=f"figure13-bug{bug}", description=description,
-        nodes=3, max_states=1500, max_depth=12, tick_interval=3.0,
+        nodes=3, duration=80.0, max_states=1500, max_depth=12,
+        tick_interval=3.0,
         network={"rtt": 0.05, "jitter": 0.0, "rst_loss": 0.0},
         # bug2 is exposed by resetting node B between the rounds.
         options={"bug": bug, "inter_round_delay": 30.0, "reset_b": bug == 2},
-        drive=drive, outcome=outcome)
+        schedule=schedule, outcome=outcome)
 
 
 def _make_submission(rng, key, addresses):

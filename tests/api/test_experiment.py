@@ -6,6 +6,7 @@ import pytest
 from repro.api import Experiment, get_system
 from repro.core import Mode
 from repro.mc import SearchBudget
+from repro.obs import MemoryTracer
 
 
 def _builder_randtree(seed):
@@ -70,13 +71,35 @@ def test_scenario_run_warns_about_unsupported_builder_settings():
         experiment.run()
 
 
-def test_scenario_run_warns_when_nodes_cannot_be_honored():
-    # Figure 13's drive scripts three named roles.
-    experiment = (Experiment("paxos").scenario("figure13-bug1")
-                  .nodes(5).options(inter_round_delay=10.0))
-    with pytest.warns(UserWarning, match="nodes"):
-        report = experiment.run()
-    assert report.node_count == 3
+@pytest.mark.parametrize("configure, ends_at", [
+    (lambda e: e.duration(90.0), 90.0),
+    (lambda e: e.nodes(5), "named nodes A, B and C"),
+    (lambda e: e.nodes(2), "named nodes A, B and C"),
+    (lambda e: e.options(inter_round_delay=80.0), "at least 130 s"),
+    (lambda e: e.options(inter_round_delay=80.0).duration(140.0), 140.0),
+], ids=["duration", "nodes-5", "nodes-2", "delay-80", "delay-80-duration-140"])
+def test_figure13_honours_the_builder_or_refuses_what_it_cannot_script(
+        configure, ends_at):
+    # Three named roles, and 40 s after the second proposal; a controller
+    # mode keeps the queue busy, so the run ends at its duration.
+    experiment = configure(Experiment("paxos").scenario("figure13-bug1")
+                           .mode("isc-only").seed(1))
+    if isinstance(ends_at, str):
+        with pytest.raises(ValueError, match=ends_at):
+            experiment.run()
+    else:
+        assert experiment.run().simulated_seconds == ends_at
+
+
+@pytest.mark.parametrize("mode", ["off", "steering"])
+def test_figure13_proposes_its_second_round_at_one_time_in_every_mode(mode):
+    tracer = MemoryTracer()
+    (Experiment("paxos").scenario("figure13-bug1").mode(mode).seed(1)
+     .trace(tracer).run())
+    proposals = [record["t"] for record in tracer.records
+                 if record["kind"] == "event" and record["etype"] == "app"
+                 and record["desc"].endswith("'propose'")]
+    assert proposals == [1.0, 40.0]
 
 
 def test_offline_search_scenario_warns_about_steering_mode():

@@ -94,7 +94,8 @@ def test_sim_report_omits_backend_field_in_serialized_form():
 def test_a_live_scenario_runs_over_tcp_to_the_same_states(system, scenario):
     """A scenario is a preset of the one live path, so it takes the backend
     like any other setting: same faults, same violations, same states —
-    Figure 13's two-stage drive and its verdict included."""
+    Figure 13's two rounds, armed at absolute times, and its verdict
+    included."""
     sim_report = Experiment(system).scenario(scenario).seed(1).run()
     tcp_report = (Experiment(system).scenario(scenario).seed(1)
                   .backend("tcp").run())

@@ -2,8 +2,8 @@
 
 The protocol's docstring calls its member list complete.  This walks the
 code that is handed "a simulator" — controllers, monitor, faults, churn,
-workload drivers, the live path and the systems' schedule / collect / drive
-hooks — and fails on any attribute read off a name ``sim`` or ``backend``
+workload drivers, the live path and the systems' and scenarios' schedule /
+collect hooks — and fails on any attribute read off a name ``sim`` or ``backend``
 that the protocol does not declare.  The backends themselves are held to
 the runtime's public surface: nothing under ``src/repro/backends/`` names a
 ``_``-prefixed member of :mod:`repro.runtime`.
@@ -43,7 +43,7 @@ def test_every_backend_attribute_used_is_declared_by_the_protocol():
             for path in CHECKED
             for attribute, line in _backend_reads(
                 ast.parse(path.read_text(encoding="utf-8")))}
-    # The walk is not vacuous: faults, churn, the live path and drive.
+    # The walk is not vacuous: faults, churn and the live path.
     assert {"network", "crash_node", "events_executed", "run",
             "total_service_bytes"} <= {attribute for attribute, _ in used}
     undeclared = sorted(f"{where}: .{attribute}" for attribute, where in used

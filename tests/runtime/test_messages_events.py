@@ -31,13 +31,6 @@ def test_message_equality_ignores_msg_id():
     assert _msg() == _msg()
 
 
-def test_with_checkpoint_number_copies():
-    message = _msg()
-    stamped = message.with_checkpoint_number(7)
-    assert stamped.checkpoint_number == 7
-    assert message.checkpoint_number == 0
-
-
 def test_message_size_includes_payload():
     assert _msg(payload={"blob": "x" * 500}).size_bytes() > _msg().size_bytes()
 
