@@ -9,7 +9,7 @@ named scenario::
               .nodes(24)
               .network(loss=0.01)
               .churn(rate=1 / 60)
-              .crystalball(mode="steering", engine="parallel")
+              .crystalball(mode="steering")
               .duration(400)
               .run())
     print(report.accounting())

@@ -5,8 +5,17 @@
 * the checkpoint manager and consistent neighbourhood snapshots
   (Sections 2.3 and 3.1);
 * the per-node :class:`~repro.core.controller.CrystalBallController` with
-  its deep-online-debugging and execution-steering modes, event filters,
-  filter-safety re-checks, error-path replay and the immediate safety check.
+  its deep-online-debugging and execution-steering modes and the immediate
+  safety check.
+
+One record carries a prediction from the search to the runtime: a
+:class:`~repro.mc.search.PredictedViolation` comes out of consequence
+prediction or out of :func:`~repro.core.replay.replay_error_path` on a
+remembered path, :func:`~repro.core.steering.steering_filter` reads the
+local node's first refusable handler off its path, and
+:func:`~repro.core.steering.evaluate_violation` returns that
+:class:`~repro.core.event_filter.EventFilter` once the filter-safety
+re-check passes.
 """
 
 from .checkpoint import Checkpoint, CheckpointStore, PeerTransferCache
@@ -18,17 +27,12 @@ from .controller import (
     Mode,
     attach_crystalball,
 )
-from .event_filter import EventFilter, derive_filter
+from .event_filter import EventFilter
 from .immediate import ImmediateSafetyCheck
 from .monitor import LivePropertyMonitor
-from .replay import ReplayResult, replay_error_path
+from .replay import replay_error_path
 from .snapshot import NeighborhoodSnapshot
-from .steering import (
-    SteeringDecision,
-    check_filter_safety,
-    choose_steering_point,
-    evaluate_violation,
-)
+from .steering import check_filter_safety, evaluate_violation, steering_filter
 
 __all__ = [
     "Checkpoint",
@@ -41,14 +45,11 @@ __all__ = [
     "Mode",
     "attach_crystalball",
     "EventFilter",
-    "derive_filter",
     "ImmediateSafetyCheck",
     "LivePropertyMonitor",
-    "ReplayResult",
     "replay_error_path",
     "NeighborhoodSnapshot",
-    "SteeringDecision",
     "check_filter_safety",
-    "choose_steering_point",
     "evaluate_violation",
+    "steering_filter",
 ]

@@ -345,7 +345,7 @@ class CrystalBallController:
         for event_filter in self.filters:
             if event_filter.matches(event):
                 self.stats.filters_triggered += 1
-                action = event_filter.decision(event)
+                action = event_filter.action
                 if sim.obs.tracer is not None:
                     sim.obs.tracer.record(
                         "filter_trigger", sim.now, node=node.addr,
@@ -546,13 +546,10 @@ class CrystalBallController:
         """Replay the known error paths, then run consequence prediction."""
         closed.replayed = len(self.known_error_paths)
         for path in self.known_error_paths:
-            replay = replay_error_path(self.system, closed.start, path,
-                                       self.properties)
-            if replay.reproduced:
-                closed.violations.append(PredictedViolation(
-                    violation=replay.violations[0], path=path,
-                    depth=replay.steps_executed,
-                    state_hash=replay.final_state.state_hash()))
+            reproduced = replay_error_path(self.system, closed.start, path,
+                                           self.properties)
+            if reproduced is not None:
+                closed.violations.append(reproduced)
         closed.reproduced = len(closed.violations)
         result = self.engine.run(self.system, closed.start, self.properties,
                                  self.config.search_budget,
@@ -572,14 +569,13 @@ class CrystalBallController:
         """Re-check the filter of every prediction; keep one per action."""
         seen: set[tuple] = set()
         for violation in closed.violations:
-            decision = evaluate_violation(
+            event_filter = evaluate_violation(
                 node.addr, self.system, closed.start, self.properties,
                 violation, safety_budget=self.config.safety_budget,
                 expected_violations=closed.violations)
-            if not decision.actionable:
+            if event_filter is None:
                 closed.unhelpful += 1
                 continue
-            event_filter = decision.filter
             key = (event_filter.message_type, event_filter.message_src,
                    event_filter.timer_name)
             if key in seen:

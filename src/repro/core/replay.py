@@ -6,17 +6,19 @@ from the *new* snapshot, CrystalBall replays the path before running a fresh
 search.  Strictly replaying every recorded event would be incorrect (old
 messages may be inconsistent with the new state), so only timer and
 application events are replayed; messages are regenerated by the service
-handlers and followed causally.
+handlers and followed causally.  A path that reproduces comes back as the
+same :class:`~repro.mc.search.PredictedViolation` record the search returns,
+so steering treats both alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from ..mc.global_state import GlobalState
-from ..properties import (PropertyViolation, SafetyProperty, derive_all,
-                          listed_all, safety_properties)
+from ..mc.search import PredictedViolation
+from ..properties import (SafetyProperty, derive_all, listed_all,
+                          safety_properties)
 from ..mc.transition import TransitionSystem
 from ..runtime.events import Event, MessageEvent, TimerEvent
 from ..runtime.events import ConnectionErrorEvent
@@ -25,23 +27,14 @@ from ..runtime.events import ConnectionErrorEvent
 MAX_CASCADE = 64
 
 
-@dataclass
-class ReplayResult:
-    """Outcome of replaying one stored error path on a new snapshot."""
-
-    reproduced: bool
-    violations: list[PropertyViolation]
-    steps_executed: int
-    final_state: GlobalState
-
-
 def replay_error_path(
     system: TransitionSystem,
     snapshot_state: GlobalState,
     path: Sequence[Event],
     properties: Sequence[SafetyProperty],
-) -> ReplayResult:
-    """Replay ``path`` from ``snapshot_state``.
+) -> Optional[PredictedViolation]:
+    """Replay ``path`` from ``snapshot_state``; the violation it reproduces,
+    or None.
 
     Only internal events (timers, application calls, resets) from the stored
     path are replayed verbatim; after each one, every message the handlers
@@ -49,23 +42,26 @@ def replay_error_path(
     newly generated messages), and the safety properties are checked after
     every step: each step's verdicts are derived from the previous step's,
     with the replayed event's node as the change, and only violations the
-    snapshot did not already have count.
+    snapshot did not already have count.  The record carries ``path`` whole
+    and the first new violation of the state where replay stopped.
     """
     properties = safety_properties(properties)
     verdicts = derive_all(properties, None, snapshot_state, ())
     pre_existing = {(v.property_name, v.node, v.detail)
                     for v in listed_all(properties, verdicts, snapshot_state)}
     state = snapshot_state
-    steps = 0
 
-    def advance(event: Event) -> list[PropertyViolation]:
-        """Apply ``event``; the violations it adds to the snapshot's."""
-        nonlocal state, steps, verdicts
+    def advance(event: Event) -> Optional[PredictedViolation]:
+        """Apply ``event``; the first violation it adds to the snapshot's."""
+        nonlocal state, verdicts
         state = system.apply(state, event)
-        steps += 1
         verdicts = derive_all(properties, verdicts, state, (event.node,))
-        return [v for v in listed_all(properties, verdicts, state)
-                if (v.property_name, v.node, v.detail) not in pre_existing]
+        for violation in listed_all(properties, verdicts, state):
+            if (violation.property_name, violation.node,
+                    violation.detail) not in pre_existing:
+                return PredictedViolation(violation=violation, path=tuple(path),
+                                          state_hash=state.state_hash())
+        return None
 
     for event in path:
         if isinstance(event, MessageEvent):
@@ -80,10 +76,9 @@ def replay_error_path(
             if not any(e.dst == event.node and e.peer == event.peer
                        for e in state.errors):
                 continue
-        violations = advance(event)
-        if violations:
-            return ReplayResult(reproduced=True, violations=violations,
-                                steps_executed=steps, final_state=state)
+        reproduced = advance(event)
+        if reproduced is not None:
+            return reproduced
 
         # Follow the causality of the regenerated messages (error
         # notifications are left pending: whether they arrive in time is one
@@ -94,10 +89,7 @@ def replay_error_path(
                               if isinstance(e, MessageEvent)]
             if not network_events:
                 break
-            violations = advance(network_events[0])
-            if violations:
-                return ReplayResult(reproduced=True, violations=violations,
-                                    steps_executed=steps, final_state=state)
-
-    return ReplayResult(reproduced=False, violations=[],
-                        steps_executed=steps, final_state=state)
+            reproduced = advance(network_events[0])
+            if reproduced is not None:
+                return reproduced
+    return None

@@ -1,17 +1,19 @@
-"""Execution steering: choosing and vetting corrective actions (Section 3.3).
+"""Execution steering: from a predicted violation to a vetted filter
+(Section 3.3).
 
-Given a predicted violation (an event path from the current snapshot to an
-inconsistent state), steering picks the earliest point on the path where the
-local node can intervene — its own handler invocation — and turns it into an
-event filter.  Before installing the filter, CrystalBall re-runs consequence
-prediction *with the filter's effect applied* to make sure the corrective
-action itself does not lead to an inconsistency; if it cannot establish
-that, it leaves the system to proceed as usual.
+A :class:`~repro.mc.search.PredictedViolation` — from this round's search or
+a replayed error path — carries the event path from the snapshot to the
+inconsistent state.  :func:`steering_filter` turns the earliest point on
+that path where the local node can intervene (its own message or timer
+handler) into an event filter.  Before the filter is installed,
+:func:`check_filter_safety` re-runs consequence prediction *with the
+filter's effect applied*, so that the corrective action itself does not lead
+to an inconsistency; if it cannot establish that, the system proceeds as
+usual.  :func:`evaluate_violation` does both and returns the vetted filter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..mc.global_state import GlobalState
@@ -22,37 +24,25 @@ from ..runtime.address import Address
 from ..runtime.events import Event, MessageEvent, TimerEvent
 from ..runtime.simulator import FilterAction
 from .consequence import consequence_prediction
-from .event_filter import EventFilter, derive_filter
+from .event_filter import EventFilter
 
 
-@dataclass
-class SteeringDecision:
-    """Outcome of evaluating one predicted violation for steering."""
+def steering_filter(node: Address, path: Sequence[Event]) -> Optional[EventFilter]:
+    """The filter for the first event on ``path`` that ``node`` can refuse.
 
-    violation: PredictedViolation
-    filter: Optional[EventFilter]
-    safe: bool
-    reason: str
-
-    @property
-    def actionable(self) -> bool:
-        return self.filter is not None and self.safe
-
-
-def choose_steering_point(node: Address,
-                          violation: PredictedViolation) -> Optional[Event]:
-    """Pick the event on the violation path that ``node`` should block.
-
-    Policy (Section 3.3): steer as early as possible, i.e. the first event on
-    the path that is a handler invocation on ``node`` which the runtime can
-    refuse: a message delivery or a timer.  Resets and transport errors are
-    environment actions, and application calls are the client's.
+    Steering intervenes as early as possible: at the first message delivery
+    or timer at ``node``.  Resets and transport errors are environment
+    actions and application calls are the client's, so a path with neither
+    kind of handler at ``node`` gives ``None``.
     """
-    for event in violation.path:
+    for event in path:
         if event.node != node:
             continue
-        if isinstance(event, (MessageEvent, TimerEvent)):
-            return event
+        if isinstance(event, MessageEvent):
+            return EventFilter(node=node, message_type=event.message.mtype,
+                               message_src=event.message.src)
+        if isinstance(event, TimerEvent):
+            return EventFilter(node=node, timer_name=event.timer)
     return None
 
 
@@ -80,7 +70,7 @@ def check_filter_safety(
 
     def steering_hook(event) -> Optional[FilterAction]:
         if event_filter.matches(event):
-            return event_filter.decision(event)
+            return event_filter.action
         return None
 
     ignored = {(v.property_name, v.node)
@@ -105,20 +95,12 @@ def evaluate_violation(
     *,
     safety_budget: Optional[SearchBudget] = None,
     expected_violations: Sequence[PredictedViolation] = (),
-) -> SteeringDecision:
-    """Derive and vet the corrective action for one predicted violation."""
-    steering_event = choose_steering_point(node, violation)
-    if steering_event is None:
-        return SteeringDecision(violation=violation, filter=None, safe=False,
-                                reason="no local handler on the violation path")
-    event_filter = derive_filter(node, steering_event,
-                                 reason=str(violation.violation))
-    if event_filter is None:
-        return SteeringDecision(violation=violation, filter=None, safe=False,
-                                reason="event cannot be filtered")
-    safe = check_filter_safety(system, snapshot_state, properties,
-                               event_filter, budget=safety_budget,
-                               expected_violations=expected_violations)
-    reason = "filter deemed safe" if safe else "filter action itself risks inconsistency"
-    return SteeringDecision(violation=violation, filter=event_filter,
-                            safe=safe, reason=reason)
+) -> Optional[EventFilter]:
+    """The vetted filter that steers ``node`` off ``violation``'s path, or
+    None when ``node`` has no handler on it or the filter is unsafe."""
+    event_filter = steering_filter(node, violation.path)
+    if event_filter is None or not check_filter_safety(
+            system, snapshot_state, properties, event_filter,
+            budget=safety_budget, expected_violations=expected_violations):
+        return None
+    return event_filter

@@ -57,7 +57,7 @@ def random_walk_search(
                 seen_violation_hashes.add((state_hash, violation.property_name))
                 violations.append(
                     PredictedViolation(violation=violation, path=path,
-                                       depth=depth, state_hash=state_hash)
+                                       state_hash=state_hash)
                 )
             if violations and budget.stop_at_first_violation:
                 stats.touch_clock()

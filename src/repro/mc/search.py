@@ -147,18 +147,18 @@ class PredictedViolation:
     """A property violation reachable from the search's start state.
 
     The event ``path`` is the sequence of handler executions leading from
-    the start state to the violating state — exactly what the CrystalBall
-    controller needs to build an event filter or a replayable error path.
+    the start state to the violating state.  It is the one record between
+    a search and an installed filter: the controller remembers its path,
+    replay returns the same record, and steering reads its filter off it.
     """
 
     violation: PropertyViolation
     path: tuple[Event, ...]
-    depth: int
     state_hash: int
 
-    def describe(self) -> str:
-        steps = " -> ".join(e.describe() for e in self.path) or "(start state)"
-        return f"{self.violation} via {steps}"
+    @property
+    def depth(self) -> int:
+        return len(self.path)
 
 
 def shallowest_reports(violations: Iterable[PredictedViolation],
@@ -253,7 +253,7 @@ class Explorer:
             self.reported.add(key)
             violations.append(
                 PredictedViolation(violation=violation, path=path,
-                                   depth=depth, state_hash=state_hash)
+                                   state_hash=state_hash)
             )
         return verdicts
 

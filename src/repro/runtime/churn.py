@@ -3,8 +3,8 @@
 The execution-steering evaluation (Section 5.4.1) runs "a live churn
 scenario in which one participant per minute leaves and enters the system on
 average".  :class:`ChurnProcess` reproduces that workload: at exponentially
-distributed intervals it picks a random node and resets it (leave + rejoin),
-optionally mixing in fail-stop crashes and later revivals.
+distributed intervals it picks a random node and resets it (leave + rejoin).
+Crashes with a later revival are the nemesis's ``CrashRestart`` fault.
 """
 
 from __future__ import annotations
@@ -19,22 +19,17 @@ from .simulator import Simulator
 
 @dataclass
 class ChurnProcess:
-    """Injects resets (and optionally crashes) into a running simulation.
+    """Injects resets into a running simulation.
 
     Parameters
     ----------
     mean_interval:
         Mean time between churn events in simulated seconds (60 s reproduces
         the paper's one-event-per-minute scenario).
-    reset_probability:
-        Probability that a churn event is a silent reset; the remainder are
-        fail-stop crashes followed by a revival after ``downtime``.
     """
 
     nodes: list[Address]
     mean_interval: float = 60.0
-    reset_probability: float = 1.0
-    downtime: float = 30.0
     seed: int = 0
     stop_after: Optional[float] = None
 
@@ -60,10 +55,6 @@ class ChurnProcess:
             return
         target = self._rng.choice(self.nodes)
         self.events_injected += 1
-        if self._rng.random() < self.reset_probability:
-            sim.schedule_reset(sim.now, target)
-        else:
-            sim.crash_node(target)
-            sim.schedule_at(sim.now + self.downtime,
-                            lambda s, addr=target: s.revive_node(addr))
+        self._rng.random()  # unused; kept so seeded schedules stay the same
+        sim.schedule_reset(sim.now, target)
         sim.schedule_at(sim.now + self._next_interval(), self._fire)
