@@ -38,7 +38,7 @@ from ..runtime.address import Address
 from ..runtime.events import Event
 from ..runtime.messages import Message, Transport
 from ..runtime.protocol import Protocol
-from ..runtime.simulator import FilterAction, SimNode, Simulator
+from ..runtime.simulator import SimNode, Simulator
 from .checkpoint import Checkpoint, CheckpointStore, PeerTransferCache
 from .event_filter import EventFilter
 from .immediate import ImmediateSafetyCheck
@@ -100,10 +100,6 @@ class CheckingPolicy:
         digest = hashlib.sha1(
             f"{self.seed}:{addr}".encode("utf-8")).digest()
         return int.from_bytes(digest[:8], "big") % self.period
-
-    def checks_in_round(self, addr: Address, round_index: int) -> bool:
-        """Whether ``addr`` deep-checks in round ``round_index`` (0-based)."""
-        return round_index % self.period == self.phase(addr)
 
 
 @dataclass
@@ -339,20 +335,19 @@ class CrystalBallController:
         self._close(
             sim, node, self._take_checkpoint(sim, node, node.clock.advance()))
 
-    def filter_event(self, sim: Simulator, node: SimNode, event: Event) -> FilterAction:
+    def filter_event(self, sim: Simulator, node: SimNode, event: Event) -> bool:
         if self.config.mode is not Mode.STEERING:
-            return FilterAction.ALLOW
+            return False
         for event_filter in self.filters:
             if event_filter.matches(event):
                 self.stats.filters_triggered += 1
-                action = event_filter.action
                 if sim.obs.tracer is not None:
                     sim.obs.tracer.record(
                         "filter_trigger", sim.now, node=node.addr,
-                        filter=event_filter.describe(), action=action.value,
-                        desc=event.describe())
-                return action
-        return FilterAction.ALLOW
+                        filter=event_filter.describe(),
+                        action=event_filter.action, desc=event.describe())
+                return True
+        return False
 
     def immediate_safety_check(self, sim: Simulator, node: SimNode, event: Event) -> bool:
         if self.config.mode in (Mode.OFF, Mode.DEBUG):

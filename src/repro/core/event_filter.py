@@ -4,9 +4,10 @@ runtime (Sections 3.3 and 4, "Event Filtering for Execution steering").
 A filter names the one handler invocation at its node that steering refuses:
 a message type and source, or a timer name
 (:func:`~repro.core.steering.steering_filter` reads it off a predicted
-violation's path).  When a filter triggers, a message is dropped together
-with a TCP connection reset towards its sender, while a timer is
-rescheduled rather than dropped.
+violation's path).  A matching event is refused, and its kind fixes what
+that does (:meth:`~repro.runtime.simulator.NodeHook.filter_event`): a
+message is dropped together with a TCP connection reset towards its
+sender, while a timer is rescheduled rather than dropped.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Optional
 
 from ..runtime.address import Address
 from ..runtime.events import Event, MessageEvent, TimerEvent
-from ..runtime.simulator import FilterAction
 
 
 @dataclass
@@ -34,12 +34,13 @@ class EventFilter:
     filter_id: int = 0
 
     @property
-    def action(self) -> FilterAction:
-        """Timers are never dropped outright — they are rescheduled (DELAY)
-        so liveness-critical periodic work eventually runs."""
+    def action(self) -> str:
+        """The corrective action as traces name it.  Timers are never
+        dropped outright — they are rescheduled (``"delay"``) so
+        liveness-critical periodic work eventually runs."""
         if self.message_type is None:
-            return FilterAction.DELAY
-        return FilterAction.DROP_AND_RESET
+            return "delay"
+        return "drop_and_reset"
 
     def matches(self, event: Event) -> bool:
         """True when ``event`` is the handler invocation this filter blocks."""
@@ -61,4 +62,4 @@ class EventFilter:
             target = f"message {self.message_type} from {src}"
         else:
             target = f"timer '{self.timer_name}'"
-        return f"filter#{self.filter_id} on {self.node}: {self.action.value} {target}"
+        return f"filter#{self.filter_id} on {self.node}: {self.action} {target}"

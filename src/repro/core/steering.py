@@ -22,7 +22,6 @@ from ..mc.search import PredictedViolation, SearchBudget
 from ..mc.transition import TransitionSystem
 from ..runtime.address import Address
 from ..runtime.events import Event, MessageEvent, TimerEvent
-from ..runtime.simulator import FilterAction
 from .consequence import consequence_prediction
 from .event_filter import EventFilter
 
@@ -58,27 +57,23 @@ def check_filter_safety(
     """Re-check consequences with the filter's action applied.
 
     Starting from the snapshot state, consequence prediction is re-run with
-    the candidate filter's effect applied to every matching event (the
-    offending message is consumed unhandled and the connection with its
-    sender is reset).  The filter is considered *unsafe* when this steered
-    search uncovers a violation that is neither already present in the
-    snapshot nor among the violations the unfiltered run predicted — i.e.
-    when the corrective action itself introduces a new inconsistency
+    the candidate filter refusing every matching event (a refused message is
+    consumed unhandled and the connection with its sender is reset; a
+    refused timer only fires later, which the search already explores).
+    The filter is considered *unsafe* when this steered search uncovers a
+    violation that is neither already present in the snapshot nor among the
+    violations the unfiltered run predicted — i.e. when the corrective
+    action itself introduces a new inconsistency
     (Section 3.3, "Ensuring Safety of Event Filter Actions").
     """
     budget = budget or SearchBudget(max_states=300, stop_at_first_violation=False)
-
-    def steering_hook(event) -> Optional[FilterAction]:
-        if event_filter.matches(event):
-            return event_filter.action
-        return None
 
     ignored = {(v.property_name, v.node)
                for v in check_all(properties, snapshot_state)}
     ignored |= {(v.violation.property_name, v.violation.node)
                 for v in expected_violations}
     result = consequence_prediction(system, snapshot_state, properties, budget,
-                                    event_filter=steering_hook)
+                                    event_filter=event_filter.matches)
     for predicted in result.violations:
         key = (predicted.violation.property_name, predicted.violation.node)
         if key not in ignored:

@@ -1,20 +1,23 @@
 """Search-engine abstraction: one interface over serial and parallel search.
 
-CrystalBall runs the same breadth-first exploration in three places — the
-exhaustive baseline of Figure 5, consequence prediction of Figure 8, and the
-filter-safety re-checks.  :class:`SearchEngine` decouples *what* is
-searched (a :class:`~repro.mc.transition.TransitionSystem`, a start state,
-properties, a budget, a :class:`~repro.mc.search.SearchKind`) from *how*
-the loop of :mod:`repro.mc.search` is executed, so the controller, the
-benchmarks and the examples can switch between :class:`SerialEngine`,
+CrystalBall runs the same breadth-first exploration for the exhaustive
+baseline of Figure 5 and for consequence prediction of Figure 8.
+:class:`SearchEngine` decouples *what* is searched (a
+:class:`~repro.mc.transition.TransitionSystem`, a start state, properties,
+a budget, a :class:`~repro.mc.search.SearchKind`) from *how* the loop of
+:mod:`repro.mc.search` is executed, so the controller, the benchmarks and
+the examples can switch between :class:`SerialEngine`,
 :class:`~repro.mc.parallel.sharded.ParallelEngine` and
 :class:`~repro.mc.parallel.portfolio.PortfolioEngine` via configuration
-without any behaviour change by default.
+without any behaviour change by default.  The filter-safety re-checks of
+:mod:`repro.core.steering` take no engine: they call
+:func:`~repro.mc.search.consequence_prediction` directly, with the
+candidate filter as its steering hook.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 from ...properties import SafetyProperty
 from ..global_state import GlobalState
@@ -40,7 +43,6 @@ class SearchEngine(Protocol):
         budget: Optional[SearchBudget] = None,
         *,
         kind: SearchKind = SearchKind.EXHAUSTIVE,
-        event_filter: Optional[Callable] = None,
     ) -> SearchResult:
         ...  # pragma: no cover - protocol signature
 
@@ -56,15 +58,12 @@ class SerialEngine:
         budget: Optional[SearchBudget] = None,
         *,
         kind: SearchKind = SearchKind.EXHAUSTIVE,
-        event_filter: Optional[Callable] = None,
     ) -> SearchResult:
         if kind is SearchKind.CONSEQUENCE:
             # By its public name: that is the function callers, profilers
             # and the benchmark's tracer know a prediction by.
-            return consequence_prediction(system, first_state, properties, budget,
-                                          event_filter=event_filter)
-        return breadth_first_search(system, first_state, properties, budget,
-                                    kind, event_filter)
+            return consequence_prediction(system, first_state, properties, budget)
+        return breadth_first_search(system, first_state, properties, budget, kind)
 
     def __repr__(self) -> str:
         return "SerialEngine()"

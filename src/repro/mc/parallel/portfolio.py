@@ -216,8 +216,7 @@ class PortfolioEngine:
     def run(self, system: TransitionSystem, first_state: GlobalState,
             properties: Sequence[SafetyProperty],
             budget: Optional[SearchBudget] = None, *,
-            kind: Optional[SearchKind] = None,
-            event_filter: None = None) -> SearchResult:
+            kind: Optional[SearchKind] = None) -> SearchResult:
         return run_portfolio(
             system, first_state, properties, budget,
             wall_clock_seconds=PORTFOLIO_WALL_CLOCK,

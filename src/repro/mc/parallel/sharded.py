@@ -19,10 +19,10 @@ shards is nondeterministic; with ``stop_at_first_violation`` the search
 stops at the end of the level that produced a violation instead of
 mid-expansion.
 
-Workers are forked per run, so the explorer — transition system, safety
-properties (which close over protocol code and are therefore not picklable)
-and event filter — is inherited rather than serialised; only frontier
-states, successor batches and results cross process boundaries.  Because
+Workers are forked per run, so the explorer — transition system and safety
+properties (which close over protocol code and are therefore not
+picklable) — is inherited rather than serialised; only frontier states,
+successor batches and results cross process boundaries.  Because
 the children inherit the parent's hash seed, ``state_hash()`` values — and
 therefore shard assignment — agree across the pool.
 
@@ -43,7 +43,7 @@ import queue as queue_module
 import time
 import traceback
 from collections import defaultdict
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ...properties import SafetyProperty
 from ..global_state import GlobalState
@@ -99,18 +99,17 @@ class ParallelEngine:
         budget: Optional[SearchBudget] = None,
         *,
         kind: SearchKind = SearchKind.EXHAUSTIVE,
-        event_filter: Optional[Callable] = None,
     ) -> SearchResult:
         if "fork" not in multiprocessing.get_all_start_methods():
             # Properties close over protocol code and cannot be pickled to
             # spawn-based workers; without fork the serial engine is the
             # only sound executor.
-            return SerialEngine().run(system, first_state, properties, budget,
-                                      kind=kind, event_filter=event_filter)
+            return SerialEngine().run(system, first_state, properties,
+                                      budget, kind=kind)
         budget = budget or SearchBudget()
         # Built once here and inherited by every forked worker, each of
         # which then fills its own copy with the states of its shard.
-        explorer = Explorer(system, properties, budget, kind, event_filter)
+        explorer = Explorer(system, properties, budget, kind)
         return _coordinate(explorer, first_state, self.num_workers,
                            self.metrics)
 

@@ -26,16 +26,17 @@ from ..properties import (
     listed_all,
     safety_properties,
 )
-from ..runtime.events import Event
+from ..runtime.events import Event, MessageEvent
 from ..runtime.serialization import freeze
-from ..runtime.simulator import FilterAction
 from .global_state import GlobalState
 from .transition import TransitionSystem
 
 #: Optional per-event steering hook used when vetting candidate event
-#: filters: returns the filter action to apply to a matching event, or None
-#: to execute the event normally.
-EventFilterFn = Callable[[Event], Optional[FilterAction]]
+#: filters: True refuses the event.  A refused message is consumed unhandled
+#: with its connection reset (:meth:`TransitionSystem.apply_filtered`); a
+#: refused timer is applied as usual, since its one-second delay only
+#: reorders events the search already explores.
+EventFilterFn = Callable[[Event], bool]
 
 #: One frontier entry: (state, depth, event path from the start state, the
 #: parent's property verdicts or None for the start state).
@@ -267,11 +268,9 @@ class Explorer:
             return
         system, event_filter = self.system, self.event_filter
         for event in self._events(state, stats):
-            action = event_filter(event) if event_filter is not None else None
-            if action in (FilterAction.DROP, FilterAction.DROP_AND_RESET):
-                next_state = system.apply_filtered(
-                    state, event,
-                    reset_connection=action is FilterAction.DROP_AND_RESET)
+            if (event_filter is not None and isinstance(event, MessageEvent)
+                    and event_filter(event)):
+                next_state = system.apply_filtered(state, event)
             else:
                 next_state = system.apply(state, event)
             stats.transitions_applied += 1
@@ -377,11 +376,12 @@ def consequence_prediction(
         prediction completes in the time it takes the real system to take a
         few steps.
     event_filter:
-        Optional steering hook: events for which it returns a drop action are
-        consumed without running their handler (with an optional connection
-        reset towards the sender).  This is how CrystalBall re-checks the
-        consequences of a candidate event filter before installing it
-        (Section 3.3, "Ensuring Safety of Event Filter Actions").
+        Optional steering hook: a message it refuses is consumed without
+        running its handler and the connection with its sender is reset; a
+        refused timer is applied as usual.  This is how CrystalBall
+        re-checks the consequences of a candidate event filter before
+        installing it (Section 3.3, "Ensuring Safety of Event Filter
+        Actions").
 
     Returns
     -------

@@ -121,23 +121,19 @@ class TransitionSystem:
             return self._apply_reset(state, event)
         raise TypeError(f"unknown event {event!r}")
 
-    def apply_filtered(self, state: GlobalState, event: Event, *,
-                       reset_connection: bool = True) -> GlobalState:
-        """Successor when an event filter drops ``event`` instead of handling it.
+    def apply_filtered(self, state: GlobalState, event: MessageEvent) -> GlobalState:
+        """Successor when an event filter refuses the message ``event``.
 
         Used to check the safety of candidate steering actions: the offending
-        message is consumed without running its handler and, optionally, the
-        connection with the sender is torn down, which the sender observes as
-        a transport error (Section 3.3, "Choice of Corrective Actions").
+        message is consumed without running its handler and the connection
+        with the sender is torn down, which the sender observes as a
+        transport error (Section 3.3, "Choice of Corrective Actions").
         """
-        if isinstance(event, MessageEvent):
-            message = event.message
-            raised = ()
-            if reset_connection and message.src in state.nodes:
-                raised = (ErrorNotification(dst=message.src, peer=event.node),)
-            return state.successor(consumed_message=message, raised=raised)
-        # A delayed timer is simply re-armed; the state does not change.
-        return state
+        message = event.message
+        raised = ()
+        if message.src in state.nodes:
+            raised = (ErrorNotification(dst=message.src, peer=event.node),)
+        return state.successor(consumed_message=message, raised=raised)
 
     # -- helpers ---------------------------------------------------------------------------
 

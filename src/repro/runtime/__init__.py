@@ -22,7 +22,7 @@ from .logical_clock import LogicalClock
 from .messages import Message, Transport
 from .network import NetworkModel
 from .protocol import Protocol
-from .simulator import FilterAction, NodeHook, NodeStats, SimNode, Simulator
+from .simulator import NodeHook, NodeStats, SimNode, Simulator
 from .state import NodeState
 from .transport import ConnectionTable
 from .churn import ChurnProcess
@@ -45,7 +45,6 @@ __all__ = [
     "Transport",
     "NetworkModel",
     "Protocol",
-    "FilterAction",
     "NodeHook",
     "NodeStats",
     "SimNode",

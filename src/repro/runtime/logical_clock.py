@@ -23,10 +23,6 @@ class LogicalClock:
     """
 
     value: int = 0
-    #: Number of forced checkpoints triggered by incoming messages.
-    forced_checkpoints: int = 0
-    #: Number of locally initiated (periodic) increments.
-    local_increments: int = 0
 
     def stamp(self) -> int:
         """Checkpoint number to piggyback on an outgoing message."""
@@ -40,14 +36,12 @@ class LogicalClock:
         """
         if message_cn > self.value:
             self.value = message_cn
-            self.forced_checkpoints += 1
             return True
         return False
 
     def advance(self) -> int:
         """Locally increment the clock (periodic checkpoint); returns new value."""
         self.value += 1
-        self.local_increments += 1
         return self.value
 
     def observe_request(self, request_cn: int) -> bool:

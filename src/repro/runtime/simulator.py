@@ -27,7 +27,6 @@ import heapq
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import (
     Any,
     Callable,
@@ -57,15 +56,6 @@ from .state import NodeState
 from .transport import ConnectionTable
 
 
-class FilterAction(Enum):
-    """Decision a node hook can take about an event before it is executed."""
-
-    ALLOW = "allow"
-    DROP = "drop"
-    DROP_AND_RESET = "drop_and_reset"
-    DELAY = "delay"
-
-
 class NodeHook(TypingProtocol):
     """Interface the CrystalBall controller implements to plug into a node."""
 
@@ -76,8 +66,13 @@ class NodeHook(TypingProtocol):
         so one with nothing to do costs no scheduler cycles (see the
         scheduler-hook API notes in the README's Scaling section)."""
 
-    def filter_event(self, sim: "Simulator", node: "SimNode", event: Event) -> FilterAction:
-        """Execution-steering event filter (Section 3.3)."""
+    def filter_event(self, sim: "Simulator", node: "SimNode", event: Event) -> bool:
+        """Return True to refuse the event (execution steering, Section 3.3).
+
+        The event's kind fixes what a refusal does: a message is dropped
+        and its connection reset, which the sender observes as a transport
+        error; a timer is re-armed to fire one second later.  Only messages
+        and timers can be refused."""
 
     def immediate_safety_check(self, sim: "Simulator", node: "SimNode", event: Event) -> bool:
         """Return False to block the event because it would immediately
@@ -299,20 +294,23 @@ class Simulator:
         this and puts its transport between the two.
 
         Queue entries are popped in ``(time, seq)`` order, ``now`` advancing
-        to each, until the queue drains, the next entry lies past ``until``
-        (``now`` then stops at ``until``) or ``max_events`` entries ran.
+        to each.  The loop stops after ``max_events`` entries, ``now`` left
+        at the last one, or once nothing is due by ``until`` (the queue
+        drained or its next entry lies later), ``now`` then set to ``until``
+        when one is given.
         An entry is one of five kinds: a ``deliver`` leaves the inflight
         index as it is handed out; a ``timer``, an ``event`` (application
         call or connection error), a ``reset`` and a ``callback`` are
         executed here.
         """
+        queue = self._queue
         executed = 0
-        while self._queue and (max_events is None or executed < max_events):
-            entry = self._queue[0]
-            if until is not None and entry.time > until:
-                self.now = until
+        while max_events is None or executed < max_events:
+            if not queue or (until is not None and queue[0].time > until):
+                if until is not None:
+                    self.now = until
                 return
-            heapq.heappop(self._queue)
+            entry = heapq.heappop(queue)
             self.now = entry.time
             if entry.kind == "deliver":
                 did, message = entry.data
@@ -370,8 +368,6 @@ class Simulator:
         if node.armed_timers.get(name) != generation:
             return  # re-armed, or cleared by a reset, since
         del node.armed_timers[name]
-        # Touched even when a filter then drops the event.
-        self.touched.add(addr)
         self._execute_event(TimerEvent(node=addr, timer=name))
 
     # -- event execution -------------------------------------------------------------
@@ -382,25 +378,16 @@ class Simulator:
             return
 
         if node.hook is not None:
-            action = node.hook.filter_event(self, node, event)
-            if action == FilterAction.DROP:
-                node.stats.events_dropped_by_filter += 1
-                self._record_trace(node, event, "filtered")
-                return
-            if action == FilterAction.DROP_AND_RESET:
-                node.stats.events_dropped_by_filter += 1
-                self._record_trace(node, event, "filtered+reset")
+            if node.hook.filter_event(self, node, event):
+                # The refused event's kind fixes the corrective action.
                 if isinstance(event, MessageEvent):
+                    node.stats.events_dropped_by_filter += 1
+                    self._record_trace(node, event, "filtered+reset")
                     self._break_connection(node, event.message.src)
-                return
-            if action == FilterAction.DELAY:
-                node.stats.events_delayed += 1
-                delay = 1.0
-                if isinstance(event, MessageEvent):
-                    self._schedule_delivery(self.now + delay, event.message)
-                elif isinstance(event, TimerEvent):
-                    self.set_timer(node, event.timer, delay)
-                self._record_trace(node, event, "delayed")
+                else:
+                    node.stats.events_delayed += 1
+                    self.set_timer(node, event.timer, 1.0)
+                    self._record_trace(node, event, "delayed")
                 return
             if not node.hook.immediate_safety_check(self, node, event):
                 node.stats.events_blocked_by_isc += 1

@@ -21,7 +21,6 @@ from repro.properties import (
 )
 from repro.runtime import Address, NetworkModel, Simulator, make_addresses
 from repro.runtime.events import TimerEvent
-from repro.runtime.simulator import FilterAction
 from repro.systems.kvstore import QUORUM_INTERSECTION
 from repro.systems.randtree import (
     ALL_PROPERTIES,
@@ -237,16 +236,14 @@ def test_quorum_intersection_opens_holds_and_closes_an_episode(
     assert QUORUM_INTERSECTION.holds(final)
 
 
-class _DropRecoveryTimer:
-    """A hook that filters every recovery-timer firing at its node."""
+class _RefuseRecoveryTimer:
+    """A hook that refuses every recovery-timer firing at its node."""
 
     def on_attach(self, sim, node):
         pass
 
     def filter_event(self, sim, node, event):
-        if isinstance(event, TimerEvent) and event.timer == RECOVERY_TIMER:
-            return FilterAction.DROP
-        return FilterAction.ALLOW
+        return isinstance(event, TimerEvent) and event.timer == RECOVERY_TIMER
 
     def immediate_safety_check(self, sim, node, event):
         return True
@@ -258,24 +255,27 @@ class _DropRecoveryTimer:
         pass
 
 
-def test_a_timer_consumed_by_a_filtered_event_is_rechecked():
-    """The filter drops the timer event after the simulator consumed the
-    timer, so no observer runs for it; the node is still touched and its
-    verdict is recomputed at the next event anywhere."""
+def test_a_refused_timer_is_rearmed_and_rechecked():
+    """A refused timer is re-armed, never left consumed: no observer runs
+    for the refusal, the monitor still agrees with a full re-check at every
+    event, and the recovery timer stays armed, so no episode opens at the
+    refusing node."""
 
     def recovery_armed(addr, state, timers, gs):
         if state.joined and RECOVERY_TIMER not in timers:
             yield "joined without a recovery timer"
 
     sim, addrs = _tree_sim(nodes=4, seed=3)
-    sim.attach_hook(addrs[1], _DropRecoveryTimer())
+    sim.attach_hook(addrs[1], _RefuseRecoveryTimer())
     prop = node_property("t.recovery_armed", recovery_armed)
     monitor = LivePropertyMonitor([prop]).install(sim)
     reference = FullRecheck([prop], sim)
     sim.run(until=300.0)
     _assert_matches(monitor, reference)
-    opened = {record.node: record.sim_time for record in monitor.records}
-    assert round(opened[str(addrs[1])], 2) == 16.14
+    refusing = sim.nodes[addrs[1]]
+    assert refusing.stats.events_delayed > 0
+    assert RECOVERY_TIMER in refusing.armed_timers
+    assert str(addrs[1]) not in {record.node for record in monitor.records}
 
 
 def test_touched_nodes_open_episodes_in_node_order():

@@ -26,6 +26,7 @@ from repro.mc.parallel.portfolio import (
     PORTFOLIO_WALL_CLOCK,
     PortfolioEngine,
 )
+from repro.mc.search import breadth_first_search
 from repro.obs import MetricsRegistry, ObsContext
 from repro.runtime import Address, NetworkModel, Simulator, make_addresses
 from repro.systems import bulletprime, chord, paxos, randtree
@@ -266,11 +267,13 @@ def test_portfolio_finds_the_figure2_violation():
 
 
 def test_parallel_rejects_event_filter_outside_consequence():
+    """The explorer every engine runs refuses a steering hook outside
+    consequence prediction; the engines themselves take none."""
     system, start, properties, _ = _randtree_case()
     with pytest.raises(ValueError):
-        ParallelEngine(num_workers=2).run(
-            system, start, properties, SearchBudget(max_states=10),
-            kind=SearchKind.EXHAUSTIVE, event_filter=lambda event: None)
+        breadth_first_search(system, start, properties,
+                             SearchBudget(max_states=10),
+                             SearchKind.EXHAUSTIVE, lambda event: False)
 
 
 def test_portfolio_engine_is_the_merged_portfolio():

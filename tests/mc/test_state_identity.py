@@ -60,8 +60,8 @@ def _start_states(name: str) -> list[tuple[TransitionSystem, GlobalState]]:
 
 def _walk(name: str) -> list[tuple[GlobalState, bool]]:
     """Breadth-first walk from every start state of ``name``, the way a
-    search does it (hash, dedup, expand), message events also through both
-    ``apply_filtered`` forms: every successor, and whether it was built to
+    search does it (hash, dedup, expand), message events also through
+    ``apply_filtered``: every successor, and whether it was built to
     inherit its signature."""
     found = []
     starts = _start_states(name)
@@ -75,9 +75,7 @@ def _walk(name: str) -> list[tuple[GlobalState, bool]]:
             for event in system.enabled_events(state):
                 steps = [system.apply(state, event)]
                 if isinstance(event, MessageEvent):
-                    steps += [system.apply_filtered(state, event,
-                                                    reset_connection=reset)
-                              for reset in (True, False)]
+                    steps.append(system.apply_filtered(state, event))
                 for after in steps:
                     found.append((after, after._origin is not None))
                     if after.state_hash() not in seen:

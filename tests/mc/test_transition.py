@@ -88,7 +88,7 @@ def test_apply_filtered_consumes_message_without_handler():
     mid = system.apply(gs, TimerEvent(node=addrs[1], timer=JOIN_TIMER))
     join = next(m for m in mid.inflight if m.mtype == JOIN)
     event = MessageEvent(node=addrs[0], message=join)
-    steered = system.apply_filtered(mid, event, reset_connection=True)
+    steered = system.apply_filtered(mid, event)
     assert join not in steered.inflight
     # Handler did not run: node 1 has no children.
     assert not steered.nodes[addrs[0]].state.children

@@ -7,7 +7,8 @@ def test_observe_larger_number_forces_checkpoint():
     clock = LogicalClock()
     assert clock.observe(3) is True
     assert clock.value == 3
-    assert clock.forced_checkpoints == 1
+    assert clock.observe(4) is True
+    assert clock.value == 4
 
 
 def test_observe_smaller_or_equal_number_is_noop():
@@ -15,14 +16,13 @@ def test_observe_smaller_or_equal_number_is_noop():
     assert clock.observe(5) is False
     assert clock.observe(2) is False
     assert clock.value == 5
-    assert clock.forced_checkpoints == 0
 
 
 def test_advance_increments_monotonically():
     clock = LogicalClock()
     assert clock.advance() == 1
     assert clock.advance() == 2
-    assert clock.local_increments == 2
+    assert clock.value == 2
 
 
 def test_observe_request_future_number():

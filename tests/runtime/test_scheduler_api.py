@@ -106,9 +106,7 @@ class OwnedWakeupHook:
         sim.schedule_at(sim.now + self.period, self._wakeup)
 
     def filter_event(self, sim, node, event):
-        from repro.runtime import FilterAction
-
-        return FilterAction.ALLOW
+        return False
 
     def immediate_safety_check(self, sim, node, event):
         return True

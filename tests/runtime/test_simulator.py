@@ -3,12 +3,13 @@
 from repro.obs import MemoryTracer, ObsContext, filter_records
 from repro.runtime import (
     Address,
-    FilterAction,
     Message,
+    MessageEvent,
     NetworkModel,
     NodeState,
     Protocol,
     Simulator,
+    TimerEvent,
     Transport,
     make_addresses,
 )
@@ -138,29 +139,67 @@ def test_observer_called_for_each_event():
     assert "AppEvent" in seen and "MessageEvent" in seen
 
 
-def test_event_filter_hook_drops_messages():
-    class DropHook:
-        def __init__(self):
-            self.dropped = 0
-        def on_attach(self, sim, node): pass
-        def filter_event(self, sim, node, event):
-            from repro.runtime import MessageEvent
-            if isinstance(event, MessageEvent) and event.message.mtype == "Ping":
-                self.dropped += 1
-                return FilterAction.DROP
-            return FilterAction.ALLOW
-        def immediate_safety_check(self, sim, node, event): return True
-        def handle_control_message(self, sim, node, message): pass
-        def on_forced_checkpoint(self, sim, node): pass
+class _RefusingHook:
+    """A hook that refuses every event ``refuse(event)`` accepts."""
 
+    def __init__(self, refuse):
+        self.refuse = refuse
+        self.refused = 0
+
+    def on_attach(self, sim, node): pass
+
+    def filter_event(self, sim, node, event):
+        if self.refuse(event):
+            self.refused += 1
+            return True
+        return False
+
+    def immediate_safety_check(self, sim, node, event): return True
+    def handle_control_message(self, sim, node, message): pass
+    def on_forced_checkpoint(self, sim, node): pass
+
+
+def test_event_filter_hook_drops_messages():
     sim, (a, b) = _make_sim()
-    hook = DropHook()
+    hook = _RefusingHook(lambda event: isinstance(event, MessageEvent)
+                         and event.message.mtype == "Ping")
     sim.nodes[b].hook = hook
     sim.schedule_app(1.0, a, "ping", {"target": b})
     sim.run(until=3.0)
-    assert hook.dropped == 1
+    assert hook.refused == 1
     assert sim.nodes[b].state.received == []
     assert sim.nodes[b].stats.events_dropped_by_filter == 1
+    # The refused message's connection is reset: its sender sees an error.
+    assert ("error", b) in sim.nodes[a].state.received
+
+
+def test_a_refused_timer_fires_one_second_later():
+    tracer = MemoryTracer()
+    sim, (a, _b) = _make_sim(obs=ObsContext(tracer=tracer))
+    hook = _RefusingHook(lambda event: isinstance(event, TimerEvent)
+                         and hook.refused == 0)
+    sim.nodes[a].hook = hook
+    sim.run(until=5.5)
+    assert sim.nodes[a].state.received == []  # the handler did not run
+    assert "heartbeat" in sim.nodes[a].armed_timers
+    sim.run(until=7.0)
+    assert sim.nodes[a].state.received == [("timer", "heartbeat")]
+    assert sim.nodes[a].stats.events_delayed == 1
+    fired = [(record["t"], record["outcome"])
+             for record in filter_records(tracer.records, kind="event",
+                                          node=str(a))
+             if record["etype"] == "timer"]
+    assert fired == [(5.0, "delayed"), (6.0, "executed")]
+
+
+def test_a_drained_run_ends_at_until():
+    sim, _ = _make_sim()
+    sim.run(until=100.0)  # the last event is the 5 s heartbeat
+    assert sim.now == 100.0
+    sim, (a, b) = _make_sim()
+    sim.schedule_app(1.0, a, "ping", {"target": b})
+    sim.run(until=100.0, max_events=1)
+    assert sim.now == 1.0  # a max_events stop does not jump ahead
 
 
 def test_trace_records_when_enabled():
