@@ -12,15 +12,16 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from typing import Any, Optional, Sequence
 
 from ..analysis.reporting import format_table, render_run_report
+from ..campaign.spec import RunSpec
 from ..obs import progress_logger
-from .experiment import Experiment, parse_mode
-from .registry import list_systems
+from .registry import get_system, list_systems
 
 
 def _parse_option(raw: str) -> tuple[str, Any]:
@@ -355,92 +356,52 @@ def _split(chunks: Sequence[str]) -> list[str]:
     return [name for chunk in chunks for name in chunk.split(",") if name]
 
 
-def _configure_run(args: argparse.Namespace) -> Experiment:
-    """The builder ``run``'s arguments describe; raises ``KeyError`` /
-    ``ValueError`` with a one-line message on bad user input."""
-    experiment = Experiment(args.system)
-    if args.scenario is not None:
-        experiment.scenario(args.scenario)
-    if args.nodes is not None:
-        experiment.nodes(args.nodes)
-    if args.duration is not None:
-        experiment.duration(args.duration)
+def _run_spec(args: argparse.Namespace) -> RunSpec:
+    """The record ``run``'s flags describe; raises ``KeyError`` /
+    ``ValueError`` with a one-line message on bad input."""
+    system = get_system(args.system)
+    duration = args.duration
     if args.ticks is not None:
-        experiment.ticks(args.ticks)
-    experiment.seed(args.seed)
-
-    cb_kwargs: dict[str, Any] = {}
-    if args.engine is not None:
-        cb_kwargs["engine"] = args.engine
-    if args.max_states is not None or args.max_depth is not None:
-        # Start from the run's default budget (the system's, under the
-        # scenario's bounds) so passing only one bound does not silently
-        # replace the other with a fixed value.
-        budget = experiment.default_budget()
-        if args.max_states is not None:
-            budget.max_states = args.max_states
-        if args.max_depth is not None:
-            budget.max_depth = args.max_depth
-        cb_kwargs["budget"] = budget
-    if args.check_period is not None:
-        from ..core.controller import CheckingPolicy
-
-        cb_kwargs["checking"] = CheckingPolicy(period=args.check_period)
-    experiment.crystalball(parse_mode(args.mode), **cb_kwargs)
-
-    if args.no_churn:
-        experiment.churn(False)
-    elif args.churn_interval is not None:
-        experiment.churn(interval=args.churn_interval)
-
-    # Without a preset on the command line, fault scenarios still honor
-    # the nemesis seed.
-    experiment.faults(*_split(args.faults), seed=args.fault_seed)
-
-    if args.properties:
-        patterns = _split(args.properties)
-        if not patterns:
-            # An empty selection would silently disable all property
-            # checking and make --fail-on-violation vacuously green.
-            raise ValueError("--properties was given but names no patterns")
-        experiment.properties(*patterns,
-                              exclude=_split(args.exclude_properties))
-    elif args.exclude_properties:
+        duration = args.ticks * system.tick_interval
+    patterns = _split(args.properties)
+    if args.properties and not patterns:
+        # An empty selection would silently disable all property
+        # checking and make --fail-on-violation vacuously green.
+        raise ValueError("--properties was given but names no patterns")
+    if args.exclude_properties and not patterns:
         raise ValueError("--exclude-properties needs --properties")
-
-    workload_overrides = {
-        "rate": args.workload_rate,
-        "burst": args.workload_burst,
-        "keys": args.workload_keys,
-        "distribution": args.workload_distribution,
-        "start": args.workload_start,
-        "duration": args.workload_duration,
-    }
-    if args.workload is not None:
-        experiment.workload(args.workload, **workload_overrides)
-    elif any(value is not None for value in workload_overrides.values()):
+    overrides = {key: getattr(args, f"workload_{key}") for key in (
+        "rate", "burst", "keys", "distribution", "start", "duration")}
+    overrides = {key: value for key, value in overrides.items()
+                 if value is not None}
+    if overrides and args.workload is None:
         raise ValueError("--workload-* overrides need --workload")
-
-    if args.backend is not None:
-        experiment.backend(args.backend, **dict(args.backend_option))
-    elif args.backend_option:
+    if args.backend_option and args.backend is None:
         raise ValueError("--backend-option needs --backend")
-
-    if args.option:
-        experiment.options(**dict(args.option))
-    if args.trace is not None:
-        experiment.trace(args.trace)
-    if args.metrics:
-        experiment.metrics(True)
-    return experiment
+    # Flags named like a record field pass through by name.
+    run = RunSpec.from_dict({
+        **vars(args), "duration": duration, "faults": _split(args.faults),
+        "properties": patterns or None,
+        "properties_exclude": _split(args.exclude_properties),
+        "workload_overrides": overrides, "options": dict(args.option),
+        "backend_options": dict(args.backend_option),
+    })
+    # A live run churns at the system's default; a scenario keeps its own.
+    interval = args.churn_interval
+    if interval is None and run.scenario is None:
+        interval = system.default_churn_interval
+    if args.no_churn or interval is None:
+        return run
+    return dataclasses.replace(run, churn=True, churn_interval=interval)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        experiment = _configure_run(args)
+        experiment = _run_spec(args).experiment()
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
+    experiment.trace(args.trace).metrics(args.metrics)
 
     try:
         report = experiment.run()

@@ -167,15 +167,16 @@ class Experiment:
         return self
 
     def duration(self, seconds: float) -> "Experiment":
+        if seconds <= 0:  # the clock would stand still or run backwards
+            raise ValueError(
+                f"an experiment needs a positive duration, not {seconds:g}s")
         self._duration = float(seconds)
         self._explicit.add("duration")
         return self
 
     def ticks(self, count: int) -> "Experiment":
         """Duration expressed in controller tick intervals."""
-        self._duration = float(count) * self._tick_interval
-        self._explicit.add("duration")
-        return self
+        return self.duration(float(count) * self._tick_interval)
 
     def seed(self, seed: int) -> "Experiment":
         self._seed = int(seed)

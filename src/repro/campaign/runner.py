@@ -17,10 +17,9 @@ import time
 import traceback
 from typing import Any, Callable, Optional, Union
 
-from ..api.experiment import Experiment
 from ..api.report import RunReport
 from .report import CampaignReport, build_campaign_report
-from .spec import ATTACK_MODE, AXES, CampaignSpec, RunSpec, scenario_kind
+from .spec import ATTACK_MODE, CampaignSpec, RunSpec, scenario_kind
 from .store import ResultStore, make_record
 
 #: ``progress(record)`` hook invoked in the parent as each run completes.
@@ -67,31 +66,7 @@ def run_one(run: RunSpec) -> RunReport:
     """Execute one campaign cell through the fluent experiment API."""
     if run.mode == ATTACK_MODE:
         return run_attack_cell(run)
-    experiment = Experiment(run.system)
-    for axis in AXES:
-        if axis.apply is not None and getattr(run, axis.cell) != axis.default:
-            axis.apply(experiment, run)
-    # Deployment settings go through the builder for scenario cells too: a
-    # live scenario is a preset folded under them, and a search scenario
-    # warns about what it cannot honor, so a cell never silently measures
-    # something else than the same builder's .run() would.
-    if run.nodes is not None:
-        experiment.nodes(run.nodes)
-    if run.duration is not None:
-        experiment.duration(run.duration)
-    # A scenario cell keeps its own churn default (off for live scenarios,
-    # whose named faults are the only adversary) unless churn was asked for.
-    if run.churn:
-        experiment.churn(True, interval=run.churn_interval)
-    elif run.scenario is None:
-        experiment.churn(False)
-    if run.network:
-        experiment.network(**dict(run.network))
-    if run.fault_seed is not None and not run.faults:
-        # Live scenarios honor the nemesis seed without a preset axis.
-        experiment.faults(seed=run.fault_seed)
-    if run.options:
-        experiment.options(**dict(run.options))
+    experiment = run.experiment()
     # Metrics are always on for live cells, live scenarios included:
     # counters are deterministic and feed the aggregate's metrics rollup
     # (cheap — no tracing).  A search scenario has no registry to read.

@@ -1,15 +1,16 @@
-"""Declarative campaign specifications: axes expanded into a run matrix.
+"""Run records, and the campaign axes that expand into a matrix of them.
 
-A :class:`CampaignSpec` names the axes of a sweep — systems × scenarios ×
-fault presets × modes × seeds × property selections × workloads × backends
-— plus the settings shared by every cell (durations, deployment size,
-churn, options).  Everything that is particular to one axis is declared
-once, in its row of :data:`AXES`: how raw values are normalized, how a cell
-value is labelled in run ids and rollups, which registry validates it, and
-whether it is restricted to live cells.  :meth:`CampaignSpec.expand`,
-:func:`parse_axes` (the ``--axes`` parser of ``python -m repro
-campaign``), the campaign report's rollups and the runner are loops over
-that table.  A Python caller builds the spec directly and hands it to
+A :class:`RunSpec` is the record of one run: a ``python -m repro run``
+command line or one campaign cell.  A :class:`CampaignSpec` names the axes
+of a sweep — systems × scenarios × fault presets × modes × seeds ×
+property selections × workloads × backends — plus the settings shared by
+every cell (durations, deployment size, churn, options).  Everything that
+is particular to one axis is declared once, in its row of :data:`AXES`:
+how raw values are normalized, how a cell value is labelled in run ids and
+rollups, which registry validates it, and whether it is restricted to live
+cells.  :meth:`CampaignSpec.expand`, :func:`parse_axes` (the ``--axes``
+parser), the rollups and :meth:`RunSpec.experiment` are loops over that
+table.  A Python caller hands a spec to
 :func:`~repro.campaign.runner.run_campaign`.
 
 :meth:`CampaignSpec.expand` validates every axis value and produces the
@@ -28,6 +29,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 from ..api.experiment import Experiment, parse_mode
 from ..api.registry import get_system, list_systems
 from ..backends import get_backend
+from ..core.controller import CheckingPolicy
 from ..faults.presets import list_presets, resolve_preset
 from ..properties import select_properties
 
@@ -116,7 +118,7 @@ class Axis:
     #: (which would silently ignore it while still labelling the records).
     live_only: Optional[str] = None
     #: ``apply(experiment, run)`` carries a non-default cell value into the
-    #: worker's builder.
+    #: run's builder.
     apply: Optional[Callable[[Experiment, "RunSpec"], Any]] = None
 
     def normalize(self, value: Any) -> Any:
@@ -208,14 +210,10 @@ AXES: tuple[Axis, ...] = (
          live_only=(
              "fault presets cannot be combined with scripted scenarios "
              "(scenarios script their own faults); sweep scenarios with "
-             "presets=none, or sweep presets over live runs"),
-         apply=lambda experiment, run: experiment.faults(
-             *run.faults, seed=run.fault_seed,
-             start_after=run.fault_start_after)),
+             "presets=none, or sweep presets over live runs")),
     Axis("modes", "mode", ("modes",), "off,steering",
          default="off", coerce=_mode,
-         rollup="mode",
-         apply=lambda experiment, run: experiment.mode(run.mode)),
+         rollup="mode"),
     Axis("seeds", "seed", ("seeds",), "0-7",
          default=0, coerce=int, split=_seed_chunk,
          prefix="seed", rollup="seed",
@@ -252,8 +250,7 @@ AXES: tuple[Axis, ...] = (
          live_only=(
              "non-sim backends cannot be combined with scripted "
              "scenarios (scenarios build their own runtime); sweep "
-             "backends over live runs"),
-         apply=lambda experiment, run: experiment.backend(run.backend)),
+             "backends over live runs")),
 )
 
 _AXIS_OF_KEY = {key: axis for axis in AXES for key in axis.keys}
@@ -264,7 +261,7 @@ _AXIS_OF_CELL = {axis.cell: axis for axis in AXES}
 _NESTING = tuple(sorted(AXES, key=lambda axis: axis.field == "seeds"))
 
 #: RunSpec fields holding sorted ``(key, value)`` pairs, dicts in JSON.
-_PAIR_FIELDS = ("network", "options", "workload_overrides")
+_PAIR_FIELDS = ("network", "options", "workload_overrides", "backend_options")
 
 
 def axis_keys() -> str:
@@ -284,11 +281,11 @@ def axes_help() -> str:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One cell of the campaign matrix: everything needed to run it.
+    """The record of one run — a ``repro run`` or a campaign cell — and
+    :meth:`experiment`, the one translation of a record into a builder.
 
-    ``RunSpec`` is picklable and JSON-round-trippable (``to_dict`` /
-    ``from_dict``) so cells can cross process boundaries into pool workers
-    and be re-identified in a result store across campaign invocations.
+    Picklable and JSON-round-trippable (``to_dict`` / ``from_dict``), so a
+    cell crosses into pool workers and is re-identified in a result store.
     """
 
     system: str
@@ -316,6 +313,20 @@ class RunSpec:
     workload_overrides: tuple[tuple[str, Any], ...] = ()
     #: execution backend of the cell ("sim" or "tcp"; see repro.backends).
     backend: str = "sim"
+    #: backend-specific settings (host/port_base/frame_timeout for tcp).
+    backend_options: tuple[tuple[str, Any], ...] = ()
+    #: controller settings; None keeps the default (for a bound: the run's).
+    engine: Optional[str] = None
+    max_states: Optional[int] = None
+    max_depth: Optional[int] = None
+    check_period: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        # Out of range, a bound would quietly turn prediction off.
+        for name, least in (("max_states", 1), ("max_depth", 0), ("check_period", 1)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"{name} must be at least {least}, not {value}")
 
     @property
     def run_id(self) -> str:
@@ -352,6 +363,45 @@ class RunSpec:
                 value = tuple(raw) if isinstance(raw, list) else raw
             values[spec_field.name] = value
         return cls(**values)
+
+    def experiment(self) -> Experiment:
+        """The builder this record describes.  Tracing and metrics are the
+        caller's: they never change a seeded run."""
+        experiment = Experiment(self.system)
+        for axis in AXES:
+            if axis.apply is not None and getattr(self, axis.cell) != axis.default:
+                axis.apply(experiment, self)
+        # Deployment settings reach scenario runs too: a live scenario is a
+        # preset folded under them, and a search scenario warns about them.
+        if self.nodes is not None:
+            experiment.nodes(self.nodes)
+        if self.duration is not None:
+            experiment.duration(self.duration)
+        # A scenario keeps its own churn (off for a live one) unless asked.
+        if self.churn:
+            experiment.churn(True, interval=self.churn_interval)
+        elif self.scenario is None:
+            experiment.churn(False)
+        if self.network:
+            experiment.network(**dict(self.network))
+        # Without presets too: a live scenario's faults take the nemesis
+        # seed and start.
+        experiment.faults(
+            *self.faults, seed=self.fault_seed, start_after=self.fault_start_after
+        )
+        experiment.options(**dict(self.options))
+        # Always called, so that options the sim backend lacks fail the run.
+        experiment.backend(self.backend, **dict(self.backend_options))
+        bounds = {"max_states": self.max_states, "max_depth": self.max_depth}
+        bounds = {name: bound for name, bound in bounds.items() if bound is not None}
+        budget = dataclasses.replace(experiment.default_budget(), **bounds)
+        experiment.crystalball(
+            self.mode,
+            engine=self.engine,
+            budget=budget if bounds else None,
+            checking=self.check_period and CheckingPolicy(period=self.check_period),
+        )
+        return experiment
 
 
 @dataclass
@@ -462,6 +512,13 @@ class CampaignSpec:
                     "attack mode cannot be combined with workloads; "
                     "attack cells run only the system's own traffic"
                 )
+            bare = CampaignSpec()
+            for name in ("churn", "network", "fault_seed", "fault_start_after"):
+                if getattr(self, name) != getattr(bare, name):
+                    raise ValueError(
+                        f"attack mode ignores {name}: the hunt draws its own "
+                        f"fault schedule at the system's churn and network"
+                    )
             if not all(values["fault_presets"]):
                 raise ValueError(
                     "attack mode needs a fault-preset axis on every cell "

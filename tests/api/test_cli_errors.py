@@ -46,6 +46,25 @@ def test_run_unknown_option_key(capsys):
     _assert_clean_error(capsys, code, "bogus_option")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--max-states", "0"], "max_states must be at least 1, not 0"),
+    (["--max-states", "-5"], "max_states must be at least 1, not -5"),
+    (["--max-depth", "-1"], "max_depth must be at least 0, not -1"),
+    (["--check-period", "0"], "check_period must be at least 1, not 0"),
+])
+def test_run_refuses_a_search_setting_out_of_range(capsys, flags, message):
+    # Out of range, a budget once turned prediction off and exited 0.
+    code = main(["run", "randtree", "--ticks", "2", "--no-churn", *flags])
+    _assert_clean_error(capsys, code, message)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--duration", "-5"], ["--duration", "0"], ["--ticks", "0"]])
+def test_run_refuses_a_run_length_that_is_not_positive(capsys, flags):
+    code = main(["run", "randtree", "--no-churn", *flags])
+    _assert_clean_error(capsys, code, "positive duration")
+
+
 def test_campaign_unknown_system(capsys):
     code = main(["campaign", "--axes", "systems=nosuch"])
     _assert_clean_error(capsys, code, "unknown system 'nosuch'")

@@ -35,6 +35,17 @@ def test_ticks_convert_to_duration_via_tick_interval():
     assert experiment._duration == 5 * get_system("randtree").tick_interval
 
 
+@pytest.mark.parametrize("length", [
+    lambda experiment: experiment.duration(0),
+    lambda experiment: experiment.duration(-5),
+    lambda experiment: experiment.ticks(0),
+])
+def test_a_run_length_must_be_positive(length):
+    # A negative length would run the simulated clock backwards.
+    with pytest.raises(ValueError, match="positive duration"):
+        length(Experiment("randtree"))
+
+
 def test_churn_rate_maps_to_interval():
     experiment = Experiment("randtree").churn(rate=0.1)
     assert experiment._churn_interval == pytest.approx(10.0)

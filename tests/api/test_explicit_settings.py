@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import Experiment, get_system
-from repro.api.cli import _configure_run, build_parser
+from repro.campaign import RunSpec
 from repro.core.controller import CheckingPolicy, CrystalBallConfig
 from repro.mc.search import SearchBudget
 from repro.mc.transition import TransitionConfig
@@ -173,13 +173,12 @@ def test_a_former_driver_takes_every_builder_setting():
          .options(node_count=5).run())
 
     # Figure 13's budget is the scenario's unless one is set, and one bound
-    # on the command line keeps the scenario's other bound.
+    # in a run record keeps the scenario's other bound.
     figure13 = Experiment("paxos").scenario("figure13-bug1")
     assert (figure13.default_budget().max_states,
             figure13.default_budget().max_depth) == (1500, 12)
-    budget = _configure_run(build_parser().parse_args(
-        ["run", "paxos", "--scenario", "figure13-bug1",
-         "--max-states", "50"]))._budget()
+    budget = RunSpec("paxos", scenario="figure13-bug1",
+                     max_states=50).experiment()._budget()
     assert (budget.max_states, budget.max_depth) == (50, 12)
 
 

@@ -193,6 +193,12 @@ def test_campaign_expand_accepts_attack_cells():
          properties=("paxos.agreement",), backends=("tcp",)),  # non-sim
     dict(modes=("attack",), fault_presets=("equivocation",),
          properties=("paxos.agreement",), workloads=("submissions",)),
+    # Settings the hunt's own runs would drop while the record kept them.
+    *(dict(modes=("attack",), fault_presets=("equivocation",),
+           properties=("paxos.agreement",), **setting)
+      for setting in (dict(churn=True), dict(network={"rtt": 0.05}),
+                      dict(fault_seed=3), dict(fault_seed=0),
+                      dict(fault_start_after=5.0))),
 ])
 def test_campaign_expand_refuses_malformed_attack_axes(kwargs):
     with pytest.raises(ValueError, match="attack mode"):

@@ -104,6 +104,13 @@ def test_a_failing_run_becomes_an_error_record_not_a_crash():
     assert "bogus_option" in failure["error"]
 
 
+def test_a_cell_whose_run_length_is_not_positive_is_an_error_record():
+    report = run_campaign(CampaignSpec(systems=["randtree"], duration=-5.0),
+                          jobs=1)
+    assert report.failed == report.run_count == 1
+    assert "positive duration" in report.failures[0]["error"]
+
+
 def test_execute_run_records_summary_without_wall_clock():
     spec = CampaignSpec(systems=["randtree"], fault_presets=["partition"],
                         seeds=[1], duration=30.0)
@@ -135,6 +142,12 @@ CELL_AND_BUILDER = {
              duration=60.0),
         lambda: (Experiment("chord").scenario("link-flap").seed(1)
                  .duration(60))),
+    # The scenario's own faults, started late: none fits in the run.
+    "live-scenario-fault-start-after": (
+        dict(systems=["randtree"], scenarios=["partition-recovery"],
+             seeds=[1], duration=160.0, fault_start_after=150.0),
+        lambda: (Experiment("randtree").scenario("partition-recovery")
+                 .seed(1).duration(160).faults(start_after=150.0))),
     "live-scenario-churn": (
         dict(systems=["chord"], scenarios=["link-flap"], seeds=[1],
              duration=60.0, churn=True, churn_interval=10.0),

@@ -56,6 +56,15 @@ def test_runspec_round_trips_through_dict():
     assert again.run_id == run.run_id
 
 
+@pytest.mark.parametrize("field, value, least", [
+    ("max_states", 0, 1), ("max_depth", -1, 0), ("check_period", 0, 1)])
+def test_runspec_refuses_search_settings_out_of_range(field, value, least):
+    with pytest.raises(ValueError,
+                       match=f"{field} must be at least {least}, not {value}"):
+        RunSpec(system="randtree", **{field: value})
+    assert getattr(RunSpec(system="randtree", **{field: least}), field) == least
+
+
 @pytest.mark.parametrize("axes, message", [
     (dict(systems=["nosuch"]), "unknown system"),
     (dict(systems=["randtree"], fault_presets=["nosuch"]), "unknown fault preset"),
