@@ -493,8 +493,11 @@ class Experiment:
                 f"{sorted(unknown)} (accepted: {sorted(options)}; set mode "
                 f"and seed through the builder, not options)")
         options.update(self._options)
-        ignored = self._explicit | (
-            {"fault_seed"} if self._fault_seed is not None else set())
+        ignored = set(self._explicit)
+        if self._fault_seed is not None:
+            ignored.add("fault_seed")
+        if self._fault_start_after is not None:
+            ignored.add("fault_start_after")
         if ignored:
             warnings.warn(
                 f"scenario {scenario.name!r} runs a scripted schedule and "

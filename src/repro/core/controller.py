@@ -438,7 +438,9 @@ class CrystalBallController:
             payload={
                 "cn": checkpoint.checkpoint_number,
                 "state": checkpoint.state.clone(),
-                "timers": checkpoint.timers,
+                # Sorted: a frozenset of strings pickles in string-hash
+                # order, so the tcp frame size would follow PYTHONHASHSEED.
+                "timers": tuple(sorted(checkpoint.timers)),
                 "bytes": cost,
             },
             transport=Transport.TCP,

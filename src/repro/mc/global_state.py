@@ -160,20 +160,21 @@ class GlobalState:
         )
 
     def successor(self, addr: Optional[Address] = None,
-                  state: Optional[NodeState] = None,
-                  timers: frozenset[str] = frozenset(), *,
+                  local: Optional[NodeLocal] = None, *,
                   consumed_message: Optional[Message] = None,
                   sent: Sequence[Message] = (),
                   consumed_error: Optional[ErrorNotification] = None,
                   raised: Sequence[ErrorNotification] = (),
                   reset: Optional[Address] = None) -> "GlobalState":
         """The state one step after this one: the node at ``addr`` (if
-        given) now holds ``state`` and ``timers``, one in-flight message and
-        one error are consumed, ``sent`` and ``raised`` are appended, and
-        ``reset`` counts one more reset."""
+        given) now holds ``local``, one in-flight message and one error are
+        consumed, ``sent`` and ``raised`` are appended, and ``reset`` counts
+        one more reset.  ``local`` is shared, not copied: the successors a
+        search's transition memo builds from one handler run hold the same
+        wrapper, so its signature and size are worked out once."""
         nodes = self.nodes
         if addr is not None:
-            nodes = {**nodes, addr: NodeLocal(state=state, timers=timers)}
+            nodes = {**nodes, addr: local}
         inflight, message_at = _without(self.inflight, consumed_message)
         errors, error_at = _without(self.errors, consumed_error)
         resets = self.resets

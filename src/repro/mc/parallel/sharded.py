@@ -284,6 +284,9 @@ def _process_round(worker_id: int, num_workers: int, explorer: Explorer,
     found: list[PredictedViolation] = []
     delta = SearchStats()
     locals_before = set(explorer.local_explored)
+    # Every successor leaves through the coordinator, so this batch arrives
+    # as fresh objects and no entry of an earlier round can hit again.
+    explorer.memo.clear()
     for item in items:
         if (verdicts := explorer.visit(item, delta, found)) is None:
             continue

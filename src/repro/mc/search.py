@@ -205,6 +205,15 @@ class Explorer:
     A serial search owns one explorer; each shard of a parallel search owns
     one for the states routed to it.  Counters go to the ``stats`` the
     caller passes, so a shard can account one round at a time.
+
+    Every handler the search runs goes through the explorer's ``memo``
+    (:meth:`TransitionSystem.apply`): in a breadth-first search one node's
+    ``NodeLocal`` object receives the same event in every interleaving of
+    the other nodes' events, and the handler is a pure function of that
+    object and the event, so it runs once and every later successor shares
+    its output.  A hit is exactly the fresh run's output, so the search
+    visits, hashes, sizes and reports what it would without the memo.  The
+    memo lives and dies with the explorer, one search.
     """
 
     system: TransitionSystem
@@ -224,6 +233,9 @@ class Explorer:
     #: already present in the start state would be re-reported in every
     #: explored state, drowning genuinely new predictions.
     reported: set[tuple] = field(default_factory=set)
+    #: The transition memo: ``(id(NodeLocal), event key)`` -> the handler
+    #: run's input, event and output (see :meth:`TransitionSystem.apply`).
+    memo: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.properties = safety_properties(self.properties)
@@ -266,13 +278,13 @@ class Explorer:
         state, depth, path, _ = item
         if not self.budget.depth_allowed(depth + 1):
             return
-        system, event_filter = self.system, self.event_filter
+        system, event_filter, memo = self.system, self.event_filter, self.memo
         for event in self._events(state, stats):
             if (event_filter is not None and isinstance(event, MessageEvent)
                     and event_filter(event)):
                 next_state = system.apply_filtered(state, event)
             else:
-                next_state = system.apply(state, event)
+                next_state = system.apply(state, event, memo)
             stats.transitions_applied += 1
             next_hash = next_state.state_hash()
             if next_hash in self.explored or next_hash in self.queued:

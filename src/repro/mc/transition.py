@@ -10,6 +10,7 @@ runtime executes.
 from __future__ import annotations
 
 import random
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -25,7 +26,8 @@ from ..runtime.events import (
 )
 from ..runtime.messages import Message
 from ..runtime.protocol import Protocol
-from .global_state import ErrorNotification, GlobalState
+from ..runtime.serialization import freeze
+from .global_state import ErrorNotification, GlobalState, NodeLocal
 
 
 @dataclass
@@ -108,17 +110,41 @@ class TransitionSystem:
 
     # -- application ---------------------------------------------------------------------
 
-    def apply(self, state: GlobalState, event: Event) -> GlobalState:
-        """Return the successor of ``state`` after executing ``event``."""
+    def apply(self, state: GlobalState, event: Event,
+              memo: Optional[dict] = None) -> GlobalState:
+        """Return the successor of ``state`` after executing ``event``.
+
+        ``memo`` is a search's transition memo (:class:`~repro.mc.search.
+        Explorer` owns one per search).  With it, the handler runs once per
+        ``(acting node's NodeLocal object, event)``: a handler is a pure
+        function of its input object and the event (``now=0.0``, a fresh
+        ``Random(HANDLER_RNG_SEED)``, protocols hold only config), so a
+        hit returns what a fresh run on a clone of the same object would —
+        the same new ``NodeLocal`` (signature and size caches included),
+        the same sent messages in the same order, the same closed
+        connections.  The key is the wrapper's ``id`` plus the message
+        object's ``id``, the timer name, the failed peer, the call and its
+        payload, or the reset; an entry keeps its key objects alive, so no
+        ``id`` is reused while it is stored.  What depends on the rest of
+        the global state (which sends and RSTs reach a snapshot node, a
+        reset's error notifications, the in-flight, error and reset
+        bookkeeping) is worked out per call.  Without ``memo`` (replay, the
+        immediate safety check, random walks) every call runs the handler.
+        """
         if isinstance(event, MessageEvent):
-            return self._run_handler(state, event, consumed_message=event.message)
+            return self._run_handler(state, event, memo, id(event.message),
+                                     consumed_message=event.message)
         if isinstance(event, ConnectionErrorEvent):
             notification = ErrorNotification(dst=event.node, peer=event.peer)
-            return self._run_handler(state, event, consumed_error=notification)
-        if isinstance(event, (TimerEvent, AppEvent)):
-            return self._run_handler(state, event)
+            return self._run_handler(state, event, memo, event.peer,
+                                     consumed_error=notification)
+        if isinstance(event, TimerEvent):
+            return self._run_handler(state, event, memo, event.timer)
+        if isinstance(event, AppEvent):
+            return self._run_handler(state, event, memo,
+                                     (event.call, freeze(event.payload)))
         if isinstance(event, ResetEvent):
-            return self._apply_reset(state, event)
+            return self._apply_reset(state, event, memo)
         raise TypeError(f"unknown event {event!r}")
 
     def apply_filtered(self, state: GlobalState, event: MessageEvent) -> GlobalState:
@@ -137,35 +163,52 @@ class TransitionSystem:
 
     # -- helpers ---------------------------------------------------------------------------
 
-    def _run_handler(self, state: GlobalState, event: Event, *,
+    def _run_handler(self, state: GlobalState, event: Event,
+                     memo: Optional[dict], key: Hashable, *,
                      consumed_message: Optional[Message] = None,
                      consumed_error: Optional[ErrorNotification] = None,
                      reset_errors: Sequence[ErrorNotification] = ()) -> GlobalState:
         addr = event.node
         local = state.nodes[addr]
-        ctx = HandlerContext(self_addr=addr, now=0.0, rng=_HandlerRng())
-        new_state = self.protocol.execute(ctx, local.state.clone(), event)
+        if memo is None:
+            _, _, after, sent, closed = self._handle(local, event)
+        else:
+            # Keys of the five kinds never collide: a message key is an int,
+            # a timer's a str, a peer's an Address, a call's a tuple, a
+            # reset's None.
+            entry = memo.get((id(local), key))
+            if entry is None:
+                entry = memo[id(local), key] = self._handle(local, event)
+            _, _, after, sent, closed = entry
+        raised = [ErrorNotification(dst=peer, peer=addr)
+                  for peer in closed if peer in state.nodes]
+        raised.extend(reset_errors)
+        return state.successor(
+            addr, after,
+            consumed_message=consumed_message,
+            sent=[m for m in sent if m.dst in state.nodes],
+            consumed_error=consumed_error,
+            raised=raised,
+            reset=addr if isinstance(event, ResetEvent) else None)
 
+    def _handle(self, local: NodeLocal, event: Event) -> tuple:
+        """Run the handler of ``event`` on a clone of ``local``: ``(local,
+        event, the new NodeLocal, the sent messages, the closed
+        connections)``, the first two kept so a memo entry holds its key
+        objects alive."""
+        ctx = HandlerContext(self_addr=event.node, now=0.0, rng=_HandlerRng())
+        new_state = self.protocol.execute(ctx, local.state.clone(), event)
         timers = local.timers
         if isinstance(event, TimerEvent):
             timers = timers - {event.timer}
-        reset = isinstance(event, ResetEvent)
-        if reset:
+        elif isinstance(event, ResetEvent):
             timers = frozenset()
-        timers = ctx.armed_timers(timers)
+        after = NodeLocal(state=new_state, timers=ctx.armed_timers(timers))
+        return (local, event, after, tuple(ctx.sent),
+                tuple(ctx.closed_connections))
 
-        raised = [ErrorNotification(dst=peer, peer=addr)
-                  for peer in ctx.closed_connections if peer in state.nodes]
-        raised.extend(reset_errors)
-        return state.successor(
-            addr, new_state, timers,
-            consumed_message=consumed_message,
-            sent=[m for m in ctx.sent if m.dst in state.nodes],
-            consumed_error=consumed_error,
-            raised=raised,
-            reset=addr if reset else None)
-
-    def _apply_reset(self, state: GlobalState, event: ResetEvent) -> GlobalState:
+    def _apply_reset(self, state: GlobalState, event: ResetEvent,
+                     memo: Optional[dict]) -> GlobalState:
         addr = event.node
         # Peers holding a TCP connection to the resetting node may observe a
         # RST.  The model checker does not track connections explicitly; it
@@ -186,4 +229,4 @@ class TransitionSystem:
         errors.extend(ErrorNotification(dst=addr, peer=former)
                       for former in sorted(old_neighbors)
                       if former in state.nodes and former != addr)
-        return self._run_handler(state, event, reset_errors=errors)
+        return self._run_handler(state, event, memo, None, reset_errors=errors)

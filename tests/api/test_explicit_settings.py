@@ -138,6 +138,18 @@ def test_a_search_scenario_honours_the_budget_and_nothing_else():
         experiment.faults(seed=3).run()
 
 
+def test_a_search_scenario_warns_that_it_drops_a_fault_start():
+    experiment = (Experiment("randtree").scenario("figure2")
+                  .crystalball("off", budget=SearchBudget(max_states=40))
+                  .faults(start_after=5.0))
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        experiment.run()
+    assert [str(w.message) for w in record] == [
+        "scenario 'figure2' runs a scripted schedule and ignores these "
+        "builder settings: ['fault_start_after']"]
+
+
 def test_a_former_driver_takes_every_builder_setting():
     """Figure 13 and the Bullet' download once built their own deployments
     and dropped most of the builder; they are live presets now."""

@@ -9,6 +9,12 @@ frame.  These runs are small (4-5 nodes, short horizons) to keep the real
 socket traffic cheap in CI.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.api import Experiment
@@ -80,6 +86,26 @@ def test_a_rerun_in_one_process_ships_the_same_bytes():
     assert first_wire["wire_bytes"] == second_wire["wire_bytes"]
     assert first_wire["fallback_local"] == 0
     assert first_trace == second_trace
+
+
+def _wire_bytes_at_hash_seed(hash_seed):
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "run", "randtree", "--nodes", "3",
+         "--ticks", "3", "--backend", "tcp", "--backend-option",
+         "host=127.0.0.1", "--json"],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(result.stdout)["outcome"]["wire"]["wire_bytes"]
+
+
+def test_wire_bytes_do_not_depend_on_the_hash_seed():
+    """A checkpoint response ships its timer names sorted: a set of strings
+    pickles in string-hash order, which would make the frame size follow
+    ``PYTHONHASHSEED``.  One process cannot show this, so two do."""
+    assert _wire_bytes_at_hash_seed(0) == _wire_bytes_at_hash_seed(1)
 
 
 def test_sim_report_omits_backend_field_in_serialized_form():

@@ -3,7 +3,10 @@
 One generated differential check over all six bundled systems: every state
 the model checker derives from another must hash exactly as the same state
 hashed from scratch, and every clone must be the state ``copy.deepcopy``
-would have produced, byte for byte.  CI runs this file under several
+would have produced, byte for byte.  A search's transition memo hands one
+handler run to every successor that repeats it, so every hit must be the
+run a fresh clone would make, and a whole search must be the search whose
+memo never hits.  CI runs this file under several
 ``PYTHONHASHSEED`` values: set iteration order, hence pickle bytes, hence
 checkpoint byte counts depend on the string-hash order.
 """
@@ -17,7 +20,16 @@ from typing import Any
 import pytest
 
 from repro.api import Experiment, get_system
-from repro.mc import GlobalState, NodeLocal, TransitionConfig, TransitionSystem
+from repro.mc import (
+    GlobalState,
+    NodeLocal,
+    SearchBudget,
+    SearchKind,
+    SearchStats,
+    TransitionConfig,
+    TransitionSystem,
+)
+from repro.mc.search import breadth_first_search
 from repro.runtime import Address
 from repro.runtime.events import MessageEvent
 from repro.runtime.state import NodeState
@@ -180,6 +192,89 @@ def test_an_unhashed_parent_is_not_retained():
         state = system.apply(state, system.enabled_events(state)[0])
         assert state._origin is None
     assert state.signature() == _cold(state).signature()
+
+
+# ------------------------------------------------------------ the transition memo
+
+def _node_view(state: GlobalState, addr) -> tuple:
+    """What a handler run leaves in ``state`` at ``addr``, with nothing
+    taken from a cache: the state's signature and pickle bytes (after it is
+    hashed, as a search does), its set orders and its timers."""
+    local = state.nodes[addr]
+    signature = local.state.signature()
+    return (signature, pickle.dumps(local.state), _set_orders(local.state),
+            local.timers)
+
+
+def test_every_memo_hit_is_a_fresh_handler_run():
+    # A walk that applies every event through one memo, as a search does,
+    # and holds each result to a handler run on a clone of the same input.
+    for name in SYSTEMS:
+        hits = 0
+        for system, start in _start_states(name):
+            memo: dict = {}
+            seen = {start.state_hash()}
+            frontier = [start]
+            for state in frontier:
+                if len(seen) > WALK_TRANSITIONS:
+                    break
+                for event in system.enabled_events(state):
+                    stored = len(memo)
+                    after = system.apply(state, event, memo)
+                    hits += len(memo) == stored
+                    fresh = system.apply(state, event)
+                    assert (_node_view(after, event.node)
+                            == _node_view(fresh, event.node)), (name, event)
+                    # Sent messages in order, closed connections, resets.
+                    assert after.inflight == fresh.inflight
+                    assert ([m.signature() for m in after.inflight]
+                            == [m.signature() for m in fresh.inflight])
+                    assert after.errors == fresh.errors
+                    assert after.resets == fresh.resets
+                    assert after.state_hash() == _cold(fresh).state_hash()
+                    if after.state_hash() not in seen:
+                        seen.add(after.state_hash())
+                        frontier.append(after)
+        assert hits, name  # the walks do repeat handler runs
+
+
+def _searched(system, start, properties, kind, visited: list):
+    budget = SearchBudget(max_states=400, max_depth=8,
+                          record_visited_hashes=True)
+    visited.clear()
+    result = breadth_first_search(system, start, properties, budget, kind)
+    stats = {name: value for name, value in vars(result.stats).items()
+             if name not in ("elapsed_seconds", "_started_at")}
+    violations = [(v.violation.property_name, v.violation.node,
+                   v.violation.detail, [e.signature() for e in v.path],
+                   v.state_hash) for v in result.violations]
+    return violations, stats, list(visited)
+
+
+def test_a_search_with_the_memo_is_the_search_without_it(monkeypatch):
+    visited: list = []
+    note = SearchStats.note_visited_hash
+
+    def noting(stats, state_hash):
+        visited.append(state_hash)
+        note(stats, state_hash)
+
+    monkeypatch.setattr(SearchStats, "note_visited_hash", noting)
+    memoised = TransitionSystem.apply
+
+    def never_hits(system, state, event, memo=None):
+        return memoised(system, state, event)
+
+    for name in SYSTEMS:
+        properties = list(get_system(name).properties)
+        for system, start in _start_states(name):
+            for kind in SearchKind:
+                monkeypatch.setattr(TransitionSystem, "apply", memoised)
+                with_memo = _searched(system, start, properties, kind, visited)
+                monkeypatch.setattr(TransitionSystem, "apply", never_hits)
+                without = _searched(system, start, properties, kind, visited)
+                assert with_memo == without, (name, kind)
+                assert with_memo[2], (name, kind)
 
 
 # ------------------------------------------------------------ clone, unit cases
