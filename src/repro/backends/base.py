@@ -74,7 +74,7 @@ class ExecutionBackend(TypingProtocol):
     events_executed: int
 
     # -- topology ----------------------------------------------------------
-    def add_node(self, addr: Address, *, start: bool = True) -> SimNode: ...
+    def add_node(self, addr: Address) -> SimNode: ...
     def crash_node(self, addr: Address) -> None: ...
     def revive_node(self, addr: Address) -> None: ...
     def attach_hook(self, addr: Address, hook: NodeHook) -> None: ...

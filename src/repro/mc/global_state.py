@@ -106,10 +106,10 @@ class GlobalState:
     """A complete system state explored by the model checker.
 
     Treated as immutable once it has been hashed or has entered a search
-    frontier: size and signature are computed once and cached.  By the same
-    convention a :meth:`successor` of a hashed state remembers its parent
-    and what the step changed; its first :meth:`signature` call splices the
-    signature from the parent's and drops the link.
+    frontier: size, signature and hash are computed once and cached.  By the
+    same convention a :meth:`successor` of a hashed state remembers its
+    parent and what the step changed; its first :meth:`signature` call
+    splices the signature from the parent's and drops the link.
     """
 
     nodes: dict[Address, NodeLocal]
@@ -118,6 +118,8 @@ class GlobalState:
     resets: tuple[tuple[Address, int], ...] = ()
     _size_cache: Optional[int] = field(default=None, repr=False, compare=False, init=False)
     _sig_cache: Optional[tuple] = field(default=None, repr=False, compare=False, init=False)
+    #: ``hash(signature())``: a search asks for it twice per state.
+    _hash_cache: Optional[int] = field(default=None, repr=False, compare=False, init=False)
     #: the keyed pairs of ``inflight`` and of ``errors`` (see
     #: :func:`_inherit`), aligned with them and set with the signature.
     _keyed: Optional[tuple] = field(default=None, repr=False, compare=False, init=False)
@@ -227,7 +229,9 @@ class GlobalState:
         return self._sig_cache
 
     def state_hash(self) -> int:
-        return hash(self.signature())
+        if self._hash_cache is None:
+            self._hash_cache = hash(self.signature())
+        return self._hash_cache
 
     # -- accounting ---------------------------------------------------------------------
 

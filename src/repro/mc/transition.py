@@ -3,19 +3,17 @@
 :class:`TransitionSystem` knows how to enumerate the events enabled in a
 global state (message deliveries, timer firings, application calls, node
 resets, transport-error notifications) and how to apply one event to produce
-the successor state, by executing the *same protocol handler code* the live
-runtime executes.
+the successor state, by running the handler through the live runtime's own
+runner (:func:`~repro.runtime.protocol.run_handler`) on a clone of the node.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Hashable
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..runtime.address import Address
-from ..runtime.context import HandlerContext
 from ..runtime.events import (
     AppEvent,
     ConnectionErrorEvent,
@@ -24,8 +22,7 @@ from ..runtime.events import (
     ResetEvent,
     TimerEvent,
 )
-from ..runtime.messages import Message
-from ..runtime.protocol import Protocol
+from ..runtime.protocol import Protocol, run_handler
 from ..runtime.serialization import freeze
 from .global_state import ErrorNotification, GlobalState, NodeLocal
 
@@ -53,18 +50,14 @@ class TransitionConfig:
     max_resets_per_node: int = 1
 
 
-#: Seed of the RNG handed to handlers, so searches are reproducible.
-HANDLER_RNG_SEED = 0
-
-
 class _HandlerRng:
-    """``random.Random(HANDLER_RNG_SEED)``, built and seeded when a handler
-    first reads it: every transition gets a context, few handlers draw."""
+    """``random.Random(0)``, so searches are reproducible, built and seeded
+    when a handler first reads it: every transition gets one, few draw."""
 
     def __getattr__(self, name: str):
         rng = self.__dict__.get("_rng")
         if rng is None:
-            rng = self.__dict__["_rng"] = random.Random(HANDLER_RNG_SEED)
+            rng = self.__dict__["_rng"] = random.Random(0)
         return getattr(rng, name)
 
 
@@ -114,38 +107,65 @@ class TransitionSystem:
               memo: Optional[dict] = None) -> GlobalState:
         """Return the successor of ``state`` after executing ``event``.
 
+        The handler runs through the simulator's runner,
+        :func:`~repro.runtime.protocol.run_handler`, on a clone of the
+        acting node's state, at ``now=0.0`` with a fresh ``Random(0)``.
+
         ``memo`` is a search's transition memo (:class:`~repro.mc.search.
         Explorer` owns one per search).  With it, the handler runs once per
-        ``(acting node's NodeLocal object, event)``: a handler is a pure
-        function of its input object and the event (``now=0.0``, a fresh
-        ``Random(HANDLER_RNG_SEED)``, protocols hold only config), so a
-        hit returns what a fresh run on a clone of the same object would —
-        the same new ``NodeLocal`` (signature and size caches included),
-        the same sent messages in the same order, the same closed
-        connections.  The key is the wrapper's ``id`` plus the message
-        object's ``id``, the timer name, the failed peer, the call and its
-        payload, or the reset; an entry keeps its key objects alive, so no
-        ``id`` is reused while it is stored.  What depends on the rest of
-        the global state (which sends and RSTs reach a snapshot node, a
-        reset's error notifications, the in-flight, error and reset
-        bookkeeping) is worked out per call.  Without ``memo`` (replay, the
-        immediate safety check, random walks) every call runs the handler.
+        ``(acting node's NodeLocal object, event)``, and the entry holds the
+        runner's :class:`~repro.runtime.protocol.Effects` and the new
+        ``NodeLocal`` built from them: a handler is a pure function of its
+        input object and the event, so a hit is what a fresh run on a clone
+        would return, the ``NodeLocal``'s caches included.  The key
+        is the wrapper's ``id`` plus the message object's ``id``, the timer
+        name, the failed peer, the call and its payload, or the reset; an
+        entry keeps its key objects alive, so no ``id`` is reused while it
+        is stored.  What depends on the rest of the global state (which
+        sends and RSTs reach a snapshot node, a reset's error notifications,
+        the in-flight, error and reset bookkeeping) is worked out per call.
+        Without ``memo`` (replay, the immediate safety check, random walks)
+        every call runs the handler.
         """
+        addr = event.node
+        consumed_message = consumed_error = None
+        reset_errors: list[ErrorNotification] = []
+        # Memo keys of the five kinds never collide: a message key is an
+        # int, a timer's a str, a peer's an Address, a call's a tuple, a
+        # reset's None.
         if isinstance(event, MessageEvent):
-            return self._run_handler(state, event, memo, id(event.message),
-                                     consumed_message=event.message)
-        if isinstance(event, ConnectionErrorEvent):
-            notification = ErrorNotification(dst=event.node, peer=event.peer)
-            return self._run_handler(state, event, memo, event.peer,
-                                     consumed_error=notification)
-        if isinstance(event, TimerEvent):
-            return self._run_handler(state, event, memo, event.timer)
-        if isinstance(event, AppEvent):
-            return self._run_handler(state, event, memo,
-                                     (event.call, freeze(event.payload)))
-        if isinstance(event, ResetEvent):
-            return self._apply_reset(state, event, memo)
-        raise TypeError(f"unknown event {event!r}")
+            key, consumed_message = id(event.message), event.message
+        elif isinstance(event, ConnectionErrorEvent):
+            key = event.peer
+            consumed_error = ErrorNotification(dst=addr, peer=event.peer)
+        elif isinstance(event, TimerEvent):
+            key = event.timer
+        elif isinstance(event, AppEvent):
+            key = (event.call, freeze(event.payload))
+        elif isinstance(event, ResetEvent):
+            key, reset_errors = None, self._reset_errors(state, addr)
+        else:
+            raise TypeError(f"unknown event {event!r}")
+        local = state.nodes[addr]
+        entry = None if memo is None else memo.get((id(local), key))
+        if entry is None:
+            effects = run_handler(self.protocol, addr, local.state.clone(),
+                                  local.timers, event, now=0.0,
+                                  rng=_HandlerRng())
+            entry = (local, event, effects,
+                     NodeLocal(state=effects.state, timers=effects.timers))
+            if memo is not None:
+                memo[id(local), key] = entry
+        _, _, effects, after = entry
+        raised = [ErrorNotification(dst=peer, peer=addr)
+                  for peer in effects.closed if peer in state.nodes]
+        return state.successor(
+            addr, after,
+            consumed_message=consumed_message,
+            sent=[m for m in effects.sent if m.dst in state.nodes],
+            consumed_error=consumed_error,
+            raised=raised + reset_errors,
+            reset=addr if isinstance(event, ResetEvent) else None)
 
     def apply_filtered(self, state: GlobalState, event: MessageEvent) -> GlobalState:
         """Successor when an event filter refuses the message ``event``.
@@ -163,53 +183,8 @@ class TransitionSystem:
 
     # -- helpers ---------------------------------------------------------------------------
 
-    def _run_handler(self, state: GlobalState, event: Event,
-                     memo: Optional[dict], key: Hashable, *,
-                     consumed_message: Optional[Message] = None,
-                     consumed_error: Optional[ErrorNotification] = None,
-                     reset_errors: Sequence[ErrorNotification] = ()) -> GlobalState:
-        addr = event.node
-        local = state.nodes[addr]
-        if memo is None:
-            _, _, after, sent, closed = self._handle(local, event)
-        else:
-            # Keys of the five kinds never collide: a message key is an int,
-            # a timer's a str, a peer's an Address, a call's a tuple, a
-            # reset's None.
-            entry = memo.get((id(local), key))
-            if entry is None:
-                entry = memo[id(local), key] = self._handle(local, event)
-            _, _, after, sent, closed = entry
-        raised = [ErrorNotification(dst=peer, peer=addr)
-                  for peer in closed if peer in state.nodes]
-        raised.extend(reset_errors)
-        return state.successor(
-            addr, after,
-            consumed_message=consumed_message,
-            sent=[m for m in sent if m.dst in state.nodes],
-            consumed_error=consumed_error,
-            raised=raised,
-            reset=addr if isinstance(event, ResetEvent) else None)
-
-    def _handle(self, local: NodeLocal, event: Event) -> tuple:
-        """Run the handler of ``event`` on a clone of ``local``: ``(local,
-        event, the new NodeLocal, the sent messages, the closed
-        connections)``, the first two kept so a memo entry holds its key
-        objects alive."""
-        ctx = HandlerContext(self_addr=event.node, now=0.0, rng=_HandlerRng())
-        new_state = self.protocol.execute(ctx, local.state.clone(), event)
-        timers = local.timers
-        if isinstance(event, TimerEvent):
-            timers = timers - {event.timer}
-        elif isinstance(event, ResetEvent):
-            timers = frozenset()
-        after = NodeLocal(state=new_state, timers=ctx.armed_timers(timers))
-        return (local, event, after, tuple(ctx.sent),
-                tuple(ctx.closed_connections))
-
-    def _apply_reset(self, state: GlobalState, event: ResetEvent,
-                     memo: Optional[dict]) -> GlobalState:
-        addr = event.node
+    def _reset_errors(self, state: GlobalState,
+                      addr: Address) -> list[ErrorNotification]:
         # Peers holding a TCP connection to the resetting node may observe a
         # RST.  The model checker does not track connections explicitly; it
         # conservatively enqueues an error notification for every snapshot
@@ -229,4 +204,4 @@ class TransitionSystem:
         errors.extend(ErrorNotification(dst=addr, peer=former)
                       for former in sorted(old_neighbors)
                       if former in state.nodes and former != addr)
-        return self._run_handler(state, event, memo, None, reset_errors=errors)
+        return errors

@@ -1,10 +1,12 @@
 """Handler execution context.
 
-Protocol handlers are written once and executed in three places: the live
-runtime (discrete-event simulator), the consequence-prediction model checker,
-and the immediate safety check.  A :class:`HandlerContext` decouples the
-handler code from its host: handlers call ``ctx.send`` / ``ctx.set_timer`` /
-``ctx.close_connection`` and the host interprets the collected effects.
+Protocol handlers are written once and run through
+:func:`~repro.runtime.protocol.run_handler`, which builds the context from
+its host's time and RNG: the simulator's on a live node, ``0.0`` and
+``Random(0)`` on the model checker's clone.  A :class:`HandlerContext`
+decouples the handler code from its host: handlers call ``ctx.send`` /
+``ctx.set_timer`` / ``ctx.close_connection`` and the host applies the
+collected effects.
 """
 
 from __future__ import annotations
@@ -77,12 +79,3 @@ class HandlerContext:
     def close_connection(self, peer: Address) -> None:
         """Tear down the TCP connection with ``peer`` (sends a RST)."""
         self.closed_connections.append(peer)
-
-    # -- helpers used by hosts -------------------------------------------------
-
-    def armed_timers(self, current: frozenset[str]) -> frozenset[str]:
-        """The ``current`` armed set plus every timer this handler armed."""
-        timers = set(current)
-        for op in self.timer_ops:
-            timers.add(op.name)
-        return frozenset(timers)

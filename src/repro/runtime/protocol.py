@@ -2,17 +2,20 @@
 
 A protocol is a state machine: per-node local state plus handlers for
 messages, timers, application calls, node resets and transport errors
-(Figure 4's ``HM`` and ``HA``).  The same handler code is executed by the
-live runtime, by consequence prediction, and by the immediate safety check.
+(Figure 4's ``HM`` and ``HA``).  Every handler runs through
+:func:`run_handler`: on a live node at the simulator's time with its RNG, or
+on a model-checker clone at ``now=0.0`` with ``Random(0)``.
 """
 
 from __future__ import annotations
 
 import abc
+import random
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from .address import Address
-from .context import HandlerContext
+from .context import HandlerContext, TimerOp
 from .events import (
     AppEvent,
     ConnectionErrorEvent,
@@ -47,7 +50,8 @@ class Protocol(abc.ABC):
         """Called once when the node (re)starts; schedule initial timers here."""
 
     def reset_state(self, addr: Address, old_state: NodeState) -> NodeState:
-        """State of a node immediately after a silent reset.
+        """State of a node immediately after a silent reset, or its first
+        boot (``old_state`` is then its initial state).
 
         The default wipes everything (volatile state is lost).  Protocols
         that keep data on stable storage (e.g. a Paxos acceptor persisting
@@ -99,27 +103,51 @@ class Protocol(abc.ABC):
 
         Returns the state object that should be the node's state after the
         event (for :class:`ResetEvent` this is a fresh initial state, for
-        everything else the same mutated ``state`` object).
+        everything else the same mutated ``state`` object).  Hosts call
+        :func:`run_handler`, which builds ``ctx`` from their time and RNG.
         """
         if isinstance(event, MessageEvent):
             self.handle_message(ctx, state, event.message)
-            return state
-        if isinstance(event, TimerEvent):
+        elif isinstance(event, TimerEvent):
             self.handle_timer(ctx, state, event.timer)
-            return state
-        if isinstance(event, AppEvent):
+        elif isinstance(event, AppEvent):
             self.handle_app(ctx, state, event.call, event.payload)
-            return state
-        if isinstance(event, ConnectionErrorEvent):
+        elif isinstance(event, ConnectionErrorEvent):
             self.handle_connection_error(ctx, state, event.peer)
-            return state
-        if isinstance(event, ResetEvent):
-            fresh = self.reset_state(event.node, state)
-            self.on_start(ctx, fresh)
-            return fresh
-        raise TypeError(f"unknown event type: {event!r}")
+        elif isinstance(event, ResetEvent):
+            state = self.reset_state(event.node, state)
+            self.on_start(ctx, state)
+        else:
+            raise TypeError(f"unknown event type: {event!r}")
+        return state
 
-    # -- misc --------------------------------------------------------------------
 
-    def describe(self) -> str:
-        return f"<Protocol {self.name}>"
+@dataclass(slots=True)
+class Effects:
+    """One handler run: the node's new state and armed timers, the timer
+    arms with their delays, the sent messages and the closed peers."""
+
+    state: NodeState
+    timers: frozenset[str]
+    timer_ops: list[TimerOp]
+    sent: list[Message]
+    closed: list[Address]
+
+
+def run_handler(protocol: Protocol, addr: Address, state: NodeState,
+                timers: frozenset[str], event: Event, *, now: float,
+                rng: random.Random) -> Effects:
+    """Run ``event``'s handler on node ``addr``'s ``state`` (mutated in
+    place; a reset replaces it) at the host's ``now`` with its ``rng``.  Of
+    the armed ``timers`` a fired one is consumed and a reset clears all,
+    before the handler's arms are added."""
+    ctx = HandlerContext(addr, now, rng)
+    state = protocol.execute(ctx, state, event)
+    if isinstance(event, TimerEvent):
+        timers = timers - {event.timer}
+    elif isinstance(event, ResetEvent):
+        timers = frozenset()
+    if ctx.timer_ops:
+        timers = timers.union([op.name for op in ctx.timer_ops])
+    return Effects(state, timers, ctx.timer_ops, ctx.sent,
+                   ctx.closed_connections)

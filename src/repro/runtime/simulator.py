@@ -39,7 +39,6 @@ from typing import (
 
 from ..obs.context import ObsContext
 from .address import Address
-from .context import HandlerContext
 from .events import (
     AppEvent,
     ConnectionErrorEvent,
@@ -51,7 +50,7 @@ from .events import (
 from .logical_clock import LogicalClock
 from .messages import Message, Transport
 from .network import NetworkModel
-from .protocol import Protocol
+from .protocol import Protocol, run_handler
 from .state import NodeState
 from .transport import ConnectionTable
 
@@ -207,19 +206,16 @@ class Simulator:
 
     # -- topology management ----------------------------------------------------
 
-    def add_node(self, addr: Address, *, start: bool = True) -> SimNode:
-        """Create a node running a fresh protocol instance."""
+    def add_node(self, addr: Address) -> SimNode:
+        """Create a node running a fresh protocol instance and boot it: the
+        first boot is the reset of the node's initial state."""
         if addr in self.nodes:
             raise ValueError(f"node {addr} already exists")
         protocol = self.protocol_factory()
-        state = protocol.initial_state(addr)
-        node = SimNode(addr=addr, protocol=protocol, state=state)
+        node = SimNode(addr=addr, protocol=protocol,
+                       state=protocol.initial_state(addr))
         self.nodes[addr] = node
-        self.touched.add(addr)
-        if start:
-            ctx = self._make_context(node)
-            protocol.on_start(ctx, state)
-            self._apply_effects(node, ctx)
+        self._run_handler(node, ResetEvent(node=addr))
         return node
 
     def attach_hook(self, addr: Address, hook: NodeHook) -> None:
@@ -396,10 +392,7 @@ class Simulator:
                     self.set_timer(node, event.timer, 1.0)
                 return
 
-        ctx = self._make_context(node)
-        node.state = node.protocol.execute(ctx, node.state, event)
-        self.touched.add(node.addr)
-        self._apply_effects(node, ctx)
+        self._run_handler(node, event)
 
         node.stats.events_executed += 1
         self._record_trace(node, event, "executed")
@@ -407,15 +400,19 @@ class Simulator:
             observer(self, node, event)
         self.touched.clear()
 
-    def _make_context(self, node: SimNode) -> HandlerContext:
-        return HandlerContext(self_addr=node.addr, now=self.now, rng=self.rng)
-
-    def _apply_effects(self, node: SimNode, ctx: HandlerContext) -> None:
-        for op in ctx.timer_ops:
+    def _run_handler(self, node: SimNode, event: Event) -> None:
+        """Run ``event``'s handler on the live node, at ``now`` with the
+        simulator's RNG, and apply its effects; the node is touched."""
+        self.touched.add(node.addr)
+        effects = run_handler(node.protocol, node.addr, node.state,
+                              node.timer_names(), event, now=self.now,
+                              rng=self.rng)
+        node.state = effects.state
+        for op in effects.timer_ops:
             self.set_timer(node, op.name, op.delay)
-        for peer in ctx.closed_connections:
+        for peer in effects.closed:
             self._break_connection(node, peer)
-        for message in ctx.sent:
+        for message in effects.sent:
             self._transmit(node, message)
 
     # -- timers -------------------------------------------------------------------------
@@ -541,7 +538,6 @@ class Simulator:
             return
         node.incarnation += 1
         node.stats.resets += 1
-        self.touched.add(addr)
         affected = node.connections.close_all()
         node.armed_timers.clear()
         # RST packets towards peers; each may be lost (silent reset), which is
@@ -554,15 +550,14 @@ class Simulator:
                 continue  # silent: the peer keeps its stale connection
             peer_node.connections.close(addr)
             self._schedule_connection_error(peer, addr)
-        # Reboot with fresh state.
-        ctx = self._make_context(node)
-        node.state = node.protocol.execute(ctx, node.state, ResetEvent(node=addr))
+        # Reboot with fresh state and a fresh checkpoint clock.
+        event = ResetEvent(node=addr)
         node.clock = LogicalClock()
-        self._apply_effects(node, ctx)
+        self._run_handler(node, event)
         node.stats.events_executed += 1
-        self._record_trace(node, ResetEvent(node=addr), "reset")
+        self._record_trace(node, event, "reset")
         for observer in self.observers:
-            observer(self, node, ResetEvent(node=addr))
+            observer(self, node, event)
         self.touched.clear()
 
     def crash_node(self, addr: Address) -> None:
@@ -582,10 +577,7 @@ class Simulator:
             return
         node.alive = True
         node.incarnation += 1
-        self.touched.add(addr)
-        ctx = self._make_context(node)
-        node.state = node.protocol.execute(ctx, node.state, ResetEvent(node=addr))
-        self._apply_effects(node, ctx)
+        self._run_handler(node, ResetEvent(node=addr))
 
     # -- introspection -------------------------------------------------------------------------
 

@@ -132,7 +132,9 @@ class BulletPrime(Protocol):
             if not available:
                 continue
             # Rarest-random policy approximated by a random pick among the
-            # candidate blocks (rarity information is per-peer here).
+            # candidate blocks (rarity information is per-peer here).  The
+            # model checker draws from Random(0), so it explores one block
+            # choice per state.
             block = ctx.rng.choice(sorted(available))
             state.requested.add(block)
             ctx.send(peer, REQUEST_BLOCK, {"block": block})
@@ -171,6 +173,7 @@ class BulletPrime(Protocol):
             block = message.get("block")
             state.acquire(block)
             if state.complete and state.completed_at is None:
+                # The model checker runs handlers at now=0.0 and writes 0.0.
                 state.completed_at = ctx.now
 
     # -- failures ----------------------------------------------------------------------
