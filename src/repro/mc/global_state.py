@@ -11,8 +11,7 @@ over fault scenarios stay bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from ..runtime.address import Address
 from ..runtime.messages import Message
@@ -37,17 +36,21 @@ class NodeLocal:
     """Local state of one node as seen by the model checker.
 
     The wrapped state is never mutated once the wrapper exists (handlers
-    run on clones and produce a fresh ``NodeLocal``), so the signature is
-    computed once and cached: successor states share the wrappers of all
-    unchanged nodes and hashing them again costs a tuple lookup instead of
-    a full re-freeze of their state.  By the same convention the wrapper
-    of a changed node can take its signature from the wrapper it replaced
-    (``signature(parent)``), re-freezing only the fields the handler touched.
+    run on clones and produce a fresh ``NodeLocal``), so the signature and
+    its hash are computed once and cached: successor states share the
+    wrappers of all unchanged nodes, and a search's transition memo hands
+    one wrapper to every successor that repeats a handler run, so a node
+    state is frozen and hashed once per handler run.  By the same
+    convention the wrapper of a changed node can take its signature from
+    the wrapper it replaced (``signature(parent)``), re-freezing only the
+    fields the handler touched.
     """
 
     state: NodeState
     timers: frozenset[str] = frozenset()
     _sig_cache: Optional[tuple] = field(
+        default=None, repr=False, compare=False, init=False)
+    _hash_cache: Optional[int] = field(
         default=None, repr=False, compare=False, init=False)
     _size_cache: Optional[int] = field(
         default=None, repr=False, compare=False, init=False)
@@ -67,6 +70,13 @@ class NodeLocal:
             object.__setattr__(self, "_sig_cache", signature)
         return self._sig_cache
 
+    def node_hash(self, parent: Optional["NodeLocal"] = None) -> int:
+        """``hash(signature(parent))``, once per wrapper."""
+        if self._hash_cache is None:
+            object.__setattr__(self, "_hash_cache",
+                               hash(self.signature(parent)))
+        return self._hash_cache
+
     def size_bytes(self) -> int:
         if self._size_cache is None:
             object.__setattr__(
@@ -83,22 +93,29 @@ def _without(items: tuple, target) -> tuple[tuple, Optional[int]]:
     return items[:index] + items[index + 1:], index
 
 
-def _inherit(keyed: tuple, part: tuple, consumed_at: Optional[int],
-             entries: tuple) -> tuple[tuple, tuple]:
-    """A successor's ``(sort key, signature)`` pair per entry of ``entries``
-    (its in-flight messages, or its errors) and their canonical part, from
-    its parent's — empty: from scratch.  The entry at ``consumed_at`` is
-    gone and what the step appended is keyed here, once: its ``repr`` is
-    never taken again by a state that carries it on."""
-    if consumed_at is None and len(entries) == len(keyed):
-        return keyed, part
+def _node_digest(addr: Address, local: NodeLocal,
+                 parent: Optional[NodeLocal] = None) -> int:
+    """One node's part of a state hash: its address and its local state.
+    It is also the node-local key of consequence prediction's
+    ``localExplored`` (:class:`~repro.mc.search.Explorer`)."""
+    return hash((addr.host, addr.port, local.node_hash(parent)))
+
+
+def _entry_digests(entries: Iterable) -> tuple[int, ...]:
+    """The hash of each in-flight message or error notification."""
+    return tuple(hash(entry.signature()) for entry in entries)
+
+
+def _spliced(digests: tuple[int, ...], consumed_at: Optional[int],
+             entries: tuple) -> tuple[int, ...]:
+    """The digests of a successor's ``entries`` (its in-flight messages, or
+    its errors) from its parent's ``digests``: the one at ``consumed_at``
+    is gone, and the entries the step appended are hashed here."""
     if consumed_at is not None:
-        keyed = keyed[:consumed_at] + keyed[consumed_at + 1:]
-    keyed += tuple((repr(signature), signature) for signature in
-                   (entry.signature() for entry in entries[len(keyed):]))
-    # The canonical order is ``sorted(signatures, key=repr)``.
-    return keyed, tuple(signature for _, signature
-                        in sorted(keyed, key=itemgetter(0)))
+        digests = digests[:consumed_at] + digests[consumed_at + 1:]
+    if len(entries) == len(digests):
+        return digests
+    return digests + _entry_digests(entries[len(digests):])
 
 
 @dataclass
@@ -106,10 +123,20 @@ class GlobalState:
     """A complete system state explored by the model checker.
 
     Treated as immutable once it has been hashed or has entered a search
-    frontier: size, signature and hash are computed once and cached.  By the
-    same convention a :meth:`successor` of a hashed state remembers its
-    parent and what the step changed; its first :meth:`signature` call
-    splices the signature from the parent's and drops the link.
+    frontier: size and hash are computed once and cached.  The hash is
+    made of three component digests, kept with it: one per node in
+    address order (:func:`_node_digest`), one per in-flight message and
+    one per error, aligned with ``inflight`` and ``errors``.  Messages and
+    errors enter the hash as sorted tuples, so their order does not count.
+    A :meth:`successor` of a hashed state splices its digests from its
+    parent's when first asked: it replaces one node's, drops the consumed
+    entries' and appends those of what the step sent and raised, so its
+    hash costs what the step changed.  Any other state computes the same
+    hash from scratch.
+
+    Component hashes are never summed or XORed: CPython's tuple hash is
+    close to linear in its last items, so a sum of per-node digests does
+    not move when two nodes swap states.
     """
 
     nodes: dict[Address, NodeLocal]
@@ -117,15 +144,18 @@ class GlobalState:
     errors: tuple[ErrorNotification, ...] = ()
     resets: tuple[tuple[Address, int], ...] = ()
     _size_cache: Optional[int] = field(default=None, repr=False, compare=False, init=False)
-    _sig_cache: Optional[tuple] = field(default=None, repr=False, compare=False, init=False)
-    #: ``hash(signature())``: a search asks for it twice per state.
+    #: ``hash((node digests, sorted message digests, sorted error digests,
+    #: resets))``: a search asks for it twice per state.
     _hash_cache: Optional[int] = field(default=None, repr=False, compare=False, init=False)
-    #: the keyed pairs of ``inflight`` and of ``errors`` (see
-    #: :func:`_inherit`), aligned with them and set with the signature.
-    _keyed: Optional[tuple] = field(default=None, repr=False, compare=False, init=False)
-    #: ``(parent, changed node, (consumed inflight index, consumed errors
-    #: index))`` of a :meth:`successor`, until :meth:`signature` has used it.
-    _origin: Optional[tuple] = field(default=None, repr=False, compare=False, init=False)
+    #: ``((sorted addresses, address -> slot), node digests, message
+    #: digests, error digests)``, set with the hash.  The address layout is
+    #: one object shared by every state spliced from the first one hashed.
+    _digests: Optional[tuple] = field(default=None, repr=False, compare=False, init=False)
+    #: ``(parent's digests, changed node, its new wrapper, the wrapper it
+    #: replaced, consumed inflight index, consumed errors index)`` of a
+    #: :meth:`successor` of a hashed state, until :meth:`state_hash` has
+    #: used it.
+    _splice: Optional[tuple] = field(default=None, repr=False, compare=False, init=False)
 
     # -- construction -----------------------------------------------------------
 
@@ -173,7 +203,13 @@ class GlobalState:
         consumed, ``sent`` and ``raised`` are appended, and ``reset`` counts
         one more reset.  ``local`` is shared, not copied: the successors a
         search's transition memo builds from one handler run hold the same
-        wrapper, so its signature and size are worked out once."""
+        wrapper, so its signature, hash and size are worked out once.
+
+        The successor of a hashed state keeps this state's digests and is
+        hashed from them when asked; the immediate safety check builds two
+        such successors per vetted event and never asks.  The successor of
+        a state not hashed (replay) is hashed from scratch if anyone asks.
+        """
         nodes = self.nodes
         if addr is not None:
             nodes = {**nodes, addr: local}
@@ -186,10 +222,11 @@ class GlobalState:
             resets = tuple(sorted(counts.items()))
         after = GlobalState(nodes=nodes, inflight=inflight + tuple(sent),
                             errors=errors + tuple(raised), resets=resets)
-        # Only a hashed parent is remembered: successors nobody hashes
-        # (replay, the immediate safety check) keep no chain of states alive.
-        if self._sig_cache is not None:
-            after._origin = (self, addr, (message_at, error_at))
+        if self._digests is not None:
+            replaced = None if addr is None else self.nodes.get(addr)
+            if addr is None or replaced is not None:
+                after._splice = (self._digests, addr, local, replaced,
+                                 message_at, error_at)
         return after
 
     def reset_count(self, addr: Address) -> int:
@@ -201,37 +238,51 @@ class GlobalState:
     # -- identity --------------------------------------------------------------------
 
     def signature(self) -> tuple:
-        if self._sig_cache is None:
-            keyed, parts, consumed = ((), ()), ((), ()), (None, None)
-            if self._origin is None:
-                node_part = tuple(
-                    (freeze(addr), self.nodes[addr].signature())
-                    for addr in sorted(self.nodes)
-                )
-            else:
-                # Spliced from the parent's signature: equal, and
-                # ``repr``-equal, to the one computed from scratch.
-                parent, addr, consumed = self._origin
-                self._origin = None
-                node_part, *parts, _ = parent._sig_cache
-                keyed = parent._keyed
-                if addr is not None:
-                    key = addr.frozen()
-                    entry = (key, self.nodes[addr].signature(parent.nodes[addr]))
-                    node_part = tuple([entry if old[0] == key else old
-                                       for old in node_part])
-            inflight_keyed, inflight_part = _inherit(
-                keyed[0], parts[0], consumed[0], self.inflight)
-            error_keyed, error_part = _inherit(
-                keyed[1], parts[1], consumed[1], self.errors)
-            self._keyed = inflight_keyed, error_keyed
-            self._sig_cache = (node_part, inflight_part, error_part, self.resets)
-        return self._sig_cache
+        """The canonical form of this state: node signatures in address
+        order, in-flight and error signatures sorted by ``repr``, resets.
+        Equal signatures give equal :meth:`state_hash` values; the search
+        never builds this, :func:`~repro.properties.state_digest` does."""
+        return (
+            tuple((freeze(addr), self.nodes[addr].signature())
+                  for addr in sorted(self.nodes)),
+            tuple(sorted((m.signature() for m in self.inflight), key=repr)),
+            tuple(sorted((e.signature() for e in self.errors), key=repr)),
+            self.resets,
+        )
 
     def state_hash(self) -> int:
         if self._hash_cache is None:
-            self._hash_cache = hash(self.signature())
+            if self._splice is None:
+                order = tuple(sorted(self.nodes))
+                layout = order, {addr: slot for slot, addr in enumerate(order)}
+                node_digests = tuple(_node_digest(addr, self.nodes[addr])
+                                     for addr in order)
+                messages = _entry_digests(self.inflight)
+                errors = _entry_digests(self.errors)
+            else:
+                (digests, addr, local, replaced,
+                 message_at, error_at) = self._splice
+                self._splice = None
+                layout, node_digests, messages, errors = digests
+                if addr is not None:
+                    slot = layout[1][addr]
+                    node_digests = (
+                        node_digests[:slot]
+                        + (_node_digest(addr, local, replaced),)
+                        + node_digests[slot + 1:])
+                messages = _spliced(messages, message_at, self.inflight)
+                errors = _spliced(errors, error_at, self.errors)
+            self._digests = layout, node_digests, messages, errors
+            self._hash_cache = hash((node_digests, tuple(sorted(messages)),
+                                     tuple(sorted(errors)), self.resets))
         return self._hash_cache
+
+    def local_keys(self) -> Iterator[tuple[Address, int]]:
+        """``(address, node digest)`` per node, in address order: the
+        node-local keys of consequence prediction's ``localExplored``."""
+        self.state_hash()
+        layout, node_digests, _, _ = self._digests
+        return zip(layout[0], node_digests)
 
     # -- accounting ---------------------------------------------------------------------
 

@@ -27,7 +27,7 @@ the children inherit the parent's hash seed, ``state_hash()`` values — and
 therefore shard assignment — agree across the pool.
 
 For consequence prediction (Figure 8) the ``localExplored`` set is global
-to the search; workers exchange newly-expanded local-state hashes through
+to the search; workers exchange newly-expanded local-state keys through
 the coordinator at round boundaries.  Two workers can therefore expand the
 internal actions of the same node-local state within one round, so the
 parallel search explores a *superset* of the serial pruning — every
@@ -43,6 +43,7 @@ import queue as queue_module
 import time
 import traceback
 from collections import defaultdict
+from itertools import islice
 from typing import Optional, Sequence
 
 from ...properties import SafetyProperty
@@ -143,9 +144,9 @@ def _coordinate(explorer: Explorer, first_state: GlobalState, num_workers: int,
     violations: list[PredictedViolation] = []
     reported: set[tuple] = set()
     explored_bytes = [0] * num_workers
-    # Consequence prediction's localExplored set, merged across shards at
+    # Consequence prediction's localExplored map, merged across shards at
     # round boundaries.
-    global_locals: set[int] = set()
+    global_locals: dict[int, int] = {}
     locals_known: list[set[int]] = [set() for _ in range(num_workers)]
 
     current: list[list[FrontierItem]] = [[] for _ in range(num_workers)]
@@ -188,9 +189,10 @@ def _coordinate(explorer: Explorer, first_state: GlobalState, num_workers: int,
                 stats.frontier_bytes -= batch_bytes
                 dispatched_items += len(batch)
                 dispatched_bytes += batch_bytes
-                local_delta = global_locals - locals_known[wid]
+                local_delta = global_locals.keys() - locals_known[wid]
                 locals_known[wid] |= local_delta
-                task_queues[wid].put(("round", batch, sorted(local_delta)))
+                task_queues[wid].put(("round", batch, {
+                    key: global_locals[key] for key in sorted(local_delta)}))
                 dispatched.append(wid)
 
             barrier_started = time.perf_counter()
@@ -283,7 +285,8 @@ def _process_round(worker_id: int, num_workers: int, explorer: Explorer,
     outgoing: dict[int, list[FrontierItem]] = defaultdict(list)
     found: list[PredictedViolation] = []
     delta = SearchStats()
-    locals_before = set(explorer.local_explored)
+    # A key is added once, at the end: this round's follow the first ones.
+    locals_before = len(explorer.local_explored)
     # Every successor leaves through the coordinator, so this batch arrives
     # as fresh objects and no entry of an earlier round can hit again.
     explorer.memo.clear()
@@ -294,4 +297,4 @@ def _process_round(worker_id: int, num_workers: int, explorer: Explorer,
             outgoing[successor[0].state_hash() % num_workers].append(successor)
     delta.explored_hash_bytes = 8 * len(explorer.explored)
     return ("round_done", worker_id, dict(outgoing), found, delta,
-            explorer.local_explored - locals_before)
+            dict(islice(explorer.local_explored.items(), locals_before, None)))

@@ -27,7 +27,6 @@ from ..properties import (
     safety_properties,
 )
 from ..runtime.events import Event, MessageEvent
-from ..runtime.serialization import freeze
 from .global_state import GlobalState
 from .transition import TransitionSystem
 
@@ -225,9 +224,11 @@ class Explorer:
     #: Hashes of successors already handed to the frontier: a state
     #: reachable from several parents in one wave is enqueued only once.
     queued: set[int] = field(default_factory=set)
-    #: hash(n, s) entries: node-local states whose internal actions were
-    #: already expanded (Figure 8, ``localExplored``).
-    local_explored: set[int] = field(default_factory=set)
+    #: Figure 8's ``localExplored``: the key of each node-local state whose
+    #: internal actions were already expanded (its digest, see
+    #: :meth:`GlobalState.local_keys`) -> its timer and app-call count, so
+    #: a skipped node's actions are counted without being built.
+    local_explored: dict[int, int] = field(default_factory=dict)
     #: Each (property, node) combination is reported once per search: the
     #: first (shallowest) state that exhibits it.  Without this, a violation
     #: already present in the start state would be re-reported in every
@@ -301,15 +302,17 @@ class Explorer:
         # Figure 8: message handlers always, internal actions only for
         # node-local states not expanded before anywhere in the search.
         system = self.system
-        events = list(system.network_events(state))
-        for addr in sorted(state.nodes):
-            local_hash = hash((freeze(addr), state.nodes[addr].signature()))
-            if local_hash in self.local_explored:
-                stats.internal_actions_skipped += len(
-                    system.internal_events(state, addr))
+        events = system.network_events(state)
+        for addr, key in state.local_keys():
+            actions = self.local_explored.get(key)
+            if actions is not None:
+                stats.internal_actions_skipped += (
+                    actions + system.reset_enabled(state, addr))
                 continue
-            events.extend(system.internal_events(state, addr))
-            self.local_explored.add(local_hash)
+            internal = system.internal_events(state, addr)
+            events.extend(internal)
+            self.local_explored[key] = (
+                len(internal) - system.reset_enabled(state, addr))
         return events
 
 

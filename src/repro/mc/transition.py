@@ -89,10 +89,14 @@ class TransitionSystem:
                                for name in sorted(local.timers)]
         for call, payload in self.protocol.app_calls(local.state):
             events.append(AppEvent(node=addr, call=call, payload=dict(payload)))
-        if (self.config.enable_resets
-                and state.reset_count(addr) < self.config.max_resets_per_node):
+        if self.reset_enabled(state, addr):
             events.append(ResetEvent(node=addr))
         return events
+
+    def reset_enabled(self, state: GlobalState, addr: Address) -> bool:
+        """Whether a reset of node ``addr`` is among its internal actions."""
+        return (self.config.enable_resets
+                and state.reset_count(addr) < self.config.max_resets_per_node)
 
     def enabled_events(self, state: GlobalState) -> list[Event]:
         """All events enabled in ``state`` (used by the exhaustive baseline)."""

@@ -1,14 +1,14 @@
 """A successor's identity is its parent's plus what the step changed.
 
 One generated differential check over all six bundled systems: every state
-the model checker derives from another must hash exactly as the same state
-hashed from scratch, and every clone must be the state ``copy.deepcopy``
-would have produced, byte for byte.  A search's transition memo hands one
-handler run to every successor that repeats it, so every hit must be the
-run a fresh clone would make, and a whole search must be the search whose
-memo never hits.  CI runs this file under several
-``PYTHONHASHSEED`` values: set iteration order, hence pickle bytes, hence
-checkpoint byte counts depend on the string-hash order.
+the model checker derives from a hashed one must carry the hash of the
+same state hashed from scratch, distinct states must hash apart, and every
+clone must be the state ``copy.deepcopy`` would have produced, byte for
+byte.  A search's transition memo hands one handler run to every successor
+that repeats it, so every hit must be the run a fresh clone would make,
+and a whole search must be the search whose memo never hits.  CI runs this
+file under several ``PYTHONHASHSEED`` values: set iteration order, hence
+pickle bytes, hence checkpoint byte counts depend on the string-hash order.
 """
 
 import copy
@@ -30,7 +30,7 @@ from repro.mc import (
     TransitionSystem,
 )
 from repro.mc.search import breadth_first_search
-from repro.runtime import Address
+from repro.runtime import Address, Message
 from repro.runtime.events import MessageEvent
 from repro.runtime.state import NodeState
 
@@ -73,8 +73,8 @@ def _start_states(name: str) -> list[tuple[TransitionSystem, GlobalState]]:
 def _walk(name: str) -> list[tuple[GlobalState, bool]]:
     """Breadth-first walk from every start state of ``name``, the way a
     search does it (hash, dedup, expand), message events also through
-    ``apply_filtered``: every successor, and whether it was built to
-    inherit its signature."""
+    ``apply_filtered``: every successor, and whether it was built to splice
+    its hash from its parent's digests."""
     found = []
     starts = _start_states(name)
     for system, start in starts:
@@ -89,7 +89,7 @@ def _walk(name: str) -> list[tuple[GlobalState, bool]]:
                 if isinstance(event, MessageEvent):
                     steps.append(system.apply_filtered(state, event))
                 for after in steps:
-                    found.append((after, after._origin is not None))
+                    found.append((after, after._splice is not None))
                     if after.state_hash() not in seen:
                         seen.add(after.state_hash())
                         frontier.append(after)
@@ -141,15 +141,54 @@ def _scribble(state: NodeState) -> None:
 
 
 def test_derived_signature_equals_the_cold_one(walked):
+    # Every parent of the walk was hashed before it was expanded, so every
+    # successor must have spliced its hash from its parent's digests.
+    assert all(spliced for _, spliced in walked)
     for after, _ in walked:
+        assert after.state_hash() == _cold(after).state_hash()
+        assert after._splice is None  # the replaced wrapper is let go
         derived, cold = after.signature(), _cold(after).signature()
         assert derived == cold
         assert repr(derived) == repr(cold)
-        assert after.state_hash() == _cold(after).state_hash()
-        assert after._origin is None  # the parent is let go once used
-    # Every parent of the walk was hashed before it was expanded, so every
-    # successor must have taken the inheriting path.
-    assert all(linked for _, linked in walked)
+
+
+def test_distinct_states_hash_apart(walked):
+    # The hash is built from per-node, per-message and per-error hashes;
+    # an additive or XOR combination of them would collide on states that
+    # only move parts between nodes or messages (see the unit case below).
+    by_hash: dict[int, tuple] = {}
+    for after, _ in walked:
+        signature = _cold(after).signature()
+        assert by_hash.setdefault(after.state_hash(), signature) == signature
+    assert len(by_hash) > WALK_TRANSITIONS // 10
+
+
+def test_moving_parts_between_nodes_or_messages_changes_the_hash():
+    # CPython's tuple hash is close to linear in its last items: a sum of
+    # the per-node digests ``hash((host, port, node hash))`` does not move
+    # when two nodes swap states, and the first assertion fails under it.
+    # Messages that swap destinations must hash apart too.
+    _, start = _start_states("randtree")[0]
+    a, b, c = sorted(start.nodes)[:3]
+    assert start.nodes[a].signature() != start.nodes[b].signature()
+    swapped = GlobalState(nodes={**start.nodes, a: start.nodes[b],
+                                 b: start.nodes[a]})
+    assert _cold(start).state_hash() != swapped.state_hash()
+
+    def sending(to_b: str, to_c: str) -> GlobalState:
+        return GlobalState(nodes=start.nodes, inflight=(
+            Message(mtype=to_b, src=a, dst=b),
+            Message(mtype=to_c, src=a, dst=c)))
+
+    assert sending("X", "Y").state_hash() != sending("Y", "X").state_hash()
+    # The same holds for hashes spliced from a parent's digests.
+    parent = GlobalState(nodes=start.nodes)
+    parent.state_hash()
+    spliced = parent.successor(sent=(Message(mtype="X", src=a, dst=b),
+                                     Message(mtype="Y", src=a, dst=c)))
+    assert spliced._splice is not None
+    assert spliced.state_hash() == sending("X", "Y").state_hash()
+    assert spliced.state_hash() != sending("Y", "X").state_hash()
 
 
 def test_clone_is_the_deepcopy_byte_for_byte(walked):
@@ -184,13 +223,14 @@ def test_bundled_states_clone_without_deepcopy(walked, monkeypatch):
 
 
 def test_an_unhashed_parent_is_not_retained():
-    # Replay and the immediate safety check apply events and never hash:
-    # their successors must not keep a chain of parents alive.
+    # Replay applies events to a state nobody hashed: its successors hold
+    # no splice and hash from scratch when asked.
     system, start = _start_states("randtree")[0]
     state = start.clone()
     for _ in range(3):
         state = system.apply(state, system.enabled_events(state)[0])
-        assert state._origin is None
+        assert state._splice is None
+    assert state.state_hash() == _cold(state).state_hash()
     assert state.signature() == _cold(state).signature()
 
 
