@@ -12,10 +12,9 @@ One record carries a prediction from the search to the runtime: a
 :class:`~repro.mc.search.PredictedViolation` comes out of consequence
 prediction or out of :func:`~repro.core.replay.replay_error_path` on a
 remembered path, :func:`~repro.core.steering.steering_filter` reads the
-local node's first refusable handler off its path, and
-:func:`~repro.core.steering.evaluate_violation` returns that
-:class:`~repro.core.event_filter.EventFilter` once the filter-safety
-re-check passes.
+local node's first refusable handler off its path as an
+:class:`~repro.core.event_filter.EventFilter`, and the controller installs
+it once :func:`~repro.core.steering.check_filter_safety` passes.
 """
 
 from .checkpoint import Checkpoint, CheckpointStore, PeerTransferCache
@@ -32,7 +31,7 @@ from .immediate import ImmediateSafetyCheck
 from .monitor import LivePropertyMonitor
 from .replay import replay_error_path
 from .snapshot import NeighborhoodSnapshot
-from .steering import check_filter_safety, evaluate_violation, steering_filter
+from .steering import check_filter_safety, steering_filter
 
 __all__ = [
     "Checkpoint",
@@ -50,6 +49,5 @@ __all__ = [
     "replay_error_path",
     "NeighborhoodSnapshot",
     "check_filter_safety",
-    "evaluate_violation",
     "steering_filter",
 ]

@@ -19,6 +19,6 @@ The two searches are one loop with two successor rules, so the function is
 defined beside that loop, in :mod:`repro.mc.search`.
 """
 
-from ..mc.search import EventFilterFn, consequence_prediction
+from ..mc.search import consequence_prediction
 
-__all__ = ["EventFilterFn", "consequence_prediction"]
+__all__ = ["consequence_prediction"]

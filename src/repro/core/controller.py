@@ -44,7 +44,7 @@ from .event_filter import EventFilter
 from .immediate import ImmediateSafetyCheck
 from .replay import replay_error_path
 from .snapshot import NeighborhoodSnapshot
-from .steering import evaluate_violation
+from .steering import check_filter_safety, steering_filter
 
 #: Control-plane message types used by the checkpoint manager.
 CHECKPOINT_REQUEST = "_cb_checkpoint_request"
@@ -563,24 +563,27 @@ class CrystalBallController:
         del self.known_error_paths[:-MAX_REMEMBERED_PATHS]
 
     def _steer(self, node: SimNode, closed: Round) -> None:
-        """Re-check the filter of every prediction; keep one per action."""
-        seen: set[tuple] = set()
+        """Re-check each action once; every prediction takes its verdict."""
+        verdicts: dict[tuple, bool] = {}
         for violation in closed.violations:
-            event_filter = evaluate_violation(
-                node.addr, self.system, closed.start, self.properties,
-                violation, safety_budget=self.config.safety_budget,
-                expected_violations=closed.violations)
+            event_filter = steering_filter(node.addr, violation.path)
             if event_filter is None:
                 closed.unhelpful += 1
                 continue
             key = (event_filter.message_type, event_filter.message_src,
                    event_filter.timer_name)
-            if key in seen:
-                continue
-            seen.add(key)
-            closed.installed.append((event_filter, violation))
-            event_filter.filter_id = (self.stats.filters_installed
-                                      + len(closed.installed))
+            fresh = key not in verdicts
+            if fresh:
+                verdicts[key] = check_filter_safety(
+                    self.system, closed.start, self.properties, event_filter,
+                    budget=self.config.safety_budget,
+                    expected_violations=closed.violations)
+            if not verdicts[key]:
+                closed.unhelpful += 1
+            elif fresh:
+                closed.installed.append((event_filter, violation))
+                event_filter.filter_id = (self.stats.filters_installed
+                                          + len(closed.installed))
 
 
 def attach_crystalball(

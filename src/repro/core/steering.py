@@ -6,10 +6,11 @@ a replayed error path — carries the event path from the snapshot to the
 inconsistent state.  :func:`steering_filter` turns the earliest point on
 that path where the local node can intervene (its own message or timer
 handler) into an event filter.  Before the filter is installed,
-:func:`check_filter_safety` re-runs consequence prediction *with the
-filter's effect applied*, so that the corrective action itself does not lead
-to an inconsistency; if it cannot establish that, the system proceeds as
-usual.  :func:`evaluate_violation` does both and returns the vetted filter.
+:func:`check_filter_safety` re-runs consequence prediction in a model where
+the filter refuses every matching message, so that the corrective action
+itself does not lead to an inconsistency; if it cannot establish that, the
+system proceeds as usual.  What a refusal does in the model is decided here
+alone: the search core knows no filters.
 """
 
 from __future__ import annotations
@@ -45,57 +46,60 @@ def steering_filter(node: Address, path: Sequence[Event]) -> Optional[EventFilte
     return None
 
 
+class _Refusing(TransitionSystem):
+    """The model with one message filter installed: a refused message is
+    consumed unhandled and the connection with its sender is reset
+    (:meth:`TransitionSystem.apply_filtered`); every other event, memo
+    included, is applied as usual."""
+
+    def __init__(self, system: TransitionSystem, event_filter: EventFilter) -> None:
+        super().__init__(system.protocol, system.config)
+        self.event_filter = event_filter
+
+    def apply(self, state: GlobalState, event: Event,
+              memo: Optional[dict] = None) -> GlobalState:
+        if self.event_filter.matches(event):
+            return self.apply_filtered(state, event)
+        return super().apply(state, event, memo)
+
+
 def check_filter_safety(
     system: TransitionSystem,
     snapshot_state: GlobalState,
     properties: Sequence[SafetyProperty],
     event_filter: EventFilter,
     *,
-    budget: Optional[SearchBudget] = None,
+    budget: SearchBudget,
     expected_violations: Sequence[PredictedViolation] = (),
 ) -> bool:
     """Re-check consequences with the filter's action applied.
 
-    Starting from the snapshot state, consequence prediction is re-run with
-    the candidate filter refusing every matching event (a refused message is
-    consumed unhandled and the connection with its sender is reset; a
-    refused timer only fires later, which the search already explores).
-    The filter is considered *unsafe* when this steered search uncovers a
-    violation that is neither already present in the snapshot nor among the
-    violations the unfiltered run predicted — i.e. when the corrective
-    action itself introduces a new inconsistency
-    (Section 3.3, "Ensuring Safety of Event Filter Actions").
-    """
-    budget = budget or SearchBudget(max_states=300, stop_at_first_violation=False)
+    Starting from the snapshot state, consequence prediction is re-run
+    within ``budget`` in the model with the candidate message filter
+    installed.  The filter is considered *unsafe* when this steered search
+    uncovers a violation that is neither already present in the snapshot
+    nor among the violations the unfiltered run predicted — i.e. when the
+    corrective action itself introduces a new inconsistency (Section 3.3,
+    "Ensuring Safety of Event Filter Actions").
 
+    A timer filter passes without a search.  A refused timer only fires
+    later, which the search already explores, so the model applies it as
+    usual and its re-check would be the unfiltered prediction again.  Under
+    a budget the round's own search covers, that is a level-order prefix of
+    the search that predicted ``expected_violations`` and reports nothing
+    new; where it reaches further, whatever it added would be a violation
+    of the unfiltered model, not a consequence of the filter.
+    """
+    if event_filter.message_type is None:
+        return True
     ignored = {(v.property_name, v.node)
                for v in check_all(properties, snapshot_state)}
     ignored |= {(v.violation.property_name, v.violation.node)
                 for v in expected_violations}
-    result = consequence_prediction(system, snapshot_state, properties, budget,
-                                    event_filter=event_filter.matches)
+    result = consequence_prediction(_Refusing(system, event_filter),
+                                    snapshot_state, properties, budget)
     for predicted in result.violations:
         key = (predicted.violation.property_name, predicted.violation.node)
         if key not in ignored:
             return False
     return True
-
-
-def evaluate_violation(
-    node: Address,
-    system: TransitionSystem,
-    snapshot_state: GlobalState,
-    properties: Sequence[SafetyProperty],
-    violation: PredictedViolation,
-    *,
-    safety_budget: Optional[SearchBudget] = None,
-    expected_violations: Sequence[PredictedViolation] = (),
-) -> Optional[EventFilter]:
-    """The vetted filter that steers ``node`` off ``violation``'s path, or
-    None when ``node`` has no handler on it or the filter is unsafe."""
-    event_filter = steering_filter(node, violation.path)
-    if event_filter is None or not check_filter_safety(
-            system, snapshot_state, properties, event_filter,
-            budget=safety_budget, expected_violations=expected_violations):
-        return None
-    return event_filter

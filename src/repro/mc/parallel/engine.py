@@ -11,8 +11,8 @@ the examples can switch between :class:`SerialEngine`,
 :class:`~repro.mc.parallel.portfolio.PortfolioEngine` via configuration
 without any behaviour change by default.  The filter-safety re-checks of
 :mod:`repro.core.steering` take no engine: they call
-:func:`~repro.mc.search.consequence_prediction` directly, with the
-candidate filter as its steering hook.
+:func:`~repro.mc.search.consequence_prediction` directly, on a model with
+the candidate filter installed.
 """
 
 from __future__ import annotations

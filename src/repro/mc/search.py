@@ -17,7 +17,7 @@ import enum
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ..properties import (
     PropertyViolation,
@@ -26,16 +26,9 @@ from ..properties import (
     listed_all,
     safety_properties,
 )
-from ..runtime.events import Event, MessageEvent
+from ..runtime.events import Event
 from .global_state import GlobalState
 from .transition import TransitionSystem
-
-#: Optional per-event steering hook used when vetting candidate event
-#: filters: True refuses the event.  A refused message is consumed unhandled
-#: with its connection reset (:meth:`TransitionSystem.apply_filtered`); a
-#: refused timer is applied as usual, since its one-second delay only
-#: reorders events the search already explores.
-EventFilterFn = Callable[[Event], bool]
 
 #: One frontier entry: (state, depth, event path from the start state, the
 #: parent's property verdicts or None for the start state).
@@ -219,7 +212,6 @@ class Explorer:
     properties: Sequence[SafetyProperty]
     budget: SearchBudget
     kind: SearchKind
-    event_filter: Optional[EventFilterFn] = None
     explored: set[int] = field(default_factory=set)
     #: Hashes of successors already handed to the frontier: a state
     #: reachable from several parents in one wave is enqueued only once.
@@ -240,8 +232,6 @@ class Explorer:
 
     def __post_init__(self) -> None:
         self.properties = safety_properties(self.properties)
-        if self.event_filter is not None and self.kind is not SearchKind.CONSEQUENCE:
-            raise ValueError("event filters only apply to consequence prediction")
 
     def visit(self, item: FrontierItem, stats: SearchStats,
               violations: list[PredictedViolation]) -> Optional[tuple]:
@@ -279,13 +269,9 @@ class Explorer:
         state, depth, path, _ = item
         if not self.budget.depth_allowed(depth + 1):
             return
-        system, event_filter, memo = self.system, self.event_filter, self.memo
+        system, memo = self.system, self.memo
         for event in self._events(state, stats):
-            if (event_filter is not None and isinstance(event, MessageEvent)
-                    and event_filter(event)):
-                next_state = system.apply_filtered(state, event)
-            else:
-                next_state = system.apply(state, event, memo)
+            next_state = system.apply(state, event, memo)
             stats.transitions_applied += 1
             next_hash = next_state.state_hash()
             if next_hash in self.explored or next_hash in self.queued:
@@ -322,11 +308,10 @@ def breadth_first_search(
     properties: Sequence[SafetyProperty],
     budget: Optional[SearchBudget],
     kind: SearchKind,
-    event_filter: Optional[EventFilterFn] = None,
 ) -> SearchResult:
     """Search level by level from ``first_state`` on the calling thread."""
     budget = budget or SearchBudget()
-    explorer = Explorer(system, properties, budget, kind, event_filter)
+    explorer = Explorer(system, properties, budget, kind)
     stats = SearchStats()
     violations: list[PredictedViolation] = []
     frontier: deque[FrontierItem] = deque([(first_state, 0, (), None)])
@@ -371,8 +356,6 @@ def consequence_prediction(
     current_state: GlobalState,
     properties: Sequence[SafetyProperty],
     budget: Optional[SearchBudget] = None,
-    *,
-    event_filter: Optional[EventFilterFn] = None,
 ) -> SearchResult:
     """Run consequence prediction (Figure 8) from ``current_state``.
 
@@ -390,13 +373,6 @@ def consequence_prediction(
         Stop criterion; runtime deployments use small state budgets so the
         prediction completes in the time it takes the real system to take a
         few steps.
-    event_filter:
-        Optional steering hook: a message it refuses is consumed without
-        running its handler and the connection with its sender is reset; a
-        refused timer is applied as usual.  This is how CrystalBall
-        re-checks the consequences of a candidate event filter before
-        installing it (Section 3.3, "Ensuring Safety of Event Filter
-        Actions").
 
     Returns
     -------
@@ -405,4 +381,4 @@ def consequence_prediction(
         search statistics (states visited, depth, memory — Figures 15/16).
     """
     return breadth_first_search(system, current_state, properties, budget,
-                                SearchKind.CONSEQUENCE, event_filter)
+                                SearchKind.CONSEQUENCE)

@@ -1,18 +1,35 @@
 """Tests for event filters, steering-filter selection and filter safety."""
 
+from dataclasses import dataclass
+
 import pytest
 
+import repro.core.controller as controller_module
 from repro.api import Experiment
 from repro.core import (
     ControllerStats,
+    CrystalBallConfig,
     EventFilter,
+    Mode,
+    attach_crystalball,
     check_filter_safety,
     consequence_prediction,
-    evaluate_violation,
     steering_filter,
 )
-from repro.mc import SearchBudget, TransitionConfig, TransitionSystem
-from repro.runtime import Address, AppEvent, Message, MessageEvent, ResetEvent, TimerEvent
+from repro.mc import GlobalState, SearchBudget, TransitionConfig, TransitionSystem
+from repro.properties import check_all, node_property
+from repro.runtime import (
+    Address,
+    AppEvent,
+    Message,
+    MessageEvent,
+    NetworkModel,
+    NodeState,
+    Protocol,
+    ResetEvent,
+    Simulator,
+    TimerEvent,
+)
 from repro.systems.randtree import ALL_PROPERTIES, Figure2Scenario, UPDATE_SIBLING
 
 
@@ -86,12 +103,13 @@ def test_steering_filter_picks_first_local_handler():
     assert flt13 is None or flt13.node == scenario.n13
 
 
-def test_evaluate_violation_installs_safe_filter_for_figure2():
+def test_figure2_filter_passes_the_recheck():
     scenario, system, snapshot, result, violation = _figure2_prediction()
-    flt = evaluate_violation(scenario.n9, system, snapshot, ALL_PROPERTIES,
-                             violation, expected_violations=result.violations)
+    flt = steering_filter(scenario.n9, violation.path)
     assert flt is not None
-    assert flt == steering_filter(scenario.n9, violation.path)
+    assert check_filter_safety(system, snapshot, ALL_PROPERTIES, flt,
+                               budget=CrystalBallConfig().safety_budget,
+                               expected_violations=result.violations)
 
 
 def test_check_filter_safety_flags_nothing_for_benign_filter():
@@ -101,6 +119,91 @@ def test_check_filter_safety_flags_nothing_for_benign_filter():
     assert check_filter_safety(system, snapshot, ALL_PROPERTIES, flt,
                                budget=SearchBudget(max_states=400, max_depth=6),
                                expected_violations=result.violations)
+
+
+PINGER, PINGED = Address(1), Address(2)
+
+
+@dataclass
+class AlarmState(NodeState):
+    alarm: bool = False
+
+
+class PingOnce(Protocol):
+    """Two nodes: ``PINGER``'s one timer sends ``PINGED`` a Ping, and either
+    handling that Ping or losing the connection raises the node's alarm."""
+
+    name = "PingOnce"
+
+    def initial_state(self, addr):
+        return AlarmState()
+
+    def on_start(self, ctx, state):
+        if ctx.self_addr == PINGER:
+            ctx.set_timer("ping", 100.0)
+
+    def handle_timer(self, ctx, state, timer):
+        ctx.send(PINGED, "Ping", {})
+
+    def handle_message(self, ctx, state, message):
+        state.alarm = True
+
+    def handle_connection_error(self, ctx, state, peer):
+        state.alarm = True
+
+    def neighbors(self, state):
+        return [PINGER, PINGED]
+
+
+CALM = node_property("toy.calm", lambda addr, state, timers, gs:
+                     ["alarm"] if state.alarm else [])
+
+
+def test_a_filter_whose_refusal_breaks_a_property_is_refused(monkeypatch):
+    """Refusing the Ping resets the connection, and the pinger's
+    connection-error handler then raises its alarm, which nothing in the
+    unfiltered model does (resets are off): the re-check refuses the
+    message filter, so the pinged node's rounds book every prediction
+    unhelpful and install nothing, re-checking the action once a round."""
+    transition = TransitionConfig(enable_resets=False)
+    system = TransitionSystem(PingOnce(), transition)
+    start = GlobalState.from_snapshot(
+        {PINGER: AlarmState(), PINGED: AlarmState()}, timers={PINGER: ["ping"]})
+    budget = CrystalBallConfig().safety_budget
+    predicted = consequence_prediction(system, start, [CALM], budget).violations
+    assert [(v.violation.node, len(v.path)) for v in predicted] == [(PINGED, 2)]
+    refuse_ping = steering_filter(PINGED, predicted[0].path)
+    assert refuse_ping.message_type == "Ping"
+    assert not check_filter_safety(system, start, [CALM], refuse_ping,
+                                   budget=budget, expected_violations=predicted)
+    # The pinger's own action, its timer, passes: a refused timer fires later.
+    assert check_filter_safety(system, start, [CALM],
+                               steering_filter(PINGER, predicted[0].path),
+                               budget=budget, expected_violations=predicted)
+
+    rechecks = []
+    recheck = controller_module.check_filter_safety
+
+    def counted(*args, **kwargs):
+        rechecks.append(args[3].node)
+        return recheck(*args, **kwargs)
+
+    monkeypatch.setattr(controller_module, "check_filter_safety", counted)
+    sim = Simulator(PingOnce, NetworkModel(), seed=1)
+    for addr in (PINGER, PINGED):
+        sim.add_node(addr)
+    controllers = attach_crystalball(sim, [CALM], config=CrystalBallConfig(
+        mode=Mode.STEERING, transition=transition))
+    sim.run(until=35.0)
+    pinged = controllers[PINGED]
+    stats = pinged.stats
+    assert stats.model_checker_runs == 2
+    # The second round replays the first one's path and predicts it again.
+    assert len(pinged.last_round.violations) == 2
+    assert stats.steering_unhelpful == stats.violations_predicted == 3
+    assert stats.filters_installed == 0 and pinged.filters == []
+    assert rechecks.count(PINGED) == stats.model_checker_runs
+    assert controllers[PINGER].stats.filters_installed == 2
 
 
 #: Seed-1 steering runs whose rounds install filters.  In the crdtset run
@@ -119,12 +222,35 @@ RECHECK_RUNS = {
 }
 
 
+def _reference_recheck(controller, closed, flt):
+    """The re-check of ``flt`` as a fresh search.  A timer filter's re-check
+    is skipped; its verdict here comes from the search it used to run.  The
+    model applies a refused timer as usual, so that search was the
+    unfiltered prediction within the safety budget, held to the re-check's
+    rule for which violations it ignores."""
+    if flt.message_type is not None:
+        return check_filter_safety(controller.system, closed.start,
+                                   controller.properties, flt,
+                                   budget=controller.config.safety_budget,
+                                   expected_violations=closed.violations)
+    ignored = {(v.property_name, v.node)
+               for v in check_all(controller.properties, closed.start)}
+    ignored |= {(v.violation.property_name, v.violation.node)
+                for v in closed.violations}
+    result = consequence_prediction(controller.system, closed.start,
+                                    controller.properties,
+                                    controller.config.safety_budget)
+    return all((v.violation.property_name, v.violation.node) in ignored
+               for v in result.violations)
+
+
 @pytest.mark.parametrize("run", sorted(RECHECK_RUNS))
 def test_every_installed_filter_passed_the_recheck(run, monkeypatch):
     """Rebuild each round's steering stage from its start state and its
-    predictions alone (ROADMAP item 11.2): the predictions with no safe
-    filter are the round's unhelpful ones, and the safe filters, one per
-    action in prediction order, are the ones it installed."""
+    predictions alone (ROADMAP item 11.2), re-checking every prediction's
+    filter afresh (:func:`_reference_recheck`): the predictions with no
+    safe filter are the round's unhelpful ones, and the safe filters, one
+    per action in prediction order, are the ones it installed."""
     folded = []
     fold = ControllerStats.fold
 
@@ -136,6 +262,7 @@ def test_every_installed_filter_passed_the_recheck(run, monkeypatch):
     report = RECHECK_RUNS[run]().mode("steering").seed(1).run()
     controllers = {id(c.stats): c for c in report.controllers.values()}
     installed = unhelpful = shared = 0
+    actions = set()
     for stats, closed in folded:
         if closed.search is None:
             continue
@@ -143,12 +270,10 @@ def test_every_installed_filter_passed_the_recheck(run, monkeypatch):
         safe, unsafe = [], 0
         for violation in closed.violations:
             flt = steering_filter(controller.addr, violation.path)
-            if flt is None or not check_filter_safety(
-                    controller.system, closed.start, controller.properties,
-                    flt, budget=controller.config.safety_budget,
-                    expected_violations=closed.violations):
+            if flt is None or not _reference_recheck(controller, closed, flt):
                 unsafe += 1
                 continue
+            actions.add(flt.action)
             key = (flt.message_type, flt.message_src, flt.timer_name)
             if key in safe:
                 shared += 1
@@ -160,6 +285,8 @@ def test_every_installed_filter_passed_the_recheck(run, monkeypatch):
         installed += len(closed.installed)
         unhelpful += closed.unhelpful
     assert installed > 0
+    # Each run installs a timer filter and a message filter.
+    assert actions == {"delay", "drop_and_reset"}
     if run.startswith("crdtset"):
         assert shared > 0
     if run.startswith("kvstore"):

@@ -26,7 +26,6 @@ from repro.mc.parallel.portfolio import (
     PORTFOLIO_WALL_CLOCK,
     PortfolioEngine,
 )
-from repro.mc.search import breadth_first_search
 from repro.obs import MetricsRegistry, ObsContext
 from repro.runtime import Address, NetworkModel, Simulator, make_addresses
 from repro.systems import bulletprime, chord, paxos, randtree
@@ -264,16 +263,6 @@ def test_portfolio_finds_the_figure2_violation():
     keys = [(v.violation.property_name, v.violation.node)
             for v in outcome.union_violations()]
     assert len(keys) == len(set(keys))
-
-
-def test_parallel_rejects_event_filter_outside_consequence():
-    """The explorer every engine runs refuses a steering hook outside
-    consequence prediction; the engines themselves take none."""
-    system, start, properties, _ = _randtree_case()
-    with pytest.raises(ValueError):
-        breadth_first_search(system, start, properties,
-                             SearchBudget(max_states=10),
-                             SearchKind.EXHAUSTIVE, lambda event: False)
 
 
 def test_portfolio_engine_is_the_merged_portfolio():
