@@ -27,6 +27,7 @@ from __future__ import annotations
 import copy
 import time
 import warnings
+from dataclasses import replace
 from typing import Any, Optional, Sequence, Union
 
 from ..backends import backend_names, make_backend
@@ -425,13 +426,12 @@ class Experiment:
     def default_budget(self) -> SearchBudget:
         """The prediction budget of a live run that sets none: the system's
         default, under the bounds the selected scenario declares."""
-        factory = self._spec.search_budget_factory
-        budget = factory() if factory else CrystalBallConfig().search_budget
         scenario = self._spec.scenarios.get(self._scenario)
-        for bound in ("max_states", "max_depth"):
-            if getattr(scenario, bound, None) is not None:
-                setattr(budget, bound, getattr(scenario, bound))
-        return budget
+        bounds = {bound: getattr(scenario, bound)
+                  for bound in ("max_states", "max_depth")
+                  if getattr(scenario, bound, None) is not None}
+        return replace(self._spec.search_budget
+                       or CrystalBallConfig().search_budget, **bounds)
 
     def _with_preset(self, scenario: ScenarioSpec) -> "Experiment":
         """A copy of this builder with ``scenario`` folded in as defaults.

@@ -108,7 +108,7 @@ class SystemSpec:
     #: declare more); anything else is rejected before the run starts, so
     #: a typo'd option fails loudly instead of being silently dropped.
     options: tuple[str, ...] = ()
-    #: Factory (not an instance) so no two experiments share mutable config.
+    #: Builds the (frozen) transition config; ``benchmarks/e2e`` calls it.
     transition_factory: Callable[[], TransitionConfig] = TransitionConfig
     scenarios: Mapping[str, ScenarioSpec] = field(default_factory=dict)
     #: Named open-loop workloads of this system (see :mod:`repro.workload`),
@@ -125,7 +125,7 @@ class SystemSpec:
     join_spacing: float = 5.0
     default_churn_interval: Optional[float] = 60.0
     #: Default consequence-prediction budget for live runs of this system.
-    search_budget_factory: Optional[Callable[[], SearchBudget]] = None
+    search_budget: Optional[SearchBudget] = None
     #: Custom initial scheduling (e.g. Paxos proposals); receives
     #: ``(simulator, addresses, options, duration)`` and replaces the join
     #: schedule.

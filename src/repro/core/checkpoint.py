@@ -1,11 +1,12 @@
 """Checkpoints and checkpoint storage (Sections 2.3, 3.1, 4).
 
-A checkpoint is a copy of one node's local state stamped with a checkpoint
-number (the logical clock of Section 2.3).  The :class:`CheckpointStore`
-keeps a bounded history of local checkpoints under a per-node quota, prunes
-the oldest first, and answers checkpoint requests the way the snapshot
-algorithm requires: return the earliest stored checkpoint whose number is at
-least the requested one, or a negative answer carrying the current number.
+A checkpoint is a copy of one node's local state, made once at capture and
+shared by every holder after, stamped with a checkpoint number (the logical
+clock of Section 2.3).  The :class:`CheckpointStore` keeps a bounded history
+of local checkpoints under a per-node quota, prunes the oldest first, and
+answers checkpoint requests the way the snapshot algorithm requires: return
+the earliest stored checkpoint whose number is at least the requested one,
+or a negative answer carrying the current number.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from ..runtime.serialization import delta_size, diff_size
 from ..runtime.state import NodeState
 
 
-@dataclass
+@dataclass(frozen=True)
 class Checkpoint:
     """A stamped copy of one node's local state."""
 
@@ -91,7 +92,8 @@ class CheckpointStore:
 class PeerTransferCache:
     """Per-peer memory of the last checkpoint sent, for the diff/dedup
     optimisation of Section 4: identical checkpoints are not re-sent, and
-    changed ones are charged at (compressed) diff cost."""
+    changed ones are charged at (compressed) diff cost.  It keeps the sent
+    state itself."""
 
     last_sent: dict[Address, NodeState] = field(default_factory=dict)
 
@@ -114,5 +116,5 @@ class PeerTransferCache:
                        diff_size(previous, checkpoint.state))
         else:
             cost = diff_size(previous, checkpoint.state)
-        self.last_sent[peer] = checkpoint.state.clone()
+        self.last_sent[peer] = checkpoint.state
         return cost

@@ -102,19 +102,17 @@ class CheckingPolicy:
         return int.from_bytes(digest[:8], "big") % self.period
 
 
-@dataclass
+@dataclass(frozen=True)
 class CrystalBallConfig:
-    """Tunable parameters of one controller."""
+    """Tunable parameters of a run's controllers, which all share it."""
 
     mode: Mode = Mode.DEBUG
     #: Budget for each consequence-prediction run.
-    search_budget: SearchBudget = field(
-        default_factory=lambda: SearchBudget(max_states=2000, max_depth=8))
+    search_budget: SearchBudget = SearchBudget(max_states=2000, max_depth=8)
     #: Budget for filter-safety re-checks.
-    safety_budget: SearchBudget = field(
-        default_factory=lambda: SearchBudget(max_states=300, max_depth=6,
-                                             stop_at_first_violation=True))
-    transition: TransitionConfig = field(default_factory=TransitionConfig)
+    safety_budget: SearchBudget = SearchBudget(max_states=300, max_depth=6,
+                                               stop_at_first_violation=True)
+    transition: TransitionConfig = TransitionConfig()
     #: Search engine executing consequence prediction: ``"serial"`` (the
     #: default, inline single-threaded search), ``"parallel"`` (sharded
     #: frontier over one worker per CPU), ``"parallel:N"`` or
@@ -127,7 +125,7 @@ class CrystalBallConfig:
     checkpoint_bandwidth_limit: Optional[int] = None
     #: Sampled deep checking (see :class:`CheckingPolicy`).  The default
     #: every-round policy is bit-identical to the pre-policy runtime.
-    checking: CheckingPolicy = field(default_factory=CheckingPolicy)
+    checking: CheckingPolicy = CheckingPolicy()
     #: Charge checkpoint responses at delta-encoded cost: a peer holding
     #: the previous checkpoint only pays for the changed state fields, so
     #: control-plane bytes stay flat as node count grows.  Off by default
@@ -137,16 +135,6 @@ class CrystalBallConfig:
     #: requests may be lost (an incomplete snapshot rather than a retry),
     #: which is the scale trade-off, not the 24-node semantics.
     udp_checkpoint_requests: bool = False
-
-    def copy(self) -> "CrystalBallConfig":
-        """Per-controller copy: budgets and transition config are mutable
-        and must never be shared between nodes (the engine may be)."""
-        return replace(
-            self,
-            search_budget=replace(self.search_budget),
-            safety_budget=replace(self.safety_budget),
-            transition=replace(self.transition),
-        )
 
 
 @dataclass
@@ -437,7 +425,7 @@ class CrystalBallController:
             dst=requester,
             payload={
                 "cn": checkpoint.checkpoint_number,
-                "state": checkpoint.state.clone(),
+                "state": checkpoint.state,
                 # Sorted: a frozenset of strings pickles in string-hash
                 # order, so the tcp frame size would follow PYTHONHASHSEED.
                 "timers": tuple(sorted(checkpoint.timers)),
@@ -563,27 +551,26 @@ class CrystalBallController:
         del self.known_error_paths[:-MAX_REMEMBERED_PATHS]
 
     def _steer(self, node: SimNode, closed: Round) -> None:
-        """Re-check each action once; every prediction takes its verdict."""
-        verdicts: dict[tuple, bool] = {}
+        """Re-check each filter once; every prediction takes its verdict."""
+        verdicts: dict[EventFilter, bool] = {}
         for violation in closed.violations:
             event_filter = steering_filter(node.addr, violation.path)
             if event_filter is None:
                 closed.unhelpful += 1
                 continue
-            key = (event_filter.message_type, event_filter.message_src,
-                   event_filter.timer_name)
-            fresh = key not in verdicts
+            fresh = event_filter not in verdicts
             if fresh:
-                verdicts[key] = check_filter_safety(
+                verdicts[event_filter] = check_filter_safety(
                     self.system, closed.start, self.properties, event_filter,
                     budget=self.config.safety_budget,
                     expected_violations=closed.violations)
-            if not verdicts[key]:
+            if not verdicts[event_filter]:
                 closed.unhelpful += 1
             elif fresh:
-                closed.installed.append((event_filter, violation))
-                event_filter.filter_id = (self.stats.filters_installed
-                                          + len(closed.installed))
+                filter_id = (self.stats.filters_installed
+                             + len(closed.installed) + 1)
+                closed.installed.append(
+                    (replace(event_filter, filter_id=filter_id), violation))
 
 
 def attach_crystalball(
@@ -599,12 +586,8 @@ def attach_crystalball(
     """
     controllers: dict[Address, CrystalBallController] = {}
     for addr, node in list(sim.nodes.items()):
-        # Every controller gets its own config copy: sharing one mutable
-        # CrystalBallConfig (and its SearchBudget instances) across nodes
-        # would let one node's adjustments leak into all the others.
-        controller_config = config.copy() if config is not None else CrystalBallConfig()
         controller = CrystalBallController(addr, node.protocol, properties,
-                                           controller_config)
+                                           config)
         controllers[addr] = controller
         sim.attach_hook(addr, controller)
     return controllers

@@ -19,9 +19,9 @@ from ..runtime.address import Address
 from ..runtime.events import Event, MessageEvent, TimerEvent
 
 
-@dataclass
+@dataclass(frozen=True)
 class EventFilter:
-    """A single installed corrective action."""
+    """A single corrective action; a value, so it keys its re-check."""
 
     #: Node the filter is installed on (filters are local to a node).
     node: Address

@@ -31,13 +31,15 @@ class NeighborhoodSnapshot:
     def to_global_state(self) -> GlobalState:
         """Build the model-checking start state from this snapshot.
 
-        In-flight messages among snapshot members are unknown at gather time
-        and therefore empty; consequence prediction regenerates messages by
-        executing handlers.  Nodes outside the snapshot play the role of the
-        dummy node: messages addressed to them are dropped by the transition
-        system and their events are never explored.
+        The start state shares the checkpoints' states: no search writes
+        one, as a handler runs on a copy.  In-flight messages among snapshot
+        members are unknown at gather time and therefore empty; consequence
+        prediction regenerates messages by executing handlers.  Nodes outside
+        the snapshot play the role of the dummy node: messages addressed to
+        them are dropped by the transition system and their events are never
+        explored.
         """
-        states = {addr: c.state.clone() for addr, c in self.checkpoints.items()}
+        states = {addr: c.state for addr, c in self.checkpoints.items()}
         timers = {addr: c.timers for addr, c in self.checkpoints.items()}
         return GlobalState.from_snapshot(states, timers=timers)
 

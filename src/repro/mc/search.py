@@ -44,7 +44,7 @@ class SearchKind(enum.Enum):
     CONSEQUENCE = "consequence"
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchBudget:
     """The StopCriterion: bounds on how far a search may go.
 

@@ -27,7 +27,7 @@ from ..runtime.serialization import freeze
 from .global_state import ErrorNotification, GlobalState, NodeLocal
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransitionConfig:
     """What the model checker is allowed to explore.
 

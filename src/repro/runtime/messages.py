@@ -90,6 +90,12 @@ class Message:
             object.__setattr__(self, "_size", cached)
         return cached
 
+    def __reduce__(self) -> tuple:
+        """Pickle the fields only, never the caches (frames, sizes)."""
+        return (Message, (self.mtype, self.src, self.dst, self.payload,
+                          self.transport, self.checkpoint_number,
+                          self.control, self.msg_id))
+
     def get(self, key: str, default: Any = None) -> Any:
         """Convenience accessor into the payload."""
         return self.payload.get(key, default)

@@ -15,12 +15,17 @@ The clone pickles to the bytes a ``copy.deepcopy`` of the state pickles to,
 set iteration order included (checkpoint sizes are pickle sizes), unless one
 state references a container twice: such aliasing is not preserved.
 
+Two points clone: capture (``CrystalBallController._take_checkpoint``) and
+a handler's input (``TransitionSystem.apply``).  Responses, transfer caches
+and snapshot start states share the captured state, which nothing writes.
+
 Rule: no cache attribute on a ``NodeState``, an ``Address``, a ``Message``
-or anything else reachable from a state's fields or sent in a frame.
-``estimate_size`` and ``encode_frame`` pickle ``__dict__``, so a cached value
-there moves checkpoint, search-memory and wire byte counts
-(``Address.frozen()`` already grows an address from 75 to 102 bytes).
-Caches of a state's identity live on ``NodeLocal`` and ``GlobalState``.
+or anything else reachable from a state's fields or sent in a frame, unless
+its pickle leaves it out (``Message.__reduce__`` does).  ``estimate_size``
+and ``encode_frame`` pickle ``__dict__``, so a cached value there moves
+checkpoint, search-memory and wire byte counts (``Address.frozen()`` still
+grows an address from 75 to 102 bytes).  Caches of a state's identity live
+on ``NodeLocal`` and ``GlobalState``.
 """
 
 from __future__ import annotations

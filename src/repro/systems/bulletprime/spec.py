@@ -150,6 +150,6 @@ SPEC = register_system(SystemSpec(
     default_duration=300.0,
     join_call=None,
     default_churn_interval=None,
-    search_budget_factory=lambda: SearchBudget(max_states=200, max_depth=4),
+    search_budget=SearchBudget(max_states=200, max_depth=4),
     collect=_collect,
 ))

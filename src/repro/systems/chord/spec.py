@@ -85,5 +85,5 @@ SPEC = register_system(SystemSpec(
     },
     default_nodes=6,
     default_duration=200.0,
-    search_budget_factory=lambda: SearchBudget(max_states=400, max_depth=6),
+    search_budget=SearchBudget(max_states=400, max_depth=6),
 ))

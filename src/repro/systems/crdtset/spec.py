@@ -122,7 +122,7 @@ SPEC = register_system(SystemSpec(
     default_duration=200.0,
     join_call=None,
     default_churn_interval=None,
-    search_budget_factory=lambda: SearchBudget(max_states=400, max_depth=6),
+    search_budget=SearchBudget(max_states=400, max_depth=6),
     schedule=_schedule,
     collect=_collect,
 ))

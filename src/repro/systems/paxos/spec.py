@@ -210,7 +210,7 @@ SPEC = register_system(SystemSpec(
     tick_interval=5.0,
     join_call=None,
     default_churn_interval=None,
-    search_budget_factory=lambda: SearchBudget(max_states=500, max_depth=8),
+    search_budget=SearchBudget(max_states=500, max_depth=8),
     schedule=_schedule,
     collect=_collect,
     message_mutator=_message_mutator,

@@ -49,6 +49,21 @@ def test_encode_decode_round_trip_preserves_message():
     assert decoded.msg_id == message.msg_id
 
 
+def test_a_frame_carries_the_fields_not_the_caches():
+    src, dst, origin = Address(1), Address(2), Address(4)
+    for address in (src, dst, origin):
+        address.frozen()
+    message = _msg(src=src, dst=dst, msg_id=9,
+                   payload={"blocks": (1, 2, 3), "origin": origin})
+    fresh = encode_frame(message)
+    message.size_bytes()
+    message.signature()
+    assert encode_frame(message) == fresh
+    decoded = decode_frame(fresh)
+    assert decoded == message and decoded.msg_id == 9
+    assert decoded._sig_cache is None and "_size" not in decoded.__dict__
+
+
 def test_header_tags_control_frames():
     service = encode_frame(_msg())
     control = encode_frame(_msg(mtype="_cb_checkpoint_request", control=True))

@@ -9,7 +9,7 @@ import pytest
 
 from repro.api import Experiment
 from repro.core.checkpoint import Checkpoint, PeerTransferCache
-from repro.core.controller import CheckingPolicy, CrystalBallConfig
+from repro.core.controller import CheckingPolicy
 from repro.mc.search import SearchBudget
 from repro.runtime import Address, NodeState, make_addresses
 from repro.runtime.serialization import (
@@ -98,15 +98,6 @@ def test_off_duty_controllers_still_answer_requests():
     assert sampled.total("checkpoint_responses_sent") > 0
     assert sampled.total("snapshots_collected") > 0
     assert sampled.total("incomplete_snapshots") == 0
-
-
-def test_config_copy_preserves_scale_settings():
-    config = CrystalBallConfig(checking=CheckingPolicy(period=5, seed=1),
-                               delta_checkpoints=True,
-                               udp_checkpoint_requests=True)
-    copied = config.copy()
-    assert copied.checking == config.checking
-    assert copied.delta_checkpoints and copied.udp_checkpoint_requests
 
 
 # ------------------------------------------------------------ delta encoding

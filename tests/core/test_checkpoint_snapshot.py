@@ -133,14 +133,13 @@ def test_snapshot_from_gather_includes_local_and_tracks_missing():
     assert controller.stats.model_checker_runs == 0
 
 
-def test_snapshot_to_global_state_clones_states():
+def test_snapshot_to_global_state_shares_checkpoint_states():
     origin = Address(1)
     local = _checkpoint(origin, 1, joined=True)
     snapshot = NeighborhoodSnapshot(origin=origin, checkpoint_number=1,
                                     checkpoints={origin: local})
     gs = snapshot.to_global_state()
-    gs.nodes[origin].state.joined = False
-    assert local.state.joined is True
+    assert gs.nodes[origin].state is local.state
     assert gs.nodes[origin].timers == frozenset({"recovery"})
 
 
