@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..mc.global_state import GlobalState, NodeLocal
+from ..mc.global_state import GlobalState, NodeLocal, Step
 from ..mc.transition import TransitionSystem
 from ..properties import (
     Property,
@@ -86,7 +86,8 @@ class ImmediateSafetyCheck:
         # states differ from the neighbourhood only at ``addr`` and in
         # flight, so each verdict is derived from the one before it.
         changed = (addr,)
-        base = neighborhood.successor(addr, NodeLocal(live_state, live_timers))
+        base = neighborhood.after(
+            Step(node=addr, local=NodeLocal(live_state, live_timers)))
         before = derive_all(self.properties, self._start_verdicts, base,
                             changed)
         speculative = self.system.apply(base, event)

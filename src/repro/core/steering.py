@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..mc.global_state import GlobalState
+from ..mc.global_state import GlobalState, Step
 from ..properties import SafetyProperty, check_all
 from ..mc.search import PredictedViolation, SearchBudget
-from ..mc.transition import TransitionSystem
+from ..mc.transition import Memo, TransitionSystem
 from ..runtime.address import Address
 from ..runtime.events import Event, MessageEvent, TimerEvent
 from .consequence import consequence_prediction
@@ -49,18 +49,18 @@ def steering_filter(node: Address, path: Sequence[Event]) -> Optional[EventFilte
 class _Refusing(TransitionSystem):
     """The model with one message filter installed: a refused message is
     consumed unhandled and the connection with its sender is reset
-    (:meth:`TransitionSystem.apply_filtered`); every other event, memo
-    included, is applied as usual."""
+    (:meth:`TransitionSystem.filtered_step`); every other event, memo
+    included, steps as usual."""
 
     def __init__(self, system: TransitionSystem, event_filter: EventFilter) -> None:
         super().__init__(system.protocol, system.config)
         self.event_filter = event_filter
 
-    def apply(self, state: GlobalState, event: Event,
-              memo: Optional[dict] = None) -> GlobalState:
+    def step(self, state: GlobalState, event: Event,
+             memo: Optional[Memo] = None) -> Step:
         if self.event_filter.matches(event):
-            return self.apply_filtered(state, event)
-        return super().apply(state, event, memo)
+            return self.filtered_step(state, event)
+        return super().step(state, event, memo)
 
 
 def check_filter_safety(

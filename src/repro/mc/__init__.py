@@ -8,7 +8,7 @@ consequence prediction (Figure 8), which :mod:`repro.core` exports.
 Nothing here imports :mod:`repro.core`.
 """
 
-from .global_state import ErrorNotification, GlobalState, NodeLocal
+from .global_state import ErrorNotification, GlobalState, NodeLocal, Step
 from ..properties.base import (
     PropertyViolation,
     SafetyProperty,
@@ -39,6 +39,7 @@ __all__ = [
     "ErrorNotification",
     "GlobalState",
     "NodeLocal",
+    "Step",
     "PropertyViolation",
     "SafetyProperty",
     "check_all",

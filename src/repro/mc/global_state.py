@@ -11,11 +11,11 @@ over fault scenarios stay bounded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
 from ..runtime.address import Address
 from ..runtime.messages import Message
-from ..runtime.serialization import freeze
+from ..runtime.serialization import freeze, pickled
 from ..runtime.state import NodeState
 
 
@@ -28,7 +28,7 @@ class ErrorNotification:
     peer: Address
 
     def signature(self) -> tuple:
-        return ("errnotif", freeze(self.dst), freeze(self.peer))
+        return ("errnotif", self.dst.frozen(), self.peer.frozen())
 
 
 @dataclass(frozen=True)
@@ -36,14 +36,15 @@ class NodeLocal:
     """Local state of one node as seen by the model checker.
 
     The wrapped state is never mutated once the wrapper exists (handlers
-    run on clones and produce a fresh ``NodeLocal``), so the signature and
-    its hash are computed once and cached: successor states share the
-    wrappers of all unchanged nodes, and a search's transition memo hands
-    one wrapper to every successor that repeats a handler run, so a node
-    state is frozen and hashed once per handler run.  By the same
-    convention the wrapper of a changed node can take its signature from
-    the wrapper it replaced (``signature(parent)``), re-freezing only the
-    fields the handler touched.
+    run on clones and produce a fresh ``NodeLocal``), so the signature, its
+    hash and the size are computed once and cached: successor states share
+    the wrappers of all unchanged nodes.  A search interns the wrappers its
+    handler runs produce (:class:`~repro.mc.transition.Memo`), so one
+    wrapper stands for every node state of equal content at one address:
+    it is run through each handler, frozen, hashed and pickled once per
+    search.  By the same convention the wrapper of a changed node can take
+    its signature from the wrapper it replaced (``signature(parent)``),
+    re-freezing only the fields the handler touched.
     """
 
     state: NodeState
@@ -77,20 +78,69 @@ class NodeLocal:
                                hash(self.signature(parent)))
         return self._hash_cache
 
+    def pickled(self) -> Optional[bytes]:
+        """The state's pickle, or None when it does not pickle; its length
+        is the state's :meth:`~repro.runtime.state.NodeState.size_bytes`,
+        which this caches.  Hash the wrapper first: freezing caches frozen
+        forms inside the state's addresses, and the pickle carries them."""
+        blob = pickled(self.state)
+        if self._size_cache is None:
+            size = self.state.size_bytes() if blob is None else len(blob)
+            object.__setattr__(self, "_size_cache",
+                               size + 16 * len(self.timers))
+        return blob
+
     def size_bytes(self) -> int:
         if self._size_cache is None:
-            object.__setattr__(
-                self, "_size_cache",
-                self.state.size_bytes() + 16 * len(self.timers))
+            self.pickled()
         return self._size_cache
 
 
-def _without(items: tuple, target) -> tuple[tuple, Optional[int]]:
-    """``items`` less the first ``target`` (if any), and the index it had."""
-    if target is None or target not in items:
-        return items, None
-    index = items.index(target)
-    return items[:index] + items[index + 1:], index
+class Step(NamedTuple):
+    """What one event changes in a global state (:meth:`GlobalState.after`).
+
+    The node at ``node`` now holds ``local`` (when given), the in-flight
+    ``message`` and the pending ``error`` are consumed (when given), ``sent``
+    and ``raised`` are appended and ``reset`` counts one more reset.  A
+    search's transition memo stores one step per handler run and hands it
+    to every state that repeats the run, with its ``digests`` worked out
+    once (:meth:`digest`).
+    """
+
+    node: Optional[Address] = None
+    local: Optional[NodeLocal] = None
+    message: Optional[Message] = None
+    error: Optional[ErrorNotification] = None
+    sent: tuple[Message, ...] = ()
+    raised: tuple[ErrorNotification, ...] = ()
+    reset: Optional[Address] = None
+    digests: Optional[tuple] = None
+
+    def digest(self, state: "GlobalState") -> tuple:
+        """The step's digests in ``state``, a hashed state it applies to:
+        the changed node's slot in address order and its digest (its
+        signature derived from the wrapper it replaces, see
+        :meth:`NodeLocal.signature`), the consumed entry's, and those of
+        what it sends and raises."""
+        slot = node_digest = None
+        if self.local is not None:
+            state.state_hash()
+            slot = state._digests[0][1][self.node]
+            node_digest = _node_digest(self.node, self.local,
+                                       state.nodes[self.node])
+        return (slot, node_digest,
+                None if self.message is None
+                else hash(self.message.signature()),
+                None if self.error is None else hash(self.error.signature()),
+                _entry_digests(self.sent), _entry_digests(self.raised))
+
+    def raising(self, errors: tuple[ErrorNotification, ...]) -> "Step":
+        """This step with ``errors`` raised after its own (a reset's
+        notifications, which depend on the other nodes)."""
+        digests = self.digests
+        if digests is not None:
+            digests = digests[:5] + (digests[5] + _entry_digests(errors),)
+        return self._replace(raised=self.raised + errors, digests=digests)
 
 
 def _node_digest(addr: Address, local: NodeLocal,
@@ -106,16 +156,54 @@ def _entry_digests(entries: Iterable) -> tuple[int, ...]:
     return tuple(hash(entry.signature()) for entry in entries)
 
 
-def _spliced(digests: tuple[int, ...], consumed_at: Optional[int],
-             entries: tuple) -> tuple[int, ...]:
-    """The digests of a successor's ``entries`` (its in-flight messages, or
-    its errors) from its parent's ``digests``: the one at ``consumed_at``
-    is gone, and the entries the step appended are hashed here."""
-    if consumed_at is not None:
-        digests = digests[:consumed_at] + digests[consumed_at + 1:]
-    if len(entries) == len(digests):
-        return digests
-    return digests + _entry_digests(entries[len(digests):])
+def _combined(digests: tuple, resets: tuple) -> int:
+    """A state's hash from its component digests: messages and errors as
+    sorted tuples, so their order does not count."""
+    _, nodes, messages, errors = digests
+    return hash((nodes, tuple(sorted(messages)), tuple(sorted(errors)), resets))
+
+
+def _index(items: tuple, target) -> Optional[int]:
+    """Where the first item that is or equals ``target`` sits, if any."""
+    if target is None:
+        return None
+    try:
+        return items.index(target)
+    except ValueError:
+        return None
+
+
+def _found(items: tuple, digests: tuple[int, ...], target,
+           digest: Optional[int]) -> Optional[int]:
+    """:func:`_index` of ``target``, looked up by its ``digest`` among the
+    items' ``digests``.  An equal item has an equal digest, and each match
+    is checked for identity or equality, so a digest collision or a
+    message equal in signature but not in checkpoint number is passed
+    over, and of two equal items the first is found."""
+    at = -1
+    while True:
+        try:
+            at = digests.index(digest, at + 1)
+        except ValueError:
+            return None
+        if items[at] is target or items[at] == target:
+            return at
+
+
+def _dropped(items: tuple, at: Optional[int]) -> tuple:
+    return items if at is None else items[:at] + items[at + 1:]
+
+
+class Splice(NamedTuple):
+    """A successor's identity, from :meth:`GlobalState.splice`: its hash
+    and digests, its reset counts, and where the consumed message and
+    error sat in the parent."""
+
+    state_hash: int
+    digests: tuple
+    resets: tuple
+    message_at: Optional[int]
+    error_at: Optional[int]
 
 
 @dataclass
@@ -128,9 +216,9 @@ class GlobalState:
     address order (:func:`_node_digest`), one per in-flight message and
     one per error, aligned with ``inflight`` and ``errors``.  Messages and
     errors enter the hash as sorted tuples, so their order does not count.
-    A :meth:`successor` of a hashed state splices its digests from its
-    parent's when first asked: it replaces one node's, drops the consumed
-    entries' and appends those of what the step sent and raised, so its
+    :meth:`splice` works out a successor's hash from these digests before
+    the successor exists: it replaces one node's, drops the consumed
+    entries' and appends those of what the step sent and raised, so the
     hash costs what the step changed.  Any other state computes the same
     hash from scratch.
 
@@ -151,11 +239,6 @@ class GlobalState:
     #: digests, error digests)``, set with the hash.  The address layout is
     #: one object shared by every state spliced from the first one hashed.
     _digests: Optional[tuple] = field(default=None, repr=False, compare=False, init=False)
-    #: ``(parent's digests, changed node, its new wrapper, the wrapper it
-    #: replaced, consumed inflight index, consumed errors index)`` of a
-    #: :meth:`successor` of a hashed state, until :meth:`state_hash` has
-    #: used it.
-    _splice: Optional[tuple] = field(default=None, repr=False, compare=False, init=False)
 
     # -- construction -----------------------------------------------------------
 
@@ -191,43 +274,56 @@ class GlobalState:
             resets=self.resets,
         )
 
-    def successor(self, addr: Optional[Address] = None,
-                  local: Optional[NodeLocal] = None, *,
-                  consumed_message: Optional[Message] = None,
-                  sent: Sequence[Message] = (),
-                  consumed_error: Optional[ErrorNotification] = None,
-                  raised: Sequence[ErrorNotification] = (),
-                  reset: Optional[Address] = None) -> "GlobalState":
-        """The state one step after this one: the node at ``addr`` (if
-        given) now holds ``local``, one in-flight message and one error are
-        consumed, ``sent`` and ``raised`` are appended, and ``reset`` counts
-        one more reset.  ``local`` is shared, not copied: the successors a
-        search's transition memo builds from one handler run hold the same
-        wrapper, so its signature, hash and size are worked out once.
+    def after(self, step: Step,
+              splice: Optional[Splice] = None) -> "GlobalState":
+        """The state ``step`` leads to from this one.  ``step.local`` is
+        shared, not copied: the successors a search builds from one handler
+        run hold the same wrapper.
 
-        The successor of a hashed state keeps this state's digests and is
-        hashed from them when asked; the immediate safety check builds two
-        such successors per vetted event and never asks.  The successor of
-        a state not hashed (replay) is hashed from scratch if anyone asks.
+        A search passes the :meth:`splice` it hashed the step with; the
+        successor then carries its hash, its digests and, when this state
+        is sized, its size, all spliced from this state's.  Any other
+        successor (replay, the immediate safety check, random walks) is
+        hashed and sized from scratch if anyone asks.
         """
+        if splice is None:
+            message_at = _index(self.inflight, step.message)
+            error_at = _index(self.errors, step.error)
+            resets = self._resets_after(step)
+        else:
+            message_at, error_at = splice.message_at, splice.error_at
+            resets = splice.resets
         nodes = self.nodes
-        if addr is not None:
-            nodes = {**nodes, addr: local}
-        inflight, message_at = _without(self.inflight, consumed_message)
-        errors, error_at = _without(self.errors, consumed_error)
-        resets = self.resets
-        if reset is not None:
-            counts = dict(resets)
-            counts[reset] = counts.get(reset, 0) + 1
-            resets = tuple(sorted(counts.items()))
-        after = GlobalState(nodes=nodes, inflight=inflight + tuple(sent),
-                            errors=errors + tuple(raised), resets=resets)
-        if self._digests is not None:
-            replaced = None if addr is None else self.nodes.get(addr)
-            if addr is None or replaced is not None:
-                after._splice = (self._digests, addr, local, replaced,
-                                 message_at, error_at)
+        if step.local is not None:
+            nodes = {**nodes, step.node: step.local}
+        after = GlobalState(
+            nodes=nodes,
+            inflight=_dropped(self.inflight, message_at) + step.sent,
+            errors=_dropped(self.errors, error_at) + step.raised,
+            resets=resets)
+        if splice is None:
+            return after
+        after._hash_cache, after._digests = splice.state_hash, splice.digests
+        if self._size_cache is not None:
+            # Hashed, then sized: the parts' sizes are the ones a cold sum
+            # over the successor would take.
+            size = self._size_cache
+            if step.local is not None:
+                size += (step.local.size_bytes()
+                         - self.nodes[step.node].size_bytes())
+            if message_at is not None:
+                size -= self.inflight[message_at].size_bytes()
+            size += sum(message.size_bytes() for message in step.sent)
+            size += 24 * (len(step.raised) - (error_at is not None))
+            after._size_cache = size
         return after
+
+    def _resets_after(self, step: Step) -> tuple[tuple[Address, int], ...]:
+        if step.reset is None:
+            return self.resets
+        counts = dict(self.resets)
+        counts[step.reset] = counts.get(step.reset, 0) + 1
+        return tuple(sorted(counts.items()))
 
     def reset_count(self, addr: Address) -> int:
         for node, count in self.resets:
@@ -252,30 +348,43 @@ class GlobalState:
 
     def state_hash(self) -> int:
         if self._hash_cache is None:
-            if self._splice is None:
-                order = tuple(sorted(self.nodes))
-                layout = order, {addr: slot for slot, addr in enumerate(order)}
-                node_digests = tuple(_node_digest(addr, self.nodes[addr])
-                                     for addr in order)
-                messages = _entry_digests(self.inflight)
-                errors = _entry_digests(self.errors)
-            else:
-                (digests, addr, local, replaced,
-                 message_at, error_at) = self._splice
-                self._splice = None
-                layout, node_digests, messages, errors = digests
-                if addr is not None:
-                    slot = layout[1][addr]
-                    node_digests = (
-                        node_digests[:slot]
-                        + (_node_digest(addr, local, replaced),)
-                        + node_digests[slot + 1:])
-                messages = _spliced(messages, message_at, self.inflight)
-                errors = _spliced(errors, error_at, self.errors)
-            self._digests = layout, node_digests, messages, errors
-            self._hash_cache = hash((node_digests, tuple(sorted(messages)),
-                                     tuple(sorted(errors)), self.resets))
+            order = tuple(sorted(self.nodes))
+            self._digests = (
+                (order, {addr: slot for slot, addr in enumerate(order)}),
+                tuple(_node_digest(addr, self.nodes[addr]) for addr in order),
+                _entry_digests(self.inflight),
+                _entry_digests(self.errors))
+            self._hash_cache = _combined(self._digests, self.resets)
         return self._hash_cache
+
+    def splice(self, step: Step) -> Splice:
+        """The successor's identity after ``step``, spliced from this
+        state's digests without building it: its ``state_hash`` is
+        ``after(step).state_hash()``.  ``step.node``, if the step changes a
+        node, is one of this state's."""
+        if self._hash_cache is None:
+            self.state_hash()
+        layout, node_digests, messages, errors = self._digests
+        digests = step.digests
+        if digests is None:
+            digests = step.digest(self)
+        (slot, node_digest, message_digest, error_digest,
+         sent, raised) = digests
+        if slot is not None:
+            node_digests = (node_digests[:slot] + (node_digest,)
+                            + node_digests[slot + 1:])
+        message_at = error_at = None
+        if step.message is not None:
+            message_at = _found(self.inflight, messages, step.message,
+                                message_digest)
+            messages = _dropped(messages, message_at)
+        if step.error is not None:
+            error_at = _found(self.errors, errors, step.error, error_digest)
+            errors = _dropped(errors, error_at)
+        digests = layout, node_digests, messages + sent, errors + raised
+        resets = self._resets_after(step)
+        return Splice(_combined(digests, resets), digests, resets,
+                      message_at, error_at)
 
     def local_keys(self) -> Iterator[tuple[Address, int]]:
         """``(address, node digest)`` per node, in address order: the

@@ -28,7 +28,7 @@ from ..properties import (
 )
 from ..runtime.events import Event
 from .global_state import GlobalState
-from .transition import TransitionSystem
+from .transition import Memo, TransitionSystem
 
 #: One frontier entry: (state, depth, event path from the start state, the
 #: parent's property verdicts or None for the start state).
@@ -199,13 +199,16 @@ class Explorer:
     caller passes, so a shard can account one round at a time.
 
     Every handler the search runs goes through the explorer's ``memo``
-    (:meth:`TransitionSystem.apply`): in a breadth-first search one node's
+    (:meth:`TransitionSystem.step`): in a breadth-first search one node's
     ``NodeLocal`` object receives the same event in every interleaving of
     the other nodes' events, and the handler is a pure function of that
     object and the event, so it runs once and every later successor shares
-    its output.  A hit is exactly the fresh run's output, so the search
-    visits, hashes, sizes and reports what it would without the memo.  The
-    memo lives and dies with the explorer, one search.
+    its output.  The memo interns each output by content, so a node state
+    reached along two paths is one object and hits too.  A hit is exactly the fresh run's output, so the search
+    visits, hashes, sizes and reports what it would without the memo.  A
+    successor is built only when the hash spliced from its parent's
+    (:meth:`GlobalState.splice`) is new.  The memo lives and dies with the
+    explorer, one search.
     """
 
     system: TransitionSystem
@@ -226,9 +229,9 @@ class Explorer:
     #: already present in the start state would be re-reported in every
     #: explored state, drowning genuinely new predictions.
     reported: set[tuple] = field(default_factory=set)
-    #: The transition memo: ``(id(NodeLocal), event key)`` -> the handler
-    #: run's input, event and output (see :meth:`TransitionSystem.apply`).
-    memo: dict = field(default_factory=dict)
+    #: The search's handler runs and the node states they produced, by
+    #: content (see :class:`~repro.mc.transition.Memo`).
+    memo: Memo = field(default_factory=Memo)
 
     def __post_init__(self) -> None:
         self.properties = safety_properties(self.properties)
@@ -271,13 +274,15 @@ class Explorer:
             return
         system, memo = self.system, self.memo
         for event in self._events(state, stats):
-            next_state = system.apply(state, event, memo)
+            step = system.step(state, event, memo)
             stats.transitions_applied += 1
-            next_hash = next_state.state_hash()
+            splice = state.splice(step)
+            next_hash = splice.state_hash
             if next_hash in self.explored or next_hash in self.queued:
                 stats.duplicate_states += 1
                 continue
             self.queued.add(next_hash)
+            next_state = state.after(step, splice)
             stats.states_enqueued += 1
             stats.frontier_bytes += next_state.size_bytes()
             yield next_state, depth + 1, path + (event,), verdicts
@@ -315,9 +320,12 @@ def breadth_first_search(
     stats = SearchStats()
     violations: list[PredictedViolation] = []
     frontier: deque[FrontierItem] = deque([(first_state, 0, (), None)])
-    # Hashed before it is sized, like every successor: hashing caches frozen
-    # forms inside the state's addresses, which the size estimate then counts.
+    # Hashed before it is interned and sized, like every successor: hashing
+    # caches frozen forms inside the state's addresses, which the pickle
+    # then carries.
     explorer.queued.add(first_state.state_hash())
+    for addr, local in first_state.nodes.items():
+        explorer.memo.intern(addr, local)
     stats.frontier_bytes = first_state.size_bytes()
     stats.peak_memory_bytes = stats.frontier_bytes
 

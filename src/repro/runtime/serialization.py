@@ -16,7 +16,7 @@ import io
 import pickle
 import sys
 import zlib
-from typing import Any
+from typing import Any, Optional
 
 Frozen = Any  # a hashable, canonical representation
 
@@ -65,16 +65,25 @@ def unchanged(old: Any, new: Any) -> bool:
     return old is new or (type(old) is type(new) and old == new)
 
 
+def pickled(value: Any) -> Optional[bytes]:
+    """``value``'s pickle, whose length is its :func:`estimate_size`, or
+    None when it does not pickle."""
+    try:
+        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:
+        return None
+
+
 def estimate_size(value: Any) -> int:
     """Estimate the serialized size of ``value`` in bytes.
 
     Uses :mod:`pickle` as the stand-in serializer for Mace's checkpoint
-    encoding.  Used for checkpoint bandwidth accounting only.
+    encoding, and the ``repr`` for a value that does not pickle.
     """
-    try:
-        return len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
-    except Exception:
+    blob = pickled(value)
+    if blob is None:
         return len(repr(value).encode("utf-8"))
+    return len(blob)
 
 
 def to_compact_bytes(value: Any) -> bytes:

@@ -16,7 +16,7 @@ set iteration order included (checkpoint sizes are pickle sizes), unless one
 state references a container twice: such aliasing is not preserved.
 
 Two points clone: capture (``CrystalBallController._take_checkpoint``) and
-a handler's input (``TransitionSystem.apply``).  Responses, transfer caches
+a handler's input (``TransitionSystem.step``).  Responses, transfer caches
 and snapshot start states share the captured state, which nothing writes.
 
 Rule: no cache attribute on a ``NodeState``, an ``Address``, a ``Message``
@@ -25,7 +25,9 @@ its pickle leaves it out (``Message.__reduce__`` does).  ``estimate_size``
 and ``encode_frame`` pickle ``__dict__``, so a cached value there moves
 checkpoint, search-memory and wire byte counts (``Address.frozen()`` still
 grows an address from 75 to 102 bytes).  Caches of a state's identity live
-on ``NodeLocal`` and ``GlobalState``.
+on ``NodeLocal`` and ``GlobalState``.  A search's intern table
+(``repro.mc.transition.Memo``), not the ``NodeLocal``, holds a state's
+pickle bytes, so nothing new rides in a sharded-engine handoff.
 """
 
 from __future__ import annotations

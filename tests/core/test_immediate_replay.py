@@ -5,7 +5,8 @@ import pytest
 from repro.api import Experiment
 from repro.core import ImmediateSafetyCheck, consequence_prediction, replay_error_path
 from repro.faults import CrashRestart
-from repro.mc import GlobalState, NodeLocal, SearchBudget, TransitionConfig, TransitionSystem
+from repro.mc import (GlobalState, NodeLocal, SearchBudget, Step, TransitionConfig,
+                      TransitionSystem)
 from repro.properties import check_all
 from repro.runtime import Address, Message, MessageEvent, make_addresses
 from repro.runtime.events import ResetEvent
@@ -79,7 +80,8 @@ def _full_recheck(isc, addr, live_state, live_timers, event, neighborhood=None):
         return []
     if neighborhood is None:
         neighborhood = GlobalState(nodes={})
-    base = neighborhood.successor(addr, NodeLocal(live_state, live_timers))
+    base = neighborhood.after(
+        Step(node=addr, local=NodeLocal(live_state, live_timers)))
     before = {(v.property_name, v.node, v.detail)
               for v in check_all(isc.properties, base)}
     after = check_all(isc.properties, isc.system.apply(base, event))

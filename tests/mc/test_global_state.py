@@ -1,6 +1,6 @@
 """Tests for global states."""
 
-from repro.mc import ErrorNotification, GlobalState
+from repro.mc import ErrorNotification, GlobalState, Step
 from repro.runtime import Address, Message
 from repro.systems.randtree import RandTree, RandTreeConfig
 
@@ -58,7 +58,7 @@ def test_reset_counts_accumulate():
     a = Address(1)
     gs = GlobalState.from_snapshot({a: _state(a)})
     assert gs.reset_count(a) == 0
-    gs2 = gs.successor(reset=a).successor(reset=a)
+    gs2 = gs.after(Step(reset=a)).after(Step(reset=a))
     assert gs2.reset_count(a) == 2
     assert gs.reset_count(a) == 0
     assert gs.state_hash() != gs2.state_hash()

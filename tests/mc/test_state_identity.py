@@ -1,14 +1,16 @@
 """A successor's identity is its parent's plus what the step changed.
 
-One generated differential check over all six bundled systems: every state
-the model checker derives from a hashed one must carry the hash of the
-same state hashed from scratch, distinct states must hash apart, and every
-clone must be the state ``copy.deepcopy`` would have produced, byte for
-byte.  A search's transition memo hands one handler run to every successor
-that repeats it, so every hit must be the run a fresh clone would make,
-and a whole search must be the search whose memo never hits.  CI runs this
-file under several ``PYTHONHASHSEED`` values: set iteration order, hence
-pickle bytes, hence checkpoint byte counts depend on the string-hash order.
+One generated differential check over all six bundled systems: every
+successor's hash spliced from its parent's digests before it is built must
+be the hash of the same state hashed from scratch, distinct states must
+hash apart, and every clone must be the state ``copy.deepcopy`` would have
+produced, byte for byte.  A search's memo hands one handler run to every
+successor that repeats it and interns node states by content, so every hit
+and every interned state must be what a fresh run on a clone makes, and a
+whole search must be the search whose memo never hits.  CI runs this file
+under several ``PYTHONHASHSEED`` values: set iteration order, hence pickle
+bytes, hence intern keys and checkpoint byte counts depend on the
+string-hash order.
 """
 
 import copy
@@ -20,18 +22,21 @@ from typing import Any
 import pytest
 
 from repro.api import Experiment, get_system
+import repro.mc.transition
 from repro.mc import (
     GlobalState,
     NodeLocal,
     SearchBudget,
     SearchKind,
     SearchStats,
+    Step,
     TransitionConfig,
     TransitionSystem,
 )
 from repro.mc.search import breadth_first_search
-from repro.runtime import Address, Message
-from repro.runtime.events import MessageEvent
+from repro.mc.transition import Memo
+from repro.runtime import Address, Message, Protocol
+from repro.runtime.events import AppEvent, MessageEvent, TimerEvent
 from repro.runtime.state import NodeState
 
 SYSTEMS = ("randtree", "chord", "paxos", "bulletprime", "crdtset", "kvstore")
@@ -70,26 +75,28 @@ def _start_states(name: str) -> list[tuple[TransitionSystem, GlobalState]]:
     return starts
 
 
-def _walk(name: str) -> list[tuple[GlobalState, bool]]:
+def _walk(name: str) -> list[tuple[GlobalState, Step, GlobalState]]:
     """Breadth-first walk from every start state of ``name``, the way a
-    search does it (hash, dedup, expand), message events also through
-    ``apply_filtered``: every successor, and whether it was built to splice
-    its hash from its parent's digests."""
+    search does it (hash, splice, build, size), message events also
+    refused: ``(parent, step, successor)`` for every step taken."""
     found = []
     starts = _start_states(name)
     for system, start in starts:
         seen = {start.state_hash()}
+        start.size_bytes()
         frontier = [start]
         quota = len(found) + WALK_TRANSITIONS // len(starts) + 1
         for state in frontier:
             if len(found) >= quota:
                 break
             for event in system.enabled_events(state):
-                steps = [system.apply(state, event)]
+                steps = [system.step(state, event)]
                 if isinstance(event, MessageEvent):
-                    steps.append(system.apply_filtered(state, event))
-                for after in steps:
-                    found.append((after, after._splice is not None))
+                    steps.append(system.filtered_step(state, event))
+                for step in steps:
+                    after = state.after(step, state.splice(step))
+                    after.size_bytes()
+                    found.append((state, step, after))
                     if after.state_hash() not in seen:
                         seen.add(after.state_hash())
                         frontier.append(after)
@@ -97,7 +104,7 @@ def _walk(name: str) -> list[tuple[GlobalState, bool]]:
 
 
 @pytest.fixture(scope="module", params=SYSTEMS)
-def walked(request) -> list[tuple[GlobalState, bool]]:
+def walked(request) -> list[tuple[GlobalState, Step, GlobalState]]:
     found = _walk(request.param)
     assert len(found) >= WALK_TRANSITIONS, (request.param, len(found))
     return found
@@ -141,15 +148,21 @@ def _scribble(state: NodeState) -> None:
 
 
 def test_derived_signature_equals_the_cold_one(walked):
-    # Every parent of the walk was hashed before it was expanded, so every
-    # successor must have spliced its hash from its parent's digests.
-    assert all(spliced for _, spliced in walked)
-    for after, _ in walked:
-        assert after.state_hash() == _cold(after).state_hash()
-        assert after._splice is None  # the replaced wrapper is let go
-        derived, cold = after.signature(), _cold(after).signature()
-        assert derived == cold
-        assert repr(derived) == repr(cold)
+    # The hash spliced before the successor exists, the successor built
+    # from that splice, the successor built plainly and the same state with
+    # nothing cached must all agree; so must the spliced size.
+    for parent, step, after in walked:
+        built = parent.after(step)
+        assert built._hash_cache is None  # built plainly: nothing spliced
+        cold = _cold(after)
+        assert (parent.splice(step).state_hash == after.state_hash()
+                == built.state_hash() == cold.state_hash())
+        assert after.size_bytes() == cold.size_bytes()
+        assert after.inflight == built.inflight
+        assert after.errors == built.errors
+        derived, cold_signature = after.signature(), cold.signature()
+        assert derived == cold_signature
+        assert repr(derived) == repr(cold_signature)
 
 
 def test_distinct_states_hash_apart(walked):
@@ -157,7 +170,7 @@ def test_distinct_states_hash_apart(walked):
     # an additive or XOR combination of them would collide on states that
     # only move parts between nodes or messages (see the unit case below).
     by_hash: dict[int, tuple] = {}
-    for after, _ in walked:
+    for _, _, after in walked:
         signature = _cold(after).signature()
         assert by_hash.setdefault(after.state_hash(), signature) == signature
     assert len(by_hash) > WALK_TRANSITIONS // 10
@@ -183,16 +196,41 @@ def test_moving_parts_between_nodes_or_messages_changes_the_hash():
     assert sending("X", "Y").state_hash() != sending("Y", "X").state_hash()
     # The same holds for hashes spliced from a parent's digests.
     parent = GlobalState(nodes=start.nodes)
-    parent.state_hash()
-    spliced = parent.successor(sent=(Message(mtype="X", src=a, dst=b),
-                                     Message(mtype="Y", src=a, dst=c)))
-    assert spliced._splice is not None
-    assert spliced.state_hash() == sending("X", "Y").state_hash()
-    assert spliced.state_hash() != sending("Y", "X").state_hash()
+    spliced = parent.splice(Step(sent=(Message(mtype="X", src=a, dst=b),
+                                       Message(mtype="Y", src=a, dst=c))))
+    spliced = spliced.state_hash
+    assert spliced == sending("X", "Y").state_hash()
+    assert spliced != sending("Y", "X").state_hash()
+
+
+def test_a_consumed_message_is_found_among_equal_ones():
+    # Two equal messages in flight: consuming either leaves one, and the
+    # spliced hash is the cold hash of what is left.  A message with the
+    # same signature but another checkpoint number is not equal, so it is
+    # not the one consumed; a message that equals none in flight (the
+    # immediate safety check's live event) removes nothing.
+    _, start = _start_states("randtree")[0]
+    a, b = sorted(start.nodes)[:2]
+    twin = Message(mtype="X", src=a, dst=b)
+    numbered = Message(mtype="X", src=a, dst=b, checkpoint_number=1)
+    parent = GlobalState(nodes=start.nodes, inflight=(
+        numbered, twin, Message(mtype="Y", src=a, dst=b),
+        Message(mtype="X", src=a, dst=b)))
+    assert numbered.signature() == twin.signature() and numbered != twin
+    for consumed, left in ((twin, (numbered, twin)),
+                           (parent.inflight[3], (numbered, twin)),
+                           (numbered, (twin, twin)),
+                           (Message(mtype="Z", src=a, dst=b),
+                            (numbered, twin, twin))):
+        step = Step(message=consumed)
+        after = parent.after(step, parent.splice(step))
+        assert [m for m in after.inflight if m.mtype == "X"] == list(left)
+        assert after.inflight == parent.after(step).inflight
+        assert after.state_hash() == _cold(after).state_hash()
 
 
 def test_clone_is_the_deepcopy_byte_for_byte(walked):
-    for after, _ in walked:
+    for _, _, after in walked:
         for local in after.nodes.values():
             state = local.state
             clone = state.clone()
@@ -203,7 +241,7 @@ def test_clone_is_the_deepcopy_byte_for_byte(walked):
 
 
 def test_mutating_a_clone_leaves_the_original_alone(walked):
-    for after, _ in walked:
+    for _, _, after in walked:
         for local in after.nodes.values():
             before = local.state.signature()
             clone = local.state.clone()
@@ -217,65 +255,78 @@ def test_bundled_states_clone_without_deepcopy(walked, monkeypatch):
         raise AssertionError("NodeState.clone fell back to copy.deepcopy")
 
     monkeypatch.setattr(copy, "deepcopy", refuse)
-    for after, _ in walked:
+    for _, _, after in walked:
         for local in after.nodes.values():
             local.state.clone()
 
 
 def test_an_unhashed_parent_is_not_retained():
-    # Replay applies events to a state nobody hashed: its successors hold
-    # no splice and hash from scratch when asked.
+    # Replay applies events to a state nobody hashed: its successors carry
+    # nothing spliced and hash from scratch when asked.
     system, start = _start_states("randtree")[0]
     state = start.clone()
     for _ in range(3):
         state = system.apply(state, system.enabled_events(state)[0])
-        assert state._splice is None
+        assert state._hash_cache is None and state._digests is None
     assert state.state_hash() == _cold(state).state_hash()
     assert state.signature() == _cold(state).signature()
 
 
 # ------------------------------------------------------------ the transition memo
 
-def _node_view(state: GlobalState, addr) -> tuple:
-    """What a handler run leaves in ``state`` at ``addr``, with nothing
-    taken from a cache: the state's signature and pickle bytes (after it is
-    hashed, as a search does), its set orders and its timers."""
-    local = state.nodes[addr]
+def _node_view(local: NodeLocal) -> tuple:
+    """What a handler run leaves in a node, with nothing taken from a
+    cache: the state's signature and pickle bytes (after it is hashed, as
+    a search does), its set orders and its timers."""
     signature = local.state.signature()
     return (signature, pickle.dumps(local.state), _set_orders(local.state),
             local.timers)
 
 
 def test_every_memo_hit_is_a_fresh_handler_run():
-    # A walk that applies every event through one memo, as a search does,
-    # and holds each result to a handler run on a clone of the same input.
+    # A walk that steps every event through one memo, as a search does,
+    # and holds each result, interned node state included, to a handler
+    # run on a clone of the same input.
+    interned = 0
     for name in SYSTEMS:
         hits = 0
         for system, start in _start_states(name):
-            memo: dict = {}
+            memo = Memo()
             seen = {start.state_hash()}
+            for addr, local in start.nodes.items():
+                memo.intern(addr, local)
+            start.size_bytes()
             frontier = [start]
             for state in frontier:
                 if len(seen) > WALK_TRANSITIONS:
                     break
                 for event in system.enabled_events(state):
-                    stored = len(memo)
-                    after = system.apply(state, event, memo)
-                    hits += len(memo) == stored
-                    fresh = system.apply(state, event)
-                    assert (_node_view(after, event.node)
-                            == _node_view(fresh, event.node)), (name, event)
+                    stored, nodes = len(memo.steps), len(memo.nodes)
+                    step = system.step(state, event, memo)
+                    hits += len(memo.steps) == stored
+                    # A new run whose output joined an equal node state.
+                    interned += (len(memo.steps) > stored
+                                 and len(memo.nodes) == nodes)
+                    fresh = system.step(state, event)
+                    assert (_node_view(step.local)
+                            == _node_view(fresh.local)), (name, event)
+                    assert step.local.size_bytes() == fresh.local.size_bytes()
                     # Sent messages in order, closed connections, resets.
-                    assert after.inflight == fresh.inflight
-                    assert ([m.signature() for m in after.inflight]
-                            == [m.signature() for m in fresh.inflight])
-                    assert after.errors == fresh.errors
-                    assert after.resets == fresh.resets
-                    assert after.state_hash() == _cold(fresh).state_hash()
+                    assert step.sent == fresh.sent
+                    assert ([m.signature() for m in step.sent]
+                            == [m.signature() for m in fresh.sent])
+                    assert step.raised == fresh.raised
+                    assert step.reset == fresh.reset
+                    splice = state.splice(step)
+                    after = state.after(step, splice)
+                    assert (splice.state_hash == state.splice(fresh).state_hash
+                            == _cold(state.after(fresh)).state_hash())
+                    assert after.size_bytes() == _cold(after).size_bytes()
                     if after.state_hash() not in seen:
                         seen.add(after.state_hash())
                         frontier.append(after)
         assert hits, name  # the walks do repeat handler runs
+    assert interned  # and do reach equal node states along two paths
 
 
 def _searched(system, start, properties, kind, visited: list):
@@ -292,6 +343,8 @@ def _searched(system, start, properties, kind, visited: list):
 
 
 def test_a_search_with_the_memo_is_the_search_without_it(monkeypatch):
+    # Without the memo and the intern table every handler runs, and every
+    # node state is its own object.
     visited: list = []
     note = SearchStats.note_visited_hash
 
@@ -300,21 +353,136 @@ def test_a_search_with_the_memo_is_the_search_without_it(monkeypatch):
         note(stats, state_hash)
 
     monkeypatch.setattr(SearchStats, "note_visited_hash", noting)
-    memoised = TransitionSystem.apply
+    memoised = TransitionSystem.step
+    runner = repro.mc.transition.run_handler
+    runs = {"with": 0, "without": 0}
 
     def never_hits(system, state, event, memo=None):
         return memoised(system, state, event)
+
+    interning = {"with": Memo.intern,
+                 "without": lambda memo, addr, local: local}
 
     for name in SYSTEMS:
         properties = list(get_system(name).properties)
         for system, start in _start_states(name):
             for kind in SearchKind:
-                monkeypatch.setattr(TransitionSystem, "apply", memoised)
-                with_memo = _searched(system, start, properties, kind, visited)
-                monkeypatch.setattr(TransitionSystem, "apply", never_hits)
-                without = _searched(system, start, properties, kind, visited)
-                assert with_memo == without, (name, kind)
-                assert with_memo[2], (name, kind)
+                results = {}
+                for label, step in (("with", memoised),
+                                    ("without", never_hits)):
+                    def counting(*args, label=label, **kwargs):
+                        runs[label] += 1
+                        return runner(*args, **kwargs)
+
+                    monkeypatch.setattr(TransitionSystem, "step", step)
+                    monkeypatch.setattr(Memo, "intern", interning[label])
+                    monkeypatch.setattr(repro.mc.transition, "run_handler",
+                                        counting)
+                    results[label] = _searched(system, start, properties,
+                                               kind, visited)
+                assert results["with"] == results["without"], (name, kind)
+                assert results["with"][1]["peak_memory_bytes"], (name, kind)
+                assert results["with"][2], (name, kind)
+    assert runs["with"] < runs["without"] / 2, runs
+
+
+#: A value pickle refuses: a lambda is looked up by a name it does not have.
+_OPAQUE = lambda: None  # noqa: E731
+
+
+@dataclass
+class _Ledger(NodeState):
+    table: dict = field(default_factory=dict)
+    items: set = field(default_factory=set)
+    extra: Any = None
+
+
+class _Ordering(Protocol):
+    """Each application call writes one value of ``table`` or ``items``
+    (or ``extra``), in the insertion order its name spells; a ``tick``
+    timer re-arms itself and counts its runs."""
+
+    CALLS = {
+        "ab": ("table", lambda: {"a": 1, "b": 2}),
+        "ab-again": ("table", lambda: {"a": 1, "b": 2}),
+        "ba": ("table", lambda: {"b": 2, "a": 1}),
+        "0-8": ("items", lambda: {0, 8}),
+        "8-0": ("items", lambda: _inserted(8, 0)),
+        "opaque": ("extra", lambda: _OPAQUE),
+        "opaque-again": ("extra", lambda: _OPAQUE),
+    }
+
+    def __init__(self) -> None:
+        self.ticks = 0
+
+    def initial_state(self, addr):
+        return _Ledger()
+
+    def handle_message(self, ctx, state, message):
+        pass
+
+    def handle_timer(self, ctx, state, timer):
+        self.ticks += 1
+        ctx.set_timer(timer, 1.0)
+
+    def handle_app(self, ctx, state, call, payload):
+        name, value = self.CALLS[call]
+        setattr(state, name, value())
+
+
+def _inserted(*values) -> set:
+    found = set()
+    for value in values:
+        found.add(value)
+    return found
+
+
+def _stepped(protocol: _Ordering, *calls: str) -> tuple[GlobalState, Memo,
+                                                         list[Step]]:
+    a = Address(1)
+    start = GlobalState.from_snapshot({a: _Ledger()}, timers={a: ["tick"]})
+    start.state_hash()
+    memo = Memo()
+    memo.intern(a, start.nodes[a])
+    start.size_bytes()
+    system = TransitionSystem(protocol, TransitionConfig(enable_resets=False))
+    steps = [system.step(start, AppEvent(node=a, call=call, payload={}), memo)
+             for call in calls]
+    for step in steps:
+        after = start.after(step, start.splice(step))
+        system.step(after, TimerEvent(node=a, timer="tick"), memo)
+    return start, memo, steps
+
+
+def test_equal_signatures_in_another_order_are_not_interned():
+    assert list(_inserted(8, 0)) != list({0, 8})  # the orders do differ
+    for first, second in (("ab", "ba"), ("0-8", "8-0")):
+        protocol = _Ordering()
+        start, _, (one, other) = _stepped(protocol, first, second)
+        assert one.local.signature() == other.local.signature()
+        assert pickle.dumps(one.local.state) != pickle.dumps(other.local.state)
+        assert one.local is not other.local
+        assert protocol.ticks == 2  # each ran its own tick
+        assert start.splice(one).state_hash == start.splice(other).state_hash
+    # The control: the same content in the same order is one node state,
+    # whose tick runs once.
+    protocol = _Ordering()
+    _, memo, (one, again) = _stepped(protocol, "ab", "ab-again")
+    assert one.local is again.local
+    assert protocol.ticks == 1
+    assert len(memo.nodes) == 2  # the start's node state and this one
+
+
+def test_a_state_that_does_not_pickle_is_not_interned():
+    protocol = _Ordering()
+    start, memo, (one, other) = _stepped(protocol, "opaque", "opaque-again")
+    assert one.local.pickled() is None
+    assert one.local.signature() == other.local.signature()
+    assert one.local is not other.local  # two runs, two wrappers
+    assert protocol.ticks == 2
+    assert len(memo.nodes) == 1  # the start's node state alone
+    assert one.local.size_bytes() > 0
+    assert start.splice(one).state_hash != start.state_hash()
 
 
 # ------------------------------------------------------------ clone, unit cases
